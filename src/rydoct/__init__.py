@@ -38,7 +38,6 @@ from .ensemble import (
     EnsembleProblem,
     EnsembleResult,
     decode_test,
-    ensemble_update,
     optimize_ensemble,
     register_ensemble_problem,
 )

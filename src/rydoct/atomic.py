@@ -21,7 +21,6 @@ import re
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     ConvergenceError,
@@ -314,6 +313,10 @@ def find_coulomb_eigenvalue(
     quantum number (hydrogen).  Raises ConvergenceError if the bracket does
     not contain a sign change or the converged state has the wrong node count.
     """
+    # Imported here: scipy.optimize takes most of the package's import time,
+    # and nothing else needs it.
+    from scipy.optimize import brentq
+
     if not (e_min < e_max < 0.0):
         raise ConvergenceError("eigenvalue bracket must satisfy e_min < e_max < 0")
 

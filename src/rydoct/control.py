@@ -32,7 +32,13 @@ import numpy as np
 
 from .atomic import HamiltonianData, StateLabel
 from .errors import InvalidSpecError
-from .propagation import PulseGrid, WavePacket, ZEigensystem, precompute_z_eigensystem
+from .propagation import (
+    PulseGrid,
+    SplitStepKernel,
+    WavePacket,
+    ZEigensystem,
+    precompute_z_eigensystem,
+)
 
 __all__ = [
     "PenaltySchedule",
@@ -135,29 +141,6 @@ def costate_terminal(psi_final: WavePacket, target_index: int) -> WavePacket:
     return WavePacket(amplitudes=amps, time=psi_final.time)
 
 
-def _propagate_full(
-    amps0: np.ndarray,
-    pulse: PulseGrid,
-    h: HamiltonianData,
-    zsys: ZEigensystem,
-) -> np.ndarray:
-    """Forward trajectory as an (n_samples, dim) array aligned with the grid."""
-    half = np.exp(-0.5j * pulse.dt * h.energies)
-    traj = np.empty((len(pulse.samples), h.dim), dtype=complex)
-    traj[0] = amps0
-    a = np.asarray(amps0, dtype=complex)
-    for j in range(pulse.n_steps):
-        e = float(pulse.samples[j])
-        a = half * a
-        if e != 0.0:
-            a = zsys.vectors @ (
-                np.exp(-1j * pulse.dt * e * zsys.eigenvalues) * (zsys.vectors.T @ a)
-            )
-        a = half * a
-        traj[j + 1] = a
-    return traj
-
-
 def backward_propagate(
     costate_final: WavePacket,
     pulse: PulseGrid,
@@ -170,86 +153,84 @@ def backward_propagate(
     same field sample, so the discrete forward and backward propagations are
     exact inverses of each other.
     """
-    half = np.exp(0.5j * pulse.dt * h.energies)
-    traj = np.empty((len(pulse.samples), h.dim), dtype=complex)
-    traj[-1] = costate_final.amplitudes
-    a = np.asarray(costate_final.amplitudes, dtype=complex)
+    adjoint = SplitStepKernel(h, zsys, -pulse.dt)
+    traj = np.empty((len(pulse.samples), h.dim, 1), dtype=complex)
+    lam = np.array(costate_final.amplitudes, dtype=complex).reshape(h.dim, 1)
+    traj[-1] = lam
     for j in range(pulse.n_steps - 1, -1, -1):
-        e = float(pulse.samples[j])
-        a = half * a
-        if e != 0.0:
-            a = zsys.vectors @ (
-                np.exp(1j * pulse.dt * e * zsys.eigenvalues) * (zsys.vectors.T @ a)
-            )
-        a = half * a
-        traj[j] = a
-    return traj
+        lam = adjoint.step(lam, float(pulse.samples[j]))
+        traj[j] = lam
+    return traj[:, :, 0]
 
 
-def _sweep(
-    psi0_list: list[np.ndarray],
-    costates: list[np.ndarray],
+def _costate_sweep(
+    kernel: SplitStepKernel, lam_final: np.ndarray, samples: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """What the update sweep needs from the costates, integrated from T to t0.
+
+    Returns two (n_steps, dim, M) arrays: z lam_j, for the field increment
+    at t_j, and V^T D* lam_{j+1}, the coefficients that the adjoint of step j
+    forms on its way, for the delta3 cross-term of step j.
+    """
+    adjoint = kernel.adjoint()
+    n_steps = len(samples) - 1
+    z_lam = np.empty((n_steps,) + lam_final.shape, dtype=complex)
+    coeffs = np.empty_like(z_lam)
+    lam = lam_final
+    for j in range(n_steps - 1, -1, -1):
+        e_field = float(samples[j])
+        coeffs[j] = c = adjoint.coefficients(lam)
+        if e_field != 0.0:
+            lam = adjoint.finish(adjoint.phase(e_field) * c)
+        else:
+            lam = adjoint.step(lam, 0.0)
+        np.matmul(kernel.z, lam, out=z_lam[j])
+    return z_lam, coeffs
+
+
+def _update_sweep(
+    kernel: SplitStepKernel,
+    psi0: np.ndarray,
+    z_lam: np.ndarray,
     pulse: PulseGrid,
     penalty: PenaltySchedule,
-    h: HamiltonianData,
-    zsys: ZEigensystem,
     update_mode: str,
-) -> tuple[np.ndarray, list[np.ndarray], complex]:
-    """Forward sweep with immediate field feedback, shared by all targets.
+    coeffs: np.ndarray | None = None,
+    trajectory: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, complex]:
+    """Forward sweep with immediate field feedback, shared by all members.
 
-    At each step the update increments from every member are computed from
-    the states at t_j, accumulated into one field value, and then all members
-    advance through the step under that new value.  Returns the new field
-    samples, the new trajectories, and the accumulated cross-term
-    sum_j <lam(t_{j+1})| (S_new - S_old) psi(t_j)> needed for the delta3
-    diagnostic.
+    `psi0` is the (dim, M) block of initial states and `z_lam[j]` the block
+    of z lam_i(t_j).  At each step the increments of every member are
+    summed into one field value, and then the whole block advances through
+    the step under that new value.  Returns the new field samples, the final
+    block, and, when the costate coefficients from `_costate_sweep` are
+    given, the cross-term sum_j <lam(t_{j+1})| (S_new - S_old) psi(t_j)>
+    needed for the delta3 diagnostic (zero otherwise).  `trajectory`, if
+    given, receives the block at every grid point.
     """
     if update_mode not in ("replace", "add"):
         raise InvalidSpecError(f"unknown update mode {update_mode!r}")
-    if not psi0_list:
-        raise InvalidSpecError("at least one member is required")
-    n_samples = len(pulse.samples)
-    members = len(psi0_list)
-    dt = pulse.dt
-    half = np.exp(-0.5j * dt * h.energies)
-    v = zsys.vectors
-    vt = np.ascontiguousarray(v.T)
-    w = zsys.eigenvalues
-
-    new_samples = pulse.samples.astype(float).copy()
-    trajs = [np.empty((n_samples, h.dim), dtype=complex) for _ in range(members)]
-    current = []
-    for i in range(members):
-        trajs[i][0] = psi0_list[i]
-        current.append(np.asarray(psi0_list[i], dtype=complex))
-
+    old = pulse.samples.astype(float)
+    new_samples = old.copy()
+    psi = psi0
     cross_term = 0.0 + 0.0j
-    for j in range(n_samples - 1):
-        overlap = 0.0
-        for i in range(members):
-            z_psi = v @ (w * (vt @ current[i]))
-            overlap += float(np.vdot(costates[i][j], z_psi).imag)
-        if update_mode == "add":
-            new_samples[j] = pulse.samples[j] + overlap / penalty.samples[j]
-        else:
-            new_samples[j] = overlap / penalty.samples[j]
+    for j in range(pulse.n_steps):
+        increment = kernel.overlap(z_lam[j], psi) / penalty.samples[j]
+        new_samples[j] = old[j] + increment if update_mode == "add" else increment
         e_new = float(new_samples[j])
-        e_old = float(pulse.samples[j])
-        phase_new = np.exp(-1j * dt * e_new * w) if e_new != 0.0 else None
-        phase_old = np.exp(-1j * dt * e_old * w) if e_old != 0.0 else None
-        for i in range(members):
-            a = half * current[i]
-            if phase_new is None and phase_old is None:
-                a_new = half * a
-                a_old = a_new
-            else:
-                coeff = vt @ a
-                a_new = half * (v @ (phase_new * coeff)) if phase_new is not None else half * a
-                a_old = half * (v @ (phase_old * coeff)) if phase_old is not None else half * a
-            cross_term += np.vdot(costates[i][j + 1], a_new - a_old)
-            trajs[i][j + 1] = a_new
-            current[i] = a_new
-    return new_samples, trajs, cross_term
+        e_old = float(old[j])
+        if coeffs is not None and e_new != e_old:
+            # <lam_{j+1}| D V (P_new - P_old) c> with c = V^T D psi_j.
+            c = kernel.coefficients(psi)
+            b = kernel.phase(e_new) * c
+            psi = kernel.finish(b) if e_new != 0.0 else kernel.step(psi, 0.0)
+            cross_term += np.vdot(coeffs[j], b - kernel.phase(e_old) * c)
+        else:
+            psi = kernel.step(psi, e_new)
+        if trajectory is not None:
+            trajectory[j + 1] = psi
+    return new_samples, psi, cross_term
 
 
 def forward_update_sweep(
@@ -268,10 +249,15 @@ def forward_update_sweep(
     trajectory.  The final field sample sits at T itself, after the last
     step, and is left unchanged.
     """
-    new_samples, trajs, _ = _sweep(
-        [psi0.amplitudes], [costates], pulse, penalty, h, zsys, update_mode
+    kernel = SplitStepKernel(h, zsys, pulse.dt)
+    # Row j of costates @ z^T is (z lam_j)^T.
+    z_lam = (np.asarray(costates, dtype=complex) @ kernel.z.T)[:, :, None]
+    traj = np.empty((len(pulse.samples), h.dim, 1), dtype=complex)
+    traj[0] = np.asarray(psi0.amplitudes, dtype=complex).reshape(h.dim, 1)
+    new_samples, _, _ = _update_sweep(
+        kernel, traj[0], z_lam, pulse, penalty, update_mode, trajectory=traj
     )
-    return pulse.with_samples(new_samples), trajs[0]
+    return pulse.with_samples(new_samples), traj[:, :, 0]
 
 
 @dataclass
@@ -331,6 +317,30 @@ def _apply_stall_bump(pulse: PulseGrid) -> PulseGrid:
     return pulse.with_samples(pulse.samples + bump)
 
 
+def _iterate(
+    kernel: SplitStepKernel,
+    psi0: np.ndarray,
+    final: np.ndarray,
+    targets: tuple[np.ndarray, np.ndarray],
+    pulse: PulseGrid,
+    penalty: PenaltySchedule,
+    update_mode: str,
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """One backward sweep and one update sweep: new field, final block, delta3.
+
+    The costate arrays live only inside this call, so one iteration's are
+    released before the next backward sweep allocates its own.
+    """
+    lam_final = np.zeros_like(final)
+    lam_final[targets] = final[targets]
+    z_lam, coeffs = _costate_sweep(kernel, lam_final, pulse.samples)
+    new_samples, new_final, cross_term = _update_sweep(
+        kernel, psi0, z_lam, pulse, penalty, update_mode, coeffs=coeffs
+    )
+    boundary = np.vdot(lam_final, new_final - final)
+    return new_samples, new_final, float(2.0 * (boundary - cross_term).real)
+
+
 def _run_engine(
     members: list[tuple[np.ndarray, int]],
     guess: PulseGrid,
@@ -344,24 +354,28 @@ def _run_engine(
     """Shared iteration loop for one or many targets on one field.
 
     The objective is sum_i |<target_i|psi_i(T)>|^2 - cost, with the fluence
-    cost charged once however many members share the field.
+    cost charged once however many members share the field.  The members
+    are the columns of one (dim, M) block; only its final value is kept.
     """
+    kernel = SplitStepKernel(h, zsys, guess.dt)
+    psi0 = np.stack([np.asarray(amps0, dtype=complex) for amps0, _ in members], axis=1)
+    targets = (np.array([k for _, k in members]), np.arange(len(members)))
     pulse = guess
-    trajs = [_propagate_full(amps0, pulse, h, zsys) for amps0, _ in members]
+    final = kernel.evolve(psi0, pulse.samples)
 
-    if any(traj[-1][k] == 0.0 for traj, (_, k) in zip(trajs, members)):
+    if np.any(final[targets] == 0.0):
         warnings.warn(
             "guess field leaves a target overlap exactly zero; adding a tiny "
             "smooth bump to unfreeze the update",
             stacklevel=2,
         )
         pulse = _apply_stall_bump(pulse)
-        trajs = [_propagate_full(amps0, pulse, h, zsys) for amps0, _ in members]
+        final = kernel.evolve(psi0, pulse.samples)
 
-    def member_yields(trajectories):
-        return [float(np.abs(traj[-1][k]) ** 2) for traj, (_, k) in zip(trajectories, members)]
+    def member_yields(block):
+        return [float(y) for y in np.abs(block[targets]) ** 2]
 
-    guess_yields = member_yields(trajs)
+    guess_yields = member_yields(final)
     j_prev = sum(guess_yields) - evaluate_cost(pulse, penalty)
     guess_objective = j_prev
 
@@ -374,23 +388,13 @@ def _run_engine(
     first_decrease = None
 
     for iteration in range(1, max_iterations + 1):
-        costates = []
-        for traj, (_, k) in zip(trajs, members):
-            lam_final = costate_terminal(WavePacket(traj[-1], pulse.horizon), k)
-            costates.append(backward_propagate(lam_final, pulse, h, zsys))
-        new_samples, new_trajs, cross_term = _sweep(
-            [amps0 for amps0, _ in members], costates, pulse, penalty, h, zsys, update_mode
+        new_samples, final, delta3 = _iterate(
+            kernel, psi0, final, targets, pulse, penalty, update_mode
         )
-        new_pulse = pulse.with_samples(new_samples)
+        pulse = pulse.with_samples(new_samples)
 
-        boundary = sum(
-            np.vdot(costates[i][-1], new_trajs[i][-1] - trajs[i][-1])
-            for i in range(len(members))
-        )
-        delta3 = float(2.0 * (boundary - cross_term).real)
-
-        yields = member_yields(new_trajs)
-        cost = evaluate_cost(new_pulse, penalty)
+        yields = member_yields(final)
+        cost = evaluate_cost(pulse, penalty)
         j_new = sum(yields) - cost
 
         j_hist.append(j_new)
@@ -402,8 +406,6 @@ def _run_engine(
             monotonic = False
             first_decrease = iteration
 
-        pulse = new_pulse
-        trajs = new_trajs
         if abs(j_new - j_prev) < tolerance:
             j_prev = j_new
             converged = True
@@ -412,7 +414,7 @@ def _run_engine(
 
     return {
         "field": pulse,
-        "trajectories": trajs,
+        "final_states": final,
         "j_history": np.array(j_hist),
         "yield_history": np.array(yield_hist, dtype=float).reshape(-1, len(members)),
         "cost_history": np.array(cost_hist),
@@ -441,7 +443,7 @@ def optimize(problem: OctProblem, zsys: ZEigensystem | None = None) -> OctResult
         tolerance=problem.tolerance,
         update_mode=problem.update_mode,
     )
-    final_amps = raw["trajectories"][0][-1]
+    final_amps = raw["final_states"][:, 0].copy()
     final_state = WavePacket(amplitudes=final_amps, time=raw["field"].horizon)
     return OctResult(
         field=raw["field"],

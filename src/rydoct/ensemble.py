@@ -29,7 +29,6 @@ __all__ = [
     "EnsembleMember",
     "EnsembleProblem",
     "EnsembleResult",
-    "ensemble_update",
     "optimize_ensemble",
     "register_ensemble_problem",
     "decode_test",
@@ -87,27 +86,6 @@ class EnsembleResult:
     first_decrease_iteration: int | None
     guess_yields: np.ndarray
     guess_objective: float
-
-
-def ensemble_update(
-    costates: list[np.ndarray],
-    states: list[np.ndarray],
-    penalty_value: float,
-    zsys: ZEigensystem,
-) -> float:
-    """Shared-field increment (1/l) sum_i Im <lam_i| z |psi_i> at one instant.
-
-    With a single member this is exactly the single-target increment.
-    """
-    if not costates or len(costates) != len(states):
-        raise InvalidSpecError("costate and state lists must be non-empty and aligned")
-    v = zsys.vectors
-    w = zsys.eigenvalues
-    total = 0.0
-    for lam, psi in zip(costates, states):
-        z_psi = v @ (w * (v.T @ psi))
-        total += float(np.vdot(lam, z_psi).imag)
-    return total / penalty_value
 
 
 def register_ensemble_problem(
@@ -182,7 +160,7 @@ def optimize_ensemble(
     )
     horizon = raw["field"].horizon
     final_states = [
-        WavePacket(amplitudes=traj[-1], time=horizon) for traj in raw["trajectories"]
+        WavePacket(amplitudes=column.copy(), time=horizon) for column in raw["final_states"].T
     ]
     reports = []
     accuracy = 0
@@ -228,6 +206,8 @@ def decode_test(
 ) -> list[dict]:
     """Propagate every single-flip register under `pulse` and read it out.
 
+    All the registers advance together, as the columns of one block.
+
     Returns one entry per marked bit with the populations, the decoded
     orbital, and a strict success flag (marked population beats every other
     register population outright).
@@ -239,13 +219,18 @@ def decode_test(
     )
     if marked_bits is None:
         marked_bits = orbital_labels
+    labels = [StateLabel.parse(b) if isinstance(b, str) else b for b in marked_bits]
+    specs = [
+        RegisterSpec(orbitals=orbital_labels, marked_index=orbital_labels.index(label))
+        for label in labels
+    ]
+    if not specs:
+        return []
+    block = np.stack([encode(spec, h).amplitudes for spec in specs], axis=1)
+    _, final = propagate(WavePacket(block), pulse, h, zsys, record=None)
     results = []
-    for bit in marked_bits:
-        label = StateLabel.parse(bit) if isinstance(bit, str) else bit
-        spec = RegisterSpec(orbitals=orbital_labels, marked_index=orbital_labels.index(label))
-        psi0 = encode(spec, h)
-        _, final = propagate(psi0, pulse, h, zsys, record=None)
-        report = readout(final, spec, h)
+    for i, (label, spec) in enumerate(zip(labels, specs)):
+        report = readout(WavePacket(final.amplitudes[:, i], final.time), spec, h)
         results.append(
             {
                 "marked": str(label),

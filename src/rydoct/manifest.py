@@ -15,6 +15,7 @@ byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -279,17 +280,38 @@ def write_field_csv(path, pulse: PulseGrid) -> None:
 
 
 def read_field_csv(path) -> PulseGrid:
+    """Read a `time,E` field CSV, such as write_field_csv writes.
+
+    It needs at least two data rows of finite numbers at uniform times:
+    every step within 1e-9 of the median step.  The grid step is t1 - t0.
+    Errors name the file and the line.
+    """
     rows = Path(path).read_text().strip().splitlines()
     if not rows or rows[0].split(",")[:2] != ["time", "E"]:
         raise ManifestError(f"{path}: not a field CSV (expected 'time,E' header)")
+    if len(rows) < 3:
+        raise ManifestError(
+            f"{path}: line {len(rows)}: a field needs at least 2 data rows, found {len(rows) - 1}"
+        )
     times, values = [], []
-    for row in rows[1:]:
-        t, e = row.split(",")[:2]
-        times.append(float(t))
-        values.append(float(e))
-    times = np.asarray(times)
-    dt = float(times[1] - times[0])
-    return PulseGrid(t0=float(times[0]), dt=dt, samples=np.asarray(values))
+    for line, row in enumerate(rows[1:], start=2):
+        try:
+            t, e = (float(cell) for cell in row.split(",")[:2])
+        except ValueError:
+            raise ManifestError(f"{path}: line {line}: expected two numbers, got {row!r}") from None
+        if not (math.isfinite(t) and math.isfinite(e)):
+            raise ManifestError(f"{path}: line {line}: values must be finite, got {row!r}")
+        times.append(t)
+        values.append(e)
+    steps = np.diff(times)
+    median = float(np.median(steps))
+    uneven = np.flatnonzero(np.abs(steps - median) > 1e-9 * median)
+    if median <= 0 or uneven.size:
+        line = int(uneven[0]) + 3 if uneven.size else 3
+        raise ManifestError(
+            f"{path}: line {line}: times must increase in uniform steps (median step {median!r})"
+        )
+    return PulseGrid(t0=times[0], dt=times[1] - times[0], samples=np.asarray(values))
 
 
 def write_trajectory_csv(path, times, populations, labels) -> None:

@@ -2,18 +2,30 @@
 
 H0 is diagonal in the stored basis, so each half step is a phase rotation.
 The field factor exp(-i E z dt) is applied exactly through a cached
-eigendecomposition of the z matrix.  Every factor is unitary, which makes
+eigendecomposition z = V diag(w) V^T.  Every factor is unitary, which makes
 forward and (adjoint) backward sweeps exact inverses of each other; the
 scheme is accurate to second order in the time step.
 
 The field is treated as piecewise constant over each step, with the value
 taken at the step's left endpoint.  The optimal-control sweeps rely on this
 one convention being used everywhere.
+
+Every sweep in the package runs on one kernel, `SplitStepKernel`.  The
+kernel stays in the stored basis and works on a (dim, M) block whose
+columns are M independent states, so the members of an ensemble, or all
+the bits of a register, advance together.  V, V^T and z are cast to
+complex C-contiguous arrays once per eigensystem.  One step costs two
+complex matrix products on the block, V^T (D block) and V (P_j c); a step
+whose field sample is exactly zero skips both and stays diagonal.  The
+optimization engine stores, per iteration, only the final state block and
+two costate arrays of n_steps blocks each (z lam_j and V^T D* lam_{j+1},
+see `control`), never whole forward trajectories.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +36,7 @@ __all__ = [
     "WavePacket",
     "PulseGrid",
     "ZEigensystem",
+    "SplitStepKernel",
     "precompute_z_eigensystem",
     "split_step",
     "propagate",
@@ -98,6 +111,18 @@ class ZEigensystem:
         z = (self.vectors * self.eigenvalues) @ self.vectors.T
         return float(np.max(np.abs(z - self.hamiltonian.z_matrix)))
 
+    @cached_property
+    def complex_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """V, V^T and z as complex C-contiguous arrays, cast on first use.
+
+        A real matrix times a complex block makes numpy cast the matrix on
+        every call; the kernel multiplies by these copies instead.
+        """
+        return tuple(
+            np.ascontiguousarray(m, dtype=complex)
+            for m in (self.vectors, self.vectors.T, self.hamiltonian.z_matrix)
+        )
+
 
 def precompute_z_eigensystem(h: HamiltonianData) -> ZEigensystem:
     """Diagonalize the z matrix once; reused by every step of every sweep."""
@@ -108,17 +133,57 @@ def precompute_z_eigensystem(h: HamiltonianData) -> ZEigensystem:
     return ZEigensystem(eigenvalues=w, vectors=np.ascontiguousarray(v), hamiltonian=h)
 
 
-def _step(
-    amps: np.ndarray,
-    e_field: float,
-    half_phase: np.ndarray,
-    dt: float,
-    zsys: ZEigensystem,
-) -> np.ndarray:
-    a = half_phase * amps
-    if e_field != 0.0:
-        a = zsys.vectors @ (np.exp(-1j * dt * e_field * zsys.eigenvalues) * (zsys.vectors.T @ a))
-    return half_phase * a
+class SplitStepKernel:
+    """The split step D V P(E) V^T D on a (dim, M) block of states.
+
+    D = exp(-i H0 dt/2) and P(E) = exp(-i E w dt) are diagonal.  A negative
+    dt gives the adjoint (inverse) step, which the backward sweeps use; see
+    `adjoint`.  Blocks are complex (dim, M) arrays, one state per column.
+    The sweeps in `control` use the two halves of a step, `coefficients`
+    and `finish`, to reuse what a step forms in between.
+    """
+
+    def __init__(self, h: HamiltonianData, zsys: ZEigensystem, dt: float):
+        self.h = h
+        self.zsys = zsys
+        self.dt = dt
+        self.half = np.exp(-0.5j * dt * h.energies)[:, None]
+        self.exponent = -1j * dt * zsys.eigenvalues[:, None]
+        self.v, self.vt, self.z = zsys.complex_factors
+
+    def adjoint(self) -> "SplitStepKernel":
+        return SplitStepKernel(self.h, self.zsys, -self.dt)
+
+    def phase(self, e_field: float) -> np.ndarray:
+        """The z-eigenbasis factor P(E) as a column; exactly 1 for E = 0."""
+        return np.exp(e_field * self.exponent)
+
+    def coefficients(self, block: np.ndarray) -> np.ndarray:
+        """c = V^T D block, the first half step in the z eigenbasis."""
+        return self.vt @ (self.half * block)
+
+    def finish(self, b: np.ndarray) -> np.ndarray:
+        """D V b: back to the stored basis through the second half step."""
+        return self.half * (self.v @ b)
+
+    def step(self, block: np.ndarray, e_field: float) -> np.ndarray:
+        if e_field == 0.0:
+            # Diagonal, so amplitudes that are exactly zero stay exactly zero.
+            return self.half * (self.half * block)
+        return self.finish(self.phase(e_field) * self.coefficients(block))
+
+    def evolve(self, block: np.ndarray, samples: np.ndarray) -> np.ndarray:
+        """Final block after one step per sample; the last sample is unused."""
+        for e_field in samples[:-1].tolist():
+            block = self.step(block, e_field)
+        return block
+
+    @staticmethod
+    def overlap(z_costates: np.ndarray, states: np.ndarray) -> float:
+        """sum_i Im <lam_i| z |psi_i>, from z lam_i and psi_i as block columns."""
+        if not states.size or z_costates.shape != states.shape:
+            raise InvalidSpecError("costate and state blocks must be non-empty and aligned")
+        return float(np.vdot(z_costates, states).imag)
 
 
 def split_step(
@@ -133,11 +198,9 @@ def split_step(
     Each factor is unitary, so the norm is preserved exactly.  A negative dt
     applies the adjoint (inverse) step, which backward costate sweeps use.
     """
-    half = np.exp(-0.5j * dt * h.energies)
-    return WavePacket(
-        amplitudes=_step(psi.amplitudes, e_field, half, dt, zsys),
-        time=psi.time + dt,
-    )
+    amps = np.asarray(psi.amplitudes, dtype=complex)
+    block = SplitStepKernel(h, zsys, dt).step(amps.reshape(h.dim, -1), e_field)
+    return WavePacket(amplitudes=block.reshape(amps.shape), time=psi.time + dt)
 
 
 def boundary_labels(h: HamiltonianData) -> list[StateLabel]:
@@ -148,6 +211,15 @@ def boundary_labels(h: HamiltonianData) -> list[StateLabel]:
     return [s for s in h.labels if s.n in (n_min, n_max) or s.l == l_top]
 
 
+def _absorber_factors(labels, strength: float, h: HamiltonianData) -> np.ndarray:
+    if not 0.0 <= strength <= 1.0:
+        raise InvalidSpecError(f"absorber strength must be in [0, 1], got {strength}")
+    mask = np.ones(h.dim)
+    for label in labels:
+        mask[h.index(label)] = 1.0 - strength
+    return mask
+
+
 def apply_absorber_mask(
     psi: WavePacket,
     labels,
@@ -155,12 +227,8 @@ def apply_absorber_mask(
     h: HamiltonianData,
 ) -> WavePacket:
     """Damp amplitudes on the given states by (1 - strength); norm never grows."""
-    if not 0.0 <= strength <= 1.0:
-        raise InvalidSpecError(f"absorber strength must be in [0, 1], got {strength}")
-    amps = psi.amplitudes.copy()
-    for label in labels:
-        amps[h.index(label)] *= 1.0 - strength
-    return WavePacket(amplitudes=amps, time=psi.time)
+    mask = _absorber_factors(labels, strength, h)
+    return WavePacket(amplitudes=psi.amplitudes * mask, time=psi.time)
 
 
 def propagate(
@@ -173,43 +241,41 @@ def propagate(
 ) -> tuple[list[WavePacket], WavePacket]:
     """Propagate psi0 across the whole pulse grid.
 
-    `record` is the sampling stride: 1 stores every step, k every k-th step,
-    None only the final state.  The initial state and the final state are
-    always part of a recorded trajectory.  `absorber` is an optional
-    (labels, strength) pair applied after every step; it breaks unitarity
-    and is meant for forward-only diagnostics, not for optimization sweeps.
+    `psi0.amplitudes` is one state of shape (dim,) or a (dim, M) block of M
+    normalized states, which advance together; the returned wave packets
+    have the same shape.  `record` is the sampling stride: 1 stores every
+    step, k every k-th step, None only the final state.  The initial state
+    and the final state are always part of a recorded trajectory.
+    `absorber` is an optional (labels, strength) pair applied after every
+    step; it breaks unitarity and is meant for forward-only diagnostics, not
+    for optimization sweeps.
     """
-    if abs(psi0.norm() - 1.0) > 1e-8:
+    if np.any(np.abs(np.linalg.norm(psi0.amplitudes, axis=0) - 1.0) > 1e-8):
         raise InvalidSpecError("initial wave packet must be normalized")
     if record is not None and record < 1:
         raise InvalidSpecError("record stride must be a positive integer or None")
 
     mask = None
     if absorber is not None:
-        labels, strength = absorber
-        if not 0.0 <= strength <= 1.0:
-            raise InvalidSpecError(f"absorber strength must be in [0, 1], got {strength}")
-        mask = np.ones(h.dim)
-        for label in labels:
-            mask[h.index(label)] = 1.0 - strength
+        mask = _absorber_factors(*absorber, h)[:, None]
 
-    half = np.exp(-0.5j * pulse.dt * h.energies)
-    amps = psi0.amplitudes.astype(complex)
+    kernel = SplitStepKernel(h, zsys, pulse.dt)
+    shape = psi0.amplitudes.shape
+    block = np.array(psi0.amplitudes, dtype=complex).reshape(h.dim, -1)
     t = pulse.t0
     trajectory: list[WavePacket] = []
     if record is not None:
-        trajectory.append(WavePacket(amplitudes=amps.copy(), time=t))
+        trajectory.append(WavePacket(amplitudes=block.reshape(shape).copy(), time=t))
 
-    samples = pulse.samples
-    for j in range(pulse.n_steps):
-        amps = _step(amps, float(samples[j]), half, pulse.dt, zsys)
+    for j, e_field in enumerate(pulse.samples[:-1].tolist()):
+        block = kernel.step(block, e_field)
         if mask is not None:
-            amps = amps * mask
+            block = block * mask
         t += pulse.dt
         if record is not None and ((j + 1) % record == 0 or j + 1 == pulse.n_steps):
-            trajectory.append(WavePacket(amplitudes=amps.copy(), time=t))
+            trajectory.append(WavePacket(amplitudes=block.reshape(shape).copy(), time=t))
 
-    final = WavePacket(amplitudes=amps, time=t)
+    final = WavePacket(amplitudes=block.reshape(shape), time=t)
     if record is None:
         trajectory = [final]
     return trajectory, final

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rydoct import ManifestError, load_hamiltonian
+from rydoct import ManifestError, PulseGrid, load_hamiltonian
 from rydoct.cli import main
 from rydoct.manifest import (
     build_basis,
@@ -20,6 +26,9 @@ from rydoct.manifest import (
     write_field_csv,
 )
 from rydoct.units import parse_quantity
+from tests.conftest import MANIFEST_DIR
+
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 def tiny_manifest_dict(out_dir: str) -> dict:
@@ -269,3 +278,92 @@ class TestCliEntryPoint:
         )
         assert code == 0
         assert "[rydoct]" in capsys.readouterr().err
+
+
+BAD_FIELD_CSVS = {
+    "one_row": ("time,E\n0.0,1e-07\n", "line 2"),
+    "non_numeric": ("time,E\n0.0,1e-07\n10.0,abc\n20.0,0.0\n", "line 3"),
+    "non_uniform": ("time,E\n0.0,0.0\n1.0,0.0\n5.0,0.0\n6.0,0.0\n", "line 4"),
+}
+
+
+class TestFieldCsvHardening:
+    @pytest.mark.parametrize("command", ["analyze", "decode-test"])
+    @pytest.mark.parametrize("case", sorted(BAD_FIELD_CSVS))
+    def test_bad_field_is_a_json_error(self, tiny_manifest_path, tmp_path, capsys, command, case):
+        text, where = BAD_FIELD_CSVS[case]
+        field = tmp_path / f"{case}.csv"
+        field.write_text(text)
+        argv = [command, "--manifest", str(tiny_manifest_path), "--field", str(field)]
+        code = main(argv + ["--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        payload = json.loads(err.strip().splitlines()[-1])
+        assert set(payload) == {"error", "message"}
+        assert payload["error"] == "ManifestError"
+        assert str(field) in payload["message"]
+        assert where in payload["message"]
+
+    def test_non_finite_value_rejected(self, tmp_path):
+        field = tmp_path / "nan.csv"
+        field.write_text("time,E\n0.0,1.0\n1.0,nan\n2.0,0.0\n")
+        with pytest.raises(ManifestError, match="line 3"):
+            read_field_csv(field)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dt=st.floats(min_value=1e-6, max_value=1e6),
+        start_steps=st.integers(min_value=-1000, max_value=1000),
+        samples=st.lists(
+            st.floats(allow_nan=False, allow_infinity=False, width=64), min_size=2, max_size=3000
+        ),
+    )
+    def test_every_written_field_is_read_back(self, tmp_path_factory, dt, start_steps, samples):
+        pulse = PulseGrid(t0=start_steps * dt, dt=dt, samples=np.array(samples))
+        path = tmp_path_factory.mktemp("field") / "field.csv"
+        write_field_csv(path, pulse)
+        back = read_field_csv(path)
+        times = pulse.times()
+        assert back.t0 == pulse.t0
+        assert back.dt == times[1] - times[0]
+        assert np.array_equal(back.samples, pulse.samples)
+
+
+def _run_cli(args, cwd, threads=None):
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    if threads is not None:
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[name] = str(threads)
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=600
+    )
+
+
+class TestProcess:
+    def test_cli_import_leaves_scipy_optimize_out(self, tmp_path):
+        probe = "import sys, rydoct.cli; print('scipy.optimize' in sys.modules)"
+        run = _run_cli(["-c", probe], tmp_path)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "False"
+
+    def test_universal_outputs_independent_of_blas_threads(self, tmp_path):
+        manifest = json.loads((MANIFEST_DIR / "universal.json").read_text())
+        manifest["oct"]["max_iterations"] = 10
+        path = tmp_path / "universal10.json"
+        path.write_text(json.dumps(manifest))
+        outputs = {}
+        for threads in (1, 2):
+            out = tmp_path / f"threads{threads}"
+            args = ["-m", "rydoct.cli", "optimize-universal", "--manifest", str(path)]
+            run = _run_cli(args + ["--out", str(out)], tmp_path, threads=threads)
+            assert run.returncode == 0, run.stderr
+            outputs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert set(outputs[1]) == {
+            "decode_test.json",
+            "history.csv",
+            "summary.json",
+            "universal_field.csv",
+        }
+        for name, content in outputs[1].items():
+            assert outputs[2][name] == content, name

@@ -16,9 +16,9 @@ from rydoct import (
     forward_update_sweep,
     optimize,
     precompute_z_eigensystem,
+    propagate,
     split_step,
 )
-from rydoct.control import _propagate_full
 from rydoct.pulses import half_cycle_pulse
 
 
@@ -43,6 +43,12 @@ def three_level(coupled=True):
         provenance="test",
     )
     return h, precompute_z_eigensystem(h)
+
+
+def forward_trajectory(amps0, pulse, h, zsys):
+    """(n_samples, dim) forward trajectory aligned with the pulse grid."""
+    traj, _ = propagate(WavePacket(amps0), pulse, h, zsys, record=1)
+    return np.array([wp.amplitudes for wp in traj])
 
 
 def ground_state(dim):
@@ -203,7 +209,7 @@ class TestForwardUpdateSweep:
         )
         assert np.array_equal(new_pulse.samples, pulse.samples)
         # The sweep then reduces to plain propagation under the old field.
-        plain = _propagate_full(ground_state(2).amplitudes, pulse, h, zsys)
+        plain = forward_trajectory(ground_state(2).amplitudes, pulse, h, zsys)
         assert np.max(np.abs(traj - plain)) == 0.0
 
     def test_infinite_penalty_freezes_field(self):
@@ -365,10 +371,10 @@ class TestOptimize:
 
         def j_of(samples):
             pulse = field.with_samples(samples)
-            traj = _propagate_full(psi0.amplitudes, pulse, h, zsys)
+            traj = forward_trajectory(psi0.amplitudes, pulse, h, zsys)
             return float(np.abs(traj[-1][target]) ** 2) - evaluate_cost(pulse, pen)
 
-        traj = _propagate_full(psi0.amplitudes, field, h, zsys)
+        traj = forward_trajectory(psi0.amplitudes, field, h, zsys)
         lam = backward_propagate(
             costate_terminal(WavePacket(traj[-1], horizon), target), field, h, zsys
         )

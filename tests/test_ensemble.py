@@ -11,13 +11,13 @@ from rydoct import (
     StateLabel,
     WavePacket,
     decode_test,
-    ensemble_update,
     optimize,
     optimize_ensemble,
     precompute_z_eigensystem,
     propagate,
 )
 from rydoct.control import _run_engine
+from rydoct.propagation import SplitStepKernel
 from rydoct.pulses import half_cycle_pulse
 from tests.conftest import make_dense_hamiltonian
 
@@ -38,32 +38,41 @@ def random_states(dim, count, seed):
     return states
 
 
+def ensemble_update(costates, states, penalty_value, kernel):
+    """Shared-field increment (1/l) sum_i Im <lam_i| z |psi_i>, as the sweeps form it."""
+    lam = np.stack(costates, axis=1) if costates else np.empty((kernel.h.dim, 0), complex)
+    psi = np.stack(states, axis=1) if states else np.empty((kernel.h.dim, 0), complex)
+    return kernel.overlap(kernel.z @ lam, psi) / penalty_value
+
+
 class TestEnsembleUpdate:
-    def test_single_member_reduction(self, dense3):
-        zsys = precompute_z_eigensystem(dense3)
+    """The kernel's overlap, fed z lam as the backward sweep forms it."""
+
+    @pytest.fixture()
+    def kernel(self, dense3):
+        return SplitStepKernel(dense3, precompute_z_eigensystem(dense3), 0.1)
+
+    def test_single_member_reduction(self, dense3, kernel):
         (lam,), (psi,) = random_states(3, 1, 1), random_states(3, 1, 2)
-        value = ensemble_update([lam], [psi], 2.5, zsys)
+        value = ensemble_update([lam], [psi], 2.5, kernel)
         expected = np.vdot(lam, dense3.z_matrix @ psi).imag / 2.5
         assert value == pytest.approx(expected, rel=1e-12)
 
-    def test_opposite_members_cancel(self, dense3):
-        zsys = precompute_z_eigensystem(dense3)
+    def test_opposite_members_cancel(self, kernel):
         lam, psi = random_states(3, 1, 3)[0], random_states(3, 1, 4)[0]
-        value = ensemble_update([lam, lam], [psi, -psi], 1.0, zsys)
+        value = ensemble_update([lam, lam], [psi, -psi], 1.0, kernel)
         assert value == pytest.approx(0.0, abs=1e-14)
 
-    def test_sum_of_independent_members(self, dense3):
-        zsys = precompute_z_eigensystem(dense3)
+    def test_sum_of_independent_members(self, kernel):
         lams = random_states(3, 4, 6)
         psis = random_states(3, 4, 7)
-        combined = ensemble_update(lams, psis, 3.0, zsys)
-        singles = sum(ensemble_update([l], [p], 3.0, zsys) for l, p in zip(lams, psis))
+        combined = ensemble_update(lams, psis, 3.0, kernel)
+        singles = sum(ensemble_update([l], [p], 3.0, kernel) for l, p in zip(lams, psis))
         assert combined == pytest.approx(singles, rel=1e-12)
 
-    def test_empty_rejected(self, dense3):
-        zsys = precompute_z_eigensystem(dense3)
+    def test_empty_rejected(self, kernel):
         with pytest.raises(InvalidSpecError):
-            ensemble_update([], [], 1.0, zsys)
+            ensemble_update([], [], 1.0, kernel)
 
 
 class TestEngineIdentities:
