@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -167,43 +168,57 @@ class RadialSolution:
     nodes: int
 
 
-def _numerov_inward(g: np.ndarray, h: float, k_start: int) -> np.ndarray:
-    """Integrate y'' = g y from index k_start down to 0; y = 0 above k_start."""
-    y = np.zeros(len(g))
-    if k_start < 2:
-        raise GridExtentError("grid too small for inward integration")
-    y[k_start] = 0.0
-    y[k_start - 1] = 1e-15
-    c = h * h / 12.0
-    glist = g.tolist()
-    ylist = y.tolist()
-    for k in range(k_start - 1, 0, -1):
-        gk = glist[k]
-        ylist[k - 1] = (
-            2.0 * ylist[k] * (1.0 + 5.0 * c * gk) - ylist[k + 1] * (1.0 - c * glist[k + 1])
-        ) / (1.0 - c * glist[k - 1])
-    return np.asarray(ylist)
+# Mesh rows per block of Numerov coefficients, and mesh points per block of
+# the dipole sums.  Both bound the scratch memory of a basis build.
+_NUMEROV_ROWS = 64
+_DIPOLE_POINTS = 2048
 
 
-def _numerov_outward(g: np.ndarray, h: float, y0: float, y1: float, k_stop: int) -> np.ndarray:
-    """Integrate y'' = g y from index 0 up to k_stop (inclusive)."""
-    c = h * h / 12.0
-    glist = g.tolist()
-    ylist = [0.0] * (k_stop + 1)
-    ylist[0], ylist[1] = y0, y1
-    for k in range(1, k_stop):
-        gk = glist[k]
-        ylist[k + 1] = (
-            2.0 * ylist[k] * (1.0 + 5.0 * c * gk) - ylist[k - 1] * (1.0 - c * glist[k - 1])
-        ) / (1.0 - c * glist[k + 1])
-    return np.asarray(ylist)
-
-
-def _sqrt_mesh_g(grid: RadialGrid, l: int, energy: float) -> np.ndarray:
+def _sqrt_mesh_g(x: np.ndarray, l, energy) -> np.ndarray:
     # On the x = sqrt(r) mesh with y = u / sqrt(2 x), the radial equation
     # becomes y'' = g(x) y with an effective centrifugal index 2l + 1/2.
+    # A column of x against rows of l and energy gives one column per state.
     lam = 2 * l + 0.5
-    return lam * (lam + 1.0) / (grid.x * grid.x) - 8.0 - 8.0 * energy * grid.x * grid.x
+    return lam * (lam + 1.0) / (x * x) - 8.0 - 8.0 * energy * x * x
+
+
+def _numerov_inward(
+    x: np.ndarray, ls: np.ndarray, energies: np.ndarray, h: float, k_start: np.ndarray
+) -> np.ndarray:
+    """Integrate y'' = g y inward for every state at once, one column each.
+
+    Column s is 0 at row k_start[s] and 1e-15 one row below, and is integrated
+    down to row 0; above its start it stays zero.  The coefficients are formed
+    a few rows at a time, and each column goes through the same floating-point
+    operations, in the same order, as a sweep of that state alone.
+    """
+    n_states = len(ls)
+    y = np.zeros((len(x), n_states))
+    y[k_start - 1, np.arange(n_states)] = 1e-15
+    # Every step updates every column; a column that has not started yet
+    # computes zeros, and gets its seed back at its starting row.
+    reseed: dict[int, list[int]] = {}
+    for s, k in enumerate(k_start.tolist()):
+        reseed.setdefault(k, []).append(s)
+    c = h * h / 12.0
+    acc = np.empty(n_states)
+    tmp = np.empty(n_states)
+    for hi in range(int(k_start.max()), 1, -_NUMEROV_ROWS):
+        lo = max(hi - _NUMEROV_ROWS, 1)
+        # Coefficient rows lo - 1 .. hi serve the steps k = hi - 1 .. lo.
+        g = _sqrt_mesh_g(x[lo - 1 : hi + 1, None], ls, energies)
+        a = 1.0 + 5.0 * c * g
+        b = 1.0 - c * g
+        for k in range(hi - 1, lo - 1, -1):
+            j = k - lo + 1
+            np.multiply(y[k], 2.0, out=acc)
+            acc *= a[j]
+            np.multiply(y[k + 1], b[j + 1], out=tmp)
+            acc -= tmp
+            np.divide(acc, b[j - 1], out=y[k - 1])
+            if k in reseed:
+                y[k - 1, reseed[k]] = 1e-15
+    return y
 
 
 def _count_nodes(u: np.ndarray) -> int:
@@ -216,144 +231,97 @@ def _count_nodes(u: np.ndarray) -> int:
     return int(np.count_nonzero(signs[:-1] * signs[1:] < 0))
 
 
+def solve_radial_batch(
+    labels: Sequence[StateLabel], defects: dict[int, float], grid: RadialGrid
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve for u(r) of every label at once by inward Numerov integration.
+
+    Returns the normalized functions as the columns of a (points, states)
+    array, in label order, and their node counts.  Each energy is fixed at
+    -1/(2 nu^2), nu = n - delta_l, and the pure Coulomb equation is
+    integrated inward from the classically forbidden outer region.  For
+    delta_l = 0 this is the exact hydrogen eigenfunction and carries
+    n - l - 1 radial nodes (enforced).  For delta_l > 0 the solution is the
+    outer-region approximation to the true alkali wavefunction; it is
+    truncated where it starts to diverge inside the core, and its node count
+    reflects the effective quantum number rather than n.
+
+    Raises GridExtentError if the grid cannot hold a state.
+    """
+    deltas = [float(defects.get(s.l, 0.0)) for s in labels]
+    energies = np.empty(len(labels))
+    k_start = np.empty(len(labels), dtype=np.intp)
+    for i, s in enumerate(labels):
+        energies[i] = quantum_defect_energy(s.n, s.l, defects)
+        nu = s.n - deltas[i]
+        r_needed = 2.0 * nu * nu
+        if grid.r[-1] < 1.02 * r_needed:
+            raise GridExtentError(
+                f"grid extends to r={grid.r[-1]:.1f} but state {s} "
+                f"requires roughly {1.02 * r_needed:.1f} bohr"
+            )
+        # Start the inward sweep far enough outside the turning point that the
+        # decaying tail is negligible there, but close enough to avoid overflow.
+        r_start = min(grid.r[-1], 2.0 * nu * (nu + 15.0))
+        k_start[i] = min(int(np.searchsorted(grid.r, r_start)), grid.n_points - 1)
+        if k_start[i] < 2:
+            raise GridExtentError("grid too small for inward integration")
+
+    ls = np.array([s.l for s in labels])
+    us = _numerov_inward(grid.x, ls, energies, grid.dx, k_start)
+    us *= np.sqrt(2.0 * grid.x)[:, None]
+    nodes = np.empty(len(labels), dtype=int)
+    for i, s in enumerate(labels):
+        u, delta = us[:, i].copy(), deltas[i]
+        nu = s.n - delta
+        # Below the inner turning point |u| must decrease toward the origin.
+        # Inward integration eventually excites the irregular solution there
+        # (physically for nonzero defects, numerically for l >= 1); cut at the
+        # minimum of |u| if the amplitude starts growing again.
+        disc = 1.0 - s.l * (s.l + 1.0) / (nu * nu)
+        r_inner = nu * nu * (1.0 - math.sqrt(disc)) if disc > 0 else 0.0
+        k_inner = int(np.searchsorted(grid.r, max(r_inner, grid.r[0])))
+        if k_inner > 2:
+            u[: int(np.argmin(np.abs(u[:k_inner])))] = 0.0
+
+        peak = float(np.max(np.abs(u)))
+        if peak == 0.0:
+            raise ConvergenceError(f"inward integration produced no amplitude for {s}")
+
+        # Decay check at the outer boundary (skipped when the start point already
+        # sits well inside the grid, where the tail is zero by construction).
+        if k_start[i] >= grid.n_points - 2:
+            tail = float(np.max(np.abs(u[-grid.n_points // 50 :])))
+            if tail > 0.05 * peak:
+                raise GridExtentError(
+                    f"wavefunction of {s} has not decayed at the grid boundary"
+                )
+
+        u /= math.sqrt(np.trapezoid(u * u, grid.r))
+        # Sign convention: positive outermost antinode.
+        if u[int(np.argmax(np.abs(u)))] < 0:
+            np.negative(u, out=u)
+
+        nodes[i] = _count_nodes(u)
+        if delta == 0.0 and nodes[i] != s.n - s.l - 1:
+            raise ConvergenceError(
+                f"hydrogenic state {s} produced {nodes[i]} nodes, "
+                f"expected {s.n - s.l - 1}; grid too coarse?"
+            )
+        us[:, i] = u
+    return us, nodes
+
+
 def solve_radial(
     n: int,
     l: int,
     defects: dict[int, float],
     grid: RadialGrid,
 ) -> RadialSolution:
-    """Solve for u(r) at the quantum-defect energy by inward Numerov integration.
-
-    The energy is fixed at -1/(2 nu^2), nu = n - delta_l, and the pure Coulomb
-    equation is integrated inward from the classically forbidden outer region.
-    For delta_l = 0 this is the exact hydrogen eigenfunction and carries
-    n - l - 1 radial nodes (enforced).  For delta_l > 0 the solution is the
-    outer-region approximation to the true alkali wavefunction; it is
-    truncated where it starts to diverge inside the core, and its node count
-    reflects the effective quantum number rather than n.
-
-    Raises GridExtentError if the grid cannot hold the state.
-    """
-    delta = float(defects.get(l, 0.0))
+    """Solve for the u(r) of one state: `solve_radial_batch` of one label."""
+    us, nodes = solve_radial_batch((StateLabel(n, l),), defects, grid)
     energy = quantum_defect_energy(n, l, defects)
-    nu = n - delta
-
-    r_needed = 2.0 * nu * nu
-    if grid.r[-1] < 1.02 * r_needed:
-        raise GridExtentError(
-            f"grid extends to r={grid.r[-1]:.1f} but state {n}{l_letter(l)} "
-            f"requires roughly {1.02 * r_needed:.1f} bohr"
-        )
-
-    # Start the inward sweep far enough outside the turning point that the
-    # decaying tail is negligible there, but close enough to avoid overflow.
-    r_start = min(grid.r[-1], 2.0 * nu * (nu + 15.0))
-    k_start = min(int(np.searchsorted(grid.r, r_start)), grid.n_points - 1)
-
-    g = _sqrt_mesh_g(grid, l, energy)
-    y = _numerov_inward(g, grid.dx, k_start)
-    u = y * np.sqrt(2.0 * grid.x)
-
-    # Below the inner turning point |u| must decrease toward the origin.
-    # Inward integration eventually excites the irregular solution there
-    # (physically for nonzero defects, numerically for l >= 1); cut at the
-    # minimum of |u| if the amplitude starts growing again.
-    disc = 1.0 - l * (l + 1.0) / (nu * nu)
-    r_inner = nu * nu * (1.0 - math.sqrt(disc)) if disc > 0 else 0.0
-    k_inner = int(np.searchsorted(grid.r, max(r_inner, grid.r[0])))
-    if k_inner > 2:
-        seg = np.abs(u[:k_inner])
-        k_cut = int(np.argmin(seg))
-        if k_cut > 0:
-            u = u.copy()
-            u[:k_cut] = 0.0
-
-    peak = float(np.max(np.abs(u)))
-    if peak == 0.0:
-        raise ConvergenceError(f"inward integration produced no amplitude for {n}{l_letter(l)}")
-
-    # Decay check at the outer boundary (skipped when the start point already
-    # sits well inside the grid, where the tail is zero by construction).
-    if k_start >= grid.n_points - 2:
-        tail = float(np.max(np.abs(u[-grid.n_points // 50 :])))
-        if tail > 0.05 * peak:
-            raise GridExtentError(
-                f"wavefunction of {n}{l_letter(l)} has not decayed at the grid boundary"
-            )
-
-    norm = math.sqrt(np.trapezoid(u * u, grid.r))
-    u = u / norm
-    # Sign convention: positive outermost antinode.
-    k_peak = int(np.argmax(np.abs(u)))
-    if u[k_peak] < 0:
-        u = -u
-
-    nodes = _count_nodes(u)
-    if delta == 0.0 and nodes != n - l - 1:
-        raise ConvergenceError(
-            f"hydrogenic state {n}{l_letter(l)} produced {nodes} nodes, "
-            f"expected {n - l - 1}; grid too coarse?"
-        )
-    return RadialSolution(n=n, l=l, energy=energy, u=u, nodes=nodes)
-
-
-def find_coulomb_eigenvalue(
-    l: int,
-    target_nodes: int,
-    grid: RadialGrid,
-    e_min: float,
-    e_max: float,
-    tol: float = 1e-10,
-) -> float:
-    """Locate a Coulomb bound energy by two-sided shooting on [e_min, e_max].
-
-    Integrates outward from the origin and inward from the boundary and
-    bisects on the derivative mismatch at the matching point.  This is an
-    independent check of the quantum-defect formula for integer effective
-    quantum number (hydrogen).  Raises ConvergenceError if the bracket does
-    not contain a sign change or the converged state has the wrong node count.
-    """
-    # Imported here: scipy.optimize takes most of the package's import time,
-    # and nothing else needs it.
-    from scipy.optimize import brentq
-
-    if not (e_min < e_max < 0.0):
-        raise ConvergenceError("eigenvalue bracket must satisfy e_min < e_max < 0")
-
-    def shoot(energy: float) -> tuple[float, np.ndarray]:
-        # Integrate outward from the origin well past the outer turning
-        # point.  The diverging tail there is dominated by the growing
-        # solution, whose coefficient changes sign exactly at eigenvalues.
-        nu = 1.0 / math.sqrt(-2.0 * energy)
-        r_far = min(grid.r[-1], 2.0 * nu * (nu + 15.0))
-        k_far = min(int(np.searchsorted(grid.r, r_far)), grid.n_points - 1)
-        if grid.r[k_far] < 2.2 * nu * nu:
-            raise GridExtentError("grid too small for the eigenvalue search")
-        g = _sqrt_mesh_g(grid, l, energy)
-        y0 = grid.x[0] ** (2 * l + 1.5)
-        y1 = grid.x[1] ** (2 * l + 1.5)
-        y = _numerov_outward(g, grid.dx, y0, y1, k_far)
-        return float(y[k_far] / np.max(np.abs(y))), y
-
-    f_lo, _ = shoot(e_min)
-    f_hi, _ = shoot(e_max)
-    if f_lo * f_hi > 0:
-        raise ConvergenceError(
-            f"eigenvalue search failed to bracket a root in [{e_min}, {e_max}]"
-        )
-    energy = float(brentq(lambda e: shoot(e)[0], e_min, e_max, xtol=tol))
-
-    _, y = shoot(energy)
-    # Count nodes below the outer turning point; the residual tail beyond it
-    # still carries a slightly off-eigenvalue divergence.
-    nu = 1.0 / math.sqrt(-2.0 * energy)
-    k_out = max(int(np.searchsorted(grid.r, 2.0 * nu * nu)), 2)
-    nodes = _count_nodes(y[:k_out])
-    if nodes != target_nodes:
-        raise ConvergenceError(
-            f"converged to a state with {nodes} nodes, expected {target_nodes}"
-        )
-    return energy
+    return RadialSolution(n=n, l=l, energy=energy, u=us[:, 0], nodes=int(nodes[0]))
 
 
 def angular_dipole_factor(l_lower: int) -> float:
@@ -362,29 +330,38 @@ def angular_dipole_factor(l_lower: int) -> float:
     return (l + 1.0) / math.sqrt((2.0 * l + 1.0) * (2.0 * l + 3.0))
 
 
-class RadialBasisSolver:
-    """Caches radial solutions for one (defects, grid) combination."""
-
-    def __init__(self, defects: dict[int, float], grid: RadialGrid):
-        self.defects = dict(defects)
-        self.grid = grid
-        self._cache: dict[tuple[int, int], RadialSolution] = {}
-
-    def solution(self, n: int, l: int) -> RadialSolution:
-        key = (n, l)
-        if key not in self._cache:
-            self._cache[key] = solve_radial(n, l, self.defects, self.grid)
-        return self._cache[key]
+def _radial_weights(grid: RadialGrid) -> np.ndarray:
+    # r times the trapezoid weights: sum(u_a * w * u_b) is the trapezoid
+    # integral of u_a r u_b over the grid.
+    half = np.diff(grid.r) / 2.0
+    weights = np.zeros(grid.n_points)
+    weights[:-1] += half
+    weights[1:] += half
+    return grid.r * weights
 
 
-def dipole_matrix_element(a: StateLabel, b: StateLabel, solver: RadialBasisSolver) -> float:
-    """<a| z |b> in atomic units; exactly zero unless |l_a - l_b| = 1."""
+def _radial_dipoles(us: np.ndarray, rows, cols, w: np.ndarray) -> np.ndarray:
+    """The block us[:, rows]^T diag(w) us[:, cols], summed over chunks of points."""
+    block = np.zeros((len(rows), len(cols)))
+    for lo in range(0, len(w), _DIPOLE_POINTS):
+        chunk = us[lo : lo + _DIPOLE_POINTS]
+        block += chunk[:, rows].T @ (w[lo : lo + _DIPOLE_POINTS, None] * chunk[:, cols])
+    return block
+
+
+def dipole_matrix_element(
+    a: StateLabel, b: StateLabel, defects: dict[int, float], grid: RadialGrid
+) -> float:
+    """<a| z |b> in atomic units; exactly zero unless |l_a - l_b| = 1.
+
+    This is the one-pair case of the block formula of `build_hamiltonian`.
+    """
     if abs(a.l - b.l) != 1:
         return 0.0
-    ua = solver.solution(a.n, a.l).u
-    ub = solver.solution(b.n, b.l).u
-    radial = float(np.trapezoid(ua * solver.grid.r * ub, solver.grid.r))
-    return angular_dipole_factor(min(a.l, b.l)) * radial
+    lower, upper = sorted((a, b), key=lambda s: s.l)
+    us, _ = solve_radial_batch((lower, upper), defects, grid)
+    radial = float(_radial_dipoles(us, [0], [1], _radial_weights(grid))[0, 0])
+    return angular_dipole_factor(lower.l) * radial
 
 
 @dataclass
@@ -425,35 +402,40 @@ class HamiltonianData:
             raise ValidationError(
                 f"z matrix is not symmetric at ({self.labels[i]}, {self.labels[j]})"
             )
-        for i, a in enumerate(self.labels):
-            for j, b in enumerate(self.labels):
-                if abs(a.l - b.l) != 1 and self.z_matrix[i, j] != 0.0:
-                    raise ValidationError(
-                        f"selection-rule violation: <{a}|z|{b}> = {self.z_matrix[i, j]}"
-                    )
+        ls = np.array([s.l for s in self.labels])
+        forbidden = (np.abs(ls[:, None] - ls[None, :]) != 1) & (self.z_matrix != 0.0)
+        if np.any(forbidden):
+            # argmax finds the first offending pair in row-major order.
+            i, j = np.unravel_index(int(np.argmax(forbidden)), forbidden.shape)
+            a, b = self.labels[i], self.labels[j]
+            raise ValidationError(
+                f"selection-rule violation: <{a}|z|{b}> = {self.z_matrix[i, j]}"
+            )
 
 
 def build_hamiltonian(spec: BasisSpec, grid: RadialGrid | None = None) -> HamiltonianData:
     """Construct HamiltonianData for every state selected by `spec`.
 
-    Labels are ordered by (n, l).  The z matrix is computed only for
-    selection-rule-allowed pairs and is symmetric by construction.
+    Labels are ordered by (n, l).  All radial functions come from one batched
+    Numerov sweep.  The z matrix is filled one (l, l+1) block at a time with
+    the weighted product U_l^T diag(r w) U_{l+1}, w the trapezoid weights, so
+    it is zero outside the selection rule and symmetric by construction.
     """
     if grid is None:
         grid = RadialGrid.for_basis(spec.n_max)
     labels = tuple(spec.states())
-    solver = RadialBasisSolver(spec.quantum_defects, grid)
     energies = np.array(
         [quantum_defect_energy(s.n, s.l, spec.quantum_defects) for s in labels]
     )
-    dim = len(labels)
-    z = np.zeros((dim, dim))
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            if abs(labels[i].l - labels[j].l) == 1:
-                val = dipole_matrix_element(labels[i], labels[j], solver)
-                z[i, j] = val
-                z[j, i] = val
+    us, _ = solve_radial_batch(labels, spec.quantum_defects, grid)
+    w = _radial_weights(grid)
+    ls = np.array([s.l for s in labels])
+    z = np.zeros((len(labels), len(labels)))
+    for l in range(spec.l_max - 1):
+        rows, cols = np.flatnonzero(ls == l), np.flatnonzero(ls == l + 1)
+        block = angular_dipole_factor(l) * _radial_dipoles(us, rows, cols, w)
+        z[np.ix_(rows, cols)] = block
+        z[np.ix_(cols, rows)] = block.T
     data = HamiltonianData(
         labels=labels, energies=energies, z_matrix=z, provenance="generated", basis_spec=spec
     )

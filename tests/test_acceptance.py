@@ -23,9 +23,10 @@ from rydoct import (
     split_step,
     spectrum,
 )
-from rydoct.atomic import RadialBasisSolver, dipole_matrix_element, find_coulomb_eigenvalue
+from rydoct.atomic import dipole_matrix_element
 from rydoct.manifest import load_manifest, run_optimize, run_optimize_universal
 from tests.conftest import MANIFEST_DIR
+from tests.reference_radial import find_coulomb_eigenvalue
 
 
 def _report(criterion: int, text: str) -> None:
@@ -187,8 +188,7 @@ def test_criterion_07_field_smoothness(single_run):
 
 
 def test_criterion_08_hydrogen_checks(default_grid):
-    solver = RadialBasisSolver({}, default_grid)
-    dip = dipole_matrix_element(StateLabel(1, 0), StateLabel(2, 1), solver)
+    dip = dipole_matrix_element(StateLabel(1, 0), StateLabel(2, 1), {}, default_grid)
     assert dip == pytest.approx(0.7449, abs=1e-4)
     for n in range(1, 11):
         for l in range(n):

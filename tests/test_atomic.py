@@ -19,11 +19,9 @@ from rydoct import (
     save_hamiltonian,
     solve_radial,
 )
-from rydoct.atomic import (
-    RadialBasisSolver,
-    angular_dipole_factor,
-    find_coulomb_eigenvalue,
-)
+from rydoct.atomic import angular_dipole_factor, solve_radial_batch
+from tests import reference_radial
+from tests.reference_radial import find_coulomb_eigenvalue
 
 
 class TestQuantumDefectEnergy:
@@ -138,14 +136,12 @@ class TestEigenvalueSearch:
 
 class TestDipoleMatrixElements:
     def test_hydrogen_1s_2p(self, default_grid):
-        solver = RadialBasisSolver({}, default_grid)
-        value = dipole_matrix_element(StateLabel(1, 0), StateLabel(2, 1), solver)
+        value = dipole_matrix_element(StateLabel(1, 0), StateLabel(2, 1), {}, default_grid)
         assert value == pytest.approx(0.7449, abs=1e-4)
 
     def test_selection_rule_structural_zero(self, default_grid):
-        solver = RadialBasisSolver({}, default_grid)
-        assert dipole_matrix_element(StateLabel(24, 1), StateLabel(26, 1), solver) == 0.0
-        assert dipole_matrix_element(StateLabel(24, 1), StateLabel(26, 3), solver) == 0.0
+        assert dipole_matrix_element(StateLabel(24, 1), StateLabel(26, 1), {}, default_grid) == 0.0
+        assert dipole_matrix_element(StateLabel(24, 1), StateLabel(26, 3), {}, default_grid) == 0.0
 
     @pytest.mark.parametrize("l", range(6))
     def test_angular_factor_against_quadrature(self, l):
@@ -171,11 +167,9 @@ class TestDipoleMatrixElements:
             (StateLabel(26, 1), StateLabel(27, 2)),
             (StateLabel(24, 3), StateLabel(25, 4)),
         ]
-        sv_c = RadialBasisSolver(CESIUM_DEFECTS, coarse)
-        sv_f = RadialBasisSolver(CESIUM_DEFECTS, fine)
         for a, b in pairs:
-            d_c = dipole_matrix_element(a, b, sv_c)
-            d_f = dipole_matrix_element(a, b, sv_f)
+            d_c = dipole_matrix_element(a, b, CESIUM_DEFECTS, coarse)
+            d_f = dipole_matrix_element(a, b, CESIUM_DEFECTS, fine)
             assert abs(d_c - d_f) / abs(d_f) < 1e-5
 
 
@@ -203,6 +197,68 @@ class TestBuildHamiltonian:
 
     def test_labels_unique(self, cesium_h):
         assert len(set(cesium_h.labels)) == cesium_h.dim
+
+
+class TestBatchedBuildAgainstScalarOracle:
+    """The batched build against the per-state solver it replaced, at dim 187."""
+
+    @pytest.fixture(scope="class")
+    def oracle(self, default_grid):
+        return reference_radial.RadialBasisSolver(CESIUM_DEFECTS, default_grid)
+
+    def test_radial_functions_bit_identical(self, full_h, oracle, default_grid):
+        us, nodes = solve_radial_batch(full_h.labels, CESIUM_DEFECTS, default_grid)
+        assert us.shape == (default_grid.n_points, full_h.dim)
+        for i, s in enumerate(full_h.labels):
+            expected = oracle.solution(s.n, s.l)
+            assert np.array_equal(us[:, i], expected.u), s
+            assert nodes[i] == expected.nodes, s
+        one = solve_radial(26, 1, CESIUM_DEFECTS, default_grid)
+        assert np.array_equal(one.u, oracle.solution(26, 1).u)
+
+    def test_energies_identical(self, full_h, oracle):
+        expected = [oracle.solution(s.n, s.l).energy for s in full_h.labels]
+        assert np.array_equal(full_h.energies, np.array(expected))
+
+    def test_z_matrix_matches_trapezoid_integrals(self, full_h, oracle):
+        expected = np.zeros_like(full_h.z_matrix)
+        for i, a in enumerate(full_h.labels):
+            for j in range(i + 1, full_h.dim):
+                value = reference_radial.dipole_matrix_element(a, full_h.labels[j], oracle)
+                expected[i, j] = expected[j, i] = value
+        assert np.array_equal(full_h.z_matrix != 0.0, expected != 0.0)
+        nonzero = expected != 0.0
+        rel = np.abs(full_h.z_matrix[nonzero] - expected[nonzero]) / np.abs(expected[nonzero])
+        assert float(np.max(rel)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [
+            ((21, 0), (21, 1)),
+            ((26, 1), (25, 0)),
+            ((31, 2), (24, 3)),
+            ((28, 4), (29, 3)),
+            ((23, 10), (30, 11)),
+            ((31, 16), (22, 15)),
+        ],
+    )
+    def test_one_pair_matches_block(self, full_h, default_grid, a, b):
+        a, b = StateLabel(*a), StateLabel(*b)
+        value = dipole_matrix_element(a, b, CESIUM_DEFECTS, default_grid)
+        entry = full_h.z_matrix[full_h.index(a), full_h.index(b)]
+        assert value == pytest.approx(entry, rel=1e-13, abs=0.0)
+
+
+class TestValidate:
+    def test_names_first_forbidden_pair_in_row_major_order(self, default_grid):
+        h = build_hamiltonian(BasisSpec(24, 26, 2), default_grid)
+        # Labels 24s 24p 25s 25p 26s 26p: (24p, 25p) and (24s, 25s) are
+        # forbidden; (24s, 25s) comes first in row-major order.
+        for a, b in (("24p", "25p"), ("24s", "25s")):
+            i, j = h.index(a), h.index(b)
+            h.z_matrix[i, j] = h.z_matrix[j, i] = 0.5
+        with pytest.raises(ValidationError, match=r"<24s\|z\|25s> = 0.5"):
+            h.validate()
 
 
 class TestHamiltonianFile:

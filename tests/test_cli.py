@@ -367,3 +367,22 @@ class TestProcess:
         }
         for name, content in outputs[1].items():
             assert outputs[2][name] == content, name
+
+    def test_basis_file_independent_of_blas_threads(self, tmp_path):
+        # The dipoles are BLAS products; the 187-state file must not depend on
+        # how many threads OpenBLAS splits them over.
+        manifest = json.loads((MANIFEST_DIR / "single_target.json").read_text())
+        manifest["basis"]["l_max"] = 17
+        path = tmp_path / "basis187.json"
+        path.write_text(json.dumps(manifest))
+        files = {}
+        for threads in (1, 2):
+            out = tmp_path / f"threads{threads}"
+            args = ["-m", "rydoct.cli", "basis", "--manifest", str(path), "--out", str(out)]
+            run = _run_cli(args, tmp_path, threads=threads)
+            assert run.returncode == 0, run.stderr
+            files[threads] = (out / "hamiltonian.txt").read_bytes()
+        assert json.loads((tmp_path / "threads1" / "summary.json").read_text())["metrics"][
+            "basis_size"
+        ] == 187
+        assert files[1] == files[2]
