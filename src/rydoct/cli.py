@@ -13,15 +13,7 @@ import json
 import sys
 
 from .errors import RydoctError
-from .manifest import (
-    load_manifest,
-    run_analyze,
-    run_basis,
-    run_decode_test,
-    run_optimize,
-    run_optimize_universal,
-    run_propagate,
-)
+from .manifest import COMMANDS, load_manifest, run
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -30,36 +22,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Shaped-terahertz-pulse design for Rydberg wave-packet registers",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, needs_field=False):
-        p = sub.add_parser(name, help=help_text)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--manifest", required=True, help="path to the JSON run manifest")
         p.add_argument("--out", default=None, help="output directory (default from manifest)")
         p.add_argument("--verbose", action="store_true", help="print progress information")
-        if needs_field:
+        if command.reads_field:
             p.add_argument("--field", required=True, help="field CSV to analyze")
-        return p
-
-    add("basis", "build the model Hamiltonian and write it to a file")
-    add("propagate", "propagate the encoded register under the manifest pulse")
-    add("optimize", "optimize the field for the single marked bit")
-    add("optimize-universal", "optimize one field for all listed marked bits")
-    add("analyze", "spectrum and time-frequency map of a field file", needs_field=True)
-    add("decode-test", "apply a field file to every marked register", needs_field=True)
     return parser
-
-
-_RUNNERS = {
-    "basis": run_basis,
-    "propagate": run_propagate,
-    "optimize": run_optimize,
-    "optimize-universal": run_optimize_universal,
-}
-
-_FIELD_RUNNERS = {
-    "analyze": run_analyze,
-    "decode-test": run_decode_test,
-}
 
 
 def main(argv=None) -> int:
@@ -69,10 +39,7 @@ def main(argv=None) -> int:
         out_dir = args.out if args.out is not None else manifest.output_dir
         if args.verbose:
             print(f"[rydoct] {args.command}: writing to {out_dir}", file=sys.stderr)
-        if args.command in _RUNNERS:
-            result = _RUNNERS[args.command](manifest, out_dir)
-        else:
-            result = _FIELD_RUNNERS[args.command](manifest, args.field, out_dir)
+        result = run(args.command, manifest, out_dir, getattr(args, "field", None))
         if args.verbose:
             print(f"[rydoct] metrics: {json.dumps(result['metrics'])}", file=sys.stderr)
         return 0

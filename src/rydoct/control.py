@@ -269,8 +269,6 @@ class OctProblem:
     target: StateLabel | str
     penalty: PenaltySchedule
     guess: PulseGrid
-    horizon: float | None = None
-    dt: float | None = None
     max_iterations: int = 200
     tolerance: float = 1e-6
     update_mode: str = "replace"
@@ -279,10 +277,6 @@ class OctProblem:
         self.target_index = self.hamiltonian.index(self.target)
         if len(self.penalty.samples) != len(self.guess.samples):
             raise InvalidSpecError("penalty schedule and guess field grids differ")
-        if self.dt is not None and abs(self.dt - self.guess.dt) > 1e-9 * self.guess.dt:
-            raise InvalidSpecError("problem dt does not match the guess field grid")
-        if self.horizon is not None and abs(self.horizon - self.guess.horizon) > 1e-6:
-            raise InvalidSpecError("problem horizon does not match the guess field grid")
         if self.update_mode not in ("replace", "add"):
             raise InvalidSpecError(f"unknown update mode {self.update_mode!r}")
 

@@ -107,6 +107,8 @@ def register_ensemble_problem(
     members = []
     for bit in marked_bits:
         label = StateLabel.parse(bit) if isinstance(bit, str) else bit
+        if label not in orbital_labels:
+            raise InvalidSpecError(f"marked bit {label} is not a register orbital")
         spec = RegisterSpec(orbitals=orbital_labels, marked_index=orbital_labels.index(label))
         members.append(EnsembleMember(psi0=encode(spec, h), target=label))
     excluded = tuple(o for o in orbital_labels if o not in {m.target for m in members})

@@ -6,8 +6,8 @@ bare numbers (atomic units) or as strings with a unit, e.g. "8 ps" or
 "1 kV/cm"; they are converted to atomic units on load, so a manifest written
 in laboratory units is equivalent to one written directly in atomic units.
 
-The run_* functions orchestrate the library for each CLI subcommand and emit
-the documented CSV/JSON outputs plus a summary.json with parameters and
+`run` carries out one CLI subcommand from the COMMANDS table and emits the
+documented CSV/JSON outputs plus a summary.json with parameters and
 headline metrics.  Outputs are deterministic: identical manifests produce
 byte-identical files.
 """
@@ -17,7 +17,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import count
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -54,6 +56,150 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+# ---------------------------------------------------------------------------
+# Schema: section -> key -> (check, default)
+# ---------------------------------------------------------------------------
+
+#: The default of a key the manifest must give.
+REQUIRED = object()
+
+
+def _integer(minimum: int):
+    def check(value):
+        if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+            raise ValueError(f"expected an integer >= {minimum}, got {value!r}")
+        return value
+
+    return check
+
+
+def _number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _quantity(family: str):
+    def check(value) -> float:
+        quantity = parse_quantity(value, family)
+        if not math.isfinite(quantity):
+            raise ValueError(f"expected a finite {family}, got {value!r}")
+        return quantity
+
+    return check
+
+
+def _choice(*options):
+    def check(value):
+        if value not in options:
+            raise ValueError(f"expected one of {list(options)}, got {value!r}")
+        return value
+
+    return check
+
+
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    return value
+
+
+def _strings(value) -> list[str]:
+    if not isinstance(value, list) or not value or not all(isinstance(v, str) for v in value):
+        raise ValueError(f"expected a non-empty list of strings, got {value!r}")
+    return list(value)
+
+
+def _defects(value) -> dict[int, float]:
+    if isinstance(value, str) and value in DEFECT_PRESETS:
+        return dict(DEFECT_PRESETS[value])
+    if isinstance(value, dict):
+        return {int(l): _number(delta) for l, delta in value.items()}
+    raise ValueError(f"expected a preset {sorted(DEFECT_PRESETS)} or a map, got {value!r}")
+
+
+#: Every key a manifest may hold, as section -> key -> (check, default).
+#: Section "" is the top level.  A key left out or null takes its default,
+#: which is checked like a given value.  Keys not listed here are ignored.
+SCHEMA = {
+    "": {
+        "schema_version": (_choice(SCHEMA_VERSION), REQUIRED),
+        "output_dir": (_string, "out"),
+    },
+    "basis": {
+        "hamiltonian_file": (_string, None),
+        # Required unless hamiltonian_file is given (parse_manifest).
+        "n_min": (_integer(0), None),
+        "n_max": (_integer(0), None),
+        "l_max": (_integer(0), None),
+        "defects": (_defects, "hydrogen"),
+        "grid_points": (_integer(2), 20000),
+        "r_min": (_number, 1e-4),
+        "r_max": (_number, None),
+    },
+    "register": {
+        "orbitals": (_strings, REQUIRED),
+        "marked": (_string, None),
+        "ensemble_marked": (_strings, None),
+    },
+    "pulse": {
+        "kind": (_choice("half_cycle", "zero"), "half_cycle"),
+        "dt": (_quantity("time"), REQUIRED),
+        "horizon": (_quantity("time"), REQUIRED),
+        "peak": (_quantity("field"), 0.0),
+        "width": (_quantity("time"), 0.0),
+        "t_peak": (_quantity("time"), 0.0),
+        "record_stride": (_integer(1), 10),
+        "absorber_strength": (_number, None),
+    },
+    "oct": {
+        "penalty_base": (_number, 1e10),
+        "edge_multiplier": (_number, 1000.0),
+        "ramp_fraction": (_number, 0.05),
+        "max_iterations": (_integer(0), 200),
+        "tolerance": (_number, 1e-6),
+        "update_mode": (_choice("replace", "add"), "replace"),
+    },
+    "analysis": {
+        "husimi_sigma": (_quantity("time"), None),
+        "husimi_time_stride": (_integer(1), 8),
+        "pad_factor": (_integer(1), 4),
+    },
+}
+
+
+#: Sections only some commands need (COMMANDS says which); absent or null,
+#: they read as {}.  An absent basis is an error, and an absent analysis
+#: section reads as its defaults.
+OPTIONAL_SECTIONS = ("register", "pulse", "oct")
+
+
+def _read_section(data: dict, name: str) -> dict:
+    """Check and default the keys of one section; errors name `section.key`."""
+    raw = data.get(name) if name else data
+    if raw is None:
+        if name == "basis":
+            raise ManifestError("basis: section is missing")
+        if name in OPTIONAL_SECTIONS:
+            return {}
+        raw = {}
+    if not isinstance(raw, dict):
+        raise ManifestError(f"{name or 'manifest'}: expected an object, got {raw!r}")
+    section = {}
+    for key, (check, default) in SCHEMA[name].items():
+        path = f"{name}.{key}" if name else key
+        value = default if raw.get(key) is None else raw[key]
+        if value is REQUIRED:
+            raise ManifestError(f"{path}: key is missing")
+        try:
+            section[key] = None if value is None else check(value)
+        except (ValueError, OverflowError, RydoctError) as exc:
+            raise ManifestError(f"{path}: {exc}") from None
+    return section
+
+
 @dataclass
 class RunManifest:
     """Validated manifest with all quantities already in atomic units."""
@@ -67,144 +213,30 @@ class RunManifest:
     output_dir: str
 
 
-def _section(data: dict, name: str, required: bool = True) -> dict:
-    value = data.get(name)
-    if value is None:
-        if required:
-            raise ManifestError(f"{name}: section is missing")
-        return {}
-    if not isinstance(value, dict):
-        raise ManifestError(f"{name}: expected an object")
-    return value
-
-
-def _get(section: dict, path: str, default=None, required: bool = False):
-    key = path.split(".")[-1]
-    if key not in section:
-        if required:
-            raise ManifestError(f"{path}: key is missing")
-        return default
-    return section[key]
-
-
-def _quantity(section: dict, path: str, family: str, default=None, required: bool = False):
-    raw = _get(section, path, default=None, required=required)
-    if raw is None:
-        return default
-    try:
-        return parse_quantity(raw, family)
-    except RydoctError as exc:
-        raise ManifestError(f"{path}: {exc}") from exc
-
-
 def load_manifest(path) -> RunManifest:
     """Read and validate a manifest file; errors name the offending key."""
     with open(path) as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise ManifestError(f"manifest is not valid JSON: {exc}") from exc
     return parse_manifest(data)
 
 
 def parse_manifest(data: dict) -> RunManifest:
-    version = data.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ManifestError(
-            f"schema_version: expected {SCHEMA_VERSION}, got {version!r}"
-        )
-
-    basis_raw = _section(data, "basis")
-    basis: dict = {}
-    basis["hamiltonian_file"] = _get(basis_raw, "basis.hamiltonian_file")
+    top = _read_section(data, "")
+    sections = {name: _read_section(data, name) for name in SCHEMA if name}
+    basis, pulse = sections["basis"], sections["pulse"]
     if basis["hamiltonian_file"] is None:
         for key in ("n_min", "n_max", "l_max"):
-            value = _get(basis_raw, f"basis.{key}", required=True)
-            if not isinstance(value, int) or value < 0:
-                raise ManifestError(f"basis.{key}: expected a nonnegative integer")
-            basis[key] = value
-        defects = _get(basis_raw, "basis.defects", default="hydrogen")
-        if isinstance(defects, str):
-            if defects not in DEFECT_PRESETS:
-                raise ManifestError(
-                    f"basis.defects: unknown preset {defects!r}; "
-                    f"choose from {sorted(DEFECT_PRESETS)} or give a map"
-                )
-            basis["defects"] = dict(DEFECT_PRESETS[defects])
-        elif isinstance(defects, dict):
-            try:
-                basis["defects"] = {int(k): float(v) for k, v in defects.items()}
-            except (TypeError, ValueError) as exc:
-                raise ManifestError(f"basis.defects: {exc}") from exc
-        else:
-            raise ManifestError("basis.defects: expected a preset name or a map")
-        basis["grid_points"] = _get(basis_raw, "basis.grid_points", default=20000)
-        basis["r_min"] = _get(basis_raw, "basis.r_min", default=1e-4)
-        basis["r_max"] = _get(basis_raw, "basis.r_max", default=None)
-
-    register_raw = _section(data, "register", required=False)
-    register: dict = {}
-    if register_raw:
-        orbitals = _get(register_raw, "register.orbitals", required=True)
-        if not isinstance(orbitals, list) or not orbitals:
-            raise ManifestError("register.orbitals: expected a non-empty list")
-        register["orbitals"] = [str(o) for o in orbitals]
-        register["marked"] = _get(register_raw, "register.marked")
-        ensemble_marked = _get(register_raw, "register.ensemble_marked")
-        register["ensemble_marked"] = (
-            [str(o) for o in ensemble_marked] if ensemble_marked else None
-        )
-
-    pulse_raw = _section(data, "pulse", required=False)
-    pulse: dict = {}
-    if pulse_raw:
-        kind = _get(pulse_raw, "pulse.kind", default="half_cycle")
-        if kind not in ("half_cycle", "zero"):
-            raise ManifestError(f"pulse.kind: unknown kind {kind!r}")
-        pulse["kind"] = kind
-        pulse["dt"] = _quantity(pulse_raw, "pulse.dt", "time", required=True)
-        pulse["horizon"] = _quantity(pulse_raw, "pulse.horizon", "time", required=True)
+            if basis[key] is None:
+                raise ManifestError(f"basis.{key}: key is missing")
+    if pulse:
         if pulse["dt"] <= 0 or pulse["horizon"] <= pulse["dt"]:
             raise ManifestError("pulse.horizon: must exceed pulse.dt > 0")
-        pulse["peak"] = _quantity(pulse_raw, "pulse.peak", "field", default=0.0)
-        pulse["width"] = _quantity(pulse_raw, "pulse.width", "time", default=0.0)
-        pulse["t_peak"] = _quantity(pulse_raw, "pulse.t_peak", "time", default=0.0)
-        if kind == "half_cycle" and pulse["width"] <= 0:
+        if pulse["kind"] == "half_cycle" and pulse["width"] <= 0:
             raise ManifestError("pulse.width: half-cycle pulses need a positive width")
-        pulse["record_stride"] = _get(pulse_raw, "pulse.record_stride", default=10)
-        pulse["absorber_strength"] = _get(pulse_raw, "pulse.absorber_strength")
-
-    oct_raw = _section(data, "oct", required=False)
-    oct_cfg: dict = {}
-    if oct_raw:
-        oct_cfg["penalty_base"] = float(_get(oct_raw, "oct.penalty_base", default=1e10))
-        oct_cfg["edge_multiplier"] = float(_get(oct_raw, "oct.edge_multiplier", default=1000.0))
-        oct_cfg["ramp_fraction"] = float(_get(oct_raw, "oct.ramp_fraction", default=0.05))
-        oct_cfg["max_iterations"] = int(_get(oct_raw, "oct.max_iterations", default=200))
-        oct_cfg["tolerance"] = float(_get(oct_raw, "oct.tolerance", default=1e-6))
-        oct_cfg["update_mode"] = _get(oct_raw, "oct.update_mode", default="replace")
-        if oct_cfg["update_mode"] not in ("replace", "add"):
-            raise ManifestError(
-                f"oct.update_mode: expected 'replace' or 'add', got {oct_cfg['update_mode']!r}"
-            )
-
-    analysis_raw = _section(data, "analysis", required=False)
-    analysis = {
-        "husimi_sigma": _quantity(analysis_raw, "analysis.husimi_sigma", "time", default=None),
-        "husimi_time_stride": _get(analysis_raw, "analysis.husimi_time_stride", default=8),
-        "pad_factor": _get(analysis_raw, "analysis.pad_factor", default=4),
-    }
-
-    output_dir = data.get("output_dir", "out")
-    return RunManifest(
-        raw=data,
-        basis=basis,
-        register=register,
-        pulse=pulse,
-        oct=oct_cfg,
-        analysis=analysis,
-        output_dir=output_dir,
-    )
+    return RunManifest(raw=data, output_dir=top["output_dir"], **sections)
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +265,6 @@ def build_basis(manifest: RunManifest) -> HamiltonianData:
 
 def build_guess_pulse(manifest: RunManifest) -> PulseGrid:
     cfg = manifest.pulse
-    if not cfg:
-        raise ManifestError("pulse: section is missing")
     n_samples = int(round(cfg["horizon"] / cfg["dt"])) + 1
     if cfg["kind"] == "zero":
         return PulseGrid.zeros(0.0, cfg["dt"], n_samples)
@@ -250,8 +280,6 @@ def build_guess_pulse(manifest: RunManifest) -> PulseGrid:
 
 def build_penalty(manifest: RunManifest, pulse: PulseGrid) -> PenaltySchedule:
     cfg = manifest.oct
-    if not cfg:
-        raise ManifestError("oct: section is missing")
     return PenaltySchedule.build(
         pulse,
         base=cfg["penalty_base"],
@@ -260,31 +288,30 @@ def build_penalty(manifest: RunManifest, pulse: PulseGrid) -> PenaltySchedule:
     )
 
 
-def build_register(manifest: RunManifest) -> RegisterSpec:
-    cfg = manifest.register
-    if not cfg:
-        raise ManifestError("register: section is missing")
-    return RegisterSpec.from_names(cfg["orbitals"], marked=cfg.get("marked"))
-
-
 # ---------------------------------------------------------------------------
 # Output writers
 # ---------------------------------------------------------------------------
 
 
-def write_field_csv(path, pulse: PulseGrid) -> None:
-    lines = ["time,E"]
-    for t, e in zip(pulse.times(), pulse.samples):
-        lines.append(f"{_fmt(t)},{_fmt(e)}")
+def _write_csv(path, header: list[str], rows) -> None:
+    """Write a header line, then rows: numbers at full precision, strings as given."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(c if isinstance(c, str) else _fmt(c) for c in row))
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def write_field_csv(path, pulse: PulseGrid) -> None:
+    _write_csv(path, ["time", "E"], zip(pulse.times(), pulse.samples))
 
 
 def read_field_csv(path) -> PulseGrid:
     """Read a `time,E` field CSV, such as write_field_csv writes.
 
     It needs at least two data rows of finite numbers at uniform times:
-    every step within 1e-9 of the median step.  The grid step is t1 - t0.
-    Errors name the file and the line.
+    every step within 1e-9 of the median step, plus a few roundings of the
+    largest time, which is what writing t0 + j dt out can cost.  The grid
+    step is t1 - t0.  Errors name the file and the line.
     """
     rows = Path(path).read_text().strip().splitlines()
     if not rows or rows[0].split(",")[:2] != ["time", "E"]:
@@ -305,7 +332,8 @@ def read_field_csv(path) -> PulseGrid:
         values.append(e)
     steps = np.diff(times)
     median = float(np.median(steps))
-    uneven = np.flatnonzero(np.abs(steps - median) > 1e-9 * median)
+    slack = 1e-9 * median + 8 * np.finfo(float).eps * np.max(np.abs(times))
+    uneven = np.flatnonzero(np.abs(steps - median) > slack)
     if median <= 0 or uneven.size:
         line = int(uneven[0]) + 3 if uneven.size else 3
         raise ManifestError(
@@ -314,25 +342,12 @@ def read_field_csv(path) -> PulseGrid:
     return PulseGrid(t0=times[0], dt=times[1] - times[0], samples=np.asarray(values))
 
 
-def write_trajectory_csv(path, times, populations, labels) -> None:
-    header = "time," + ",".join(str(l) for l in labels)
-    lines = [header]
-    for t, row in zip(times, populations):
-        lines.append(_fmt(t) + "," + ",".join(_fmt(p) for p in row))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def write_history_csv(path, histories: dict[str, np.ndarray]) -> None:
-    keys = list(histories)
-    n = len(next(iter(histories.values()))) if histories else 0
-    lines = ["iteration," + ",".join(keys)]
-    for i in range(n):
-        lines.append(str(i + 1) + "," + ",".join(_fmt(histories[k][i]) for k in keys))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def write_json(path, payload: dict) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _write_history(path, histories: dict[str, np.ndarray]) -> None:
+    _write_csv(path, ["iteration", *histories], zip(map(str, count(1)), *histories.values()))
 
 
 def _boundary_population(state: WavePacket, h: HamiltonianData) -> float:
@@ -340,58 +355,53 @@ def _boundary_population(state: WavePacket, h: HamiltonianData) -> float:
     return float(np.sum(np.abs(state.amplitudes[idx]) ** 2))
 
 
-def _summary(manifest: RunManifest, command: str, metrics: dict) -> dict:
+def _settings(manifest: RunManifest) -> dict:
+    """The loop settings that `optimize` and `optimize_ensemble` problems share."""
+    return {key: manifest.oct[key] for key in ("max_iterations", "tolerance", "update_mode")}
+
+
+def _convergence(result) -> dict:
+    """The stopping metrics of an `optimize` or `optimize_ensemble` result."""
     return {
-        "schema_version": SCHEMA_VERSION,
-        "package_version": __version__,
-        "command": command,
-        "parameters": manifest.raw,
-        "metrics": metrics,
+        "iterations": result.iterations,
+        "converged": result.converged,
+        "monotonic": result.monotonic,
+        "first_decrease_iteration": result.first_decrease_iteration,
+        "max_abs_delta3": float(np.max(np.abs(result.delta3_history)))
+        if result.iterations
+        else 0.0,
     }
 
 
 # ---------------------------------------------------------------------------
-# Runners (one per CLI subcommand)
+# Commands: each body gets the manifest, the basis, the output directory and
+# the field CSV path, writes its files and returns {"metrics": ..., ...}.
 # ---------------------------------------------------------------------------
 
 
-def run_basis(manifest: RunManifest, out_dir, h: HamiltonianData | None = None) -> dict:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    if h is None:
-        h = build_basis(manifest)
+def _basis(manifest: RunManifest, h: HamiltonianData, out: Path, field_path) -> dict:
     path = out / "hamiltonian.txt"
     save_hamiltonian(h, path)
     metrics = {
         "basis_size": h.dim,
         "energy_range": [float(h.energies.min()), float(h.energies.max())],
     }
-    write_json(out / "summary.json", _summary(manifest, "basis", metrics))
     return {"hamiltonian": str(path), "metrics": metrics}
 
 
-def run_propagate(manifest: RunManifest, out_dir, h: HamiltonianData | None = None) -> dict:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    if h is None:
-        h = build_basis(manifest)
+def _propagate(manifest: RunManifest, h: HamiltonianData, out: Path, field_path) -> dict:
     zsys = precompute_z_eigensystem(h)
-    reg = build_register(manifest)
+    reg = RegisterSpec.from_names(manifest.register["orbitals"], manifest.register["marked"])
     psi0 = encode(reg, h)
     pulse = build_guess_pulse(manifest)
-
-    absorber = None
-    strength = manifest.pulse.get("absorber_strength")
-    if strength is not None:
-        absorber = (boundary_labels(h), float(strength))
-
-    stride = int(manifest.pulse.get("record_stride", 10))
+    strength = manifest.pulse["absorber_strength"]
+    absorber = None if strength is None else (boundary_labels(h), strength)
+    stride = manifest.pulse["record_stride"]
     trajectory, final = propagate(psi0, pulse, h, zsys, record=stride, absorber=absorber)
     report = readout(final, reg, h)
 
-    times = [wp.time for wp in trajectory]
-    pops = [wp.populations() for wp in trajectory]
-    write_trajectory_csv(out / "trajectory.csv", times, pops, h.labels)
+    rows = ([wp.time, *wp.populations()] for wp in trajectory)
+    _write_csv(out / "trajectory.csv", ["time", *map(str, h.labels)], rows)
     write_field_csv(out / "field.csv", pulse)
     write_json(out / "readout.json", report.to_dict())
     metrics = {
@@ -401,58 +411,34 @@ def run_propagate(manifest: RunManifest, out_dir, h: HamiltonianData | None = No
         "boundary_shell_population": _boundary_population(final, h),
         "final_norm": final.norm(),
     }
-    write_json(out / "summary.json", _summary(manifest, "propagate", metrics))
     return {"metrics": metrics}
 
 
-def run_optimize(manifest: RunManifest, out_dir, h: HamiltonianData | None = None) -> dict:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    if h is None:
-        h = build_basis(manifest)
+def _optimize(manifest: RunManifest, h: HamiltonianData, out: Path, field_path) -> dict:
     zsys = precompute_z_eigensystem(h)
-    reg = build_register(manifest)
-    if reg.marked is None:
-        raise ManifestError("register.marked: required for optimize")
+    reg = RegisterSpec.from_names(manifest.register["orbitals"], manifest.register["marked"])
     psi0 = encode(reg, h)
     guess = build_guess_pulse(manifest)
     penalty = build_penalty(manifest, guess)
-    problem = OctProblem(
-        hamiltonian=h,
-        psi0=psi0,
-        target=reg.marked,
-        penalty=penalty,
-        guess=guess,
-        max_iterations=manifest.oct["max_iterations"],
-        tolerance=manifest.oct["tolerance"],
-        update_mode=manifest.oct["update_mode"],
-    )
+    problem = OctProblem(h, psi0, reg.marked, penalty, guess, **_settings(manifest))
     result = optimize(problem, zsys=zsys)
     report = readout(result.final_state, reg, h)
 
     write_field_csv(out / "optimized_field.csv", result.field)
     write_field_csv(out / "guess_field.csv", guess)
-    write_history_csv(
-        out / "history.csv",
-        {
-            "J": result.j_history,
-            "yield": result.yield_history,
-            "Y": result.cost_history,
-            "delta3": result.delta3_history,
-        },
-    )
+    histories = {
+        "J": result.j_history,
+        "yield": result.yield_history,
+        "Y": result.cost_history,
+        "delta3": result.delta3_history,
+    }
+    _write_history(out / "history.csv", histories)
     write_json(out / "readout.json", report.to_dict())
     peak = float(np.max(np.abs(result.field.samples)))
     metrics = {
+        **_convergence(result),
         "guess_yield": result.guess_yield,
         "final_yield": result.final_yield,
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "monotonic": result.monotonic,
-        "first_decrease_iteration": result.first_decrease_iteration,
-        "max_abs_delta3": float(np.max(np.abs(result.delta3_history)))
-        if result.iterations
-        else 0.0,
         "decoded": report.decoded,
         "leaked": report.leaked,
         "boundary_shell_population": _boundary_population(result.final_state, h),
@@ -462,32 +448,18 @@ def run_optimize(manifest: RunManifest, out_dir, h: HamiltonianData | None = Non
             float(abs(result.field.samples[-1]) / peak) if peak else 0.0,
         ],
     }
-    write_json(out / "summary.json", _summary(manifest, "optimize", metrics))
     return {"metrics": metrics, "result": result}
 
 
-def run_optimize_universal(
-    manifest: RunManifest, out_dir, h: HamiltonianData | None = None
+def _optimize_universal(
+    manifest: RunManifest, h: HamiltonianData, out: Path, field_path
 ) -> dict:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    if h is None:
-        h = build_basis(manifest)
     zsys = precompute_z_eigensystem(h)
     cfg = manifest.register
-    if not cfg.get("ensemble_marked"):
-        raise ManifestError("register.ensemble_marked: required for optimize-universal")
     guess = build_guess_pulse(manifest)
     penalty = build_penalty(manifest, guess)
     problem = register_ensemble_problem(
-        h,
-        cfg["orbitals"],
-        cfg["ensemble_marked"],
-        penalty,
-        guess,
-        max_iterations=manifest.oct["max_iterations"],
-        tolerance=manifest.oct["tolerance"],
-        update_mode=manifest.oct["update_mode"],
+        h, cfg["orbitals"], cfg["ensemble_marked"], penalty, guess, **_settings(manifest)
     )
     result = optimize_ensemble(problem, zsys=zsys)
 
@@ -503,40 +475,27 @@ def run_optimize_universal(
     }
     for i, member in enumerate(problem.members):
         histories[f"yield_{member.target}"] = result.member_yield_histories[:, i]
-    write_history_csv(out / "history.csv", histories)
+    _write_history(out / "history.csv", histories)
 
     table = decode_test(result.field, cfg["orbitals"], h, zsys)
     write_json(out / "decode_test.json", {"entries": table})
     metrics = {
+        **_convergence(result),
         "decode_accuracy": result.decode_accuracy,
         "members": [str(m.target) for m in problem.members],
         "excluded_bits": [str(b) for b in problem.excluded_bits],
         "member_yields": [float(y) for y in result.member_yield_histories[-1]]
         if result.iterations
         else [float(y) for y in result.guess_yields],
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "monotonic": result.monotonic,
-        "first_decrease_iteration": result.first_decrease_iteration,
-        "max_abs_delta3": float(np.max(np.abs(result.delta3_history)))
-        if result.iterations
-        else 0.0,
         "full_decode_table_successes": sum(1 for row in table if row["success"]),
     }
-    write_json(out / "summary.json", _summary(manifest, "optimize-universal", metrics))
     return {"metrics": metrics, "result": result, "decode_table": table}
 
 
-def run_analyze(
-    manifest: RunManifest, field_path, out_dir, h: HamiltonianData | None = None
-) -> dict:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    if h is None:
-        h = build_basis(manifest)
+def _analyze(manifest: RunManifest, h: HamiltonianData, out: Path, field_path) -> dict:
     pulse = read_field_csv(field_path)
 
-    spec_data = spectrum(pulse, pad_factor=int(manifest.analysis["pad_factor"]))
+    spec_data = spectrum(pulse, pad_factor=manifest.analysis["pad_factor"])
     # Distance from each spectral bin to the nearest dipole-allowed level gap;
     # observational output, the strong peaks need not sit on any gap.
     gaps = []
@@ -548,19 +507,21 @@ def run_analyze(
     nearest = np.min(
         np.abs(spec_data.frequencies[:, None] - gaps[None, :]), axis=1
     )
-    lines = ["frequency,magnitude,nearest_gap_distance"]
-    for f, m, d in zip(spec_data.frequencies, spec_data.magnitudes, nearest):
-        lines.append(f"{_fmt(f)},{_fmt(m)},{_fmt(d)}")
-    (out / "spectrum.csv").write_text("\n".join(lines) + "\n")
+    _write_csv(
+        out / "spectrum.csv",
+        ["frequency", "magnitude", "nearest_gap_distance"],
+        zip(spec_data.frequencies, spec_data.magnitudes, nearest),
+    )
 
     sigma = manifest.analysis["husimi_sigma"]
     if sigma is None:
         sigma = (pulse.horizon - pulse.t0) / 4.0
-    hus = husimi(pulse, sigma, time_stride=int(manifest.analysis["husimi_time_stride"]))
-    rows = ["time," + ",".join(_fmt(t) for t in hus.times)]
-    for f, line in zip(hus.frequencies, hus.intensity):
-        rows.append(_fmt(f) + "," + ",".join(_fmt(q) for q in line))
-    (out / "husimi.csv").write_text("\n".join(rows) + "\n")
+    hus = husimi(pulse, sigma, time_stride=manifest.analysis["husimi_time_stride"])
+    _write_csv(
+        out / "husimi.csv",
+        ["time", *map(_fmt, hus.times)],
+        np.column_stack((hus.frequencies, hus.intensity)),
+    )
 
     peak_bin = int(np.argmax(spec_data.magnitudes))
     metrics = {
@@ -568,27 +529,85 @@ def run_analyze(
         "peak_nearest_gap_distance": float(nearest[peak_bin]),
         "husimi_sigma": float(sigma),
     }
-    write_json(out / "summary.json", _summary(manifest, "analyze", metrics))
     return {"metrics": metrics}
 
 
-def run_decode_test(
-    manifest: RunManifest, field_path, out_dir, h: HamiltonianData | None = None
-) -> dict:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    if h is None:
-        h = build_basis(manifest)
+def _decode_test(manifest: RunManifest, h: HamiltonianData, out: Path, field_path) -> dict:
     zsys = precompute_z_eigensystem(h)
-    cfg = manifest.register
-    if not cfg:
-        raise ManifestError("register: section is missing")
     pulse = read_field_csv(field_path)
-    table = decode_test(pulse, cfg["orbitals"], h, zsys)
+    table = decode_test(pulse, manifest.register["orbitals"], h, zsys)
     write_json(out / "decode_test.json", {"entries": table})
     metrics = {
         "successes": sum(1 for row in table if row["success"]),
         "tested_bits": [row["marked"] for row in table],
     }
-    write_json(out / "summary.json", _summary(manifest, "decode-test", metrics))
     return {"metrics": metrics, "decode_table": table}
+
+
+@dataclass(frozen=True)
+class Command:
+    """One CLI subcommand: its body and help line, the manifest entries it
+    needs ("section" or "section.key"), and whether it reads a field CSV."""
+
+    body: Callable[[RunManifest, HamiltonianData, Path, object], dict]
+    help: str
+    needs: tuple[str, ...] = ()
+    reads_field: bool = False
+
+
+COMMANDS = {
+    "basis": Command(_basis, "build the model Hamiltonian and write it to a file"),
+    "propagate": Command(
+        _propagate,
+        "propagate the encoded register under the manifest pulse",
+        ("register", "pulse"),
+    ),
+    "optimize": Command(
+        _optimize,
+        "optimize the field for the single marked bit",
+        ("register.marked", "pulse", "oct"),
+    ),
+    "optimize-universal": Command(
+        _optimize_universal,
+        "optimize one field for all listed marked bits",
+        ("register.ensemble_marked", "pulse", "oct"),
+    ),
+    "analyze": Command(
+        _analyze, "spectrum and time-frequency map of a field file", reads_field=True
+    ),
+    "decode-test": Command(
+        _decode_test,
+        "apply a field file to every marked register",
+        ("register",),
+        reads_field=True,
+    ),
+}
+
+
+def run(
+    command: str, manifest: RunManifest, out_dir, field_path=None, h: HamiltonianData | None = None
+) -> dict:
+    """Run one command: check what it needs, build the basis unless `h` is
+    given, run the body, and write summary.json beside its files."""
+    spec = COMMANDS[command]
+    for need in spec.needs:
+        name, _, key = need.partition(".")
+        section = getattr(manifest, name)
+        if not section:
+            raise ManifestError(f"{name}: section is missing")
+        if key and section[key] is None:
+            raise ManifestError(f"{need}: required for {command}")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    if h is None:
+        h = build_basis(manifest)
+    result = spec.body(manifest, h, out, field_path)
+    summary = {
+        "schema_version": SCHEMA_VERSION,
+        "package_version": __version__,
+        "command": command,
+        "parameters": manifest.raw,
+        "metrics": result["metrics"],
+    }
+    write_json(out / "summary.json", summary)
+    return result

@@ -101,27 +101,25 @@ class PulseGrid:
 
 @dataclass(frozen=True)
 class ZEigensystem:
-    """Cached spectral decomposition z = V diag(w) V^T (V orthogonal)."""
+    """Cached spectral decomposition z = V diag(w) V^T (V orthogonal).
+
+    `z` is the decomposed matrix itself, cast to complex once: a real matrix
+    times a complex block makes numpy cast the matrix on every call, so the
+    kernel multiplies by complex copies instead.
+    """
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
-    hamiltonian: HamiltonianData
+    z: np.ndarray
 
     def reconstruction_error(self) -> float:
         z = (self.vectors * self.eigenvalues) @ self.vectors.T
-        return float(np.max(np.abs(z - self.hamiltonian.z_matrix)))
+        return float(np.max(np.abs(z - self.z)))
 
     @cached_property
-    def complex_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """V, V^T and z as complex C-contiguous arrays, cast on first use.
-
-        A real matrix times a complex block makes numpy cast the matrix on
-        every call; the kernel multiplies by these copies instead.
-        """
-        return tuple(
-            np.ascontiguousarray(m, dtype=complex)
-            for m in (self.vectors, self.vectors.T, self.hamiltonian.z_matrix)
-        )
+    def complex_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """V and V^T as complex C-contiguous arrays, cast on first use."""
+        return tuple(np.ascontiguousarray(m, dtype=complex) for m in (self.vectors, self.vectors.T))
 
 
 def precompute_z_eigensystem(h: HamiltonianData) -> ZEigensystem:
@@ -130,7 +128,8 @@ def precompute_z_eigensystem(h: HamiltonianData) -> ZEigensystem:
     if float(np.max(np.abs(h.z_matrix - h.z_matrix.T))) > 1e-12 * scale:
         raise InvalidSpecError("z matrix must be symmetric")
     w, v = np.linalg.eigh(h.z_matrix)
-    return ZEigensystem(eigenvalues=w, vectors=np.ascontiguousarray(v), hamiltonian=h)
+    z = np.ascontiguousarray(h.z_matrix, dtype=complex)
+    return ZEigensystem(eigenvalues=w, vectors=np.ascontiguousarray(v), z=z)
 
 
 class SplitStepKernel:
@@ -149,7 +148,8 @@ class SplitStepKernel:
         self.dt = dt
         self.half = np.exp(-0.5j * dt * h.energies)[:, None]
         self.exponent = -1j * dt * zsys.eigenvalues[:, None]
-        self.v, self.vt, self.z = zsys.complex_factors
+        self.v, self.vt = zsys.complex_factors
+        self.z = zsys.z
 
     def adjoint(self) -> "SplitStepKernel":
         return SplitStepKernel(self.h, self.zsys, -self.dt)

@@ -24,7 +24,7 @@ from rydoct import (
     spectrum,
 )
 from rydoct.atomic import dipole_matrix_element
-from rydoct.manifest import load_manifest, run_optimize, run_optimize_universal
+from rydoct.manifest import load_manifest, run
 from tests.conftest import MANIFEST_DIR
 from tests.reference_radial import find_coulomb_eigenvalue
 
@@ -48,10 +48,10 @@ def single_manifest():
 def single_run(single_manifest, cesium_h, tmp_path_factory):
     out = tmp_path_factory.mktemp("acceptance_single")
     start = time.perf_counter()
-    run = run_optimize(single_manifest, out, h=cesium_h)
-    run["elapsed"] = time.perf_counter() - start
-    run["out"] = out
-    return run
+    result = run("optimize", single_manifest, out, h=cesium_h)
+    result["elapsed"] = time.perf_counter() - start
+    result["out"] = out
+    return result
 
 
 @pytest.fixture(scope="module")
@@ -59,10 +59,10 @@ def universal_run(cesium_h, tmp_path_factory):
     manifest = load_manifest(MANIFEST_DIR / "universal.json")
     out = tmp_path_factory.mktemp("acceptance_universal")
     start = time.perf_counter()
-    run = run_optimize_universal(manifest, out, h=cesium_h)
-    run["elapsed"] = time.perf_counter() - start
-    run["out"] = out
-    return run
+    result = run("optimize-universal", manifest, out, h=cesium_h)
+    result["elapsed"] = time.perf_counter() - start
+    result["out"] = out
+    return result
 
 
 def test_criterion_01_propagator_oracle(dense8):

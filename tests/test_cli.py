@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -9,26 +10,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rydoct.cli
+import rydoct.manifest
 from rydoct import ManifestError, PulseGrid, load_hamiltonian
 from rydoct.cli import main
 from rydoct.manifest import (
+    COMMANDS,
     build_basis,
     build_guess_pulse,
     load_manifest,
     parse_manifest,
     read_field_csv,
-    run_analyze,
-    run_basis,
-    run_decode_test,
-    run_optimize,
-    run_optimize_universal,
-    run_propagate,
+    run,
     write_field_csv,
 )
 from rydoct.units import parse_quantity
 from tests.conftest import MANIFEST_DIR
 
-SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC_DIR = ROOT / "src"
 
 
 def tiny_manifest_dict(out_dir: str) -> dict:
@@ -115,6 +115,87 @@ class TestManifestValidation:
             parse_manifest(data)
 
 
+def _mutated(section, key, value):
+    data = json.loads((MANIFEST_DIR / "single_target.json").read_text())
+    (data[section] if section else data)[key] = value
+    return data
+
+
+#: Malformed manifests: (manifest, the key its error must name).
+BAD_MANIFESTS = {
+    "json_array": ([1, 2], "manifest"),
+    "record_stride_text": (_mutated("pulse", "record_stride", "abc"), "pulse.record_stride"),
+    "record_stride_numeric_text": (
+        _mutated("pulse", "record_stride", "10"),
+        "pulse.record_stride",
+    ),
+    "grid_points_text": (_mutated("basis", "grid_points", "many"), "basis.grid_points"),
+    "marked_number": (_mutated("register", "marked", 5), "register.marked"),
+    "r_min_text": (_mutated("basis", "r_min", "x"), "basis.r_min"),
+    "max_iterations_text": (_mutated("oct", "max_iterations", "x"), "oct.max_iterations"),
+    "penalty_base_nan": (_mutated("oct", "penalty_base", float("nan")), "oct.penalty_base"),
+    "absorber_strength_text": (
+        _mutated("pulse", "absorber_strength", "x"),
+        "pulse.absorber_strength",
+    ),
+    "ensemble_marked_string": (
+        _mutated("register", "ensemble_marked", "25p"),
+        "register.ensemble_marked",
+    ),
+    "output_dir_number": (_mutated(None, "output_dir", 5), "output_dir"),
+    "n_max_bool": (_mutated("basis", "n_max", True), "basis.n_max"),
+    "pad_factor_text": (_mutated("analysis", "pad_factor", "x"), "analysis.pad_factor"),
+}
+
+
+class TestMalformedManifests:
+    @pytest.mark.parametrize("case", sorted(BAD_MANIFESTS))
+    def test_is_one_json_error_naming_the_key(self, tmp_path, capsys, case):
+        data, key = BAD_MANIFESTS[case]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code = main(["basis", "--manifest", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert set(payload) == {"error", "message"}
+        assert payload["error"] == "ManifestError"
+        assert payload["message"].startswith(f"{key}: ")
+        assert not (tmp_path / "o").exists()
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_mutated_shipped_manifests_raise_only_manifest_error(self, data):
+        json_values = st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+            lambda inner: st.lists(inner, max_size=3)
+            | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+            max_leaves=6,
+        )
+        # Change, drop or add one key of the top level or of one section;
+        # now and then replace the whole document.
+        name = data.draw(st.sampled_from(["single_target.json", "universal.json"]))
+        manifest = json.loads((MANIFEST_DIR / name).read_text())
+        target = manifest
+        section = data.draw(st.sampled_from(sorted(manifest)))
+        if isinstance(manifest[section], dict) and data.draw(st.booleans()):
+            target = manifest[section]
+        key = data.draw(st.sampled_from(sorted(target)) | st.text(max_size=4))
+        if data.draw(st.booleans()):
+            target.pop(key, None)
+        else:
+            target[key] = data.draw(json_values)
+        if data.draw(st.integers(0, 9)) == 0:
+            manifest = data.draw(json_values)
+        try:
+            parse_manifest(manifest)
+        except ManifestError:
+            pass
+
+
 class TestUnitRoundTrip:
     def test_lab_and_atomic_manifests_agree(self, tmp_path):
         lab = tiny_manifest_dict(str(tmp_path / "a"))
@@ -140,8 +221,8 @@ class TestUnitRoundTrip:
         m_lab = parse_manifest(lab)
         m_atomic = parse_manifest(atomic)
         h = build_basis(m_lab)
-        run_propagate(m_lab, tmp_path / "a", h=h)
-        run_propagate(m_atomic, tmp_path / "b", h=h)
+        run("propagate", m_lab, tmp_path / "a", h=h)
+        run("propagate", m_atomic, tmp_path / "b", h=h)
         for name in ("trajectory.csv", "field.csv", "readout.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
@@ -150,7 +231,7 @@ class TestRunners:
     def test_run_basis_round_trips(self, tiny_manifest_path, tmp_path):
         manifest = load_manifest(tiny_manifest_path)
         out = tmp_path / "basis_out"
-        result = run_basis(manifest, out)
+        result = run("basis", manifest, out)
         loaded = load_hamiltonian(out / "hamiltonian.txt")
         built = build_basis(manifest)
         assert loaded.labels == built.labels
@@ -163,7 +244,7 @@ class TestRunners:
         data["pulse"]["kind"] = "zero"
         manifest = parse_manifest(data)
         out = tmp_path / "prop"
-        run_propagate(manifest, out)
+        run("propagate", manifest, out)
         readout = json.loads((out / "readout.json").read_text())
         for pop in readout["populations"].values():
             assert pop == pytest.approx(1.0 / 3.0, abs=1e-10)
@@ -174,13 +255,13 @@ class TestRunners:
         data["pulse"]["absorber_strength"] = 0.2
         manifest = parse_manifest(data)
         out = tmp_path / "absorbed"
-        result = run_propagate(manifest, out)
+        result = run("propagate", manifest, out)
         assert result["metrics"]["final_norm"] < 1.0
 
     def test_run_optimize_outputs(self, tiny_manifest_path, tmp_path):
         manifest = load_manifest(tiny_manifest_path)
         out = tmp_path / "opt"
-        result = run_optimize(manifest, out)
+        result = run("optimize", manifest, out)
         history = (out / "history.csv").read_text().strip().splitlines()
         assert history[0] == "iteration,J,yield,Y,delta3"
         assert len(history) == 1 + 3  # header + max_iterations rows
@@ -194,15 +275,15 @@ class TestRunners:
     def test_run_optimize_deterministic(self, tiny_manifest_path, tmp_path):
         manifest = load_manifest(tiny_manifest_path)
         h = build_basis(manifest)
-        run_optimize(manifest, tmp_path / "r1", h=h)
-        run_optimize(manifest, tmp_path / "r2", h=h)
+        run("optimize", manifest, tmp_path / "r1", h=h)
+        run("optimize", manifest, tmp_path / "r2", h=h)
         for name in ("optimized_field.csv", "history.csv", "readout.json", "summary.json"):
             assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
 
     def test_run_optimize_universal_outputs(self, tiny_manifest_path, tmp_path):
         manifest = load_manifest(tiny_manifest_path)
         out = tmp_path / "uni"
-        result = run_optimize_universal(manifest, out)
+        result = run("optimize-universal", manifest, out)
         table = json.loads((out / "decode_test.json").read_text())["entries"]
         assert [row["marked"] for row in table] == ["24p", "25p", "26p"]
         history = (out / "history.csv").read_text().splitlines()
@@ -215,7 +296,7 @@ class TestRunners:
         field_path = tmp_path / "field.csv"
         write_field_csv(field_path, pulse)
         out = tmp_path / "ana"
-        run_analyze(manifest, field_path, out)
+        run("analyze", manifest, out, field_path)
         spectrum_lines = (out / "spectrum.csv").read_text().splitlines()
         assert spectrum_lines[0] == "frequency,magnitude,nearest_gap_distance"
         assert len(spectrum_lines) > 10
@@ -228,7 +309,7 @@ class TestRunners:
         field_path = tmp_path / "field.csv"
         write_field_csv(field_path, pulse)
         out = tmp_path / "dt"
-        result = run_decode_test(manifest, field_path, out)
+        result = run("decode-test", manifest, out, field_path)
         assert (out / "decode_test.json").exists()
         assert len(result["decode_table"]) == 3
 
@@ -280,6 +361,50 @@ class TestCliEntryPoint:
         assert "[rydoct]" in capsys.readouterr().err
 
 
+def _child_wraps() -> set[tuple[str, str]]:
+    """(module, attribute) of every function perfbench/child.py replaces."""
+    tree = ast.parse((ROOT / "perfbench" / "child.py").read_text())
+    wraps = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "wrap":
+            module, attr = node.args[:2]
+            if isinstance(attr, ast.Constant):  # the set-up spans loop is read below
+                wraps.add((module.id, attr.value))
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "SETUP_SPANS":
+            wraps.update(("manifest", value.value) for value in node.value.values)
+    return wraps
+
+
+class TestPerfbenchHooks:
+    """perfbench/child.py times commands by replacing module attributes."""
+
+    def test_every_wrapped_attribute_exists(self):
+        modules = {"manifest": rydoct.manifest, "cli": rydoct.cli, "atomic": rydoct.atomic}
+        wraps = _child_wraps()
+        assert ("manifest", "build_basis") in wraps and ("cli", "load_manifest") in wraps
+        for module, attr in wraps:
+            assert callable(getattr(modules[module], attr)), f"{module}.{attr}"
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_each_command_builds_the_basis_once(
+        self, tiny_manifest_path, tmp_path, monkeypatch, command
+    ):
+        calls = []
+
+        def counted(manifest):
+            calls.append(manifest)
+            return build_basis(manifest)
+
+        monkeypatch.setattr(rydoct.manifest, "build_basis", counted)
+        argv = [command, "--manifest", str(tiny_manifest_path), "--out", str(tmp_path / "o")]
+        if COMMANDS[command].reads_field:
+            field = tmp_path / "field.csv"
+            write_field_csv(field, build_guess_pulse(load_manifest(tiny_manifest_path)))
+            argv += ["--field", str(field)]
+        assert main(argv) == 0
+        assert len(calls) == 1
+
+
 BAD_FIELD_CSVS = {
     "one_row": ("time,E\n0.0,1e-07\n", "line 2"),
     "non_numeric": ("time,E\n0.0,1e-07\n10.0,abc\n20.0,0.0\n", "line 3"),
@@ -314,7 +439,7 @@ class TestFieldCsvHardening:
     @settings(max_examples=60, deadline=None)
     @given(
         dt=st.floats(min_value=1e-6, max_value=1e6),
-        start_steps=st.integers(min_value=-1000, max_value=1000),
+        start_steps=st.integers(min_value=-(10**9), max_value=10**9),
         samples=st.lists(
             st.floats(allow_nan=False, allow_infinity=False, width=64), min_size=2, max_size=3000
         ),

@@ -417,8 +417,6 @@ class TestOptimize:
             OctProblem(h, ground_state(2), StateLabel(2, 0), pen_bad, guess)
         pen = PenaltySchedule.build(guess, base=1.0)
         with pytest.raises(InvalidSpecError):
-            OctProblem(h, ground_state(2), StateLabel(2, 0), pen, guess, dt=0.2)
-        with pytest.raises(InvalidSpecError):
             OctProblem(h, ground_state(2), StateLabel(2, 0), pen, guess, update_mode="foo")
         with pytest.raises(InvalidSpecError):
             OctProblem(h, ground_state(2), StateLabel(9, 0), pen, guess)

@@ -15,6 +15,7 @@ from rydoct import (
     optimize_ensemble,
     precompute_z_eigensystem,
     propagate,
+    register_ensemble_problem,
 )
 from rydoct.control import _run_engine
 from rydoct.propagation import SplitStepKernel
@@ -154,6 +155,12 @@ class TestOptimizeEnsemble:
             max_iterations=12,
             tolerance=1e-16,
         )
+
+    def test_marked_bit_outside_register_rejected(self, dense3, small_problem):
+        orbitals = dense3.labels[:2]
+        pen, guess = small_problem.penalty, small_problem.guess
+        with pytest.raises(InvalidSpecError, match="not a register orbital"):
+            register_ensemble_problem(dense3, orbitals, [dense3.labels[2]], pen, guess)
 
     def test_zero_iterations_reports_guess(self, dense3, small_problem):
         small_problem.max_iterations = 0
