@@ -56,6 +56,8 @@ __all__ = [
 STALL_BUMP_AMPLITUDE = 1e-10
 #: J decreases beyond this are flagged as monotonicity violations.
 MONOTONICITY_SLACK = 1e-9
+#: Steps per real matrix product when the costate sweep applies z.
+Z_CHUNK_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -170,22 +172,35 @@ def _costate_sweep(
 
     Returns two (n_steps, dim, M) arrays: z lam_j, for the field increment
     at t_j, and V^T D* lam_{j+1}, the coefficients that the adjoint of step j
-    forms on its way, for the delta3 cross-term of step j.
+    forms on its way, for the delta3 cross-term of step j.  Every adjoint
+    phase comes from one table over the old field.  The sweep stores lam_j
+    itself, in a (dim, n_steps, M) buffer of which z lam_j is a transposed
+    view; z is then applied in place, `Z_CHUNK_STEPS` steps per real matrix
+    product.
     """
     adjoint = kernel.adjoint()
     n_steps = len(samples) - 1
-    z_lam = np.empty((n_steps,) + lam_final.shape, dtype=complex)
-    coeffs = np.empty_like(z_lam)
+    dim, n_members = lam_final.shape
+    lam_buffer = np.empty((dim, n_steps, n_members), dtype=complex)
+    coeffs = np.empty((n_steps, dim, n_members), dtype=complex)
+    phases = adjoint.phase_table(samples)
     lam = lam_final
     for j in range(n_steps - 1, -1, -1):
-        e_field = float(samples[j])
         coeffs[j] = c = adjoint.coefficients(lam)
-        if e_field != 0.0:
-            lam = adjoint.finish(adjoint.phase(e_field) * c)
+        if samples[j] != 0.0:
+            lam = adjoint.finish(phases[j] * c)
         else:
             lam = adjoint.step(lam, 0.0)
-        np.matmul(kernel.z, lam, out=z_lam[j])
-    return z_lam, coeffs
+        lam_buffer[:, j] = lam
+    del phases
+    # Column pairs of the float64 view hold each lam_j's real and imaginary
+    # parts, so z acts on a chunk of steps as one real product.
+    flat = lam_buffer.reshape(dim, -1).view(np.float64)
+    width = 2 * n_members * Z_CHUNK_STEPS
+    for start in range(0, flat.shape[1], width):
+        chunk = flat[:, start : start + width]
+        chunk[...] = kernel.z @ chunk
+    return lam_buffer.transpose(1, 0, 2), coeffs
 
 
 def _update_sweep(
@@ -206,26 +221,28 @@ def _update_sweep(
     the step under that new value.  Returns the new field samples, the final
     block, and, when the costate coefficients from `_costate_sweep` are
     given, the cross-term sum_j <lam(t_{j+1})| (S_new - S_old) psi(t_j)>
-    needed for the delta3 diagnostic (zero otherwise).  `trajectory`, if
-    given, receives the block at every grid point.
+    needed for the delta3 diagnostic (zero otherwise).  The old field's
+    phases P(E_old) come from one table; only P(E_new), which depends on
+    the feedback, is formed per step.  `trajectory`, if given, receives the
+    block at every grid point.
     """
     if update_mode not in ("replace", "add"):
         raise InvalidSpecError(f"unknown update mode {update_mode!r}")
     old = pulse.samples.astype(float)
     new_samples = old.copy()
+    old_phases = kernel.phase_table(old) if coeffs is not None else None
     psi = psi0
     cross_term = 0.0 + 0.0j
     for j in range(pulse.n_steps):
         increment = kernel.overlap(z_lam[j], psi) / penalty.samples[j]
         new_samples[j] = old[j] + increment if update_mode == "add" else increment
         e_new = float(new_samples[j])
-        e_old = float(old[j])
-        if coeffs is not None and e_new != e_old:
+        if old_phases is not None and e_new != old[j]:
             # <lam_{j+1}| D V (P_new - P_old) c> with c = V^T D psi_j.
             c = kernel.coefficients(psi)
             b = kernel.phase(e_new) * c
             psi = kernel.finish(b) if e_new != 0.0 else kernel.step(psi, 0.0)
-            cross_term += np.vdot(coeffs[j], b - kernel.phase(e_old) * c)
+            cross_term += np.vdot(coeffs[j], b - old_phases[j] * c)
         else:
             psi = kernel.step(psi, e_new)
         if trajectory is not None:

@@ -49,6 +49,12 @@ from .units import parse_quantity
 
 SCHEMA_VERSION = 1
 
+#: Most steps a guess grid may have, round(pulse.horizon / pulse.dt).  An
+#: optimization sweep holds two arrays of n_steps x dim x members complex
+#: amplitudes (16 B each), so at this limit a 55-state basis with 4 members
+#: needs 0.70 GB for them.
+MAX_PULSE_STEPS = 100_000
+
 DEFECT_PRESETS = {"hydrogen": {}, "cesium": CESIUM_DEFECTS}
 
 
@@ -234,6 +240,12 @@ def parse_manifest(data: dict) -> RunManifest:
     if pulse:
         if pulse["dt"] <= 0 or pulse["horizon"] <= pulse["dt"]:
             raise ManifestError("pulse.horizon: must exceed pulse.dt > 0")
+        steps = pulse["horizon"] / pulse["dt"]
+        if not (math.isfinite(steps) and round(steps) <= MAX_PULSE_STEPS):
+            raise ManifestError(
+                f"pulse.horizon: horizon / dt is {steps:.6g} steps, "
+                f"more than the limit of {MAX_PULSE_STEPS}"
+            )
         if pulse["kind"] == "half_cycle" and pulse["width"] <= 0:
             raise ManifestError("pulse.width: half-cycle pulses need a positive width")
     return RunManifest(raw=data, output_dir=top["output_dir"], **sections)

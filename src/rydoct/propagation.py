@@ -13,19 +13,21 @@ one convention being used everywhere.
 Every sweep in the package runs on one kernel, `SplitStepKernel`.  The
 kernel stays in the stored basis and works on a (dim, M) block whose
 columns are M independent states, so the members of an ensemble, or all
-the bits of a register, advance together.  V, V^T and z are cast to
-complex C-contiguous arrays once per eigensystem.  One step costs two
-complex matrix products on the block, V^T (D block) and V (P_j c); a step
-whose field sample is exactly zero skips both and stays diagonal.  The
-optimization engine stores, per iteration, only the final state block and
-two costate arrays of n_steps blocks each (z lam_j and V^T D* lam_{j+1},
-see `control`), never whole forward trajectories.
+the bits of a register, advance together.  V, V^T and z stay real: a real
+matrix multiplies a complex block through the block's float64 view, in
+which each complex column is a (real, imaginary) pair of real columns
+(`_real_product`).  That is one real product with twice the columns, half
+the flops of the complex product and no cast.  One step costs two such
+products on the block, V^T (D block) and V (P_j c); a step whose field
+sample is exactly zero skips both and stays diagonal.  The optimization
+engine stores, per iteration, only the final state block and two costate
+arrays of n_steps blocks each (z lam_j and V^T D* lam_{j+1}, see
+`control`), never whole forward trajectories.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -103,9 +105,9 @@ class PulseGrid:
 class ZEigensystem:
     """Cached spectral decomposition z = V diag(w) V^T (V orthogonal).
 
-    `z` is the decomposed matrix itself, cast to complex once: a real matrix
-    times a complex block makes numpy cast the matrix on every call, so the
-    kernel multiplies by complex copies instead.
+    `z` is the decomposed matrix itself.  All three matrices are real
+    float64 arrays; the kernel applies them to complex blocks with
+    `_real_product`.
     """
 
     eigenvalues: np.ndarray
@@ -116,11 +118,6 @@ class ZEigensystem:
         z = (self.vectors * self.eigenvalues) @ self.vectors.T
         return float(np.max(np.abs(z - self.z)))
 
-    @cached_property
-    def complex_factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """V and V^T as complex C-contiguous arrays, cast on first use."""
-        return tuple(np.ascontiguousarray(m, dtype=complex) for m in (self.vectors, self.vectors.T))
-
 
 def precompute_z_eigensystem(h: HamiltonianData) -> ZEigensystem:
     """Diagonalize the z matrix once; reused by every step of every sweep."""
@@ -128,8 +125,20 @@ def precompute_z_eigensystem(h: HamiltonianData) -> ZEigensystem:
     if float(np.max(np.abs(h.z_matrix - h.z_matrix.T))) > 1e-12 * scale:
         raise InvalidSpecError("z matrix must be symmetric")
     w, v = np.linalg.eigh(h.z_matrix)
-    z = np.ascontiguousarray(h.z_matrix, dtype=complex)
+    z = np.ascontiguousarray(h.z_matrix, dtype=float)
     return ZEigensystem(eigenvalues=w, vectors=np.ascontiguousarray(v), z=z)
+
+
+def _real_product(m: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """m @ block for a real matrix m and a complex (dim, M) block.
+
+    The float64 view of a C-contiguous complex block is a (dim, 2M) real
+    array whose column pairs hold each column's real and imaginary parts,
+    so one real product computes both.  A block that is not C-contiguous
+    is copied first, because its float64 view would not pair the parts.
+    """
+    block = np.ascontiguousarray(block, dtype=np.complex128)
+    return (m @ block.view(np.float64)).view(np.complex128)
 
 
 class SplitStepKernel:
@@ -148,7 +157,8 @@ class SplitStepKernel:
         self.dt = dt
         self.half = np.exp(-0.5j * dt * h.energies)[:, None]
         self.exponent = -1j * dt * zsys.eigenvalues[:, None]
-        self.v, self.vt = zsys.complex_factors
+        self.v = zsys.vectors
+        self.vt = zsys.vectors.T
         self.z = zsys.z
 
     def adjoint(self) -> "SplitStepKernel":
@@ -158,13 +168,23 @@ class SplitStepKernel:
         """The z-eigenbasis factor P(E) as a column; exactly 1 for E = 0."""
         return np.exp(e_field * self.exponent)
 
+    def phase_table(self, samples: np.ndarray) -> np.ndarray:
+        """P(E_j) for every step at once, as (n_steps, dim, 1) columns.
+
+        Row j equals `phase(samples[j])` exactly: the same product and the
+        same elementwise exp, one vectorised call for the whole grid, taken
+        in place so that only one table is ever held.
+        """
+        table = samples[:-1, None, None] * self.exponent
+        return np.exp(table, out=table)
+
     def coefficients(self, block: np.ndarray) -> np.ndarray:
         """c = V^T D block, the first half step in the z eigenbasis."""
-        return self.vt @ (self.half * block)
+        return _real_product(self.vt, self.half * block)
 
     def finish(self, b: np.ndarray) -> np.ndarray:
         """D V b: back to the stored basis through the second half step."""
-        return self.half * (self.v @ b)
+        return self.half * _real_product(self.v, b)
 
     def step(self, block: np.ndarray, e_field: float) -> np.ndarray:
         if e_field == 0.0:

@@ -16,6 +16,7 @@ from rydoct import ManifestError, PulseGrid, load_hamiltonian
 from rydoct.cli import main
 from rydoct.manifest import (
     COMMANDS,
+    MAX_PULSE_STEPS,
     build_basis,
     build_guess_pulse,
     load_manifest,
@@ -114,10 +115,26 @@ class TestManifestValidation:
         with pytest.raises(ManifestError, match="pulse.horizon"):
             parse_manifest(data)
 
+    def test_guess_grid_step_limit(self):
+        data = tiny_manifest_dict("out")
+        data["pulse"]["dt"] = 1.0
+        data["pulse"]["horizon"] = float(MAX_PULSE_STEPS)
+        assert build_guess_pulse(parse_manifest(data)).n_steps == MAX_PULSE_STEPS
+        data["pulse"]["horizon"] = float(MAX_PULSE_STEPS + 1)
+        with pytest.raises(ManifestError, match="^pulse.horizon: .* limit of 100000$"):
+            parse_manifest(data)
+
 
 def _mutated(section, key, value):
     data = json.loads((MANIFEST_DIR / "single_target.json").read_text())
     (data[section] if section else data)[key] = value
+    return data
+
+
+def _long_guess_grid():
+    # 1e21 steps: numpy used to fail allocating the guess grid with a traceback.
+    data = _mutated("pulse", "horizon", 1e12)
+    data["pulse"]["dt"] = 1e-9
     return data
 
 
@@ -145,6 +162,7 @@ BAD_MANIFESTS = {
     "output_dir_number": (_mutated(None, "output_dir", 5), "output_dir"),
     "n_max_bool": (_mutated("basis", "n_max", True), "basis.n_max"),
     "pad_factor_text": (_mutated("analysis", "pad_factor", "x"), "analysis.pad_factor"),
+    "guess_grid_too_long": (_long_guess_grid(), "pulse.horizon"),
 }
 
 
@@ -472,24 +490,44 @@ class TestProcess:
         assert run.returncode == 0, run.stderr
         assert run.stdout.strip() == "False"
 
-    def test_universal_outputs_independent_of_blas_threads(self, tmp_path):
-        manifest = json.loads((MANIFEST_DIR / "universal.json").read_text())
+    # One member (M = 1) and four (M = 4) reach BLAS with different shapes.
+    @pytest.mark.parametrize(
+        "command, manifest_name, expected_files",
+        [
+            (
+                "optimize-universal",
+                "universal.json",
+                {"decode_test.json", "history.csv", "summary.json", "universal_field.csv"},
+            ),
+            (
+                "optimize",
+                "single_target.json",
+                {
+                    "guess_field.csv",
+                    "history.csv",
+                    "optimized_field.csv",
+                    "readout.json",
+                    "summary.json",
+                },
+            ),
+        ],
+        ids=["optimize-universal", "optimize"],
+    )
+    def test_universal_outputs_independent_of_blas_threads(
+        self, tmp_path, command, manifest_name, expected_files
+    ):
+        manifest = json.loads((MANIFEST_DIR / manifest_name).read_text())
         manifest["oct"]["max_iterations"] = 10
-        path = tmp_path / "universal10.json"
+        path = tmp_path / "manifest10.json"
         path.write_text(json.dumps(manifest))
         outputs = {}
         for threads in (1, 2):
             out = tmp_path / f"threads{threads}"
-            args = ["-m", "rydoct.cli", "optimize-universal", "--manifest", str(path)]
+            args = ["-m", "rydoct.cli", command, "--manifest", str(path)]
             run = _run_cli(args + ["--out", str(out)], tmp_path, threads=threads)
             assert run.returncode == 0, run.stderr
             outputs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-        assert set(outputs[1]) == {
-            "decode_test.json",
-            "history.csv",
-            "summary.json",
-            "universal_field.csv",
-        }
+        assert set(outputs[1]) == expected_files
         for name, content in outputs[1].items():
             assert outputs[2][name] == content, name
 

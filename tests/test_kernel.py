@@ -4,7 +4,11 @@ The oracle is tests/reference_sweeps.py.  Both sides start from the same
 initial states and terminal costates on the 55-state production basis, with
 four register members and a field that is nonzero almost everywhere but has
 exact zeros mixed in, so both the zero-field shortcut and the full step run.
+The same set-up bounds the sweeps' memory and checks that the real products
+give the same bytes whatever the memory layout of the input block.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,3 +113,67 @@ def test_update_sweep_matches_oracle(setup, mode):
     assert abs(cross - expected_cross) <= 1e-12
     for i, traj in enumerate(trajs):
         assert np.max(np.abs(final[:, i] - traj[-1])) <= 1e-12
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_phase_table_rows_are_the_per_step_phases(setup, sign):
+    kernel = SplitStepKernel(setup["h"], setup["zsys"], sign * DT)
+    samples = setup["pulse"].samples
+    table = kernel.phase_table(samples)
+    assert table.shape == (len(samples) - 1, setup["h"].dim, 1)
+    for j, e_field in enumerate(samples[:-1].tolist()):
+        assert np.array_equal(table[j], kernel.phase(e_field))
+
+
+def test_sweeps_hold_two_costate_arrays_and_one_phase_table(setup):
+    # One backward sweep and one update sweep, as one iteration runs them:
+    # z lam and the coefficients are the only step-sized arrays besides one
+    # (n_steps, dim) phase table at a time.  The slack covers the chunk
+    # product of z and per-step blocks; one more costate-sized copy does not fit.
+    h, pulse = setup["h"], setup["pulse"]
+    kernel, penalty = setup["kernel"], setup["penalty"]
+    psi0 = np.stack(setup["psi0"], axis=1)
+    lam_final = np.stack(setup["lam_final"], axis=1)
+    costate_bytes = pulse.n_steps * h.dim * len(MARKED) * 16
+    table_bytes = pulse.n_steps * h.dim * 16
+    slack = 512 * 1024
+    tracemalloc.start()
+    try:
+        z_lam, coeffs = _costate_sweep(kernel, lam_final, pulse.samples)
+        _update_sweep(kernel, psi0, z_lam, pulse, penalty, "replace", coeffs=coeffs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert costate_bytes > slack
+    assert peak < 2 * costate_bytes + table_bytes + slack
+
+
+def _layouts(h, rng):
+    """(input, contiguous copy) pairs: Fortran block, column slice, one state."""
+    wide = rng.standard_normal((h.dim, 8)) + 1j * rng.standard_normal((h.dim, 8))
+    wide /= np.linalg.norm(wide, axis=0)
+    fortran = np.asfortranarray(wide[:, :4])
+    sliced = wide[:, ::2]
+    state = wide[:, 5]
+    assert not fortran.flags.c_contiguous and not sliced.flags.c_contiguous
+    assert not state.flags.c_contiguous
+    return [(block, np.ascontiguousarray(block)) for block in (fortran, sliced, state)]
+
+
+@pytest.mark.parametrize("e_field", [0.0, 1.3e-7])
+def test_kernel_step_ignores_memory_layout(setup, e_field):
+    kernel = setup["kernel"]
+    for block, copy in _layouts(setup["h"], np.random.default_rng(3)):
+        if block.ndim == 1:
+            # The kernel steps (dim, M) blocks; one state is a (dim, 1) column.
+            block, copy = block[:, None], copy[:, None]
+        assert np.array_equal(kernel.step(block, e_field), kernel.step(copy, e_field))
+
+
+def test_propagate_ignores_memory_layout(setup):
+    h, zsys, pulse = setup["h"], setup["zsys"], setup["pulse"]
+    for block, copy in _layouts(h, np.random.default_rng(4)):
+        _, final = propagate(WavePacket(block), pulse, h, zsys, record=None)
+        _, expected = propagate(WavePacket(copy), pulse, h, zsys, record=None)
+        assert final.amplitudes.shape == block.shape
+        assert np.array_equal(final.amplitudes, expected.amplitudes)
