@@ -36,7 +36,6 @@ from .control import (
 from .ensemble import (
     EnsembleMember,
     EnsembleProblem,
-    EnsembleResult,
     decode_test,
     optimize_ensemble,
     register_ensemble_problem,

@@ -58,8 +58,11 @@ class StateLabel:
         return f"{self.n}{l_letter(self.l)}"
 
     @classmethod
-    def parse(cls, text: str) -> "StateLabel":
-        m = re.fullmatch(r"(\d+)([a-z])", text.strip())
+    def parse(cls, text: "StateLabel | str") -> "StateLabel":
+        """Read a name such as "26p"; a StateLabel is returned unchanged."""
+        if isinstance(text, StateLabel):
+            return text
+        m = re.fullmatch(r"(\d+)([a-z])", text.strip()) if isinstance(text, str) else None
         if not m:
             raise InvalidSpecError(f"cannot parse state label {text!r}")
         letter = m.group(2)
@@ -382,8 +385,7 @@ class HamiltonianData:
         return len(self.labels)
 
     def index(self, label: StateLabel | str) -> int:
-        if isinstance(label, str):
-            label = StateLabel.parse(label)
+        label = StateLabel.parse(label)
         try:
             return self._index[label]
         except KeyError:

@@ -300,25 +300,37 @@ class OctProblem:
 
 @dataclass
 class OctResult:
-    """Optimized field plus per-iteration convergence records."""
+    """Optimized field plus per-iteration convergence records.
+
+    A run has M members, each a state that must end in its own target, all
+    under one shared field: M = 1 for `optimize`, one per marked bit for
+    `optimize_ensemble`.  `yield_history` is (iterations, M) and
+    `final_states` the (dim, M) block at T under `field`; `guess_yields`
+    holds the M yields under the guess.  J is the summed yield minus the
+    fluence cost, which is charged once.
+    """
 
     field: PulseGrid
     j_history: np.ndarray
     yield_history: np.ndarray
     cost_history: np.ndarray
     delta3_history: np.ndarray
-    final_state: WavePacket
-    final_populations: np.ndarray
+    final_states: np.ndarray
+    guess_yields: np.ndarray
+    guess_j: float
     iterations: int
     converged: bool
     monotonic: bool
     first_decrease_iteration: int | None
-    guess_yield: float
-    guess_j: float
 
     @property
     def final_yield(self) -> float:
-        return float(self.yield_history[-1]) if self.iterations else self.guess_yield
+        """Summed member yield after the last iteration, or under the guess."""
+        return float(np.sum(self.yield_history[-1])) if self.iterations else self.guess_yield
+
+    @property
+    def guess_yield(self) -> float:
+        return float(np.sum(self.guess_yields))
 
 
 def _apply_stall_bump(pulse: PulseGrid) -> PulseGrid:
@@ -357,17 +369,20 @@ def _run_engine(
     guess: PulseGrid,
     penalty: PenaltySchedule,
     h: HamiltonianData,
-    zsys: ZEigensystem,
+    zsys: ZEigensystem | None,
     max_iterations: int,
     tolerance: float,
     update_mode: str,
-) -> dict:
+) -> OctResult:
     """Shared iteration loop for one or many targets on one field.
 
+    `members` pairs each initial state with the basis index of its target.
     The objective is sum_i |<target_i|psi_i(T)>|^2 - cost, with the fluence
     cost charged once however many members share the field.  The members
     are the columns of one (dim, M) block; only its final value is kept.
     """
+    if zsys is None:
+        zsys = precompute_z_eigensystem(h)
     kernel = SplitStepKernel(h, zsys, guess.dt)
     psi0 = np.stack([np.asarray(amps0, dtype=complex) for amps0, _ in members], axis=1)
     targets = (np.array([k for _, k in members]), np.arange(len(members)))
@@ -383,15 +398,12 @@ def _run_engine(
         pulse = _apply_stall_bump(pulse)
         final = kernel.evolve(psi0, pulse.samples)
 
-    def member_yields(block):
-        return [float(y) for y in np.abs(block[targets]) ** 2]
-
-    guess_yields = member_yields(final)
+    guess_yields = np.abs(final[targets]) ** 2
     j_prev = sum(guess_yields) - evaluate_cost(pulse, penalty)
-    guess_objective = j_prev
+    guess_j = j_prev
 
     j_hist: list[float] = []
-    yield_hist: list[list[float]] = []
+    yield_hist: list[np.ndarray] = []
     cost_hist: list[float] = []
     delta3_hist: list[float] = []
     converged = False
@@ -404,9 +416,9 @@ def _run_engine(
         )
         pulse = pulse.with_samples(new_samples)
 
-        yields = member_yields(final)
+        yields = np.abs(final[targets]) ** 2
         cost = evaluate_cost(pulse, penalty)
-        j_new = sum(yields) - cost
+        j_new = float(sum(yields)) - cost
 
         j_hist.append(j_new)
         yield_hist.append(yields)
@@ -423,51 +435,34 @@ def _run_engine(
             break
         j_prev = j_new
 
-    return {
-        "field": pulse,
-        "final_states": final,
-        "j_history": np.array(j_hist),
-        "yield_history": np.array(yield_hist, dtype=float).reshape(-1, len(members)),
-        "cost_history": np.array(cost_hist),
-        "delta3_history": np.array(delta3_hist),
-        "iterations": len(j_hist),
-        "converged": converged,
-        "monotonic": monotonic,
-        "first_decrease_iteration": first_decrease,
-        "guess_yields": guess_yields,
-        "guess_objective": guess_objective,
-    }
+    return OctResult(
+        field=pulse,
+        j_history=np.array(j_hist),
+        yield_history=np.array(yield_hist, dtype=float).reshape(-1, len(members)),
+        cost_history=np.array(cost_hist),
+        delta3_history=np.array(delta3_hist),
+        final_states=final,
+        guess_yields=guess_yields,
+        guess_j=float(guess_j),
+        iterations=len(j_hist),
+        converged=converged,
+        monotonic=monotonic,
+        first_decrease_iteration=first_decrease,
+    )
 
 
 def optimize(problem: OctProblem, zsys: ZEigensystem | None = None) -> OctResult:
-    """Iterate forward/backward sweeps until J converges or max_iterations."""
-    h = problem.hamiltonian
-    if zsys is None:
-        zsys = precompute_z_eigensystem(h)
-    raw = _run_engine(
-        members=[(problem.psi0.amplitudes, problem.target_index)],
-        guess=problem.guess,
-        penalty=problem.penalty,
-        h=h,
-        zsys=zsys,
-        max_iterations=problem.max_iterations,
-        tolerance=problem.tolerance,
-        update_mode=problem.update_mode,
-    )
-    final_amps = raw["final_states"][:, 0].copy()
-    final_state = WavePacket(amplitudes=final_amps, time=raw["field"].horizon)
-    return OctResult(
-        field=raw["field"],
-        j_history=raw["j_history"],
-        yield_history=raw["yield_history"][:, 0],
-        cost_history=raw["cost_history"],
-        delta3_history=raw["delta3_history"],
-        final_state=final_state,
-        final_populations=np.abs(final_amps) ** 2,
-        iterations=raw["iterations"],
-        converged=raw["converged"],
-        monotonic=raw["monotonic"],
-        first_decrease_iteration=raw["first_decrease_iteration"],
-        guess_yield=raw["guess_yields"][0],
-        guess_j=raw["guess_objective"],
+    """Iterate forward/backward sweeps until J converges or max_iterations.
+
+    The result has one member: `final_states[:, 0]` is the state at T.
+    """
+    return _run_engine(
+        [(problem.psi0.amplitudes, problem.target_index)],
+        problem.guess,
+        problem.penalty,
+        problem.hamiltonian,
+        zsys,
+        problem.max_iterations,
+        problem.tolerance,
+        problem.update_mode,
     )

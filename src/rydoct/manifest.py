@@ -33,7 +33,7 @@ from .atomic import (
     load_hamiltonian,
     save_hamiltonian,
 )
-from .control import OctProblem, PenaltySchedule, optimize
+from .control import OctProblem, OctResult, PenaltySchedule, optimize
 from .ensemble import decode_test, optimize_ensemble, register_ensemble_problem
 from .errors import ManifestError, RydoctError
 from .propagation import (
@@ -54,6 +54,12 @@ SCHEMA_VERSION = 1
 #: amplitudes (16 B each), so at this limit a 55-state basis with 4 members
 #: needs 0.70 GB for them.
 MAX_PULSE_STEPS = 100_000
+
+#: Most radial values a basis build may hold, basis.grid_points x states.
+#: The Numerov sweep keeps one (grid_points, states) float64 array, 80 MB at
+#: this limit; the 187-state basis (n 21-31, l < 17) on 20 000 points has
+#: 3.74 M values.
+MAX_BASIS_VALUES = 10_000_000
 
 DEFECT_PRESETS = {"hydrogen": {}, "cesium": CESIUM_DEFECTS}
 
@@ -229,6 +235,14 @@ def load_manifest(path) -> RunManifest:
     return parse_manifest(data)
 
 
+def _basis_states(n_min: int, n_max: int, l_max: int) -> int:
+    """How many states BasisSpec(n_min, n_max, l_max) holds, sum_n min(n, l_max),
+    counted without listing them: n below l_max adds n, the rest l_max each."""
+    low_top = min(n_max, l_max - 1)
+    low = (n_min + low_top) * (low_top - n_min + 1) // 2 if low_top >= n_min else 0
+    return low + l_max * max(0, n_max - max(n_min, l_max) + 1)
+
+
 def parse_manifest(data: dict) -> RunManifest:
     top = _read_section(data, "")
     sections = {name: _read_section(data, name) for name in SCHEMA if name}
@@ -237,6 +251,12 @@ def parse_manifest(data: dict) -> RunManifest:
         for key in ("n_min", "n_max", "l_max"):
             if basis[key] is None:
                 raise ManifestError(f"basis.{key}: key is missing")
+        states = _basis_states(basis["n_min"], basis["n_max"], basis["l_max"])
+        if basis["grid_points"] * states > MAX_BASIS_VALUES:
+            raise ManifestError(
+                f"basis.grid_points: {basis['grid_points']} points x {states} states is "
+                f"more than the limit of {MAX_BASIS_VALUES} radial values"
+            )
     if pulse:
         if pulse["dt"] <= 0 or pulse["horizon"] <= pulse["dt"]:
             raise ManifestError("pulse.horizon: must exceed pulse.dt > 0")
@@ -358,7 +378,15 @@ def write_json(path, payload: dict) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_history(path, histories: dict[str, np.ndarray]) -> None:
+def _write_history(path, result: OctResult, extra: dict[str, np.ndarray] | None = None) -> None:
+    """One row per iteration: J, the summed yield, the cost Y, delta3, then `extra`."""
+    histories = {
+        "J": result.j_history,
+        "yield": np.sum(result.yield_history, axis=1),
+        "Y": result.cost_history,
+        "delta3": result.delta3_history,
+        **(extra or {}),
+    }
     _write_csv(path, ["iteration", *histories], zip(map(str, count(1)), *histories.values()))
 
 
@@ -372,7 +400,7 @@ def _settings(manifest: RunManifest) -> dict:
     return {key: manifest.oct[key] for key in ("max_iterations", "tolerance", "update_mode")}
 
 
-def _convergence(result) -> dict:
+def _convergence(result: OctResult) -> dict:
     """The stopping metrics of an `optimize` or `optimize_ensemble` result."""
     return {
         "iterations": result.iterations,
@@ -434,17 +462,12 @@ def _optimize(manifest: RunManifest, h: HamiltonianData, out: Path, field_path) 
     penalty = build_penalty(manifest, guess)
     problem = OctProblem(h, psi0, reg.marked, penalty, guess, **_settings(manifest))
     result = optimize(problem, zsys=zsys)
-    report = readout(result.final_state, reg, h)
+    final = WavePacket(result.final_states[:, 0])
+    report = readout(final, reg, h)
 
     write_field_csv(out / "optimized_field.csv", result.field)
     write_field_csv(out / "guess_field.csv", guess)
-    histories = {
-        "J": result.j_history,
-        "yield": result.yield_history,
-        "Y": result.cost_history,
-        "delta3": result.delta3_history,
-    }
-    _write_history(out / "history.csv", histories)
+    _write_history(out / "history.csv", result)
     write_json(out / "readout.json", report.to_dict())
     peak = float(np.max(np.abs(result.field.samples)))
     metrics = {
@@ -453,7 +476,7 @@ def _optimize(manifest: RunManifest, h: HamiltonianData, out: Path, field_path) 
         "final_yield": result.final_yield,
         "decoded": report.decoded,
         "leaked": report.leaked,
-        "boundary_shell_population": _boundary_population(result.final_state, h),
+        "boundary_shell_population": _boundary_population(final, h),
         "peak_field": peak,
         "endpoint_field_fraction": [
             float(abs(result.field.samples[0]) / peak) if peak else 0.0,
@@ -474,31 +497,23 @@ def _optimize_universal(
         h, cfg["orbitals"], cfg["ensemble_marked"], penalty, guess, **_settings(manifest)
     )
     result = optimize_ensemble(problem, zsys=zsys)
+    members = [str(m.target) for m in problem.members]
 
     write_field_csv(out / "universal_field.csv", result.field)
-    histories = {
-        "J": result.objective_history,
-        "yield": np.sum(result.member_yield_histories, axis=1)
-        if result.iterations
-        else np.array([]),
-        "Y": result.cost_history,
-        "delta3": result.delta3_history,
-        "product_fidelity": result.product_fidelity_history,
-    }
-    for i, member in enumerate(problem.members):
-        histories[f"yield_{member.target}"] = result.member_yield_histories[:, i]
-    _write_history(out / "history.csv", histories)
+    extra = {"product_fidelity": np.prod(result.yield_history, axis=1)}
+    for i, bit in enumerate(members):
+        extra[f"yield_{bit}"] = result.yield_history[:, i]
+    _write_history(out / "history.csv", result, extra)
 
     table = decode_test(result.field, cfg["orbitals"], h, zsys)
     write_json(out / "decode_test.json", {"entries": table})
+    yields = result.yield_history[-1] if result.iterations else result.guess_yields
     metrics = {
         **_convergence(result),
-        "decode_accuracy": result.decode_accuracy,
-        "members": [str(m.target) for m in problem.members],
-        "excluded_bits": [str(b) for b in problem.excluded_bits],
-        "member_yields": [float(y) for y in result.member_yield_histories[-1]]
-        if result.iterations
-        else [float(y) for y in result.guess_yields],
+        "decode_accuracy": sum(row["success"] for row in table if row["marked"] in members),
+        "members": members,
+        "excluded_bits": [row["marked"] for row in table if row["marked"] not in members],
+        "member_yields": [float(y) for y in yields],
         "full_decode_table_successes": sum(1 for row in table if row["success"]),
     }
     return {"metrics": metrics, "result": result, "decode_table": table}

@@ -178,8 +178,17 @@ class SplitStepKernel:
         table = samples[:-1, None, None] * self.exponent
         return np.exp(table, out=table)
 
+    def _check(self, block: np.ndarray) -> None:
+        # A (dim,) state or a (1, M) block would broadcast against the
+        # (dim, 1) half step into a wrong-shaped block instead of failing.
+        if block.ndim != 2 or block.shape[0] != len(self.half):
+            raise InvalidSpecError(
+                f"expected a ({len(self.half)}, M) block of states, got shape {block.shape}"
+            )
+
     def coefficients(self, block: np.ndarray) -> np.ndarray:
         """c = V^T D block, the first half step in the z eigenbasis."""
+        self._check(block)
         return _real_product(self.vt, self.half * block)
 
     def finish(self, b: np.ndarray) -> np.ndarray:
@@ -189,11 +198,13 @@ class SplitStepKernel:
     def step(self, block: np.ndarray, e_field: float) -> np.ndarray:
         if e_field == 0.0:
             # Diagonal, so amplitudes that are exactly zero stay exactly zero.
+            self._check(block)
             return self.half * (self.half * block)
         return self.finish(self.phase(e_field) * self.coefficients(block))
 
     def evolve(self, block: np.ndarray, samples: np.ndarray) -> np.ndarray:
         """Final block after one step per sample; the last sample is unused."""
+        self._check(block)
         for e_field in samples[:-1].tolist():
             block = self.step(block, e_field)
         return block

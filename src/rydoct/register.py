@@ -41,7 +41,8 @@ class RegisterSpec:
             )
 
     @classmethod
-    def from_names(cls, names, marked: str | None = None) -> "RegisterSpec":
+    def from_names(cls, names, marked: StateLabel | str | None = None) -> "RegisterSpec":
+        """The register on `names` with bit `marked` flipped; labels or their names."""
         orbitals = tuple(StateLabel.parse(n) for n in names)
         idx = None
         if marked is not None:
@@ -72,7 +73,6 @@ class ReadoutReport:
 
     populations: dict[str, float]
     decoded: str
-    decoded_index: int
     leaked: float
 
     def to_dict(self) -> dict:
@@ -95,6 +95,5 @@ def readout(psi: WavePacket, spec: RegisterSpec, h: HamiltonianData) -> ReadoutR
     return ReadoutReport(
         populations={str(o): p for o, p in zip(spec.orbitals, pops)},
         decoded=str(spec.orbitals[decoded_index]),
-        decoded_index=decoded_index,
         leaked=max(leaked, 0.0),
     )

@@ -71,14 +71,14 @@ def parse_quantity(raw: float | int | str, family: str) -> float:
     if not isinstance(raw, str):
         raise UnitError(f"cannot parse quantity from {raw!r}")
     parts = raw.split()
-    if len(parts) == 1:
-        try:
-            return float(parts[0])
-        except ValueError as exc:
-            raise UnitError(f"cannot parse quantity from {raw!r}") from exc
-    if len(parts) != 2:
+    if len(parts) not in (1, 2):
         raise UnitError(f"cannot parse quantity from {raw!r}")
-    value = float(parts[0])
+    try:
+        value = float(parts[0])
+    except ValueError as exc:
+        raise UnitError(f"cannot parse quantity from {raw!r}") from exc
+    if len(parts) == 1:
+        return value
     unit = parts[1]
     table = {"time": _TIME_TO_AU, "field": _FIELD_TO_AU}.get(family)
     if table is None:

@@ -16,6 +16,47 @@ from rydoct import (
 MANIFEST_DIR = Path(__file__).resolve().parent.parent / "manifests"
 
 
+def tiny_manifest_dict(out_dir: str) -> dict:
+    return {
+        "schema_version": 1,
+        "basis": {
+            "n_min": 24,
+            "n_max": 26,
+            "l_max": 2,
+            "defects": "cesium",
+            "grid_points": 4000,
+        },
+        "register": {
+            "orbitals": ["24p", "25p", "26p"],
+            "marked": "25p",
+            "ensemble_marked": ["24p", "25p"],
+        },
+        "pulse": {
+            "kind": "half_cycle",
+            "peak": "0.2 kV/cm",
+            "width": "0.4 ps",
+            "t_peak": "0 ps",
+            "horizon": "2 ps",
+            "dt": "10 fs",
+            "record_stride": 20,
+        },
+        "oct": {
+            "penalty_base": 1e8,
+            "edge_multiplier": 100.0,
+            "ramp_fraction": 0.1,
+            "max_iterations": 3,
+            "tolerance": 1e-14,
+            "update_mode": "replace",
+        },
+        "analysis": {
+            "husimi_sigma": "0.2 ps",
+            "husimi_time_stride": 16,
+            "pad_factor": 2,
+        },
+        "output_dir": out_dir,
+    }
+
+
 @pytest.fixture(scope="session")
 def default_grid():
     return RadialGrid.for_basis(31)

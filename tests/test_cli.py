@@ -16,6 +16,7 @@ from rydoct import ManifestError, PulseGrid, load_hamiltonian
 from rydoct.cli import main
 from rydoct.manifest import (
     COMMANDS,
+    MAX_BASIS_VALUES,
     MAX_PULSE_STEPS,
     build_basis,
     build_guess_pulse,
@@ -26,51 +27,10 @@ from rydoct.manifest import (
     write_field_csv,
 )
 from rydoct.units import parse_quantity
-from tests.conftest import MANIFEST_DIR
+from tests.conftest import MANIFEST_DIR, tiny_manifest_dict
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC_DIR = ROOT / "src"
-
-
-def tiny_manifest_dict(out_dir: str) -> dict:
-    return {
-        "schema_version": 1,
-        "basis": {
-            "n_min": 24,
-            "n_max": 26,
-            "l_max": 2,
-            "defects": "cesium",
-            "grid_points": 4000,
-        },
-        "register": {
-            "orbitals": ["24p", "25p", "26p"],
-            "marked": "25p",
-            "ensemble_marked": ["24p", "25p"],
-        },
-        "pulse": {
-            "kind": "half_cycle",
-            "peak": "0.2 kV/cm",
-            "width": "0.4 ps",
-            "t_peak": "0 ps",
-            "horizon": "2 ps",
-            "dt": "10 fs",
-            "record_stride": 20,
-        },
-        "oct": {
-            "penalty_base": 1e8,
-            "edge_multiplier": 100.0,
-            "ramp_fraction": 0.1,
-            "max_iterations": 3,
-            "tolerance": 1e-14,
-            "update_mode": "replace",
-        },
-        "analysis": {
-            "husimi_sigma": "0.2 ps",
-            "husimi_time_stride": 16,
-            "pad_factor": 2,
-        },
-        "output_dir": out_dir,
-    }
 
 
 @pytest.fixture()
@@ -125,6 +85,22 @@ class TestManifestValidation:
             parse_manifest(data)
 
 
+    def test_basis_size_limit(self):
+        # Checked at load only: none of these bases is ever built.  The tiny
+        # basis has 6 states (n 24-26, l < 2).
+        data = tiny_manifest_dict("out")
+        data["basis"]["grid_points"] = MAX_BASIS_VALUES // 6
+        assert parse_manifest(data).basis["grid_points"] == MAX_BASIS_VALUES // 6
+        data["basis"]["grid_points"] = MAX_BASIS_VALUES // 6 + 1
+        with pytest.raises(ManifestError, match="^basis.grid_points: .* 6 states .* limit"):
+            parse_manifest(data)
+        for key, value in (("grid_points", 10**9), ("n_max", 10**6)):
+            data = tiny_manifest_dict("out")
+            data["basis"][key] = value
+            with pytest.raises(ManifestError, match="^basis.grid_points: "):
+                parse_manifest(data)
+
+
 def _mutated(section, key, value):
     data = json.loads((MANIFEST_DIR / "single_target.json").read_text())
     (data[section] if section else data)[key] = value
@@ -163,6 +139,12 @@ BAD_MANIFESTS = {
     "n_max_bool": (_mutated("basis", "n_max", True), "basis.n_max"),
     "pad_factor_text": (_mutated("analysis", "pad_factor", "x"), "analysis.pad_factor"),
     "guess_grid_too_long": (_long_guess_grid(), "pulse.horizon"),
+    # One point over the limit on the 55-state basis, so that a build that
+    # got past the check would still be small.
+    "basis_too_large": (
+        _mutated("basis", "grid_points", MAX_BASIS_VALUES // 55 + 1),
+        "basis.grid_points",
+    ),
 }
 
 
@@ -421,6 +403,22 @@ class TestPerfbenchHooks:
             argv += ["--field", str(field)]
         assert main(argv) == 0
         assert len(calls) == 1
+
+
+    def test_probe_fills_the_requested_spans(self, tmp_path):
+        # perfbench/probe.py drives the library API (OctProblem, both
+        # optimizers and their results, register_ensemble_problem, decode_test).
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(tiny_manifest_dict(str(tmp_path / "out"))))
+        field = tmp_path / "field.csv"
+        write_field_csv(field, build_guess_pulse(load_manifest(manifest)))
+        wanted = ["control.optimize_s", "ensemble.optimize_s", "ensemble.decode_test_s"]
+        spans = tmp_path / "spans.json"
+        args = [ROOT / "perfbench" / "probe.py", spans, manifest, field, tmp_path, *wanted]
+        run = _run_cli([str(arg) for arg in args], tmp_path)
+        assert run.returncode == 0, run.stderr
+        names = {span["name"] for span in json.loads(spans.read_text())}
+        assert set(wanted) <= names
 
 
 BAD_FIELD_CSVS = {

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -18,9 +20,10 @@ from rydoct import (
     register_ensemble_problem,
 )
 from rydoct.control import _run_engine
+from rydoct.manifest import parse_manifest, run
 from rydoct.propagation import SplitStepKernel
 from rydoct.pulses import half_cycle_pulse
-from tests.conftest import make_dense_hamiltonian
+from tests.conftest import make_dense_hamiltonian, tiny_manifest_dict
 
 REGISTER_NAMES = ["24p", "25p", "26p", "27p", "28p", "29p"]
 
@@ -93,7 +96,7 @@ class TestEngineIdentities:
             [(psi0, 2)], guess, pen1, dense3, zsys, 10, 1e-16, "replace"
         )
         np.testing.assert_allclose(
-            triple["field"].samples, single["field"].samples, rtol=1e-10, atol=1e-18
+            triple.field.samples, single.field.samples, rtol=1e-10, atol=1e-18
         )
 
     def test_single_member_matches_optimize_bitwise(self, cesium_h, cesium_zsys):
@@ -121,16 +124,15 @@ class TestEngineIdentities:
                 members=[EnsembleMember(psi0=psi0, target=StateLabel.parse("26p"))],
                 penalty=pen,
                 guess=guess,
-                register_orbitals=tuple(StateLabel.parse(o) for o in REGISTER_NAMES),
                 max_iterations=6,
                 tolerance=1e-14,
             ),
             zsys=cesium_zsys,
         )
         assert np.array_equal(single.field.samples, ensemble.field.samples)
-        assert np.array_equal(single.j_history, ensemble.objective_history)
+        assert np.array_equal(single.j_history, ensemble.j_history)
         assert np.array_equal(single.delta3_history, ensemble.delta3_history)
-        assert np.array_equal(single.yield_history, ensemble.member_yield_histories[:, 0])
+        assert np.array_equal(single.yield_history, ensemble.yield_history)
 
 
 class TestOptimizeEnsemble:
@@ -151,7 +153,6 @@ class TestOptimizeEnsemble:
             members=members,
             penalty=pen,
             guess=guess,
-            register_orbitals=tuple(dense3.labels),
             max_iterations=12,
             tolerance=1e-16,
         )
@@ -167,35 +168,39 @@ class TestOptimizeEnsemble:
         zsys = precompute_z_eigensystem(dense3)
         result = optimize_ensemble(small_problem, zsys=zsys)
         assert result.iterations == 0
-        assert len(result.objective_history) == 0
+        assert len(result.j_history) == 0
         assert np.array_equal(result.field.samples, small_problem.guess.samples)
         assert len(result.guess_yields) == 2
 
     def test_member_independence_replay(self, dense3, small_problem):
         zsys = precompute_z_eigensystem(dense3)
         result = optimize_ensemble(small_problem, zsys=zsys)
-        for member, final in zip(small_problem.members, result.final_states):
+        for member, final in zip(small_problem.members, result.final_states.T):
             _, replay = propagate(member.psi0, result.field, dense3, zsys, record=None)
-            assert np.max(np.abs(replay.amplitudes - final.amplitudes)) < 1e-10
+            assert np.max(np.abs(replay.amplitudes - final)) < 1e-10
 
     def test_cost_charged_once(self, dense3, small_problem):
         from rydoct.control import evaluate_cost
 
         zsys = precompute_z_eigensystem(dense3)
         result = optimize_ensemble(small_problem, zsys=zsys)
-        reconstructed = result.member_yield_histories.sum(axis=1) - result.cost_history
-        np.testing.assert_allclose(result.objective_history, reconstructed, rtol=1e-12)
+        reconstructed = result.yield_history.sum(axis=1) - result.cost_history
+        np.testing.assert_allclose(result.j_history, reconstructed, rtol=1e-12)
         # Final cost agrees with an independent evaluation on the final field.
         assert result.cost_history[-1] == pytest.approx(
             evaluate_cost(result.field, small_problem.penalty), rel=1e-12
         )
 
-    def test_product_fidelity_history(self, dense3, small_problem):
-        zsys = precompute_z_eigensystem(dense3)
-        result = optimize_ensemble(small_problem, zsys=zsys)
+    def test_product_fidelity_history(self, tmp_path):
+        manifest = parse_manifest(tiny_manifest_dict(str(tmp_path)))
+        run("optimize-universal", manifest, tmp_path)
+        with open(tmp_path / "history.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == manifest.oct["max_iterations"]
+        members = [f"yield_{bit}" for bit in manifest.register["ensemble_marked"]]
         np.testing.assert_allclose(
-            result.product_fidelity_history,
-            np.prod(result.member_yield_histories, axis=1),
+            [float(row["product_fidelity"]) for row in rows],
+            np.prod([[float(row[name]) for name in members] for row in rows], axis=1),
             rtol=1e-12,
         )
 
@@ -205,7 +210,7 @@ class TestOptimizeEnsemble:
         small_problem.max_iterations = 60
         zsys = precompute_z_eigensystem(dense3)
         result = optimize_ensemble(small_problem, zsys=zsys)
-        full = np.concatenate([[result.guess_objective], result.objective_history])
+        full = np.concatenate([[result.guess_j], result.j_history])
         assert np.min(np.diff(full)) >= -1e-9
         assert result.monotonic
 
@@ -223,7 +228,6 @@ class TestOptimizeEnsemble:
             members=members,
             penalty=pen,
             guess=guess,
-            register_orbitals=tuple(dense3.labels),
             max_iterations=1,
             tolerance=1e-16,
             update_mode="add",
@@ -241,8 +245,7 @@ class TestOptimizeEnsemble:
                 members=[],
                 penalty=pen,
                 guess=guess,
-                register_orbitals=tuple(dense3.labels),
-            )
+                )
         psi = WavePacket(np.array([1.0 + 0j, 0.0, 0.0]))
         duplicated = [
             EnsembleMember(psi0=psi, target=StateLabel(3, 0)),
@@ -254,8 +257,7 @@ class TestOptimizeEnsemble:
                 members=duplicated,
                 penalty=pen,
                 guess=guess,
-                register_orbitals=tuple(dense3.labels),
-            )
+                )
 
 
 class TestDecodeTest:
@@ -274,3 +276,6 @@ class TestDecodeTest:
             pulse, REGISTER_NAMES, cesium_h, cesium_zsys, marked_bits=["25p", "27p"]
         )
         assert [row["marked"] for row in table] == ["25p", "27p"]
+        # 30p is in the basis but not in the register.
+        with pytest.raises(InvalidSpecError, match="not a register orbital"):
+            decode_test(pulse, REGISTER_NAMES, cesium_h, cesium_zsys, marked_bits=["30p"])

@@ -13,7 +13,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rydoct import PenaltySchedule, PulseGrid, RegisterSpec, WavePacket, encode, propagate
+from rydoct import (
+    InvalidSpecError,
+    PenaltySchedule,
+    PulseGrid,
+    RegisterSpec,
+    WavePacket,
+    encode,
+    propagate,
+)
 from rydoct.control import _costate_sweep, _update_sweep, backward_propagate
 from rydoct.propagation import SplitStepKernel
 from tests import reference_sweeps as ref
@@ -168,6 +176,25 @@ def test_kernel_step_ignores_memory_layout(setup, e_field):
             # The kernel steps (dim, M) blocks; one state is a (dim, 1) column.
             block, copy = block[:, None], copy[:, None]
         assert np.array_equal(kernel.step(block, e_field), kernel.step(copy, e_field))
+
+
+@pytest.mark.parametrize("e_field", [0.0, 1.3e-7])
+def test_kernel_rejects_blocks_that_are_not_dim_by_m(setup, e_field):
+    # A (dim,) state or a (1, M) row would broadcast against the (dim, 1)
+    # half step into a wrong-shaped block rather than fail.
+    kernel = setup["kernel"]
+    dim = setup["h"].dim
+    state = setup["psi0"][0]
+    samples = np.full(4, e_field)
+    for bad in (state, state[None, :], state[:, None, None], np.ones((1, 4), complex)):
+        with pytest.raises(InvalidSpecError, match=f"\\({dim}, M\\) block"):
+            kernel.step(bad, e_field)
+        with pytest.raises(InvalidSpecError):
+            kernel.coefficients(bad)
+        with pytest.raises(InvalidSpecError):
+            kernel.evolve(bad, samples)
+    assert kernel.step(state[:, None], e_field).shape == (dim, 1)
+    assert kernel.evolve(state[:, None], samples).shape == (dim, 1)
 
 
 def test_propagate_ignores_memory_layout(setup):

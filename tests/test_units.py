@@ -71,6 +71,8 @@ def test_parse_quantity_rejects_nonsense():
         parse_quantity("fast", "time")
     with pytest.raises(UnitError):
         parse_quantity("1 kV/cm", "time")
+    with pytest.raises(UnitError, match="cannot parse quantity"):
+        parse_quantity("abc ps", "time")
 
 
 def test_known_constant_against_codata_ratio():
