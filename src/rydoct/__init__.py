@@ -29,7 +29,6 @@ from .control import (
     backward_propagate,
     costate_terminal,
     evaluate_cost,
-    evaluate_functional,
     forward_update_sweep,
     optimize,
 )
@@ -53,11 +52,9 @@ from .propagation import (
     PulseGrid,
     WavePacket,
     ZEigensystem,
-    apply_absorber_mask,
     boundary_labels,
     precompute_z_eigensystem,
     propagate,
-    split_step,
 )
 from .pulses import HusimiMap, SpectrumData, half_cycle_pulse, husimi, spectrum
 from .register import RegisterSpec, encode, readout

@@ -59,16 +59,27 @@ class StateLabel:
 
     @classmethod
     def parse(cls, text: "StateLabel | str") -> "StateLabel":
-        """Read a name such as "26p"; a StateLabel is returned unchanged."""
+        """Read a name as `str` writes it, such as "26p" or "23(l=21)".
+
+        The "(l=...)" form is accepted only for the l that have no letter.
+        A StateLabel is returned unchanged.
+        """
         if isinstance(text, StateLabel):
             return text
-        m = re.fullmatch(r"(\d+)([a-z])", text.strip()) if isinstance(text, str) else None
+        pattern = r"(\d+)(?:([a-z])|\(l=(\d+)\))"
+        m = re.fullmatch(pattern, text.strip()) if isinstance(text, str) else None
         if not m:
             raise InvalidSpecError(f"cannot parse state label {text!r}")
-        letter = m.group(2)
-        if letter not in _L_LETTERS:
+        n, letter, number = m.groups()
+        if letter is None:
+            l = int(number)
+            if l < len(_L_LETTERS):
+                raise InvalidSpecError(f"state label {text!r} must name l={l} by its letter")
+        elif letter in _L_LETTERS:
+            l = _L_LETTERS.index(letter)
+        else:
             raise InvalidSpecError(f"unknown angular-momentum letter in {text!r}")
-        return cls(n=int(m.group(1)), l=_L_LETTERS.index(letter))
+        return cls(n=int(n), l=l)
 
 
 @dataclass(frozen=True)

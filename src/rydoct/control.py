@@ -16,6 +16,13 @@ discretization error.  "add" adds the same quantity to the previous field
 instead; it climbs the yield gradient but gives no monotonicity guarantee
 for J once the fluence cost moves.  The default is "replace".
 
+Each sweep is written once, and the engine (`_run_engine`) runs it on a
+(dim, M) block of members.  `_costate_sweep` integrates the costates from T
+back to t0 under the old field; the engine then applies z to them in place.
+`_update_sweep` is the forward sweep with feedback.  The public
+`backward_propagate` and `forward_update_sweep` run these same two sweeps
+on one member, so what they return is what one iteration computes.
+
 The cross-term diagnostic `delta3` checks that the discrete forward and
 backward propagations are exact adjoints of each other: it evaluates the
 integration-by-parts residual that must vanish identically for the
@@ -45,7 +52,6 @@ __all__ = [
     "OctProblem",
     "OctResult",
     "evaluate_cost",
-    "evaluate_functional",
     "costate_terminal",
     "backward_propagate",
     "forward_update_sweep",
@@ -56,7 +62,9 @@ __all__ = [
 STALL_BUMP_AMPLITUDE = 1e-10
 #: J decreases beyond this are flagged as monotonicity violations.
 MONOTONICITY_SLACK = 1e-9
-#: Steps per real matrix product when the costate sweep applies z.
+#: The field update rules; see the module docstring.
+UPDATE_MODES = ("replace", "add")
+#: Steps per real matrix product when the engine applies z to the costates.
 Z_CHUNK_STEPS = 64
 
 
@@ -122,16 +130,6 @@ def evaluate_cost(pulse: PulseGrid, penalty: PenaltySchedule) -> float:
     return float(np.sum(penalty.samples[:-1] * pulse.samples[:-1] ** 2) * pulse.dt)
 
 
-def evaluate_functional(
-    psi_final: WavePacket,
-    pulse: PulseGrid,
-    penalty: PenaltySchedule,
-    target_index: int,
-) -> float:
-    """J = |<target|psi(T)>|^2 - cost."""
-    return float(np.abs(psi_final.amplitudes[target_index]) ** 2) - evaluate_cost(pulse, penalty)
-
-
 def costate_terminal(psi_final: WavePacket, target_index: int) -> WavePacket:
     """Terminal costate <target|psi(T)> |target>.
 
@@ -151,32 +149,27 @@ def backward_propagate(
 ) -> np.ndarray:
     """Costate trajectory lam(t_j) for every grid point, integrated from T to t0.
 
-    Each backward step applies the adjoint of the forward split step with the
-    same field sample, so the discrete forward and backward propagations are
+    Runs the engine's costate sweep on one member and returns its lam_j,
+    then lam(T) itself as the last row: an (n_samples, dim) array.  Each
+    backward step is the adjoint of the forward split step with the same
+    field sample, so the discrete forward and backward propagations are
     exact inverses of each other.
     """
-    adjoint = SplitStepKernel(h, zsys, -pulse.dt)
-    traj = np.empty((len(pulse.samples), h.dim, 1), dtype=complex)
-    lam = np.array(costate_final.amplitudes, dtype=complex).reshape(h.dim, 1)
-    traj[-1] = lam
-    for j in range(pulse.n_steps - 1, -1, -1):
-        lam = adjoint.step(lam, float(pulse.samples[j]))
-        traj[j] = lam
-    return traj[:, :, 0]
+    kernel = SplitStepKernel(h, zsys, pulse.dt)
+    lam_final = np.array(costate_final.amplitudes, dtype=complex).reshape(h.dim, 1)
+    lam_buffer, _ = _costate_sweep(kernel, lam_final, pulse.samples)
+    return np.concatenate([lam_buffer[:, :, 0].T, lam_final.T])
 
 
 def _costate_sweep(
     kernel: SplitStepKernel, lam_final: np.ndarray, samples: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """What the update sweep needs from the costates, integrated from T to t0.
+    """The costates under the old field, integrated from T to t0.
 
-    Returns two (n_steps, dim, M) arrays: z lam_j, for the field increment
-    at t_j, and V^T D* lam_{j+1}, the coefficients that the adjoint of step j
-    forms on its way, for the delta3 cross-term of step j.  Every adjoint
-    phase comes from one table over the old field.  The sweep stores lam_j
-    itself, in a (dim, n_steps, M) buffer of which z lam_j is a transposed
-    view; z is then applied in place, `Z_CHUNK_STEPS` steps per real matrix
-    product.
+    Returns lam_j for every step as a (dim, n_steps, M) buffer, and the
+    (n_steps, dim, M) array V^T D* lam_{j+1}: the coefficients that the
+    adjoint of step j forms on its way, kept for the delta3 cross-term of
+    step j.  Every adjoint phase comes from one table over the old field.
     """
     adjoint = kernel.adjoint()
     n_steps = len(samples) - 1
@@ -192,52 +185,56 @@ def _costate_sweep(
         else:
             lam = adjoint.step(lam, 0.0)
         lam_buffer[:, j] = lam
-    del phases
-    # Column pairs of the float64 view hold each lam_j's real and imaginary
-    # parts, so z acts on a chunk of steps as one real product.
+    return lam_buffer, coeffs
+
+
+def _apply_z(kernel: SplitStepKernel, lam_buffer: np.ndarray) -> np.ndarray:
+    """z lam_j in place of lam_j, returned as an (n_steps, dim, M) view.
+
+    Column pairs of the buffer's float64 view hold each lam_j's real and
+    imaginary parts, so z acts on `Z_CHUNK_STEPS` steps as one real product.
+    """
+    dim, _, n_members = lam_buffer.shape
     flat = lam_buffer.reshape(dim, -1).view(np.float64)
     width = 2 * n_members * Z_CHUNK_STEPS
     for start in range(0, flat.shape[1], width):
         chunk = flat[:, start : start + width]
         chunk[...] = kernel.z @ chunk
-    return lam_buffer.transpose(1, 0, 2), coeffs
+    return lam_buffer.transpose(1, 0, 2)
 
 
 def _update_sweep(
     kernel: SplitStepKernel,
     psi0: np.ndarray,
     z_lam: np.ndarray,
+    coeffs: np.ndarray,
     pulse: PulseGrid,
     penalty: PenaltySchedule,
     update_mode: str,
-    coeffs: np.ndarray | None = None,
-    trajectory: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, complex]:
     """Forward sweep with immediate field feedback, shared by all members.
 
-    `psi0` is the (dim, M) block of initial states and `z_lam[j]` the block
-    of z lam_i(t_j).  At each step the increments of every member are
-    summed into one field value, and then the whole block advances through
-    the step under that new value.  Returns the new field samples, the final
-    block, and, when the costate coefficients from `_costate_sweep` are
-    given, the cross-term sum_j <lam(t_{j+1})| (S_new - S_old) psi(t_j)>
-    needed for the delta3 diagnostic (zero otherwise).  The old field's
-    phases P(E_old) come from one table; only P(E_new), which depends on
-    the feedback, is formed per step.  `trajectory`, if given, receives the
-    block at every grid point.
+    `psi0` is the (dim, M) block of initial states, `z_lam[j]` the block of
+    z lam_i(t_j) and `coeffs[j]` that of V^T D* lam_i(t_{j+1}).  At each
+    step the increments of every member are summed into one field value,
+    and then the whole block advances through the step under that new
+    value.  Returns the new field samples, the final block and the
+    cross-term sum_j <lam(t_{j+1})| (S_new - S_old) psi(t_j)> needed for the
+    delta3 diagnostic.  The old field's phases P(E_old) come from one table;
+    only P(E_new), which depends on the feedback, is formed per step.
     """
-    if update_mode not in ("replace", "add"):
+    if update_mode not in UPDATE_MODES:
         raise InvalidSpecError(f"unknown update mode {update_mode!r}")
     old = pulse.samples.astype(float)
     new_samples = old.copy()
-    old_phases = kernel.phase_table(old) if coeffs is not None else None
+    old_phases = kernel.phase_table(old)
     psi = psi0
     cross_term = 0.0 + 0.0j
     for j in range(pulse.n_steps):
         increment = kernel.overlap(z_lam[j], psi) / penalty.samples[j]
         new_samples[j] = old[j] + increment if update_mode == "add" else increment
         e_new = float(new_samples[j])
-        if old_phases is not None and e_new != old[j]:
+        if e_new != old[j]:
             # <lam_{j+1}| D V (P_new - P_old) c> with c = V^T D psi_j.
             c = kernel.coefficients(psi)
             b = kernel.phase(e_new) * c
@@ -245,8 +242,6 @@ def _update_sweep(
             cross_term += np.vdot(coeffs[j], b - old_phases[j] * c)
         else:
             psi = kernel.step(psi, e_new)
-        if trajectory is not None:
-            trajectory[j + 1] = psi
     return new_samples, psi, cross_term
 
 
@@ -258,23 +253,36 @@ def forward_update_sweep(
     h: HamiltonianData,
     zsys: ZEigensystem,
     update_mode: str = "replace",
-) -> tuple[PulseGrid, np.ndarray]:
+) -> tuple[PulseGrid, WavePacket]:
     """Single-target field update sweep; see module docstring for the modes.
 
     `costates` is the (n_samples, dim) trajectory from backward_propagate
-    under the old field.  Returns the updated field and the new state
-    trajectory.  The final field sample sits at T itself, after the last
-    step, and is left unchanged.
+    under the old field.  Runs the engine's update sweep on one member and
+    returns the updated field and the final state at T.  The final field
+    sample sits at T itself, after the last step, and is left unchanged.
     """
     kernel = SplitStepKernel(h, zsys, pulse.dt)
+    costates = np.asarray(costates, dtype=complex)
     # Row j of costates @ z^T is (z lam_j)^T.
-    z_lam = (np.asarray(costates, dtype=complex) @ kernel.z.T)[:, :, None]
-    traj = np.empty((len(pulse.samples), h.dim, 1), dtype=complex)
-    traj[0] = np.asarray(psi0.amplitudes, dtype=complex).reshape(h.dim, 1)
-    new_samples, _, _ = _update_sweep(
-        kernel, traj[0], z_lam, pulse, penalty, update_mode, trajectory=traj
+    z_lam = (costates[:-1] @ kernel.z.T)[:, :, None]
+    coeffs = kernel.adjoint().coefficients(costates[1:].T).T[:, :, None]
+    psi = np.asarray(psi0.amplitudes, dtype=complex).reshape(h.dim, 1)
+    new_samples, final, _ = _update_sweep(
+        kernel, psi, z_lam, coeffs, pulse, penalty, update_mode
     )
-    return pulse.with_samples(new_samples), traj[:, :, 0]
+    return pulse.with_samples(new_samples), WavePacket(final[:, 0], time=pulse.horizon)
+
+
+def _check_problem(problem, targets) -> list[int]:
+    """The construction-time check of every problem type; returns the target indices.
+
+    `problem` has the fields that the engine reads (see `_run_engine`).
+    """
+    if len(problem.penalty.samples) != len(problem.guess.samples):
+        raise InvalidSpecError("penalty schedule and guess field grids differ")
+    if problem.update_mode not in UPDATE_MODES:
+        raise InvalidSpecError(f"unknown update mode {problem.update_mode!r}")
+    return [problem.hamiltonian.index(target) for target in targets]
 
 
 @dataclass
@@ -291,11 +299,7 @@ class OctProblem:
     update_mode: str = "replace"
 
     def __post_init__(self):
-        self.target_index = self.hamiltonian.index(self.target)
-        if len(self.penalty.samples) != len(self.guess.samples):
-            raise InvalidSpecError("penalty schedule and guess field grids differ")
-        if self.update_mode not in ("replace", "add"):
-            raise InvalidSpecError(f"unknown update mode {self.update_mode!r}")
+        (self.target_index,) = _check_problem(self, [self.target])
 
 
 @dataclass
@@ -356,37 +360,34 @@ def _iterate(
     """
     lam_final = np.zeros_like(final)
     lam_final[targets] = final[targets]
-    z_lam, coeffs = _costate_sweep(kernel, lam_final, pulse.samples)
+    lam_buffer, coeffs = _costate_sweep(kernel, lam_final, pulse.samples)
     new_samples, new_final, cross_term = _update_sweep(
-        kernel, psi0, z_lam, pulse, penalty, update_mode, coeffs=coeffs
+        kernel, psi0, _apply_z(kernel, lam_buffer), coeffs, pulse, penalty, update_mode
     )
     boundary = np.vdot(lam_final, new_final - final)
     return new_samples, new_final, float(2.0 * (boundary - cross_term).real)
 
 
 def _run_engine(
-    members: list[tuple[np.ndarray, int]],
-    guess: PulseGrid,
-    penalty: PenaltySchedule,
-    h: HamiltonianData,
-    zsys: ZEigensystem | None,
-    max_iterations: int,
-    tolerance: float,
-    update_mode: str,
+    problem, members: list[tuple[np.ndarray, int]], zsys: ZEigensystem | None
 ) -> OctResult:
     """Shared iteration loop for one or many targets on one field.
 
-    `members` pairs each initial state with the basis index of its target.
-    The objective is sum_i |<target_i|psi_i(T)>|^2 - cost, with the fluence
-    cost charged once however many members share the field.  The members
-    are the columns of one (dim, M) block; only its final value is kept.
+    `problem` is an `OctProblem` or an `EnsembleProblem`: the engine reads
+    its Hamiltonian, guess, penalty, iteration limit, tolerance and update
+    mode.  `members` pairs each initial state with the basis index of its
+    target.  The objective is sum_i |<target_i|psi_i(T)>|^2 - cost, with the
+    fluence cost charged once however many members share the field.  The
+    members are the columns of one (dim, M) block; only its final value is
+    kept.
     """
+    h, penalty, update_mode = problem.hamiltonian, problem.penalty, problem.update_mode
     if zsys is None:
         zsys = precompute_z_eigensystem(h)
-    kernel = SplitStepKernel(h, zsys, guess.dt)
+    kernel = SplitStepKernel(h, zsys, problem.guess.dt)
     psi0 = np.stack([np.asarray(amps0, dtype=complex) for amps0, _ in members], axis=1)
     targets = (np.array([k for _, k in members]), np.arange(len(members)))
-    pulse = guess
+    pulse = problem.guess
     final = kernel.evolve(psi0, pulse.samples)
 
     if np.any(final[targets] == 0.0):
@@ -410,7 +411,7 @@ def _run_engine(
     monotonic = True
     first_decrease = None
 
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, problem.max_iterations + 1):
         new_samples, final, delta3 = _iterate(
             kernel, psi0, final, targets, pulse, penalty, update_mode
         )
@@ -429,7 +430,7 @@ def _run_engine(
             monotonic = False
             first_decrease = iteration
 
-        if abs(j_new - j_prev) < tolerance:
+        if abs(j_new - j_prev) < problem.tolerance:
             j_prev = j_new
             converged = True
             break
@@ -456,13 +457,4 @@ def optimize(problem: OctProblem, zsys: ZEigensystem | None = None) -> OctResult
 
     The result has one member: `final_states[:, 0]` is the state at T.
     """
-    return _run_engine(
-        [(problem.psi0.amplitudes, problem.target_index)],
-        problem.guess,
-        problem.penalty,
-        problem.hamiltonian,
-        zsys,
-        problem.max_iterations,
-        problem.tolerance,
-        problem.update_mode,
-    )
+    return _run_engine(problem, [(problem.psi0.amplitudes, problem.target_index)], zsys)

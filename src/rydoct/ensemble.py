@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atomic import HamiltonianData, StateLabel
-from .control import OctResult, PenaltySchedule, _run_engine
+from .control import OctResult, PenaltySchedule, _check_problem, _run_engine
 from .errors import InvalidSpecError
 from .propagation import PulseGrid, WavePacket, ZEigensystem, precompute_z_eigensystem, propagate
 from .register import ReadoutReport, RegisterSpec, encode, readout
@@ -58,8 +58,7 @@ class EnsembleProblem:
         targets = [m.target for m in self.members]
         if len(set(targets)) != len(targets):
             raise InvalidSpecError("member targets must be distinct")
-        if len(self.penalty.samples) != len(self.guess.samples):
-            raise InvalidSpecError("penalty schedule and guess field grids differ")
+        self.target_indices = _check_problem(self, targets)
 
 
 def register_ensemble_problem(
@@ -104,17 +103,8 @@ def optimize_ensemble(problem: EnsembleProblem, zsys: ZEigensystem | None = None
     The optimized quantity is the sum of member yields minus the fluence
     cost, which is charged once.
     """
-    h = problem.hamiltonian
-    return _run_engine(
-        [(m.psi0.amplitudes, h.index(m.target)) for m in problem.members],
-        problem.guess,
-        problem.penalty,
-        h,
-        zsys,
-        problem.max_iterations,
-        problem.tolerance,
-        problem.update_mode,
-    )
+    members = [m.psi0.amplitudes for m in problem.members]
+    return _run_engine(problem, list(zip(members, problem.target_indices)), zsys)
 
 
 def decode_test(

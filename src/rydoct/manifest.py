@@ -525,12 +525,9 @@ def _analyze(manifest: RunManifest, h: HamiltonianData, out: Path, field_path) -
     spec_data = spectrum(pulse, pad_factor=manifest.analysis["pad_factor"])
     # Distance from each spectral bin to the nearest dipole-allowed level gap;
     # observational output, the strong peaks need not sit on any gap.
-    gaps = []
-    for i, a in enumerate(h.labels):
-        for j in range(i + 1, h.dim):
-            if abs(a.l - h.labels[j].l) == 1:
-                gaps.append(abs(float(h.energies[i] - h.energies[j])))
-    gaps = np.unique(np.asarray(gaps))
+    ls = np.array([s.l for s in h.labels])
+    i, j = np.nonzero(np.triu(np.abs(ls[:, None] - ls[None, :]) == 1))
+    gaps = np.unique(np.abs(h.energies[i] - h.energies[j]))
     nearest = np.min(
         np.abs(spec_data.frequencies[:, None] - gaps[None, :]), axis=1
     )

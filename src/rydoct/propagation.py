@@ -23,6 +23,10 @@ sample is exactly zero skips both and stays diagonal.  The optimization
 engine stores, per iteration, only the final state block and two costate
 arrays of n_steps blocks each (z lam_j and V^T D* lam_{j+1}, see
 `control`), never whole forward trajectories.
+
+The public entry points are `propagate`, which runs a state or a block
+across a pulse grid (optionally with an absorber on chosen states), and the
+kernel itself: `SplitStepKernel(h, zsys, dt).step(block, E)` is one step.
 """
 
 from __future__ import annotations
@@ -40,9 +44,7 @@ __all__ = [
     "ZEigensystem",
     "SplitStepKernel",
     "precompute_z_eigensystem",
-    "split_step",
     "propagate",
-    "apply_absorber_mask",
     "boundary_labels",
 ]
 
@@ -217,49 +219,12 @@ class SplitStepKernel:
         return float(np.vdot(z_costates, states).imag)
 
 
-def split_step(
-    psi: WavePacket,
-    e_field: float,
-    dt: float,
-    h: HamiltonianData,
-    zsys: ZEigensystem,
-) -> WavePacket:
-    """One symmetric step exp(-i H0 dt/2) exp(-i E z dt) exp(-i H0 dt/2).
-
-    Each factor is unitary, so the norm is preserved exactly.  A negative dt
-    applies the adjoint (inverse) step, which backward costate sweeps use.
-    """
-    amps = np.asarray(psi.amplitudes, dtype=complex)
-    block = SplitStepKernel(h, zsys, dt).step(amps.reshape(h.dim, -1), e_field)
-    return WavePacket(amplitudes=block.reshape(amps.shape), time=psi.time + dt)
-
-
 def boundary_labels(h: HamiltonianData) -> list[StateLabel]:
     """States on the basis edges: lowest n, highest n, and highest l shell."""
     n_min = min(s.n for s in h.labels)
     n_max = max(s.n for s in h.labels)
     l_top = max(s.l for s in h.labels)
     return [s for s in h.labels if s.n in (n_min, n_max) or s.l == l_top]
-
-
-def _absorber_factors(labels, strength: float, h: HamiltonianData) -> np.ndarray:
-    if not 0.0 <= strength <= 1.0:
-        raise InvalidSpecError(f"absorber strength must be in [0, 1], got {strength}")
-    mask = np.ones(h.dim)
-    for label in labels:
-        mask[h.index(label)] = 1.0 - strength
-    return mask
-
-
-def apply_absorber_mask(
-    psi: WavePacket,
-    labels,
-    strength: float,
-    h: HamiltonianData,
-) -> WavePacket:
-    """Damp amplitudes on the given states by (1 - strength); norm never grows."""
-    mask = _absorber_factors(labels, strength, h)
-    return WavePacket(amplitudes=psi.amplitudes * mask, time=psi.time)
 
 
 def propagate(
@@ -277,9 +242,10 @@ def propagate(
     have the same shape.  `record` is the sampling stride: 1 stores every
     step, k every k-th step, None only the final state.  The initial state
     and the final state are always part of a recorded trajectory.
-    `absorber` is an optional (labels, strength) pair applied after every
-    step; it breaks unitarity and is meant for forward-only diagnostics, not
-    for optimization sweeps.
+    `absorber` is an optional (labels, strength) pair: after every step the
+    amplitudes on those states are damped by (1 - strength), strength in
+    [0, 1], so the norm never grows.  It breaks unitarity and is meant for
+    forward-only diagnostics, not for optimization sweeps.
     """
     if np.any(np.abs(np.linalg.norm(psi0.amplitudes, axis=0) - 1.0) > 1e-8):
         raise InvalidSpecError("initial wave packet must be normalized")
@@ -288,7 +254,12 @@ def propagate(
 
     mask = None
     if absorber is not None:
-        mask = _absorber_factors(*absorber, h)[:, None]
+        labels, strength = absorber
+        if not 0.0 <= strength <= 1.0:
+            raise InvalidSpecError(f"absorber strength must be in [0, 1], got {strength}")
+        mask = np.ones((h.dim, 1))
+        for label in labels:
+            mask[h.index(label)] = 1.0 - strength
 
     kernel = SplitStepKernel(h, zsys, pulse.dt)
     shape = psi0.amplitudes.shape

@@ -65,12 +65,17 @@ class TestBasisSpec:
 
 class TestStateLabel:
     def test_round_trip(self):
-        for text in ("1s", "26p", "21d", "30v"):
+        for text in ("1s", "26p", "21d", "30v", "23(l=21)", "40(l=30)"):
             assert str(StateLabel.parse(text)) == text
+        for l in range(30):
+            assert StateLabel.parse(str(StateLabel(31, l))) == StateLabel(31, l)
 
     def test_invalid(self):
         with pytest.raises(InvalidSpecError):
             StateLabel.parse("26j")
+        # Only the l without a letter have the "(l=...)" form.
+        with pytest.raises(InvalidSpecError):
+            StateLabel.parse("26(l=1)")
         with pytest.raises(InvalidSpecError):
             StateLabel(2, 2)
 
@@ -274,6 +279,17 @@ class TestHamiltonianFile:
         assert np.array_equal(loaded.energies, small_h.energies)
         assert np.array_equal(loaded.z_matrix, small_h.z_matrix)
         assert loaded.provenance == small_h.provenance
+
+    def test_round_trip_beyond_letters(self, tmp_path):
+        # l = 21 has no spectroscopic letter; its label is written "23(l=21)".
+        h = build_hamiltonian(BasisSpec(23, 23, 22), RadialGrid.for_basis(23, n_points=4000))
+        assert str(h.labels[-1]) == "23(l=21)"
+        path = tmp_path / "h.txt"
+        save_hamiltonian(h, path)
+        loaded = load_hamiltonian(path)
+        assert loaded.labels == h.labels
+        assert np.array_equal(loaded.energies, h.energies)
+        assert np.array_equal(loaded.z_matrix, h.z_matrix)
 
     def test_asymmetric_entry_rejected(self, small_h, tmp_path):
         path = tmp_path / "h.txt"

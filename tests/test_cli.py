@@ -300,6 +300,17 @@ class TestRunners:
         spectrum_lines = (out / "spectrum.csv").read_text().splitlines()
         assert spectrum_lines[0] == "frequency,magnitude,nearest_gap_distance"
         assert len(spectrum_lines) > 10
+        # Reference: every dipole-allowed gap, pair by pair.
+        h = build_basis(manifest)
+        gaps = {
+            abs(float(h.energies[i] - h.energies[j]))
+            for i, a in enumerate(h.labels)
+            for j in range(i + 1, h.dim)
+            if abs(a.l - h.labels[j].l) == 1
+        }
+        for line in spectrum_lines[1:]:
+            frequency, _, nearest = map(float, line.split(","))
+            assert nearest == min(abs(frequency - gap) for gap in gaps)
         husimi_lines = (out / "husimi.csv").read_text().splitlines()
         assert husimi_lines[0].startswith("time,")
 

@@ -89,12 +89,12 @@ class TestEngineIdentities:
         psi0[0] = 1.0
         pen3 = PenaltySchedule.build(guess, base=3.0, edge_multiplier=10.0, ramp_fraction=0.1)
         pen1 = PenaltySchedule.build(guess, base=1.0, edge_multiplier=10.0, ramp_fraction=0.1)
-        triple = _run_engine(
-            [(psi0, 2)] * 3, guess, pen3, dense3, zsys, 10, 1e-16, "replace"
-        )
-        single = _run_engine(
-            [(psi0, 2)], guess, pen1, dense3, zsys, 10, 1e-16, "replace"
-        )
+        settings = dict(max_iterations=10, tolerance=1e-16, update_mode="replace")
+        target = dense3.labels[2]
+        problem3 = OctProblem(dense3, WavePacket(psi0), target, pen3, guess, **settings)
+        problem1 = OctProblem(dense3, WavePacket(psi0), target, pen1, guess, **settings)
+        triple = _run_engine(problem3, [(psi0, 2)] * 3, zsys)
+        single = _run_engine(problem1, [(psi0, 2)], zsys)
         np.testing.assert_allclose(
             triple.field.samples, single.field.samples, rtol=1e-10, atol=1e-18
         )
@@ -258,6 +258,13 @@ class TestOptimizeEnsemble:
                 penalty=pen,
                 guess=guess,
                 )
+        # Both are caught at construction, before any propagation.
+        member = [EnsembleMember(psi0=psi, target=StateLabel(3, 0))]
+        with pytest.raises(InvalidSpecError, match="update mode"):
+            EnsembleProblem(dense3, member, pen, guess, update_mode="newton")
+        outside = [EnsembleMember(psi0=psi, target=StateLabel(9, 0))]
+        with pytest.raises(InvalidSpecError, match="not in the basis"):
+            EnsembleProblem(dense3, outside, pen, guess)
 
 
 class TestDecodeTest:

@@ -22,7 +22,14 @@ from rydoct import (
     encode,
     propagate,
 )
-from rydoct.control import _costate_sweep, _update_sweep, backward_propagate
+from rydoct.control import (
+    _apply_z,
+    _costate_sweep,
+    _iterate,
+    _update_sweep,
+    backward_propagate,
+    forward_update_sweep,
+)
 from rydoct.propagation import SplitStepKernel
 from tests import reference_sweeps as ref
 
@@ -56,7 +63,8 @@ def setup(cesium_h, cesium_zsys):
         for lam in lam_final
     ]
     kernel = SplitStepKernel(cesium_h, cesium_zsys, DT)
-    z_lam, coeffs = _costate_sweep(kernel, np.stack(lam_final, axis=1), pulse.samples)
+    lam_buffer, coeffs = _costate_sweep(kernel, np.stack(lam_final, axis=1), pulse.samples)
+    z_lam = _apply_z(kernel, lam_buffer)
     return {
         "h": cesium_h,
         "zsys": cesium_zsys,
@@ -99,26 +107,39 @@ def test_costate_sweep_matches_oracle(setup):
     assert setup["z_lam"].shape == (setup["pulse"].n_steps, h.dim, len(MARKED))
 
 
-@pytest.mark.parametrize("mode", ["replace", "add"])
-def test_update_sweep_matches_oracle(setup, mode):
+@pytest.mark.parametrize(
+    "mode, public",
+    [("replace", False), ("add", False), ("replace", True), ("add", True)],
+    ids=["replace", "add", "public-replace", "public-add"],
+)
+def test_update_sweep_matches_oracle(setup, mode, public):
+    # The engine's sweep on all four members, or the public
+    # forward_update_sweep on the first one, which reports no cross-term.
     h, zsys, pulse, penalty = setup["h"], setup["zsys"], setup["pulse"], setup["penalty"]
+    n_members = 1 if public else len(MARKED)
     expected, trajs, expected_cross = ref._sweep(
-        setup["psi0"], setup["ref_costates"], pulse, penalty, h, zsys, mode
+        setup["psi0"][:n_members], setup["ref_costates"][:n_members], pulse, penalty, h, zsys, mode
     )
-    samples, final, cross = _update_sweep(
-        setup["kernel"],
-        np.stack(setup["psi0"], axis=1),
-        setup["z_lam"],
-        pulse,
-        penalty,
-        mode,
-        coeffs=setup["coeffs"],
-    )
+    if public:
+        new_pulse, final = forward_update_sweep(
+            WavePacket(setup["psi0"][0]), setup["ref_costates"][0], pulse, penalty, h, zsys, mode
+        )
+        samples, final = new_pulse.samples, final.amplitudes[:, None]
+    else:
+        samples, final, cross = _update_sweep(
+            setup["kernel"],
+            np.stack(setup["psi0"], axis=1),
+            setup["z_lam"],
+            setup["coeffs"],
+            pulse,
+            penalty,
+            mode,
+        )
+        assert abs(cross - expected_cross) <= 1e-12
     # Relative to the field's scale: where a new sample crosses zero, the
     # overlap sum cancels and its own relative error is unbounded.
     scale = np.max(np.abs(expected))
     np.testing.assert_allclose(samples, expected, rtol=1e-12, atol=1e-12 * scale)
-    assert abs(cross - expected_cross) <= 1e-12
     for i, traj in enumerate(trajs):
         assert np.max(np.abs(final[:, i] - traj[-1])) <= 1e-12
 
@@ -134,21 +155,21 @@ def test_phase_table_rows_are_the_per_step_phases(setup, sign):
 
 
 def test_sweeps_hold_two_costate_arrays_and_one_phase_table(setup):
-    # One backward sweep and one update sweep, as one iteration runs them:
+    # One iteration, a backward sweep and an update sweep:
     # z lam and the coefficients are the only step-sized arrays besides one
     # (n_steps, dim) phase table at a time.  The slack covers the chunk
     # product of z and per-step blocks; one more costate-sized copy does not fit.
     h, pulse = setup["h"], setup["pulse"]
     kernel, penalty = setup["kernel"], setup["penalty"]
     psi0 = np.stack(setup["psi0"], axis=1)
-    lam_final = np.stack(setup["lam_final"], axis=1)
+    final = kernel.evolve(psi0, pulse.samples)
+    targets = (np.array([h.index(bit) for bit in MARKED]), np.arange(len(MARKED)))
     costate_bytes = pulse.n_steps * h.dim * len(MARKED) * 16
     table_bytes = pulse.n_steps * h.dim * 16
     slack = 512 * 1024
     tracemalloc.start()
     try:
-        z_lam, coeffs = _costate_sweep(kernel, lam_final, pulse.samples)
-        _update_sweep(kernel, psi0, z_lam, pulse, penalty, "replace", coeffs=coeffs)
+        _iterate(kernel, psi0, final, targets, pulse, penalty, "replace")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

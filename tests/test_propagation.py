@@ -8,12 +8,11 @@ from rydoct import (
     PulseGrid,
     StateLabel,
     WavePacket,
-    apply_absorber_mask,
     boundary_labels,
     precompute_z_eigensystem,
     propagate,
-    split_step,
 )
+from rydoct.propagation import SplitStepKernel
 
 
 def normalized_state(dim, seed):
@@ -56,19 +55,21 @@ class TestZEigensystem:
 class TestSplitStep:
     def test_zero_field_is_free_phase_evolution(self, dense8):
         zsys = precompute_z_eigensystem(dense8)
-        psi = WavePacket(normalized_state(8, 1), time=0.0)
+        psi = normalized_state(8, 1)
         dt = 0.3
-        out = split_step(psi, 0.0, dt, dense8, zsys)
-        expected = psi.amplitudes * np.exp(-1j * dense8.energies * dt)
-        assert np.max(np.abs(out.amplitudes - expected)) < 1e-15
-        assert out.time == pytest.approx(dt)
+        out = SplitStepKernel(dense8, zsys, dt).step(psi[:, None], 0.0)[:, 0]
+        expected = psi * np.exp(-1j * dense8.energies * dt)
+        assert np.max(np.abs(out - expected)) < 1e-15
+        _, final = propagate(WavePacket(psi), PulseGrid.zeros(0.0, dt, 2), dense8, zsys)
+        assert np.array_equal(final.amplitudes, out)
+        assert final.time == pytest.approx(dt)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_unitarity_per_step(self, dense8, seed):
         zsys = precompute_z_eigensystem(dense8)
-        psi = WavePacket(normalized_state(8, seed))
-        out = split_step(psi, 0.8, 0.05, dense8, zsys)
-        assert abs(out.norm() - 1.0) < 1e-13
+        psi = normalized_state(8, seed)[:, None]
+        out = SplitStepKernel(dense8, zsys, 0.05).step(psi, 0.8)
+        assert abs(np.linalg.norm(out) - 1.0) < 1e-13
 
     def test_dense_exponential_oracle_and_order(self, dense8):
         # Constant field: compare the composed split steps against the dense
@@ -82,26 +83,28 @@ class TestSplitStep:
 
         errors = []
         for steps in (8000, 16000):
-            dt = total_t / steps
-            psi = WavePacket(psi0.copy())
+            kernel = SplitStepKernel(dense8, zsys, total_t / steps)
+            psi = psi0.reshape(8, 1)
             for _ in range(steps):
-                psi = split_step(psi, e_field, dt, dense8, zsys)
-            errors.append(np.max(np.abs(psi.amplitudes - exact_final)))
+                psi = kernel.step(psi, e_field)
+            errors.append(np.max(np.abs(psi[:, 0] - exact_final)))
         assert errors[1] <= 1e-8
         order = np.log2(errors[0] / errors[1])
         assert 1.9 <= order <= 2.1
 
     def test_time_reversal(self, dense8):
         zsys = precompute_z_eigensystem(dense8)
+        forward = SplitStepKernel(dense8, zsys, 0.05)
+        backward = SplitStepKernel(dense8, zsys, -0.05)
         rng = np.random.default_rng(5)
         fields = rng.normal(size=64) * 0.4
         psi0 = normalized_state(8, 11)
-        psi = WavePacket(psi0.copy())
+        psi = psi0.reshape(8, 1)
         for f in fields:
-            psi = split_step(psi, f, 0.05, dense8, zsys)
+            psi = forward.step(psi, f)
         for f in fields[::-1]:
-            psi = split_step(psi, f, -0.05, dense8, zsys)
-        assert np.max(np.abs(psi.amplitudes - psi0)) < 1e-9
+            psi = backward.step(psi, f)
+        assert np.max(np.abs(psi[:, 0] - psi0)) < 1e-9
 
 
 class TestPropagate:
@@ -163,33 +166,43 @@ class TestPulseGrid:
 
 
 class TestAbsorber:
-    def test_strength_zero_is_identity(self, cesium_h):
-        psi = WavePacket(normalized_state(cesium_h.dim, 9))
-        out = apply_absorber_mask(psi, boundary_labels(cesium_h), 0.0, cesium_h)
-        assert np.array_equal(out.amplitudes, psi.amplitudes)
+    """`propagate(..., absorber=(labels, strength))` over one zero-field step."""
 
-    def test_strength_one_zeroes_boundary(self, cesium_h):
+    @staticmethod
+    def absorb(psi, labels, strength, h, zsys):
+        pulse = PulseGrid.zeros(0.0, 413.41, 2)
+        _, final = propagate(psi, pulse, h, zsys, record=None, absorber=(labels, strength))
+        return final
+
+    def test_strength_zero_is_identity(self, cesium_h, cesium_zsys):
+        psi = WavePacket(normalized_state(cesium_h.dim, 9))
+        pulse = PulseGrid.zeros(0.0, 413.41, 2)
+        _, expected = propagate(psi, pulse, cesium_h, cesium_zsys, record=None)
+        out = self.absorb(psi, boundary_labels(cesium_h), 0.0, cesium_h, cesium_zsys)
+        assert np.array_equal(out.amplitudes, expected.amplitudes)
+
+    def test_strength_one_zeroes_boundary(self, cesium_h, cesium_zsys):
         psi = WavePacket(normalized_state(cesium_h.dim, 10))
         labels = boundary_labels(cesium_h)
-        out = apply_absorber_mask(psi, labels, 1.0, cesium_h)
+        out = self.absorb(psi, labels, 1.0, cesium_h, cesium_zsys)
         for label in labels:
             assert out.amplitudes[cesium_h.index(label)] == 0.0
         assert out.norm() <= psi.norm()
 
-    def test_norm_contracts(self, cesium_h):
+    def test_norm_contracts(self, cesium_h, cesium_zsys):
         psi = WavePacket(normalized_state(cesium_h.dim, 11))
-        out = apply_absorber_mask(psi, boundary_labels(cesium_h), 0.3, cesium_h)
+        out = self.absorb(psi, boundary_labels(cesium_h), 0.3, cesium_h, cesium_zsys)
         assert out.norm() <= psi.norm() + 1e-15
 
-    def test_unknown_label_raises(self, cesium_h):
+    def test_unknown_label_raises(self, cesium_h, cesium_zsys):
         psi = WavePacket(normalized_state(cesium_h.dim, 12))
         with pytest.raises(InvalidSpecError):
-            apply_absorber_mask(psi, [StateLabel(99, 0)], 0.5, cesium_h)
+            self.absorb(psi, [StateLabel(99, 0)], 0.5, cesium_h, cesium_zsys)
 
-    def test_invalid_strength(self, cesium_h):
+    def test_invalid_strength(self, cesium_h, cesium_zsys):
         psi = WavePacket(normalized_state(cesium_h.dim, 13))
         with pytest.raises(InvalidSpecError):
-            apply_absorber_mask(psi, [], 1.5, cesium_h)
+            self.absorb(psi, [], 1.5, cesium_h, cesium_zsys)
 
     def test_boundary_label_set(self, cesium_h):
         labels = set(boundary_labels(cesium_h))
