@@ -479,10 +479,10 @@ def save_hamiltonian(data: HamiltonianData, path) -> None:
     for label, energy in zip(data.labels, data.energies):
         lines.append(f"{label} {float(energy)!r}")
     lines.append("[dipoles]")
-    for i, a in enumerate(data.labels):
-        for j in range(i + 1, data.dim):
-            if data.z_matrix[i, j] != 0.0:
-                lines.append(f"{a} {data.labels[j]} {float(data.z_matrix[i, j])!r}")
+    # Row-major over the upper triangle, as a loop over i < j would visit it.
+    rows, cols = np.nonzero(np.triu(data.z_matrix, 1))
+    for i, j, value in zip(rows.tolist(), cols.tolist(), data.z_matrix[rows, cols].tolist()):
+        lines.append(f"{data.labels[i]} {data.labels[j]} {value!r}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -19,7 +19,8 @@ for J once the fluence cost moves.  The default is "replace".
 Each sweep is written once, and the engine (`_run_engine`) runs it on a
 (dim, M) block of members.  `_costate_sweep` integrates the costates from T
 back to t0 under the old field; the engine then applies z to them in place.
-`_update_sweep` is the forward sweep with feedback.  The public
+`_update_sweep` is the forward sweep with feedback.  The sweeps fill work
+arrays that the engine allocates once per run (`_work_arrays`).  The public
 `backward_propagate` and `forward_update_sweep` run these same two sweeps
 on one member, so what they return is what one iteration computes.
 
@@ -157,26 +158,44 @@ def backward_propagate(
     """
     kernel = SplitStepKernel(h, zsys, pulse.dt)
     lam_final = np.array(costate_final.amplitudes, dtype=complex).reshape(h.dim, 1)
-    lam_buffer, _ = _costate_sweep(kernel, lam_final, pulse.samples)
+    lam_buffer, _ = _costate_sweep(
+        kernel, lam_final, pulse.samples, _work_arrays(pulse.n_steps, h.dim, 1)
+    )
     return np.concatenate([lam_buffer[:, :, 0].T, lam_final.T])
 
 
+def _work_arrays(
+    n_steps: int, dim: int, n_members: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The arrays one iteration's sweeps fill: a (dim, n_steps, M) costate
+    buffer, an (n_steps, dim, M) coefficient array and an (n_steps, dim, 1)
+    phase table.  Allocated once per run and refilled every iteration, they
+    stay mapped instead of going back to the system between iterations."""
+    return (
+        np.empty((dim, n_steps, n_members), dtype=complex),
+        np.empty((n_steps, dim, n_members), dtype=complex),
+        np.empty((n_steps, dim, 1), dtype=complex),
+    )
+
+
 def _costate_sweep(
-    kernel: SplitStepKernel, lam_final: np.ndarray, samples: np.ndarray
+    kernel: SplitStepKernel,
+    lam_final: np.ndarray,
+    samples: np.ndarray,
+    work: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
     """The costates under the old field, integrated from T to t0.
 
-    Returns lam_j for every step as a (dim, n_steps, M) buffer, and the
-    (n_steps, dim, M) array V^T D* lam_{j+1}: the coefficients that the
-    adjoint of step j forms on its way, kept for the delta3 cross-term of
-    step j.  Every adjoint phase comes from one table over the old field.
+    Fills and returns the first two of the `_work_arrays`: lam_j for every
+    step as the (dim, n_steps, M) buffer, and the (n_steps, dim, M) array
+    V^T D* lam_{j+1}: the coefficients that the adjoint of step j forms on
+    its way, kept for the delta3 cross-term of step j.  Every adjoint phase
+    comes from one table over the old field, written into the third.
     """
+    lam_buffer, coeffs, table = work
     adjoint = kernel.adjoint()
     n_steps = len(samples) - 1
-    dim, n_members = lam_final.shape
-    lam_buffer = np.empty((dim, n_steps, n_members), dtype=complex)
-    coeffs = np.empty((n_steps, dim, n_members), dtype=complex)
-    phases = adjoint.phase_table(samples)
+    phases = adjoint.phase_table(samples, out=table)
     lam = lam_final
     for j in range(n_steps - 1, -1, -1):
         coeffs[j] = c = adjoint.coefficients(lam)
@@ -211,6 +230,7 @@ def _update_sweep(
     pulse: PulseGrid,
     penalty: PenaltySchedule,
     update_mode: str,
+    table: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray, complex]:
     """Forward sweep with immediate field feedback, shared by all members.
 
@@ -220,14 +240,15 @@ def _update_sweep(
     and then the whole block advances through the step under that new
     value.  Returns the new field samples, the final block and the
     cross-term sum_j <lam(t_{j+1})| (S_new - S_old) psi(t_j)> needed for the
-    delta3 diagnostic.  The old field's phases P(E_old) come from one table;
-    only P(E_new), which depends on the feedback, is formed per step.
+    delta3 diagnostic.  The old field's phases P(E_old) come from one table,
+    written into `table` when it is given; only P(E_new), which depends on
+    the feedback, is formed per step.
     """
     if update_mode not in UPDATE_MODES:
         raise InvalidSpecError(f"unknown update mode {update_mode!r}")
     old = pulse.samples.astype(float)
     new_samples = old.copy()
-    old_phases = kernel.phase_table(old)
+    old_phases = kernel.phase_table(old, out=table)
     psi = psi0
     cross_term = 0.0 + 0.0j
     for j in range(pulse.n_steps):
@@ -268,7 +289,7 @@ def forward_update_sweep(
     coeffs = kernel.adjoint().coefficients(costates[1:].T).T[:, :, None]
     psi = np.asarray(psi0.amplitudes, dtype=complex).reshape(h.dim, 1)
     new_samples, final, _ = _update_sweep(
-        kernel, psi, z_lam, coeffs, pulse, penalty, update_mode
+        kernel, psi, z_lam, coeffs, pulse, penalty, update_mode, None
     )
     return pulse.with_samples(new_samples), WavePacket(final[:, 0], time=pulse.horizon)
 
@@ -352,17 +373,18 @@ def _iterate(
     pulse: PulseGrid,
     penalty: PenaltySchedule,
     update_mode: str,
+    work: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """One backward sweep and one update sweep: new field, final block, delta3.
 
-    The costate arrays live only inside this call, so one iteration's are
-    released before the next backward sweep allocates its own.
+    Both sweeps write into `work` (see `_work_arrays`), which holds nothing
+    from one iteration to the next.
     """
     lam_final = np.zeros_like(final)
     lam_final[targets] = final[targets]
-    lam_buffer, coeffs = _costate_sweep(kernel, lam_final, pulse.samples)
+    lam_buffer, coeffs = _costate_sweep(kernel, lam_final, pulse.samples, work)
     new_samples, new_final, cross_term = _update_sweep(
-        kernel, psi0, _apply_z(kernel, lam_buffer), coeffs, pulse, penalty, update_mode
+        kernel, psi0, _apply_z(kernel, lam_buffer), coeffs, pulse, penalty, update_mode, work[2]
     )
     boundary = np.vdot(lam_final, new_final - final)
     return new_samples, new_final, float(2.0 * (boundary - cross_term).real)
@@ -399,6 +421,7 @@ def _run_engine(
         pulse = _apply_stall_bump(pulse)
         final = kernel.evolve(psi0, pulse.samples)
 
+    work = _work_arrays(pulse.n_steps, h.dim, len(members))
     guess_yields = np.abs(final[targets]) ** 2
     j_prev = sum(guess_yields) - evaluate_cost(pulse, penalty)
     guess_j = j_prev
@@ -413,7 +436,7 @@ def _run_engine(
 
     for iteration in range(1, problem.max_iterations + 1):
         new_samples, final, delta3 = _iterate(
-            kernel, psi0, final, targets, pulse, penalty, update_mode
+            kernel, psi0, final, targets, pulse, penalty, update_mode, work
         )
         pulse = pulse.with_samples(new_samples)
 

@@ -14,8 +14,11 @@ byte-identical files.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
+import zlib
 from dataclasses import dataclass
 from itertools import count
 from pathlib import Path
@@ -23,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import __version__
+from . import __version__, atomic
 from .atomic import (
     CESIUM_DEFECTS,
     BasisSpec,
@@ -277,6 +280,8 @@ def parse_manifest(data: dict) -> RunManifest:
 
 
 def build_basis(manifest: RunManifest) -> HamiltonianData:
+    """The manifest's basis: its `hamiltonian_file`, or else a build that is
+    cached on disk (see `_cache_entry`) and read back on later runs."""
     cfg = manifest.basis
     if cfg.get("hamiltonian_file"):
         return load_hamiltonian(cfg["hamiltonian_file"])
@@ -292,7 +297,89 @@ def build_basis(manifest: RunManifest) -> HamiltonianData:
         r_min=cfg["r_min"],
         r_max=cfg["r_max"],
     )
-    return build_hamiltonian(spec, grid)
+    entry = _cache_entry(cfg)
+    h = _read_cached(entry, spec)
+    if h is None:
+        h = build_hamiltonian(spec, grid)
+        _write_cached(h, entry)
+    return h
+
+
+# ---------------------------------------------------------------------------
+# Basis cache: one Hamiltonian file per basis under $XDG_CACHE_HOME/rydoct,
+# ending in a "# crc32" comment line over the rest, which the loader skips.
+# A build is deterministic, so a hit gives the bytes a miss would.
+# ---------------------------------------------------------------------------
+
+
+def _cache_entry(cfg: dict) -> Path | None:
+    """Where the build of basis section `cfg` is cached, or None for nowhere.
+
+    The key covers every input of the build and the code that does it: the
+    seven basis keys, the numpy version and the bytes of atomic.py.  It is
+    made of zlib checksums, because hashlib would load OpenSSL into every
+    command.
+    """
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    if not os.path.isabs(base):
+        return None
+    inputs = (
+        cfg["n_min"],
+        cfg["n_max"],
+        cfg["l_max"],
+        sorted(cfg["defects"].items()),
+        cfg["grid_points"],
+        cfg["r_min"],
+        cfg["r_max"],
+        np.__version__,
+    )
+    try:
+        data = repr(inputs).encode() + b"\0" + Path(atomic.__file__).read_bytes()
+    except OSError:
+        return None
+    return Path(base, "rydoct", f"{zlib.crc32(data):08x}{zlib.adler32(data):08x}.txt")
+
+
+def _checksum_line(body: bytes) -> bytes:
+    return b"# crc32 %08x\n" % zlib.crc32(body)
+
+
+def _read_cached(entry: Path | None, spec: BasisSpec) -> HamiltonianData | None:
+    """The cached basis, or None when the entry is missing, unreadable,
+    cut short or holds another basis."""
+    if entry is None:
+        return None
+    try:
+        data = entry.read_bytes()
+        body = data[: data.rfind(b"\n# crc32 ") + 1]
+        if not body or data[len(body) :] != _checksum_line(body):
+            return None
+        h = load_hamiltonian(entry)
+    except (OSError, RydoctError):
+        return None
+    if h.basis_spec != spec or h.labels != tuple(spec.states()):
+        return None
+    return h
+
+
+def _write_cached(h: HamiltonianData, entry: Path | None) -> None:
+    """Store `h` at `entry` through a temporary file and a rename, so that a
+    reader sees the whole entry or none; a failed write caches nothing."""
+    if entry is None:
+        return
+    partial = entry.with_name(f"{entry.stem}.{os.getpid()}.tmp")
+    try:
+        entry.parent.mkdir(parents=True, exist_ok=True)
+        save_hamiltonian(h, partial)
+        checksum = _checksum_line(partial.read_bytes())
+        with open(partial, "ab") as fh:
+            fh.write(checksum)
+        os.replace(partial, entry)
+    except OSError:
+        with contextlib.suppress(OSError):
+            partial.unlink()
 
 
 def build_guess_pulse(manifest: RunManifest) -> PulseGrid:
@@ -528,6 +615,11 @@ def _analyze(manifest: RunManifest, h: HamiltonianData, out: Path, field_path) -
     ls = np.array([s.l for s in h.labels])
     i, j = np.nonzero(np.triu(np.abs(ls[:, None] - ls[None, :]) == 1))
     gaps = np.unique(np.abs(h.energies[i] - h.energies[j]))
+    if not gaps.size:
+        raise ManifestError(
+            "basis.l_max: analyze needs a dipole-allowed level gap to compare the "
+            "spectrum with, and a basis with l_max < 2 has none"
+        )
     nearest = np.min(
         np.abs(spec_data.frequencies[:, None] - gaps[None, :]), axis=1
     )

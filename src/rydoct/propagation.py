@@ -170,14 +170,15 @@ class SplitStepKernel:
         """The z-eigenbasis factor P(E) as a column; exactly 1 for E = 0."""
         return np.exp(e_field * self.exponent)
 
-    def phase_table(self, samples: np.ndarray) -> np.ndarray:
+    def phase_table(self, samples: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """P(E_j) for every step at once, as (n_steps, dim, 1) columns.
 
         Row j equals `phase(samples[j])` exactly: the same product and the
         same elementwise exp, one vectorised call for the whole grid, taken
-        in place so that only one table is ever held.
+        in place so that only one table is ever held.  The table is written
+        into `out` when it is given.
         """
-        table = samples[:-1, None, None] * self.exponent
+        table = np.multiply(samples[:-1, None, None], self.exponent, out=out)
         return np.exp(table, out=table)
 
     def _check(self, block: np.ndarray) -> None:

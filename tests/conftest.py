@@ -57,6 +57,16 @@ def tiny_manifest_dict(out_dir: str) -> dict:
     }
 
 
+@pytest.fixture(scope="session", autouse=True)
+def basis_cache(tmp_path_factory):
+    """The basis cache of every build in the suite, its subprocesses too:
+    a temporary directory, never the user's home."""
+    cache = tmp_path_factory.mktemp("cache")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", str(cache))
+        yield cache
+
+
 @pytest.fixture(scope="session")
 def default_grid():
     return RadialGrid.for_basis(31)

@@ -12,7 +12,16 @@ from hypothesis import strategies as st
 
 import rydoct.cli
 import rydoct.manifest
-from rydoct import ManifestError, PulseGrid, load_hamiltonian
+from rydoct import (
+    CESIUM_DEFECTS,
+    BasisSpec,
+    ManifestError,
+    PulseGrid,
+    RadialGrid,
+    build_hamiltonian,
+    load_hamiltonian,
+    save_hamiltonian,
+)
 from rydoct.cli import main
 from rydoct.manifest import (
     COMMANDS,
@@ -357,6 +366,23 @@ class TestCliEntryPoint:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "IOError"
 
+    def test_analyze_without_dipole_pairs_is_a_json_error(self, tmp_path, capsys):
+        # s states only: no level gap for the spectrum's nearest-gap column.
+        data = tiny_manifest_dict(str(tmp_path / "out"))
+        data["basis"]["l_max"] = 1
+        path = tmp_path / "s_only.json"
+        path.write_text(json.dumps(data))
+        field = tmp_path / "field.csv"
+        write_field_csv(field, build_guess_pulse(parse_manifest(data)))
+        code = main(["analyze", "--manifest", str(path), "--field", str(field)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        (line,) = err.strip().splitlines()
+        payload = json.loads(line)
+        assert set(payload) == {"error", "message"}
+        assert payload["message"].startswith("basis.l_max: ")
+
     def test_verbose_flag(self, tiny_manifest_path, tmp_path, capsys):
         code = main(
             [
@@ -432,6 +458,130 @@ class TestPerfbenchHooks:
         assert set(wanted) <= names
 
 
+#: One change to each input of a basis build, all on the tiny manifest.
+BASIS_CHANGES = {
+    "n_min": 23,
+    "n_max": 27,
+    "l_max": 3,
+    "defects": "hydrogen",
+    "grid_points": 4001,
+    "r_min": 2e-4,
+    "r_max": 1700.0,
+}
+
+
+class TestBasisCache:
+    """build_basis keeps each basis it builds under $XDG_CACHE_HOME/rydoct."""
+
+    @pytest.fixture()
+    def cache(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        return tmp_path / "cache" / "rydoct"
+
+    @pytest.fixture()
+    def builds(self, monkeypatch):
+        """The basis specs build_basis has built rather than read."""
+        specs = []
+
+        def counted(spec, grid):
+            specs.append(spec)
+            return build_hamiltonian(spec, grid)
+
+        monkeypatch.setattr(rydoct.manifest, "build_hamiltonian", counted)
+        return specs
+
+    def _basis_outputs(self, manifest_path, out) -> dict[str, bytes]:
+        assert main(["basis", "--manifest", str(manifest_path), "--out", str(out)]) == 0
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    def test_hit_equals_a_fresh_build(self, tmp_path, cache, builds):
+        manifest = parse_manifest(tiny_manifest_dict(str(tmp_path)))
+        build_basis(manifest)
+        h = build_basis(manifest)
+        assert len(builds) == 1
+        assert len(list(cache.iterdir())) == 1
+        cfg = manifest.basis
+        fresh = build_hamiltonian(
+            BasisSpec(cfg["n_min"], cfg["n_max"], cfg["l_max"], CESIUM_DEFECTS),
+            RadialGrid.for_basis(cfg["n_max"], n_points=cfg["grid_points"]),
+        )
+        assert h.labels == fresh.labels
+        assert np.array_equal(h.energies, fresh.energies)
+        assert np.array_equal(h.z_matrix, fresh.z_matrix)
+        assert h.basis_spec == fresh.basis_spec
+        assert h.provenance == fresh.provenance
+
+    @pytest.mark.parametrize("key", sorted(BASIS_CHANGES))
+    def test_each_basis_input_is_in_the_key(self, tmp_path, cache, builds, key):
+        data = tiny_manifest_dict(str(tmp_path))
+        build_basis(parse_manifest(data))
+        data["basis"][key] = BASIS_CHANGES[key]
+        build_basis(parse_manifest(data))
+        assert len(builds) == 2
+        assert len(list(cache.iterdir())) == 2
+
+    @pytest.mark.parametrize("change", ["atomic.py", "numpy"])
+    def test_changed_build_code_misses(self, tmp_path, cache, builds, monkeypatch, change):
+        manifest = parse_manifest(tiny_manifest_dict(str(tmp_path)))
+        build_basis(manifest)
+        if change == "atomic.py":
+            source = tmp_path / "atomic.py"
+            source.write_bytes(Path(rydoct.atomic.__file__).read_bytes() + b"\n")
+            monkeypatch.setattr(rydoct.atomic, "__file__", str(source))
+        else:
+            monkeypatch.setattr(np, "__version__", np.__version__ + ".post1")
+        build_basis(manifest)
+        assert len(builds) == 2
+        assert len(list(cache.iterdir())) == 2
+
+    @pytest.mark.parametrize("damage", ["truncated", "other_basis"])
+    def test_bad_entry_is_rebuilt_and_overwritten(
+        self, tiny_manifest_path, tmp_path, cache, builds, capsys, damage
+    ):
+        cold = self._basis_outputs(tiny_manifest_path, tmp_path / "cold")
+        (entry,) = cache.iterdir()
+        good = entry.read_bytes()
+        if damage == "truncated":
+            # Without its last dipole line the entry is still a valid basis.
+            entry.write_bytes(b"".join(good.splitlines(keepends=True)[:-2]))
+        else:
+            data = tiny_manifest_dict(str(tmp_path))
+            data["basis"]["l_max"] = 3
+            build_basis(parse_manifest(data))
+            (other,) = set(cache.iterdir()) - {entry}
+            other.replace(entry)
+        assert self._basis_outputs(tiny_manifest_path, tmp_path / "rebuilt") == cold
+        assert "Traceback" not in capsys.readouterr().err
+        assert entry.read_bytes() == good
+        assert len(builds) == (2 if damage == "truncated" else 3)
+
+    def test_unwritable_cache_changes_no_output(
+        self, tiny_manifest_path, tmp_path, cache, monkeypatch, capsys
+    ):
+        cold = self._basis_outputs(tiny_manifest_path, tmp_path / "cold")
+        blocker = tmp_path / "a_file"
+        blocker.write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        for name in ("first", "second"):
+            assert self._basis_outputs(tiny_manifest_path, tmp_path / name) == cold
+        assert capsys.readouterr().err == ""
+
+    def test_hamiltonian_file_bypasses_the_cache(self, tmp_path, cache, builds):
+        data = tiny_manifest_dict(str(tmp_path))
+        build_basis(parse_manifest(data))
+        # The file holds another basis than the manifest's keys describe.
+        other = build_hamiltonian(
+            BasisSpec(24, 26, 3, CESIUM_DEFECTS), RadialGrid.for_basis(26, n_points=4000)
+        )
+        data["basis"]["hamiltonian_file"] = str(tmp_path / "other.txt")
+        save_hamiltonian(other, data["basis"]["hamiltonian_file"])
+        h = build_basis(parse_manifest(data))
+        assert h.labels == other.labels
+        assert np.array_equal(h.z_matrix, other.z_matrix)
+        assert len(builds) == 1
+        assert len(list(cache.iterdir())) == 1
+
+
 BAD_FIELD_CSVS = {
     "one_row": ("time,E\n0.0,1e-07\n", "line 2"),
     "non_numeric": ("time,E\n0.0,1e-07\n10.0,abc\n20.0,0.0\n", "line 3"),
@@ -482,14 +632,22 @@ class TestFieldCsvHardening:
         assert np.array_equal(back.samples, pulse.samples)
 
 
-def _run_cli(args, cwd, threads=None):
+def _run_cli(args, cwd, threads=None, cache=None):
     env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    if cache is not None:
+        env["XDG_CACHE_HOME"] = str(cache)
     if threads is not None:
         for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             env[name] = str(threads)
     return subprocess.run(
         [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=600
     )
+
+
+def _cache_stamps(cache: Path) -> dict[str, int]:
+    """Modification time of each entry of a basis cache: a run that reads an
+    entry leaves its time as it was, one that rebuilds it writes a new file."""
+    return {p.name: p.stat().st_mtime_ns for p in (cache / "rydoct").iterdir()}
 
 
 class TestProcess:
@@ -529,16 +687,26 @@ class TestProcess:
         manifest["oct"]["max_iterations"] = 10
         path = tmp_path / "manifest10.json"
         path.write_text(json.dumps(manifest))
-        outputs = {}
-        for threads in (1, 2):
+        # Each thread count builds its basis in its own empty cache; the
+        # last run reads the 1-thread run's cache.
+        outputs, stamps = {}, {}
+        for threads, cache in ((1, "cache1"), (2, "cache2"), ("warm", "cache1")):
             out = tmp_path / f"threads{threads}"
             args = ["-m", "rydoct.cli", command, "--manifest", str(path)]
-            run = _run_cli(args + ["--out", str(out)], tmp_path, threads=threads)
+            run = _run_cli(
+                args + ["--out", str(out)],
+                tmp_path,
+                threads=1 if threads == "warm" else threads,
+                cache=tmp_path / cache,
+            )
             assert run.returncode == 0, run.stderr
             outputs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            stamps[threads] = _cache_stamps(tmp_path / cache)
+        assert stamps["warm"] == stamps[1]
         assert set(outputs[1]) == expected_files
         for name, content in outputs[1].items():
             assert outputs[2][name] == content, name
+            assert outputs["warm"][name] == content, name
 
     def test_basis_file_independent_of_blas_threads(self, tmp_path):
         # The dipoles are BLAS products; the 187-state file must not depend on
@@ -547,14 +715,20 @@ class TestProcess:
         manifest["basis"]["l_max"] = 17
         path = tmp_path / "basis187.json"
         path.write_text(json.dumps(manifest))
-        files = {}
-        for threads in (1, 2):
+        # Each thread count builds in its own empty cache; the last run reads
+        # the 1-thread run's cache entry.
+        files, stamps = {}, {}
+        for threads, cache in ((1, "cache1"), (2, "cache2"), ("warm", "cache1")):
             out = tmp_path / f"threads{threads}"
             args = ["-m", "rydoct.cli", "basis", "--manifest", str(path), "--out", str(out)]
-            run = _run_cli(args, tmp_path, threads=threads)
+            run = _run_cli(
+                args, tmp_path, threads=2 if threads == "warm" else threads, cache=tmp_path / cache
+            )
             assert run.returncode == 0, run.stderr
             files[threads] = (out / "hamiltonian.txt").read_bytes()
+            stamps[threads] = _cache_stamps(tmp_path / cache)
+        assert stamps["warm"] == stamps[1]
         assert json.loads((tmp_path / "threads1" / "summary.json").read_text())["metrics"][
             "basis_size"
         ] == 187
-        assert files[1] == files[2]
+        assert files[1] == files[2] == files["warm"]

@@ -27,6 +27,7 @@ from rydoct.control import (
     _costate_sweep,
     _iterate,
     _update_sweep,
+    _work_arrays,
     backward_propagate,
     forward_update_sweep,
 )
@@ -63,7 +64,8 @@ def setup(cesium_h, cesium_zsys):
         for lam in lam_final
     ]
     kernel = SplitStepKernel(cesium_h, cesium_zsys, DT)
-    lam_buffer, coeffs = _costate_sweep(kernel, np.stack(lam_final, axis=1), pulse.samples)
+    work = _work_arrays(pulse.n_steps, cesium_h.dim, len(MARKED))
+    lam_buffer, coeffs = _costate_sweep(kernel, np.stack(lam_final, axis=1), pulse.samples, work)
     z_lam = _apply_z(kernel, lam_buffer)
     return {
         "h": cesium_h,
@@ -134,6 +136,7 @@ def test_update_sweep_matches_oracle(setup, mode, public):
             pulse,
             penalty,
             mode,
+            None,
         )
         assert abs(cross - expected_cross) <= 1e-12
     # Relative to the field's scale: where a new sample crosses zero, the
@@ -155,10 +158,11 @@ def test_phase_table_rows_are_the_per_step_phases(setup, sign):
 
 
 def test_sweeps_hold_two_costate_arrays_and_one_phase_table(setup):
-    # One iteration, a backward sweep and an update sweep:
-    # z lam and the coefficients are the only step-sized arrays besides one
-    # (n_steps, dim) phase table at a time.  The slack covers the chunk
-    # product of z and per-step blocks; one more costate-sized copy does not fit.
+    # The work arrays of a run and two iterations on them, each a backward
+    # sweep and an update sweep: z lam and the coefficients are the only
+    # step-sized arrays besides one (n_steps, dim) phase table.  The slack
+    # covers the chunk product of z and per-step blocks; one more
+    # costate-sized copy does not fit.
     h, pulse = setup["h"], setup["pulse"]
     kernel, penalty = setup["kernel"], setup["penalty"]
     psi0 = np.stack(setup["psi0"], axis=1)
@@ -167,14 +171,21 @@ def test_sweeps_hold_two_costate_arrays_and_one_phase_table(setup):
     costate_bytes = pulse.n_steps * h.dim * len(MARKED) * 16
     table_bytes = pulse.n_steps * h.dim * 16
     slack = 512 * 1024
+    args = (kernel, psi0, final, targets, pulse, penalty, "replace")
     tracemalloc.start()
     try:
-        _iterate(kernel, psi0, final, targets, pulse, penalty, "replace")
+        work = _work_arrays(pulse.n_steps, h.dim, len(MARKED))
+        first = _iterate(*args, work)
+        again = _iterate(*args, work)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert costate_bytes > slack
     assert peak < 2 * costate_bytes + table_bytes + slack
+    # Refilled arrays carry nothing over from the iteration before.
+    fresh = _iterate(*args, _work_arrays(pulse.n_steps, h.dim, len(MARKED)))
+    for a, b, c in zip(first, again, fresh):
+        assert np.array_equal(a, b) and np.array_equal(a, c)
 
 
 def _layouts(h, rng):
