@@ -493,6 +493,15 @@ def load_hamiltonian(path) -> HamiltonianData:
     defects: dict[int, float] = {}
     energies: dict[StateLabel, float] = {}
     dipoles: dict[tuple[StateLabel, StateLabel], float] = {}
+    # Each state's token recurs on many dipole lines; parse it once.
+    parsed: dict[str, StateLabel] = {}
+
+    def parse_label(token: str) -> StateLabel:
+        found = parsed.get(token)
+        if found is None:
+            found = parsed[token] = StateLabel.parse(token)
+        return found
+
     section = "header"
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -513,10 +522,10 @@ def load_hamiltonian(path) -> HamiltonianData:
                     else:
                         header[parts[0]] = parts[1]
                 elif section == "energies":
-                    energies[StateLabel.parse(parts[0])] = float(parts[1])
+                    energies[parse_label(parts[0])] = float(parts[1])
                 else:
-                    a = StateLabel.parse(parts[0])
-                    b = StateLabel.parse(parts[1])
+                    a = parse_label(parts[0])
+                    b = parse_label(parts[1])
                     value = float(parts[2])
                     key = (a, b) if a <= b else (b, a)
                     if key in dipoles and dipoles[key] != value:
@@ -538,15 +547,15 @@ def load_hamiltonian(path) -> HamiltonianData:
         quantum_defects=defects,
     )
     labels = tuple(spec.states())
+    index = {label: i for i, label in enumerate(labels)}
     for label in labels:
         if label not in energies:
             raise ValidationError(f"missing energy for state {label}")
     for label in energies:
-        if label not in labels:
+        if label not in index:
             raise ValidationError(f"energy row for {label} is outside the declared basis")
 
     dim = len(labels)
-    index = {label: i for i, label in enumerate(labels)}
     z = np.zeros((dim, dim))
     for (a, b), value in dipoles.items():
         if a not in index or b not in index:

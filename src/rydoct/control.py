@@ -20,7 +20,10 @@ Each sweep is written once, and the engine (`_run_engine`) runs it on a
 (dim, M) block of members.  `_costate_sweep` integrates the costates from T
 back to t0 under the old field; the engine then applies z to them in place.
 `_update_sweep` is the forward sweep with feedback.  The sweeps fill work
-arrays that the engine allocates once per run (`_work_arrays`).  The public
+arrays that the engine allocates once per run (`_work_arrays`).  Each sweep
+also takes its (dim, M) step buffers once, before its first step, and then
+advances its block in place with `SplitStepKernel.step_into`, so that no
+step makes a temporary array.  The public
 `backward_propagate` and `forward_update_sweep` run these same two sweeps
 on one member, so what they return is what one iteration computes.
 
@@ -190,19 +193,20 @@ def _costate_sweep(
     step as the (dim, n_steps, M) buffer, and the (n_steps, dim, M) array
     V^T D* lam_{j+1}: the coefficients that the adjoint of step j forms on
     its way, kept for the delta3 cross-term of step j.  Every adjoint phase
-    comes from one table over the old field, written into the third.
+    comes from one table over the old field, written into the third.  The
+    costate advances in place in one (dim, M) block, a copy of `lam_final`,
+    and each step copies it and its coefficients out into the buffers.
     """
     lam_buffer, coeffs, table = work
     adjoint = kernel.adjoint()
-    n_steps = len(samples) - 1
+    buffers = adjoint.buffers(lam_final)
     phases = adjoint.phase_table(samples, out=table)
-    lam = lam_final
-    for j in range(n_steps - 1, -1, -1):
-        coeffs[j] = c = adjoint.coefficients(lam)
-        if samples[j] != 0.0:
-            lam = adjoint.finish(phases[j] * c)
-        else:
-            lam = adjoint.step(lam, 0.0)
+    lam = np.array(lam_final, dtype=complex, order="C")
+    fields = samples[:-1].tolist()
+    for j in range(len(fields) - 1, -1, -1):
+        phase = phases[j] if fields[j] != 0.0 else None
+        adjoint.step_into(buffers, lam, lam, phase, coefficients=True)
+        coeffs[j] = buffers.c
         lam_buffer[:, j] = lam
     return lam_buffer, coeffs
 
@@ -242,27 +246,36 @@ def _update_sweep(
     cross-term sum_j <lam(t_{j+1})| (S_new - S_old) psi(t_j)> needed for the
     delta3 diagnostic.  The old field's phases P(E_old) come from one table,
     written into `table` when it is given; only P(E_new), which depends on
-    the feedback, is formed per step.
+    the feedback, is formed per step, into the step buffers.  The block
+    advances in place in a copy of `psi0`, which is left as it was; where a
+    sample changes, the step's c and P_new c stay in the step buffers for
+    the cross-term.
     """
     if update_mode not in UPDATE_MODES:
         raise InvalidSpecError(f"unknown update mode {update_mode!r}")
     old = pulse.samples.astype(float)
     new_samples = old.copy()
     old_phases = kernel.phase_table(old, out=table)
-    psi = psi0
+    buffers = kernel.buffers(psi0)
+    psi = np.array(psi0, dtype=complex, order="C")
     cross_term = 0.0 + 0.0j
-    for j in range(pulse.n_steps):
-        increment = kernel.overlap(z_lam[j], psi) / penalty.samples[j]
-        new_samples[j] = old[j] + increment if update_mode == "add" else increment
-        e_new = float(new_samples[j])
-        if e_new != old[j]:
+    weights = penalty.samples.tolist()
+    for j, e_old in enumerate(old[:-1].tolist()):
+        increment = float(np.vdot(z_lam[j], psi).imag) / weights[j]
+        e_new = e_old + increment if update_mode == "add" else increment
+        new_samples[j] = e_new
+        changed = e_new != e_old
+        phase = kernel.phase(e_new, buffers.p)
+        # A zero field keeps the step diagonal, but a changed one still
+        # forms c and b = P_new c for the cross-term below.
+        kernel.step_into(buffers, psi, psi, phase if e_new != 0.0 else None, coefficients=changed)
+        if changed:
             # <lam_{j+1}| D V (P_new - P_old) c> with c = V^T D psi_j.
-            c = kernel.coefficients(psi)
-            b = kernel.phase(e_new) * c
-            psi = kernel.finish(b) if e_new != 0.0 else kernel.step(psi, 0.0)
-            cross_term += np.vdot(coeffs[j], b - old_phases[j] * c)
-        else:
-            psi = kernel.step(psi, e_new)
+            if e_new == 0.0:
+                np.multiply(phase, buffers.c, out=buffers.b)
+            np.multiply(old_phases[j], buffers.c, out=buffers.x)
+            np.subtract(buffers.b, buffers.x, out=buffers.x)
+            cross_term += np.vdot(coeffs[j], buffers.x)
     return new_samples, psi, cross_term
 
 

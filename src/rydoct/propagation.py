@@ -15,14 +15,17 @@ kernel stays in the stored basis and works on a (dim, M) block whose
 columns are M independent states, so the members of an ensemble, or all
 the bits of a register, advance together.  V, V^T and z stay real: a real
 matrix multiplies a complex block through the block's float64 view, in
-which each complex column is a (real, imaginary) pair of real columns
-(`_real_product`).  That is one real product with twice the columns, half
-the flops of the complex product and no cast.  One step costs two such
-products on the block, V^T (D block) and V (P_j c); a step whose field
-sample is exactly zero skips both and stays diagonal.  The optimization
-engine stores, per iteration, only the final state block and two costate
-arrays of n_steps blocks each (z lam_j and V^T D* lam_{j+1}, see
-`control`), never whole forward trajectories.
+which each complex column is a (real, imaginary) pair of real columns.
+That is one real product with twice the columns, half the flops of the
+complex product and no cast.  One step costs two such products on the
+block, V^T (D block) and V (P_j c); a step whose field sample is exactly
+zero skips both and stays diagonal.  A sweep checks its block's shape and
+allocates its scratch blocks (`StepBuffers`) once, before its first step;
+each step then runs in place (`SplitStepKernel.step_into`), as ufunc and
+matrix-product calls that write into those buffers and make no
+temporaries.  The optimization engine stores, per iteration, only the final
+state block and two costate arrays of n_steps blocks each (z lam_j and
+V^T D* lam_{j+1}, see `control`), never whole forward trajectories.
 
 The public entry points are `propagate`, which runs a state or a block
 across a pulse grid (optionally with an absorber on chosen states), and the
@@ -108,8 +111,8 @@ class ZEigensystem:
     """Cached spectral decomposition z = V diag(w) V^T (V orthogonal).
 
     `z` is the decomposed matrix itself.  All three matrices are real
-    float64 arrays; the kernel applies them to complex blocks with
-    `_real_product`.
+    float64 arrays; the kernel applies them to the float64 views of
+    complex blocks.
     """
 
     eigenvalues: np.ndarray
@@ -131,16 +134,23 @@ def precompute_z_eigensystem(h: HamiltonianData) -> ZEigensystem:
     return ZEigensystem(eigenvalues=w, vectors=np.ascontiguousarray(v), z=z)
 
 
-def _real_product(m: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """m @ block for a real matrix m and a complex (dim, M) block.
+class StepBuffers:
+    """The scratch blocks of one sweep, allocated before its first step.
 
-    The float64 view of a C-contiguous complex block is a (dim, 2M) real
-    array whose column pairs hold each column's real and imaginary parts,
-    so one real product computes both.  A block that is not C-contiguous
-    is copied first, because its float64 view would not pair the parts.
+    `half` is D broadcast to a contiguous (dim, M) array, so that it
+    multiplies a block element by element rather than row by row.  `x`, `c`
+    and `b` are complex (dim, M) blocks, and `xf`, `cf` and `bf` their
+    float64 views: (dim, 2M) real arrays whose column pairs hold each
+    column's real and imaginary parts, so that one real matrix product
+    acts on both.  `p` is a (dim, 1) column for a phase formed step by step.
     """
-    block = np.ascontiguousarray(block, dtype=np.complex128)
-    return (m @ block.view(np.float64)).view(np.complex128)
+
+    def __init__(self, half: np.ndarray, n_members: int):
+        dim = len(half)
+        self.half = np.ascontiguousarray(np.broadcast_to(half, (dim, n_members)))
+        self.x, self.c, self.b = (np.empty((dim, n_members), dtype=complex) for _ in range(3))
+        self.xf, self.cf, self.bf = (a.view(np.float64) for a in (self.x, self.c, self.b))
+        self.p = np.empty_like(half)
 
 
 class SplitStepKernel:
@@ -149,8 +159,9 @@ class SplitStepKernel:
     D = exp(-i H0 dt/2) and P(E) = exp(-i E w dt) are diagonal.  A negative
     dt gives the adjoint (inverse) step, which the backward sweeps use; see
     `adjoint`.  Blocks are complex (dim, M) arrays, one state per column.
-    The sweeps in `control` use the two halves of a step, `coefficients`
-    and `finish`, to reuse what a step forms in between.
+    A sweep takes its `buffers` once and then runs `step_into` at every
+    step, which writes through those buffers and allocates nothing; `step`
+    and `evolve` are such sweeps.
     """
 
     def __init__(self, h: HamiltonianData, zsys: ZEigensystem, dt: float):
@@ -166,9 +177,13 @@ class SplitStepKernel:
     def adjoint(self) -> "SplitStepKernel":
         return SplitStepKernel(self.h, self.zsys, -self.dt)
 
-    def phase(self, e_field: float) -> np.ndarray:
-        """The z-eigenbasis factor P(E) as a column; exactly 1 for E = 0."""
-        return np.exp(e_field * self.exponent)
+    def phase(self, e_field: float, out: np.ndarray | None = None) -> np.ndarray:
+        """The z-eigenbasis factor P(E) as a column; exactly 1 for E = 0.
+
+        The column is written into `out` when it is given.
+        """
+        column = np.multiply(e_field, self.exponent, out=out)
+        return np.exp(column, out=column)
 
     def phase_table(self, samples: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """P(E_j) for every step at once, as (n_steps, dim, 1) columns.
@@ -181,43 +196,63 @@ class SplitStepKernel:
         table = np.multiply(samples[:-1, None, None], self.exponent, out=out)
         return np.exp(table, out=table)
 
-    def _check(self, block: np.ndarray) -> None:
+    def buffers(self, block: np.ndarray) -> StepBuffers:
+        """The scratch for sweeping `block`, after checking its shape."""
         # A (dim,) state or a (1, M) block would broadcast against the
         # (dim, 1) half step into a wrong-shaped block instead of failing.
         if block.ndim != 2 or block.shape[0] != len(self.half):
             raise InvalidSpecError(
                 f"expected a ({len(self.half)}, M) block of states, got shape {block.shape}"
             )
+        return StepBuffers(self.half, block.shape[1])
+
+    def step_into(
+        self,
+        buffers: StepBuffers,
+        src: np.ndarray,
+        dst: np.ndarray,
+        phase: np.ndarray | None,
+        coefficients: bool = False,
+    ) -> None:
+        """One step from `src` into `dst`, which may be `src` itself.
+
+        `phase` is the column P(E), or None for E = 0, where the step is the
+        diagonal D (D src), so amplitudes that are exactly zero stay zero.
+        The coefficients c = V^T D src are left in `buffers.c`, and P c in
+        `buffers.b`; a zero-field step forms c only if `coefficients` is set.
+        """
+        x, c = buffers.x, buffers.c
+        np.multiply(buffers.half, src, out=x)
+        if phase is not None or coefficients:
+            np.matmul(self.vt, buffers.xf, out=buffers.cf)
+        if phase is not None:
+            np.multiply(phase, c, out=buffers.b)
+            np.matmul(self.v, buffers.bf, out=buffers.xf)
+        np.multiply(buffers.half, x, out=dst)
 
     def coefficients(self, block: np.ndarray) -> np.ndarray:
         """c = V^T D block, the first half step in the z eigenbasis."""
-        self._check(block)
-        return _real_product(self.vt, self.half * block)
-
-    def finish(self, b: np.ndarray) -> np.ndarray:
-        """D V b: back to the stored basis through the second half step."""
-        return self.half * _real_product(self.v, b)
+        buffers = self.buffers(block)
+        np.multiply(buffers.half, block, out=buffers.x)
+        np.matmul(self.vt, buffers.xf, out=buffers.cf)
+        return buffers.c
 
     def step(self, block: np.ndarray, e_field: float) -> np.ndarray:
-        if e_field == 0.0:
-            # Diagonal, so amplitudes that are exactly zero stay exactly zero.
-            self._check(block)
-            return self.half * (self.half * block)
-        return self.finish(self.phase(e_field) * self.coefficients(block))
+        """One step of `block` under the field sample `e_field`, as a new block."""
+        buffers = self.buffers(block)
+        out = np.empty_like(buffers.x)
+        phase = self.phase(e_field, buffers.p) if e_field != 0.0 else None
+        self.step_into(buffers, block, out, phase)
+        return out
 
     def evolve(self, block: np.ndarray, samples: np.ndarray) -> np.ndarray:
         """Final block after one step per sample; the last sample is unused."""
-        self._check(block)
+        buffers = self.buffers(block)
+        block = np.array(block, dtype=complex, order="C")
         for e_field in samples[:-1].tolist():
-            block = self.step(block, e_field)
+            phase = self.phase(e_field, buffers.p) if e_field != 0.0 else None
+            self.step_into(buffers, block, block, phase)
         return block
-
-    @staticmethod
-    def overlap(z_costates: np.ndarray, states: np.ndarray) -> float:
-        """sum_i Im <lam_i| z |psi_i>, from z lam_i and psi_i as block columns."""
-        if not states.size or z_costates.shape != states.shape:
-            raise InvalidSpecError("costate and state blocks must be non-empty and aligned")
-        return float(np.vdot(z_costates, states).imag)
 
 
 def boundary_labels(h: HamiltonianData) -> list[StateLabel]:
@@ -264,16 +299,18 @@ def propagate(
 
     kernel = SplitStepKernel(h, zsys, pulse.dt)
     shape = psi0.amplitudes.shape
-    block = np.array(psi0.amplitudes, dtype=complex).reshape(h.dim, -1)
+    block = np.array(psi0.amplitudes, dtype=complex, order="C").reshape(h.dim, -1)
+    buffers = kernel.buffers(block)
     t = pulse.t0
     trajectory: list[WavePacket] = []
     if record is not None:
         trajectory.append(WavePacket(amplitudes=block.reshape(shape).copy(), time=t))
 
     for j, e_field in enumerate(pulse.samples[:-1].tolist()):
-        block = kernel.step(block, e_field)
+        phase = kernel.phase(e_field, buffers.p) if e_field != 0.0 else None
+        kernel.step_into(buffers, block, block, phase)
         if mask is not None:
-            block = block * mask
+            np.multiply(block, mask, out=block)
         t += pulse.dt
         if record is not None and ((j + 1) % record == 0 or j + 1 == pulse.n_steps):
             trajectory.append(WavePacket(amplitudes=block.reshape(shape).copy(), time=t))

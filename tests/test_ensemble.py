@@ -44,13 +44,12 @@ def random_states(dim, count, seed):
 
 def ensemble_update(costates, states, penalty_value, kernel):
     """Shared-field increment (1/l) sum_i Im <lam_i| z |psi_i>, as the sweeps form it."""
-    lam = np.stack(costates, axis=1) if costates else np.empty((kernel.h.dim, 0), complex)
-    psi = np.stack(states, axis=1) if states else np.empty((kernel.h.dim, 0), complex)
-    return kernel.overlap(kernel.z @ lam, psi) / penalty_value
+    lam, psi = np.stack(costates, axis=1), np.stack(states, axis=1)
+    return float(np.vdot(kernel.z @ lam, psi).imag) / penalty_value
 
 
 class TestEnsembleUpdate:
-    """The kernel's overlap, fed z lam as the backward sweep forms it."""
+    """The update sweep's overlap, fed z lam as the backward sweep forms it."""
 
     @pytest.fixture()
     def kernel(self, dense3):
@@ -74,9 +73,12 @@ class TestEnsembleUpdate:
         singles = sum(ensemble_update([l], [p], 3.0, kernel) for l, p in zip(lams, psis))
         assert combined == pytest.approx(singles, rel=1e-12)
 
-    def test_empty_rejected(self, kernel):
-        with pytest.raises(InvalidSpecError):
-            ensemble_update([], [], 1.0, kernel)
+    def test_empty_rejected(self, dense3):
+        # The sweeps never see an empty block: the problem rejects it first.
+        guess = PulseGrid.zeros(0.0, 0.1, 11)
+        penalty = PenaltySchedule.build(guess, base=1.0, edge_multiplier=10.0, ramp_fraction=0.1)
+        with pytest.raises(InvalidSpecError, match="at least one member"):
+            EnsembleProblem(hamiltonian=dense3, members=[], penalty=penalty, guess=guess)
 
 
 class TestEngineIdentities:

@@ -4,7 +4,8 @@ The oracle is tests/reference_sweeps.py.  Both sides start from the same
 initial states and terminal costates on the 55-state production basis, with
 four register members and a field that is nonzero almost everywhere but has
 exact zeros mixed in, so both the zero-field shortcut and the full step run.
-The same set-up bounds the sweeps' memory and checks that the real products
+The same set-up bounds the sweeps' memory, pins the in-place sweeps bit for
+bit to the written-out step and to one `step` at a time, and checks that they
 give the same bytes whatever the memory layout of the input block.
 """
 
@@ -188,6 +189,55 @@ def test_sweeps_hold_two_costate_arrays_and_one_phase_table(setup):
         assert np.array_equal(a, b) and np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_step_is_the_written_out_split_step(setup, sign):
+    # Bit for bit, the operation order D (V (P (V^T (D x)))), with V and V^T
+    # applied to the float64 view, and D (D x) where the field is zero.
+    kernel = SplitStepKernel(setup["h"], setup["zsys"], sign * DT)
+    block = np.stack(setup["psi0"], axis=1)
+    half = kernel.half
+
+    def real(m, x):
+        return (m @ x.view(np.float64)).view(np.complex128)
+
+    for e_field in (0.0, 1.3e-7):
+        if e_field == 0.0:
+            expected = half * (half * block)
+        else:
+            expected = half * real(kernel.v, kernel.phase(e_field) * real(kernel.vt, half * block))
+        assert np.array_equal(kernel.step(block, e_field), expected)
+
+
+def test_update_sweep_without_costates_is_evolve(setup):
+    # With z lam = 0, "add" adds exactly zero to every sample, so no sample
+    # changes and the sweep is the plain propagation under the old field,
+    # zero-field steps included.
+    kernel, pulse, penalty = setup["kernel"], setup["pulse"], setup["penalty"]
+    psi0 = np.stack(setup["psi0"], axis=1)
+    zeros = np.zeros_like(setup["z_lam"])
+    samples, final, cross = _update_sweep(
+        kernel, psi0, zeros, setup["coeffs"], pulse, penalty, "add", None
+    )
+    assert np.array_equal(samples, pulse.samples)
+    assert np.array_equal(final, kernel.evolve(psi0, pulse.samples))
+    assert cross == 0.0
+
+
+def test_costate_sweep_is_the_adjoint_step_loop(setup):
+    # lam_j and V^T D* lam_{j+1} bit for bit, against one adjoint step at a
+    # time from T.
+    h, pulse, kernel = setup["h"], setup["pulse"], setup["kernel"]
+    lam_final = np.stack(setup["lam_final"], axis=1)
+    work = _work_arrays(pulse.n_steps, h.dim, len(MARKED))
+    lam_buffer, coeffs = _costate_sweep(kernel, lam_final, pulse.samples, work)
+    adjoint = kernel.adjoint()
+    lam = lam_final
+    for j in range(pulse.n_steps - 1, -1, -1):
+        assert np.array_equal(coeffs[j], adjoint.coefficients(lam))
+        lam = adjoint.step(lam, float(pulse.samples[j]))
+        assert np.array_equal(lam_buffer[:, j], lam)
+
+
 def _layouts(h, rng):
     """(input, contiguous copy) pairs: Fortran block, column slice, one state."""
     wide = rng.standard_normal((h.dim, 8)) + 1j * rng.standard_normal((h.dim, 8))
@@ -236,3 +286,22 @@ def test_propagate_ignores_memory_layout(setup):
         _, expected = propagate(WavePacket(copy), pulse, h, zsys, record=None)
         assert final.amplitudes.shape == block.shape
         assert np.array_equal(final.amplitudes, expected.amplitudes)
+
+
+def test_sweeps_ignore_memory_layout_and_leave_their_input(setup):
+    # A Fortran-ordered or column-sliced block gives the bytes of its
+    # contiguous copy in every sweep, and no sweep writes into it.
+    h, pulse, penalty, kernel = setup["h"], setup["pulse"], setup["penalty"], setup["kernel"]
+    z_lam, coeffs = setup["z_lam"], setup["coeffs"]
+
+    def sweeps(block):
+        work = _work_arrays(pulse.n_steps, h.dim, block.shape[1])
+        lam_buffer, lam_coeffs = _costate_sweep(kernel, block, pulse.samples, work)
+        update = _update_sweep(kernel, block, z_lam, coeffs, pulse, penalty, "replace", None)
+        return (lam_buffer, lam_coeffs, kernel.evolve(block, pulse.samples), *update)
+
+    for block, copy in _layouts(h, np.random.default_rng(5))[:2]:
+        kept = block.copy()
+        for got, expected in zip(sweeps(block), sweeps(copy)):
+            assert np.array_equal(got, expected)
+        assert np.array_equal(block, kept)
