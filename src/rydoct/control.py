@@ -18,14 +18,19 @@ for J once the fluence cost moves.  The default is "replace".
 
 Each sweep is written once, and the engine (`_run_engine`) runs it on a
 (dim, M) block of members.  `_costate_sweep` integrates the costates from T
-back to t0 under the old field; the engine then applies z to them in place.
-`_update_sweep` is the forward sweep with feedback.  The sweeps fill work
-arrays that the engine allocates once per run (`_work_arrays`).  Each sweep
-also takes its (dim, M) step buffers once, before its first step, and then
-advances its block in place with `SplitStepKernel.step_into`, so that no
-step makes a temporary array.  The public
-`backward_propagate` and `forward_update_sweep` run these same two sweeps
-on one member, so what they return is what one iteration computes.
+back to t0 under the old field; the engine then applies z to them in place
+(`_apply_z`).  `_update_sweep` is the forward sweep with feedback.  The
+sweeps fill work arrays that the engine allocates once per run
+(`_work_arrays`): two step-major (n_steps, dim, M) costate arrays, whose
+per-step blocks are contiguous, and one scratch of `CHUNK_STEPS` steps
+that carries the old field's phases at full (dim, M) width and, between
+the sweeps, the transposed chunks that z multiplies.  Each sweep also
+takes its (dim, M) step buffers once, before its first step, and then
+advances its block with `SplitStepKernel.step_into`, writing in place or
+straight into its slot of the costate arrays, so that no step makes a
+temporary array or copies a block out.  The public `backward_propagate`
+and `forward_update_sweep` run these same two sweeps on one member, so
+what they return is what one iteration computes.
 
 The cross-term diagnostic `delta3` checks that the discrete forward and
 backward propagations are exact adjoints of each other: it evaluates the
@@ -68,8 +73,9 @@ STALL_BUMP_AMPLITUDE = 1e-10
 MONOTONICITY_SLACK = 1e-9
 #: The field update rules; see the module docstring.
 UPDATE_MODES = ("replace", "add")
-#: Steps per real matrix product when the engine applies z to the costates.
-Z_CHUNK_STEPS = 64
+#: Steps per chunk: per real matrix product when the engine applies z to
+#: the costates, and per block of full-width phases in a sweep.
+CHUNK_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -164,66 +170,107 @@ def backward_propagate(
     lam_buffer, _ = _costate_sweep(
         kernel, lam_final, pulse.samples, _work_arrays(pulse.n_steps, h.dim, 1)
     )
-    return np.concatenate([lam_buffer[:, :, 0].T, lam_final.T])
+    return np.concatenate([lam_buffer[:, :, 0], lam_final.T])
 
 
-def _work_arrays(
-    n_steps: int, dim: int, n_members: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The arrays one iteration's sweeps fill: a (dim, n_steps, M) costate
-    buffer, an (n_steps, dim, M) coefficient array and an (n_steps, dim, 1)
-    phase table.  Allocated once per run and refilled every iteration, they
-    stay mapped instead of going back to the system between iterations."""
+def _work_arrays(n_steps: int, dim: int, n_members: int) -> tuple[np.ndarray, ...]:
+    """The arrays one iteration's sweeps fill: the (n_steps, dim, M) costate
+    buffer, the (n_steps, dim, M) coefficient array and the chunk scratch
+    (see `_chunk_scratch`).  Allocated once per run and refilled every
+    iteration, they stay mapped instead of going back to the system between
+    iterations."""
     return (
-        np.empty((dim, n_steps, n_members), dtype=complex),
         np.empty((n_steps, dim, n_members), dtype=complex),
-        np.empty((n_steps, dim, 1), dtype=complex),
+        np.empty((n_steps, dim, n_members), dtype=complex),
+        _chunk_scratch(dim, n_members),
     )
+
+
+def _chunk_scratch(dim: int, n_members: int) -> np.ndarray:
+    """Two (CHUNK_STEPS, dim, M) complex blocks, the only chunk-sized arrays.
+
+    A sweep forms the phases of `CHUNK_STEPS` steps at a time as columns in
+    the second block and broadcasts them into the first (`_chunk_phases`),
+    so that each step multiplies a contiguous (dim, M) phase rather than a
+    column broadcast row by row.  `_apply_z`, which runs between the
+    sweeps, uses the two as one transposed chunk of costates and its
+    product with z.
+    """
+    return np.empty((2, CHUNK_STEPS, dim, n_members), dtype=complex)
+
+
+def _chunk_phases(
+    kernel: SplitStepKernel, samples: np.ndarray, start: int, stop: int, scratch: np.ndarray
+) -> np.ndarray:
+    """P(E_j) for steps start..stop-1 at full width, a (steps, dim, M) block.
+
+    The columns come from `phase_table`, so they are the per-step phases
+    exactly; only the first `stop - start` rows of the scratch are used.
+    """
+    wide = scratch[0, : stop - start]
+    steps, dim, _ = wide.shape
+    columns = scratch[1].reshape(-1)[: steps * dim].reshape(steps, dim, 1)
+    np.copyto(wide, kernel.phase_table(samples[start : stop + 1], out=columns))
+    return wide
 
 
 def _costate_sweep(
     kernel: SplitStepKernel,
     lam_final: np.ndarray,
     samples: np.ndarray,
-    work: tuple[np.ndarray, np.ndarray, np.ndarray],
+    work: tuple[np.ndarray, ...],
 ) -> tuple[np.ndarray, np.ndarray]:
     """The costates under the old field, integrated from T to t0.
 
     Fills and returns the first two of the `_work_arrays`: lam_j for every
-    step as the (dim, n_steps, M) buffer, and the (n_steps, dim, M) array
-    V^T D* lam_{j+1}: the coefficients that the adjoint of step j forms on
-    its way, kept for the delta3 cross-term of step j.  Every adjoint phase
-    comes from one table over the old field, written into the third.  The
-    costate advances in place in one (dim, M) block, a copy of `lam_final`,
-    and each step copies it and its coefficients out into the buffers.
+    step as the step-major (n_steps, dim, M) buffer, and the (n_steps, dim,
+    M) array V^T D* lam_{j+1}: the coefficients that the adjoint of step j
+    forms on its way, kept for the delta3 cross-term of step j.  The
+    adjoint phases of the old field reach the steps `CHUNK_STEPS` at a time
+    through the chunk scratch, at full width.  The adjoint of step j reads
+    lam_{j+1} from its slot of the buffer (a copy of `lam_final` for the
+    last step) and writes lam_j and its coefficients straight into slot j
+    of the two arrays, so nothing is copied out per step.
     """
-    lam_buffer, coeffs, table = work
+    lam_buffer, coeffs, scratch = work
     adjoint = kernel.adjoint()
     buffers = adjoint.buffers(lam_final)
-    phases = adjoint.phase_table(samples, out=table)
     lam = np.array(lam_final, dtype=complex, order="C")
     fields = samples[:-1].tolist()
-    for j in range(len(fields) - 1, -1, -1):
-        phase = phases[j] if fields[j] != 0.0 else None
-        adjoint.step_into(buffers, lam, lam, phase, coefficients=True)
-        coeffs[j] = buffers.c
-        lam_buffer[:, j] = lam
+    for start in reversed(range(0, len(fields), CHUNK_STEPS)):
+        stop = min(start + CHUNK_STEPS, len(fields))
+        phases = _chunk_phases(adjoint, samples, start, stop, scratch)
+        for j in range(stop - 1, start - 1, -1):
+            phase = phases[j - start] if fields[j] != 0.0 else None
+            lam_j = lam_buffer[j]
+            adjoint.step_into(buffers, lam, lam_j, phase, coeffs[j])
+            lam = lam_j
     return lam_buffer, coeffs
 
 
-def _apply_z(kernel: SplitStepKernel, lam_buffer: np.ndarray) -> np.ndarray:
-    """z lam_j in place of lam_j, returned as an (n_steps, dim, M) view.
+def _apply_z(
+    kernel: SplitStepKernel, lam_buffer: np.ndarray, scratch: np.ndarray | None = None
+) -> np.ndarray:
+    """z lam_j in place of lam_j; returns the (n_steps, dim, M) buffer itself.
 
-    Column pairs of the buffer's float64 view hold each lam_j's real and
-    imaginary parts, so z acts on `Z_CHUNK_STEPS` steps as one real product.
+    z acts on `CHUNK_STEPS` steps as one real product.  Each chunk is
+    copied, transposed, into a contiguous (dim, steps x M) block of the
+    `_chunk_scratch`, whose float64 view holds each lam_j's real and
+    imaginary parts as a column pair: the (dim, steps x 2M) operand that z
+    met when the costates were stored dim-major, so the product has the
+    same bits.  It goes into the other block and is copied back.
+    `scratch` is allocated when not given.
     """
-    dim, _, n_members = lam_buffer.shape
-    flat = lam_buffer.reshape(dim, -1).view(np.float64)
-    width = 2 * n_members * Z_CHUNK_STEPS
-    for start in range(0, flat.shape[1], width):
-        chunk = flat[:, start : start + width]
-        chunk[...] = kernel.z @ chunk
-    return lam_buffer.transpose(1, 0, 2)
+    n_steps, dim, n_members = lam_buffer.shape
+    if scratch is None:
+        scratch = _chunk_scratch(dim, n_members)
+    for start in range(0, n_steps, CHUNK_STEPS):
+        chunk = lam_buffer[start : start + CHUNK_STEPS]
+        src, dst = (block.reshape(-1)[: chunk.size].reshape(dim, -1) for block in scratch)
+        np.copyto(src.reshape(dim, -1, n_members), chunk.transpose(1, 0, 2))
+        np.dot(kernel.z, src.view(np.float64), out=dst.view(np.float64))
+        np.copyto(chunk, dst.reshape(dim, -1, n_members).transpose(1, 0, 2))
+    return lam_buffer
 
 
 def _update_sweep(
@@ -234,7 +281,7 @@ def _update_sweep(
     pulse: PulseGrid,
     penalty: PenaltySchedule,
     update_mode: str,
-    table: np.ndarray | None,
+    scratch: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray, complex]:
     """Forward sweep with immediate field feedback, shared by all members.
 
@@ -244,38 +291,51 @@ def _update_sweep(
     and then the whole block advances through the step under that new
     value.  Returns the new field samples, the final block and the
     cross-term sum_j <lam(t_{j+1})| (S_new - S_old) psi(t_j)> needed for the
-    delta3 diagnostic.  The old field's phases P(E_old) come from one table,
-    written into `table` when it is given; only P(E_new), which depends on
-    the feedback, is formed per step, into the step buffers.  The block
-    advances in place in a copy of `psi0`, which is left as it was; where a
-    sample changes, the step's c and P_new c stay in the step buffers for
-    the cross-term.
+    delta3 diagnostic.  The old field's phases P(E_old) reach the steps
+    `CHUNK_STEPS` at a time, at full width, through the chunk `scratch`,
+    which is allocated when not given; only P(E_new), which depends on the
+    feedback, is formed per step, as a column in the step buffers.  The
+    block advances in place in a copy of `psi0`, which is left as it was;
+    where a sample changes, the step's c and P_new c stay in the step
+    buffers for the cross-term.
     """
     if update_mode not in UPDATE_MODES:
         raise InvalidSpecError(f"unknown update mode {update_mode!r}")
     old = pulse.samples.astype(float)
     new_samples = old.copy()
-    old_phases = kernel.phase_table(old, out=table)
     buffers = kernel.buffers(psi0)
+    if scratch is None:
+        scratch = _chunk_scratch(*buffers.x.shape)
     psi = np.array(psi0, dtype=complex, order="C")
     cross_term = 0.0 + 0.0j
     weights = penalty.samples.tolist()
-    for j, e_old in enumerate(old[:-1].tolist()):
-        increment = float(np.vdot(z_lam[j], psi).imag) / weights[j]
-        e_new = e_old + increment if update_mode == "add" else increment
-        new_samples[j] = e_new
-        changed = e_new != e_old
-        phase = kernel.phase(e_new, buffers.p)
-        # A zero field keeps the step diagonal, but a changed one still
-        # forms c and b = P_new c for the cross-term below.
-        kernel.step_into(buffers, psi, psi, phase if e_new != 0.0 else None, coefficients=changed)
-        if changed:
-            # <lam_{j+1}| D V (P_new - P_old) c> with c = V^T D psi_j.
-            if e_new == 0.0:
-                np.multiply(phase, buffers.c, out=buffers.b)
-            np.multiply(old_phases[j], buffers.c, out=buffers.x)
-            np.subtract(buffers.b, buffers.x, out=buffers.x)
-            cross_term += np.vdot(coeffs[j], buffers.x)
+    fields = old[:-1].tolist()
+    for start in range(0, len(fields), CHUNK_STEPS):
+        stop = min(start + CHUNK_STEPS, len(fields))
+        old_phases = _chunk_phases(kernel, old, start, stop, scratch)
+        for j in range(start, stop):
+            e_old = fields[j]
+            increment = float(np.vdot(z_lam[j], psi).imag) / weights[j]
+            e_new = e_old + increment if update_mode == "add" else increment
+            new_samples[j] = e_new
+            changed = e_new != e_old
+            phase = kernel.phase(e_new, buffers.p)
+            # A zero field keeps the step diagonal, but a changed one still
+            # forms c and b = P_new c for the cross-term below.
+            kernel.step_into(
+                buffers,
+                psi,
+                psi,
+                phase if e_new != 0.0 else None,
+                buffers.c if changed else None,
+            )
+            if changed:
+                # <lam_{j+1}| D V (P_new - P_old) c> with c = V^T D psi_j.
+                if e_new == 0.0:
+                    np.multiply(phase, buffers.c, out=buffers.b)
+                np.multiply(old_phases[j - start], buffers.c, out=buffers.x)
+                np.subtract(buffers.b, buffers.x, out=buffers.x)
+                cross_term += np.vdot(coeffs[j], buffers.x)
     return new_samples, psi, cross_term
 
 
@@ -386,7 +446,7 @@ def _iterate(
     pulse: PulseGrid,
     penalty: PenaltySchedule,
     update_mode: str,
-    work: tuple[np.ndarray, np.ndarray, np.ndarray],
+    work: tuple[np.ndarray, ...],
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """One backward sweep and one update sweep: new field, final block, delta3.
 
@@ -396,8 +456,9 @@ def _iterate(
     lam_final = np.zeros_like(final)
     lam_final[targets] = final[targets]
     lam_buffer, coeffs = _costate_sweep(kernel, lam_final, pulse.samples, work)
+    z_lam = _apply_z(kernel, lam_buffer, work[2])
     new_samples, new_final, cross_term = _update_sweep(
-        kernel, psi0, _apply_z(kernel, lam_buffer), coeffs, pulse, penalty, update_mode, work[2]
+        kernel, psi0, z_lam, coeffs, pulse, penalty, update_mode, work[2]
     )
     boundary = np.vdot(lam_final, new_final - final)
     return new_samples, new_final, float(2.0 * (boundary - cross_term).real)

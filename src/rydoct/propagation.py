@@ -18,13 +18,17 @@ matrix multiplies a complex block through the block's float64 view, in
 which each complex column is a (real, imaginary) pair of real columns.
 That is one real product with twice the columns, half the flops of the
 complex product and no cast.  One step costs two such products on the
-block, V^T (D block) and V (P_j c); a step whose field sample is exactly
+block, V^T (D block) and V (P_j c), taken with `np.dot`, which hands the
+contiguous views straight to BLAS; a step whose field sample is exactly
 zero skips both and stays diagonal.  A sweep checks its block's shape and
 allocates its scratch blocks (`StepBuffers`) once, before its first step;
 each step then runs in place (`SplitStepKernel.step_into`), as ufunc and
-matrix-product calls that write into those buffers and make no
-temporaries.  The optimization engine stores, per iteration, only the final
-state block and two costate arrays of n_steps blocks each (z lam_j and
+`np.dot` calls that write into those buffers, or into a slot of the
+caller's arrays, and make no temporaries.  The phase P_j may be a (dim, 1)
+column or a contiguous (dim, M) block; the optimization sweeps pass the
+block, which multiplies element by element instead of row by row.  The
+optimization engine stores, per iteration, only the final state block and
+two step-major costate arrays of n_steps blocks each (z lam_j and
 V^T D* lam_{j+1}, see `control`), never whole forward trajectories.
 
 The public entry points are `propagate`, which runs a state or a block
@@ -142,7 +146,9 @@ class StepBuffers:
     and `b` are complex (dim, M) blocks, and `xf`, `cf` and `bf` their
     float64 views: (dim, 2M) real arrays whose column pairs hold each
     column's real and imaginary parts, so that one real matrix product
-    acts on both.  `p` is a (dim, 1) column for a phase formed step by step.
+    acts on both.  `c` receives a step's coefficients V^T D src unless the
+    step is given a block of its own for them.  `p` is a (dim, 1) column
+    for a phase formed step by step.
     """
 
     def __init__(self, half: np.ndarray, n_members: int):
@@ -212,29 +218,37 @@ class SplitStepKernel:
         src: np.ndarray,
         dst: np.ndarray,
         phase: np.ndarray | None,
-        coefficients: bool = False,
+        coefficients: np.ndarray | None = None,
     ) -> None:
         """One step from `src` into `dst`, which may be `src` itself.
 
-        `phase` is the column P(E), or None for E = 0, where the step is the
-        diagonal D (D src), so amplitudes that are exactly zero stay zero.
-        The coefficients c = V^T D src are left in `buffers.c`, and P c in
-        `buffers.b`; a zero-field step forms c only if `coefficients` is set.
+        `phase` is P(E), as a (dim, 1) column or a full-width (dim, M)
+        block, or None for E = 0, where the step is the diagonal D (D src),
+        so amplitudes that are exactly zero stay zero.  The coefficients
+        c = V^T D src go into `coefficients`, a C-contiguous complex
+        (dim, M) block, when it is given, and into `buffers.c` otherwise;
+        P c is left in `buffers.b`.  A zero-field step forms c only when
+        `coefficients` is given.  `src` is read in full before `dst` is
+        written, so a sweep can step from one slot of a buffer into another.
+        V^T and V are applied with `np.dot`, which passes the contiguous
+        float64 views straight to BLAS.
         """
-        x, c = buffers.x, buffers.c
+        x = buffers.x
         np.multiply(buffers.half, src, out=x)
-        if phase is not None or coefficients:
-            np.matmul(self.vt, buffers.xf, out=buffers.cf)
+        if coefficients is None and phase is not None:
+            coefficients = buffers.c
+        if coefficients is not None:
+            np.dot(self.vt, buffers.xf, out=coefficients.view(np.float64))
         if phase is not None:
-            np.multiply(phase, c, out=buffers.b)
-            np.matmul(self.v, buffers.bf, out=buffers.xf)
+            np.multiply(phase, coefficients, out=buffers.b)
+            np.dot(self.v, buffers.bf, out=buffers.xf)
         np.multiply(buffers.half, x, out=dst)
 
     def coefficients(self, block: np.ndarray) -> np.ndarray:
         """c = V^T D block, the first half step in the z eigenbasis."""
         buffers = self.buffers(block)
         np.multiply(buffers.half, block, out=buffers.x)
-        np.matmul(self.vt, buffers.xf, out=buffers.cf)
+        np.dot(self.vt, buffers.xf, out=buffers.cf)
         return buffers.c
 
     def step(self, block: np.ndarray, e_field: float) -> np.ndarray:

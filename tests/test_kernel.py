@@ -5,8 +5,10 @@ initial states and terminal costates on the 55-state production basis, with
 four register members and a field that is nonzero almost everywhere but has
 exact zeros mixed in, so both the zero-field shortcut and the full step run.
 The same set-up bounds the sweeps' memory, pins the in-place sweeps bit for
-bit to the written-out step and to one `step` at a time, and checks that they
-give the same bytes whatever the memory layout of the input block.
+bit to the written-out step and to one `step` at a time, pins the step-major
+costate layout, checks that delta3 flags costates that do not belong to the
+field, and checks that the sweeps give the same bytes whatever the memory
+layout of the input block.
 """
 
 import tracemalloc
@@ -14,6 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from rydoct import control
 from rydoct import (
     InvalidSpecError,
     PenaltySchedule,
@@ -235,7 +238,66 @@ def test_costate_sweep_is_the_adjoint_step_loop(setup):
     for j in range(pulse.n_steps - 1, -1, -1):
         assert np.array_equal(coeffs[j], adjoint.coefficients(lam))
         lam = adjoint.step(lam, float(pulse.samples[j]))
-        assert np.array_equal(lam_buffer[:, j], lam)
+        assert np.array_equal(lam_buffer[j], lam)
+
+
+def test_apply_z_returns_the_step_major_buffer(setup):
+    h, pulse, kernel = setup["h"], setup["pulse"], setup["kernel"]
+    work = _work_arrays(pulse.n_steps, h.dim, len(MARKED))
+    lam_final = np.stack(setup["lam_final"], axis=1)
+    lam_buffer, _ = _costate_sweep(kernel, lam_final, pulse.samples, work)
+    z_lam = _apply_z(kernel, lam_buffer)
+    assert z_lam is lam_buffer
+    assert z_lam.shape == (pulse.n_steps, h.dim, len(MARKED))
+    assert z_lam.flags.c_contiguous
+
+
+def test_apply_z_is_the_dim_major_chunk_product(setup):
+    # Bit for bit, the product that z lam_j had when the costates were
+    # stored dim-major: z times 64 steps of the (dim, n_steps x 2M) float64
+    # view at a time.
+    h, pulse, kernel = setup["h"], setup["pulse"], setup["kernel"]
+    work = _work_arrays(pulse.n_steps, h.dim, len(MARKED))
+    lam_final = np.stack(setup["lam_final"], axis=1)
+    lam_buffer, _ = _costate_sweep(kernel, lam_final, pulse.samples, work)
+    dim_major = np.ascontiguousarray(lam_buffer.transpose(1, 0, 2))
+    flat = dim_major.reshape(h.dim, -1).view(np.float64)
+    width = 2 * len(MARKED) * 64
+    for start in range(0, flat.shape[1], width):
+        chunk = flat[:, start : start + width]
+        chunk[...] = kernel.z @ chunk
+    z_lam = _apply_z(kernel, lam_buffer, work[2])
+    assert pulse.n_steps % 64 != 0
+    for j in range(pulse.n_steps):
+        assert np.array_equal(z_lam[j], dim_major[:, j])
+
+
+def test_delta3_flags_costates_that_do_not_belong_to_the_field(setup, monkeypatch):
+    # delta3 vanishes only when every costate slot holds the adjoint of
+    # the field that the update sweep steps under: costates swept under a
+    # scaled field, or coefficients one slot off, must show.
+    h, pulse, kernel, penalty = setup["h"], setup["pulse"], setup["kernel"], setup["penalty"]
+    psi0 = np.stack(setup["psi0"], axis=1)
+    final = kernel.evolve(psi0, pulse.samples)
+    targets = (np.array([h.index(bit) for bit in MARKED]), np.arange(len(MARKED)))
+
+    def delta3():
+        work = _work_arrays(pulse.n_steps, h.dim, len(MARKED))
+        return _iterate(kernel, psi0, final, targets, pulse, penalty, "replace", work)[2]
+
+    assert abs(delta3()) <= 1e-10
+    sweep = control._costate_sweep
+
+    def scaled_field(kernel, lam_final, samples, work):
+        return sweep(kernel, lam_final, 1.01 * samples, work)
+
+    def rolled_coefficients(*args):
+        lam_buffer, coeffs = sweep(*args)
+        return lam_buffer, np.roll(coeffs, 1, axis=0)
+
+    for broken in (scaled_field, rolled_coefficients):
+        monkeypatch.setattr(control, "_costate_sweep", broken)
+        assert abs(delta3()) > 1e-6
 
 
 def _layouts(h, rng):
