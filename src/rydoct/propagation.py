@@ -192,12 +192,13 @@ class SplitStepKernel:
         return np.exp(column, out=column)
 
     def phase_table(self, samples: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """P(E_j) for every step at once, as (n_steps, dim, 1) columns.
+        """P(E_j) for every step of `samples` at once, as (n_steps, dim, 1) columns.
 
         Row j equals `phase(samples[j])` exactly: the same product and the
         same elementwise exp, one vectorised call for the whole grid, taken
         in place so that only one table is ever held.  The table is written
-        into `out` when it is given.
+        into `out` when it is given; the sweeps take it for one chunk of
+        steps at a time.
         """
         table = np.multiply(samples[:-1, None, None], self.exponent, out=out)
         return np.exp(table, out=table)

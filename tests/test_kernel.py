@@ -241,21 +241,11 @@ def test_costate_sweep_is_the_adjoint_step_loop(setup):
         assert np.array_equal(lam_buffer[j], lam)
 
 
-def test_apply_z_returns_the_step_major_buffer(setup):
-    h, pulse, kernel = setup["h"], setup["pulse"], setup["kernel"]
-    work = _work_arrays(pulse.n_steps, h.dim, len(MARKED))
-    lam_final = np.stack(setup["lam_final"], axis=1)
-    lam_buffer, _ = _costate_sweep(kernel, lam_final, pulse.samples, work)
-    z_lam = _apply_z(kernel, lam_buffer)
-    assert z_lam is lam_buffer
-    assert z_lam.shape == (pulse.n_steps, h.dim, len(MARKED))
-    assert z_lam.flags.c_contiguous
-
-
-def test_apply_z_is_the_dim_major_chunk_product(setup):
-    # Bit for bit, the product that z lam_j had when the costates were
-    # stored dim-major: z times 64 steps of the (dim, n_steps x 2M) float64
-    # view at a time.
+def test_apply_z_is_the_dim_major_chunk_product_in_place(setup):
+    # z lam_j replaces lam_j in the step-major buffer, which comes back
+    # itself, and equals bit for bit the product that z lam_j had when the
+    # costates were stored dim-major: z times 64 steps of the
+    # (dim, n_steps x 2M) float64 view at a time, the last chunk a short one.
     h, pulse, kernel = setup["h"], setup["pulse"], setup["kernel"]
     work = _work_arrays(pulse.n_steps, h.dim, len(MARKED))
     lam_final = np.stack(setup["lam_final"], axis=1)
@@ -266,10 +256,14 @@ def test_apply_z_is_the_dim_major_chunk_product(setup):
     for start in range(0, flat.shape[1], width):
         chunk = flat[:, start : start + width]
         chunk[...] = kernel.z @ chunk
-    z_lam = _apply_z(kernel, lam_buffer, work[2])
     assert pulse.n_steps % 64 != 0
-    for j in range(pulse.n_steps):
-        assert np.array_equal(z_lam[j], dim_major[:, j])
+    for scratch in (work[2], None):
+        z_lam = _apply_z(kernel, lam_buffer.copy(), scratch)
+        assert z_lam.shape == (pulse.n_steps, h.dim, len(MARKED))
+        assert z_lam.flags.c_contiguous
+        for j in range(pulse.n_steps):
+            assert np.array_equal(z_lam[j], dim_major[:, j])
+    assert _apply_z(kernel, lam_buffer) is lam_buffer
 
 
 def test_delta3_flags_costates_that_do_not_belong_to_the_field(setup, monkeypatch):
