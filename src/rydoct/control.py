@@ -22,9 +22,13 @@ back to t0 under the old field; the engine then applies z to them in place
 (`_apply_z`).  `_update_sweep` is the forward sweep with feedback.  The
 sweeps fill work arrays that the engine allocates once per run
 (`_work_arrays`): two step-major (n_steps, dim, M) costate arrays, whose
-per-step blocks are contiguous, and one scratch of `CHUNK_STEPS` steps
-that carries the old field's phases at full (dim, M) width and, between
-the sweeps, the transposed chunks that z multiplies.  Each sweep also
+per-step blocks are contiguous; one (n_steps, dim, 1) table of the swept
+field's phases P(E_j); and one scratch of `CHUNK_STEPS` steps that carries
+those phases at full (dim, M) width and, between the sweeps, the
+transposed chunks that z multiplies.  Each field's phases are formed once:
+the engine fills the table from the guess, and the update sweep writes the
+phase of each new sample into its row, so the table it leaves is the next
+iteration's old field.  Each sweep also
 takes its (dim, M) step buffers once, before its first step, and then
 advances its block with `SplitStepKernel.step_into`, writing in place or
 straight into its slot of the costate arrays, so that no step makes a
@@ -73,8 +77,8 @@ STALL_BUMP_AMPLITUDE = 1e-10
 MONOTONICITY_SLACK = 1e-9
 #: The field update rules; see the module docstring.
 UPDATE_MODES = ("replace", "add")
-#: Steps per chunk: per real matrix product when the engine applies z to
-#: the costates, and per block of full-width phases in a sweep.
+#: Steps per block of full-width phases in a sweep; the engine applies z
+#: to the costates half a chunk at a time, as one real matrix product.
 CHUNK_STEPS = 64
 
 
@@ -167,51 +171,43 @@ def backward_propagate(
     """
     kernel = SplitStepKernel(h, zsys, pulse.dt)
     lam_final = np.array(costate_final.amplitudes, dtype=complex).reshape(h.dim, 1)
-    lam_buffer, _ = _costate_sweep(
-        kernel, lam_final, pulse.samples, _work_arrays(pulse.n_steps, h.dim, 1)
-    )
+    work = _work_arrays(pulse.n_steps, h.dim, 1)
+    kernel.phase_table(pulse.samples, out=work[3])
+    lam_buffer, _ = _costate_sweep(kernel, lam_final, pulse.samples, work)
     return np.concatenate([lam_buffer[:, :, 0], lam_final.T])
 
 
 def _work_arrays(n_steps: int, dim: int, n_members: int) -> tuple[np.ndarray, ...]:
-    """The arrays one iteration's sweeps fill: the (n_steps, dim, M) costate
-    buffer, the (n_steps, dim, M) coefficient array and the chunk scratch
-    (see `_chunk_scratch`).  Allocated once per run and refilled every
-    iteration, they stay mapped instead of going back to the system between
-    iterations."""
+    """The arrays a run's sweeps fill: the (n_steps, dim, M) costate
+    buffer, the (n_steps, dim, M) coefficient array, the chunk scratch (see
+    `_chunk_scratch`) and the (n_steps, dim, 1) phase table.
+
+    Row j of the table is P(E_j) of the field being swept, as
+    `SplitStepKernel.phase_table` forms it; the table starts as that of a
+    zero field, all ones.  The engine fills it from the guess, the costate
+    sweep reads it, and the update sweep writes the phase of each new sample
+    into its row, so that it holds the new field when the iteration ends.
+    Allocated once per run, the arrays stay mapped instead of going back to
+    the system between iterations.
+    """
     return (
         np.empty((n_steps, dim, n_members), dtype=complex),
         np.empty((n_steps, dim, n_members), dtype=complex),
         _chunk_scratch(dim, n_members),
+        np.ones((n_steps, dim, 1), dtype=complex),
     )
 
 
 def _chunk_scratch(dim: int, n_members: int) -> np.ndarray:
-    """Two (CHUNK_STEPS, dim, M) complex blocks, the only chunk-sized arrays.
+    """One (CHUNK_STEPS, dim, M) complex block, the only chunk-sized array.
 
-    A sweep forms the phases of `CHUNK_STEPS` steps at a time as columns in
-    the second block and broadcasts them into the first (`_chunk_phases`),
-    so that each step multiplies a contiguous (dim, M) phase rather than a
-    column broadcast row by row.  `_apply_z`, which runs between the
-    sweeps, uses the two as one transposed chunk of costates and its
-    product with z.
+    A sweep copies `CHUNK_STEPS` rows of the phase table into it at a time,
+    broadcast to full width, so that each step multiplies a contiguous
+    (dim, M) phase rather than a column broadcast row by row.  `_apply_z`,
+    which runs between the sweeps, uses its two halves as one transposed
+    half chunk of costates and its product with z.
     """
-    return np.empty((2, CHUNK_STEPS, dim, n_members), dtype=complex)
-
-
-def _chunk_phases(
-    kernel: SplitStepKernel, samples: np.ndarray, start: int, stop: int, scratch: np.ndarray
-) -> np.ndarray:
-    """P(E_j) for steps start..stop-1 at full width, a (steps, dim, M) block.
-
-    The columns come from `phase_table`, so they are the per-step phases
-    exactly; only the first `stop - start` rows of the scratch are used.
-    """
-    wide = scratch[0, : stop - start]
-    steps, dim, _ = wide.shape
-    columns = scratch[1].reshape(-1)[: steps * dim].reshape(steps, dim, 1)
-    np.copyto(wide, kernel.phase_table(samples[start : stop + 1], out=columns))
-    return wide
+    return np.empty((CHUNK_STEPS, dim, n_members), dtype=complex)
 
 
 def _costate_sweep(
@@ -225,21 +221,26 @@ def _costate_sweep(
     Fills and returns the first two of the `_work_arrays`: lam_j for every
     step as the step-major (n_steps, dim, M) buffer, and the (n_steps, dim,
     M) array V^T D* lam_{j+1}: the coefficients that the adjoint of step j
-    forms on its way, kept for the delta3 cross-term of step j.  The
-    adjoint phases of the old field reach the steps `CHUNK_STEPS` at a time
-    through the chunk scratch, at full width.  The adjoint of step j reads
-    lam_{j+1} from its slot of the buffer (a copy of `lam_final` for the
-    last step) and writes lam_j and its coefficients straight into slot j
-    of the two arrays, so nothing is copied out per step.
+    forms on its way, kept for the delta3 cross-term of step j.  The old
+    field's phases come from the work arrays' phase table, which must hold
+    P(E_j) of `samples`; `samples` itself only marks the zero-field steps.
+    They reach the steps `CHUNK_STEPS` at a time, copied into the chunk
+    scratch at full width and conjugated there, which is the adjoint phase
+    bit for bit.  The adjoint of step j reads lam_{j+1} from its slot of
+    the buffer (a copy of `lam_final` for the last step) and writes lam_j
+    and its coefficients straight into slot j of the two arrays, so nothing
+    is copied out per step.
     """
-    lam_buffer, coeffs, scratch = work
+    lam_buffer, coeffs, scratch, table = work
     adjoint = kernel.adjoint()
     buffers = adjoint.buffers(lam_final)
     lam = np.array(lam_final, dtype=complex, order="C")
     fields = samples[:-1].tolist()
     for start in reversed(range(0, len(fields), CHUNK_STEPS)):
         stop = min(start + CHUNK_STEPS, len(fields))
-        phases = _chunk_phases(adjoint, samples, start, stop, scratch)
+        phases = scratch[: stop - start]
+        np.copyto(phases, table[start:stop])
+        np.conjugate(phases, out=phases)
         for j in range(stop - 1, start - 1, -1):
             phase = phases[j - start] if fields[j] != 0.0 else None
             lam_j = lam_buffer[j]
@@ -253,20 +254,25 @@ def _apply_z(
 ) -> np.ndarray:
     """z lam_j in place of lam_j; returns the (n_steps, dim, M) buffer itself.
 
-    z acts on `CHUNK_STEPS` steps as one real product.  Each chunk is
-    copied, transposed, into a contiguous (dim, steps x M) block of the
-    `_chunk_scratch`, whose float64 view holds each lam_j's real and
-    imaginary parts as a column pair: the (dim, steps x 2M) operand that z
-    met when the costates were stored dim-major, so the product has the
-    same bits.  It goes into the other block and is copied back.
-    `scratch` is allocated when not given.
+    z acts on half a chunk of steps as one real product.  Each half chunk is
+    copied, transposed, into a contiguous (dim, steps x M) block in the
+    first half of the `_chunk_scratch`, whose float64 view holds each
+    lam_j's real and imaginary parts as a column pair: the (dim, steps x
+    2M) operand that z met when the costates were stored dim-major.  Each
+    product column depends only on its operand column, so the product has
+    the same bits as the dim-major one.  It goes into the second half and is
+    copied back.  `scratch` is allocated when not given.
     """
     n_steps, dim, n_members = lam_buffer.shape
     if scratch is None:
         scratch = _chunk_scratch(dim, n_members)
-    for start in range(0, n_steps, CHUNK_STEPS):
-        chunk = lam_buffer[start : start + CHUNK_STEPS]
-        src, dst = (block.reshape(-1)[: chunk.size].reshape(dim, -1) for block in scratch)
+    half = CHUNK_STEPS // 2
+    for start in range(0, n_steps, half):
+        chunk = lam_buffer[start : start + half]
+        src, dst = (
+            block.reshape(-1)[: chunk.size].reshape(dim, -1)
+            for block in (scratch[:half], scratch[half:])
+        )
         np.copyto(src.reshape(dim, -1, n_members), chunk.transpose(1, 0, 2))
         np.dot(kernel.z, src.view(np.float64), out=dst.view(np.float64))
         np.copyto(chunk, dst.reshape(dim, -1, n_members).transpose(1, 0, 2))
@@ -281,7 +287,8 @@ def _update_sweep(
     pulse: PulseGrid,
     penalty: PenaltySchedule,
     update_mode: str,
-    scratch: np.ndarray | None,
+    scratch: np.ndarray,
+    table: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, complex]:
     """Forward sweep with immediate field feedback, shared by all members.
 
@@ -291,35 +298,35 @@ def _update_sweep(
     and then the whole block advances through the step under that new
     value.  Returns the new field samples, the final block and the
     cross-term sum_j <lam(t_{j+1})| (S_new - S_old) psi(t_j)> needed for the
-    delta3 diagnostic.  The old field's phases P(E_old) reach the steps
-    `CHUNK_STEPS` at a time, at full width, through the chunk `scratch`,
-    which is allocated when not given; only P(E_new), which depends on the
-    feedback, is formed per step, as a column in the step buffers.  The
-    block advances in place in a copy of `psi0`, which is left as it was;
-    where a sample changes, the step's c and P_new c stay in the step
-    buffers for the cross-term.
+    delta3 diagnostic.  `table` is the phase table of the work arrays (see
+    `_work_arrays`) and holds P(E_old) of `pulse` on entry; the old phases
+    reach the steps `CHUNK_STEPS` at a time, copied into the chunk
+    `scratch` at full width.  Only P(E_new), which depends on the feedback,
+    is formed per step, as a column written into row j of the table, so
+    that the table holds P(E_new) on return.  The block advances in place in
+    a copy of `psi0`, which is left as it was; where a sample changes, the
+    step's c and P_new c stay in the step buffers for the cross-term.
     """
     if update_mode not in UPDATE_MODES:
         raise InvalidSpecError(f"unknown update mode {update_mode!r}")
     old = pulse.samples.astype(float)
     new_samples = old.copy()
     buffers = kernel.buffers(psi0)
-    if scratch is None:
-        scratch = _chunk_scratch(*buffers.x.shape)
     psi = np.array(psi0, dtype=complex, order="C")
     cross_term = 0.0 + 0.0j
     weights = penalty.samples.tolist()
     fields = old[:-1].tolist()
     for start in range(0, len(fields), CHUNK_STEPS):
         stop = min(start + CHUNK_STEPS, len(fields))
-        old_phases = _chunk_phases(kernel, old, start, stop, scratch)
+        old_phases = scratch[: stop - start]
+        np.copyto(old_phases, table[start:stop])
         for j in range(start, stop):
             e_old = fields[j]
             increment = float(np.vdot(z_lam[j], psi).imag) / weights[j]
             e_new = e_old + increment if update_mode == "add" else increment
             new_samples[j] = e_new
             changed = e_new != e_old
-            phase = kernel.phase(e_new, buffers.p)
+            phase = kernel.phase(e_new, table[j])
             # A zero field keeps the step diagonal, but a changed one still
             # forms c and b = P_new c for the cross-term below.
             kernel.step_into(
@@ -361,8 +368,9 @@ def forward_update_sweep(
     z_lam = (costates[:-1] @ kernel.z.T)[:, :, None]
     coeffs = kernel.adjoint().coefficients(costates[1:].T).T[:, :, None]
     psi = np.asarray(psi0.amplitudes, dtype=complex).reshape(h.dim, 1)
+    table = kernel.phase_table(pulse.samples)
     new_samples, final, _ = _update_sweep(
-        kernel, psi, z_lam, coeffs, pulse, penalty, update_mode, None
+        kernel, psi, z_lam, coeffs, pulse, penalty, update_mode, _chunk_scratch(h.dim, 1), table
     )
     return pulse.with_samples(new_samples), WavePacket(final[:, 0], time=pulse.horizon)
 
@@ -450,15 +458,16 @@ def _iterate(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """One backward sweep and one update sweep: new field, final block, delta3.
 
-    Both sweeps write into `work` (see `_work_arrays`), which holds nothing
-    from one iteration to the next.
+    Both sweeps write into `work` (see `_work_arrays`).  Its phase table
+    must hold the phases of `pulse` and holds those of the new field on
+    return; that is all that one iteration hands to the next.
     """
     lam_final = np.zeros_like(final)
     lam_final[targets] = final[targets]
     lam_buffer, coeffs = _costate_sweep(kernel, lam_final, pulse.samples, work)
     z_lam = _apply_z(kernel, lam_buffer, work[2])
     new_samples, new_final, cross_term = _update_sweep(
-        kernel, psi0, z_lam, coeffs, pulse, penalty, update_mode, work[2]
+        kernel, psi0, z_lam, coeffs, pulse, penalty, update_mode, *work[2:]
     )
     boundary = np.vdot(lam_final, new_final - final)
     return new_samples, new_final, float(2.0 * (boundary - cross_term).real)
@@ -484,7 +493,9 @@ def _run_engine(
     psi0 = np.stack([np.asarray(amps0, dtype=complex) for amps0, _ in members], axis=1)
     targets = (np.array([k for _, k in members]), np.arange(len(members)))
     pulse = problem.guess
-    final = kernel.evolve(psi0, pulse.samples)
+    work = _work_arrays(pulse.n_steps, h.dim, len(members))
+    table = work[3]
+    final = kernel.evolve(psi0, pulse.samples, kernel.phase_table(pulse.samples, out=table))
 
     if np.any(final[targets] == 0.0):
         warnings.warn(
@@ -493,9 +504,8 @@ def _run_engine(
             stacklevel=2,
         )
         pulse = _apply_stall_bump(pulse)
-        final = kernel.evolve(psi0, pulse.samples)
+        final = kernel.evolve(psi0, pulse.samples, kernel.phase_table(pulse.samples, out=table))
 
-    work = _work_arrays(pulse.n_steps, h.dim, len(members))
     guess_yields = np.abs(final[targets]) ** 2
     j_prev = sum(guess_yields) - evaluate_cost(pulse, penalty)
     guess_j = j_prev

@@ -53,9 +53,10 @@ from .units import parse_quantity
 SCHEMA_VERSION = 1
 
 #: Most steps a guess grid may have, round(pulse.horizon / pulse.dt).  An
-#: optimization sweep holds two arrays of n_steps x dim x members complex
-#: amplitudes (16 B each), so at this limit a 55-state basis with 4 members
-#: needs 0.70 GB for them.
+#: optimization run holds two arrays of n_steps x dim x members complex
+#: amplitudes (16 B each) and one n_steps x dim table of complex phases, so
+#: at this limit a 55-state basis with 4 members needs 0.70 GB for the
+#: arrays and 88 MB for the table.
 MAX_PULSE_STEPS = 100_000
 
 #: Most radial values a basis build may hold, basis.grid_points x states.

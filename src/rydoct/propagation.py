@@ -27,9 +27,11 @@ each step then runs in place (`SplitStepKernel.step_into`), as ufunc and
 caller's arrays, and make no temporaries.  The phase P_j may be a (dim, 1)
 column or a contiguous (dim, M) block; the optimization sweeps pass the
 block, which multiplies element by element instead of row by row.  The
-optimization engine stores, per iteration, only the final state block and
-two step-major costate arrays of n_steps blocks each (z lam_j and
-V^T D* lam_{j+1}, see `control`), never whole forward trajectories.
+optimization engine stores, per iteration, only the final state block, two
+step-major costate arrays of n_steps blocks each (z lam_j and
+V^T D* lam_{j+1}) and one (n_steps, dim, 1) table of the swept field's
+phases P_j, which it forms once per field (see `control`), never whole
+forward trajectories.
 
 The public entry points are `propagate`, which runs a state or a block
 across a pulse grid (optionally with an absorber on chosen states), and the
@@ -197,8 +199,9 @@ class SplitStepKernel:
         Row j equals `phase(samples[j])` exactly: the same product and the
         same elementwise exp, one vectorised call for the whole grid, taken
         in place so that only one table is ever held.  The table is written
-        into `out` when it is given; the sweeps take it for one chunk of
-        steps at a time.
+        into `out` when it is given, such as the table that the optimization
+        engine keeps for the field it sweeps, whose rows its update sweep
+        then overwrites with `phase` as it forms the new field.
         """
         table = np.multiply(samples[:-1, None, None], self.exponent, out=out)
         return np.exp(table, out=table)
@@ -260,12 +263,23 @@ class SplitStepKernel:
         self.step_into(buffers, block, out, phase)
         return out
 
-    def evolve(self, block: np.ndarray, samples: np.ndarray) -> np.ndarray:
-        """Final block after one step per sample; the last sample is unused."""
+    def evolve(
+        self, block: np.ndarray, samples: np.ndarray, table: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Final block after one step per sample; the last sample is unused.
+
+        With `table`, the `phase_table` of `samples`, step j reads its phase
+        from row j instead of forming it.
+        """
         buffers = self.buffers(block)
         block = np.array(block, dtype=complex, order="C")
-        for e_field in samples[:-1].tolist():
-            phase = self.phase(e_field, buffers.p) if e_field != 0.0 else None
+        for j, e_field in enumerate(samples[:-1].tolist()):
+            if e_field == 0.0:
+                phase = None
+            elif table is None:
+                phase = self.phase(e_field, buffers.p)
+            else:
+                phase = table[j]
             self.step_into(buffers, block, block, phase)
         return block
 

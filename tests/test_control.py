@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from rydoct import (
     precompute_z_eigensystem,
     propagate,
 )
+from rydoct.control import _apply_stall_bump
 from rydoct.propagation import SplitStepKernel
 from rydoct.pulses import half_cycle_pulse
 
@@ -387,6 +390,12 @@ class TestOptimize:
         with pytest.warns(UserWarning, match="bump"):
             result = optimize(problem, zsys=zsys)
         assert np.any(result.field.samples != 0.0)
+        # Bit for bit the run that starts from the bumped field: the guess
+        # propagation and the phase table both use it.
+        bumped = optimize(replace(problem, guess=_apply_stall_bump(guess)), zsys=zsys)
+        for name in ("j_history", "yield_history", "delta3_history", "final_states"):
+            assert np.array_equal(getattr(result, name), getattr(bumped, name))
+        assert np.array_equal(result.field.samples, bumped.field.samples)
 
     def test_problem_validation(self):
         h, zsys = two_level()

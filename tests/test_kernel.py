@@ -43,6 +43,14 @@ MARKED = ["25p", "26p", "27p", "28p"]
 DT = 413.41373333565624
 
 
+def _filled_work(kernel, pulse, n_members):
+    """Work arrays whose phase table holds the phases of `pulse`, as the engine
+    fills it from the guess."""
+    work = _work_arrays(pulse.n_steps, kernel.h.dim, n_members)
+    kernel.phase_table(pulse.samples, out=work[3])
+    return work
+
+
 @pytest.fixture(scope="module")
 def setup(cesium_h, cesium_zsys):
     n_samples = 801
@@ -68,7 +76,7 @@ def setup(cesium_h, cesium_zsys):
         for lam in lam_final
     ]
     kernel = SplitStepKernel(cesium_h, cesium_zsys, DT)
-    work = _work_arrays(pulse.n_steps, cesium_h.dim, len(MARKED))
+    work = _filled_work(kernel, pulse, len(MARKED))
     lam_buffer, coeffs = _costate_sweep(kernel, np.stack(lam_final, axis=1), pulse.samples, work)
     z_lam = _apply_z(kernel, lam_buffer)
     return {
@@ -132,6 +140,7 @@ def test_update_sweep_matches_oracle(setup, mode, public):
         )
         samples, final = new_pulse.samples, final.amplitudes[:, None]
     else:
+        work = _filled_work(setup["kernel"], pulse, n_members)
         samples, final, cross = _update_sweep(
             setup["kernel"],
             np.stack(setup["psi0"], axis=1),
@@ -140,9 +149,11 @@ def test_update_sweep_matches_oracle(setup, mode, public):
             pulse,
             penalty,
             mode,
-            None,
+            *work[2:],
         )
         assert abs(cross - expected_cross) <= 1e-12
+        # The sweep leaves the new field's phases in the table.
+        assert np.array_equal(work[3], setup["kernel"].phase_table(samples))
     # Relative to the field's scale: where a new sample crosses zero, the
     # overlap sum cancels and its own relative error is unbounded.
     scale = np.max(np.abs(expected))
@@ -159,37 +170,50 @@ def test_phase_table_rows_are_the_per_step_phases(setup, sign):
     assert table.shape == (len(samples) - 1, setup["h"].dim, 1)
     for j, e_field in enumerate(samples[:-1].tolist()):
         assert np.array_equal(table[j], kernel.phase(e_field))
+    block = np.stack(setup["psi0"], axis=1)
+    assert np.array_equal(kernel.evolve(block, samples, table), kernel.evolve(block, samples))
 
 
-def test_sweeps_hold_two_costate_arrays_and_one_phase_table(setup):
+@pytest.mark.parametrize("n_members", [1, 4])
+def test_sweeps_hold_two_costate_arrays_and_one_phase_table(setup, n_members):
     # The work arrays of a run and two iterations on them, each a backward
     # sweep and an update sweep: z lam and the coefficients are the only
     # step-sized arrays besides one (n_steps, dim) phase table.  The slack
-    # covers the chunk product of z and per-step blocks; one more
-    # costate-sized copy does not fit.
+    # covers the chunk scratch and per-step blocks; one more costate-sized
+    # copy does not fit.
     h, pulse = setup["h"], setup["pulse"]
     kernel, penalty = setup["kernel"], setup["penalty"]
-    psi0 = np.stack(setup["psi0"], axis=1)
+    psi0 = np.stack(setup["psi0"][:n_members], axis=1)
     final = kernel.evolve(psi0, pulse.samples)
-    targets = (np.array([h.index(bit) for bit in MARKED]), np.arange(len(MARKED)))
-    costate_bytes = pulse.n_steps * h.dim * len(MARKED) * 16
+    targets = (np.array([h.index(bit) for bit in MARKED[:n_members]]), np.arange(n_members))
+    costate_bytes = pulse.n_steps * h.dim * n_members * 16
     table_bytes = pulse.n_steps * h.dim * 16
     slack = 512 * 1024
-    args = (kernel, psi0, final, targets, pulse, penalty, "replace")
+
+    def second(work):
+        # The iteration after the first, under the field that it returned.
+        return _iterate(
+            kernel, psi0, new_final, targets, pulse.with_samples(samples), penalty, "replace", work
+        )
+
     tracemalloc.start()
     try:
-        work = _work_arrays(pulse.n_steps, h.dim, len(MARKED))
-        first = _iterate(*args, work)
-        again = _iterate(*args, work)
+        work = _filled_work(kernel, pulse, n_members)
+        samples, new_final, _ = _iterate(
+            kernel, psi0, final, targets, pulse, penalty, "replace", work
+        )
+        again = second(work)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert costate_bytes > slack
     assert peak < 2 * costate_bytes + table_bytes + slack
-    # Refilled arrays carry nothing over from the iteration before.
-    fresh = _iterate(*args, _work_arrays(pulse.n_steps, h.dim, len(MARKED)))
-    for a, b, c in zip(first, again, fresh):
-        assert np.array_equal(a, b) and np.array_equal(a, c)
+    # The reused arrays carry over the field's phases and nothing else.
+    assert not np.array_equal(samples, pulse.samples)
+    fresh = second(_filled_work(kernel, pulse.with_samples(samples), n_members))
+    for a, b in zip(again, fresh):
+        assert np.array_equal(a, b)
+    assert np.array_equal(work[3], kernel.phase_table(again[0]))
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -218,8 +242,9 @@ def test_update_sweep_without_costates_is_evolve(setup):
     kernel, pulse, penalty = setup["kernel"], setup["pulse"], setup["penalty"]
     psi0 = np.stack(setup["psi0"], axis=1)
     zeros = np.zeros_like(setup["z_lam"])
+    work = _filled_work(kernel, pulse, len(MARKED))
     samples, final, cross = _update_sweep(
-        kernel, psi0, zeros, setup["coeffs"], pulse, penalty, "add", None
+        kernel, psi0, zeros, setup["coeffs"], pulse, penalty, "add", *work[2:]
     )
     assert np.array_equal(samples, pulse.samples)
     assert np.array_equal(final, kernel.evolve(psi0, pulse.samples))
@@ -231,7 +256,7 @@ def test_costate_sweep_is_the_adjoint_step_loop(setup):
     # time from T.
     h, pulse, kernel = setup["h"], setup["pulse"], setup["kernel"]
     lam_final = np.stack(setup["lam_final"], axis=1)
-    work = _work_arrays(pulse.n_steps, h.dim, len(MARKED))
+    work = _filled_work(kernel, pulse, len(MARKED))
     lam_buffer, coeffs = _costate_sweep(kernel, lam_final, pulse.samples, work)
     adjoint = kernel.adjoint()
     lam = lam_final
@@ -269,29 +294,46 @@ def test_apply_z_is_the_dim_major_chunk_product_in_place(setup):
 def test_delta3_flags_costates_that_do_not_belong_to_the_field(setup, monkeypatch):
     # delta3 vanishes only when every costate slot holds the adjoint of
     # the field that the update sweep steps under: costates swept under a
-    # scaled field, or coefficients one slot off, must show.
+    # scaled field, coefficients one slot off, or a second iteration whose
+    # phase table the first did not update to its new field, must show.
     h, pulse, kernel, penalty = setup["h"], setup["pulse"], setup["kernel"], setup["penalty"]
     psi0 = np.stack(setup["psi0"], axis=1)
     final = kernel.evolve(psi0, pulse.samples)
     targets = (np.array([h.index(bit) for bit in MARKED]), np.arange(len(MARKED)))
 
     def delta3():
-        work = _work_arrays(pulse.n_steps, h.dim, len(MARKED))
-        return _iterate(kernel, psi0, final, targets, pulse, penalty, "replace", work)[2]
+        # The larger |delta3| of two iterations on one set of work arrays.
+        work = _filled_work(kernel, pulse, len(MARKED))
+        args = (psi0, final, targets, pulse, penalty, "replace", work)
+        samples, new_final, first = _iterate(kernel, *args)
+        args = (psi0, new_final, targets, pulse.with_samples(samples), penalty, "replace", work)
+        return max(abs(first), abs(_iterate(kernel, *args)[2]))
 
-    assert abs(delta3()) <= 1e-10
-    sweep = control._costate_sweep
+    assert delta3() <= 1e-10
+    sweep, update = control._costate_sweep, control._update_sweep
 
     def scaled_field(kernel, lam_final, samples, work):
-        return sweep(kernel, lam_final, 1.01 * samples, work)
+        # The sweep reads its phases from the table, not from `samples`.
+        table = kernel.phase_table(1.01 * samples)
+        return sweep(kernel, lam_final, samples, (*work[:3], table))
 
     def rolled_coefficients(*args):
         lam_buffer, coeffs = sweep(*args)
         return lam_buffer, np.roll(coeffs, 1, axis=0)
 
-    for broken in (scaled_field, rolled_coefficients):
-        monkeypatch.setattr(control, "_costate_sweep", broken)
-        assert abs(delta3()) > 1e-6
+    def stale_table(*args):
+        # P(E_new) goes into a copy, and the table keeps the old field.
+        *rest, table = args
+        return update(*rest, table.copy())
+
+    for name, broken in (
+        ("_costate_sweep", scaled_field),
+        ("_costate_sweep", rolled_coefficients),
+        ("_update_sweep", stale_table),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(control, name, broken)
+            assert delta3() > 1e-6
 
 
 def _layouts(h, rng):
@@ -351,9 +393,9 @@ def test_sweeps_ignore_memory_layout_and_leave_their_input(setup):
     z_lam, coeffs = setup["z_lam"], setup["coeffs"]
 
     def sweeps(block):
-        work = _work_arrays(pulse.n_steps, h.dim, block.shape[1])
+        work = _filled_work(kernel, pulse, block.shape[1])
         lam_buffer, lam_coeffs = _costate_sweep(kernel, block, pulse.samples, work)
-        update = _update_sweep(kernel, block, z_lam, coeffs, pulse, penalty, "replace", None)
+        update = _update_sweep(kernel, block, z_lam, coeffs, pulse, penalty, "replace", *work[2:])
         return (lam_buffer, lam_coeffs, kernel.evolve(block, pulse.samples), *update)
 
     for block, copy in _layouts(h, np.random.default_rng(5))[:2]:
