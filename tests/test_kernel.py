@@ -6,9 +6,10 @@ four register members and a field that is nonzero almost everywhere but has
 exact zeros mixed in, so both the zero-field shortcut and the full step run.
 The same set-up bounds the sweeps' memory, pins the in-place sweeps bit for
 bit to the written-out step and to one `step` at a time, pins the step-major
-costate layout, checks that delta3 flags costates that do not belong to the
-field, and checks that the sweeps give the same bytes whatever the memory
-layout of the input block.
+costate layout and the phase table that one iteration hands to the next,
+checks that delta3 flags costates that do not belong to the field, and
+checks that the sweeps give the same bytes whatever the memory layout of
+the input block.
 """
 
 import tracemalloc
