@@ -25,11 +25,11 @@ sweeps fill work arrays that the engine allocates once per run
 per-step blocks are contiguous; one (n_steps, dim, 1) table of the swept
 field's phases P(E_j); and one scratch of `CHUNK_STEPS` steps that carries
 those phases at full (dim, M) width and, between the sweeps, the
-transposed chunks that z multiplies.  Each field's phases are formed once:
-the engine fills the table from the guess, and the update sweep writes the
-phase of each new sample into its row, so the table it leaves is the next
-iteration's old field.  Each sweep also
-takes its (dim, M) step buffers once, before its first step, and then
+transposed chunks that z multiplies.  Each field's phases are formed once
+for the sweeps: the engine fills the table from the guess, and the update
+sweep writes the phase of each new sample into its row, so the table it
+leaves is the next iteration's old field.  Each sweep also takes its
+(dim, M) step buffers once, before its first step, and then
 advances its block with `SplitStepKernel.step_into`, writing in place or
 straight into its slot of the costate arrays, so that no step makes a
 temporary array or copies a block out.  The public `backward_propagate`
@@ -494,8 +494,8 @@ def _run_engine(
     targets = (np.array([k for _, k in members]), np.arange(len(members)))
     pulse = problem.guess
     work = _work_arrays(pulse.n_steps, h.dim, len(members))
-    table = work[3]
-    final = kernel.evolve(psi0, pulse.samples, kernel.phase_table(pulse.samples, out=table))
+    kernel.phase_table(pulse.samples, out=work[3])
+    final = kernel.evolve(psi0, pulse.samples)
 
     if np.any(final[targets] == 0.0):
         warnings.warn(
@@ -504,7 +504,8 @@ def _run_engine(
             stacklevel=2,
         )
         pulse = _apply_stall_bump(pulse)
-        final = kernel.evolve(psi0, pulse.samples, kernel.phase_table(pulse.samples, out=table))
+        kernel.phase_table(pulse.samples, out=work[3])
+        final = kernel.evolve(psi0, pulse.samples)
 
     guess_yields = np.abs(final[targets]) ** 2
     j_prev = sum(guess_yields) - evaluate_cost(pulse, penalty)

@@ -56,7 +56,8 @@ SCHEMA_VERSION = 1
 #: optimization run holds two arrays of n_steps x dim x members complex
 #: amplitudes (16 B each) and one n_steps x dim table of complex phases, so
 #: at this limit a 55-state basis with 4 members needs 0.70 GB for the
-#: arrays and 88 MB for the table.
+#: arrays and 88 MB for the table, and a 187-state basis with one target
+#: 0.60 GB and 0.30 GB: the table adds half again for a single target.
 MAX_PULSE_STEPS = 100_000
 
 #: Most radial values a basis build may hold, basis.grid_points x states.

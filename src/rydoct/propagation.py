@@ -263,23 +263,12 @@ class SplitStepKernel:
         self.step_into(buffers, block, out, phase)
         return out
 
-    def evolve(
-        self, block: np.ndarray, samples: np.ndarray, table: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Final block after one step per sample; the last sample is unused.
-
-        With `table`, the `phase_table` of `samples`, step j reads its phase
-        from row j instead of forming it.
-        """
+    def evolve(self, block: np.ndarray, samples: np.ndarray) -> np.ndarray:
+        """Final block after one step per sample; the last sample is unused."""
         buffers = self.buffers(block)
         block = np.array(block, dtype=complex, order="C")
-        for j, e_field in enumerate(samples[:-1].tolist()):
-            if e_field == 0.0:
-                phase = None
-            elif table is None:
-                phase = self.phase(e_field, buffers.p)
-            else:
-                phase = table[j]
+        for e_field in samples[:-1].tolist():
+            phase = self.phase(e_field, buffers.p) if e_field != 0.0 else None
             self.step_into(buffers, block, block, phase)
         return block
 
