@@ -28,13 +28,14 @@ those phases at full (dim, M) width and, between the sweeps, the
 transposed chunks that z multiplies.  Each field's phases are formed once
 for the sweeps: the engine fills the table from the guess, and the update
 sweep writes the phase of each new sample into its row, so the table it
-leaves is the next iteration's old field.  Each sweep also takes its
-(dim, M) step buffers once, before its first step, and then
-advances its block with `SplitStepKernel.step_into`, writing in place or
-straight into its slot of the costate arrays, so that no step makes a
-temporary array or copies a block out.  The public `backward_propagate`
-and `forward_update_sweep` run these same two sweeps on one member, so
-what they return is what one iteration computes.
+leaves is the next iteration's old field.  Each sweep also takes its step
+once, before its first step (`SplitStepKernel.stepper`, the one split
+step), and its float64 views with it; every step then advances the block
+in place or straight into its slot of the costate arrays, with bound
+ufunc and `np.dot` calls and positional outputs, so that no step makes a
+temporary array, takes a view or copies a block out.  The public
+`backward_propagate` and `forward_update_sweep` run these same two sweeps
+on one member, so what they return is what one iteration computes.
 
 The cross-term diagnostic `delta3` checks that the discrete forward and
 backward propagations are exact adjoints of each other: it evaluates the
@@ -228,12 +229,13 @@ def _costate_sweep(
     scratch at full width and conjugated there, which is the adjoint phase
     bit for bit.  The adjoint of step j reads lam_{j+1} from its slot of
     the buffer (a copy of `lam_final` for the last step) and writes lam_j
-    and its coefficients straight into slot j of the two arrays, so nothing
-    is copied out per step.
+    and its coefficients straight into slot j of the two arrays, the latter
+    through the coefficient array's float64 view, taken once per sweep, so
+    nothing is copied out per step.
     """
     lam_buffer, coeffs, scratch, table = work
-    adjoint = kernel.adjoint()
-    buffers = adjoint.buffers(lam_final)
+    step, _ = kernel.adjoint().stepper(lam_final)
+    coeffs_f = coeffs.view(np.float64)
     lam = np.array(lam_final, dtype=complex, order="C")
     fields = samples[:-1].tolist()
     for start in reversed(range(0, len(fields), CHUNK_STEPS)):
@@ -242,9 +244,11 @@ def _costate_sweep(
         np.copyto(phases, table[start:stop])
         np.conjugate(phases, out=phases)
         for j in range(stop - 1, start - 1, -1):
-            phase = phases[j - start] if fields[j] != 0.0 else None
             lam_j = lam_buffer[j]
-            adjoint.step_into(buffers, lam, lam_j, phase, coeffs[j])
+            if fields[j] != 0.0:
+                step(lam, lam_j, phases[j - start], coeffs[j], coeffs_f[j])
+            else:
+                step(lam, lam_j, None, None, coeffs_f[j])
             lam = lam_j
     return lam_buffer, coeffs
 
@@ -302,47 +306,52 @@ def _update_sweep(
     `_work_arrays`) and holds P(E_old) of `pulse` on entry; the old phases
     reach the steps `CHUNK_STEPS` at a time, copied into the chunk
     `scratch` at full width.  Only P(E_new), which depends on the feedback,
-    is formed per step, as a column written into row j of the table, so
-    that the table holds P(E_new) on return.  The block advances in place in
-    a copy of `psi0`, which is left as it was; where a sample changes, the
-    step's c and P_new c stay in the step buffers for the cross-term.
+    is formed per step, as a column written into row j of the table with
+    `phase`'s product and exp, so that the table holds P(E_new) on return.
+    The new samples are collected in a list and stored once.  The block
+    advances in place in a copy of `psi0`, which is left as it was; where a
+    sample changes, the step's c and P_new c stay in the stepper's scratch
+    for the cross-term.
     """
     if update_mode not in UPDATE_MODES:
         raise InvalidSpecError(f"unknown update mode {update_mode!r}")
-    old = pulse.samples.astype(float)
-    new_samples = old.copy()
-    buffers = kernel.buffers(psi0)
+    add = update_mode == "add"
+    step, (x, b, c, cf) = kernel.stepper(psi0)
     psi = np.array(psi0, dtype=complex, order="C")
+    multiply, exp, subtract, vdot = np.multiply, np.exp, np.subtract, np.vdot
+    exponent = kernel.exponent
     cross_term = 0.0 + 0.0j
     weights = penalty.samples.tolist()
-    fields = old[:-1].tolist()
+    new_samples = pulse.samples.astype(float)
+    # Read as E_old and overwritten with E_new step by step.
+    fields = new_samples[:-1].tolist()
     for start in range(0, len(fields), CHUNK_STEPS):
         stop = min(start + CHUNK_STEPS, len(fields))
         old_phases = scratch[: stop - start]
         np.copyto(old_phases, table[start:stop])
         for j in range(start, stop):
             e_old = fields[j]
-            increment = float(np.vdot(z_lam[j], psi).imag) / weights[j]
-            e_new = e_old + increment if update_mode == "add" else increment
-            new_samples[j] = e_new
+            increment = float(vdot(z_lam[j], psi).imag) / weights[j]
+            e_new = e_old + increment if add else increment
+            fields[j] = e_new
             changed = e_new != e_old
-            phase = kernel.phase(e_new, table[j])
-            # A zero field keeps the step diagonal, but a changed one still
-            # forms c and b = P_new c for the cross-term below.
-            kernel.step_into(
-                buffers,
-                psi,
-                psi,
-                phase if e_new != 0.0 else None,
-                buffers.c if changed else None,
-            )
+            phase = table[j]
+            multiply(e_new, exponent, phase)
+            exp(phase, phase)
+            if e_new != 0.0:
+                step(psi, psi, phase, c, cf)
+            else:
+                # A zero field keeps the step diagonal, but a changed one
+                # still forms c for the cross-term below.
+                step(psi, psi, None, c, cf if changed else None)
             if changed:
                 # <lam_{j+1}| D V (P_new - P_old) c> with c = V^T D psi_j.
                 if e_new == 0.0:
-                    np.multiply(phase, buffers.c, out=buffers.b)
-                np.multiply(old_phases[j - start], buffers.c, out=buffers.x)
-                np.subtract(buffers.b, buffers.x, out=buffers.x)
-                cross_term += np.vdot(coeffs[j], buffers.x)
+                    multiply(phase, c, b)
+                multiply(old_phases[j - start], c, x)
+                subtract(b, x, x)
+                cross_term += vdot(coeffs[j], x)
+    new_samples[:-1] = fields
     return new_samples, psi, cross_term
 
 

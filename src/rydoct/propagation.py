@@ -20,18 +20,19 @@ That is one real product with twice the columns, half the flops of the
 complex product and no cast.  One step costs two such products on the
 block, V^T (D block) and V (P_j c), taken with `np.dot`, which hands the
 contiguous views straight to BLAS; a step whose field sample is exactly
-zero skips both and stays diagonal.  A sweep checks its block's shape and
-allocates its scratch blocks (`StepBuffers`) once, before its first step;
-each step then runs in place (`SplitStepKernel.step_into`), as ufunc and
-`np.dot` calls that write into those buffers, or into a slot of the
-caller's arrays, and make no temporaries.  The phase P_j may be a (dim, 1)
-column or a contiguous (dim, M) block; the optimization sweeps pass the
-block, which multiplies element by element instead of row by row.  The
-optimization engine stores, per iteration, only the final state block, two
-step-major costate arrays of n_steps blocks each (z lam_j and
-V^T D* lam_{j+1}) and one (n_steps, dim, 1) table of the swept field's
-phases P_j, which it forms once per field (see `control`), never whole
-forward trajectories.
+zero skips both and stays diagonal.  A sweep takes its step once, before
+its first step (`SplitStepKernel.stepper`): that checks the block's shape,
+allocates the sweep's (dim, M) scratch blocks and their float64 views, and
+returns a callable that holds them, D, V and V^T as locals.  Each step is
+then only its ufunc and `np.dot` calls, with positional outputs, writing
+into that scratch or into a slot of the caller's arrays; it makes no
+temporaries and takes no views.  The phase P_j may be a (dim, 1) column or
+a contiguous (dim, M) block; the costate sweep passes the block, which
+multiplies element by element instead of row by row.  The optimization
+engine stores, per iteration, only the final state block, two step-major
+costate arrays of n_steps blocks each (z lam_j and V^T D* lam_{j+1}) and
+one (n_steps, dim, 1) table of the swept field's phases P_j, which it
+forms once per field (see `control`), never whole forward trajectories.
 
 The public entry points are `propagate`, which runs a state or a block
 across a pulse grid (optionally with an absorber on chosen states), and the
@@ -41,6 +42,7 @@ kernel itself: `SplitStepKernel(h, zsys, dt).step(block, E)` is one step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -140,36 +142,15 @@ def precompute_z_eigensystem(h: HamiltonianData) -> ZEigensystem:
     return ZEigensystem(eigenvalues=w, vectors=np.ascontiguousarray(v), z=z)
 
 
-class StepBuffers:
-    """The scratch blocks of one sweep, allocated before its first step.
-
-    `half` is D broadcast to a contiguous (dim, M) array, so that it
-    multiplies a block element by element rather than row by row.  `x`, `c`
-    and `b` are complex (dim, M) blocks, and `xf`, `cf` and `bf` their
-    float64 views: (dim, 2M) real arrays whose column pairs hold each
-    column's real and imaginary parts, so that one real matrix product
-    acts on both.  `c` receives a step's coefficients V^T D src unless the
-    step is given a block of its own for them.  `p` is a (dim, 1) column
-    for a phase formed step by step.
-    """
-
-    def __init__(self, half: np.ndarray, n_members: int):
-        dim = len(half)
-        self.half = np.ascontiguousarray(np.broadcast_to(half, (dim, n_members)))
-        self.x, self.c, self.b = (np.empty((dim, n_members), dtype=complex) for _ in range(3))
-        self.xf, self.cf, self.bf = (a.view(np.float64) for a in (self.x, self.c, self.b))
-        self.p = np.empty_like(half)
-
-
 class SplitStepKernel:
     """The split step D V P(E) V^T D on a (dim, M) block of states.
 
     D = exp(-i H0 dt/2) and P(E) = exp(-i E w dt) are diagonal.  A negative
     dt gives the adjoint (inverse) step, which the backward sweeps use; see
     `adjoint`.  Blocks are complex (dim, M) arrays, one state per column.
-    A sweep takes its `buffers` once and then runs `step_into` at every
-    step, which writes through those buffers and allocates nothing; `step`
-    and `evolve` are such sweeps.
+    A sweep takes its `stepper` once and then calls it at every step, which
+    writes through the stepper's scratch and allocates nothing; `step`,
+    `evolve` and `coefficients` are such sweeps.
     """
 
     def __init__(self, h: HamiltonianData, zsys: ZEigensystem, dt: float):
@@ -201,75 +182,90 @@ class SplitStepKernel:
         in place so that only one table is ever held.  The table is written
         into `out` when it is given, such as the table that the optimization
         engine keeps for the field it sweeps, whose rows its update sweep
-        then overwrites with `phase` as it forms the new field.
+        then overwrites, with the same product and exp, as it forms the new
+        field.
         """
         table = np.multiply(samples[:-1, None, None], self.exponent, out=out)
         return np.exp(table, out=table)
 
-    def buffers(self, block: np.ndarray) -> StepBuffers:
-        """The scratch for sweeping `block`, after checking its shape."""
+    def stepper(self, block: np.ndarray) -> tuple[Callable[..., None], tuple[np.ndarray, ...]]:
+        """The split step of one sweep of `block`, after checking its shape.
+
+        Returns `step` and its scratch `(x, b, c, cf)`: complex (dim, M)
+        blocks, and cf, the float64 view of c, a (dim, 2M) real array whose
+        column pairs hold each column's real and imaginary parts, so that
+        one real matrix product acts on both.  They are allocated here, once
+        per sweep, with D broadcast to a contiguous (dim, M) array so that it
+        multiplies a block element by element rather than row by row.
+
+        `step(src, dst, phase, c, cf)` is D (V (P (V^T (D src)))) into
+        `dst`, which may be `src` itself.  The coefficients c = V^T D src go
+        into the C-contiguous complex (dim, M) block `c` through its float64
+        view `cf`: the step's own scratch or a slot of the caller's arrays.
+        `phase` is P(E), a (dim, 1) column or a full-width (dim, M) block,
+        and P c is left in b.  For E = 0 `phase` is None and the step is the
+        diagonal D (D src), so amplitudes that are exactly zero stay zero; it
+        then forms c only when `cf` is not None.  `src` is read in full
+        before `dst` is written, so a sweep can step from one slot of a
+        buffer into another.  The callable holds every operand as a local
+        and passes every output positionally; it makes no temporary array,
+        and `np.dot` hands the contiguous float64 views straight to BLAS.
+        """
         # A (dim,) state or a (1, M) block would broadcast against the
         # (dim, 1) half step into a wrong-shaped block instead of failing.
         if block.ndim != 2 or block.shape[0] != len(self.half):
             raise InvalidSpecError(
                 f"expected a ({len(self.half)}, M) block of states, got shape {block.shape}"
             )
-        return StepBuffers(self.half, block.shape[1])
+        half = np.ascontiguousarray(np.broadcast_to(self.half, block.shape))
+        x, b, own_c = (np.empty(block.shape, dtype=complex) for _ in range(3))
+        xf, bf, own_cf = (a.view(np.float64) for a in (x, b, own_c))
+        v, vt, multiply, dot = self.v, self.vt, np.multiply, np.dot
 
-    def step_into(
-        self,
-        buffers: StepBuffers,
-        src: np.ndarray,
-        dst: np.ndarray,
-        phase: np.ndarray | None,
-        coefficients: np.ndarray | None = None,
-    ) -> None:
-        """One step from `src` into `dst`, which may be `src` itself.
+        def step(src, dst, phase, c, cf):
+            multiply(half, src, x)
+            if cf is not None:
+                dot(vt, xf, cf)
+            if phase is not None:
+                multiply(phase, c, b)
+                dot(v, bf, xf)
+            multiply(half, x, dst)
 
-        `phase` is P(E), as a (dim, 1) column or a full-width (dim, M)
-        block, or None for E = 0, where the step is the diagonal D (D src),
-        so amplitudes that are exactly zero stay zero.  The coefficients
-        c = V^T D src go into `coefficients`, a C-contiguous complex
-        (dim, M) block, when it is given, and into `buffers.c` otherwise;
-        P c is left in `buffers.b`.  A zero-field step forms c only when
-        `coefficients` is given.  `src` is read in full before `dst` is
-        written, so a sweep can step from one slot of a buffer into another.
-        V^T and V are applied with `np.dot`, which passes the contiguous
-        float64 views straight to BLAS.
-        """
-        x = buffers.x
-        np.multiply(buffers.half, src, out=x)
-        if coefficients is None and phase is not None:
-            coefficients = buffers.c
-        if coefficients is not None:
-            np.dot(self.vt, buffers.xf, out=coefficients.view(np.float64))
-        if phase is not None:
-            np.multiply(phase, coefficients, out=buffers.b)
-            np.dot(self.v, buffers.bf, out=buffers.xf)
-        np.multiply(buffers.half, x, out=dst)
+        return step, (x, b, own_c, own_cf)
+
+    def _field_stepper(self, block: np.ndarray) -> Callable[[np.ndarray, np.ndarray, float], None]:
+        """`stepper`'s step taking a field value: P(E) is formed per step."""
+        step, (_, _, c, cf) = self.stepper(block)
+        column = np.empty_like(self.half)
+        phase = self.phase
+
+        def field_step(src, dst, e_field):
+            if e_field != 0.0:
+                step(src, dst, phase(e_field, column), c, cf)
+            else:
+                step(src, dst, None, None, None)
+
+        return field_step
 
     def coefficients(self, block: np.ndarray) -> np.ndarray:
         """c = V^T D block, the first half step in the z eigenbasis."""
-        buffers = self.buffers(block)
-        np.multiply(buffers.half, block, out=buffers.x)
-        np.dot(self.vt, buffers.xf, out=buffers.cf)
-        return buffers.c
+        step, (x, _, c, cf) = self.stepper(block)
+        # A zero-field step given c forms it; D (D block) lands in x, unused.
+        step(block, x, None, c, cf)
+        return c
 
     def step(self, block: np.ndarray, e_field: float) -> np.ndarray:
         """One step of `block` under the field sample `e_field`, as a new block."""
-        buffers = self.buffers(block)
-        out = np.empty_like(buffers.x)
-        phase = self.phase(e_field, buffers.p) if e_field != 0.0 else None
-        self.step_into(buffers, block, out, phase)
+        out = np.empty(block.shape, dtype=complex)
+        self._field_stepper(block)(block, out, e_field)
         return out
 
     def evolve(self, block: np.ndarray, samples: np.ndarray) -> np.ndarray:
         """Final block after one step per sample; the last sample is unused."""
-        buffers = self.buffers(block)
+        step = self._field_stepper(block)
         block = np.array(block, dtype=complex, order="C")
         for e_field in samples[:-1].tolist():
-            phase = self.phase(e_field, buffers.p) if e_field != 0.0 else None
-            self.step_into(buffers, block, block, phase)
+            step(block, block, e_field)
         return block
 
 
@@ -318,15 +314,14 @@ def propagate(
     kernel = SplitStepKernel(h, zsys, pulse.dt)
     shape = psi0.amplitudes.shape
     block = np.array(psi0.amplitudes, dtype=complex, order="C").reshape(h.dim, -1)
-    buffers = kernel.buffers(block)
+    step = kernel._field_stepper(block)
     t = pulse.t0
     trajectory: list[WavePacket] = []
     if record is not None:
         trajectory.append(WavePacket(amplitudes=block.reshape(shape).copy(), time=t))
 
     for j, e_field in enumerate(pulse.samples[:-1].tolist()):
-        phase = kernel.phase(e_field, buffers.p) if e_field != 0.0 else None
-        kernel.step_into(buffers, block, block, phase)
+        step(block, block, e_field)
         if mask is not None:
             np.multiply(block, mask, out=block)
         t += pulse.dt

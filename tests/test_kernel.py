@@ -7,11 +7,12 @@ exact zeros mixed in, so both the zero-field shortcut and the full step run.
 The same set-up bounds the sweeps' memory, pins the in-place sweeps bit for
 bit to the written-out step and to one `step` at a time, pins the step-major
 costate layout and the phase table that one iteration hands to the next,
-checks that delta3 flags costates that do not belong to the field, and
-checks that the sweeps give the same bytes whatever the memory layout of
-the input block.
+checks that delta3 flags costates that do not belong to the field, pins
+the numpy calls that each sweep makes per step, and checks that the sweeps
+give the same bytes whatever the memory layout of the input block.
 """
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -264,6 +265,64 @@ def test_costate_sweep_is_the_adjoint_step_loop(setup):
         assert np.array_equal(coeffs[j], adjoint.coefficients(lam))
         lam = adjoint.step(lam, float(pulse.samples[j]))
         assert np.array_equal(lam_buffer[j], lam)
+
+
+def _numpy_calls(run):
+    """`run()` and the calls it made to the `dot` and `vdot` dispatchers and
+    to the `view` method, counted with the interpreter's profile hook."""
+    counts = {"dot": 0, "vdot": 0, "view": 0}
+
+    def profile(frame, event, arg):
+        name = frame.f_code.co_name
+        if event == "call" and name in ("dot", "vdot"):
+            if frame.f_code.co_filename.endswith("multiarray.py"):
+                counts[name] += 1
+        elif event == "c_call" and getattr(arg, "__name__", None) == "view":
+            counts["view"] += 1
+
+    sys.setprofile(profile)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(None)
+    return result, counts
+
+
+def test_sweep_steps_make_only_their_blas_calls(setup):
+    # Per step, the costate sweep calls `dot` twice, or once where the field
+    # is exactly zero (V^T only: the diagonal shortcut); the update sweep
+    # calls `vdot` once for the overlap and, where the sample changes, the
+    # `dot`s of a step that forms c and once more for the cross-term.  No
+    # step takes a `view`: each sweep takes its float64 views before its
+    # first step.
+    h, pulse, penalty, kernel = setup["h"], setup["pulse"], setup["penalty"], setup["kernel"]
+    n_steps = pulse.n_steps
+    per_sweep_views = 4
+    old = pulse.samples[:-1]
+    lam_final = np.stack(setup["lam_final"], axis=1)
+    work = _filled_work(kernel, pulse, len(MARKED))
+    _, counts = _numpy_calls(lambda: _costate_sweep(kernel, lam_final, pulse.samples, work))
+    assert counts["dot"] == 2 * n_steps - np.count_nonzero(old == 0.0)
+    assert counts["vdot"] == 0
+    assert counts["view"] <= per_sweep_views
+
+    psi0 = np.stack(setup["psi0"], axis=1)
+    zeros = np.zeros_like(setup["z_lam"])
+    for mode, z_lam in (("replace", setup["z_lam"]), ("add", zeros)):
+        work = _filled_work(kernel, pulse, len(MARKED))
+        (samples, _, _), counts = _numpy_calls(
+            lambda: _update_sweep(
+                kernel, psi0, z_lam, setup["coeffs"], pulse, penalty, mode, *work[2:]
+            )
+        )
+        changed = np.count_nonzero(samples[:-1] != old)
+        nonzero = np.count_nonzero(samples[:-1])
+        changed_to_zero = np.count_nonzero((samples[:-1] != old) & (samples[:-1] == 0.0))
+        # With z lam = 0, "add" changes no sample and steps the zeros diagonally.
+        assert changed == (n_steps if mode == "replace" else 0)
+        assert counts["dot"] == 2 * nonzero + changed_to_zero
+        assert counts["vdot"] == n_steps + changed
+        assert counts["view"] <= per_sweep_views
 
 
 def test_apply_z_is_the_dim_major_chunk_product_in_place(setup):
