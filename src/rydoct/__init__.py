@@ -58,4 +58,4 @@ from .propagation import (
 )
 from .pulses import HusimiMap, SpectrumData, half_cycle_pulse, husimi, spectrum
 from .register import RegisterSpec, encode, readout
-from .units import field_units, parse_quantity
+from .units import parse_quantity

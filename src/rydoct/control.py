@@ -6,15 +6,14 @@ propagate the costate backward under the same field, then sweep forward
 again updating the field sample by sample from the costate/state overlap
 before advancing the state through each step (immediate feedback).
 
-Two update rules are provided.  "replace" sets
+The update rule, named "replace", sets
 
     E(t_j) <- Im <lam(t_j)| z |psi(t_j)> / l(t_j)
 
 which is the choice that maximizes the field-dependent part of the
-iteration gain and makes the functional J = yield - cost monotone up to
-discretization error.  "add" adds the same quantity to the previous field
-instead; it climbs the yield gradient but gives no monotonicity guarantee
-for J once the fluence cost moves.  The default is "replace".
+iteration gain; in continuous time it makes the functional J = yield - cost
+monotone.  It is the only rule: the problem types and
+`forward_update_sweep` take its name and reject any other.
 
 Each sweep is written once, and the engine (`_run_engine`) runs it on a
 (dim, M) block of members.  `_costate_sweep` integrates the costates from T
@@ -76,8 +75,8 @@ __all__ = [
 STALL_BUMP_AMPLITUDE = 1e-10
 #: J decreases beyond this are flagged as monotonicity violations.
 MONOTONICITY_SLACK = 1e-9
-#: The field update rules; see the module docstring.
-UPDATE_MODES = ("replace", "add")
+#: The name of the one field update rule; see the module docstring.
+UPDATE_MODE = "replace"
 #: Steps per block of full-width phases in a sweep; the engine applies z
 #: to the costates half a chunk at a time, as one real matrix product.
 CHUNK_STEPS = 64
@@ -105,6 +104,10 @@ class PenaltySchedule:
             raise InvalidSpecError("edge multiplier must be >= 1")
         if not 0.0 < self.ramp_fraction < 0.5:
             raise InvalidSpecError("ramp fraction must lie in (0, 0.5)")
+        if not np.all(np.isfinite(self.samples)):
+            raise InvalidSpecError(
+                "penalty samples must be finite: base x edge multiplier overflows"
+            )
 
     @classmethod
     def build(
@@ -126,7 +129,9 @@ class PenaltySchedule:
         on_right = right < ramp
         w[on_left] = np.cos(np.pi * left[on_left] / (2.0 * ramp)) ** 2
         w[on_right] = np.cos(np.pi * right[on_right] / (2.0 * ramp)) ** 2
-        samples = base * (1.0 + (edge_multiplier - 1.0) * w)
+        # An overflow is rejected by __post_init__, not warned about.
+        with np.errstate(over="ignore"):
+            samples = base * (1.0 + (edge_multiplier - 1.0) * w)
         return cls(
             base=base,
             edge_multiplier=edge_multiplier,
@@ -290,7 +295,6 @@ def _update_sweep(
     coeffs: np.ndarray,
     pulse: PulseGrid,
     penalty: PenaltySchedule,
-    update_mode: str,
     scratch: np.ndarray,
     table: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, complex]:
@@ -313,9 +317,6 @@ def _update_sweep(
     sample changes, the step's c and P_new c stay in the stepper's scratch
     for the cross-term.
     """
-    if update_mode not in UPDATE_MODES:
-        raise InvalidSpecError(f"unknown update mode {update_mode!r}")
-    add = update_mode == "add"
     step, (x, b, c, cf) = kernel.stepper(psi0)
     psi = np.array(psi0, dtype=complex, order="C")
     multiply, exp, subtract, vdot = np.multiply, np.exp, np.subtract, np.vdot
@@ -331,8 +332,7 @@ def _update_sweep(
         np.copyto(old_phases, table[start:stop])
         for j in range(start, stop):
             e_old = fields[j]
-            increment = float(vdot(z_lam[j], psi).imag) / weights[j]
-            e_new = e_old + increment if add else increment
+            e_new = float(vdot(z_lam[j], psi).imag) / weights[j]
             fields[j] = e_new
             changed = e_new != e_old
             phase = table[j]
@@ -362,15 +362,16 @@ def forward_update_sweep(
     penalty: PenaltySchedule,
     h: HamiltonianData,
     zsys: ZEigensystem,
-    update_mode: str = "replace",
+    update_mode: str = UPDATE_MODE,
 ) -> tuple[PulseGrid, WavePacket]:
-    """Single-target field update sweep; see module docstring for the modes.
+    """Single-target field update sweep; `update_mode` must name the one rule.
 
     `costates` is the (n_samples, dim) trajectory from backward_propagate
     under the old field.  Runs the engine's update sweep on one member and
     returns the updated field and the final state at T.  The final field
     sample sits at T itself, after the last step, and is left unchanged.
     """
+    _check_mode(update_mode)
     kernel = SplitStepKernel(h, zsys, pulse.dt)
     costates = np.asarray(costates, dtype=complex)
     # Row j of costates @ z^T is (z lam_j)^T.
@@ -379,9 +380,14 @@ def forward_update_sweep(
     psi = np.asarray(psi0.amplitudes, dtype=complex).reshape(h.dim, 1)
     table = kernel.phase_table(pulse.samples)
     new_samples, final, _ = _update_sweep(
-        kernel, psi, z_lam, coeffs, pulse, penalty, update_mode, _chunk_scratch(h.dim, 1), table
+        kernel, psi, z_lam, coeffs, pulse, penalty, _chunk_scratch(h.dim, 1), table
     )
     return pulse.with_samples(new_samples), WavePacket(final[:, 0], time=pulse.horizon)
+
+
+def _check_mode(update_mode: str) -> None:
+    if update_mode != UPDATE_MODE:
+        raise InvalidSpecError(f"update mode must be {UPDATE_MODE!r}, got {update_mode!r}")
 
 
 def _check_problem(problem, targets) -> list[int]:
@@ -391,8 +397,7 @@ def _check_problem(problem, targets) -> list[int]:
     """
     if len(problem.penalty.samples) != len(problem.guess.samples):
         raise InvalidSpecError("penalty schedule and guess field grids differ")
-    if problem.update_mode not in UPDATE_MODES:
-        raise InvalidSpecError(f"unknown update mode {problem.update_mode!r}")
+    _check_mode(problem.update_mode)
     return [problem.hamiltonian.index(target) for target in targets]
 
 
@@ -407,7 +412,7 @@ class OctProblem:
     guess: PulseGrid
     max_iterations: int = 200
     tolerance: float = 1e-6
-    update_mode: str = "replace"
+    update_mode: str = UPDATE_MODE
 
     def __post_init__(self):
         (self.target_index,) = _check_problem(self, [self.target])
@@ -462,7 +467,6 @@ def _iterate(
     targets: tuple[np.ndarray, np.ndarray],
     pulse: PulseGrid,
     penalty: PenaltySchedule,
-    update_mode: str,
     work: tuple[np.ndarray, ...],
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """One backward sweep and one update sweep: new field, final block, delta3.
@@ -476,7 +480,7 @@ def _iterate(
     lam_buffer, coeffs = _costate_sweep(kernel, lam_final, pulse.samples, work)
     z_lam = _apply_z(kernel, lam_buffer, work[2])
     new_samples, new_final, cross_term = _update_sweep(
-        kernel, psi0, z_lam, coeffs, pulse, penalty, update_mode, *work[2:]
+        kernel, psi0, z_lam, coeffs, pulse, penalty, *work[2:]
     )
     boundary = np.vdot(lam_final, new_final - final)
     return new_samples, new_final, float(2.0 * (boundary - cross_term).real)
@@ -488,14 +492,14 @@ def _run_engine(
     """Shared iteration loop for one or many targets on one field.
 
     `problem` is an `OctProblem` or an `EnsembleProblem`: the engine reads
-    its Hamiltonian, guess, penalty, iteration limit, tolerance and update
-    mode.  `members` pairs each initial state with the basis index of its
+    its Hamiltonian, guess, penalty, iteration limit and tolerance.
+    `members` pairs each initial state with the basis index of its
     target.  The objective is sum_i |<target_i|psi_i(T)>|^2 - cost, with the
     fluence cost charged once however many members share the field.  The
     members are the columns of one (dim, M) block; only its final value is
     kept.
     """
-    h, penalty, update_mode = problem.hamiltonian, problem.penalty, problem.update_mode
+    h, penalty = problem.hamiltonian, problem.penalty
     if zsys is None:
         zsys = precompute_z_eigensystem(h)
     kernel = SplitStepKernel(h, zsys, problem.guess.dt)
@@ -529,9 +533,7 @@ def _run_engine(
     first_decrease = None
 
     for iteration in range(1, problem.max_iterations + 1):
-        new_samples, final, delta3 = _iterate(
-            kernel, psi0, final, targets, pulse, penalty, update_mode, work
-        )
+        new_samples, final, delta3 = _iterate(kernel, psi0, final, targets, pulse, penalty, work)
         pulse = pulse.with_samples(new_samples)
 
         yields = np.abs(final[targets]) ** 2

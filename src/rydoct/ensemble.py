@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atomic import HamiltonianData, StateLabel
-from .control import OctResult, PenaltySchedule, _check_problem, _run_engine
+from .control import UPDATE_MODE, OctResult, PenaltySchedule, _check_problem, _run_engine
 from .errors import InvalidSpecError
 from .propagation import PulseGrid, WavePacket, ZEigensystem, precompute_z_eigensystem, propagate
 from .register import ReadoutReport, RegisterSpec, encode, readout
@@ -50,7 +50,7 @@ class EnsembleProblem:
     guess: PulseGrid
     max_iterations: int = 200
     tolerance: float = 1e-6
-    update_mode: str = "replace"
+    update_mode: str = UPDATE_MODE
 
     def __post_init__(self):
         if not self.members:

@@ -36,7 +36,7 @@ from .atomic import (
     load_hamiltonian,
     save_hamiltonian,
 )
-from .control import OctProblem, OctResult, PenaltySchedule, optimize
+from .control import UPDATE_MODE, OctProblem, OctResult, PenaltySchedule, optimize
 from .ensemble import decode_test, optimize_ensemble, register_ensemble_problem
 from .errors import ManifestError, RydoctError
 from .propagation import (
@@ -177,7 +177,7 @@ SCHEMA = {
         "ramp_fraction": (_number, 0.05),
         "max_iterations": (_integer(0), 200),
         "tolerance": (_number, 1e-6),
-        "update_mode": (_choice("replace", "add"), "replace"),
+        "update_mode": (_choice(UPDATE_MODE), UPDATE_MODE),
     },
     "analysis": {
         "husimi_sigma": (_quantity("time"), None),
@@ -252,6 +252,11 @@ def parse_manifest(data: dict) -> RunManifest:
     top = _read_section(data, "")
     sections = {name: _read_section(data, name) for name in SCHEMA if name}
     basis, pulse = sections["basis"], sections["pulse"]
+    # The radial grid is uniform in sqrt(r), so both ends must be positive.
+    if basis["r_min"] <= 0:
+        raise ManifestError(f"basis.r_min: must be > 0, got {basis['r_min']!r}")
+    if basis["r_max"] is not None and basis["r_max"] <= basis["r_min"]:
+        raise ManifestError(f"basis.r_max: must exceed basis.r_min, got {basis['r_max']!r}")
     if basis["hamiltonian_file"] is None:
         for key in ("n_min", "n_max", "l_max"):
             if basis[key] is None:

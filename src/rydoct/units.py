@@ -1,8 +1,8 @@
-"""Atomic-unit conversions for field strengths and times.
+"""Conversion of field strengths and times into atomic units.
 
 Everything inside the package is computed in Hartree atomic units
-(e = m_e = hbar = 1).  Conversions happen only at input/output boundaries.
-Constants follow CODATA 2018.
+(e = m_e = hbar = 1).  Laboratory units are converted only where a manifest
+is read (`parse_quantity`).  Constants follow CODATA 2018.
 """
 
 from __future__ import annotations
@@ -29,34 +29,6 @@ _FIELD_TO_AU = {
     "kV/cm": 1e5 / AU_FIELD_V_PER_M,
     "MV/cm": 1e8 / AU_FIELD_V_PER_M,
 }
-
-# Unitless passthrough, used by the manifest parser for bare numbers.
-_DIMENSIONLESS = {"1": 1.0, "": 1.0}
-
-
-def _family(unit: str) -> dict[str, float]:
-    for table in (_TIME_TO_AU, _FIELD_TO_AU, _DIMENSIONLESS):
-        if unit in table:
-            return table
-    raise UnitError(f"unknown unit {unit!r}")
-
-
-def field_units(value: float, from_unit: str, to_unit: str) -> float:
-    """Convert `value` between field units (kV/cm etc.) or time units (fs, ps).
-
-    Both units must belong to the same family.  Atomic units are spelled
-    "au" in either family.
-    """
-    table = _family(from_unit)
-    if to_unit not in table:
-        # "au" is ambiguous on its own; resolve it against the other unit.
-        if from_unit == "au":
-            table = _family(to_unit)
-        else:
-            raise UnitError(
-                f"cannot convert {from_unit!r} to {to_unit!r}: different unit families"
-            )
-    return value * table[from_unit] / table[to_unit]
 
 
 def parse_quantity(raw: float | int | str, family: str) -> float:

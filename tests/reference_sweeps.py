@@ -1,8 +1,8 @@
 """The per-member sweeps that preceded the batched kernel, kept as an oracle.
 
-`backward_propagate` and `_sweep` are copied unchanged from
-`rydoct.control` as it stood before every sweep moved onto
-`rydoct.propagation.SplitStepKernel`: one member at a time, the real
+`backward_propagate` and `_sweep` are copied from `rydoct.control` as it
+stood before every sweep moved onto `rydoct.propagation.SplitStepKernel`,
+`_sweep` with only its "replace" rule: one member at a time, the real
 eigenvectors multiplied into complex vectors, the overlap formed as
 V (w (V^T psi)) and the cross-term from two full steps.  tests/test_kernel.py
 checks the batched kernel against them.
@@ -53,7 +53,6 @@ def _sweep(
     penalty: PenaltySchedule,
     h: HamiltonianData,
     zsys: ZEigensystem,
-    update_mode: str,
 ) -> tuple[np.ndarray, list[np.ndarray], complex]:
     """Forward sweep with immediate field feedback, shared by all targets.
 
@@ -64,8 +63,6 @@ def _sweep(
     sum_j <lam(t_{j+1})| (S_new - S_old) psi(t_j)> needed for the delta3
     diagnostic.
     """
-    if update_mode not in ("replace", "add"):
-        raise InvalidSpecError(f"unknown update mode {update_mode!r}")
     if not psi0_list:
         raise InvalidSpecError("at least one member is required")
     n_samples = len(pulse.samples)
@@ -89,10 +86,7 @@ def _sweep(
         for i in range(members):
             z_psi = v @ (w * (vt @ current[i]))
             overlap += float(np.vdot(costates[i][j], z_psi).imag)
-        if update_mode == "add":
-            new_samples[j] = pulse.samples[j] + overlap / penalty.samples[j]
-        else:
-            new_samples[j] = overlap / penalty.samples[j]
+        new_samples[j] = overlap / penalty.samples[j]
         e_new = float(new_samples[j])
         e_old = float(pulse.samples[j])
         phase_new = np.exp(-1j * dt * e_new * w) if e_new != 0.0 else None

@@ -134,8 +134,12 @@ BAD_MANIFESTS = {
     "grid_points_text": (_mutated("basis", "grid_points", "many"), "basis.grid_points"),
     "marked_number": (_mutated("register", "marked", 5), "register.marked"),
     "r_min_text": (_mutated("basis", "r_min", "x"), "basis.r_min"),
+    # The radial grid is uniform in sqrt(r): both ends must be positive.
+    "r_min_negative": (_mutated("basis", "r_min", -1e-4), "basis.r_min"),
+    "r_max_negative": (_mutated("basis", "r_max", -5), "basis.r_max"),
     "max_iterations_text": (_mutated("oct", "max_iterations", "x"), "oct.max_iterations"),
     "penalty_base_nan": (_mutated("oct", "penalty_base", float("nan")), "oct.penalty_base"),
+    "update_mode_add": (_mutated("oct", "update_mode", "add"), "oct.update_mode"),
     "absorber_strength_text": (
         _mutated("pulse", "absorber_strength", "x"),
         "pulse.absorber_strength",
@@ -382,6 +386,28 @@ class TestCliEntryPoint:
         payload = json.loads(line)
         assert set(payload) == {"error", "message"}
         assert payload["message"].startswith("basis.l_max: ")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("key, value", [("penalty_base", 1e307), ("edge_multiplier", 1e308)])
+    def test_overflowing_penalty_is_a_json_error(self, tmp_path, capsys, key, value):
+        # The manifest passes its checks, but the penalty overflows to inf;
+        # the run must stop, with no overflow warning, before it writes a
+        # NaN objective.
+        data = tiny_manifest_dict(str(tmp_path / "out"))
+        data["oct"][key] = value
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(data))
+        code = main(["optimize", "--manifest", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        (line,) = err.strip().splitlines()
+        payload = json.loads(line)
+        assert set(payload) == {"error", "message"}
+        assert payload["error"] == "InvalidSpecError"
+        assert "finite" in payload["message"]
+        assert not (tmp_path / "out" / "history.csv").exists()
+        assert not (tmp_path / "out" / "summary.json").exists()
 
     def test_verbose_flag(self, tiny_manifest_path, tmp_path, capsys):
         code = main(

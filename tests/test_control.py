@@ -88,6 +88,14 @@ class TestPenaltySchedule:
         with pytest.raises(InvalidSpecError):
             PenaltySchedule.build(pulse, ramp_fraction=0.6)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("base, edge", [(1e307, 1000.0), (10.0, 1e308)])
+    def test_overflowing_penalty_rejected(self, pulse, base, edge):
+        # Both values are finite, but the boosted edges overflow to inf, and
+        # the fluence cost would then be NaN.
+        with pytest.raises(InvalidSpecError, match="finite"):
+            PenaltySchedule.build(pulse, base=base, edge_multiplier=edge)
+
 
 class TestEvaluateCost:
     def test_zero_field(self):
@@ -176,75 +184,92 @@ class TestBackwardPropagate:
 
 class TestForwardUpdateSweep:
     def test_zero_costate_leaves_field_unchanged(self):
+        # On a zero old field every new sample is again exactly zero, so no
+        # sample changes and the sweep reduces to plain propagation under the
+        # old field, checked at every grid point by sweeping each prefix.
         h, zsys = two_level()
-        rng = np.random.default_rng(11)
-        pulse = PulseGrid(0.0, 0.1, rng.normal(size=51) * 0.2)
-        # The sweep then reduces to plain propagation under the old field,
-        # checked at every grid point by sweeping each prefix of the grid.
+        pulse = PulseGrid.zeros(0.0, 0.1, 51)
         plain = forward_trajectory(ground_state(2).amplitudes, pulse, h, zsys)
         for n_samples in range(2, 52):
             prefix = pulse.with_samples(pulse.samples[:n_samples])
             pen = PenaltySchedule.build(prefix, base=1.0)
             costates = np.zeros((n_samples, 2), dtype=complex)
-            new_pulse, final = forward_update_sweep(
-                ground_state(2), costates, prefix, pen, h, zsys, update_mode="add"
-            )
+            new_pulse, final = forward_update_sweep(ground_state(2), costates, prefix, pen, h, zsys)
             assert np.array_equal(new_pulse.samples, prefix.samples)
             assert np.max(np.abs(final.amplitudes - plain[n_samples - 1])) == 0.0
             assert final.time == pytest.approx(prefix.horizon)
 
-    def test_infinite_penalty_freezes_field(self):
+    def test_zero_costate_gives_zero_field(self):
+        # On a random old field every sample changes, to exactly zero, and
+        # the final state is that of plain propagation under the zero field.
+        h, zsys = two_level()
+        rng = np.random.default_rng(11)
+        pulse = PulseGrid(0.0, 0.1, rng.normal(size=51) * 0.2)
+        zero = pulse.with_samples(np.zeros(51))
+        plain = forward_trajectory(ground_state(2).amplitudes, zero, h, zsys)
+        for n_samples in range(2, 52):
+            prefix = pulse.with_samples(pulse.samples[:n_samples])
+            pen = PenaltySchedule.build(prefix, base=1.0)
+            costates = np.zeros((n_samples, 2), dtype=complex)
+            new_pulse, final = forward_update_sweep(ground_state(2), costates, prefix, pen, h, zsys)
+            assert np.all(new_pulse.samples[:-1] == 0.0)
+            assert new_pulse.samples[-1] == prefix.samples[-1]
+            assert np.max(np.abs(final.amplitudes - plain[n_samples - 1])) == 0.0
+            assert final.time == pytest.approx(prefix.horizon)
+
+    def test_infinite_penalty_gives_zero_field(self):
         h, zsys = two_level()
         pulse = PulseGrid(0.0, 0.1, np.full(51, 0.1))
         pen = PenaltySchedule.build(pulse, base=1e30)
         psi_final = WavePacket(np.array([0.6, 0.8 + 0.0j]), time=pulse.horizon)
         costates = backward_propagate(costate_terminal(psi_final, 1), pulse, h, zsys)
-        new_pulse, _ = forward_update_sweep(
-            ground_state(2), costates, pulse, pen, h, zsys, update_mode="add"
-        )
-        assert np.max(np.abs(new_pulse.samples - pulse.samples)) < 1e-25
+        new_pulse, _ = forward_update_sweep(ground_state(2), costates, pulse, pen, h, zsys)
+        assert np.max(np.abs(new_pulse.samples[:-1])) < 1e-25
+        assert np.any(new_pulse.samples[:-1] != 0.0)
+        assert new_pulse.samples[-1] == pulse.samples[-1]
 
     def test_first_increment_matches_hand_evaluation(self):
-        # At t0 the updated sample is E + Im(<lam(0)| z |psi0>) / l(0), with
-        # the overlap evaluated directly from the stored matrices.
+        # At t0 the updated sample is Im(<lam(0)| z |psi0>) / l(0), with the
+        # overlap evaluated directly from the stored matrices.
         h, zsys = two_level()
         pulse = PulseGrid(0.0, 0.05, np.full(41, 0.07))
         pen = PenaltySchedule.build(pulse, base=3.0, edge_multiplier=1.0)
         psi_final = WavePacket(np.array([0.3 + 0.5j, 0.4 - 0.1j]), time=pulse.horizon)
         costates = backward_propagate(costate_terminal(psi_final, 1), pulse, h, zsys)
         psi0 = ground_state(2)
-        new_pulse, _ = forward_update_sweep(
-            psi0, costates, pulse, pen, h, zsys, update_mode="add"
-        )
+        new_pulse, _ = forward_update_sweep(psi0, costates, pulse, pen, h, zsys)
         expected = np.vdot(costates[0], h.z_matrix @ psi0.amplitudes).imag / 3.0
-        assert new_pulse.samples[0] - pulse.samples[0] == pytest.approx(expected, rel=1e-12)
+        assert new_pulse.samples[0] == pytest.approx(expected, rel=1e-12)
 
     def test_replace_mode_sets_field_directly(self):
-        # Both modes see the same state at t0, so the first samples are
-        # related exactly; after that the immediate feedback makes the
-        # trajectories (and hence the updates) diverge.
+        # The new field is the overlap over the penalty and does not depend
+        # on the old one: given the same costates, sweeps over two different
+        # old fields return the same field and final state bit for bit, all
+        # but the last sample, which each keeps from its old field.
         h, zsys = two_level()
         pulse = PulseGrid(0.0, 0.05, np.full(41, 0.07))
+        other = pulse.with_samples(np.random.default_rng(12).normal(size=41) * 0.1)
         pen = PenaltySchedule.build(pulse, base=3.0, edge_multiplier=1.0)
         psi_final = WavePacket(np.array([0.3 + 0.5j, 0.4 - 0.1j]), time=pulse.horizon)
         costates = backward_propagate(costate_terminal(psi_final, 1), pulse, h, zsys)
         psi0 = ground_state(2)
-        added, _ = forward_update_sweep(psi0, costates, pulse, pen, h, zsys, "add")
-        replaced, _ = forward_update_sweep(psi0, costates, pulse, pen, h, zsys, "replace")
+        replaced, final = forward_update_sweep(psi0, costates, pulse, pen, h, zsys, "replace")
+        again, final_again = forward_update_sweep(psi0, costates, other, pen, h, zsys, "replace")
         increment = np.vdot(costates[0], h.z_matrix @ psi0.amplitudes).imag / pen.samples[0]
         assert replaced.samples[0] == pytest.approx(increment, rel=1e-12)
-        assert added.samples[0] - pulse.samples[0] == pytest.approx(
-            replaced.samples[0], rel=1e-12
-        )
+        assert np.array_equal(replaced.samples[:-1], again.samples[:-1])
+        assert np.array_equal(final.amplitudes, final_again.amplitudes)
+        assert again.samples[-1] == other.samples[-1]
 
     def test_unknown_mode_rejected(self):
         h, zsys = two_level()
         pulse = PulseGrid.zeros(0.0, 0.1, 11)
         pen = PenaltySchedule.build(pulse, base=1.0)
-        with pytest.raises(InvalidSpecError):
-            forward_update_sweep(
-                ground_state(2), np.zeros((11, 2), complex), pulse, pen, h, zsys, "newton"
-            )
+        for mode in ("newton", "add"):
+            with pytest.raises(InvalidSpecError, match="update mode"):
+                forward_update_sweep(
+                    ground_state(2), np.zeros((11, 2), complex), pulse, pen, h, zsys, mode
+                )
 
 
 class TestOptimize:
@@ -264,7 +289,6 @@ class TestOptimize:
             guess=guess,
             max_iterations=50,
             tolerance=1e-10,
-            update_mode="add",
         )
         result = optimize(problem, zsys=zsys)
         assert result.iterations == 1
@@ -385,7 +409,6 @@ class TestOptimize:
             guess=guess,
             max_iterations=2,
             tolerance=1e-16,
-            update_mode="add",
         )
         with pytest.warns(UserWarning, match="bump"):
             result = optimize(problem, zsys=zsys)
@@ -404,8 +427,9 @@ class TestOptimize:
         with pytest.raises(InvalidSpecError):
             OctProblem(h, ground_state(2), StateLabel(2, 0), pen_bad, guess)
         pen = PenaltySchedule.build(guess, base=1.0)
-        with pytest.raises(InvalidSpecError):
-            OctProblem(h, ground_state(2), StateLabel(2, 0), pen, guess, update_mode="foo")
+        for mode in ("foo", "add"):
+            with pytest.raises(InvalidSpecError, match="update mode"):
+                OctProblem(h, ground_state(2), StateLabel(2, 0), pen, guess, update_mode=mode)
         with pytest.raises(InvalidSpecError):
             OctProblem(h, ground_state(2), StateLabel(9, 0), pen, guess)
 

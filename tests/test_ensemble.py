@@ -232,7 +232,6 @@ class TestOptimizeEnsemble:
             guess=guess,
             max_iterations=1,
             tolerance=1e-16,
-            update_mode="add",
         )
         zsys = precompute_z_eigensystem(dense3)
         with pytest.warns(UserWarning, match="bump"):
@@ -262,8 +261,9 @@ class TestOptimizeEnsemble:
                 )
         # Both are caught at construction, before any propagation.
         member = [EnsembleMember(psi0=psi, target=StateLabel(3, 0))]
-        with pytest.raises(InvalidSpecError, match="update mode"):
-            EnsembleProblem(dense3, member, pen, guess, update_mode="newton")
+        for mode in ("newton", "add"):
+            with pytest.raises(InvalidSpecError, match="update mode"):
+                EnsembleProblem(dense3, member, pen, guess, update_mode=mode)
         outside = [EnsembleMember(psi0=psi, target=StateLabel(9, 0))]
         with pytest.raises(InvalidSpecError, match="not in the basis"):
             EnsembleProblem(dense3, outside, pen, guess)

@@ -124,22 +124,18 @@ def test_costate_sweep_matches_oracle(setup):
     assert setup["z_lam"].shape == (setup["pulse"].n_steps, h.dim, len(MARKED))
 
 
-@pytest.mark.parametrize(
-    "mode, public",
-    [("replace", False), ("add", False), ("replace", True), ("add", True)],
-    ids=["replace", "add", "public-replace", "public-add"],
-)
-def test_update_sweep_matches_oracle(setup, mode, public):
+@pytest.mark.parametrize("public", [False, True], ids=["replace", "public-replace"])
+def test_update_sweep_matches_oracle(setup, public):
     # The engine's sweep on all four members, or the public
     # forward_update_sweep on the first one, which reports no cross-term.
     h, zsys, pulse, penalty = setup["h"], setup["zsys"], setup["pulse"], setup["penalty"]
     n_members = 1 if public else len(MARKED)
     expected, trajs, expected_cross = ref._sweep(
-        setup["psi0"][:n_members], setup["ref_costates"][:n_members], pulse, penalty, h, zsys, mode
+        setup["psi0"][:n_members], setup["ref_costates"][:n_members], pulse, penalty, h, zsys
     )
     if public:
         new_pulse, final = forward_update_sweep(
-            WavePacket(setup["psi0"][0]), setup["ref_costates"][0], pulse, penalty, h, zsys, mode
+            WavePacket(setup["psi0"][0]), setup["ref_costates"][0], pulse, penalty, h, zsys
         )
         samples, final = new_pulse.samples, final.amplitudes[:, None]
     else:
@@ -151,7 +147,6 @@ def test_update_sweep_matches_oracle(setup, mode, public):
             setup["coeffs"],
             pulse,
             penalty,
-            mode,
             *work[2:],
         )
         assert abs(cross - expected_cross) <= 1e-12
@@ -194,15 +189,13 @@ def test_sweeps_hold_two_costate_arrays_and_one_phase_table(setup, n_members):
     def second(work):
         # The iteration after the first, under the field that it returned.
         return _iterate(
-            kernel, psi0, new_final, targets, pulse.with_samples(samples), penalty, "replace", work
+            kernel, psi0, new_final, targets, pulse.with_samples(samples), penalty, work
         )
 
     tracemalloc.start()
     try:
         work = _filled_work(kernel, pulse, n_members)
-        samples, new_final, _ = _iterate(
-            kernel, psi0, final, targets, pulse, penalty, "replace", work
-        )
+        samples, new_final, _ = _iterate(kernel, psi0, final, targets, pulse, penalty, work)
         again = second(work)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -237,18 +230,25 @@ def test_step_is_the_written_out_split_step(setup, sign):
 
 
 def test_update_sweep_without_costates_is_evolve(setup):
-    # With z lam = 0, "add" adds exactly zero to every sample, so no sample
-    # changes and the sweep is the plain propagation under the old field,
-    # zero-field steps included.
+    # With z lam = 0 every new sample is exactly zero, so the sweep is the
+    # plain propagation under the zero field.  Under the old field, nonzero
+    # almost everywhere, most samples change and the steps form c for the
+    # cross-term; under a zero old field no sample changes and the
+    # cross-term is exactly zero.
     kernel, pulse, penalty = setup["kernel"], setup["pulse"], setup["penalty"]
     psi0 = np.stack(setup["psi0"], axis=1)
     zeros = np.zeros_like(setup["z_lam"])
-    work = _filled_work(kernel, pulse, len(MARKED))
-    samples, final, cross = _update_sweep(
-        kernel, psi0, zeros, setup["coeffs"], pulse, penalty, "add", *work[2:]
-    )
-    assert np.array_equal(samples, pulse.samples)
-    assert np.array_equal(final, kernel.evolve(psi0, pulse.samples))
+    zero_field = pulse.with_samples(np.zeros_like(pulse.samples))
+    plain = kernel.evolve(psi0, zero_field.samples)
+    for old in (pulse, zero_field):
+        work = _filled_work(kernel, old, len(MARKED))
+        samples, final, cross = _update_sweep(
+            kernel, psi0, zeros, setup["coeffs"], old, penalty, *work[2:]
+        )
+        assert np.all(samples[:-1] == 0.0)
+        assert samples[-1] == old.samples[-1]
+        assert np.array_equal(final, plain)
+        assert np.array_equal(work[3], kernel.phase_table(samples))
     assert cross == 0.0
 
 
@@ -308,18 +308,24 @@ def test_sweep_steps_make_only_their_blas_calls(setup):
 
     psi0 = np.stack(setup["psi0"], axis=1)
     zeros = np.zeros_like(setup["z_lam"])
-    for mode, z_lam in (("replace", setup["z_lam"]), ("add", zeros)):
-        work = _filled_work(kernel, pulse, len(MARKED))
+    zero_field = pulse.with_samples(np.zeros_like(pulse.samples))
+    # With z lam = 0 every new sample is zero: under the old field the
+    # samples that were nonzero change to zero, and under a zero old field
+    # none changes, so every step is diagonal and forms no c.
+    for z_lam, before, n_changed in (
+        (setup["z_lam"], pulse, n_steps),
+        (zeros, pulse, np.count_nonzero(old)),
+        (zeros, zero_field, 0),
+    ):
+        work = _filled_work(kernel, before, len(MARKED))
         (samples, _, _), counts = _numpy_calls(
-            lambda: _update_sweep(
-                kernel, psi0, z_lam, setup["coeffs"], pulse, penalty, mode, *work[2:]
-            )
+            lambda: _update_sweep(kernel, psi0, z_lam, setup["coeffs"], before, penalty, *work[2:])
         )
-        changed = np.count_nonzero(samples[:-1] != old)
+        was = before.samples[:-1]
+        changed = np.count_nonzero(samples[:-1] != was)
         nonzero = np.count_nonzero(samples[:-1])
-        changed_to_zero = np.count_nonzero((samples[:-1] != old) & (samples[:-1] == 0.0))
-        # With z lam = 0, "add" changes no sample and steps the zeros diagonally.
-        assert changed == (n_steps if mode == "replace" else 0)
+        changed_to_zero = np.count_nonzero((samples[:-1] != was) & (samples[:-1] == 0.0))
+        assert changed == n_changed
         assert counts["dot"] == 2 * nonzero + changed_to_zero
         assert counts["vdot"] == n_steps + changed
         assert counts["view"] <= per_sweep_views
@@ -367,9 +373,9 @@ def test_delta3_flags_costates_that_do_not_belong_to_the_field(setup, monkeypatc
     def delta3():
         # The larger |delta3| of two iterations on one set of work arrays.
         work = _filled_work(kernel, pulse, len(MARKED))
-        args = (psi0, final, targets, pulse, penalty, "replace", work)
+        args = (psi0, final, targets, pulse, penalty, work)
         samples, new_final, first = _iterate(kernel, *args)
-        args = (psi0, new_final, targets, pulse.with_samples(samples), penalty, "replace", work)
+        args = (psi0, new_final, targets, pulse.with_samples(samples), penalty, work)
         return max(abs(first), abs(_iterate(kernel, *args)[2]))
 
     assert delta3() <= 1e-10
@@ -458,7 +464,7 @@ def test_sweeps_ignore_memory_layout_and_leave_their_input(setup):
     def sweeps(block):
         work = _filled_work(kernel, pulse, block.shape[1])
         lam_buffer, lam_coeffs = _costate_sweep(kernel, block, pulse.samples, work)
-        update = _update_sweep(kernel, block, z_lam, coeffs, pulse, penalty, "replace", *work[2:])
+        update = _update_sweep(kernel, block, z_lam, coeffs, pulse, penalty, *work[2:])
         return (lam_buffer, lam_coeffs, kernel.evolve(block, pulse.samples), *update)
 
     for block, copy in _layouts(h, np.random.default_rng(5))[:2]:

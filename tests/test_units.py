@@ -1,62 +1,43 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
 
-from rydoct import UnitError, field_units, parse_quantity
+from rydoct import UnitError, parse_quantity
 
 
 def test_kv_per_cm_to_atomic():
     # CODATA field constant: 1 au = 5.1422e6 kV/cm.
-    assert field_units(1.0, "kV/cm", "au") == pytest.approx(1.9447e-7, rel=1e-4)
-    assert field_units(1.0, "au", "kV/cm") == pytest.approx(5.1422e6, rel=1e-4)
+    assert parse_quantity("1 kV/cm", "field") == pytest.approx(1.9447e-7, rel=1e-4)
+    assert 1.0 / parse_quantity("1 kV/cm", "field") == pytest.approx(5.1422e6, rel=1e-4)
 
 
 def test_atomic_time_in_attoseconds():
-    assert field_units(1.0, "au", "as") == pytest.approx(24.18884, rel=1e-6)
-    assert field_units(10.0, "fs", "au") == pytest.approx(413.4137, rel=1e-6)
+    assert 1.0 / parse_quantity("1 as", "time") == pytest.approx(24.18884, rel=1e-6)
+    assert parse_quantity("10 fs", "time") == pytest.approx(413.4137, rel=1e-6)
 
 
 def test_zero_converts_to_zero():
-    assert field_units(0.0, "kV/cm", "au") == 0.0
-    assert field_units(0.0, "ps", "au") == 0.0
-
-
-@given(
-    st.floats(min_value=1e-12, max_value=1e12),
-    st.sampled_from(["kV/cm", "V/m", "MV/cm", "au"]),
-)
-def test_field_round_trip(value, unit):
-    back = field_units(field_units(value, unit, "au"), "au", unit)
-    assert back == pytest.approx(value, rel=1e-12)
-
-
-@given(
-    st.floats(min_value=1e-12, max_value=1e12),
-    st.sampled_from(["fs", "ps", "as", "s", "au"]),
-)
-def test_time_round_trip(value, unit):
-    back = field_units(field_units(value, unit, "au"), "au", unit)
-    assert back == pytest.approx(value, rel=1e-12)
+    assert parse_quantity("0 kV/cm", "field") == 0.0
+    assert parse_quantity("0 ps", "time") == 0.0
 
 
 def test_unknown_unit_raises():
     with pytest.raises(UnitError):
-        field_units(1.0, "furlongs", "au")
+        parse_quantity("1 furlongs", "time")
     with pytest.raises(UnitError):
-        field_units(1.0, "au", "parsec")
+        parse_quantity("1 parsec", "field")
 
 
 def test_cross_family_raises():
     with pytest.raises(UnitError):
-        field_units(1.0, "kV/cm", "fs")
+        parse_quantity("1 kV/cm", "time")
+    with pytest.raises(UnitError):
+        parse_quantity("1 fs", "field")
 
 
 def test_parse_quantity_strings():
-    assert parse_quantity("8 ps", "time") == pytest.approx(field_units(8.0, "ps", "au"))
-    assert parse_quantity("1 kV/cm", "field") == pytest.approx(
-        field_units(1.0, "kV/cm", "au")
-    )
+    assert parse_quantity("8 ps", "time") == pytest.approx(8e-12 / 2.4188843265857e-17)
+    assert parse_quantity("1 kV/cm", "field") == pytest.approx(1e5 / 5.14220674763e11)
 
 
 def test_parse_quantity_bare_numbers_are_atomic_units():
@@ -77,7 +58,5 @@ def test_parse_quantity_rejects_nonsense():
 
 def test_known_constant_against_codata_ratio():
     # 1 kV/cm = 1e5 V/m over the atomic field unit.
-    assert field_units(1.0, "kV/cm", "au") == pytest.approx(
-        1e5 / 5.14220674763e11, rel=1e-12
-    )
-    assert math.isclose(field_units(1.0, "s", "au"), 1.0 / 2.4188843265857e-17)
+    assert parse_quantity("1 kV/cm", "field") == pytest.approx(1e5 / 5.14220674763e11, rel=1e-12)
+    assert math.isclose(parse_quantity("1 s", "time"), 1.0 / 2.4188843265857e-17)
