@@ -128,7 +128,6 @@ class RadialGrid:
 
     r: np.ndarray
     x: np.ndarray
-    kind: str = "sqrt"
 
     def __post_init__(self):
         if self.r[0] <= 0:
@@ -504,7 +503,11 @@ def load_hamiltonian(path) -> HamiltonianData:
 
     section = "header"
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not a text file: {exc}") from None
+        for lineno, raw in enumerate(lines, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

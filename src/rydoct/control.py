@@ -53,11 +53,13 @@ import numpy as np
 from .atomic import HamiltonianData, StateLabel
 from .errors import InvalidSpecError
 from .propagation import (
+    CHUNK_STEPS,
     PulseGrid,
     SplitStepKernel,
     WavePacket,
     ZEigensystem,
     precompute_z_eigensystem,
+    propagate,
 )
 
 __all__ = [
@@ -77,9 +79,6 @@ STALL_BUMP_AMPLITUDE = 1e-10
 MONOTONICITY_SLACK = 1e-9
 #: The name of the one field update rule; see the module docstring.
 UPDATE_MODE = "replace"
-#: Steps per block of full-width phases in a sweep; the engine applies z
-#: to the costates half a chunk at a time, as one real matrix product.
-CHUNK_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -258,23 +257,19 @@ def _costate_sweep(
     return lam_buffer, coeffs
 
 
-def _apply_z(
-    kernel: SplitStepKernel, lam_buffer: np.ndarray, scratch: np.ndarray | None = None
-) -> np.ndarray:
+def _apply_z(kernel: SplitStepKernel, lam_buffer: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """z lam_j in place of lam_j; returns the (n_steps, dim, M) buffer itself.
 
     z acts on half a chunk of steps as one real product.  Each half chunk is
     copied, transposed, into a contiguous (dim, steps x M) block in the
-    first half of the `_chunk_scratch`, whose float64 view holds each
-    lam_j's real and imaginary parts as a column pair: the (dim, steps x
-    2M) operand that z met when the costates were stored dim-major.  Each
-    product column depends only on its operand column, so the product has
-    the same bits as the dim-major one.  It goes into the second half and is
-    copied back.  `scratch` is allocated when not given.
+    first half of `scratch`, a `_chunk_scratch` of the buffer's width,
+    whose float64 view holds each lam_j's real and imaginary parts as a
+    column pair: the (dim, steps x 2M) operand that z met when the costates
+    were stored dim-major.  Each product column depends only on its operand
+    column, so the product has the same bits as the dim-major one.  It goes
+    into the second half and is copied back.
     """
     n_steps, dim, n_members = lam_buffer.shape
-    if scratch is None:
-        scratch = _chunk_scratch(dim, n_members)
     half = CHUNK_STEPS // 2
     for start in range(0, n_steps, half):
         chunk = lam_buffer[start : start + half]
@@ -370,17 +365,23 @@ def forward_update_sweep(
     under the old field.  Runs the engine's update sweep on one member and
     returns the updated field and the final state at T.  The final field
     sample sits at T itself, after the last step, and is left unchanged.
+    As in the engine, z lam_j comes from `_apply_z` and V^T D* lam_{j+1}
+    from the adjoint `stepper`, here for every step in one product.
     """
     _check_mode(update_mode)
     kernel = SplitStepKernel(h, zsys, pulse.dt)
     costates = np.asarray(costates, dtype=complex)
-    # Row j of costates @ z^T is (z lam_j)^T.
-    z_lam = (costates[:-1] @ kernel.z.T)[:, :, None]
-    coeffs = kernel.adjoint().coefficients(costates[1:].T).T[:, :, None]
+    scratch = _chunk_scratch(h.dim, 1)
+    z_lam = _apply_z(kernel, costates[:-1, :, None].copy(), scratch)
+    lam_next = costates[1:].T
+    adjoint_step, (x, _, c, cf) = kernel.adjoint().stepper(lam_next)
+    # D* (D* lam) lands in x, unused.
+    adjoint_step(lam_next, x, None, c, cf)
+    coeffs = c.T[:, :, None]
     psi = np.asarray(psi0.amplitudes, dtype=complex).reshape(h.dim, 1)
     table = kernel.phase_table(pulse.samples)
     new_samples, final, _ = _update_sweep(
-        kernel, psi, z_lam, coeffs, pulse, penalty, _chunk_scratch(h.dim, 1), table
+        kernel, psi, z_lam, coeffs, pulse, penalty, scratch, table
     )
     return pulse.with_samples(new_samples), WavePacket(final[:, 0], time=pulse.horizon)
 
@@ -497,7 +498,8 @@ def _run_engine(
     target.  The objective is sum_i |<target_i|psi_i(T)>|^2 - cost, with the
     fluence cost charged once however many members share the field.  The
     members are the columns of one (dim, M) block; only its final value is
-    kept.
+    kept.  The guess, and the stall-bumped guess, are run by `propagate`,
+    which rejects a member that is not normalized.
     """
     h, penalty = problem.hamiltonian, problem.penalty
     if zsys is None:
@@ -506,9 +508,7 @@ def _run_engine(
     psi0 = np.stack([np.asarray(amps0, dtype=complex) for amps0, _ in members], axis=1)
     targets = (np.array([k for _, k in members]), np.arange(len(members)))
     pulse = problem.guess
-    work = _work_arrays(pulse.n_steps, h.dim, len(members))
-    kernel.phase_table(pulse.samples, out=work[3])
-    final = kernel.evolve(psi0, pulse.samples)
+    final = propagate(WavePacket(psi0), pulse, h, zsys, record=None)[1].amplitudes
 
     if np.any(final[targets] == 0.0):
         warnings.warn(
@@ -517,9 +517,10 @@ def _run_engine(
             stacklevel=2,
         )
         pulse = _apply_stall_bump(pulse)
-        kernel.phase_table(pulse.samples, out=work[3])
-        final = kernel.evolve(psi0, pulse.samples)
+        final = propagate(WavePacket(psi0), pulse, h, zsys, record=None)[1].amplitudes
 
+    work = _work_arrays(pulse.n_steps, h.dim, len(members))
+    kernel.phase_table(pulse.samples, out=work[3])
     guess_yields = np.abs(final[targets]) ** 2
     j_prev = sum(guess_yields) - evaluate_cost(pulse, penalty)
     guess_j = j_prev

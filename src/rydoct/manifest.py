@@ -38,7 +38,7 @@ from .atomic import (
 )
 from .control import UPDATE_MODE, OctProblem, OctResult, PenaltySchedule, optimize
 from .ensemble import decode_test, optimize_ensemble, register_ensemble_problem
-from .errors import ManifestError, RydoctError
+from .errors import ManifestError, RydoctError, ValidationError
 from .propagation import (
     PulseGrid,
     WavePacket,
@@ -65,6 +65,12 @@ MAX_PULSE_STEPS = 100_000
 #: this limit; the 187-state basis (n 21-31, l < 17) on 20 000 points has
 #: 3.74 M values.
 MAX_BASIS_VALUES = 10_000_000
+
+#: Most values of the Husimi map's windows that `analyze` may form, window
+#: centers (every analysis.husimi_time_stride-th sample) x field samples.
+#: `husimi` holds a few such float64 arrays, about 24 B per value: 229 MB of
+#: traced allocations at 8 001 samples and stride 8 (8.0 M values).
+MAX_HUSIMI_VALUES = 10_000_000
 
 DEFECT_PRESETS = {"hydrogen": {}, "cesium": CESIUM_DEFECTS}
 
@@ -291,7 +297,10 @@ def build_basis(manifest: RunManifest) -> HamiltonianData:
     cached on disk (see `_cache_entry`) and read back on later runs."""
     cfg = manifest.basis
     if cfg.get("hamiltonian_file"):
-        return load_hamiltonian(cfg["hamiltonian_file"])
+        try:
+            return load_hamiltonian(cfg["hamiltonian_file"])
+        except ValidationError as exc:
+            raise ManifestError(f"basis.hamiltonian_file: {exc}") from exc
     spec = BasisSpec(
         n_min=cfg["n_min"],
         n_max=cfg["n_max"],
@@ -439,7 +448,10 @@ def read_field_csv(path) -> PulseGrid:
     largest time, which is what writing t0 + j dt out can cost.  The grid
     step is t1 - t0.  Errors name the file and the line.
     """
-    rows = Path(path).read_text().strip().splitlines()
+    try:
+        rows = Path(path).read_text().strip().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ManifestError(f"{path}: not a field CSV (not a text file: {exc})") from None
     if not rows or rows[0].split(",")[:2] != ["time", "E"]:
         raise ManifestError(f"{path}: not a field CSV (expected 'time,E' header)")
     if len(rows) < 3:
@@ -615,6 +627,14 @@ def _optimize_universal(
 
 def _analyze(manifest: RunManifest, h: HamiltonianData, out: Path, field_path) -> dict:
     pulse = read_field_csv(field_path)
+    stride = manifest.analysis["husimi_time_stride"]
+    n_samples = len(pulse.samples)
+    centers = -(-n_samples // stride)
+    if centers * n_samples > MAX_HUSIMI_VALUES:
+        raise ManifestError(
+            f"analysis.husimi_time_stride: {stride} gives {centers} window centers x "
+            f"{n_samples} field samples, more than the limit of {MAX_HUSIMI_VALUES} values"
+        )
 
     spec_data = spectrum(pulse, pad_factor=manifest.analysis["pad_factor"])
     # Distance from each spectral bin to the nearest dipole-allowed level gap;
@@ -639,7 +659,7 @@ def _analyze(manifest: RunManifest, h: HamiltonianData, out: Path, field_path) -
     sigma = manifest.analysis["husimi_sigma"]
     if sigma is None:
         sigma = (pulse.horizon - pulse.t0) / 4.0
-    hus = husimi(pulse, sigma, time_stride=manifest.analysis["husimi_time_stride"])
+    hus = husimi(pulse, sigma, time_stride=stride)
     _write_csv(
         out / "husimi.csv",
         ["time", *map(_fmt, hus.times)],
@@ -720,10 +740,10 @@ def run(
             raise ManifestError(f"{name}: section is missing")
         if key and section[key] is None:
             raise ManifestError(f"{need}: required for {command}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if h is None:
         h = build_basis(manifest)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     result = spec.body(manifest, h, out, field_path)
     summary = {
         "schema_version": SCHEMA_VERSION,

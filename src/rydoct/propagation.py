@@ -26,7 +26,8 @@ allocates the sweep's (dim, M) scratch blocks and their float64 views, and
 returns a callable that holds them, D, V and V^T as locals.  Each step is
 then only its ufunc and `np.dot` calls, with positional outputs, writing
 into that scratch or into a slot of the caller's arrays; it makes no
-temporaries and takes no views.  The phase P_j may be a (dim, 1) column or
+temporaries and takes no views.  Each P_j of a fixed field is a row of
+`SplitStepKernel.phase_table`.  The phase P_j may be a (dim, 1) column or
 a contiguous (dim, M) block; the costate sweep passes the block, which
 multiplies element by element instead of row by row.  The optimization
 engine stores, per iteration, only the final state block, two step-major
@@ -34,9 +35,10 @@ costate arrays of n_steps blocks each (z lam_j and V^T D* lam_{j+1}) and
 one (n_steps, dim, 1) table of the swept field's phases P_j, which it
 forms once per field (see `control`), never whole forward trajectories.
 
-The public entry points are `propagate`, which runs a state or a block
-across a pulse grid (optionally with an absorber on chosen states), and the
-kernel itself: `SplitStepKernel(h, zsys, dt).step(block, E)` is one step.
+The public entry points are `propagate`, the one loop that runs a state or
+a block across a fixed pulse grid (optionally with an absorber on chosen
+states), and the kernel itself: `SplitStepKernel(h, zsys, dt).stepper(block)`
+returns one step, and its `phase_table` the phases P_j that the step takes.
 """
 
 from __future__ import annotations
@@ -48,6 +50,9 @@ import numpy as np
 
 from .atomic import HamiltonianData, StateLabel
 from .errors import InvalidSpecError
+
+#: Steps per block of phases that a sweep forms or copies at a time.
+CHUNK_STEPS = 64
 
 __all__ = [
     "WavePacket",
@@ -149,8 +154,8 @@ class SplitStepKernel:
     dt gives the adjoint (inverse) step, which the backward sweeps use; see
     `adjoint`.  Blocks are complex (dim, M) arrays, one state per column.
     A sweep takes its `stepper` once and then calls it at every step, which
-    writes through the stepper's scratch and allocates nothing; `step`,
-    `evolve` and `coefficients` are such sweeps.
+    writes through the stepper's scratch and allocates nothing, with the
+    phases P(E_j) that `phase_table` forms for the field's samples.
     """
 
     def __init__(self, h: HamiltonianData, zsys: ZEigensystem, dt: float):
@@ -166,24 +171,15 @@ class SplitStepKernel:
     def adjoint(self) -> "SplitStepKernel":
         return SplitStepKernel(self.h, self.zsys, -self.dt)
 
-    def phase(self, e_field: float, out: np.ndarray | None = None) -> np.ndarray:
-        """The z-eigenbasis factor P(E) as a column; exactly 1 for E = 0.
-
-        The column is written into `out` when it is given.
-        """
-        column = np.multiply(e_field, self.exponent, out=out)
-        return np.exp(column, out=column)
-
     def phase_table(self, samples: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """P(E_j) for every step of `samples` at once, as (n_steps, dim, 1) columns.
+        """P(E_j) = exp(-i E_j w dt) for every step of `samples`, as (n_steps, dim, 1) columns.
 
-        Row j equals `phase(samples[j])` exactly: the same product and the
-        same elementwise exp, one vectorised call for the whole grid, taken
-        in place so that only one table is ever held.  The table is written
-        into `out` when it is given, such as the table that the optimization
-        engine keeps for the field it sweeps, whose rows its update sweep
-        then overwrites, with the same product and exp, as it forms the new
-        field.
+        One vectorised product and one elementwise exp, in place, so that
+        only one table is held; a row is exactly 1 where E_j = 0 and has the
+        same bits in a table of any slice of the grid.  The table is written
+        into `out` when it is given: a chunk of `propagate`'s scratch, or the
+        engine's table of the field it sweeps, whose rows the update sweep
+        overwrites with the same product and exp as it forms the new field.
         """
         table = np.multiply(samples[:-1, None, None], self.exponent, out=out)
         return np.exp(table, out=table)
@@ -233,41 +229,6 @@ class SplitStepKernel:
 
         return step, (x, b, own_c, own_cf)
 
-    def _field_stepper(self, block: np.ndarray) -> Callable[[np.ndarray, np.ndarray, float], None]:
-        """`stepper`'s step taking a field value: P(E) is formed per step."""
-        step, (_, _, c, cf) = self.stepper(block)
-        column = np.empty_like(self.half)
-        phase = self.phase
-
-        def field_step(src, dst, e_field):
-            if e_field != 0.0:
-                step(src, dst, phase(e_field, column), c, cf)
-            else:
-                step(src, dst, None, None, None)
-
-        return field_step
-
-    def coefficients(self, block: np.ndarray) -> np.ndarray:
-        """c = V^T D block, the first half step in the z eigenbasis."""
-        step, (x, _, c, cf) = self.stepper(block)
-        # A zero-field step given c forms it; D (D block) lands in x, unused.
-        step(block, x, None, c, cf)
-        return c
-
-    def step(self, block: np.ndarray, e_field: float) -> np.ndarray:
-        """One step of `block` under the field sample `e_field`, as a new block."""
-        out = np.empty(block.shape, dtype=complex)
-        self._field_stepper(block)(block, out, e_field)
-        return out
-
-    def evolve(self, block: np.ndarray, samples: np.ndarray) -> np.ndarray:
-        """Final block after one step per sample; the last sample is unused."""
-        step = self._field_stepper(block)
-        block = np.array(block, dtype=complex, order="C")
-        for e_field in samples[:-1].tolist():
-            step(block, block, e_field)
-        return block
-
 
 def boundary_labels(h: HamiltonianData) -> list[StateLabel]:
     """States on the basis edges: lowest n, highest n, and highest l shell."""
@@ -285,11 +246,14 @@ def propagate(
     record: int | None = 1,
     absorber: tuple[list, float] | None = None,
 ) -> tuple[list[WavePacket], WavePacket]:
-    """Propagate psi0 across the whole pulse grid.
+    """Propagate psi0 across the whole pulse grid: the one fixed-field forward loop.
 
     `psi0.amplitudes` is one state of shape (dim,) or a (dim, M) block of M
     normalized states, which advance together; the returned wave packets
-    have the same shape.  `record` is the sampling stride: 1 stores every
+    have the same shape.  The loop takes the kernel's `stepper` once and
+    the field's phases from `phase_table`, `CHUNK_STEPS` rows at a time,
+    into one (CHUNK_STEPS, dim, 1) scratch; a step whose sample is exactly
+    zero stays diagonal.  `record` is the sampling stride: 1 stores every
     step, k every k-th step, None only the final state.  The initial state
     and the final state are always part of a recorded trajectory.
     `absorber` is an optional (labels, strength) pair: after every step the
@@ -314,19 +278,27 @@ def propagate(
     kernel = SplitStepKernel(h, zsys, pulse.dt)
     shape = psi0.amplitudes.shape
     block = np.array(psi0.amplitudes, dtype=complex, order="C").reshape(h.dim, -1)
-    step = kernel._field_stepper(block)
+    step, (_, _, c, cf) = kernel.stepper(block)
+    phases = np.empty((CHUNK_STEPS, h.dim, 1), dtype=complex)
+    fields = pulse.samples[:-1].tolist()
     t = pulse.t0
     trajectory: list[WavePacket] = []
     if record is not None:
         trajectory.append(WavePacket(amplitudes=block.reshape(shape).copy(), time=t))
 
-    for j, e_field in enumerate(pulse.samples[:-1].tolist()):
-        step(block, block, e_field)
-        if mask is not None:
-            np.multiply(block, mask, out=block)
-        t += pulse.dt
-        if record is not None and ((j + 1) % record == 0 or j + 1 == pulse.n_steps):
-            trajectory.append(WavePacket(amplitudes=block.reshape(shape).copy(), time=t))
+    for start in range(0, pulse.n_steps, CHUNK_STEPS):
+        stop = min(start + CHUNK_STEPS, pulse.n_steps)
+        kernel.phase_table(pulse.samples[start : stop + 1], out=phases[: stop - start])
+        for j in range(start, stop):
+            if fields[j] != 0.0:
+                step(block, block, phases[j - start], c, cf)
+            else:
+                step(block, block, None, None, None)
+            if mask is not None:
+                np.multiply(block, mask, out=block)
+            t += pulse.dt
+            if record is not None and ((j + 1) % record == 0 or j + 1 == pulse.n_steps):
+                trajectory.append(WavePacket(amplitudes=block.reshape(shape).copy(), time=t))
 
     final = WavePacket(amplitudes=block.reshape(shape), time=t)
     if record is None:

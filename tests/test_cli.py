@@ -1,8 +1,10 @@
 import ast
 import json
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +28,7 @@ from rydoct.cli import main
 from rydoct.manifest import (
     COMMANDS,
     MAX_BASIS_VALUES,
+    MAX_HUSIMI_VALUES,
     MAX_PULSE_STEPS,
     build_basis,
     build_guess_pulse,
@@ -123,6 +126,11 @@ def _long_guess_grid():
     return data
 
 
+#: A file of bytes that are not UTF-8 text, written into the directory the
+#: malformed manifests run in, so that a relative path in a manifest finds it.
+BINARY_FILE = "binary.dat"
+BINARY_BYTES = b"\x89PNG\r\n\x1a\n\xff\xfe\x00\x80"
+
 #: Malformed manifests: (manifest, the key its error must name).
 BAD_MANIFESTS = {
     "json_array": ([1, 2], "manifest"),
@@ -158,13 +166,19 @@ BAD_MANIFESTS = {
         _mutated("basis", "grid_points", MAX_BASIS_VALUES // 55 + 1),
         "basis.grid_points",
     ),
+    "hamiltonian_file_binary": (
+        _mutated("basis", "hamiltonian_file", BINARY_FILE),
+        "basis.hamiltonian_file",
+    ),
 }
 
 
 class TestMalformedManifests:
     @pytest.mark.parametrize("case", sorted(BAD_MANIFESTS))
-    def test_is_one_json_error_naming_the_key(self, tmp_path, capsys, case):
+    def test_is_one_json_error_naming_the_key(self, tmp_path, capsys, monkeypatch, case):
         data, key = BAD_MANIFESTS[case]
+        (tmp_path / BINARY_FILE).write_bytes(BINARY_BYTES)
+        monkeypatch.chdir(tmp_path)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
         code = main(["basis", "--manifest", str(path), "--out", str(tmp_path / "o")])
@@ -386,6 +400,50 @@ class TestCliEntryPoint:
         payload = json.loads(line)
         assert set(payload) == {"error", "message"}
         assert payload["message"].startswith("basis.l_max: ")
+
+    def test_oversized_husimi_map_is_a_json_error(self, tiny_manifest_path, tmp_path, capsys):
+        # The fewest samples whose Husimi map at the manifest's stride holds
+        # more than the limit: about 0.24 GB of temporaries had husimi run.
+        stride = json.loads(tiny_manifest_path.read_text())["analysis"]["husimi_time_stride"]
+        n_samples = math.isqrt(MAX_HUSIMI_VALUES * stride)
+        while -(-n_samples // stride) * n_samples <= MAX_HUSIMI_VALUES:
+            n_samples += 1
+        field = tmp_path / "long.csv"
+        write_field_csv(field, PulseGrid.zeros(0.0, 413.41, n_samples))
+        out = tmp_path / "o"
+        argv = ["analyze", "--manifest", str(tiny_manifest_path), "--field", str(field)]
+        tracemalloc.start()
+        try:
+            code = main(argv + ["--out", str(out)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        (line,) = err.strip().splitlines()
+        payload = json.loads(line)
+        assert set(payload) == {"error", "message"}
+        assert payload["error"] == "ManifestError"
+        assert payload["message"].startswith("analysis.husimi_time_stride: ")
+        assert str(MAX_HUSIMI_VALUES) in payload["message"]
+        assert peak < 32 * 2**20
+        assert not (out / "spectrum.csv").exists() and not (out / "husimi.csv").exists()
+
+    def test_husimi_limit_is_inclusive(self, tiny_manifest_path, tmp_path, capsys, monkeypatch):
+        # A map of exactly the limit runs; one value less of limit stops it.
+        data = json.loads(tiny_manifest_path.read_text())
+        pulse = build_guess_pulse(parse_manifest(data))
+        stride = data["analysis"]["husimi_time_stride"]
+        values = -(-len(pulse.samples) // stride) * len(pulse.samples)
+        field = tmp_path / "field.csv"
+        write_field_csv(field, pulse)
+        argv = ["analyze", "--manifest", str(tiny_manifest_path), "--field", str(field)]
+        for limit, code in ((values, 0), (values - 1, 1)):
+            monkeypatch.setattr(rydoct.manifest, "MAX_HUSIMI_VALUES", limit)
+            assert main(argv + ["--out", str(tmp_path / f"o{limit}")]) == code
+        assert "analysis.husimi_time_stride: " in capsys.readouterr().err
+        assert (tmp_path / f"o{values}" / "husimi.csv").exists()
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("key, value", [("penalty_base", 1e307), ("edge_multiplier", 1e308)])
@@ -612,6 +670,7 @@ BAD_FIELD_CSVS = {
     "one_row": ("time,E\n0.0,1e-07\n", "line 2"),
     "non_numeric": ("time,E\n0.0,1e-07\n10.0,abc\n20.0,0.0\n", "line 3"),
     "non_uniform": ("time,E\n0.0,0.0\n1.0,0.0\n5.0,0.0\n6.0,0.0\n", "line 4"),
+    "not_text": (BINARY_BYTES, "not a text file"),
 }
 
 
@@ -621,7 +680,7 @@ class TestFieldCsvHardening:
     def test_bad_field_is_a_json_error(self, tiny_manifest_path, tmp_path, capsys, command, case):
         text, where = BAD_FIELD_CSVS[case]
         field = tmp_path / f"{case}.csv"
-        field.write_text(text)
+        field.write_bytes(text if isinstance(text, bytes) else text.encode())
         argv = [command, "--manifest", str(tiny_manifest_path), "--field", str(field)]
         code = main(argv + ["--out", str(tmp_path / "o")])
         err = capsys.readouterr().err

@@ -206,6 +206,20 @@ class TestOptimizeEnsemble:
             rtol=1e-12,
         )
 
+    def test_unnormalized_member_rejected(self, dense3, small_problem):
+        # The engine runs the guess through `propagate`, which takes
+        # normalized states only: one member off is enough, one target too.
+        zsys = precompute_z_eigensystem(dense3)
+        kept = small_problem.members[1]
+        doubled = WavePacket(2.0 * kept.psi0.amplitudes)
+        small_problem.members[1] = EnsembleMember(psi0=doubled, target=kept.target)
+        with pytest.raises(InvalidSpecError, match="normalized"):
+            optimize_ensemble(small_problem, zsys=zsys)
+        penalty, guess = small_problem.penalty, small_problem.guess
+        single = OctProblem(dense3, doubled, kept.target, penalty, guess)
+        with pytest.raises(InvalidSpecError, match="normalized"):
+            optimize(single, zsys=zsys)
+
     def test_summed_objective_monotone(self, dense3, small_problem):
         # Where the per-step field changes are well resolved by the time
         # step, the summed objective never drops past rounding slack.

@@ -4,12 +4,13 @@ The oracle is tests/reference_sweeps.py.  Both sides start from the same
 initial states and terminal costates on the 55-state production basis, with
 four register members and a field that is nonzero almost everywhere but has
 exact zeros mixed in, so both the zero-field shortcut and the full step run.
-The same set-up bounds the sweeps' memory, pins the in-place sweeps bit for
-bit to the written-out step and to one `step` at a time, pins the step-major
-costate layout and the phase table that one iteration hands to the next,
-checks that delta3 flags costates that do not belong to the field, pins
-the numpy calls that each sweep makes per step, and checks that the sweeps
-give the same bytes whatever the memory layout of the input block.
+The same set-up bounds the sweeps' memory, pins the in-place sweeps and
+`propagate` bit for bit to the written-out step and to a plain loop of one
+`stepper` step at a time, pins the step-major costate layout and the phase
+table that one iteration hands to the next, checks that delta3 flags
+costates that do not belong to the field, pins the numpy calls that each
+sweep makes per step, and checks that the sweeps give the same bytes
+whatever the memory layout of the input block.
 """
 
 import sys
@@ -25,11 +26,11 @@ from rydoct import (
     PulseGrid,
     RegisterSpec,
     WavePacket,
+    boundary_labels,
     encode,
     propagate,
 )
 from rydoct.control import (
-    CHUNK_STEPS,
     _apply_z,
     _costate_sweep,
     _iterate,
@@ -38,7 +39,7 @@ from rydoct.control import (
     backward_propagate,
     forward_update_sweep,
 )
-from rydoct.propagation import SplitStepKernel
+from rydoct.propagation import CHUNK_STEPS, SplitStepKernel
 from tests import reference_sweeps as ref
 
 REGISTER = ["24p", "25p", "26p", "27p", "28p", "29p"]
@@ -52,6 +53,24 @@ def _filled_work(kernel, pulse, n_members):
     work = _work_arrays(pulse.n_steps, kernel.h.dim, n_members)
     kernel.phase_table(pulse.samples, out=work[3])
     return work
+
+
+def _evolve(kernel, block, pulse):
+    """The final block of `propagate` under `pulse`, as the engine runs the guess."""
+    _, final = propagate(WavePacket(block), pulse, kernel.h, kernel.zsys, record=None)
+    return final.amplitudes
+
+
+def _step(kernel, block, e_field):
+    """One `stepper` step of `block` under `e_field`, as a new block: the
+    phase is the sample's `phase_table` row, and none where it is zero."""
+    step, (_, _, c, cf) = kernel.stepper(block)
+    out = np.empty(block.shape, dtype=complex)
+    if e_field != 0.0:
+        step(block, out, kernel.phase_table(np.array([e_field, 0.0]))[0], c, cf)
+    else:
+        step(block, out, None, None, None)
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +100,7 @@ def setup(cesium_h, cesium_zsys):
     kernel = SplitStepKernel(cesium_h, cesium_zsys, DT)
     work = _filled_work(kernel, pulse, len(MARKED))
     lam_buffer, coeffs = _costate_sweep(kernel, np.stack(lam_final, axis=1), pulse.samples, work)
-    z_lam = _apply_z(kernel, lam_buffer)
+    z_lam = _apply_z(kernel, lam_buffer, work[2])
     return {
         "h": cesium_h,
         "zsys": cesium_zsys,
@@ -162,12 +181,19 @@ def test_update_sweep_matches_oracle(setup, public):
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_phase_table_rows_are_the_per_step_phases(setup, sign):
+    # Row j is exp(E_j x exponent) of step j alone, exactly 1 where E_j = 0,
+    # and has the same bits in a table of any slice of the grid, such as the
+    # chunks that `propagate` forms.
     kernel = SplitStepKernel(setup["h"], setup["zsys"], sign * DT)
     samples = setup["pulse"].samples
     table = kernel.phase_table(samples)
     assert table.shape == (len(samples) - 1, setup["h"].dim, 1)
     for j, e_field in enumerate(samples[:-1].tolist()):
-        assert np.array_equal(table[j], kernel.phase(e_field))
+        assert np.array_equal(table[j], np.exp(e_field * kernel.exponent))
+        if e_field == 0.0:
+            assert np.all(table[j] == 1.0)
+    for start, stop in ((0, 1), (5, 64), (300, 340), (700, len(samples) - 1)):
+        assert np.array_equal(kernel.phase_table(samples[start : stop + 1]), table[start:stop])
 
 
 @pytest.mark.parametrize("n_members", [1, 4])
@@ -180,7 +206,7 @@ def test_sweeps_hold_two_costate_arrays_and_one_phase_table(setup, n_members):
     h, pulse = setup["h"], setup["pulse"]
     kernel, penalty = setup["kernel"], setup["penalty"]
     psi0 = np.stack(setup["psi0"][:n_members], axis=1)
-    final = kernel.evolve(psi0, pulse.samples)
+    final = _evolve(kernel, psi0, pulse)
     targets = (np.array([h.index(bit) for bit in MARKED[:n_members]]), np.arange(n_members))
     costate_bytes = pulse.n_steps * h.dim * n_members * 16
     table_bytes = pulse.n_steps * h.dim * 16
@@ -225,8 +251,9 @@ def test_step_is_the_written_out_split_step(setup, sign):
         if e_field == 0.0:
             expected = half * (half * block)
         else:
-            expected = half * real(kernel.v, kernel.phase(e_field) * real(kernel.vt, half * block))
-        assert np.array_equal(kernel.step(block, e_field), expected)
+            phase = np.exp(e_field * kernel.exponent)
+            expected = half * real(kernel.v, phase * real(kernel.vt, half * block))
+        assert np.array_equal(_step(kernel, block, e_field), expected)
 
 
 def test_update_sweep_without_costates_is_evolve(setup):
@@ -239,7 +266,7 @@ def test_update_sweep_without_costates_is_evolve(setup):
     psi0 = np.stack(setup["psi0"], axis=1)
     zeros = np.zeros_like(setup["z_lam"])
     zero_field = pulse.with_samples(np.zeros_like(pulse.samples))
-    plain = kernel.evolve(psi0, zero_field.samples)
+    plain = _evolve(kernel, psi0, zero_field)
     for old in (pulse, zero_field):
         work = _filled_work(kernel, old, len(MARKED))
         samples, final, cross = _update_sweep(
@@ -259,11 +286,18 @@ def test_costate_sweep_is_the_adjoint_step_loop(setup):
     lam_final = np.stack(setup["lam_final"], axis=1)
     work = _filled_work(kernel, pulse, len(MARKED))
     lam_buffer, coeffs = _costate_sweep(kernel, lam_final, pulse.samples, work)
+    # The loop's adjoint phases are the rows of the adjoint kernel's own table
+    # (dim, 1) columns; the sweep conjugates the forward table at full width.
     adjoint = kernel.adjoint()
+    step, (_, _, c, cf) = adjoint.stepper(lam_final)
+    phases = adjoint.phase_table(pulse.samples)
     lam = lam_final
     for j in range(pulse.n_steps - 1, -1, -1):
-        assert np.array_equal(coeffs[j], adjoint.coefficients(lam))
-        lam = adjoint.step(lam, float(pulse.samples[j]))
+        new = np.empty_like(lam)
+        # Every step forms c = V^T D* lam_{j+1}, a zero-field step as well.
+        step(lam, new, phases[j] if pulse.samples[j] != 0.0 else None, c, cf)
+        assert np.array_equal(coeffs[j], c)
+        lam = new
         assert np.array_equal(lam_buffer[j], lam)
 
 
@@ -351,13 +385,14 @@ def test_apply_z_is_the_dim_major_chunk_product_in_place(setup):
         for start in range(0, flat.shape[1], width):
             chunk = flat[:, start : start + width]
             chunk[...] = kernel.z @ chunk
-        for scratch in (work[2], None):
+        # What the scratch held before does not reach the product.
+        for scratch in (work[2], np.full_like(work[2], np.nan)):
             z_lam = _apply_z(kernel, costates.copy(), scratch)
             assert z_lam.shape == (n_steps, h.dim, len(MARKED))
             assert z_lam.flags.c_contiguous
             for j in range(n_steps):
                 assert np.array_equal(z_lam[j], dim_major[:, j])
-    assert _apply_z(kernel, lam_buffer) is lam_buffer
+    assert _apply_z(kernel, lam_buffer, work[2]) is lam_buffer
 
 
 def test_delta3_flags_costates_that_do_not_belong_to_the_field(setup, monkeypatch):
@@ -367,7 +402,7 @@ def test_delta3_flags_costates_that_do_not_belong_to_the_field(setup, monkeypatc
     # phase table the first did not update to its new field, must show.
     h, pulse, kernel, penalty = setup["h"], setup["pulse"], setup["kernel"], setup["penalty"]
     psi0 = np.stack(setup["psi0"], axis=1)
-    final = kernel.evolve(psi0, pulse.samples)
+    final = _evolve(kernel, psi0, pulse)
     targets = (np.array([h.index(bit) for bit in MARKED]), np.arange(len(MARKED)))
 
     def delta3():
@@ -424,7 +459,7 @@ def test_kernel_step_ignores_memory_layout(setup, e_field):
         if block.ndim == 1:
             # The kernel steps (dim, M) blocks; one state is a (dim, 1) column.
             block, copy = block[:, None], copy[:, None]
-        assert np.array_equal(kernel.step(block, e_field), kernel.step(copy, e_field))
+        assert np.array_equal(_step(kernel, block, e_field), _step(kernel, copy, e_field))
 
 
 @pytest.mark.parametrize("e_field", [0.0, 1.3e-7])
@@ -434,16 +469,14 @@ def test_kernel_rejects_blocks_that_are_not_dim_by_m(setup, e_field):
     kernel = setup["kernel"]
     dim = setup["h"].dim
     state = setup["psi0"][0]
-    samples = np.full(4, e_field)
+    pulse = PulseGrid(0.0, DT, np.full(4, e_field))
     for bad in (state, state[None, :], state[:, None, None], np.ones((1, 4), complex)):
         with pytest.raises(InvalidSpecError, match=f"\\({dim}, M\\) block"):
-            kernel.step(bad, e_field)
-        with pytest.raises(InvalidSpecError):
-            kernel.coefficients(bad)
-        with pytest.raises(InvalidSpecError):
-            kernel.evolve(bad, samples)
-    assert kernel.step(state[:, None], e_field).shape == (dim, 1)
-    assert kernel.evolve(state[:, None], samples).shape == (dim, 1)
+            _step(kernel, bad, e_field)
+        with pytest.raises(InvalidSpecError, match=f"\\({dim}, M\\) block"):
+            kernel.adjoint().stepper(bad)
+    assert _step(kernel, state[:, None], e_field).shape == (dim, 1)
+    assert _evolve(kernel, state[:, None], pulse).shape == (dim, 1)
 
 
 def test_propagate_ignores_memory_layout(setup):
@@ -453,6 +486,45 @@ def test_propagate_ignores_memory_layout(setup):
         _, expected = propagate(WavePacket(copy), pulse, h, zsys, record=None)
         assert final.amplitudes.shape == block.shape
         assert np.array_equal(final.amplitudes, expected.amplitudes)
+
+
+def test_propagate_is_the_plain_stepper_loop(setup):
+    # Bit for bit, every recorded block and the final one against one
+    # `stepper` step at a time with the whole grid's phase table, the
+    # absorber applied after each step.  The grid ends in a short chunk and
+    # has zero samples on both sides of a chunk boundary.
+    h, zsys, pulse, kernel = setup["h"], setup["zsys"], setup["pulse"], setup["kernel"]
+    samples = pulse.samples
+    boundary = 5 * CHUNK_STEPS
+    assert pulse.n_steps % CHUNK_STEPS != 0
+    assert samples[boundary - 1] == 0.0 and samples[boundary] == 0.0
+    record, strength = 7, 0.3
+    absorbed = boundary_labels(h)
+    block = np.stack(setup["psi0"], axis=1)
+    trajectory, final = propagate(
+        WavePacket(block), pulse, h, zsys, record=record, absorber=(absorbed, strength)
+    )
+
+    mask = np.ones((h.dim, 1))
+    mask[[h.index(label) for label in absorbed]] = 1.0 - strength
+    step, (_, _, c, cf) = kernel.stepper(block)
+    phases = kernel.phase_table(samples)
+    expected, times = [block.copy()], [pulse.t0]
+    for j in range(pulse.n_steps):
+        if samples[j] != 0.0:
+            step(block, block, phases[j], c, cf)
+        else:
+            step(block, block, None, None, None)
+        np.multiply(block, mask, out=block)
+        if (j + 1) % record == 0 or j + 1 == pulse.n_steps:
+            expected.append(block.copy())
+            times.append(pulse.t0 + (j + 1) * pulse.dt)
+    assert len(trajectory) == len(expected) == pulse.n_steps // record + 2
+    for packet, amplitudes, t in zip(trajectory, expected, times):
+        assert np.array_equal(packet.amplitudes, amplitudes)
+        assert packet.time == pytest.approx(t, rel=1e-12)
+    assert np.array_equal(final.amplitudes, block)
+    assert np.max(np.linalg.norm(block, axis=0)) < 1.0
 
 
 def test_sweeps_ignore_memory_layout_and_leave_their_input(setup):
@@ -465,7 +537,7 @@ def test_sweeps_ignore_memory_layout_and_leave_their_input(setup):
         work = _filled_work(kernel, pulse, block.shape[1])
         lam_buffer, lam_coeffs = _costate_sweep(kernel, block, pulse.samples, work)
         update = _update_sweep(kernel, block, z_lam, coeffs, pulse, penalty, *work[2:])
-        return (lam_buffer, lam_coeffs, kernel.evolve(block, pulse.samples), *update)
+        return (lam_buffer, lam_coeffs, _evolve(kernel, block, pulse), *update)
 
     for block, copy in _layouts(h, np.random.default_rng(5))[:2]:
         kept = block.copy()

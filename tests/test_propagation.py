@@ -54,22 +54,25 @@ class TestZEigensystem:
 
 class TestSplitStep:
     def test_zero_field_is_free_phase_evolution(self, dense8):
+        # A zero-field step is the diagonal one, which forms no coefficients.
         zsys = precompute_z_eigensystem(dense8)
         psi = normalized_state(8, 1)
         dt = 0.3
-        out = SplitStepKernel(dense8, zsys, dt).step(psi[:, None], 0.0)[:, 0]
+        out = psi[:, None].copy()
+        step, _ = SplitStepKernel(dense8, zsys, dt).stepper(out)
+        step(out, out, None, None, None)
         expected = psi * np.exp(-1j * dense8.energies * dt)
-        assert np.max(np.abs(out - expected)) < 1e-15
+        assert np.max(np.abs(out[:, 0] - expected)) < 1e-15
         _, final = propagate(WavePacket(psi), PulseGrid.zeros(0.0, dt, 2), dense8, zsys)
-        assert np.array_equal(final.amplitudes, out)
+        assert np.array_equal(final.amplitudes, out[:, 0])
         assert final.time == pytest.approx(dt)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_unitarity_per_step(self, dense8, seed):
         zsys = precompute_z_eigensystem(dense8)
         psi = normalized_state(8, seed)[:, None]
-        out = SplitStepKernel(dense8, zsys, 0.05).step(psi, 0.8)
-        assert abs(np.linalg.norm(out) - 1.0) < 1e-13
+        _, out = propagate(WavePacket(psi), PulseGrid(0.0, 0.05, np.full(2, 0.8)), dense8, zsys)
+        assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-13
 
     def test_dense_exponential_oracle_and_order(self, dense8):
         # Constant field: compare the composed split steps against the dense
@@ -83,27 +86,26 @@ class TestSplitStep:
 
         errors = []
         for steps in (8000, 16000):
-            kernel = SplitStepKernel(dense8, zsys, total_t / steps)
-            psi = psi0.reshape(8, 1)
-            for _ in range(steps):
-                psi = kernel.step(psi, e_field)
-            errors.append(np.max(np.abs(psi[:, 0] - exact_final)))
+            pulse = PulseGrid(0.0, total_t / steps, np.full(steps + 1, e_field))
+            _, final = propagate(WavePacket(psi0), pulse, dense8, zsys, record=None)
+            errors.append(np.max(np.abs(final.amplitudes - exact_final)))
         assert errors[1] <= 1e-8
         order = np.log2(errors[0] / errors[1])
         assert 1.9 <= order <= 2.1
 
     def test_time_reversal(self, dense8):
+        # Forward with `propagate`, back with the adjoint kernel's steps.
         zsys = precompute_z_eigensystem(dense8)
-        forward = SplitStepKernel(dense8, zsys, 0.05)
         backward = SplitStepKernel(dense8, zsys, -0.05)
         rng = np.random.default_rng(5)
-        fields = rng.normal(size=64) * 0.4
+        fields = np.append(rng.normal(size=64) * 0.4, 0.0)
         psi0 = normalized_state(8, 11)
-        psi = psi0.reshape(8, 1)
-        for f in fields:
-            psi = forward.step(psi, f)
-        for f in fields[::-1]:
-            psi = backward.step(psi, f)
+        _, final = propagate(WavePacket(psi0), PulseGrid(0.0, 0.05, fields), dense8, zsys)
+        psi = final.amplitudes.reshape(8, 1)
+        step, (_, _, c, cf) = backward.stepper(psi)
+        phases = backward.phase_table(fields)
+        for j in range(len(fields) - 2, -1, -1):
+            step(psi, psi, phases[j], c, cf)
         assert np.max(np.abs(psi[:, 0] - psi0)) < 1e-9
 
 
