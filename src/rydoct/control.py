@@ -22,17 +22,19 @@ back to t0 under the old field; the engine then applies z to them in place
 sweeps fill work arrays that the engine allocates once per run
 (`_work_arrays`): two step-major (n_steps, dim, M) costate arrays, whose
 per-step blocks are contiguous; one (n_steps, dim, 1) table of the swept
-field's phases P(E_j); and one scratch of `CHUNK_STEPS` steps that carries
-those phases at full (dim, M) width and, between the sweeps, the
-transposed chunks that z multiplies.  Each field's phases are formed once
-for the sweeps: the engine fills the table from the guess, and the update
-sweep writes the phase of each new sample into its row, so the table it
-leaves is the next iteration's old field.  Each sweep also takes its step
-once, before its first step (`SplitStepKernel.stepper`, the one split
-step), and its float64 views with it; every step then advances the block
-in place or straight into its slot of the costate arrays, with bound
-ufunc and `np.dot` calls and positional outputs, so that no step makes a
-temporary array, takes a view or copies a block out.  The public
+field's phases P(E_j); and one scratch of `CHUNK_STEPS` steps (see
+`_chunk_scratch`) that carries those phases at full (dim, M) width in the
+costate sweep, the transposed chunks that z multiplies between the
+sweeps, and the update sweep's half chunks of the delta3 cross-term.  Each
+field's phases are formed once for the sweeps: the engine fills the table
+from the guess, and the update sweep writes the phase of each new sample
+into its row, so the table it leaves is the next iteration's old field.
+Each sweep also takes its step once, before its first step
+(`SplitStepKernel.stepper`, the one split step), and its float64 views
+with it; every step then advances the block in place or straight into its
+slot of the costate arrays, with bound ufunc and `np.dot` calls and
+positional outputs, so that no step makes a temporary array, takes a view
+or copies a block out.  The public
 `backward_propagate` and `forward_update_sweep` run these same two sweeps
 on one member, so what they return is what one iteration computes.
 
@@ -40,7 +42,10 @@ The cross-term diagnostic `delta3` checks that the discrete forward and
 backward propagations are exact adjoints of each other: it evaluates the
 integration-by-parts residual that must vanish identically for the
 monotonicity bookkeeping to hold, and stays at rounding level (<= 1e-10)
-when the one-convention-everywhere rule is respected.
+when the one-convention-everywhere rule is respected.  The cross-term
+never feeds back into the field, so the update sweep forms it 32 steps at
+a time from the per-step c_j = V^T D psi_j and P_new - P_old that its steps
+leave behind, with no call of its own per step.
 """
 
 from __future__ import annotations
@@ -192,8 +197,10 @@ def _work_arrays(n_steps: int, dim: int, n_members: int) -> tuple[np.ndarray, ..
     zero field, all ones.  The engine fills it from the guess, the costate
     sweep reads it, and the update sweep writes the phase of each new sample
     into its row, so that it holds the new field when the iteration ends.
-    Allocated once per run, the arrays stay mapped instead of going back to
-    the system between iterations.
+    The chunk scratch is a work space of each sweep and of `_apply_z`, and
+    carries nothing from one to the next.  Allocated once per run, the
+    arrays stay mapped instead of going back to the system between
+    iterations.
     """
     return (
         np.empty((n_steps, dim, n_members), dtype=complex),
@@ -206,11 +213,15 @@ def _work_arrays(n_steps: int, dim: int, n_members: int) -> tuple[np.ndarray, ..
 def _chunk_scratch(dim: int, n_members: int) -> np.ndarray:
     """One (CHUNK_STEPS, dim, M) complex block, the only chunk-sized array.
 
-    A sweep copies `CHUNK_STEPS` rows of the phase table into it at a time,
-    broadcast to full width, so that each step multiplies a contiguous
-    (dim, M) phase rather than a column broadcast row by row.  `_apply_z`,
-    which runs between the sweeps, uses its two halves as one transposed
-    half chunk of costates and its product with z.
+    The costate sweep copies `CHUNK_STEPS` rows of the phase table into it
+    at a time, broadcast to full width, so that each adjoint step multiplies
+    a contiguous (dim, M) phase rather than a column broadcast row by row.
+    `_apply_z`, which runs between the sweeps, uses its two halves as one
+    transposed half chunk of costates and its product with z.  The update
+    sweep uses the first half as a (CHUNK_STEPS // 2, dim, M) store of the
+    steps' c_j and the head of the second as a contiguous
+    (CHUNK_STEPS // 2, dim, 1) copy of the same steps' old phases.  No use
+    reads what an earlier one left.
     """
     return np.empty((CHUNK_STEPS, dim, n_members), dtype=complex)
 
@@ -302,50 +313,69 @@ def _update_sweep(
     value.  Returns the new field samples, the final block and the
     cross-term sum_j <lam(t_{j+1})| (S_new - S_old) psi(t_j)> needed for the
     delta3 diagnostic.  `table` is the phase table of the work arrays (see
-    `_work_arrays`) and holds P(E_old) of `pulse` on entry; the old phases
-    reach the steps `CHUNK_STEPS` at a time, copied into the chunk
-    `scratch` at full width.  Only P(E_new), which depends on the feedback,
-    is formed per step, as a column written into row j of the table with
-    `phase`'s product and exp, so that the table holds P(E_new) on return.
-    The new samples are collected in a list and stored once.  The block
-    advances in place in a copy of `psi0`, which is left as it was; where a
-    sample changes, the step's c and P_new c stay in the stepper's scratch
-    for the cross-term.
+    `_work_arrays`) and holds P(E_old) of `pulse` on entry.  Only P(E_new),
+    which depends on the feedback, is formed per step, as a column written
+    into row j of the table with `phase_table`'s product and exp, so that
+    the table holds P(E_new) on return.  The new samples are collected in a
+    list and stored once.  The block advances in place in a copy of `psi0`,
+    which is left as it was.
+
+    The cross-term never feeds back into the field, so it is formed half a
+    chunk (`CHUNK_STEPS` // 2 steps) at a time in the chunk `scratch`.  Its
+    first half stores each step's c_j = V^T D psi_j, which the step writes
+    straight into its slot through the store's float64 view, taken once per
+    sweep; a step whose sample is zero and unchanged forms no c, and its
+    slot, which may hold anything, NaN included, is zeroed.  The second half holds a contiguous (steps, dim, 1) copy
+    of the half chunk's old table rows.  After the half chunk they become
+    P_new - P_old in place, which multiplies the stored c_j, and one
+    `np.vecdot` gives each step's <D* lam_{j+1}| V (P_new - P_old) c_j> from
+    its own (dim x M) row: the length of one step's overlap, so that the
+    result does not depend on the BLAS thread count.  The values are added
+    in step order.
     """
-    step, (x, b, c, cf) = kernel.stepper(psi0)
+    step, _ = kernel.stepper(psi0)
     psi = np.array(psi0, dtype=complex, order="C")
-    multiply, exp, subtract, vdot = np.multiply, np.exp, np.subtract, np.vdot
+    multiply, exp, subtract, vdot, vecdot = (
+        np.multiply, np.exp, np.subtract, np.vdot, np.vecdot
+    )
     exponent = kernel.exponent
     cross_term = 0.0 + 0.0j
     weights = penalty.samples.tolist()
     new_samples = pulse.samples.astype(float)
     # Read as E_old and overwritten with E_new step by step.
     fields = new_samples[:-1].tolist()
-    for start in range(0, len(fields), CHUNK_STEPS):
-        stop = min(start + CHUNK_STEPS, len(fields))
-        old_phases = scratch[: stop - start]
-        np.copyto(old_phases, table[start:stop])
-        for j in range(start, stop):
+    half = CHUNK_STEPS // 2
+    c_store = scratch[:half]
+    # Slot j - start of the store and its float64 view, one pair per step.
+    slots = list(zip(c_store, c_store.view(np.float64)))
+    phase_change = scratch[half:].reshape(-1)[: half * len(psi)].reshape(half, -1, 1)
+    for start in range(0, len(fields), half):
+        stop = min(start + half, len(fields))
+        k = stop - start
+        np.copyto(phase_change[:k], table[start:stop])
+        for j, (c, cf) in zip(range(start, stop), slots):
             e_old = fields[j]
             e_new = float(vdot(z_lam[j], psi).imag) / weights[j]
             fields[j] = e_new
-            changed = e_new != e_old
             phase = table[j]
             multiply(e_new, exponent, phase)
             exp(phase, phase)
             if e_new != 0.0:
                 step(psi, psi, phase, c, cf)
-            else:
+            elif e_new != e_old:
                 # A zero field keeps the step diagonal, but a changed one
-                # still forms c for the cross-term below.
-                step(psi, psi, None, c, cf if changed else None)
-            if changed:
-                # <lam_{j+1}| D V (P_new - P_old) c> with c = V^T D psi_j.
-                if e_new == 0.0:
-                    multiply(phase, c, b)
-                multiply(old_phases[j - start], c, x)
-                subtract(b, x, x)
-                cross_term += vdot(coeffs[j], x)
+                # still forms c for the cross-term.
+                step(psi, psi, None, c, cf)
+            else:
+                step(psi, psi, None, None, None)
+                c.fill(0.0)
+        # <lam_{j+1}| D V (P_new - P_old) c_j> with c_j = V^T D psi_j.
+        delta, stored = phase_change[:k], c_store[:k]
+        subtract(table[start:stop], delta, delta)
+        multiply(delta, stored, stored)
+        rows = vecdot(coeffs[start:stop].reshape(k, -1), stored.reshape(k, -1))
+        for value in rows.tolist():
+            cross_term += value
     new_samples[:-1] = fields
     return new_samples, psi, cross_term
 

@@ -68,8 +68,11 @@ MAX_BASIS_VALUES = 10_000_000
 
 #: Most values of the Husimi map's windows that `analyze` may form, window
 #: centers (every analysis.husimi_time_stride-th sample) x field samples.
-#: `husimi` holds a few such float64 arrays, about 24 B per value: 229 MB of
-#: traced allocations at 8 001 samples and stride 8 (8.0 M values).
+#: `husimi` holds a few such float64 arrays, about 24 B per value, and one
+#: (samples, 256) complex kernel, 4 KB per sample whatever the stride: 229 MB
+#: of traced allocations at 8 001 samples and stride 8 (8.0 M values and a
+#: 33 MB kernel).  The kernel is bounded by the field's length, which
+#: `read_field_csv` caps at MAX_PULSE_STEPS + 1 samples: 0.41 GB.
 MAX_HUSIMI_VALUES = 10_000_000
 
 DEFECT_PRESETS = {"hydrogen": {}, "cesium": CESIUM_DEFECTS}
@@ -446,7 +449,9 @@ def read_field_csv(path) -> PulseGrid:
     It needs at least two data rows of finite numbers at uniform times:
     every step within 1e-9 of the median step, plus a few roundings of the
     largest time, which is what writing t0 + j dt out can cost.  The grid
-    step is t1 - t0.  Errors name the file and the line.
+    step is t1 - t0.  It takes at most MAX_PULSE_STEPS + 1 rows, the longest
+    field that `optimize` may write, so that no longer field reaches the
+    analysis.  Errors name the file and the line or the limit.
     """
     try:
         rows = Path(path).read_text().strip().splitlines()
@@ -457,6 +462,11 @@ def read_field_csv(path) -> PulseGrid:
     if len(rows) < 3:
         raise ManifestError(
             f"{path}: line {len(rows)}: a field needs at least 2 data rows, found {len(rows) - 1}"
+        )
+    if len(rows) - 1 > MAX_PULSE_STEPS + 1:
+        raise ManifestError(
+            f"{path}: {len(rows) - 1} data rows, more than the limit of "
+            f"{MAX_PULSE_STEPS + 1} (MAX_PULSE_STEPS + 1)"
         )
     times, values = [], []
     for line, row in enumerate(rows[1:], start=2):

@@ -692,6 +692,33 @@ class TestFieldCsvHardening:
         assert str(field) in payload["message"]
         assert where in payload["message"]
 
+    @pytest.mark.parametrize("command", ["analyze", "decode-test"])
+    def test_overlong_field_is_a_json_error(self, tiny_manifest_path, tmp_path, capsys, command):
+        # One data row more than the longest field that `optimize` may write;
+        # its Husimi kernel alone would take 0.41 GB.
+        field = tmp_path / "long.csv"
+        write_field_csv(field, PulseGrid.zeros(0.0, 413.41, MAX_PULSE_STEPS + 2))
+        argv = [command, "--manifest", str(tiny_manifest_path), "--field", str(field)]
+        code = main(argv + ["--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        (line,) = err.strip().splitlines()
+        payload = json.loads(line)
+        assert set(payload) == {"error", "message"}
+        assert payload["error"] == "ManifestError"
+        assert str(field) in payload["message"]
+        assert str(MAX_PULSE_STEPS + 1) in payload["message"]
+
+    def test_field_length_limit_is_inclusive(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(rydoct.manifest, "MAX_PULSE_STEPS", 9)
+        field = tmp_path / "field.csv"
+        write_field_csv(field, PulseGrid.zeros(0.0, 1.0, 10))
+        assert len(read_field_csv(field).samples) == 10
+        write_field_csv(field, PulseGrid.zeros(0.0, 1.0, 11))
+        with pytest.raises(ManifestError, match="11 data rows, more than the limit of 10"):
+            read_field_csv(field)
+
     def test_non_finite_value_rejected(self, tmp_path):
         field = tmp_path / "nan.csv"
         field.write_text("time,E\n0.0,1.0\n1.0,nan\n2.0,0.0\n")

@@ -8,9 +8,10 @@ The same set-up bounds the sweeps' memory, pins the in-place sweeps and
 `propagate` bit for bit to the written-out step and to a plain loop of one
 `stepper` step at a time, pins the step-major costate layout and the phase
 table that one iteration hands to the next, checks that delta3 flags
-costates that do not belong to the field, pins the numpy calls that each
-sweep makes per step, and checks that the sweeps give the same bytes
-whatever the memory layout of the input block.
+costates that do not belong to the field, checks the update sweep's
+half-chunk cross-term against the oracle and a per-step sum, pins the
+numpy calls that each sweep makes per step, and checks that the sweeps
+give the same bytes whatever the memory layout of the input block.
 """
 
 import sys
@@ -179,6 +180,63 @@ def test_update_sweep_matches_oracle(setup, public):
         assert np.max(np.abs(final[:, i] - traj[-1])) <= 1e-12
 
 
+@pytest.mark.parametrize("n_members", [1, 4])
+def test_update_sweep_forms_the_cross_term_per_half_chunk(setup, n_members):
+    # The cross-term is formed 32 steps at a time from the c_j that the
+    # steps leave in the chunk scratch.  The grid ends in a short half
+    # chunk.  A zero old field and zeroed costates around the first
+    # half-chunk boundary make the samples there zero under both fields, so
+    # those steps form no c, and their slots, not yet written in this
+    # sweep, must be cleared: a NaN-filled scratch must not reach the
+    # cross-term, the new samples or the final block.
+    h, zsys, kernel = setup["h"], setup["zsys"], setup["kernel"]
+    half = CHUNK_STEPS // 2
+    old = setup["pulse"].samples[:794].copy()
+    old[half - 8 : half + 8] = 0.0
+    pulse = setup["pulse"].with_samples(old)
+    penalty = PenaltySchedule.build(pulse, base=1e8, edge_multiplier=1000.0, ramp_fraction=0.05)
+    assert pulse.n_steps % half != 0
+    costates = [lam[:794].copy() for lam in setup["ref_costates"][:n_members]]
+    for lam in costates:
+        lam[half - 8 : half + 9] = 0.0
+    psi0 = setup["psi0"][:n_members]
+    expected, _, expected_cross = ref._sweep(psi0, costates, pulse, penalty, h, zsys)
+
+    half_adjoint = np.exp(0.5j * pulse.dt * h.energies)
+    z_lam = np.stack([lam[:-1] @ h.z_matrix.T for lam in costates], axis=2)
+    coeffs = np.stack([(lam[1:] * half_adjoint) @ zsys.vectors for lam in costates], axis=2)
+    block = np.stack(psi0, axis=1)
+    runs = []
+    for fill in (0.0, np.nan):
+        work = _filled_work(kernel, pulse, n_members)
+        work[2].fill(fill)
+        runs.append(_update_sweep(kernel, block, z_lam, coeffs, pulse, penalty, *work[2:]))
+        assert np.array_equal(work[3], kernel.phase_table(runs[-1][0]))
+    samples, final, cross = runs[0]
+    for got, want in zip(runs[1], runs[0]):
+        assert np.array_equal(got, want)
+    unchanged_zero = (samples[:-1] == 0.0) & (old[:-1] == 0.0)
+    assert unchanged_zero[half - 1] and unchanged_zero[half]
+    scale = np.max(np.abs(expected))
+    np.testing.assert_allclose(samples, expected, rtol=1e-12, atol=1e-12 * scale)
+    assert abs(cross - expected_cross) <= 1e-12
+
+    # The same sum as one vdot per step, <D* lam_{j+1}| V (P_new - P_old) c_j>,
+    # with c_j = V^T D psi_j from a plain stepper loop under the new field.
+    phases = kernel.phase_table(samples)
+    delta = phases - kernel.phase_table(pulse.samples)
+    step, (_, _, c, cf) = kernel.stepper(block)
+    psi = block.copy()
+    per_step, size = 0.0 + 0.0j, 0.0
+    for j in range(pulse.n_steps):
+        step(psi, psi, phases[j] if samples[j] != 0.0 else None, c, cf)
+        term = np.vdot(coeffs[j], delta[j] * c)
+        per_step += term
+        size += abs(term)
+    assert np.array_equal(psi, final)
+    assert abs(cross - per_step) <= 1e-14 * size
+
+
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_phase_table_rows_are_the_per_step_phases(setup, sign):
     # Row j is exp(E_j x exponent) of step j alone, exactly 1 where E_j = 0,
@@ -302,9 +360,21 @@ def test_costate_sweep_is_the_adjoint_step_loop(setup):
 
 
 def _numpy_calls(run):
-    """`run()` and the calls it made to the `dot` and `vdot` dispatchers and
-    to the `view` method, counted with the interpreter's profile hook."""
-    counts = {"dot": 0, "vdot": 0, "view": 0}
+    """`run()` and the calls it made to the `dot` and `vdot` dispatchers, to
+    the `vecdot` and `subtract` ufuncs and to the `view` method.  The
+    dispatchers and `view` are counted with the interpreter's profile hook;
+    a ufunc call raises no profile event, so the two ufuncs are wrapped in
+    counters while `run()` runs (each sweep takes them from numpy when it
+    starts)."""
+    counts = {"dot": 0, "vdot": 0, "vecdot": 0, "subtract": 0, "view": 0}
+    ufuncs = {name: getattr(np, name) for name in ("vecdot", "subtract")}
+
+    def counted(name, ufunc):
+        def call(*args):
+            counts[name] += 1
+            return ufunc(*args)
+
+        return call
 
     def profile(frame, event, arg):
         name = frame.f_code.co_name
@@ -314,11 +384,15 @@ def _numpy_calls(run):
         elif event == "c_call" and getattr(arg, "__name__", None) == "view":
             counts["view"] += 1
 
+    for name, ufunc in ufuncs.items():
+        setattr(np, name, counted(name, ufunc))
     sys.setprofile(profile)
     try:
         result = run()
     finally:
         sys.setprofile(None)
+        for name, ufunc in ufuncs.items():
+            setattr(np, name, ufunc)
     return result, counts
 
 
@@ -326,18 +400,19 @@ def test_sweep_steps_make_only_their_blas_calls(setup):
     # Per step, the costate sweep calls `dot` twice, or once where the field
     # is exactly zero (V^T only: the diagonal shortcut); the update sweep
     # calls `vdot` once for the overlap and, where the sample changes, the
-    # `dot`s of a step that forms c and once more for the cross-term.  No
-    # step takes a `view`: each sweep takes its float64 views before its
-    # first step.
+    # `dot`s of a step that forms c.  Its cross-term takes no call per step:
+    # one `subtract` and one `vecdot` per half chunk.  No step takes a
+    # `view`: each sweep takes its float64 views before its first step.
     h, pulse, penalty, kernel = setup["h"], setup["pulse"], setup["penalty"], setup["kernel"]
     n_steps = pulse.n_steps
+    half_chunks = -(-n_steps // (CHUNK_STEPS // 2))
     per_sweep_views = 4
     old = pulse.samples[:-1]
     lam_final = np.stack(setup["lam_final"], axis=1)
     work = _filled_work(kernel, pulse, len(MARKED))
     _, counts = _numpy_calls(lambda: _costate_sweep(kernel, lam_final, pulse.samples, work))
     assert counts["dot"] == 2 * n_steps - np.count_nonzero(old == 0.0)
-    assert counts["vdot"] == 0
+    assert counts["vdot"] == counts["vecdot"] == counts["subtract"] == 0
     assert counts["view"] <= per_sweep_views
 
     psi0 = np.stack(setup["psi0"], axis=1)
@@ -361,7 +436,8 @@ def test_sweep_steps_make_only_their_blas_calls(setup):
         changed_to_zero = np.count_nonzero((samples[:-1] != was) & (samples[:-1] == 0.0))
         assert changed == n_changed
         assert counts["dot"] == 2 * nonzero + changed_to_zero
-        assert counts["vdot"] == n_steps + changed
+        assert counts["vdot"] == n_steps
+        assert counts["vecdot"] == counts["subtract"] == half_chunks
         assert counts["view"] <= per_sweep_views
 
 
