@@ -103,6 +103,8 @@ class BasisSpec:
         if self.l_max < 1:
             raise InvalidSpecError(f"l_max must be >= 1, got {self.l_max}")
         for l, delta in self.quantum_defects.items():
+            if l < 0:
+                raise InvalidSpecError(f"quantum defect for negative l={l}")
             if delta < 0:
                 raise InvalidSpecError(f"negative quantum defect for l={l}")
             if delta >= self.n_min:

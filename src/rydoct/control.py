@@ -36,7 +36,12 @@ slot of the costate arrays, with bound ufunc and `np.dot` calls and
 positional outputs, so that no step makes a temporary array, takes a view
 or copies a block out.  The public
 `backward_propagate` and `forward_update_sweep` run these same two sweeps
-on one member, so what they return is what one iteration computes.
+on one member, so what they return is what one iteration computes.  The
+sweeps work in the kernel's row order, which is parity order for the
+parity-block step (see `rydoct.propagation`): the engine permutes its
+blocks once, after the guess run, and back for `OctResult.final_states`,
+and the two public sweeps permute at their own boundary, so every result
+is in basis order.
 
 The cross-term diagnostic `delta3` checks that the discrete forward and
 backward propagations are exact adjoints of each other: it evaluates the
@@ -174,17 +179,19 @@ def backward_propagate(
     """Costate trajectory lam(t_j) for every grid point, integrated from T to t0.
 
     Runs the engine's costate sweep on one member and returns its lam_j,
-    then lam(T) itself as the last row: an (n_samples, dim) array.  Each
+    then lam(T) itself as the last row: an (n_samples, dim) array in basis
+    order, whatever order the kernel keeps.  Each
     backward step is the adjoint of the forward split step with the same
     field sample, so the discrete forward and backward propagations are
     exact inverses of each other.
     """
     kernel = SplitStepKernel(h, zsys, pulse.dt)
-    lam_final = np.array(costate_final.amplitudes, dtype=complex).reshape(h.dim, 1)
+    lam_final = np.array(kernel.to_kernel_order(costate_final.amplitudes), dtype=complex)
+    lam_final = lam_final.reshape(h.dim, 1)
     work = _work_arrays(pulse.n_steps, h.dim, 1)
     kernel.phase_table(pulse.samples, out=work[3])
     lam_buffer, _ = _costate_sweep(kernel, lam_final, pulse.samples, work)
-    return np.concatenate([lam_buffer[:, :, 0], lam_final.T])
+    return kernel.to_basis_order(np.concatenate([lam_buffer[:, :, 0], lam_final.T]), axis=1)
 
 
 def _work_arrays(n_steps: int, dim: int, n_members: int) -> tuple[np.ndarray, ...]:
@@ -193,8 +200,9 @@ def _work_arrays(n_steps: int, dim: int, n_members: int) -> tuple[np.ndarray, ..
     `_chunk_scratch`) and the (n_steps, dim, 1) phase table.
 
     Row j of the table is P(E_j) of the field being swept, as
-    `SplitStepKernel.phase_table` forms it; the table starts as that of a
-    zero field, all ones.  The engine fills it from the guess, the costate
+    `SplitStepKernel.phase_table` forms it; the table starts as all ones,
+    which is the dense step's zero field.  The engine fills it from the
+    guess before any sweep reads it, the costate
     sweep reads it, and the update sweep writes the phase of each new sample
     into its row, so that it holds the new field when the iteration ends.
     The chunk scratch is a work space of each sweep and of `_apply_z`, and
@@ -278,10 +286,14 @@ def _apply_z(kernel: SplitStepKernel, lam_buffer: np.ndarray, scratch: np.ndarra
     column pair: the (dim, steps x 2M) operand that z met when the costates
     were stored dim-major.  Each product column depends only on its operand
     column, so the product has the same bits as the dim-major one.  It goes
-    into the second half and is copied back.
+    into the second half and is copied back.  The block step's buffer is in
+    parity order, where z is [[0, B], [B^T, 0]]: its product is B on the odd
+    rows and B^T on the even ones, two products of half the size.
     """
     n_steps, dim, n_members = lam_buffer.shape
     half = CHUNK_STEPS // 2
+    parity = kernel.parity
+    n_even = parity.n_even if parity is not None else 0
     for start in range(0, n_steps, half):
         chunk = lam_buffer[start : start + half]
         src, dst = (
@@ -289,7 +301,12 @@ def _apply_z(kernel: SplitStepKernel, lam_buffer: np.ndarray, scratch: np.ndarra
             for block in (scratch[:half], scratch[half:])
         )
         np.copyto(src.reshape(dim, -1, n_members), chunk.transpose(1, 0, 2))
-        np.dot(kernel.z, src.view(np.float64), out=dst.view(np.float64))
+        src_f, dst_f = src.view(np.float64), dst.view(np.float64)
+        if parity is None:
+            np.dot(kernel.z, src_f, out=dst_f)
+        else:
+            np.dot(parity.b, src_f[n_even:], out=dst_f[:n_even])
+            np.dot(parity.bt, src_f[:n_even], out=dst_f[n_even:])
         np.copyto(chunk, dst.reshape(dim, -1, n_members).transpose(1, 0, 2))
     return lam_buffer
 
@@ -315,7 +332,8 @@ def _update_sweep(
     delta3 diagnostic.  `table` is the phase table of the work arrays (see
     `_work_arrays`) and holds P(E_old) of `pulse` on entry.  Only P(E_new),
     which depends on the feedback, is formed per step, as a column written
-    into row j of the table with `phase_table`'s product and exp, so that
+    into row j of the table with `phase_table`'s product and exp (for the
+    block step, its product, sin and cos into the row's pair slots), so that
     the table holds P(E_new) on return.  The new samples are collected in a
     list and stored once.  The block advances in place in a copy of `psi0`,
     which is left as it was.
@@ -330,7 +348,9 @@ def _update_sweep(
     P_new - P_old in place, which multiplies the stored c_j, and one
     `np.vecdot` gives each step's <D* lam_{j+1}| V (P_new - P_old) c_j> from
     its own (dim x M) row: the length of one step's overlap, so that the
-    result does not depend on the BLAS thread count.  The values are added
+    result does not depend on the BLAS thread count.  The block step takes
+    `SplitStepKernel.rotation_overlaps` for the product and the overlaps,
+    with four `np.vecdot` calls of the same kind.  The values are added
     in step order.
     """
     step, _ = kernel.stepper(psi0)
@@ -338,7 +358,10 @@ def _update_sweep(
     multiply, exp, subtract, vdot, vecdot = (
         np.multiply, np.exp, np.subtract, np.vdot, np.vecdot
     )
-    exponent = kernel.exponent
+    exponent, block = kernel.exponent, kernel.block
+    if block:
+        angles, sines = kernel.phase_slots(table)
+        sin, cos = np.sin, np.cos
     cross_term = 0.0 + 0.0j
     weights = penalty.samples.tolist()
     new_samples = pulse.samples.astype(float)
@@ -349,6 +372,13 @@ def _update_sweep(
     # Slot j - start of the store and its float64 view, one pair per step.
     slots = list(zip(c_store, c_store.view(np.float64)))
     phase_change = scratch[half:].reshape(-1)[: half * len(psi)].reshape(half, -1, 1)
+    if block:
+        # The rotation's (half, r, M) products: in the scratch after the old
+        # phase rows when they fit there (M >= 2), else an array of their own.
+        free = scratch[half:].reshape(-1)[half * len(psi) :]
+        size = half * len(exponent) * psi.shape[1]
+        products = free[:size] if len(free) >= size else np.empty(size, dtype=complex)
+        products = products.reshape(half, len(exponent), -1)
     for start in range(0, len(fields), half):
         stop = min(start + half, len(fields))
         k = stop - start
@@ -358,8 +388,14 @@ def _update_sweep(
             e_new = float(vdot(z_lam[j], psi).imag) / weights[j]
             fields[j] = e_new
             phase = table[j]
-            multiply(e_new, exponent, phase)
-            exp(phase, phase)
+            if block:
+                angle = angles[j]
+                multiply(e_new, exponent, angle)
+                sin(angle, sines[j])
+                cos(angle, angle)
+            else:
+                multiply(e_new, exponent, phase)
+                exp(phase, phase)
             if e_new != 0.0:
                 step(psi, psi, phase, c, cf)
             elif e_new != e_old:
@@ -369,11 +405,15 @@ def _update_sweep(
             else:
                 step(psi, psi, None, None, None)
                 c.fill(0.0)
-        # <lam_{j+1}| D V (P_new - P_old) c_j> with c_j = V^T D psi_j.
+        # <lam_{j+1}| D V (P_new - P_old) c_j> with c_j = V^T D psi_j; in
+        # the block step V is blockdiag(q, w) and P the pair rotations.
         delta, stored = phase_change[:k], c_store[:k]
         subtract(table[start:stop], delta, delta)
-        multiply(delta, stored, stored)
-        rows = vecdot(coeffs[start:stop].reshape(k, -1), stored.reshape(k, -1))
+        if block:
+            rows = kernel.rotation_overlaps(delta, coeffs[start:stop], stored, products)
+        else:
+            multiply(delta, stored, stored)
+            rows = vecdot(coeffs[start:stop].reshape(k, -1), stored.reshape(k, -1))
         for value in rows.tolist():
             cross_term += value
     new_samples[:-1] = fields
@@ -400,7 +440,7 @@ def forward_update_sweep(
     """
     _check_mode(update_mode)
     kernel = SplitStepKernel(h, zsys, pulse.dt)
-    costates = np.asarray(costates, dtype=complex)
+    costates = kernel.to_kernel_order(np.asarray(costates, dtype=complex), axis=1)
     scratch = _chunk_scratch(h.dim, 1)
     z_lam = _apply_z(kernel, costates[:-1, :, None].copy(), scratch)
     lam_next = costates[1:].T
@@ -408,12 +448,13 @@ def forward_update_sweep(
     # D* (D* lam) lands in x, unused.
     adjoint_step(lam_next, x, None, c, cf)
     coeffs = c.T[:, :, None]
-    psi = np.asarray(psi0.amplitudes, dtype=complex).reshape(h.dim, 1)
+    psi = kernel.to_kernel_order(np.asarray(psi0.amplitudes, dtype=complex)).reshape(h.dim, 1)
     table = kernel.phase_table(pulse.samples)
     new_samples, final, _ = _update_sweep(
         kernel, psi, z_lam, coeffs, pulse, penalty, scratch, table
     )
-    return pulse.with_samples(new_samples), WavePacket(final[:, 0], time=pulse.horizon)
+    final = kernel.to_basis_order(final[:, 0])
+    return pulse.with_samples(new_samples), WavePacket(final, time=pulse.horizon)
 
 
 def _check_mode(update_mode: str) -> None:
@@ -536,7 +577,8 @@ def _run_engine(
         zsys = precompute_z_eigensystem(h)
     kernel = SplitStepKernel(h, zsys, problem.guess.dt)
     psi0 = np.stack([np.asarray(amps0, dtype=complex) for amps0, _ in members], axis=1)
-    targets = (np.array([k for _, k in members]), np.arange(len(members)))
+    rows = np.array([k for _, k in members])
+    targets = (rows, np.arange(len(members)))
     pulse = problem.guess
     final = propagate(WavePacket(psi0), pulse, h, zsys, record=None)[1].amplitudes
 
@@ -549,6 +591,10 @@ def _run_engine(
         pulse = _apply_stall_bump(pulse)
         final = propagate(WavePacket(psi0), pulse, h, zsys, record=None)[1].amplitudes
 
+    # From here on the blocks are in the kernel's row order.
+    psi0, final = kernel.to_kernel_order(psi0), kernel.to_kernel_order(final)
+    if kernel.block:
+        targets = (kernel.position[rows], targets[1])
     work = _work_arrays(pulse.n_steps, h.dim, len(members))
     kernel.phase_table(pulse.samples, out=work[3])
     guess_yields = np.abs(final[targets]) ** 2
@@ -592,7 +638,7 @@ def _run_engine(
         yield_history=np.array(yield_hist, dtype=float).reshape(-1, len(members)),
         cost_history=np.array(cost_hist),
         delta3_history=np.array(delta3_hist),
-        final_states=final,
+        final_states=kernel.to_basis_order(final),
         guess_yields=guess_yields,
         guess_j=float(guess_j),
         iterations=len(j_hist),

@@ -142,7 +142,10 @@ def _defects(value) -> dict[int, float]:
     if isinstance(value, str) and value in DEFECT_PRESETS:
         return dict(DEFECT_PRESETS[value])
     if isinstance(value, dict):
-        return {int(l): _number(delta) for l, delta in value.items()}
+        defects = {int(l): _number(delta) for l, delta in value.items()}
+        if any(l < 0 for l in defects):
+            raise ValueError(f"expected defects for l >= 0, got {value!r}")
+        return defects
     raise ValueError(f"expected a preset {sorted(DEFECT_PRESETS)} or a map, got {value!r}")
 
 

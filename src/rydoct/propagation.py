@@ -35,6 +35,23 @@ costate arrays of n_steps blocks each (z lam_j and V^T D* lam_{j+1}) and
 one (n_steps, dim, 1) table of the swept field's phases P_j, which it
 forms once per field (see `control`), never whole forward trajectories.
 
+The parity-block step.  The dipole rule |dl| = 1 makes z bipartite in l
+parity: in parity order, even l first, z = [[0, B], [B^T, 0]].
+`precompute_z_eigensystem` then builds V from the SVD B = q diag(s) w^T,
+which has the same bits under any BLAS thread count, and the kernel of a
+basis of `BLOCK_STEP_MIN_DIM` states or more holds its blocks in parity
+order and never forms V: its coefficients are [q^T x_even; w^T x_odd], two
+products of half the size, and P(E) rotates each singular pair k by
+[[cos, -i sin], [-i sin, cos]] of the angle E dt s_k.  The phase table,
+the update sweep's per-step phase, the costate sweep's conjugated rows and
+the delta3 cross-term's P_new - P_old all keep this (cos, -i sin) form in
+the same (dim, 1) rows.  States cross into parity order once, at the
+boundary of `propagate` and of the engine, and nothing is gathered per
+step.  The crossover comes from timing one optimization iteration of each
+step at 55 to 187 states: the block step was 1.6x slower at 55 states,
+even at 154 and 0.84-0.90x at 165 and 187, with one member or four.
+Smaller bases, and any z that is not bipartite, keep the dense step.
+
 The public entry points are `propagate`, the one loop that runs a state or
 a block across a fixed pulse grid (optionally with an absorber on chosen
 states), and the kernel itself: `SplitStepKernel(h, zsys, dt).stepper(block)`
@@ -53,11 +70,14 @@ from .errors import InvalidSpecError
 
 #: Steps per block of phases that a sweep forms or copies at a time.
 CHUNK_STEPS = 64
+#: Smallest basis that takes the parity-block step, when z has parity blocks.
+BLOCK_STEP_MIN_DIM = 160
 
 __all__ = [
     "WavePacket",
     "PulseGrid",
     "ZEigensystem",
+    "ParityBlocks",
     "SplitStepKernel",
     "precompute_z_eigensystem",
     "propagate",
@@ -120,31 +140,103 @@ class PulseGrid:
 
 
 @dataclass(frozen=True)
+class ParityBlocks:
+    """z in parity order, [[0, B], [B^T, 0]], and the SVD of its block B.
+
+    The dipole rule |dl| = 1 couples even-l states only to odd-l ones.
+    `order` lists the basis indices of the n_e even-l states and then of the
+    n_o odd-l ones, each in basis order, and B = z[even][:, odd]; `bt` is
+    B^T, stored contiguous.  `q` (n_e, n_e) and `w` (n_o, n_o) are
+    orthogonal, and B^T q_k = s_k w_k for the r = len(s) singular pairs
+    k: q_k is column n_e - r + k of q and w_k column k of w.  The other
+    columns span the null spaces of B^T and B.  A block of coefficients
+    [q^T x_even; w^T x_odd] therefore holds pair k in rows n_e - r + k and
+    n_e + k, and its null rows before and after those 2r rows.
+    """
+
+    order: np.ndarray
+    b: np.ndarray
+    bt: np.ndarray
+    q: np.ndarray
+    w: np.ndarray
+    s: np.ndarray
+
+    @property
+    def n_even(self) -> int:
+        return len(self.q)
+
+
+@dataclass(frozen=True)
 class ZEigensystem:
     """Cached spectral decomposition z = V diag(w) V^T (V orthogonal).
 
     `z` is the decomposed matrix itself.  All three matrices are real
     float64 arrays; the kernel applies them to the float64 views of
-    complex blocks.
+    complex blocks.  `parity` holds the parity blocks that V was built
+    from when z is bipartite in l parity, and is None otherwise.
     """
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
     z: np.ndarray
+    parity: ParityBlocks | None = None
 
     def reconstruction_error(self) -> float:
         z = (self.vectors * self.eigenvalues) @ self.vectors.T
         return float(np.max(np.abs(z - self.z)))
 
 
+def _parity_blocks(h: HamiltonianData, z: np.ndarray) -> ParityBlocks | None:
+    """The SVD of z's even-odd block, or None if z couples two states of one parity."""
+    odd = np.array([label.l % 2 for label in h.labels], dtype=bool)
+    if np.any(z[np.ix_(odd, odd)]) or np.any(z[np.ix_(~odd, ~odd)]):
+        return None
+    b = np.ascontiguousarray(z[np.ix_(~odd, odd)])
+    u, s, wt = np.linalg.svd(b)
+    r = len(s)
+    q = np.concatenate([u[:, r:], u[:, :r]], axis=1)
+    w = wt.T
+    order = np.concatenate([np.flatnonzero(~odd), np.flatnonzero(odd)])
+    return ParityBlocks(
+        order, b, np.ascontiguousarray(b.T), np.ascontiguousarray(q), np.ascontiguousarray(w), s
+    )
+
+
 def precompute_z_eigensystem(h: HamiltonianData) -> ZEigensystem:
-    """Diagonalize the z matrix once; reused by every step of every sweep."""
+    """Diagonalize the z matrix once; reused by every step of every sweep.
+
+    A z that is bipartite in l parity, as every Hamiltonian that obeys the
+    dipole rule is, is decomposed through the SVD of its block B (see
+    `ParityBlocks`): pair k gives the eigenvalues +s_k and -s_k with the
+    eigenvectors (q_k, +w_k)/sqrt(2) and (q_k, -w_k)/sqrt(2), and each null
+    column of q or w an eigenvector of eigenvalue exactly 0.  The SVD has
+    the same bits under any BLAS thread count, where `eigh` of the whole z
+    does not.  Any other symmetric z goes through `numpy.linalg.eigh`.
+    """
     scale = max(float(np.max(np.abs(h.z_matrix))), 1.0)
     if float(np.max(np.abs(h.z_matrix - h.z_matrix.T))) > 1e-12 * scale:
         raise InvalidSpecError("z matrix must be symmetric")
-    w, v = np.linalg.eigh(h.z_matrix)
     z = np.ascontiguousarray(h.z_matrix, dtype=float)
-    return ZEigensystem(eigenvalues=w, vectors=np.ascontiguousarray(v), z=z)
+    parity = _parity_blocks(h, z)
+    if parity is None:
+        w, v = np.linalg.eigh(z)
+        return ZEigensystem(eigenvalues=w, vectors=np.ascontiguousarray(v), z=z)
+    n_even, r = parity.n_even, len(parity.s)
+    # Columns: the null columns of q, the +s pairs, the -s pairs, the null
+    # columns of w; then sorted by eigenvalue.
+    q_pair = parity.q[:, n_even - r :] * np.sqrt(0.5)
+    w_pair = parity.w[:, :r] * np.sqrt(0.5)
+    v = np.zeros((h.dim, h.dim))
+    v[:n_even, : n_even - r] = parity.q[:, : n_even - r]
+    v[:n_even, n_even - r : n_even] = v[:n_even, n_even : n_even + r] = q_pair
+    v[n_even:, n_even - r : n_even] = w_pair
+    v[n_even:, n_even : n_even + r] = -w_pair
+    v[n_even:, n_even + r :] = parity.w[:, r:]
+    w = np.concatenate([np.zeros(n_even - r), parity.s, -parity.s, np.zeros(h.dim - n_even - r)])
+    columns = np.argsort(w, kind="stable")
+    vectors = np.empty_like(v)
+    vectors[parity.order] = v[:, columns]
+    return ZEigensystem(eigenvalues=w[columns], vectors=vectors, z=z, parity=parity)
 
 
 class SplitStepKernel:
@@ -156,20 +248,74 @@ class SplitStepKernel:
     A sweep takes its `stepper` once and then calls it at every step, which
     writes through the stepper's scratch and allocates nothing, with the
     phases P(E_j) that `phase_table` forms for the field's samples.
+
+    From `BLOCK_STEP_MIN_DIM` states up, when z has parity blocks, the
+    kernel takes the parity-block step instead: `block` is True, and the
+    argument `block` forces either step (the adjoint keeps it).  The block
+    step holds its states in parity order; `to_kernel_order` and
+    `to_basis_order` move an array across that boundary.  Its coefficients
+    are c = [q^T x_even; w^T x_odd] (see `ParityBlocks`), and its P(E)
+    rotates each singular pair k by [[cos, -i sin], [-i sin, cos]] of the
+    angle E dt s_k; see `phase_table` and `rotation_overlaps`.
     """
 
-    def __init__(self, h: HamiltonianData, zsys: ZEigensystem, dt: float):
+    def __init__(
+        self, h: HamiltonianData, zsys: ZEigensystem, dt: float, block: bool | None = None
+    ):
         self.h = h
         self.zsys = zsys
         self.dt = dt
-        self.half = np.exp(-0.5j * dt * h.energies)[:, None]
-        self.exponent = -1j * dt * zsys.eigenvalues[:, None]
-        self.v = zsys.vectors
-        self.vt = zsys.vectors.T
-        self.z = zsys.z
+        parity = zsys.parity
+        if block is None:
+            block = parity is not None and len(parity.s) > 0 and h.dim >= BLOCK_STEP_MIN_DIM
+        if block and (parity is None or len(parity.s) == 0):
+            raise InvalidSpecError("the block step needs a z that couples even l to odd l only")
+        self.block = block
+        if not block:
+            self.parity = self.order = None
+            self.half = np.exp(-0.5j * dt * h.energies)[:, None]
+            self.exponent = -1j * dt * zsys.eigenvalues[:, None]
+            self.v = zsys.vectors
+            self.vt = zsys.vectors.T
+            self.z = zsys.z
+            return
+        self.parity = parity
+        self.order = parity.order
+        self.position = np.argsort(parity.order)
+        self.half = np.exp(-0.5j * dt * h.energies[parity.order])[:, None]
+        # The angle of each pair per unit field, signed so that its sine is
+        # the imaginary part of -i sin(E dt s).
+        self.exponent = -dt * parity.s
+        n_even, r = parity.n_even, len(parity.s)
+        #: The even and the odd rows of the pairs, both in pair order.
+        self.pairs = (slice(n_even - r, n_even), slice(n_even, n_even + r))
 
     def adjoint(self) -> "SplitStepKernel":
-        return SplitStepKernel(self.h, self.zsys, -self.dt)
+        return SplitStepKernel(self.h, self.zsys, -self.dt, self.block)
+
+    def to_kernel_order(self, array: np.ndarray, axis: int = 0) -> np.ndarray:
+        """`array`, indexed by basis state along `axis`, in the kernel's row order.
+
+        The array itself when the kernel keeps basis order, a gathered copy
+        in parity order otherwise.
+        """
+        return array if self.order is None else np.take(array, self.order, axis=axis)
+
+    def to_basis_order(self, array: np.ndarray, axis: int = 0) -> np.ndarray:
+        """The inverse of `to_kernel_order`."""
+        return array if self.order is None else np.take(array, self.position, axis=axis)
+
+    def phase_slots(self, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The float64 views of a block-step phase table that depend on E.
+
+        Returns (angles, sines), each (n_steps, r) in pair order: the real
+        parts of the even rows of the pairs, where cos goes, and the
+        imaginary parts of their odd rows, where -sin goes.  Every other
+        part of a row is the same for every E.
+        """
+        parts = table.view(np.float64)
+        even, odd = self.pairs
+        return parts[:, even, 0], parts[:, odd, 1]
 
     def phase_table(self, samples: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """P(E_j) = exp(-i E_j w dt) for every step of `samples`, as (n_steps, dim, 1) columns.
@@ -180,9 +326,55 @@ class SplitStepKernel:
         into `out` when it is given: a chunk of `propagate`'s scratch, or the
         engine's table of the field it sweeps, whose rows the update sweep
         overwrites with the same product and exp as it forms the new field.
+
+        The block step's rows hold its rotations in the same (dim, 1)
+        columns: cos(E dt s_k) in the even row of pair k, -i sin(E dt s_k)
+        in its odd row and 1 in every null row.  The product goes into the
+        cos slots (`phase_slots`) as the angle, and its sin and then its
+        cos are taken in place: the update sweep's three calls per row.  A
+        zero sample gives the identity rotation.
         """
-        table = np.multiply(samples[:-1, None, None], self.exponent, out=out)
-        return np.exp(table, out=table)
+        if not self.block:
+            table = np.multiply(samples[:-1, None, None], self.exponent, out=out)
+            return np.exp(table, out=table)
+        if out is None:
+            out = np.empty((len(samples) - 1, len(self.half), 1), dtype=complex)
+        out.fill(1.0)
+        out[:, self.pairs[1]] = 0.0
+        angles, sines = self.phase_slots(out)
+        np.multiply(samples[:-1, None], self.exponent, out=angles)
+        np.sin(angles, out=sines)
+        np.cos(angles, out=angles)
+        return out
+
+    def rotation_overlaps(
+        self, deltas: np.ndarray, coeffs: np.ndarray, blocks: np.ndarray, products: np.ndarray
+    ) -> np.ndarray:
+        """<coeffs_j| R_j blocks_j> for each j of (k, dim, M) stacks, on the block step.
+
+        R_j is the pair rotation of row j of `deltas`, a (k, dim, 1) stack of
+        `phase_table` rows or of their differences, which have the same
+        form.  With a = cos and b = -i sin, R maps pair (x, y) to
+        (a x + b y, b x + a y), so the overlap sums four products over the
+        pairs; each is formed in the first k of the (m, r, M) `products`,
+        or in place in `blocks` once its x or y is no longer needed, and
+        reduced with one `np.vecdot` per step.  `blocks` is overwritten.
+        """
+        k = len(deltas)
+        even, odd = self.pairs
+        cos, msin = deltas[:, even], deltas[:, odd]
+        x, y = blocks[:, even], blocks[:, odd]
+        left_x, left_y = (coeffs[:, rows].reshape(k, -1) for rows in (even, odd))
+        t = products[:k]
+        np.multiply(msin, x, out=t)
+        overlaps = np.vecdot(left_y, t.reshape(k, -1))
+        np.multiply(msin, y, out=t)
+        overlaps += np.vecdot(left_x, t.reshape(k, -1))
+        np.multiply(cos, x, out=x)
+        overlaps += np.vecdot(left_x, x.reshape(k, -1))
+        np.multiply(cos, y, out=y)
+        overlaps += np.vecdot(left_y, y.reshape(k, -1))
+        return overlaps
 
     def stepper(self, block: np.ndarray) -> tuple[Callable[..., None], tuple[np.ndarray, ...]]:
         """The split step of one sweep of `block`, after checking its shape.
@@ -206,6 +398,16 @@ class SplitStepKernel:
         buffer into another.  The callable holds every operand as a local
         and passes every output positionally; it makes no temporary array,
         and `np.dot` hands the contiguous float64 views straight to BLAS.
+
+        The block step forms c with two half-size products, q^T on the even
+        rows and w^T on the odd ones, always into its own c, which it then
+        copies through `cf` when that is the view of another block.  It rotates
+        the pairs of its own c into b with three multiplies and two adds:
+        P c gives the null rows, cos c_e and msin c_o, and each pair's cross
+        terms are added to them.  It then goes back with q and w.  It reads
+        no `c` of the caller.  A full-width phase is sliced into its even and
+        odd rows; a (dim, 1) column of an M > 1 block is first copied to full
+        width, so that no product broadcasts a column row by row.
         """
         # A (dim,) state or a (1, M) block would broadcast against the
         # (dim, 1) half step into a wrong-shaped block instead of failing.
@@ -216,15 +418,55 @@ class SplitStepKernel:
         half = np.ascontiguousarray(np.broadcast_to(self.half, block.shape))
         x, b, own_c = (np.empty(block.shape, dtype=complex) for _ in range(3))
         xf, bf, own_cf = (a.view(np.float64) for a in (x, b, own_c))
-        v, vt, multiply, dot = self.v, self.vt, np.multiply, np.dot
+        multiply, dot = np.multiply, np.dot
+        if not self.block:
+            v, vt = self.v, self.vt
+
+            def step(src, dst, phase, c, cf):
+                multiply(half, src, x)
+                if cf is not None:
+                    dot(vt, xf, cf)
+                if phase is not None:
+                    multiply(phase, c, b)
+                    dot(v, bf, xf)
+                multiply(half, x, dst)
+
+            return step, (x, b, own_c, own_cf)
+
+        add, copyto = np.add, np.copyto
+        q, qt, w, wt = self.parity.q, self.parity.q.T, self.parity.w, self.parity.w.T
+        n_even = self.parity.n_even
+        even, odd = self.pairs
+        x_even, x_odd, b_even, b_odd = xf[:n_even], xf[n_even:], bf[:n_even], bf[n_even:]
+        c_even, c_odd = own_cf[:n_even], own_cf[n_even:]
+        b_pe, b_po, c_pe, c_po = b[even], b[odd], own_c[even], own_c[odd]
+        t = np.empty(b_po.shape, dtype=complex)
+        # A (dim, 1) phase column of a wider block is copied to full width
+        # once per step, so that the three products run element by element.
+        width, wide = block.shape[1], np.empty(block.shape, dtype=complex)
+        wide_pe, wide_po = wide[even], wide[odd]
 
         def step(src, dst, phase, c, cf):
             multiply(half, src, x)
             if cf is not None:
-                dot(vt, xf, cf)
+                dot(qt, x_even, c_even)
+                dot(wt, x_odd, c_odd)
+                if cf is not own_cf:
+                    copyto(cf, own_cf)
             if phase is not None:
-                multiply(phase, c, b)
-                dot(v, bf, xf)
+                # b = [c_null; cos c_e + msin c_o; msin c_e + cos c_o; c_null].
+                if phase.shape[1] == width:
+                    phase_e, phase_o = phase[even], phase[odd]
+                else:
+                    copyto(wide, phase)
+                    phase, phase_e, phase_o = wide, wide_pe, wide_po
+                multiply(phase, own_c, b)
+                multiply(phase_e, c_po, t)
+                add(b_pe, b_po, b_pe)
+                multiply(phase_o, c_pe, b_po)
+                add(b_po, t, b_po)
+                dot(q, b_even, x_even)
+                dot(w, b_odd, x_odd)
             multiply(half, x, dst)
 
         return step, (x, b, own_c, own_cf)
@@ -266,6 +508,7 @@ def propagate(
     if record is not None and record < 1:
         raise InvalidSpecError("record stride must be a positive integer or None")
 
+    kernel = SplitStepKernel(h, zsys, pulse.dt)
     mask = None
     if absorber is not None:
         labels, strength = absorber
@@ -274,17 +517,22 @@ def propagate(
         mask = np.ones((h.dim, 1))
         for label in labels:
             mask[h.index(label)] = 1.0 - strength
+        mask = kernel.to_kernel_order(mask)
 
-    kernel = SplitStepKernel(h, zsys, pulse.dt)
     shape = psi0.amplitudes.shape
-    block = np.array(psi0.amplitudes, dtype=complex, order="C").reshape(h.dim, -1)
+    block = np.array(kernel.to_kernel_order(psi0.amplitudes), dtype=complex, order="C")
+    block = block.reshape(h.dim, -1)
+
+    def amplitudes():
+        return kernel.to_basis_order(block).reshape(shape)
+
     step, (_, _, c, cf) = kernel.stepper(block)
     phases = np.empty((CHUNK_STEPS, h.dim, 1), dtype=complex)
     fields = pulse.samples[:-1].tolist()
     t = pulse.t0
     trajectory: list[WavePacket] = []
     if record is not None:
-        trajectory.append(WavePacket(amplitudes=block.reshape(shape).copy(), time=t))
+        trajectory.append(WavePacket(amplitudes=amplitudes().copy(), time=t))
 
     for start in range(0, pulse.n_steps, CHUNK_STEPS):
         stop = min(start + CHUNK_STEPS, pulse.n_steps)
@@ -298,9 +546,9 @@ def propagate(
                 np.multiply(block, mask, out=block)
             t += pulse.dt
             if record is not None and ((j + 1) % record == 0 or j + 1 == pulse.n_steps):
-                trajectory.append(WavePacket(amplitudes=block.reshape(shape).copy(), time=t))
+                trajectory.append(WavePacket(amplitudes=amplitudes().copy(), time=t))
 
-    final = WavePacket(amplitudes=block.reshape(shape), time=t)
+    final = WavePacket(amplitudes=amplitudes(), time=t)
     if record is None:
         trajectory = [final]
     return trajectory, final

@@ -62,6 +62,11 @@ class TestBasisSpec:
         with pytest.raises(InvalidSpecError):
             BasisSpec(5, 3, 2)
 
+    def test_negative_l_defect_rejected(self):
+        # No state has l < 0, so such a defect can only be a mistake.
+        with pytest.raises(InvalidSpecError, match="negative l=-1"):
+            BasisSpec(3, 5, 2, {-1: 0.5})
+
 
 class TestStateLabel:
     def test_round_trip(self):

@@ -142,6 +142,8 @@ BAD_MANIFESTS = {
     "grid_points_text": (_mutated("basis", "grid_points", "many"), "basis.grid_points"),
     "marked_number": (_mutated("register", "marked", 5), "register.marked"),
     "r_min_text": (_mutated("basis", "r_min", "x"), "basis.r_min"),
+    # Optimized with exit 0 and wrote "defect -1 0.5" into the basis file.
+    "defect_negative_l": (_mutated("basis", "defects", {"-1": 0.5}), "basis.defects"),
     # The radial grid is uniform in sqrt(r): both ends must be positive.
     "r_min_negative": (_mutated("basis", "r_min", -1e-4), "basis.r_min"),
     "r_max_negative": (_mutated("basis", "r_max", -5), "basis.r_max"),
@@ -819,6 +821,33 @@ class TestProcess:
         for name, content in outputs[1].items():
             assert outputs[2][name] == content, name
             assert outputs["warm"][name] == content, name
+
+    def test_optimize_187_outputs_independent_of_blas_threads(self, tmp_path):
+        # 187 states take the parity-block step on the SVD eigensystem;
+        # eigh of this z gave other bits under one and two threads.  Each
+        # thread count builds its basis in its own empty cache.
+        manifest = json.loads((MANIFEST_DIR / "single_target.json").read_text())
+        manifest["basis"]["l_max"] = 17
+        manifest["oct"]["max_iterations"] = 8
+        path = tmp_path / "optimize187.json"
+        path.write_text(json.dumps(manifest))
+        outputs = {}
+        for threads in (1, 2):
+            out = tmp_path / f"threads{threads}"
+            args = ["-m", "rydoct.cli", "optimize", "--manifest", str(path), "--out", str(out)]
+            run = _run_cli(args, tmp_path, threads=threads, cache=tmp_path / f"cache{threads}")
+            assert run.returncode == 0, run.stderr
+            outputs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert json.loads(outputs[1]["summary.json"])["metrics"]["iterations"] == 8
+        assert set(outputs[1]) == {
+            "guess_field.csv",
+            "history.csv",
+            "optimized_field.csv",
+            "readout.json",
+            "summary.json",
+        }
+        for name, content in outputs[1].items():
+            assert outputs[2][name] == content, name
 
     def test_basis_file_independent_of_blas_threads(self, tmp_path):
         # The dipoles are BLAS products; the 187-state file must not depend on

@@ -11,16 +11,20 @@ table that one iteration hands to the next, checks that delta3 flags
 costates that do not belong to the field, checks the update sweep's
 half-chunk cross-term against the oracle and a per-step sum, pins the
 numpy calls that each sweep makes per step, and checks that the sweeps
-give the same bytes whatever the memory layout of the input block.
+give the same bytes whatever the memory layout of the input block.  The
+oracle comparisons, the delta3 check and the memory bound also run on the
+parity-block step, which a 55-state kernel takes when it is built with
+`block=True` (and the public functions when the crossover is lowered).
 """
 
 import sys
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
-from rydoct import control
+from rydoct import control, propagation
 from rydoct import (
     InvalidSpecError,
     PenaltySchedule,
@@ -60,6 +64,60 @@ def _evolve(kernel, block, pulse):
     """The final block of `propagate` under `pulse`, as the engine runs the guess."""
     _, final = propagate(WavePacket(block), pulse, kernel.h, kernel.zsys, record=None)
     return final.amplitudes
+
+
+@contextmanager
+def _public_step(kernel):
+    """The public functions, which pick their step by basis size, take the
+    step of `kernel`: for the block step on 55 states, the crossover is
+    lowered."""
+    with pytest.MonkeyPatch.context() as patch:
+        if kernel.block:
+            patch.setattr(propagation, "BLOCK_STEP_MIN_DIM", 0)
+        yield
+
+
+def _engine_blocks(setup, kernel, bits):
+    """psi0 of the members marking `bits`, their final block under the
+    set-up's field and their target indices, in the kernel's row order, as
+    the engine holds them."""
+    h = setup["h"]
+    psi0 = np.stack(setup["psi0"][: len(bits)], axis=1)
+    with _public_step(kernel):
+        final = _evolve(kernel, psi0, setup["pulse"])
+    rows = np.array([h.index(bit) for bit in bits])
+    if kernel.block:
+        rows = kernel.position[rows]
+    targets = (rows, np.arange(len(bits)))
+    return kernel.to_kernel_order(psi0), kernel.to_kernel_order(final), targets
+
+
+def _block_coefficients(kernel, states):
+    """The step's coefficient basis: the rows of `states` (basis order, one
+    state per row) in the kernel's order, times V, or blockdiag(q, w) for
+    the block step."""
+    states = kernel.to_kernel_order(states, axis=1)
+    if not kernel.block:
+        return states @ kernel.v
+    parity = kernel.parity
+    basis = np.zeros((kernel.h.dim, kernel.h.dim))
+    basis[: parity.n_even, : parity.n_even] = parity.q
+    basis[parity.n_even :, parity.n_even :] = parity.w
+    return states @ basis
+
+
+def _rotated(kernel, rows, blocks):
+    """Each row of a phase-table stack applied to its block, written out:
+    the dense step's diagonal product, or the block step's pair rotation
+    (x, y) -> (a x + b y, b x + a y) with a, b the row's pair entries."""
+    out = rows * blocks
+    if kernel.block:
+        even, odd = kernel.pairs
+        a, b = rows[:, even], rows[:, odd]
+        x, y = blocks[:, even], blocks[:, odd]
+        out[:, even] = a * x + b * y
+        out[:, odd] = b * x + a * y
+    return out
 
 
 def _step(kernel, block, e_field):
@@ -116,62 +174,96 @@ def setup(cesium_h, cesium_zsys):
     }
 
 
+@pytest.fixture(scope="module")
+def block_setup(setup):
+    """`setup` with the parity-block kernel on the same basis, and z lam and
+    the coefficients of its own costate sweep, both in parity order."""
+    kernel = SplitStepKernel(setup["h"], setup["zsys"], DT, block=True)
+    pulse = setup["pulse"]
+    work = _filled_work(kernel, pulse, len(MARKED))
+    lam_final = kernel.to_kernel_order(np.stack(setup["lam_final"], axis=1))
+    lam_buffer, coeffs = _costate_sweep(kernel, lam_final, pulse.samples, work)
+    z_lam = _apply_z(kernel, lam_buffer, work[2])
+    return {**setup, "kernel": kernel, "z_lam": z_lam, "coeffs": coeffs}
+
+
+@pytest.fixture(scope="module")
+def both(setup, block_setup):
+    """The dense set-up, then the block one."""
+    return (setup, block_setup)
+
+
 def test_field_has_zero_and_nonzero_steps(setup):
     steps = setup["pulse"].samples[:-1]
     assert np.count_nonzero(steps == 0.0) > 100
     assert np.count_nonzero(steps) > 600
 
 
-def test_public_backward_propagate_matches_oracle(setup):
-    h, zsys, pulse = setup["h"], setup["zsys"], setup["pulse"]
-    for lam, expected in zip(setup["lam_final"], setup["ref_costates"]):
-        costates = backward_propagate(WavePacket(lam, time=pulse.horizon), pulse, h, zsys)
-        assert costates.shape == expected.shape
-        assert np.max(np.abs(costates - expected)) <= 1e-12
+def test_public_backward_propagate_matches_oracle(both):
+    # On either step, in basis order.
+    for setup in both:
+        h, zsys, pulse = setup["h"], setup["zsys"], setup["pulse"]
+        for lam, expected in zip(setup["lam_final"], setup["ref_costates"]):
+            with _public_step(setup["kernel"]):
+                costates = backward_propagate(WavePacket(lam, time=pulse.horizon), pulse, h, zsys)
+            assert costates.shape == expected.shape
+            assert np.max(np.abs(costates - expected)) <= 1e-12
 
 
-def test_costate_sweep_matches_oracle(setup):
+def test_costate_sweep_matches_oracle(both):
     # z lam_j for the increment at t_j, and V^T D* lam_{j+1} for the
-    # cross-term of step j, both formed from the oracle's costates.
-    h, zsys = setup["h"], setup["zsys"]
-    half_adjoint = np.exp(0.5j * setup["pulse"].dt * h.energies)
-    for i, costates in enumerate(setup["ref_costates"]):
-        z_lam = costates[:-1] @ h.z_matrix.T
-        coeffs = (costates[1:] * half_adjoint) @ zsys.vectors
-        scale = np.max(np.abs(z_lam))
-        assert np.max(np.abs(setup["z_lam"][:, :, i] - z_lam)) <= 1e-12 * scale
-        assert np.max(np.abs(setup["coeffs"][:, :, i] - coeffs)) <= 1e-12
-    assert setup["z_lam"].shape == (setup["pulse"].n_steps, h.dim, len(MARKED))
+    # cross-term of step j, both formed from the oracle's costates; for the
+    # block step in parity order, with blockdiag(q, w) in place of V.
+    for setup in both:
+        h, kernel = setup["h"], setup["kernel"]
+        half_adjoint = np.exp(0.5j * setup["pulse"].dt * h.energies)
+        for i, costates in enumerate(setup["ref_costates"]):
+            z_lam = kernel.to_kernel_order(costates[:-1] @ h.z_matrix.T, axis=1)
+            coeffs = _block_coefficients(kernel, costates[1:] * half_adjoint)
+            scale = np.max(np.abs(z_lam))
+            assert np.max(np.abs(setup["z_lam"][:, :, i] - z_lam)) <= 1e-12 * scale
+            assert np.max(np.abs(setup["coeffs"][:, :, i] - coeffs)) <= 1e-12
+        assert setup["z_lam"].shape == (setup["pulse"].n_steps, h.dim, len(MARKED))
 
 
-@pytest.mark.parametrize("public", [False, True], ids=["replace", "public-replace"])
-def test_update_sweep_matches_oracle(setup, public):
+@pytest.mark.parametrize(
+    "public, block",
+    [(False, False), (True, False), (False, True), (True, True)],
+    ids=["replace", "public-replace", "block-replace", "block-public-replace"],
+)
+def test_update_sweep_matches_oracle(setup, block_setup, public, block):
     # The engine's sweep on all four members, or the public
-    # forward_update_sweep on the first one, which reports no cross-term.
+    # forward_update_sweep on the first one, which reports no cross-term;
+    # on the dense step or on the block step, whose blocks are in parity
+    # order.
+    setup = block_setup if block else setup
     h, zsys, pulse, penalty = setup["h"], setup["zsys"], setup["pulse"], setup["penalty"]
+    kernel = setup["kernel"]
     n_members = 1 if public else len(MARKED)
     expected, trajs, expected_cross = ref._sweep(
         setup["psi0"][:n_members], setup["ref_costates"][:n_members], pulse, penalty, h, zsys
     )
     if public:
-        new_pulse, final = forward_update_sweep(
-            WavePacket(setup["psi0"][0]), setup["ref_costates"][0], pulse, penalty, h, zsys
-        )
+        with _public_step(kernel):
+            new_pulse, final = forward_update_sweep(
+                WavePacket(setup["psi0"][0]), setup["ref_costates"][0], pulse, penalty, h, zsys
+            )
         samples, final = new_pulse.samples, final.amplitudes[:, None]
     else:
-        work = _filled_work(setup["kernel"], pulse, n_members)
+        work = _filled_work(kernel, pulse, n_members)
         samples, final, cross = _update_sweep(
-            setup["kernel"],
-            np.stack(setup["psi0"], axis=1),
+            kernel,
+            kernel.to_kernel_order(np.stack(setup["psi0"], axis=1)),
             setup["z_lam"],
             setup["coeffs"],
             pulse,
             penalty,
             *work[2:],
         )
+        final = kernel.to_basis_order(final)
         assert abs(cross - expected_cross) <= 1e-12
         # The sweep leaves the new field's phases in the table.
-        assert np.array_equal(work[3], setup["kernel"].phase_table(samples))
+        assert np.array_equal(work[3], kernel.phase_table(samples))
     # Relative to the field's scale: where a new sample crosses zero, the
     # overlap sum cancels and its own relative error is unbounded.
     scale = np.max(np.abs(expected))
@@ -180,8 +272,12 @@ def test_update_sweep_matches_oracle(setup, public):
         assert np.max(np.abs(final[:, i] - traj[-1])) <= 1e-12
 
 
-@pytest.mark.parametrize("n_members", [1, 4])
-def test_update_sweep_forms_the_cross_term_per_half_chunk(setup, n_members):
+@pytest.mark.parametrize(
+    "n_members, block",
+    [(1, False), (4, False), (1, True), (4, True)],
+    ids=["1", "4", "block-1", "block-4"],
+)
+def test_update_sweep_forms_the_cross_term_per_half_chunk(setup, block_setup, n_members, block):
     # The cross-term is formed 32 steps at a time from the c_j that the
     # steps leave in the chunk scratch.  The grid ends in a short half
     # chunk.  A zero old field and zeroed costates around the first
@@ -189,6 +285,7 @@ def test_update_sweep_forms_the_cross_term_per_half_chunk(setup, n_members):
     # those steps form no c, and their slots, not yet written in this
     # sweep, must be cleared: a NaN-filled scratch must not reach the
     # cross-term, the new samples or the final block.
+    setup = block_setup if block else setup
     h, zsys, kernel = setup["h"], setup["zsys"], setup["kernel"]
     half = CHUNK_STEPS // 2
     old = setup["pulse"].samples[:794].copy()
@@ -204,8 +301,11 @@ def test_update_sweep_forms_the_cross_term_per_half_chunk(setup, n_members):
 
     half_adjoint = np.exp(0.5j * pulse.dt * h.energies)
     z_lam = np.stack([lam[:-1] @ h.z_matrix.T for lam in costates], axis=2)
-    coeffs = np.stack([(lam[1:] * half_adjoint) @ zsys.vectors for lam in costates], axis=2)
-    block = np.stack(psi0, axis=1)
+    z_lam = kernel.to_kernel_order(z_lam, axis=1)
+    coeffs = np.stack(
+        [_block_coefficients(kernel, lam[1:] * half_adjoint) for lam in costates], axis=2
+    )
+    block = kernel.to_kernel_order(np.stack(psi0, axis=1))
     runs = []
     for fill in (0.0, np.nan):
         work = _filled_work(kernel, pulse, n_members)
@@ -222,7 +322,8 @@ def test_update_sweep_forms_the_cross_term_per_half_chunk(setup, n_members):
     assert abs(cross - expected_cross) <= 1e-12
 
     # The same sum as one vdot per step, <D* lam_{j+1}| V (P_new - P_old) c_j>,
-    # with c_j = V^T D psi_j from a plain stepper loop under the new field.
+    # with c_j = V^T D psi_j from a plain stepper loop under the new field
+    # and P_new - P_old written out.
     phases = kernel.phase_table(samples)
     delta = phases - kernel.phase_table(pulse.samples)
     step, (_, _, c, cf) = kernel.stepper(block)
@@ -230,7 +331,7 @@ def test_update_sweep_forms_the_cross_term_per_half_chunk(setup, n_members):
     per_step, size = 0.0 + 0.0j, 0.0
     for j in range(pulse.n_steps):
         step(psi, psi, phases[j] if samples[j] != 0.0 else None, c, cf)
-        term = np.vdot(coeffs[j], delta[j] * c)
+        term = np.vdot(coeffs[j], _rotated(kernel, delta[j : j + 1], c[None])[0])
         per_step += term
         size += abs(term)
     assert np.array_equal(psi, final)
@@ -254,18 +355,23 @@ def test_phase_table_rows_are_the_per_step_phases(setup, sign):
         assert np.array_equal(kernel.phase_table(samples[start : stop + 1]), table[start:stop])
 
 
-@pytest.mark.parametrize("n_members", [1, 4])
-def test_sweeps_hold_two_costate_arrays_and_one_phase_table(setup, n_members):
+@pytest.mark.parametrize(
+    "n_members, block",
+    [(1, False), (4, False), (1, True), (4, True)],
+    ids=["1", "4", "block-1", "block-4"],
+)
+def test_sweeps_hold_two_costate_arrays_and_one_phase_table(
+    setup, block_setup, n_members, block
+):
     # The work arrays of a run and two iterations on them, each a backward
     # sweep and an update sweep: z lam and the coefficients are the only
     # step-sized arrays besides one (n_steps, dim) phase table.  The slack
     # covers the chunk scratch and per-step blocks; one more costate-sized
-    # copy does not fit.
+    # copy does not fit.  The block step's table has the same rows.
+    setup = block_setup if block else setup
     h, pulse = setup["h"], setup["pulse"]
     kernel, penalty = setup["kernel"], setup["penalty"]
-    psi0 = np.stack(setup["psi0"][:n_members], axis=1)
-    final = _evolve(kernel, psi0, pulse)
-    targets = (np.array([h.index(bit) for bit in MARKED[:n_members]]), np.arange(n_members))
+    psi0, final, targets = _engine_blocks(setup, kernel, MARKED[:n_members])
     costate_bytes = pulse.n_steps * h.dim * n_members * 16
     table_bytes = pulse.n_steps * h.dim * 16
     slack = 512 * 1024
@@ -471,25 +577,12 @@ def test_apply_z_is_the_dim_major_chunk_product_in_place(setup):
     assert _apply_z(kernel, lam_buffer, work[2]) is lam_buffer
 
 
-def test_delta3_flags_costates_that_do_not_belong_to_the_field(setup, monkeypatch):
+def test_delta3_flags_costates_that_do_not_belong_to_the_field(both, monkeypatch):
     # delta3 vanishes only when every costate slot holds the adjoint of
     # the field that the update sweep steps under: costates swept under a
     # scaled field, coefficients one slot off, or a second iteration whose
     # phase table the first did not update to its new field, must show.
-    h, pulse, kernel, penalty = setup["h"], setup["pulse"], setup["kernel"], setup["penalty"]
-    psi0 = np.stack(setup["psi0"], axis=1)
-    final = _evolve(kernel, psi0, pulse)
-    targets = (np.array([h.index(bit) for bit in MARKED]), np.arange(len(MARKED)))
-
-    def delta3():
-        # The larger |delta3| of two iterations on one set of work arrays.
-        work = _filled_work(kernel, pulse, len(MARKED))
-        args = (psi0, final, targets, pulse, penalty, work)
-        samples, new_final, first = _iterate(kernel, *args)
-        args = (psi0, new_final, targets, pulse.with_samples(samples), penalty, work)
-        return max(abs(first), abs(_iterate(kernel, *args)[2]))
-
-    assert delta3() <= 1e-10
+    # On either step.
     sweep, update = control._costate_sweep, control._update_sweep
 
     def scaled_field(kernel, lam_final, samples, work):
@@ -506,14 +599,27 @@ def test_delta3_flags_costates_that_do_not_belong_to_the_field(setup, monkeypatc
         *rest, table = args
         return update(*rest, table.copy())
 
-    for name, broken in (
-        ("_costate_sweep", scaled_field),
-        ("_costate_sweep", rolled_coefficients),
-        ("_update_sweep", stale_table),
-    ):
-        with monkeypatch.context() as patch:
-            patch.setattr(control, name, broken)
-            assert delta3() > 1e-6
+    for setup in both:
+        pulse, kernel, penalty = setup["pulse"], setup["kernel"], setup["penalty"]
+        psi0, final, targets = _engine_blocks(setup, kernel, MARKED)
+
+        def delta3():
+            # The larger |delta3| of two iterations on one set of work arrays.
+            work = _filled_work(kernel, pulse, len(MARKED))
+            args = (psi0, final, targets, pulse, penalty, work)
+            samples, new_final, first = _iterate(kernel, *args)
+            args = (psi0, new_final, targets, pulse.with_samples(samples), penalty, work)
+            return max(abs(first), abs(_iterate(kernel, *args)[2]))
+
+        assert delta3() <= 1e-10
+        for name, broken in (
+            ("_costate_sweep", scaled_field),
+            ("_costate_sweep", rolled_coefficients),
+            ("_update_sweep", stale_table),
+        ):
+            with monkeypatch.context() as patch:
+                patch.setattr(control, name, broken)
+                assert delta3() > 1e-6
 
 
 def _layouts(h, rng):
