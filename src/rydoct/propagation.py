@@ -61,7 +61,7 @@ returns one step, and its `phase_table` the phases P_j that the step takes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -139,8 +139,7 @@ class PulseGrid:
         return cls(t0=t0, dt=dt, samples=np.zeros(n_samples))
 
 
-@dataclass(frozen=True)
-class ParityBlocks:
+class ParityBlocks(NamedTuple):
     """z in parity order, [[0, B], [B^T, 0]], and the SVD of its block B.
 
     The dipole rule |dl| = 1 couples even-l states only to odd-l ones.
@@ -151,7 +150,8 @@ class ParityBlocks:
     k: q_k is column n_e - r + k of q and w_k column k of w.  The other
     columns span the null spaces of B^T and B.  A block of coefficients
     [q^T x_even; w^T x_odd] therefore holds pair k in rows n_e - r + k and
-    n_e + k, and its null rows before and after those 2r rows.
+    n_e + k, and its null rows before and after those 2r rows.  (A named
+    tuple, not a dataclass: every CLI process defines it at import.)
     """
 
     order: np.ndarray

@@ -20,6 +20,7 @@ from rydoct import (
     RegisterSpec,
     WavePacket,
     backward_propagate,
+    boundary_labels,
     costate_terminal,
     encode,
     forward_update_sweep,
@@ -147,29 +148,35 @@ class TestBlockStep:
 
 
 def test_public_functions_answer_in_basis_order_on_the_block_step(full_h, full_zsys, monkeypatch):
-    # On 187 states, against the same calls on the dense step: the costate
-    # trajectory, one update sweep, and two iterations of `optimize`.
+    # On 187 states, against the same calls on the dense step: a recorded
+    # propagation with an absorber, the costate trajectory, one update
+    # sweep, and two iterations of `optimize`.
     register = RegisterSpec.from_names(["24p", "25p", "26p", "27p", "28p", "29p"], marked="26p")
     psi0 = encode(register, full_h)
     samples = 3e-7 * np.sin(np.linspace(0.0, np.pi, 301)) ** 2
     pulse = PulseGrid(0.0, DT, samples)
     penalty = PenaltySchedule.build(pulse, base=1e8, edge_multiplier=100.0, ramp_fraction=0.1)
 
+    absorber = (boundary_labels(full_h), 0.3)
+
     def run():
+        trajectory, _ = propagate(psi0, pulse, full_h, full_zsys, record=7, absorber=absorber)
         _, final = propagate(psi0, pulse, full_h, full_zsys, record=None)
         lam = costate_terminal(final, full_h.index("26p"))
         costates = backward_propagate(lam, pulse, full_h, full_zsys)
         updated, swept = forward_update_sweep(psi0, costates, pulse, penalty, full_h, full_zsys)
         problem = OctProblem(full_h, psi0, "26p", penalty, pulse, max_iterations=2)
         result = optimize(problem, zsys=full_zsys)
-        return final.amplitudes, costates, updated.samples, swept.amplitudes, result
+        recorded = np.array([packet.amplitudes for packet in trajectory])
+        return recorded, final.amplitudes, costates, updated.samples, swept.amplitudes, result
 
     block = run()
     monkeypatch.setattr(propagation, "BLOCK_STEP_MIN_DIM", 10**9)
     dense = run()
-    for got, want in zip(block[:4], dense[:4]):
+    assert np.max(np.linalg.norm(block[0][-1])) < 1.0
+    for got, want in zip(block[:5], dense[:5]):
         assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1.0)
-    block_result, dense_result = block[4], dense[4]
+    block_result, dense_result = block[5], dense[5]
     assert np.max(np.abs(block_result.final_states - dense_result.final_states)) <= 1e-12
     assert np.max(np.abs(block_result.yield_history - dense_result.yield_history)) <= 1e-12
     assert np.max(np.abs(block_result.delta3_history)) <= 1e-10
