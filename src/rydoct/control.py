@@ -306,7 +306,7 @@ def _apply_z(kernel: SplitStepKernel, lam_buffer: np.ndarray, scratch: np.ndarra
             np.dot(kernel.z, src_f, out=dst_f)
         else:
             np.dot(parity.b, src_f[n_even:], out=dst_f[:n_even])
-            np.dot(parity.bt, src_f[:n_even], out=dst_f[n_even:])
+            np.dot(parity.b.T, src_f[:n_even], out=dst_f[n_even:])
         np.copyto(chunk, dst.reshape(dim, -1, n_members).transpose(1, 0, 2))
     return lam_buffer
 

@@ -144,8 +144,7 @@ class ParityBlocks(NamedTuple):
 
     The dipole rule |dl| = 1 couples even-l states only to odd-l ones.
     `order` lists the basis indices of the n_e even-l states and then of the
-    n_o odd-l ones, each in basis order, and B = z[even][:, odd]; `bt` is
-    B^T, stored contiguous.  `q` (n_e, n_e) and `w` (n_o, n_o) are
+    n_o odd-l ones, each in basis order, and B = z[even][:, odd].  `q` (n_e, n_e) and `w` (n_o, n_o) are
     orthogonal, and B^T q_k = s_k w_k for the r = len(s) singular pairs
     k: q_k is column n_e - r + k of q and w_k column k of w.  The other
     columns span the null spaces of B^T and B.  A block of coefficients
@@ -156,7 +155,6 @@ class ParityBlocks(NamedTuple):
 
     order: np.ndarray
     b: np.ndarray
-    bt: np.ndarray
     q: np.ndarray
     w: np.ndarray
     s: np.ndarray
@@ -197,9 +195,7 @@ def _parity_blocks(h: HamiltonianData, z: np.ndarray) -> ParityBlocks | None:
     q = np.concatenate([u[:, r:], u[:, :r]], axis=1)
     w = wt.T
     order = np.concatenate([np.flatnonzero(~odd), np.flatnonzero(odd)])
-    return ParityBlocks(
-        order, b, np.ascontiguousarray(b.T), np.ascontiguousarray(q), np.ascontiguousarray(w), s
-    )
+    return ParityBlocks(order, b, np.ascontiguousarray(q), np.ascontiguousarray(w), s)
 
 
 def precompute_z_eigensystem(h: HamiltonianData) -> ZEigensystem:
@@ -222,20 +218,22 @@ def precompute_z_eigensystem(h: HamiltonianData) -> ZEigensystem:
         w, v = np.linalg.eigh(z)
         return ZEigensystem(eigenvalues=w, vectors=np.ascontiguousarray(v), z=z)
     n_even, r = parity.n_even, len(parity.s)
-    # Columns: the null columns of q, the +s pairs, the -s pairs, the null
-    # columns of w; then sorted by eigenvalue.
-    q_pair = parity.q[:, n_even - r :] * np.sqrt(0.5)
-    w_pair = parity.w[:, :r] * np.sqrt(0.5)
-    v = np.zeros((h.dim, h.dim))
-    v[:n_even, : n_even - r] = parity.q[:, : n_even - r]
-    v[:n_even, n_even - r : n_even] = v[:n_even, n_even : n_even + r] = q_pair
-    v[n_even:, n_even - r : n_even] = w_pair
-    v[n_even:, n_even : n_even + r] = -w_pair
-    v[n_even:, n_even + r :] = parity.w[:, r:]
+    even, odd = parity.order[:n_even], parity.order[n_even:]
+    # The columns in the order null columns of q, +s pairs, -s pairs, null
+    # columns of w, each written straight into its slot once sorted.
     w = np.concatenate([np.zeros(n_even - r), parity.s, -parity.s, np.zeros(h.dim - n_even - r)])
     columns = np.argsort(w, kind="stable")
-    vectors = np.empty_like(v)
-    vectors[parity.order] = v[:, columns]
+    slot = np.empty(h.dim, dtype=int)
+    slot[columns] = np.arange(h.dim)
+    nulls_q, plus, minus, nulls_w = np.split(slot, [n_even - r, n_even, n_even + r])
+    q_pair = parity.q[:, n_even - r :] * np.sqrt(0.5)
+    w_pair = parity.w[:, :r] * np.sqrt(0.5)
+    vectors = np.zeros((h.dim, h.dim))
+    vectors[np.ix_(even, nulls_q)] = parity.q[:, : n_even - r]
+    vectors[np.ix_(even, plus)] = vectors[np.ix_(even, minus)] = q_pair
+    vectors[np.ix_(odd, plus)] = w_pair
+    vectors[np.ix_(odd, minus)] = -w_pair
+    vectors[np.ix_(odd, nulls_w)] = parity.w[:, r:]
     return ZEigensystem(eigenvalues=w[columns], vectors=vectors, z=z, parity=parity)
 
 
