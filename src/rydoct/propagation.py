@@ -48,9 +48,10 @@ the delta3 cross-term's P_new - P_old all keep this (cos, -i sin) form in
 the same (dim, 1) rows.  States cross into parity order once, at the
 boundary of `propagate` and of the engine, and nothing is gathered per
 step.  The crossover comes from timing one optimization iteration of each
-step at 55 to 187 states: the block step was 1.6x slower at 55 states,
-even at 154 and 0.84-0.90x at 165 and 187, with one member or four.
-Smaller bases, and any z that is not bipartite, keep the dense step.
+step, with one member and with four: the block step took 1.4-1.6x the
+dense step's time at 55 states, 0.97-1.05x at 154, 0.90-1.00x at 165,
+0.87-0.90x at 187 and 0.36-0.62x at 357.  Smaller bases, and any z that
+is not bipartite, keep the dense step.
 
 The public entry points are `propagate`, the one loop that runs a state or
 a block across a fixed pulse grid (optionally with an absorber on chosen

@@ -92,7 +92,7 @@ def _engine_blocks(setup, kernel, bits):
     return kernel.to_kernel_order(psi0), kernel.to_kernel_order(final), targets
 
 
-def _block_coefficients(kernel, states):
+def _step_coefficients(kernel, states):
     """The step's coefficient basis: the rows of `states` (basis order, one
     state per row) in the kernel's order, times V, or blockdiag(q, w) for
     the block step."""
@@ -219,7 +219,7 @@ def test_costate_sweep_matches_oracle(both):
         half_adjoint = np.exp(0.5j * setup["pulse"].dt * h.energies)
         for i, costates in enumerate(setup["ref_costates"]):
             z_lam = kernel.to_kernel_order(costates[:-1] @ h.z_matrix.T, axis=1)
-            coeffs = _block_coefficients(kernel, costates[1:] * half_adjoint)
+            coeffs = _step_coefficients(kernel, costates[1:] * half_adjoint)
             scale = np.max(np.abs(z_lam))
             assert np.max(np.abs(setup["z_lam"][:, :, i] - z_lam)) <= 1e-12 * scale
             assert np.max(np.abs(setup["coeffs"][:, :, i] - coeffs)) <= 1e-12
@@ -303,7 +303,7 @@ def test_update_sweep_forms_the_cross_term_per_half_chunk(setup, block_setup, n_
     z_lam = np.stack([lam[:-1] @ h.z_matrix.T for lam in costates], axis=2)
     z_lam = kernel.to_kernel_order(z_lam, axis=1)
     coeffs = np.stack(
-        [_block_coefficients(kernel, lam[1:] * half_adjoint) for lam in costates], axis=2
+        [_step_coefficients(kernel, lam[1:] * half_adjoint) for lam in costates], axis=2
     )
     block = kernel.to_kernel_order(np.stack(psi0, axis=1))
     runs = []
