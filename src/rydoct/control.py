@@ -359,9 +359,6 @@ def _update_sweep(
         np.multiply, np.exp, np.subtract, np.vdot, np.vecdot
     )
     exponent, block = kernel.exponent, kernel.block
-    if block:
-        angles, sines = kernel.phase_slots(table)
-        sin, cos = np.sin, np.cos
     cross_term = 0.0 + 0.0j
     weights = penalty.samples.tolist()
     new_samples = pulse.samples.astype(float)
@@ -373,6 +370,8 @@ def _update_sweep(
     slots = list(zip(c_store, c_store.view(np.float64)))
     phase_change = scratch[half:].reshape(-1)[: half * len(psi)].reshape(half, -1, 1)
     if block:
+        angles, sines = kernel.phase_slots(table)
+        sin, cos = np.sin, np.cos
         # The rotation's (half, r, M) products: in the scratch after the old
         # phase rows when they fit there (M >= 2), else an array of their own.
         free = scratch[half:].reshape(-1)[half * len(psi) :]
