@@ -29,19 +29,18 @@ sweeps, and the update sweep's half chunks of the delta3 cross-term.  Each
 field's phases are formed once for the sweeps: the engine fills the table
 from the guess, and the update sweep writes the phase of each new sample
 into its row, so the table it leaves is the next iteration's old field.
-Each sweep also takes its step once, before its first step
-(`SplitStepKernel.stepper`, the one split step), and its float64 views
-with it; every step then advances the block in place or straight into its
-slot of the costate arrays, with bound ufunc and `np.dot` calls and
-positional outputs, so that no step makes a temporary array, takes a view
-or copies a block out.  The public
-`backward_propagate` and `forward_update_sweep` run these same two sweeps
-on one member, so what they return is what one iteration computes.  The
-sweeps work in the kernel's row order, which is parity order for the
-parity-block step (see `rydoct.propagation`): the engine permutes its
-blocks once, after the guess run, and back for `OctResult.final_states`,
-and the two public sweeps permute at their own boundary, so every result
-is in basis order.
+Each sweep binds its kernel calls and float64 views once, before its
+first step (`SplitStepKernel.stepper`, the one split step), so that no
+step makes a temporary array, takes a view or copies a block out.  The
+public `backward_propagate` and `forward_update_sweep` run these same two
+sweeps on one member, so what they return is what one iteration computes.
+
+The step kind, dense or parity-block, is the kernel's decision alone (see
+`rydoct.propagation`): one body of each sweep runs on either, through
+kernel calls.  The sweeps work in the kernel's row order: the engine
+permutes its blocks once, after the guess run, and back for
+`OctResult.final_states`, and the two public sweeps permute at their own
+boundary, so every result is in basis order.
 
 The cross-term diagnostic `delta3` checks that the discrete forward and
 backward propagations are exact adjoints of each other: it evaluates the
@@ -180,10 +179,9 @@ def backward_propagate(
 
     Runs the engine's costate sweep on one member and returns its lam_j,
     then lam(T) itself as the last row: an (n_samples, dim) array in basis
-    order, whatever order the kernel keeps.  Each
-    backward step is the adjoint of the forward split step with the same
-    field sample, so the discrete forward and backward propagations are
-    exact inverses of each other.
+    order, whatever order the kernel keeps.  Each backward step is the
+    adjoint of the forward split step with the same field sample, so the
+    discrete forward and backward propagations are exact inverses.
     """
     kernel = SplitStepKernel(h, zsys, pulse.dt)
     lam_final = np.array(kernel.to_kernel_order(costate_final.amplitudes), dtype=complex)
@@ -200,15 +198,13 @@ def _work_arrays(n_steps: int, dim: int, n_members: int) -> tuple[np.ndarray, ..
     `_chunk_scratch`) and the (n_steps, dim, 1) phase table.
 
     Row j of the table is P(E_j) of the field being swept, as
-    `SplitStepKernel.phase_table` forms it; the table starts as all ones,
-    which is the dense step's zero field.  The engine fills it from the
-    guess before any sweep reads it, the costate
-    sweep reads it, and the update sweep writes the phase of each new sample
-    into its row, so that it holds the new field when the iteration ends.
-    The chunk scratch is a work space of each sweep and of `_apply_z`, and
-    carries nothing from one to the next.  Allocated once per run, the
-    arrays stay mapped instead of going back to the system between
-    iterations.
+    `SplitStepKernel.phase_table` forms it.  The engine fills it from the
+    guess before any sweep reads it, the costate sweep reads it, and the
+    update sweep writes the phase of each new sample into its row, so that
+    it holds the new field when the iteration ends.
+    The chunk scratch is a work space of each sweep and of `_apply_z` and
+    carries nothing between them.  Allocated once per run, the arrays stay
+    mapped instead of going back to the system between iterations.
     """
     return (
         np.empty((n_steps, dim, n_members), dtype=complex),
@@ -228,8 +224,9 @@ def _chunk_scratch(dim: int, n_members: int) -> np.ndarray:
     transposed half chunk of costates and its product with z.  The update
     sweep uses the first half as a (CHUNK_STEPS // 2, dim, M) store of the
     steps' c_j and the head of the second as a contiguous
-    (CHUNK_STEPS // 2, dim, 1) copy of the same steps' old phases.  No use
-    reads what an earlier one left.
+    (CHUNK_STEPS // 2, dim, 1) copy of the same steps' old phases; with
+    M >= 2 the block step's pair products of the cross-term take the free
+    tail of the second half.  No use reads what an earlier one left.
     """
     return np.empty((CHUNK_STEPS, dim, n_members), dtype=complex)
 
@@ -286,14 +283,11 @@ def _apply_z(kernel: SplitStepKernel, lam_buffer: np.ndarray, scratch: np.ndarra
     column pair: the (dim, steps x 2M) operand that z met when the costates
     were stored dim-major.  Each product column depends only on its operand
     column, so the product has the same bits as the dim-major one.  It goes
-    into the second half and is copied back.  The block step's buffer is in
-    parity order, where z is [[0, B], [B^T, 0]]: its product is B on the odd
-    rows and B^T on the even ones, two products of half the size.
+    into the second half, as `SplitStepKernel.multiply_z` forms it in the
+    kernel's row order, and is copied back.
     """
     n_steps, dim, n_members = lam_buffer.shape
     half = CHUNK_STEPS // 2
-    parity = kernel.parity
-    n_even = parity.n_even if parity is not None else 0
     for start in range(0, n_steps, half):
         chunk = lam_buffer[start : start + half]
         src, dst = (
@@ -301,12 +295,7 @@ def _apply_z(kernel: SplitStepKernel, lam_buffer: np.ndarray, scratch: np.ndarra
             for block in (scratch[:half], scratch[half:])
         )
         np.copyto(src.reshape(dim, -1, n_members), chunk.transpose(1, 0, 2))
-        src_f, dst_f = src.view(np.float64), dst.view(np.float64)
-        if parity is None:
-            np.dot(kernel.z, src_f, out=dst_f)
-        else:
-            np.dot(parity.b, src_f[n_even:], out=dst_f[:n_even])
-            np.dot(parity.b.T, src_f[:n_even], out=dst_f[n_even:])
+        kernel.multiply_z(src.view(np.float64), dst.view(np.float64))
         np.copyto(chunk, dst.reshape(dim, -1, n_members).transpose(1, 0, 2))
     return lam_buffer
 
@@ -331,34 +320,28 @@ def _update_sweep(
     cross-term sum_j <lam(t_{j+1})| (S_new - S_old) psi(t_j)> needed for the
     delta3 diagnostic.  `table` is the phase table of the work arrays (see
     `_work_arrays`) and holds P(E_old) of `pulse` on entry.  Only P(E_new),
-    which depends on the feedback, is formed per step, as a column written
-    into row j of the table with `phase_table`'s product and exp (for the
-    block step, its product, sin and cos into the row's pair slots), so that
-    the table holds P(E_new) on return.  The new samples are collected in a
-    list and stored once.  The block advances in place in a copy of `psi0`,
-    which is left as it was.
+    which depends on the feedback, is formed per step, written into row j
+    of the table by the kernel's `phase_writer`, bound once per sweep, so
+    that the table holds P(E_new) on return.  The new samples are collected
+    in a list and stored once.  The block advances in a copy of `psi0`.
 
     The cross-term never feeds back into the field, so it is formed half a
     chunk (`CHUNK_STEPS` // 2 steps) at a time in the chunk `scratch`.  Its
     first half stores each step's c_j = V^T D psi_j, which the step writes
     straight into its slot through the store's float64 view, taken once per
     sweep; a step whose sample is zero and unchanged forms no c, and its
-    slot, which may hold anything, NaN included, is zeroed.  The second half holds a contiguous (steps, dim, 1) copy
-    of the half chunk's old table rows.  After the half chunk they become
-    P_new - P_old in place, which multiplies the stored c_j, and one
-    `np.vecdot` gives each step's <D* lam_{j+1}| V (P_new - P_old) c_j> from
-    its own (dim x M) row: the length of one step's overlap, so that the
-    result does not depend on the BLAS thread count.  The block step takes
-    `SplitStepKernel.rotation_overlaps` for the product and the overlaps,
-    with four `np.vecdot` calls of the same kind.  The values are added
-    in step order.
+    slot, which may hold anything, NaN included, is zeroed.  The second
+    half holds a contiguous (steps, dim, 1) copy of the half chunk's old
+    table rows, which become P_new - P_old in place after the half chunk.
+    The kernel's `cross_overlaps`, bound once per sweep, then gives each
+    step's <D* lam_{j+1}| V (P_new - P_old) c_j> with `np.vecdot` over its
+    own (dim x M) row, so that the result does not depend on the BLAS
+    thread count; the values are added in step order.
     """
     step, _ = kernel.stepper(psi0)
+    write_phase = kernel.phase_writer(table)
     psi = np.array(psi0, dtype=complex, order="C")
-    multiply, exp, subtract, vdot, vecdot = (
-        np.multiply, np.exp, np.subtract, np.vdot, np.vecdot
-    )
-    exponent, block = kernel.exponent, kernel.block
+    subtract, vdot = np.subtract, np.vdot
     cross_term = 0.0 + 0.0j
     weights = penalty.samples.tolist()
     new_samples = pulse.samples.astype(float)
@@ -368,33 +351,17 @@ def _update_sweep(
     c_store = scratch[:half]
     # Slot j - start of the store and its float64 view, one pair per step.
     slots = list(zip(c_store, c_store.view(np.float64)))
-    phase_change = scratch[half:].reshape(-1)[: half * len(psi)].reshape(half, -1, 1)
-    if block:
-        angles, sines = kernel.phase_slots(table)
-        sin, cos = np.sin, np.cos
-        # The rotation's (half, r, M) products: in the scratch after the old
-        # phase rows when they fit there (M >= 2), else an array of their own.
-        free = scratch[half:].reshape(-1)[half * len(psi) :]
-        size = half * len(exponent) * psi.shape[1]
-        products = free[:size] if len(free) >= size else np.empty(size, dtype=complex)
-        products = products.reshape(half, len(exponent), -1)
+    tail = scratch[half:].reshape(-1)
+    phase_change = tail[: half * len(psi)].reshape(half, -1, 1)
+    overlaps = kernel.cross_overlaps(c_store, tail[half * len(psi) :])
     for start in range(0, len(fields), half):
         stop = min(start + half, len(fields))
-        k = stop - start
-        np.copyto(phase_change[:k], table[start:stop])
+        np.copyto(phase_change[: stop - start], table[start:stop])
         for j, (c, cf) in zip(range(start, stop), slots):
             e_old = fields[j]
             e_new = float(vdot(z_lam[j], psi).imag) / weights[j]
             fields[j] = e_new
-            phase = table[j]
-            if block:
-                angle = angles[j]
-                multiply(e_new, exponent, angle)
-                sin(angle, sines[j])
-                cos(angle, angle)
-            else:
-                multiply(e_new, exponent, phase)
-                exp(phase, phase)
+            phase = write_phase(j, e_new)
             if e_new != 0.0:
                 step(psi, psi, phase, c, cf)
             elif e_new != e_old:
@@ -404,16 +371,10 @@ def _update_sweep(
             else:
                 step(psi, psi, None, None, None)
                 c.fill(0.0)
-        # <lam_{j+1}| D V (P_new - P_old) c_j> with c_j = V^T D psi_j; in
-        # the block step V is blockdiag(q, w) and P the pair rotations.
-        delta, stored = phase_change[:k], c_store[:k]
+        # <lam_{j+1}| D V (P_new - P_old) c_j> with c_j = V^T D psi_j.
+        delta = phase_change[: stop - start]
         subtract(table[start:stop], delta, delta)
-        if block:
-            rows = kernel.rotation_overlaps(delta, coeffs[start:stop], stored, products)
-        else:
-            multiply(delta, stored, stored)
-            rows = vecdot(coeffs[start:stop].reshape(k, -1), stored.reshape(k, -1))
-        for value in rows.tolist():
+        for value in overlaps(delta, coeffs[start:stop]).tolist():
             cross_term += value
     new_samples[:-1] = fields
     return new_samples, psi, cross_term
@@ -590,10 +551,10 @@ def _run_engine(
         pulse = _apply_stall_bump(pulse)
         final = propagate(WavePacket(psi0), pulse, h, zsys, record=None)[1].amplitudes
 
-    # From here on the blocks are in the kernel's row order.
+    # From here on the blocks are in the kernel's row order; entry k of the
+    # basis-order copy of 0..dim-1 is the kernel row of basis state k.
     psi0, final = kernel.to_kernel_order(psi0), kernel.to_kernel_order(final)
-    if kernel.block:
-        targets = (kernel.position[rows], targets[1])
+    targets = (kernel.to_basis_order(np.arange(h.dim))[rows], targets[1])
     work = _work_arrays(pulse.n_steps, h.dim, len(members))
     kernel.phase_table(pulse.samples, out=work[3])
     guess_yields = np.abs(final[targets]) ** 2

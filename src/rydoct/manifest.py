@@ -481,6 +481,11 @@ def read_field_csv(path) -> PulseGrid:
             raise ManifestError(f"{path}: line {line}: values must be finite, got {row!r}")
         times.append(t)
         values.append(e)
+    # Finite times can still be too far apart for a float step.
+    if not math.isfinite(max(times) - min(times)):
+        raise ManifestError(
+            f"{path}: line 3: the time step overflows (times {min(times)!r} to {max(times)!r})"
+        )
     steps = np.diff(times)
     median = float(np.median(steps))
     slack = 1e-9 * median + 8 * np.finfo(float).eps * np.max(np.abs(times))

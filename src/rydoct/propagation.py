@@ -42,16 +42,19 @@ which has the same bits under any BLAS thread count, and the kernel of a
 basis of `BLOCK_STEP_MIN_DIM` states or more holds its blocks in parity
 order and never forms V: its coefficients are [q^T x_even; w^T x_odd], two
 products of half the size, and P(E) rotates each singular pair k by
-[[cos, -i sin], [-i sin, cos]] of the angle E dt s_k.  The phase table,
-the update sweep's per-step phase, the costate sweep's conjugated rows and
-the delta3 cross-term's P_new - P_old all keep this (cos, -i sin) form in
-the same (dim, 1) rows.  States cross into parity order once, at the
-boundary of `propagate` and of the engine, and nothing is gathered per
-step.  The crossover comes from timing one optimization iteration of each
-step, with one member and with four: the block step took 1.4-1.6x the
-dense step's time at 55 states, 0.97-1.05x at 154, 0.90-1.00x at 165,
-0.87-0.90x at 187 and 0.36-0.62x at 357.  Smaller bases, and any z that
-is not bipartite, keep the dense step.
+[[cos, -i sin], [-i sin, cos]] of the angle E dt s_k, kept in the same
+(dim, 1) phase rows.  The crossover comes from timing one optimization
+iteration of each step, with one member and with four: the block step
+took 1.4-1.6x the dense step's time at 55 states, 0.97-1.05x at 154,
+0.90-1.00x at 165, 0.87-0.90x at 187 and 0.36-0.62x at 357.  Smaller
+bases, and any z that is not bipartite, keep the dense step.
+
+The step kind lives in this module alone: the step, its row order, z
+(`multiply_z`), each phase row (`phase_writer`, which `phase_table` runs
+too, so each kind's formula is written once) and the delta3 cross-term's
+overlaps (`cross_overlaps`) are kernel methods that answer for either
+kind, and the sweeps in `control` run one body for both.  States cross
+into the kernel's order once, at `propagate`'s boundary and the engine's.
 
 The public entry points are `propagate`, the one loop that runs a state or
 a block across a fixed pulse grid (optionally with an absorber on chosen
@@ -61,6 +64,7 @@ returns one step, and its `phase_table` the phases P_j that the step takes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -114,8 +118,10 @@ class PulseGrid:
     samples: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise InvalidSpecError(f"dt must be positive, got {self.dt}")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise InvalidSpecError(f"dt must be positive and finite, got {self.dt}")
+        if not math.isfinite(self.t0):
+            raise InvalidSpecError(f"t0 must be finite, got {self.t0}")
         if len(self.samples) < 2:
             raise InvalidSpecError("a pulse grid needs at least 2 samples")
         if not np.all(np.isfinite(self.samples)):
@@ -250,12 +256,11 @@ class SplitStepKernel:
 
     From `BLOCK_STEP_MIN_DIM` states up, when z has parity blocks, the
     kernel takes the parity-block step instead: `block` is True, and the
-    argument `block` forces either step (the adjoint keeps it).  The block
-    step holds its states in parity order; `to_kernel_order` and
-    `to_basis_order` move an array across that boundary.  Its coefficients
-    are c = [q^T x_even; w^T x_odd] (see `ParityBlocks`), and its P(E)
-    rotates each singular pair k by [[cos, -i sin], [-i sin, cos]] of the
-    angle E dt s_k; see `phase_table` and `rotation_overlaps`.
+    argument `block` forces either step (the adjoint keeps it).  The rows
+    are in `order`, parity order for the block step and basis order
+    otherwise, and `position` is the row of each basis state;
+    `to_kernel_order` and `to_basis_order` copy an array across.  Every
+    method answers for either step kind, so a sweep runs one body on both.
     """
 
     def __init__(
@@ -270,109 +275,146 @@ class SplitStepKernel:
         if block and (parity is None or len(parity.s) == 0):
             raise InvalidSpecError("the block step needs a z that couples even l to odd l only")
         self.block = block
+        self.parity = parity if block else None
+        self.order = parity.order if block else np.arange(h.dim)
+        # The inverse permutation by a scatter: an argsort of ints would map
+        # in numpy's integer sort code, 0.1 MB of RSS on a dense-step run.
+        self.position = np.empty_like(self.order)
+        self.position[self.order] = np.arange(h.dim)
+        self.half = np.exp(-0.5j * dt * h.energies[self.order])[:, None]
         if not block:
-            self.parity = self.order = None
-            self.half = np.exp(-0.5j * dt * h.energies)[:, None]
             self.exponent = -1j * dt * zsys.eigenvalues[:, None]
-            self.v = zsys.vectors
-            self.vt = zsys.vectors.T
-            self.z = zsys.z
+            self.v, self.vt = zsys.vectors, zsys.vectors.T
+            #: z as (matrix, operand rows, product rows) products.
+            self.z_products = ((zsys.z, slice(None), slice(None)),)
             return
-        self.parity = parity
-        self.order = parity.order
-        self.position = np.argsort(parity.order)
-        self.half = np.exp(-0.5j * dt * h.energies[parity.order])[:, None]
         # The angle of each pair per unit field, signed so that its sine is
         # the imaginary part of -i sin(E dt s).
         self.exponent = -dt * parity.s
         n_even, r = parity.n_even, len(parity.s)
         #: The even and the odd rows of the pairs, both in pair order.
         self.pairs = (slice(n_even - r, n_even), slice(n_even, n_even + r))
+        even, odd = slice(None, n_even), slice(n_even, None)
+        self.z_products = ((parity.b, odd, even), (parity.b.T, even, odd))
 
     def adjoint(self) -> "SplitStepKernel":
         return SplitStepKernel(self.h, self.zsys, -self.dt, self.block)
 
     def to_kernel_order(self, array: np.ndarray, axis: int = 0) -> np.ndarray:
-        """`array`, indexed by basis state along `axis`, in the kernel's row order.
-
-        The array itself when the kernel keeps basis order, a gathered copy
-        in parity order otherwise.
-        """
-        return array if self.order is None else np.take(array, self.order, axis=axis)
+        """A copy of `array`, indexed by basis state along `axis`, in the kernel's row order."""
+        return np.take(array, self.order, axis=axis)
 
     def to_basis_order(self, array: np.ndarray, axis: int = 0) -> np.ndarray:
         """The inverse of `to_kernel_order`."""
-        return array if self.order is None else np.take(array, self.position, axis=axis)
+        return np.take(array, self.position, axis=axis)
 
-    def phase_slots(self, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The float64 views of a block-step phase table that depend on E.
+    def multiply_z(self, src: np.ndarray, dst: np.ndarray) -> None:
+        """z src into dst, (dim, K) float64 arrays in the kernel's row order.
 
-        Returns (angles, sines), each (n_steps, r) in pair order: the real
-        parts of the even rows of the pairs, where cos goes, and the
-        imaginary parts of their odd rows, where -sin goes.  Every other
-        part of a row is the same for every E.
+        The block step's z is [[0, B], [B^T, 0]]: two products of half the size.
         """
-        parts = table.view(np.float64)
-        even, odd = self.pairs
-        return parts[:, even, 0], parts[:, odd, 1]
+        for matrix, rows, into in self.z_products:
+            np.dot(matrix, src[rows], out=dst[into])
 
     def phase_table(self, samples: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """P(E_j) = exp(-i E_j w dt) for every step of `samples`, as (n_steps, dim, 1) columns.
 
-        One vectorised product and one elementwise exp, in place, so that
-        only one table is held; a row is exactly 1 where E_j = 0 and has the
-        same bits in a table of any slice of the grid.  The table is written
-        into `out` when it is given: a chunk of `propagate`'s scratch, or the
-        engine's table of the field it sweeps, whose rows the update sweep
-        overwrites with the same product and exp as it forms the new field.
-
-        The block step's rows hold its rotations in the same (dim, 1)
-        columns: cos(E dt s_k) in the even row of pair k, -i sin(E dt s_k)
-        in its odd row and 1 in every null row.  The product goes into the
-        cos slots (`phase_slots`) as the angle, and its sin and then its
-        cos are taken in place: the update sweep's three calls per row.  A
-        zero sample gives the identity rotation.
+        Written into `out` when it is given (a chunk of `propagate`'s scratch,
+        or the engine's table of the field it sweeps) by one call of
+        `phase_writer`, so that a row is exactly 1 where E_j = 0 and has the
+        same bits in a table of any slice of the grid or written on its own.
+        The block step first sets the parts that do not depend on E.
         """
-        if not self.block:
-            table = np.multiply(samples[:-1, None, None], self.exponent, out=out)
-            return np.exp(table, out=table)
         if out is None:
             out = np.empty((len(samples) - 1, len(self.half), 1), dtype=complex)
-        out.fill(1.0)
-        out[:, self.pairs[1]] = 0.0
-        angles, sines = self.phase_slots(out)
-        np.multiply(samples[:-1, None], self.exponent, out=angles)
-        np.sin(angles, out=sines)
-        np.cos(angles, out=angles)
+        if self.block:
+            out.fill(1.0)
+            out[:, self.pairs[1]] = 0.0
+        fields = samples[:-1].reshape(-1, *(1,) * self.exponent.ndim)
+        self.phase_writer(out)(slice(None), fields)
         return out
 
-    def rotation_overlaps(
-        self, deltas: np.ndarray, coeffs: np.ndarray, blocks: np.ndarray, products: np.ndarray
-    ) -> np.ndarray:
-        """<coeffs_j| R_j blocks_j> for each j of (k, dim, M) stacks, on the block step.
+    def phase_writer(self, table: np.ndarray) -> Callable[..., np.ndarray]:
+        """`write(rows, fields)`: P(fields) into `rows` of `table`, the one place of its formula.
 
-        R_j is the pair rotation of row j of `deltas`, a (k, dim, 1) stack of
-        `phase_table` rows or of their differences, which have the same
-        form.  With a = cos and b = -i sin, R maps pair (x, y) to
-        (a x + b y, b x + a y), so the overlap sums four products over the
-        pairs; each is formed in the first k of the (m, r, M) `products`,
-        or in place in `blocks` once its x or y is no longer needed, and
-        reduced with one `np.vecdot` per step.  `blocks` is overwritten.
+        Binds the table's views once.  `rows` is a step and `fields` its
+        sample, or a slice of steps and their samples shaped to broadcast
+        against the exponent; `write` returns those rows of `table`.  A
+        dense row is one product and one exp in place.  A block row holds
+        cos(E dt s_k) in the even row of pair k, -i sin(E dt s_k) in its odd
+        row and 1 in every null row: the product goes into the cos slots as
+        the angle, then its sin and its cos are taken in place; the other
+        parts are what `phase_table` set.  A zero sample gives the identity.
         """
-        k = len(deltas)
+        multiply, exp, sin, cos, exponent = np.multiply, np.exp, np.sin, np.cos, self.exponent
+        if not self.block:
+
+            def write(rows, fields):
+                phase = table[rows]
+                multiply(fields, exponent, phase)
+                exp(phase, phase)
+                return phase
+
+            return write
+
+        parts = table.view(np.float64)
         even, odd = self.pairs
-        cos, msin = deltas[:, even], deltas[:, odd]
-        x, y = blocks[:, even], blocks[:, odd]
-        left_x, left_y = (coeffs[:, rows].reshape(k, -1) for rows in (even, odd))
-        t = products[:k]
-        np.multiply(msin, x, out=t)
-        overlaps = np.vecdot(left_y, t.reshape(k, -1))
-        np.multiply(msin, y, out=t)
-        overlaps += np.vecdot(left_x, t.reshape(k, -1))
-        np.multiply(cos, x, out=x)
-        overlaps += np.vecdot(left_x, x.reshape(k, -1))
-        np.multiply(cos, y, out=y)
-        overlaps += np.vecdot(left_y, y.reshape(k, -1))
+        angles, sines = parts[:, even, 0], parts[:, odd, 1]
+
+        def write(rows, fields):
+            angle = angles[rows]
+            multiply(fields, exponent, angle)
+            sin(angle, sines[rows])
+            cos(angle, angle)
+            return table[rows]
+
+        return write
+
+    def cross_overlaps(self, blocks: np.ndarray, spare: np.ndarray) -> Callable[..., np.ndarray]:
+        """`overlaps(deltas, coeffs)`: <coeffs_j| P_j blocks_j> for the first k of `blocks`.
+
+        `blocks` is an (m, dim, M) store of the steps' c_j, which `overlaps`
+        overwrites, `deltas` a (k, dim, 1) stack of phase rows or of their
+        differences, applied as the step applies its phase, and `coeffs` the
+        (k, dim, M) left vectors.  Each overlap is reduced over one step's
+        (dim x M) row by `np.vecdot`: once for the dense step, four times for
+        the block step, whose P maps pair (x, y) to (a x + b y, b x + a y),
+        a = cos and b = -i sin.  Its products go into the (m, r, M) head of
+        the flat `spare` when that is long enough (an array of their own
+        otherwise), or into `blocks` once its x or y is no longer needed.
+        """
+        multiply, vecdot = np.multiply, np.vecdot
+        if not self.block:
+
+            def overlaps(deltas, coeffs):
+                k = len(deltas)
+                stored = blocks[:k]
+                multiply(deltas, stored, stored)
+                return vecdot(coeffs.reshape(k, -1), stored.reshape(k, -1))
+
+            return overlaps
+
+        even, odd = self.pairs
+        size = len(blocks) * len(self.exponent) * blocks.shape[2]
+        products = spare[:size] if len(spare) >= size else np.empty(size, dtype=complex)
+        products = products.reshape(len(blocks), len(self.exponent), -1)
+
+        def overlaps(deltas, coeffs):
+            k = len(deltas)
+            cos, msin = deltas[:, even], deltas[:, odd]
+            x, y = blocks[:k, even], blocks[:k, odd]
+            left_x, left_y = (coeffs[:, rows].reshape(k, -1) for rows in (even, odd))
+            t = products[:k]
+            multiply(msin, x, t)
+            result = vecdot(left_y, t.reshape(k, -1))
+            multiply(msin, y, t)
+            result += vecdot(left_x, t.reshape(k, -1))
+            multiply(cos, x, x)
+            result += vecdot(left_x, x.reshape(k, -1))
+            multiply(cos, y, y)
+            result += vecdot(left_y, y.reshape(k, -1))
+            return result
+
         return overlaps
 
     def stepper(self, block: np.ndarray) -> tuple[Callable[..., None], tuple[np.ndarray, ...]]:
@@ -500,10 +542,14 @@ def propagate(
     `absorber` is an optional (labels, strength) pair: after every step the
     amplitudes on those states are damped by (1 - strength), strength in
     [0, 1], so the norm never grows.  It breaks unitarity and is meant for
-    forward-only diagnostics, not for optimization sweeps.
+    forward-only diagnostics, not for optimization sweeps.  A field whose
+    largest phase |E| |dt| max|w| overflows is rejected before any is formed.
     """
     if np.any(np.abs(np.linalg.norm(psi0.amplitudes, axis=0) - 1.0) > 1e-8):
         raise InvalidSpecError("initial wave packet must be normalized")
+    e_max, w_max = (float(np.max(np.abs(a))) for a in (pulse.samples, zsys.eigenvalues))
+    if not math.isfinite(e_max * abs(pulse.dt) * w_max):
+        raise InvalidSpecError(f"the field's phases overflow: |E| dt max|w| with |E| = {e_max!r}")
     if record is not None and record < 1:
         raise InvalidSpecError("record stride must be a positive integer or None")
 
@@ -531,7 +577,7 @@ def propagate(
     t = pulse.t0
     trajectory: list[WavePacket] = []
     if record is not None:
-        trajectory.append(WavePacket(amplitudes=amplitudes().copy(), time=t))
+        trajectory.append(WavePacket(amplitudes=amplitudes(), time=t))
 
     for start in range(0, pulse.n_steps, CHUNK_STEPS):
         stop = min(start + CHUNK_STEPS, pulse.n_steps)
@@ -545,7 +591,7 @@ def propagate(
                 np.multiply(block, mask, out=block)
             t += pulse.dt
             if record is not None and ((j + 1) % record == 0 or j + 1 == pulse.n_steps):
-                trajectory.append(WavePacket(amplitudes=amplitudes().copy(), time=t))
+                trajectory.append(WavePacket(amplitudes=amplitudes(), time=t))
 
     final = WavePacket(amplitudes=amplitudes(), time=t)
     if record is None:

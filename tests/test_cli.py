@@ -673,6 +673,8 @@ BAD_FIELD_CSVS = {
     "non_numeric": ("time,E\n0.0,1e-07\n10.0,abc\n20.0,0.0\n", "line 3"),
     "non_uniform": ("time,E\n0.0,0.0\n1.0,0.0\n5.0,0.0\n6.0,0.0\n", "line 4"),
     "not_text": (BINARY_BYTES, "not a text file"),
+    # Finite times whose step overflows to dt = inf.
+    "step_overflows": ("time,E\n-1e308,0.0\n1e308,0.0\n", "line 3"),
 }
 
 
@@ -693,6 +695,25 @@ class TestFieldCsvHardening:
         assert payload["error"] == "ManifestError"
         assert str(field) in payload["message"]
         assert where in payload["message"]
+
+    def test_field_whose_phase_overflows_is_a_json_error(
+        self, tiny_manifest_path, tmp_path, capsys
+    ):
+        # |E| dt max|w| overflows, so every phase would be NaN.
+        field = tmp_path / "huge.csv"
+        field.write_text("time,E\n0.0,1e308\n413.41,0.0\n")
+        out = tmp_path / "o"
+        argv = ["decode-test", "--manifest", str(tiny_manifest_path), "--field", str(field)]
+        code = main(argv + ["--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        (line,) = err.strip().splitlines()
+        payload = json.loads(line)
+        assert set(payload) == {"error", "message"}
+        assert payload["error"] == "InvalidSpecError"
+        assert "overflow" in payload["message"]
+        assert not (out / "decode_test.json").exists()
 
     @pytest.mark.parametrize("command", ["analyze", "decode-test"])
     def test_overlong_field_is_a_json_error(self, tiny_manifest_path, tmp_path, capsys, command):

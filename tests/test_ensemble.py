@@ -45,7 +45,7 @@ def random_states(dim, count, seed):
 def ensemble_update(costates, states, penalty_value, kernel):
     """Shared-field increment (1/l) sum_i Im <lam_i| z |psi_i>, as the sweeps form it."""
     lam, psi = np.stack(costates, axis=1), np.stack(states, axis=1)
-    return float(np.vdot(kernel.z @ lam, psi).imag) / penalty_value
+    return float(np.vdot(kernel.zsys.z @ lam, psi).imag) / penalty_value
 
 
 class TestEnsembleUpdate:

@@ -12,9 +12,10 @@ costates that do not belong to the field, checks the update sweep's
 half-chunk cross-term against the oracle and a per-step sum, pins the
 numpy calls that each sweep makes per step, and checks that the sweeps
 give the same bytes whatever the memory layout of the input block.  The
-oracle comparisons, the delta3 check and the memory bound also run on the
-parity-block step, which a 55-state kernel takes when it is built with
-`block=True` (and the public functions when the crossover is lowered).
+oracle comparisons, the delta3 check, the memory bound, the phase rows and
+the per-step call counts also run on the parity-block step, which a
+55-state kernel takes when it is built with `block=True` (and the public
+functions when the crossover is lowered).
 """
 
 import sys
@@ -353,6 +354,43 @@ def test_phase_table_rows_are_the_per_step_phases(setup, sign):
             assert np.all(table[j] == 1.0)
     for start, stop in ((0, 1), (5, 64), (300, 340), (700, len(samples) - 1)):
         assert np.array_equal(kernel.phase_table(samples[start : stop + 1]), table[start:stop])
+    _assert_writer_gives_the_rows(kernel, samples, table)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_block_phase_table_rows_are_the_pair_rotations(setup, sign):
+    # Row j holds cos(E_j dt s_k) in the even row of pair k, -i sin(E_j dt
+    # s_k) in its odd row and 1 in every null row, is the identity where
+    # E_j = 0, and has the same bits in a table of any slice of the grid.
+    kernel = SplitStepKernel(setup["h"], setup["zsys"], sign * DT, block=True)
+    samples = setup["pulse"].samples
+    table = kernel.phase_table(samples)
+    assert table.shape == (len(samples) - 1, setup["h"].dim, 1)
+    even, odd = kernel.pairs
+    null = np.ones(setup["h"].dim, dtype=bool)
+    null[even] = null[odd] = False
+    assert np.count_nonzero(null) > 0
+    per_unit_field = -kernel.dt * kernel.parity.s
+    for j, e_field in enumerate(samples[:-1].tolist()):
+        row, angle = table[j, :, 0], e_field * per_unit_field
+        assert np.array_equal(row[even], np.cos(angle) + 0j)
+        assert np.array_equal(row[odd], 1j * np.sin(angle))
+        assert np.all(row[null] == 1.0)
+        if e_field == 0.0:
+            assert np.all(row[even] == 1.0) and np.all(row[odd] == 0.0)
+    for start, stop in ((0, 1), (5, 64), (300, 340), (700, len(samples) - 1)):
+        assert np.array_equal(kernel.phase_table(samples[start : stop + 1]), table[start:stop])
+    _assert_writer_gives_the_rows(kernel, samples, table)
+
+
+def _assert_writer_gives_the_rows(kernel, samples, table):
+    """The update sweep's per-step phase writer, bound to the table of
+    another field, writes each row of `table` bit for bit."""
+    written = kernel.phase_table(np.full_like(samples, 3e-7))
+    write = kernel.phase_writer(written)
+    for j, e_field in enumerate(samples[:-1].tolist()):
+        assert np.array_equal(write(j, e_field), table[j])
+    assert np.array_equal(written, table)
 
 
 @pytest.mark.parametrize(
@@ -509,42 +547,60 @@ def test_sweep_steps_make_only_their_blas_calls(setup):
     # `dot`s of a step that forms c.  Its cross-term takes no call per step:
     # one `subtract` and one `vecdot` per half chunk.  No step takes a
     # `view`: each sweep takes its float64 views before its first step.
+    _assert_sweep_calls(setup, len(MARKED), dots=1, vecdots=1, views=(4, 4))
+
+
+@pytest.mark.parametrize("n_members", [1, 4])
+def test_block_sweep_steps_make_only_their_blas_calls(block_setup, n_members):
+    # The same on the block step, whose products with V^T and V are two
+    # half-size `dot`s each, and whose cross-term takes four `vecdot`s per
+    # half chunk; its update sweep also takes the float64 view of the phase
+    # table once, for its phase writer.
+    _assert_sweep_calls(block_setup, n_members, dots=2, vecdots=4, views=(4, 5))
+
+
+def _assert_sweep_calls(setup, n_members, dots, vecdots, views):
+    """The calls of both sweeps on the first `n_members` members of
+    `setup`: `dots` `dot` calls per product with V^T or V, `vecdots`
+    `vecdot` calls per half chunk of the cross-term, and no more `view`
+    calls than `views`, for the costate and the update sweep."""
     h, pulse, penalty, kernel = setup["h"], setup["pulse"], setup["penalty"], setup["kernel"]
     n_steps = pulse.n_steps
     half_chunks = -(-n_steps // (CHUNK_STEPS // 2))
-    per_sweep_views = 4
     old = pulse.samples[:-1]
-    lam_final = np.stack(setup["lam_final"], axis=1)
-    work = _filled_work(kernel, pulse, len(MARKED))
+    lam_final = kernel.to_kernel_order(np.stack(setup["lam_final"][:n_members], axis=1))
+    work = _filled_work(kernel, pulse, n_members)
     _, counts = _numpy_calls(lambda: _costate_sweep(kernel, lam_final, pulse.samples, work))
-    assert counts["dot"] == 2 * n_steps - np.count_nonzero(old == 0.0)
+    assert counts["dot"] == dots * (2 * n_steps - np.count_nonzero(old == 0.0))
     assert counts["vdot"] == counts["vecdot"] == counts["subtract"] == 0
-    assert counts["view"] <= per_sweep_views
+    assert counts["view"] <= views[0]
 
-    psi0 = np.stack(setup["psi0"], axis=1)
-    zeros = np.zeros_like(setup["z_lam"])
+    psi0 = kernel.to_kernel_order(np.stack(setup["psi0"][:n_members], axis=1))
+    z_lam, coeffs = (np.ascontiguousarray(setup[k][:, :, :n_members]) for k in ("z_lam", "coeffs"))
+    zeros = np.zeros_like(z_lam)
     zero_field = pulse.with_samples(np.zeros_like(pulse.samples))
     # With z lam = 0 every new sample is zero: under the old field the
     # samples that were nonzero change to zero, and under a zero old field
     # none changes, so every step is diagonal and forms no c.
     for z_lam, before, n_changed in (
-        (setup["z_lam"], pulse, n_steps),
+        (z_lam, pulse, n_steps),
         (zeros, pulse, np.count_nonzero(old)),
         (zeros, zero_field, 0),
     ):
-        work = _filled_work(kernel, before, len(MARKED))
+        work = _filled_work(kernel, before, n_members)
         (samples, _, _), counts = _numpy_calls(
-            lambda: _update_sweep(kernel, psi0, z_lam, setup["coeffs"], before, penalty, *work[2:])
+            lambda: _update_sweep(kernel, psi0, z_lam, coeffs, before, penalty, *work[2:])
         )
         was = before.samples[:-1]
         changed = np.count_nonzero(samples[:-1] != was)
         nonzero = np.count_nonzero(samples[:-1])
         changed_to_zero = np.count_nonzero((samples[:-1] != was) & (samples[:-1] == 0.0))
         assert changed == n_changed
-        assert counts["dot"] == 2 * nonzero + changed_to_zero
+        assert counts["dot"] == dots * (2 * nonzero + changed_to_zero)
         assert counts["vdot"] == n_steps
-        assert counts["vecdot"] == counts["subtract"] == half_chunks
-        assert counts["view"] <= per_sweep_views
+        assert counts["subtract"] == half_chunks
+        assert counts["vecdot"] == vecdots * half_chunks
+        assert counts["view"] <= views[1]
 
 
 def test_apply_z_is_the_dim_major_chunk_product_in_place(setup):
@@ -566,7 +622,7 @@ def test_apply_z_is_the_dim_major_chunk_product_in_place(setup):
         width = 2 * len(MARKED) * 64
         for start in range(0, flat.shape[1], width):
             chunk = flat[:, start : start + width]
-            chunk[...] = kernel.z @ chunk
+            chunk[...] = kernel.zsys.z @ chunk
         # What the scratch held before does not reach the product.
         for scratch in (work[2], np.full_like(work[2], np.nan)):
             z_lam = _apply_z(kernel, costates.copy(), scratch)

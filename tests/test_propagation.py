@@ -160,6 +160,13 @@ class TestPulseGrid:
         with pytest.raises(InvalidSpecError):
             PulseGrid(0.0, 1.0, np.array([0.0, np.inf]))
 
+    @pytest.mark.parametrize(
+        "t0, dt", [(0.0, np.nan), (0.0, np.inf), (np.nan, 1.0), (-np.inf, 1.0)]
+    )
+    def test_dt_and_t0_must_be_finite(self, t0, dt):
+        with pytest.raises(InvalidSpecError, match="must be .*finite"):
+            PulseGrid(t0, dt, np.zeros(4))
+
     def test_horizon(self):
         pulse = PulseGrid(2.0, 0.5, np.zeros(9))
         assert pulse.horizon == pytest.approx(6.0)
