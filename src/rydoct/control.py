@@ -54,6 +54,7 @@ leave behind, with no call of its own per step.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -224,9 +225,8 @@ def _chunk_scratch(dim: int, n_members: int) -> np.ndarray:
     transposed half chunk of costates and its product with z.  The update
     sweep uses the first half as a (CHUNK_STEPS // 2, dim, M) store of the
     steps' c_j and the head of the second as a contiguous
-    (CHUNK_STEPS // 2, dim, 1) copy of the same steps' old phases; with
-    M >= 2 the block step's pair products of the cross-term take the free
-    tail of the second half.  No use reads what an earlier one left.
+    (CHUNK_STEPS // 2, dim, 1) copy of the same steps' old phases.  No use
+    reads what an earlier one left.
     """
     return np.empty((CHUNK_STEPS, dim, n_members), dtype=complex)
 
@@ -351,9 +351,8 @@ def _update_sweep(
     c_store = scratch[:half]
     # Slot j - start of the store and its float64 view, one pair per step.
     slots = list(zip(c_store, c_store.view(np.float64)))
-    tail = scratch[half:].reshape(-1)
-    phase_change = tail[: half * len(psi)].reshape(half, -1, 1)
-    overlaps = kernel.cross_overlaps(c_store, tail[half * len(psi) :])
+    phase_change = scratch[half:].reshape(-1)[: half * len(psi)].reshape(half, -1, 1)
+    overlaps = kernel.cross_overlaps(c_store)
     for start in range(0, len(fields), half):
         stop = min(start + half, len(fields))
         np.copyto(phase_change[: stop - start], table[start:stop])
@@ -429,6 +428,10 @@ def _check_problem(problem, targets) -> list[int]:
     """
     if len(problem.penalty.samples) != len(problem.guess.samples):
         raise InvalidSpecError("penalty schedule and guess field grids differ")
+    with np.errstate(over="ignore", invalid="ignore"):
+        cost = evaluate_cost(problem.guess, problem.penalty)
+    if not math.isfinite(cost):
+        raise InvalidSpecError(f"the guess's fluence cost must be finite, got {cost!r}")
     _check_mode(problem.update_mode)
     return [problem.hamiltonian.index(target) for target in targets]
 

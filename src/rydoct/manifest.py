@@ -645,6 +645,14 @@ def _optimize_universal(
 
 def _analyze(manifest: RunManifest, h: HamiltonianData, out: Path, field_path) -> dict:
     pulse = read_field_csv(field_path)
+    # Every spectrum magnitude is at most dt sum |E_j|, and every Husimi
+    # intensity at most its square.
+    bound = pulse.dt * sum(abs(e) for e in pulse.samples.tolist())
+    if not math.isfinite(bound * bound):
+        raise ManifestError(
+            f"{field_path}: the field's spectrum overflows: dt sum |E| = {bound!r} a.u., "
+            "whose square bounds the Husimi map"
+        )
     stride = manifest.analysis["husimi_time_stride"]
     n_samples = len(pulse.samples)
     centers = -(-n_samples // stride)

@@ -40,21 +40,25 @@ parity: in parity order, even l first, z = [[0, B], [B^T, 0]].
 `precompute_z_eigensystem` then builds V from the SVD B = q diag(s) w^T,
 which has the same bits under any BLAS thread count, and the kernel of a
 basis of `BLOCK_STEP_MIN_DIM` states or more holds its blocks in parity
-order and never forms V: its coefficients are [q^T x_even; w^T x_odd], two
-products of half the size, and P(E) rotates each singular pair k by
-[[cos, -i sin], [-i sin, cos]] of the angle E dt s_k, kept in the same
-(dim, 1) phase rows.  The crossover comes from timing one optimization
-iteration of each step, with one member and with four: the block step
-took 1.4-1.6x the dense step's time at 55 states, 0.97-1.05x at 154,
-0.90-1.00x at 165, 0.87-0.90x at 187 and 0.36-0.62x at 357.  Smaller
-bases, and any z that is not bipartite, keep the dense step.
+order and never forms V.  With the pair columns of q and w scaled by
+sqrt(1/2), [q^T x_even; w^T x_odd] is two products of half the size, and
+the sum and the difference of singular pair k's two rows are its +s_k and
+-s_k eigen-coefficients.  So the block step, like the dense one, keeps
+c = V^T D x in V's eigenbasis, and its phase P(E) is the same diagonal
+(dim, 1) column exp(-i E dt w).  The crossover comes from timing one
+optimization iteration of each step, with one member and with four: the
+block step took 1.4-1.6x the dense step's time at 55 states, 0.97-1.05x
+at 154, 0.90-1.00x at 165, 0.87-0.90x at 187 and 0.36-0.62x at 357.
+Smaller bases, and any z that is not bipartite, keep the dense step.
 
-The step kind lives in this module alone: the step, its row order, z
-(`multiply_z`), each phase row (`phase_writer`, which `phase_table` runs
-too, so each kind's formula is written once) and the delta3 cross-term's
-overlaps (`cross_overlaps`) are kernel methods that answer for either
-kind, and the sweeps in `control` run one body for both.  States cross
-into the kernel's order once, at `propagate`'s boundary and the engine's.
+The step kind lives in this module alone: the step, its row order and
+z (`multiply_z`) are kernel methods that answer for either kind, and the
+phase rows (`phase_writer`, which `phase_table` runs too) and the delta3
+cross-term's overlaps (`cross_overlaps`) have one formula for both, since
+both keep the same eigenbasis: P(E) = exp(E exponent) with exponent the
+(dim, 1) column -i dt w, so dP/dE = exponent P.  The sweeps in `control`
+run one body for both kinds.  States cross into the kernel's order once,
+at `propagate`'s boundary and the engine's.
 
 The public entry points are `propagate`, the one loop that runs a state or
 a block across a fixed pulse grid (optionally with an absorber on chosen
@@ -151,10 +155,13 @@ class ParityBlocks(NamedTuple):
 
     The dipole rule |dl| = 1 couples even-l states only to odd-l ones.
     `order` lists the basis indices of the n_e even-l states and then of the
-    n_o odd-l ones, each in basis order, and B = z[even][:, odd].  `q` (n_e, n_e) and `w` (n_o, n_o) are
-    orthogonal, and B^T q_k = s_k w_k for the r = len(s) singular pairs
-    k: q_k is column n_e - r + k of q and w_k column k of w.  The other
-    columns span the null spaces of B^T and B.  A block of coefficients
+    n_o odd-l ones, each in basis order, and B = z[even][:, odd].  `q`
+    (n_e, n_e) and `w` (n_o, n_o) are the SVD's factors, with
+    B^T q_k = s_k w_k for the r = len(s) singular pairs k: q_k is column
+    n_e - r + k of q and w_k column k of w.  These pair columns are scaled
+    by sqrt(1/2), so that (q_k, +w_k) and (q_k, -w_k) are the unit
+    eigenvectors of z for +s_k and -s_k; the other columns, of unit norm,
+    span the null spaces of B^T and B.  A block of coefficients
     [q^T x_even; w^T x_odd] therefore holds pair k in rows n_e - r + k and
     n_e + k, and its null rows before and after those 2r rows.  (A named
     tuple, not a dataclass: every CLI process defines it at import.)
@@ -169,6 +176,16 @@ class ParityBlocks(NamedTuple):
     @property
     def n_even(self) -> int:
         return len(self.q)
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """z's eigenvalue of each coefficient row once each pair's two rows
+        are mapped to their sum and difference: +s_k in pair k's even row,
+        -s_k in its odd row and 0 in the null rows."""
+        n_even, r = self.n_even, len(self.s)
+        return np.concatenate(
+            [np.zeros(n_even - r), self.s, -self.s, np.zeros(len(self.order) - n_even - r)]
+        )
 
 
 @dataclass(frozen=True)
@@ -199,10 +216,10 @@ def _parity_blocks(h: HamiltonianData, z: np.ndarray) -> ParityBlocks | None:
     b = np.ascontiguousarray(z[np.ix_(~odd, odd)])
     u, s, wt = np.linalg.svd(b)
     r = len(s)
-    q = np.concatenate([u[:, r:], u[:, :r]], axis=1)
-    w = wt.T
+    q = np.concatenate([u[:, r:], u[:, :r] * np.sqrt(0.5)], axis=1)
+    w = np.concatenate([wt[:r].T * np.sqrt(0.5), wt[r:].T], axis=1)
     order = np.concatenate([np.flatnonzero(~odd), np.flatnonzero(odd)])
-    return ParityBlocks(order, b, np.ascontiguousarray(q), np.ascontiguousarray(w), s)
+    return ParityBlocks(order, b, q, w, s)
 
 
 def precompute_z_eigensystem(h: HamiltonianData) -> ZEigensystem:
@@ -211,10 +228,10 @@ def precompute_z_eigensystem(h: HamiltonianData) -> ZEigensystem:
     A z that is bipartite in l parity, as every Hamiltonian that obeys the
     dipole rule is, is decomposed through the SVD of its block B (see
     `ParityBlocks`): pair k gives the eigenvalues +s_k and -s_k with the
-    eigenvectors (q_k, +w_k)/sqrt(2) and (q_k, -w_k)/sqrt(2), and each null
-    column of q or w an eigenvector of eigenvalue exactly 0.  The SVD has
-    the same bits under any BLAS thread count, where `eigh` of the whole z
-    does not.  Any other symmetric z goes through `numpy.linalg.eigh`.
+    eigenvectors (q_k, +w_k) and (q_k, -w_k), and each null column of q or
+    w an eigenvector of eigenvalue exactly 0.  The SVD has the same bits
+    under any BLAS thread count, where `eigh` of the whole z does not.  Any
+    other symmetric z goes through `numpy.linalg.eigh`.
     """
     scale = max(float(np.max(np.abs(h.z_matrix))), 1.0)
     if float(np.max(np.abs(h.z_matrix - h.z_matrix.T))) > 1e-12 * scale:
@@ -225,30 +242,28 @@ def precompute_z_eigensystem(h: HamiltonianData) -> ZEigensystem:
         w, v = np.linalg.eigh(z)
         return ZEigensystem(eigenvalues=w, vectors=np.ascontiguousarray(v), z=z)
     n_even, r = parity.n_even, len(parity.s)
-    even, odd = parity.order[:n_even], parity.order[n_even:]
-    # The columns in the order null columns of q, +s pairs, -s pairs, null
-    # columns of w, each written straight into its slot once sorted.
-    w = np.concatenate([np.zeros(n_even - r), parity.s, -parity.s, np.zeros(h.dim - n_even - r)])
+    # V in parity order, its columns in the order of `parity.eigenvalues`:
+    # [[q, q's pair columns, 0], [0, w's pair columns, -w's pair columns, w's nulls]].
+    v = np.zeros((h.dim, h.dim))
+    v[:n_even, :n_even] = parity.q
+    v[:n_even, n_even : n_even + r] = parity.q[:, n_even - r :]
+    v[n_even:, n_even - r : n_even] = parity.w[:, :r]
+    v[n_even:, n_even:] = parity.w
+    v[n_even:, n_even : n_even + r] *= -1.0
+    w = parity.eigenvalues
     columns = np.argsort(w, kind="stable")
-    slot = np.empty(h.dim, dtype=int)
-    slot[columns] = np.arange(h.dim)
-    nulls_q, plus, minus, nulls_w = np.split(slot, [n_even - r, n_even, n_even + r])
-    q_pair = parity.q[:, n_even - r :] * np.sqrt(0.5)
-    w_pair = parity.w[:, :r] * np.sqrt(0.5)
-    vectors = np.zeros((h.dim, h.dim))
-    vectors[np.ix_(even, nulls_q)] = parity.q[:, : n_even - r]
-    vectors[np.ix_(even, plus)] = vectors[np.ix_(even, minus)] = q_pair
-    vectors[np.ix_(odd, plus)] = w_pair
-    vectors[np.ix_(odd, minus)] = -w_pair
-    vectors[np.ix_(odd, nulls_w)] = parity.w[:, r:]
+    vectors = np.empty_like(v)
+    vectors[parity.order] = v[:, columns]
     return ZEigensystem(eigenvalues=w[columns], vectors=vectors, z=z, parity=parity)
 
 
 class SplitStepKernel:
     """The split step D V P(E) V^T D on a (dim, M) block of states.
 
-    D = exp(-i H0 dt/2) and P(E) = exp(-i E w dt) are diagonal.  A negative
-    dt gives the adjoint (inverse) step, which the backward sweeps use; see
+    D = exp(-i H0 dt/2) and P(E) = exp(E exponent) are diagonal:
+    `exponent` is the (dim, 1) column -i dt w of z's eigenvalues w in the
+    kernel's row order, so that dP/dE = exponent P.  A negative dt gives
+    the adjoint (inverse) step, which the backward sweeps use; see
     `adjoint`.  Blocks are complex (dim, M) arrays, one state per column.
     A sweep takes its `stepper` once and then calls it at every step, which
     writes through the stepper's scratch and allocates nothing, with the
@@ -259,8 +274,12 @@ class SplitStepKernel:
     argument `block` forces either step (the adjoint keeps it).  The rows
     are in `order`, parity order for the block step and basis order
     otherwise, and `position` is the row of each basis state;
-    `to_kernel_order` and `to_basis_order` copy an array across.  Every
-    method answers for either step kind, so a sweep runs one body on both.
+    `to_kernel_order` and `to_basis_order` copy an array across.  Both
+    steps keep the coefficients c = V^T D x in V's eigenbasis, with V's
+    columns in the order of `exponent`: sorted for the dense step, and the
+    rows of `ParityBlocks.eigenvalues` for the block step, whose `pairs`
+    are the slices of the +s_k and of the -s_k rows.  Every method answers
+    for either step kind, so a sweep runs one body on both.
     """
 
     def __init__(
@@ -282,17 +301,15 @@ class SplitStepKernel:
         self.position = np.empty_like(self.order)
         self.position[self.order] = np.arange(h.dim)
         self.half = np.exp(-0.5j * dt * h.energies[self.order])[:, None]
+        eigenvalues = parity.eigenvalues if block else zsys.eigenvalues
+        self.exponent = -1j * dt * eigenvalues[:, None]
         if not block:
-            self.exponent = -1j * dt * zsys.eigenvalues[:, None]
             self.v, self.vt = zsys.vectors, zsys.vectors.T
             #: z as (matrix, operand rows, product rows) products.
             self.z_products = ((zsys.z, slice(None), slice(None)),)
             return
-        # The angle of each pair per unit field, signed so that its sine is
-        # the imaginary part of -i sin(E dt s).
-        self.exponent = -dt * parity.s
         n_even, r = parity.n_even, len(parity.s)
-        #: The even and the odd rows of the pairs, both in pair order.
+        #: The rows of the +s_k and of the -s_k coefficients, both in pair order.
         self.pairs = (slice(n_even - r, n_even), slice(n_even, n_even + r))
         even, odd = slice(None, n_even), slice(n_even, None)
         self.z_products = ((parity.b, odd, even), (parity.b.T, even, odd))
@@ -317,103 +334,73 @@ class SplitStepKernel:
             np.dot(matrix, src[rows], out=dst[into])
 
     def phase_table(self, samples: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """P(E_j) = exp(-i E_j w dt) for every step of `samples`, as (n_steps, dim, 1) columns.
+        """P(E_j) = exp(E_j exponent) for every step of `samples`, as (n_steps, dim, 1) columns.
 
         Written into `out` when it is given (a chunk of `propagate`'s scratch,
-        or the engine's table of the field it sweeps) by one call of
-        `phase_writer`, so that a row is exactly 1 where E_j = 0 and has the
-        same bits in a table of any slice of the grid or written on its own.
-        The block step first sets the parts that do not depend on E.
+        or the engine's table of the field it sweeps) by `phase_writer`, so
+        that a row is exactly 1 where E_j = 0 and has the same bits in a
+        table of any slice of the grid or written on its own.  `out` must
+        hold 1 in the rows where w = 0, which the block step does not write:
+        every table is allocated with ones, as this one is.  The writer takes
+        `CHUNK_STEPS` rows per call: numpy iterates over the strided or
+        broadcast rows of a call through buffers of up to 128 KB per operand,
+        which a chunk keeps to its own size.
         """
         if out is None:
-            out = np.empty((len(samples) - 1, len(self.half), 1), dtype=complex)
-        if self.block:
-            out.fill(1.0)
-            out[:, self.pairs[1]] = 0.0
-        fields = samples[:-1].reshape(-1, *(1,) * self.exponent.ndim)
-        self.phase_writer(out)(slice(None), fields)
+            out = np.ones((len(samples) - 1, len(self.half), 1), dtype=complex)
+        write, fields = self.phase_writer(out), samples[:-1, None]
+        for start in range(0, len(out), CHUNK_STEPS):
+            rows = slice(start, start + CHUNK_STEPS)
+            write(rows, fields[rows])
         return out
 
     def phase_writer(self, table: np.ndarray) -> Callable[..., np.ndarray]:
         """`write(rows, fields)`: P(fields) into `rows` of `table`, the one place of its formula.
 
         Binds the table's views once.  `rows` is a step and `fields` its
-        sample, or a slice of steps and their samples shaped to broadcast
-        against the exponent; `write` returns those rows of `table`.  A
-        dense row is one product and one exp in place.  A block row holds
-        cos(E dt s_k) in the even row of pair k, -i sin(E dt s_k) in its odd
-        row and 1 in every null row: the product goes into the cos slots as
-        the angle, then its sin and its cos are taken in place; the other
-        parts are what `phase_table` set.  A zero sample gives the identity.
+        sample, or a slice of steps and an (n, 1) column of their samples;
+        `write` returns those rows of `table`.  A row is exp(E exponent): one
+        product and one exp in place, on 1-D (dim,) slot views for the dense
+        step.  The block step forms its +s_k rows so, on (r,) views, and
+        writes their conjugates, which are the -s_k rows bit for bit, into
+        the odd pair rows; its null rows keep the 1 that the table was
+        allocated with.  A zero sample gives the identity.
         """
-        multiply, exp, sin, cos, exponent = np.multiply, np.exp, np.sin, np.cos, self.exponent
-        if not self.block:
-
-            def write(rows, fields):
-                phase = table[rows]
-                multiply(fields, exponent, phase)
-                exp(phase, phase)
-                return phase
-
-            return write
-
-        parts = table.view(np.float64)
-        even, odd = self.pairs
-        angles, sines = parts[:, even, 0], parts[:, odd, 1]
+        multiply, exp, conjugate = np.multiply, np.exp, np.conjugate
+        slots = table[:, :, 0]
+        if self.block:
+            plus, minus = self.pairs
+            formed, exponent, mirrored = slots[:, plus], self.exponent[plus, 0], slots[:, minus]
+        else:
+            formed, exponent, mirrored = slots, self.exponent[:, 0], None
 
         def write(rows, fields):
-            angle = angles[rows]
-            multiply(fields, exponent, angle)
-            sin(angle, sines[rows])
-            cos(angle, angle)
+            phase = formed[rows]
+            multiply(fields, exponent, phase)
+            exp(phase, phase)
+            if mirrored is not None:
+                conjugate(phase, mirrored[rows])
             return table[rows]
 
         return write
 
-    def cross_overlaps(self, blocks: np.ndarray, spare: np.ndarray) -> Callable[..., np.ndarray]:
+    def cross_overlaps(self, blocks: np.ndarray) -> Callable[..., np.ndarray]:
         """`overlaps(deltas, coeffs)`: <coeffs_j| P_j blocks_j> for the first k of `blocks`.
 
         `blocks` is an (m, dim, M) store of the steps' c_j, which `overlaps`
         overwrites, `deltas` a (k, dim, 1) stack of phase rows or of their
-        differences, applied as the step applies its phase, and `coeffs` the
-        (k, dim, M) left vectors.  Each overlap is reduced over one step's
-        (dim x M) row by `np.vecdot`: once for the dense step, four times for
-        the block step, whose P maps pair (x, y) to (a x + b y, b x + a y),
-        a = cos and b = -i sin.  Its products go into the (m, r, M) head of
-        the flat `spare` when that is long enough (an array of their own
-        otherwise), or into `blocks` once its x or y is no longer needed.
+        differences, and `coeffs` the (k, dim, M) left vectors, all in the
+        kernel's eigenbasis, where P_j is diagonal for either step kind.
+        Each overlap is one product and one `np.vecdot` over one step's
+        (dim x M) row.
         """
         multiply, vecdot = np.multiply, np.vecdot
-        if not self.block:
-
-            def overlaps(deltas, coeffs):
-                k = len(deltas)
-                stored = blocks[:k]
-                multiply(deltas, stored, stored)
-                return vecdot(coeffs.reshape(k, -1), stored.reshape(k, -1))
-
-            return overlaps
-
-        even, odd = self.pairs
-        size = len(blocks) * len(self.exponent) * blocks.shape[2]
-        products = spare[:size] if len(spare) >= size else np.empty(size, dtype=complex)
-        products = products.reshape(len(blocks), len(self.exponent), -1)
 
         def overlaps(deltas, coeffs):
             k = len(deltas)
-            cos, msin = deltas[:, even], deltas[:, odd]
-            x, y = blocks[:k, even], blocks[:k, odd]
-            left_x, left_y = (coeffs[:, rows].reshape(k, -1) for rows in (even, odd))
-            t = products[:k]
-            multiply(msin, x, t)
-            result = vecdot(left_y, t.reshape(k, -1))
-            multiply(msin, y, t)
-            result += vecdot(left_x, t.reshape(k, -1))
-            multiply(cos, x, x)
-            result += vecdot(left_x, x.reshape(k, -1))
-            multiply(cos, y, y)
-            result += vecdot(left_y, y.reshape(k, -1))
-            return result
+            stored = blocks[:k]
+            multiply(deltas, stored, stored)
+            return vecdot(coeffs.reshape(k, -1), stored.reshape(k, -1))
 
         return overlaps
 
@@ -441,14 +428,11 @@ class SplitStepKernel:
         and `np.dot` hands the contiguous float64 views straight to BLAS.
 
         The block step forms c with two half-size products, q^T on the even
-        rows and w^T on the odd ones, always into its own c, which it then
-        copies through `cf` when that is the view of another block.  It rotates
-        the pairs of its own c into b with three multiplies and two adds:
-        P c gives the null rows, cos c_e and msin c_o, and each pair's cross
-        terms are added to them.  It then goes back with q and w.  It reads
-        no `c` of the caller.  A full-width phase is sliced into its even and
-        odd rows; a (dim, 1) column of an M > 1 block is first copied to full
-        width, so that no product broadcasts a column row by row.
+        rows and w^T on the odd ones, always into its own c, maps each
+        pair's rows (e, o) to (e + o, e - o), its +s_k and -s_k
+        coefficients, and then copies c through `cf` when that is the view
+        of another block.  After P c it goes back by the same sum and
+        difference and then q and w.  It reads no `c` of the caller.
         """
         # A (dim,) state or a (1, M) block would broadcast against the
         # (dim, 1) half step into a wrong-shaped block instead of failing.
@@ -474,38 +458,31 @@ class SplitStepKernel:
 
             return step, (x, b, own_c, own_cf)
 
-        add, copyto = np.add, np.copyto
+        add, subtract, copyto = np.add, np.subtract, np.copyto
         q, qt, w, wt = self.parity.q, self.parity.q.T, self.parity.w, self.parity.w.T
         n_even = self.parity.n_even
-        even, odd = self.pairs
+        plus, minus = self.pairs
         x_even, x_odd, b_even, b_odd = xf[:n_even], xf[n_even:], bf[:n_even], bf[n_even:]
         c_even, c_odd = own_cf[:n_even], own_cf[n_even:]
-        b_pe, b_po, c_pe, c_po = b[even], b[odd], own_c[even], own_c[odd]
-        t = np.empty(b_po.shape, dtype=complex)
-        # A (dim, 1) phase column of a wider block is copied to full width
-        # once per step, so that the three products run element by element.
-        width, wide = block.shape[1], np.empty(block.shape, dtype=complex)
-        wide_pe, wide_po = wide[even], wide[odd]
+        c_plus, c_minus, b_plus, b_minus = own_c[plus], own_c[minus], b[plus], b[minus]
+        t = np.empty(c_minus.shape, dtype=complex)
 
         def step(src, dst, phase, c, cf):
             multiply(half, src, x)
             if cf is not None:
                 dot(qt, x_even, c_even)
                 dot(wt, x_odd, c_odd)
+                # Each pair's rows (e, o) to (e + o, e - o), in place through t.
+                subtract(c_plus, c_minus, t)
+                add(c_plus, c_minus, c_plus)
+                copyto(c_minus, t)
                 if cf is not own_cf:
                     copyto(cf, own_cf)
             if phase is not None:
-                # b = [c_null; cos c_e + msin c_o; msin c_e + cos c_o; c_null].
-                if phase.shape[1] == width:
-                    phase_e, phase_o = phase[even], phase[odd]
-                else:
-                    copyto(wide, phase)
-                    phase, phase_e, phase_o = wide, wide_pe, wide_po
                 multiply(phase, own_c, b)
-                multiply(phase_e, c_po, t)
-                add(b_pe, b_po, b_pe)
-                multiply(phase_o, c_pe, b_po)
-                add(b_po, t, b_po)
+                subtract(b_plus, b_minus, t)
+                add(b_plus, b_minus, b_plus)
+                copyto(b_minus, t)
                 dot(q, b_even, x_even)
                 dot(w, b_odd, x_odd)
             multiply(half, x, dst)
@@ -572,7 +549,7 @@ def propagate(
         return kernel.to_basis_order(block).reshape(shape)
 
     step, (_, _, c, cf) = kernel.stepper(block)
-    phases = np.empty((CHUNK_STEPS, h.dim, 1), dtype=complex)
+    phases = np.ones((CHUNK_STEPS, h.dim, 1), dtype=complex)
     fields = pulse.samples[:-1].tolist()
     t = pulse.t0
     trajectory: list[WavePacket] = []

@@ -89,6 +89,11 @@ def full_h(default_grid):
     return build_hamiltonian(BasisSpec(21, 31, 17, CESIUM_DEFECTS), default_grid)
 
 
+@pytest.fixture(scope="session")
+def full_zsys(full_h):
+    return precompute_z_eigensystem(full_h)
+
+
 def make_dense_hamiltonian(dim: int, seed: int, energy_range=(-1.0, -0.1)):
     """Small dense test Hamiltonian with a full random symmetric z matrix.
 

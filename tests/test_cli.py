@@ -469,6 +469,27 @@ class TestCliEntryPoint:
         assert not (tmp_path / "out" / "history.csv").exists()
         assert not (tmp_path / "out" / "summary.json").exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["optimize", "optimize-universal"])
+    @pytest.mark.parametrize("peak", [1e150, 1e300])
+    def test_guess_whose_cost_overflows_is_a_json_error(self, tmp_path, capsys, command, peak):
+        # A finite guess (peak in atomic units) whose fluence cost overflows
+        # to inf: the run must stop before it starts from J = -inf, with no
+        # overflow warning.
+        data = tiny_manifest_dict(str(tmp_path / "out"))
+        data["pulse"]["peak"] = peak
+        path = tmp_path / "loud.json"
+        path.write_text(json.dumps(data))
+        code = main([command, "--manifest", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        (line,) = err.strip().splitlines()
+        payload = json.loads(line)
+        assert set(payload) == {"error", "message"}
+        assert payload["error"] == "InvalidSpecError"
+        assert "fluence cost" in payload["message"]
+        assert not (tmp_path / "out" / "summary.json").exists()
+
     def test_verbose_flag(self, tiny_manifest_path, tmp_path, capsys):
         code = main(
             [
@@ -714,6 +735,26 @@ class TestFieldCsvHardening:
         assert payload["error"] == "InvalidSpecError"
         assert "overflow" in payload["message"]
         assert not (out / "decode_test.json").exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_field_whose_spectrum_overflows_is_a_json_error(
+        self, tiny_manifest_path, tmp_path, capsys
+    ):
+        # dt sum |E| overflows, so the spectrum and the Husimi map would be inf.
+        field = tmp_path / "huge.csv"
+        field.write_text("time,E\n0.0,1e308\n413.41,0.0\n826.82,0.0\n")
+        out = tmp_path / "o"
+        argv = ["analyze", "--manifest", str(tiny_manifest_path), "--field", str(field)]
+        code = main(argv + ["--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        (line,) = err.strip().splitlines()
+        payload = json.loads(line)
+        assert set(payload) == {"error", "message"}
+        assert payload["error"] == "ManifestError"
+        assert str(field) in payload["message"]
+        assert "overflow" in payload["message"]
+        assert not (out / "spectrum.csv").exists()
 
     @pytest.mark.parametrize("command", ["analyze", "decode-test"])
     def test_overlong_field_is_a_json_error(self, tiny_manifest_path, tmp_path, capsys, command):

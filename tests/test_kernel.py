@@ -15,7 +15,9 @@ give the same bytes whatever the memory layout of the input block.  The
 oracle comparisons, the delta3 check, the memory bound, the phase rows and
 the per-step call counts also run on the parity-block step, which a
 55-state kernel takes when it is built with `block=True` (and the public
-functions when the crossover is lowered).
+functions when the crossover is lowered).  On both step kinds, and on the
+187-state basis, the step's coefficients are checked to be in z's
+eigenbasis and each phase row's derivative in E to be exponent x row.
 """
 
 import sys
@@ -93,32 +95,21 @@ def _engine_blocks(setup, kernel, bits):
     return kernel.to_kernel_order(psi0), kernel.to_kernel_order(final), targets
 
 
+def _eigenvectors(kernel):
+    """V with its rows and its columns in the kernel's row order, read off
+    the step: column i is the eigenvector of z whose coefficient the step
+    keeps in row i.  The zero-field step of D^-1 (every basis state) forms
+    c = V^T."""
+    dim = kernel.h.dim
+    step, (x, _, c, cf) = kernel.stepper(np.empty((dim, dim), dtype=complex))
+    step(np.diag(1.0 / kernel.half[:, 0]), x, None, c, cf)
+    return c.T.real
+
+
 def _step_coefficients(kernel, states):
-    """The step's coefficient basis: the rows of `states` (basis order, one
-    state per row) in the kernel's order, times V, or blockdiag(q, w) for
-    the block step."""
-    states = kernel.to_kernel_order(states, axis=1)
-    if not kernel.block:
-        return states @ kernel.v
-    parity = kernel.parity
-    basis = np.zeros((kernel.h.dim, kernel.h.dim))
-    basis[: parity.n_even, : parity.n_even] = parity.q
-    basis[parity.n_even :, parity.n_even :] = parity.w
-    return states @ basis
-
-
-def _rotated(kernel, rows, blocks):
-    """Each row of a phase-table stack applied to its block, written out:
-    the dense step's diagonal product, or the block step's pair rotation
-    (x, y) -> (a x + b y, b x + a y) with a, b the row's pair entries."""
-    out = rows * blocks
-    if kernel.block:
-        even, odd = kernel.pairs
-        a, b = rows[:, even], rows[:, odd]
-        x, y = blocks[:, even], blocks[:, odd]
-        out[:, even] = a * x + b * y
-        out[:, odd] = b * x + a * y
-    return out
+    """The step's coefficients V^T x of the rows of `states` (basis order,
+    one state per row), each in the kernel's row order."""
+    return kernel.to_kernel_order(states, axis=1) @ _eigenvectors(kernel)
 
 
 def _step(kernel, block, e_field):
@@ -213,8 +204,8 @@ def test_public_backward_propagate_matches_oracle(both):
 
 def test_costate_sweep_matches_oracle(both):
     # z lam_j for the increment at t_j, and V^T D* lam_{j+1} for the
-    # cross-term of step j, both formed from the oracle's costates; for the
-    # block step in parity order, with blockdiag(q, w) in place of V.
+    # cross-term of step j, both formed from the oracle's costates in the
+    # kernel's row order: parity order for the block step.
     for setup in both:
         h, kernel = setup["h"], setup["kernel"]
         half_adjoint = np.exp(0.5j * setup["pulse"].dt * h.energies)
@@ -332,22 +323,34 @@ def test_update_sweep_forms_the_cross_term_per_half_chunk(setup, block_setup, n_
     per_step, size = 0.0 + 0.0j, 0.0
     for j in range(pulse.n_steps):
         step(psi, psi, phases[j] if samples[j] != 0.0 else None, c, cf)
-        term = np.vdot(coeffs[j], _rotated(kernel, delta[j : j + 1], c[None])[0])
+        term = np.vdot(coeffs[j], delta[j] * c)
         per_step += term
         size += abs(term)
     assert np.array_equal(psi, final)
     assert abs(cross - per_step) <= 1e-14 * size
 
 
-@pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_phase_table_rows_are_the_per_step_phases(setup, sign):
-    # Row j is exp(E_j x exponent) of step j alone, exactly 1 where E_j = 0,
-    # and has the same bits in a table of any slice of the grid, such as the
-    # chunks that `propagate` forms.
-    kernel = SplitStepKernel(setup["h"], setup["zsys"], sign * DT)
+@pytest.mark.parametrize(
+    "sign, block",
+    [(1.0, False), (-1.0, False), (1.0, True), (-1.0, True)],
+    ids=["1.0", "-1.0", "block-1.0", "block--1.0"],
+)
+def test_phase_table_rows_are_the_per_step_phases(setup, sign, block):
+    # On either step kind, row j is exp(E_j x exponent) of step j alone,
+    # exactly 1 where E_j = 0, and has the same bits in a table of any
+    # slice of the grid, such as the chunks that `propagate` forms.  The
+    # block step's exponent is +-(-i dt s_k) on the rows of pair k and 0 on
+    # its null rows.
+    kernel = SplitStepKernel(setup["h"], setup["zsys"], sign * DT, block=block)
     samples = setup["pulse"].samples
     table = kernel.phase_table(samples)
     assert table.shape == (len(samples) - 1, setup["h"].dim, 1)
+    if block:
+        plus, minus = kernel.pairs
+        s = kernel.zsys.parity.s
+        assert np.array_equal(kernel.exponent[plus, 0], -1j * kernel.dt * s)
+        assert np.array_equal(kernel.exponent[minus, 0], -1j * kernel.dt * -s)
+        assert np.count_nonzero(kernel.exponent == 0.0) > 0
     for j, e_field in enumerate(samples[:-1].tolist()):
         assert np.array_equal(table[j], np.exp(e_field * kernel.exponent))
         if e_field == 0.0:
@@ -357,30 +360,44 @@ def test_phase_table_rows_are_the_per_step_phases(setup, sign):
     _assert_writer_gives_the_rows(kernel, samples, table)
 
 
-@pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_block_phase_table_rows_are_the_pair_rotations(setup, sign):
-    # Row j holds cos(E_j dt s_k) in the even row of pair k, -i sin(E_j dt
-    # s_k) in its odd row and 1 in every null row, is the identity where
-    # E_j = 0, and has the same bits in a table of any slice of the grid.
-    kernel = SplitStepKernel(setup["h"], setup["zsys"], sign * DT, block=True)
-    samples = setup["pulse"].samples
-    table = kernel.phase_table(samples)
-    assert table.shape == (len(samples) - 1, setup["h"].dim, 1)
-    even, odd = kernel.pairs
-    null = np.ones(setup["h"].dim, dtype=bool)
-    null[even] = null[odd] = False
-    assert np.count_nonzero(null) > 0
-    per_unit_field = -kernel.dt * kernel.parity.s
-    for j, e_field in enumerate(samples[:-1].tolist()):
-        row, angle = table[j, :, 0], e_field * per_unit_field
-        assert np.array_equal(row[even], np.cos(angle) + 0j)
-        assert np.array_equal(row[odd], 1j * np.sin(angle))
-        assert np.all(row[null] == 1.0)
-        if e_field == 0.0:
-            assert np.all(row[even] == 1.0) and np.all(row[odd] == 0.0)
-    for start, stop in ((0, 1), (5, 64), (300, 340), (700, len(samples) - 1)):
-        assert np.array_equal(kernel.phase_table(samples[start : stop + 1]), table[start:stop])
-    _assert_writer_gives_the_rows(kernel, samples, table)
+@pytest.fixture(params=["dense", "block", "block-187"])
+def any_kernel(request, cesium_h, cesium_zsys, full_h, full_zsys):
+    """The dense and the block kernel on 55 states, and the kernel that the
+    187-state basis takes, the block one."""
+    h, zsys, block = {
+        "dense": (cesium_h, cesium_zsys, False),
+        "block": (cesium_h, cesium_zsys, True),
+        "block-187": (full_h, full_zsys, None),
+    }[request.param]
+    kernel = SplitStepKernel(h, zsys, DT, block=block)
+    assert kernel.block == (request.param != "dense")
+    return kernel
+
+
+def test_step_coefficients_are_in_the_eigenbasis_of_z(any_kernel):
+    # c = V^T D x on either step kind, with V orthogonal and V diag(w) V^T
+    # = z in the kernel's row order, w = i exponent / dt row by row: the
+    # diagonal that every phase row exp(E exponent) is formed from.
+    kernel = any_kernel
+    v = _eigenvectors(kernel)
+    w = (1j * kernel.exponent[:, 0] / kernel.dt).real
+    z = kernel.to_kernel_order(kernel.to_kernel_order(kernel.h.z_matrix), axis=1)
+    assert np.max(np.abs(v.T @ v - np.eye(len(v)))) <= 1e-13
+    assert np.max(np.abs((v * w) @ v.T - z)) <= 1e-13 * np.max(np.abs(z))
+
+
+def test_phase_derivative_is_exponent_times_phase(any_kernel):
+    # dP/dE = exponent P on either step kind, the one derivative that a
+    # per-step gain or an exact gradient needs: central differences of the
+    # table's rows in E, at fields of either sign and at angles E dt max|w|
+    # from 0 to about 1.
+    kernel = any_kernel
+    scale = float(np.max(np.abs(kernel.exponent)))
+    step = 1e-5 / scale
+    for e_field in (0.0, 1.3e-7, -2e-7, 1.0 / scale):
+        rows = kernel.phase_table(np.array([e_field - step, e_field + step, e_field, 0.0]))
+        slope = (rows[1] - rows[0]) / (2.0 * step)
+        assert np.max(np.abs(slope - kernel.exponent * rows[2])) <= 1e-8 * scale
 
 
 def _assert_writer_gives_the_rows(kernel, samples, table):
@@ -547,23 +564,22 @@ def test_sweep_steps_make_only_their_blas_calls(setup):
     # `dot`s of a step that forms c.  Its cross-term takes no call per step:
     # one `subtract` and one `vecdot` per half chunk.  No step takes a
     # `view`: each sweep takes its float64 views before its first step.
-    _assert_sweep_calls(setup, len(MARKED), dots=1, vecdots=1, views=(4, 4))
+    _assert_sweep_calls(setup, len(MARKED), dots=1, subtracts=0)
 
 
 @pytest.mark.parametrize("n_members", [1, 4])
 def test_block_sweep_steps_make_only_their_blas_calls(block_setup, n_members):
     # The same on the block step, whose products with V^T and V are two
-    # half-size `dot`s each, and whose cross-term takes four `vecdot`s per
-    # half chunk; its update sweep also takes the float64 view of the phase
-    # table once, for its phase writer.
-    _assert_sweep_calls(block_setup, n_members, dots=2, vecdots=4, views=(4, 5))
+    # half-size `dot`s each, with one `subtract` for the difference of
+    # each pair's rows; its cross-term is the dense step's.
+    _assert_sweep_calls(block_setup, n_members, dots=2, subtracts=1)
 
 
-def _assert_sweep_calls(setup, n_members, dots, vecdots, views):
+def _assert_sweep_calls(setup, n_members, dots, subtracts):
     """The calls of both sweeps on the first `n_members` members of
-    `setup`: `dots` `dot` calls per product with V^T or V, `vecdots`
-    `vecdot` calls per half chunk of the cross-term, and no more `view`
-    calls than `views`, for the costate and the update sweep."""
+    `setup`: `dots` `dot` calls and `subtracts` `subtract` calls per
+    product with V^T or V, one `vecdot` and one more `subtract` per half
+    chunk of the cross-term, and no more than four `view` calls per sweep."""
     h, pulse, penalty, kernel = setup["h"], setup["pulse"], setup["penalty"], setup["kernel"]
     n_steps = pulse.n_steps
     half_chunks = -(-n_steps // (CHUNK_STEPS // 2))
@@ -571,9 +587,11 @@ def _assert_sweep_calls(setup, n_members, dots, vecdots, views):
     lam_final = kernel.to_kernel_order(np.stack(setup["lam_final"][:n_members], axis=1))
     work = _filled_work(kernel, pulse, n_members)
     _, counts = _numpy_calls(lambda: _costate_sweep(kernel, lam_final, pulse.samples, work))
-    assert counts["dot"] == dots * (2 * n_steps - np.count_nonzero(old == 0.0))
-    assert counts["vdot"] == counts["vecdot"] == counts["subtract"] == 0
-    assert counts["view"] <= views[0]
+    products = 2 * n_steps - np.count_nonzero(old == 0.0)
+    assert counts["dot"] == dots * products
+    assert counts["subtract"] == subtracts * products
+    assert counts["vdot"] == counts["vecdot"] == 0
+    assert counts["view"] <= 4
 
     psi0 = kernel.to_kernel_order(np.stack(setup["psi0"][:n_members], axis=1))
     z_lam, coeffs = (np.ascontiguousarray(setup[k][:, :, :n_members]) for k in ("z_lam", "coeffs"))
@@ -596,11 +614,12 @@ def _assert_sweep_calls(setup, n_members, dots, vecdots, views):
         nonzero = np.count_nonzero(samples[:-1])
         changed_to_zero = np.count_nonzero((samples[:-1] != was) & (samples[:-1] == 0.0))
         assert changed == n_changed
-        assert counts["dot"] == dots * (2 * nonzero + changed_to_zero)
+        products = 2 * nonzero + changed_to_zero
+        assert counts["dot"] == dots * products
         assert counts["vdot"] == n_steps
-        assert counts["subtract"] == half_chunks
-        assert counts["vecdot"] == vecdots * half_chunks
-        assert counts["view"] <= views[1]
+        assert counts["subtract"] == subtracts * products + half_chunks
+        assert counts["vecdot"] == half_chunks
+        assert counts["view"] <= 4
 
 
 def test_apply_z_is_the_dim_major_chunk_product_in_place(setup):

@@ -34,11 +34,6 @@ from rydoct.propagation import BLOCK_STEP_MIN_DIM, SplitStepKernel
 DT = 413.41373333565624
 
 
-@pytest.fixture(scope="module")
-def full_zsys(full_h):
-    return precompute_z_eigensystem(full_h)
-
-
 def _states(dim, n_states, seed):
     rng = np.random.default_rng(seed)
     block = rng.normal(size=(dim, n_states)) + 1j * rng.normal(size=(dim, n_states))
@@ -72,8 +67,12 @@ class TestSvdEigensystem:
         # Relative to |z|, up to 721 here: eigh of the same z misses an
         # absolute 1e-12 at 187 states as well (1.1e-12).
         assert zsys.reconstruction_error() <= 1e-14 * np.max(np.abs(h.z_matrix))
-        for factor in (parity.q, parity.w):
-            assert np.max(np.abs(factor.T @ factor - np.eye(len(factor)))) <= 1e-13
+        # Orthogonal columns, of norm sqrt(1/2) for the pairs and 1 for the nulls.
+        r = len(parity.s)
+        for factor, pairs in ((parity.q, slice(n_even - r, n_even)), (parity.w, slice(0, r))):
+            norms = np.ones(len(factor))
+            norms[pairs] = 0.5
+            assert np.max(np.abs(factor.T @ factor - np.diag(norms))) <= 1e-13
 
     def test_z_that_is_not_bipartite_takes_eigh(self, dense8):
         zsys = precompute_z_eigensystem(dense8)
@@ -139,12 +138,11 @@ class TestBlockStep:
         assert np.max(np.abs(np.abs(final.amplitudes) - np.abs(psi))) <= 1e-14
 
     def test_zero_sample_row_is_the_identity_rotation(self, full_h, full_zsys):
+        # 1 in every row, the pairs' and the null rows, as in a dense row.
         kernel = SplitStepKernel(full_h, full_zsys, DT)
+        assert kernel.block
         row = kernel.phase_table(np.array([0.0, 1e-7, 0.0]))[0][:, 0]
-        even, odd = kernel.pairs
-        assert np.all(np.delete(row, np.r_[odd]) == 1.0)
-        assert np.all(row[odd] == 0.0)
-        assert np.all(row[even] == 1.0)
+        assert np.all(row == 1.0)
 
 
 def test_public_functions_answer_in_basis_order_on_the_block_step(full_h, full_zsys, monkeypatch):
