@@ -19,6 +19,12 @@ Each sweep is written once, and the engine (`_run_engine`) runs it on a
 (dim, M) block of members.  `_costate_sweep` integrates the costates from T
 back to t0 under the old field; the engine then applies z to them in place
 (`_apply_z`).  `_update_sweep` is the forward sweep with feedback.  The
+sweeps carry D-shifted states (see `rydoct.propagation`), so that the two
+half steps that meet between consecutive steps are one multiply: the
+update sweep steps x_j = D psi_j and the costate sweep mu_j = D* lam_j,
+each converting once at its boundary.  `_apply_z` folds the two D's that
+this leaves into its chunk product, D z D mu_j = D z lam_j, so that the
+update sweep's overlap <D z lam_j|x_j> is <z lam_j|psi_j>.  The
 sweeps fill work arrays that the engine allocates once per run
 (`_work_arrays`): two step-major (n_steps, dim, M) costate arrays, whose
 per-step blocks are contiguous; one (n_steps, dim, 1) table of the swept
@@ -179,7 +185,8 @@ def backward_propagate(
     """Costate trajectory lam(t_j) for every grid point, integrated from T to t0.
 
     Runs the engine's costate sweep on one member and returns its lam_j,
-    then lam(T) itself as the last row: an (n_samples, dim) array in basis
+    shifted back from the mu_j = D* lam_j that the sweep stores, then lam(T)
+    itself as the last row: an (n_samples, dim) array in basis
     order, whatever order the kernel keeps.  Each backward step is the
     adjoint of the forward split step with the same field sample, so the
     discrete forward and backward propagations are exact inverses.
@@ -190,7 +197,9 @@ def backward_propagate(
     work = _work_arrays(pulse.n_steps, h.dim, 1)
     kernel.phase_table(pulse.samples, out=work[3])
     lam_buffer, _ = _costate_sweep(kernel, lam_final, pulse.samples, work)
-    return kernel.to_basis_order(np.concatenate([lam_buffer[:, :, 0], lam_final.T]), axis=1)
+    # lam_j = D mu_j.
+    lam = kernel.shift(lam_buffer)[:, :, 0]
+    return kernel.to_basis_order(np.concatenate([lam, lam_final.T]), axis=1)
 
 
 def _work_arrays(n_steps: int, dim: int, n_members: int) -> tuple[np.ndarray, ...]:
@@ -218,9 +227,10 @@ def _work_arrays(n_steps: int, dim: int, n_members: int) -> tuple[np.ndarray, ..
 def _chunk_scratch(dim: int, n_members: int) -> np.ndarray:
     """One (CHUNK_STEPS, dim, M) complex block, the only chunk-sized array.
 
-    The costate sweep copies `CHUNK_STEPS` rows of the phase table into it
-    at a time, broadcast to full width, so that each adjoint step multiplies
-    a contiguous (dim, M) phase rather than a column broadcast row by row.
+    The costate sweep conjugates `CHUNK_STEPS` rows of the phase table into
+    it at a time, broadcast to full width, so that each adjoint step
+    multiplies a contiguous (dim, M) phase rather than a column broadcast
+    row by row.
     `_apply_z`, which runs between the sweeps, uses its two halves as one
     transposed half chunk of costates and its product with z.  The update
     sweep uses the first half as a (CHUNK_STEPS // 2, dim, M) store of the
@@ -239,64 +249,72 @@ def _costate_sweep(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The costates under the old field, integrated from T to t0.
 
-    Fills and returns the first two of the `_work_arrays`: lam_j for every
-    step as the step-major (n_steps, dim, M) buffer, and the (n_steps, dim,
-    M) array V^T D* lam_{j+1}: the coefficients that the adjoint of step j
-    forms on its way, kept for the delta3 cross-term of step j.  The old
-    field's phases come from the work arrays' phase table, which must hold
-    P(E_j) of `samples`; `samples` itself only marks the zero-field steps.
-    They reach the steps `CHUNK_STEPS` at a time, copied into the chunk
-    scratch at full width and conjugated there, which is the adjoint phase
-    bit for bit.  The adjoint of step j reads lam_{j+1} from its slot of
-    the buffer (a copy of `lam_final` for the last step) and writes lam_j
-    and its coefficients straight into slot j of the two arrays, the latter
-    through the coefficient array's float64 view, taken once per sweep, so
-    nothing is copied out per step.
+    Fills and returns the first two of the `_work_arrays`: the shifted
+    costate mu_j = D* lam_j that the adjoint steps carry, for every step, as
+    the step-major (n_steps, dim, M) buffer, and the (n_steps, dim, M)
+    array V^T mu_{j+1} = V^T D* lam_{j+1}: the coefficients that the adjoint
+    of step j forms on its way, kept for the delta3 cross-term of step j.
+    The old field's phases come from the work arrays' phase table, which
+    must hold P(E_j) of `samples`; `samples` itself only marks the
+    zero-field steps.  They reach the steps `CHUNK_STEPS` at a time,
+    conjugated into the chunk scratch at full width by one call, which is
+    the adjoint phase bit for bit.  The adjoint of step j reads mu_{j+1}
+    from its slot of the buffer (the shift of `lam_final` for the last
+    step) and writes mu_j and its coefficients straight into slot j of the
+    two arrays, through float64 views taken once per sweep, so nothing is
+    copied out per step.
     """
     lam_buffer, coeffs, scratch, table = work
-    step, _ = kernel.adjoint().stepper(lam_final)
-    coeffs_f = coeffs.view(np.float64)
-    lam = np.array(lam_final, dtype=complex, order="C")
+    adjoint = kernel.adjoint()
+    step, _ = adjoint.stepper(lam_final)
+    lam_buffer_f, coeffs_f = lam_buffer.view(np.float64), coeffs.view(np.float64)
+    mu = adjoint.shift(lam_final)
+    mu_f = mu.view(np.float64)
     fields = samples[:-1].tolist()
     for start in reversed(range(0, len(fields), CHUNK_STEPS)):
         stop = min(start + CHUNK_STEPS, len(fields))
         phases = scratch[: stop - start]
-        np.copyto(phases, table[start:stop])
-        np.conjugate(phases, out=phases)
+        np.conjugate(table[start:stop], out=phases)
         for j in range(stop - 1, start - 1, -1):
-            lam_j = lam_buffer[j]
+            mu_j = lam_buffer[j]
             if fields[j] != 0.0:
-                step(lam, lam_j, phases[j - start], coeffs[j], coeffs_f[j])
+                step(mu, mu_f, mu_j, phases[j - start], coeffs[j], coeffs_f[j])
             else:
-                step(lam, lam_j, None, None, coeffs_f[j])
-            lam = lam_j
+                step(mu, mu_f, mu_j, None, None, coeffs_f[j])
+            mu, mu_f = mu_j, lam_buffer_f[j]
     return lam_buffer, coeffs
 
 
 def _apply_z(kernel: SplitStepKernel, lam_buffer: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """z lam_j in place of lam_j; returns the (n_steps, dim, M) buffer itself.
+    """D z D mu_j = D z lam_j in place of mu_j; returns the (n_steps, dim, M) buffer itself.
 
-    z acts on half a chunk of steps as one real product.  Each half chunk is
-    copied, transposed, into a contiguous (dim, steps x M) block in the
-    first half of `scratch`, a `_chunk_scratch` of the buffer's width,
-    whose float64 view holds each lam_j's real and imaginary parts as a
-    column pair: the (dim, steps x 2M) operand that z met when the costates
-    were stored dim-major.  Each product column depends only on its operand
-    column, so the product has the same bits as the dim-major one.  It goes
-    into the second half, as `SplitStepKernel.multiply_z` forms it in the
-    kernel's row order, and is copied back.
+    z acts on half a chunk of steps as one real product.  Each half chunk of
+    costates mu_j = D* lam_j, as the costate sweep stores them, is
+    multiplied by D into a contiguous (dim, steps x M) block in the first
+    half of `scratch`, a `_chunk_scratch` of the buffer's width, transposed
+    on the way, so that its float64 view holds each lam_j's real and
+    imaginary parts as a column pair: the (dim, steps x 2M) operand that z
+    met when the costates were stored dim-major.  Each product column
+    depends only on its operand column, so the product has the same bits as
+    the dim-major one.  It goes into the second half, as
+    `SplitStepKernel.multiply_z` forms it in the kernel's row order, and is
+    multiplied by D on its way back.  Both multiplies read D from one
+    contiguous (dim, steps, M) block, which is faster than a broadcast
+    column across the transposition.
     """
     n_steps, dim, n_members = lam_buffer.shape
     half = CHUNK_STEPS // 2
+    d = np.ascontiguousarray(np.broadcast_to(kernel.half[:, :, None], (dim, half, n_members)))
     for start in range(0, n_steps, half):
         chunk = lam_buffer[start : start + half]
         src, dst = (
             block.reshape(-1)[: chunk.size].reshape(dim, -1)
             for block in (scratch[:half], scratch[half:])
         )
-        np.copyto(src.reshape(dim, -1, n_members), chunk.transpose(1, 0, 2))
+        dk = d[:, : len(chunk)]
+        np.multiply(dk, chunk.transpose(1, 0, 2), src.reshape(dim, -1, n_members))
         kernel.multiply_z(src.view(np.float64), dst.view(np.float64))
-        np.copyto(chunk, dst.reshape(dim, -1, n_members).transpose(1, 0, 2))
+        np.multiply(dk, dst.reshape(dim, -1, n_members), chunk.transpose(1, 0, 2))
     return lam_buffer
 
 
@@ -313,7 +331,10 @@ def _update_sweep(
     """Forward sweep with immediate field feedback, shared by all members.
 
     `psi0` is the (dim, M) block of initial states, `z_lam[j]` the block of
-    z lam_i(t_j) and `coeffs[j]` that of V^T D* lam_i(t_{j+1}).  At each
+    D z lam_i(t_j) and `coeffs[j]` that of V^T D* lam_i(t_{j+1}), as the
+    engine's costate sweep and `_apply_z` leave them.  The block advances as
+    x_j = D psi_j, shifted once at each end, and each member's increment is
+    Im <D z lam_j|x_j> = Im <z lam_j|psi_j>.  At each
     step the increments of every member are summed into one field value,
     and then the whole block advances through the step under that new
     value.  Returns the new field samples, the final block and the
@@ -323,7 +344,7 @@ def _update_sweep(
     which depends on the feedback, is formed per step, written into row j
     of the table by the kernel's `phase_writer`, bound once per sweep, so
     that the table holds P(E_new) on return.  The new samples are collected
-    in a list and stored once.  The block advances in a copy of `psi0`.
+    in a list and stored once.  `psi0` itself is not written.
 
     The cross-term never feeds back into the field, so it is formed half a
     chunk (`CHUNK_STEPS` // 2 steps) at a time in the chunk `scratch`.  Its
@@ -332,16 +353,17 @@ def _update_sweep(
     sweep; a step whose sample is zero and unchanged forms no c, and its
     slot, which may hold anything, NaN included, is zeroed.  The second
     half holds a contiguous (steps, dim, 1) copy of the half chunk's old
-    table rows, which become P_new - P_old in place after the half chunk.
-    The kernel's `cross_overlaps`, bound once per sweep, then gives each
-    step's <D* lam_{j+1}| V (P_new - P_old) c_j> with `np.vecdot` over its
+    table rows, which become P_new - P_old in place after the half chunk
+    and then multiply the stored c_j in place.  Each step's
+    <D* lam_{j+1}| V (P_new - P_old) c_j> is then one `np.vecdot` over its
     own (dim x M) row, so that the result does not depend on the BLAS
     thread count; the values are added in step order.
     """
     step, _ = kernel.stepper(psi0)
     write_phase = kernel.phase_writer(table)
-    psi = np.array(psi0, dtype=complex, order="C")
-    subtract, vdot = np.subtract, np.vdot
+    psi = kernel.shift(psi0)
+    psi_f = psi.view(np.float64)
+    multiply, subtract, vdot, vecdot = np.multiply, np.subtract, np.vdot, np.vecdot
     cross_term = 0.0 + 0.0j
     weights = penalty.samples.tolist()
     new_samples = pulse.samples.astype(float)
@@ -352,31 +374,33 @@ def _update_sweep(
     # Slot j - start of the store and its float64 view, one pair per step.
     slots = list(zip(c_store, c_store.view(np.float64)))
     phase_change = scratch[half:].reshape(-1)[: half * len(psi)].reshape(half, -1, 1)
-    overlaps = kernel.cross_overlaps(c_store)
     for start in range(0, len(fields), half):
         stop = min(start + half, len(fields))
-        np.copyto(phase_change[: stop - start], table[start:stop])
+        k = stop - start
+        np.copyto(phase_change[:k], table[start:stop])
         for j, (c, cf) in zip(range(start, stop), slots):
             e_old = fields[j]
             e_new = float(vdot(z_lam[j], psi).imag) / weights[j]
             fields[j] = e_new
             phase = write_phase(j, e_new)
             if e_new != 0.0:
-                step(psi, psi, phase, c, cf)
+                step(psi, psi_f, psi, phase, c, cf)
             elif e_new != e_old:
                 # A zero field keeps the step diagonal, but a changed one
                 # still forms c for the cross-term.
-                step(psi, psi, None, c, cf)
+                step(psi, psi_f, psi, None, c, cf)
             else:
-                step(psi, psi, None, None, None)
+                step(psi, psi_f, psi, None, None, None)
                 c.fill(0.0)
-        # <lam_{j+1}| D V (P_new - P_old) c_j> with c_j = V^T D psi_j.
-        delta = phase_change[: stop - start]
+        # <lam_{j+1}| D V (P_new - P_old) c_j> with c_j = V^T D psi_j, as
+        # <coeffs_j| (P_new - P_old) c_j> over each step's (dim x M) row.
+        delta, stored = phase_change[:k], c_store[:k]
         subtract(table[start:stop], delta, delta)
-        for value in overlaps(delta, coeffs[start:stop]).tolist():
+        multiply(delta, stored, stored)
+        for value in vecdot(coeffs[start:stop].reshape(k, -1), stored.reshape(k, -1)).tolist():
             cross_term += value
     new_samples[:-1] = fields
-    return new_samples, psi, cross_term
+    return new_samples, kernel.unshift(psi), cross_term
 
 
 def forward_update_sweep(
@@ -394,19 +418,23 @@ def forward_update_sweep(
     under the old field.  Runs the engine's update sweep on one member and
     returns the updated field and the final state at T.  The final field
     sample sits at T itself, after the last step, and is left unchanged.
-    As in the engine, z lam_j comes from `_apply_z` and V^T D* lam_{j+1}
-    from the adjoint `stepper`, here for every step in one product.
+    As in the engine, the costates are shifted to mu_j = D* lam_j, D z lam_j
+    comes from `_apply_z` and V^T D* lam_{j+1} from the adjoint `stepper`,
+    here for every step in one product.
     """
     _check_mode(update_mode)
     kernel = SplitStepKernel(h, zsys, pulse.dt)
+    adjoint = kernel.adjoint()
     costates = kernel.to_kernel_order(np.asarray(costates, dtype=complex), axis=1)
-    scratch = _chunk_scratch(h.dim, 1)
-    z_lam = _apply_z(kernel, costates[:-1, :, None].copy(), scratch)
-    lam_next = costates[1:].T
-    adjoint_step, (x, _, c, cf) = kernel.adjoint().stepper(lam_next)
-    # D* (D* lam) lands in x, unused.
-    adjoint_step(lam_next, x, None, c, cf)
+    # mu_j = D* lam_j, as the engine's costate sweep stores them.
+    mu = adjoint.shift(costates[:, :, None])
+    mu_next = np.ascontiguousarray(mu[1:, :, 0].T)
+    adjoint_step, (x, _, c, cf) = adjoint.stepper(mu_next)
+    # D*^2 mu lands in x, unused.
+    adjoint_step(mu_next, mu_next.view(np.float64), x, None, c, cf)
     coeffs = c.T[:, :, None]
+    scratch = _chunk_scratch(h.dim, 1)
+    z_lam = _apply_z(kernel, mu[:-1], scratch)
     psi = kernel.to_kernel_order(np.asarray(psi0.amplitudes, dtype=complex)).reshape(h.dim, 1)
     table = kernel.phase_table(pulse.samples)
     new_samples, final, _ = _update_sweep(

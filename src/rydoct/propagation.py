@@ -17,21 +17,31 @@ the bits of a register, advance together.  V, V^T and z stay real: a real
 matrix multiplies a complex block through the block's float64 view, in
 which each complex column is a (real, imaginary) pair of real columns.
 That is one real product with twice the columns, half the flops of the
-complex product and no cast.  One step costs two such products on the
-block, V^T (D block) and V (P_j c), taken with `np.dot`, which hands the
-contiguous views straight to BLAS; a step whose field sample is exactly
-zero skips both and stays diagonal.  A sweep takes its step once, before
-its first step (`SplitStepKernel.stepper`): that checks the block's shape,
-allocates the sweep's (dim, M) scratch blocks and their float64 views, and
-returns a callable that holds them, D, V and V^T as locals.  Each step is
-then only its ufunc and `np.dot` calls, with positional outputs, writing
-into that scratch or into a slot of the caller's arrays; it makes no
+complex product and no cast.
+
+At these sizes a step costs the fixed price of each numpy call more than
+its flops, so the step makes as few passes as it can.  Its split step is
+D V P(E) V^T D, with D = exp(-i H0 dt/2), and the closing D of one step
+meets the opening D of the next (Strang, SIAM J. Numer. Anal. 5, 506
+(1968)).  So every sweep carries D-shifted states, x = D psi forward and
+mu = D* lam backward (the adjoint kernel's D is D*), and converts once at
+each boundary (`SplitStepKernel.shift` and `unshift`).  A step is then
+D^2 V P V^T x: four calls, the two products V^T x and V (P c), taken with
+`np.dot`, which hands the contiguous float64 views straight to BLAS, and
+the two multiplies by P and by D^2 = exp(-i H0 dt).  A step whose field
+sample is exactly zero is the one multiply D^2 x, so exact zeros stay
+exact.  A sweep takes its step once, before its first step
+(`SplitStepKernel.stepper`): that checks the block's shape, allocates the
+sweep's (dim, M) scratch blocks and their float64 views, and returns a
+callable that holds them, D^2, V and V^T as locals.  Each step is then
+only its ufunc and `np.dot` calls, with positional outputs, writing into
+that scratch or into a slot of the caller's arrays; it makes no
 temporaries and takes no views.  Each P_j of a fixed field is a row of
 `SplitStepKernel.phase_table`.  The phase P_j may be a (dim, 1) column or
 a contiguous (dim, M) block; the costate sweep passes the block, which
 multiplies element by element instead of row by row.  The optimization
 engine stores, per iteration, only the final state block, two step-major
-costate arrays of n_steps blocks each (z lam_j and V^T D* lam_{j+1}) and
+costate arrays of n_steps blocks each (D z lam_j and V^T D* lam_{j+1}) and
 one (n_steps, dim, 1) table of the swept field's phases P_j, which it
 forms once per field (see `control`), never whole forward trajectories.
 
@@ -44,21 +54,26 @@ order and never forms V.  With the pair columns of q and w scaled by
 sqrt(1/2), [q^T x_even; w^T x_odd] is two products of half the size, and
 the sum and the difference of singular pair k's two rows are its +s_k and
 -s_k eigen-coefficients.  So the block step, like the dense one, keeps
-c = V^T D x in V's eigenbasis, and its phase P(E) is the same diagonal
-(dim, 1) column exp(-i E dt w).  The crossover comes from timing one
-optimization iteration of each step, with one member and with four: the
-block step took 1.4-1.6x the dense step's time at 55 states, 0.97-1.05x
-at 154, 0.90-1.00x at 165, 0.87-0.90x at 187 and 0.36-0.62x at 357.
-Smaller bases, and any z that is not bipartite, keep the dense step.
+c = V^T D psi in V's eigenbasis, and its phase P(E) is the same diagonal
+(dim, 1) column exp(-i E dt w).  It needs a singular pair for every odd
+row, n_even >= n_odd, which every quantum-defect basis of whole l shells
+has: then the odd product lands in an (r, M) pair scratch and the pair
+sums and differences go straight into c, one `subtract` and one `add`
+each way, and a field step inside a sweep is 11 calls.  The crossover
+comes from timing one optimization iteration of each step, with one
+member and with four: the block step took 1.3-1.5x the dense step's time
+at 55 states, 0.89-1.03x at 154, 0.84-0.94x at 165, 0.83-0.87x at 187 and
+0.35-0.65x at 357.  With one member the dense step is still as fast up to
+154 states, so smaller bases, and any z that is not bipartite or has more
+odd-l states than even-l ones, keep the dense step.
 
 The step kind lives in this module alone: the step, its row order and
 z (`multiply_z`) are kernel methods that answer for either kind, and the
-phase rows (`phase_writer`, which `phase_table` runs too) and the delta3
-cross-term's overlaps (`cross_overlaps`) have one formula for both, since
-both keep the same eigenbasis: P(E) = exp(E exponent) with exponent the
-(dim, 1) column -i dt w, so dP/dE = exponent P.  The sweeps in `control`
-run one body for both kinds.  States cross into the kernel's order once,
-at `propagate`'s boundary and the engine's.
+phase rows (`phase_writer`, which `phase_table` runs too) have one formula
+for both, since both keep the same eigenbasis: P(E) = exp(E exponent)
+with exponent the (dim, 1) column -i dt w, so dP/dE = exponent P.  The
+sweeps in `control` run one body for both kinds.  States cross into the
+kernel's order once, at `propagate`'s boundary and the engine's.
 
 The public entry points are `propagate`, the one loop that runs a state or
 a block across a fixed pulse grid (optionally with an absorber on chosen
@@ -260,22 +275,25 @@ def precompute_z_eigensystem(h: HamiltonianData) -> ZEigensystem:
 class SplitStepKernel:
     """The split step D V P(E) V^T D on a (dim, M) block of states.
 
-    D = exp(-i H0 dt/2) and P(E) = exp(E exponent) are diagonal:
+    D = exp(-i H0 dt/2) (`half`) and P(E) = exp(E exponent) are diagonal:
     `exponent` is the (dim, 1) column -i dt w of z's eigenvalues w in the
     kernel's row order, so that dP/dE = exponent P.  A negative dt gives
     the adjoint (inverse) step, which the backward sweeps use; see
     `adjoint`.  Blocks are complex (dim, M) arrays, one state per column.
-    A sweep takes its `stepper` once and then calls it at every step, which
-    writes through the stepper's scratch and allocates nothing, with the
-    phases P(E_j) that `phase_table` forms for the field's samples.
+    A sweep shifts its block once (`shift`), takes its `stepper` once and
+    then calls it at every step, which writes through the stepper's scratch
+    and allocates nothing, with the phases P(E_j) that `phase_table` forms
+    for the field's samples; the step on x = D psi is D^2 V P(E) V^T x,
+    with the free step D^2 = exp(-i H0 dt) (`free`).
 
-    From `BLOCK_STEP_MIN_DIM` states up, when z has parity blocks, the
-    kernel takes the parity-block step instead: `block` is True, and the
-    argument `block` forces either step (the adjoint keeps it).  The rows
-    are in `order`, parity order for the block step and basis order
-    otherwise, and `position` is the row of each basis state;
-    `to_kernel_order` and `to_basis_order` copy an array across.  Both
-    steps keep the coefficients c = V^T D x in V's eigenbasis, with V's
+    From `BLOCK_STEP_MIN_DIM` states up, when z has parity blocks with no
+    more odd-l states than even-l ones, the kernel takes the parity-block
+    step instead: `block` is True, and the argument `block` forces either
+    step (the adjoint keeps it).  The rows are in `order`, parity order for
+    the block step and basis order otherwise, and `position` is the row of
+    each basis state; `to_kernel_order` and `to_basis_order` copy an array
+    across.  Both steps keep the coefficients c = V^T D psi in V's
+    eigenbasis, with V's
     columns in the order of `exponent`: sorted for the dense step, and the
     rows of `ParityBlocks.eigenvalues` for the block step, whose `pairs`
     are the slices of the +s_k and of the -s_k rows.  Every method answers
@@ -289,10 +307,15 @@ class SplitStepKernel:
         self.zsys = zsys
         self.dt = dt
         parity = zsys.parity
+        # The block step needs a singular pair for every odd row: n_even >= n_odd.
+        fits = parity is not None and 0 < len(parity.s) == h.dim - parity.n_even
         if block is None:
-            block = parity is not None and len(parity.s) > 0 and h.dim >= BLOCK_STEP_MIN_DIM
-        if block and (parity is None or len(parity.s) == 0):
-            raise InvalidSpecError("the block step needs a z that couples even l to odd l only")
+            block = fits and h.dim >= BLOCK_STEP_MIN_DIM
+        if block and not fits:
+            raise InvalidSpecError(
+                "the block step needs a z that couples even l to odd l only, "
+                "with no more odd-l states than even-l ones"
+            )
         self.block = block
         self.parity = parity if block else None
         self.order = parity.order if block else np.arange(h.dim)
@@ -300,7 +323,9 @@ class SplitStepKernel:
         # in numpy's integer sort code, 0.1 MB of RSS on a dense-step run.
         self.position = np.empty_like(self.order)
         self.position[self.order] = np.arange(h.dim)
-        self.half = np.exp(-0.5j * dt * h.energies[self.order])[:, None]
+        energies = h.energies[self.order]
+        self.half = np.exp(-0.5j * dt * energies)[:, None]
+        self.free = np.exp(-1j * dt * energies)[:, None]
         eigenvalues = parity.eigenvalues if block else zsys.eigenvalues
         self.exponent = -1j * dt * eigenvalues[:, None]
         if not block:
@@ -324,6 +349,18 @@ class SplitStepKernel:
     def to_basis_order(self, array: np.ndarray, axis: int = 0) -> np.ndarray:
         """The inverse of `to_kernel_order`."""
         return np.take(array, self.position, axis=axis)
+
+    def shift(self, block: np.ndarray) -> np.ndarray:
+        """D block as a new C-contiguous complex array: a state as the steps carry it.
+
+        A sweep converts its states once at each boundary.  The adjoint
+        kernel's D is D*, so its costates are carried as mu = D* lam.
+        """
+        return np.multiply(self.half, block, out=np.empty(block.shape, dtype=complex))
+
+    def unshift(self, block: np.ndarray) -> np.ndarray:
+        """D* block, the inverse of `shift`, as a new C-contiguous complex array."""
+        return np.multiply(self.half.conj(), block, out=np.empty(block.shape, dtype=complex))
 
     def multiply_z(self, src: np.ndarray, dst: np.ndarray) -> None:
         """z src into dst, (dim, K) float64 arrays in the kernel's row order.
@@ -384,26 +421,6 @@ class SplitStepKernel:
 
         return write
 
-    def cross_overlaps(self, blocks: np.ndarray) -> Callable[..., np.ndarray]:
-        """`overlaps(deltas, coeffs)`: <coeffs_j| P_j blocks_j> for the first k of `blocks`.
-
-        `blocks` is an (m, dim, M) store of the steps' c_j, which `overlaps`
-        overwrites, `deltas` a (k, dim, 1) stack of phase rows or of their
-        differences, and `coeffs` the (k, dim, M) left vectors, all in the
-        kernel's eigenbasis, where P_j is diagonal for either step kind.
-        Each overlap is one product and one `np.vecdot` over one step's
-        (dim x M) row.
-        """
-        multiply, vecdot = np.multiply, np.vecdot
-
-        def overlaps(deltas, coeffs):
-            k = len(deltas)
-            stored = blocks[:k]
-            multiply(deltas, stored, stored)
-            return vecdot(coeffs.reshape(k, -1), stored.reshape(k, -1))
-
-        return overlaps
-
     def stepper(self, block: np.ndarray) -> tuple[Callable[..., None], tuple[np.ndarray, ...]]:
         """The split step of one sweep of `block`, after checking its shape.
 
@@ -411,50 +428,57 @@ class SplitStepKernel:
         blocks, and cf, the float64 view of c, a (dim, 2M) real array whose
         column pairs hold each column's real and imaginary parts, so that
         one real matrix product acts on both.  They are allocated here, once
-        per sweep, with D broadcast to a contiguous (dim, M) array so that it
-        multiplies a block element by element rather than row by row.
+        per sweep, with the free step D^2 = exp(-i H0 dt) broadcast to a
+        contiguous (dim, M) array so that it multiplies a block element by
+        element rather than row by row.
 
-        `step(src, dst, phase, c, cf)` is D (V (P (V^T (D src)))) into
-        `dst`, which may be `src` itself.  The coefficients c = V^T D src go
-        into the C-contiguous complex (dim, M) block `c` through its float64
-        view `cf`: the step's own scratch or a slot of the caller's arrays.
-        `phase` is P(E), a (dim, 1) column or a full-width (dim, M) block,
-        and P c is left in b.  For E = 0 `phase` is None and the step is the
-        diagonal D (D src), so amplitudes that are exactly zero stay zero; it
-        then forms c only when `cf` is not None.  `src` is read in full
-        before `dst` is written, so a sweep can step from one slot of a
-        buffer into another.  The callable holds every operand as a local
-        and passes every output positionally; it makes no temporary array,
-        and `np.dot` hands the contiguous float64 views straight to BLAS.
+        The step acts on D-shifted states, x = D psi (see `shift`): the
+        closing D of one split step and the opening D of the next are one
+        multiply by D^2.  `step(src, src_f, dst, phase, c, cf)` is
+        D^2 (V (P (V^T src))) into `dst`, which may be `src` itself; `src` is
+        C-contiguous and `src_f` is its float64 view.  The coefficients
+        c = V^T src, which are V^T D psi, go into the C-contiguous complex
+        (dim, M) block `c` through its float64 view `cf`: the step's own
+        scratch or a slot of the caller's arrays.  `phase` is P(E), a (dim, 1) column or a
+        full-width (dim, M) block, and P c is left in b.  For E = 0 `phase`
+        is None and the step is the diagonal D^2 src, so amplitudes that are
+        exactly zero stay zero; it then forms c only when `cf` is not None.
+        `src` is read in full before `dst` is written, so a sweep can step
+        from one slot of a buffer into another.  The callable holds every
+        operand as a local and passes every output positionally; it makes
+        no temporary array, and `np.dot` hands the contiguous float64 views
+        straight to BLAS.
 
-        The block step forms c with two half-size products, q^T on the even
-        rows and w^T on the odd ones, always into its own c, maps each
-        pair's rows (e, o) to (e + o, e - o), its +s_k and -s_k
-        coefficients, and then copies c through `cf` when that is the view
-        of another block.  After P c it goes back by the same sum and
-        difference and then q and w.  It reads no `c` of the caller.
+        The block step forms c with two half-size products: q^T on the even
+        rows, into its own c, and w^T on the odd ones, into an (r, M) pair
+        scratch t.  Since every odd row is a pair row, the difference and
+        then the sum of each pair's rows (e, o) land straight in its -s_k
+        and +s_k rows of c, and c is copied through `cf` when that is the
+        view of another block.  After P c the difference goes back into t,
+        which w multiplies, and the sum into the +s_k rows, which q
+        multiplies with the even null rows.  It reads no `c` of the caller.
         """
         # A (dim,) state or a (1, M) block would broadcast against the
-        # (dim, 1) half step into a wrong-shaped block instead of failing.
+        # (dim, 1) free step into a wrong-shaped block instead of failing.
         if block.ndim != 2 or block.shape[0] != len(self.half):
             raise InvalidSpecError(
                 f"expected a ({len(self.half)}, M) block of states, got shape {block.shape}"
             )
-        half = np.ascontiguousarray(np.broadcast_to(self.half, block.shape))
+        free = np.ascontiguousarray(np.broadcast_to(self.free, block.shape))
         x, b, own_c = (np.empty(block.shape, dtype=complex) for _ in range(3))
         xf, bf, own_cf = (a.view(np.float64) for a in (x, b, own_c))
         multiply, dot = np.multiply, np.dot
         if not self.block:
             v, vt = self.v, self.vt
 
-            def step(src, dst, phase, c, cf):
-                multiply(half, src, x)
+            def step(src, src_f, dst, phase, c, cf):
                 if cf is not None:
-                    dot(vt, xf, cf)
+                    dot(vt, src_f, cf)
                 if phase is not None:
                     multiply(phase, c, b)
                     dot(v, bf, xf)
-                multiply(half, x, dst)
+                    src = x
+                multiply(free, src, dst)
 
             return step, (x, b, own_c, own_cf)
 
@@ -462,30 +486,28 @@ class SplitStepKernel:
         q, qt, w, wt = self.parity.q, self.parity.q.T, self.parity.w, self.parity.w.T
         n_even = self.parity.n_even
         plus, minus = self.pairs
-        x_even, x_odd, b_even, b_odd = xf[:n_even], xf[n_even:], bf[:n_even], bf[n_even:]
-        c_even, c_odd = own_cf[:n_even], own_cf[n_even:]
+        x_even, x_odd, b_even, c_even = xf[:n_even], xf[n_even:], bf[:n_even], own_cf[:n_even]
         c_plus, c_minus, b_plus, b_minus = own_c[plus], own_c[minus], b[plus], b[minus]
         t = np.empty(c_minus.shape, dtype=complex)
+        tf = t.view(np.float64)
 
-        def step(src, dst, phase, c, cf):
-            multiply(half, src, x)
+        def step(src, src_f, dst, phase, c, cf):
             if cf is not None:
-                dot(qt, x_even, c_even)
-                dot(wt, x_odd, c_odd)
-                # Each pair's rows (e, o) to (e + o, e - o), in place through t.
-                subtract(c_plus, c_minus, t)
-                add(c_plus, c_minus, c_plus)
-                copyto(c_minus, t)
+                dot(qt, src_f[:n_even], c_even)
+                dot(wt, src_f[n_even:], tf)
+                # Each pair's rows (e, o), o in t, to (e + o, e - o).
+                subtract(c_plus, t, c_minus)
+                add(c_plus, t, c_plus)
                 if cf is not own_cf:
                     copyto(cf, own_cf)
             if phase is not None:
                 multiply(phase, own_c, b)
                 subtract(b_plus, b_minus, t)
                 add(b_plus, b_minus, b_plus)
-                copyto(b_minus, t)
                 dot(q, b_even, x_even)
-                dot(w, b_odd, x_odd)
-            multiply(half, x, dst)
+                dot(w, tf, x_odd)
+                src = x
+            multiply(free, src, dst)
 
         return step, (x, b, own_c, own_cf)
 
@@ -513,7 +535,8 @@ def propagate(
     have the same shape.  The loop takes the kernel's `stepper` once and
     the field's phases from `phase_table`, `CHUNK_STEPS` rows at a time,
     into one (CHUNK_STEPS, dim, 1) scratch; a step whose sample is exactly
-    zero stays diagonal.  `record` is the sampling stride: 1 stores every
+    zero stays diagonal.  It steps x = D psi and shifts back each frame it
+    records after the first, which is psi0 itself.  `record` is the sampling stride: 1 stores every
     step, k every k-th step, None only the final state.  The initial state
     and the final state are always part of a recorded trajectory.
     `absorber` is an optional (labels, strength) pair: after every step the
@@ -542,30 +565,31 @@ def propagate(
         mask = kernel.to_kernel_order(mask)
 
     shape = psi0.amplitudes.shape
-    block = np.array(kernel.to_kernel_order(psi0.amplitudes), dtype=complex, order="C")
-    block = block.reshape(h.dim, -1)
+    # x = D psi, the state the steps carry; the absorber's mask commutes with D.
+    x = kernel.shift(kernel.to_kernel_order(psi0.amplitudes).reshape(h.dim, -1))
+    x_f = x.view(np.float64)
 
     def amplitudes():
-        return kernel.to_basis_order(block).reshape(shape)
+        return kernel.to_basis_order(kernel.unshift(x)).reshape(shape)
 
-    step, (_, _, c, cf) = kernel.stepper(block)
+    step, (_, _, c, cf) = kernel.stepper(x)
     phases = np.ones((CHUNK_STEPS, h.dim, 1), dtype=complex)
     fields = pulse.samples[:-1].tolist()
     t = pulse.t0
     trajectory: list[WavePacket] = []
     if record is not None:
-        trajectory.append(WavePacket(amplitudes=amplitudes(), time=t))
+        trajectory.append(WavePacket(amplitudes=np.array(psi0.amplitudes, dtype=complex), time=t))
 
     for start in range(0, pulse.n_steps, CHUNK_STEPS):
         stop = min(start + CHUNK_STEPS, pulse.n_steps)
         kernel.phase_table(pulse.samples[start : stop + 1], out=phases[: stop - start])
         for j in range(start, stop):
             if fields[j] != 0.0:
-                step(block, block, phases[j - start], c, cf)
+                step(x, x_f, x, phases[j - start], c, cf)
             else:
-                step(block, block, None, None, None)
+                step(x, x_f, x, None, None, None)
             if mask is not None:
-                np.multiply(block, mask, out=block)
+                np.multiply(x, mask, out=x)
             t += pulse.dt
             if record is not None and ((j + 1) % record == 0 or j + 1 == pulse.n_steps):
                 trajectory.append(WavePacket(amplitudes=amplitudes(), time=t))

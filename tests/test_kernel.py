@@ -10,8 +10,10 @@ The same set-up bounds the sweeps' memory, pins the in-place sweeps and
 table that one iteration hands to the next, checks that delta3 flags
 costates that do not belong to the field, checks the update sweep's
 half-chunk cross-term against the oracle and a per-step sum, pins the
-numpy calls that each sweep makes per step, and checks that the sweeps
-give the same bytes whatever the memory layout of the input block.  The
+numpy calls of one step and those that each sweep makes per step, and
+checks that the sweeps give the same bytes whatever the memory layout of
+the input block.  The steps act on D-shifted blocks, x = D psi, and the
+written-out references take the same operation order.  The
 oracle comparisons, the delta3 check, the memory bound, the phase rows and
 the per-step call counts also run on the parity-block step, which a
 55-state kernel takes when it is built with `block=True` (and the public
@@ -98,11 +100,11 @@ def _engine_blocks(setup, kernel, bits):
 def _eigenvectors(kernel):
     """V with its rows and its columns in the kernel's row order, read off
     the step: column i is the eigenvector of z whose coefficient the step
-    keeps in row i.  The zero-field step of D^-1 (every basis state) forms
-    c = V^T."""
-    dim = kernel.h.dim
-    step, (x, _, c, cf) = kernel.stepper(np.empty((dim, dim), dtype=complex))
-    step(np.diag(1.0 / kernel.half[:, 0]), x, None, c, cf)
+    keeps in row i.  The zero-field step of the identity (every basis state)
+    forms c = V^T."""
+    eye = np.eye(kernel.h.dim, dtype=complex)
+    step, (x, _, c, cf) = kernel.stepper(eye)
+    step(eye, eye.view(np.float64), x, None, c, cf)
     return c.T.real
 
 
@@ -113,14 +115,16 @@ def _step_coefficients(kernel, states):
 
 
 def _step(kernel, block, e_field):
-    """One `stepper` step of `block` under `e_field`, as a new block: the
-    phase is the sample's `phase_table` row, and none where it is zero."""
+    """One `stepper` step of the D-shifted C-contiguous `block` under
+    `e_field`, as a new block: the phase is the sample's `phase_table` row,
+    and none where it is zero."""
     step, (_, _, c, cf) = kernel.stepper(block)
     out = np.empty(block.shape, dtype=complex)
     if e_field != 0.0:
-        step(block, out, kernel.phase_table(np.array([e_field, 0.0]))[0], c, cf)
+        phase = kernel.phase_table(np.array([e_field, 0.0]))[0]
+        step(block, block.view(np.float64), out, phase, c, cf)
     else:
-        step(block, out, None, None, None)
+        step(block, block.view(np.float64), out, None, None, None)
     return out
 
 
@@ -203,14 +207,15 @@ def test_public_backward_propagate_matches_oracle(both):
 
 
 def test_costate_sweep_matches_oracle(both):
-    # z lam_j for the increment at t_j, and V^T D* lam_{j+1} for the
-    # cross-term of step j, both formed from the oracle's costates in the
-    # kernel's row order: parity order for the block step.
+    # D z lam_j for the increment at t_j, which the update sweep takes
+    # against x_j = D psi_j, and V^T D* lam_{j+1} for the cross-term of step
+    # j, both formed from the oracle's costates in the kernel's row order:
+    # parity order for the block step.
     for setup in both:
         h, kernel = setup["h"], setup["kernel"]
         half_adjoint = np.exp(0.5j * setup["pulse"].dt * h.energies)
         for i, costates in enumerate(setup["ref_costates"]):
-            z_lam = kernel.to_kernel_order(costates[:-1] @ h.z_matrix.T, axis=1)
+            z_lam = kernel.to_kernel_order(costates[:-1] @ h.z_matrix.T / half_adjoint, axis=1)
             coeffs = _step_coefficients(kernel, costates[1:] * half_adjoint)
             scale = np.max(np.abs(z_lam))
             assert np.max(np.abs(setup["z_lam"][:, :, i] - z_lam)) <= 1e-12 * scale
@@ -292,7 +297,8 @@ def test_update_sweep_forms_the_cross_term_per_half_chunk(setup, block_setup, n_
     expected, _, expected_cross = ref._sweep(psi0, costates, pulse, penalty, h, zsys)
 
     half_adjoint = np.exp(0.5j * pulse.dt * h.energies)
-    z_lam = np.stack([lam[:-1] @ h.z_matrix.T for lam in costates], axis=2)
+    # D z lam_j, as `_apply_z` leaves it.
+    z_lam = np.stack([lam[:-1] @ h.z_matrix.T / half_adjoint for lam in costates], axis=2)
     z_lam = kernel.to_kernel_order(z_lam, axis=1)
     coeffs = np.stack(
         [_step_coefficients(kernel, lam[1:] * half_adjoint) for lam in costates], axis=2
@@ -319,14 +325,14 @@ def test_update_sweep_forms_the_cross_term_per_half_chunk(setup, block_setup, n_
     phases = kernel.phase_table(samples)
     delta = phases - kernel.phase_table(pulse.samples)
     step, (_, _, c, cf) = kernel.stepper(block)
-    psi = block.copy()
+    x = kernel.shift(block)
     per_step, size = 0.0 + 0.0j, 0.0
     for j in range(pulse.n_steps):
-        step(psi, psi, phases[j] if samples[j] != 0.0 else None, c, cf)
+        step(x, x.view(np.float64), x, phases[j] if samples[j] != 0.0 else None, c, cf)
         term = np.vdot(coeffs[j], delta[j] * c)
         per_step += term
         size += abs(term)
-    assert np.array_equal(psi, final)
+    assert np.array_equal(kernel.unshift(x), final)
     assert abs(cross - per_step) <= 1e-14 * size
 
 
@@ -457,22 +463,32 @@ def test_sweeps_hold_two_costate_arrays_and_one_phase_table(
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_step_is_the_written_out_split_step(setup, sign):
-    # Bit for bit, the operation order D (V (P (V^T (D x)))), with V and V^T
-    # applied to the float64 view, and D (D x) where the field is zero.
+    # Bit for bit, on the D-shifted block x = D psi, the operation order
+    # D^2 (V (P (V^T x))), with V and V^T applied to the float64 view, and
+    # D^2 x where the field is zero; D^2 is exp(-i H0 dt) itself.  Shifted
+    # back, that is the split step D V P V^T D psi up to rounding.
     kernel = SplitStepKernel(setup["h"], setup["zsys"], sign * DT)
-    block = np.stack(setup["psi0"], axis=1)
-    half = kernel.half
+    psi = np.stack(setup["psi0"], axis=1)
+    half, free = kernel.half, kernel.free
+    block = kernel.shift(psi)
+    assert np.array_equal(block, half * psi)
+    assert np.array_equal(kernel.unshift(block), np.conj(half) * block)
+    assert np.array_equal(free, np.exp(-1j * kernel.dt * kernel.h.energies)[:, None])
 
     def real(m, x):
         return (m @ x.view(np.float64)).view(np.complex128)
 
     for e_field in (0.0, 1.3e-7):
         if e_field == 0.0:
-            expected = half * (half * block)
+            expected = free * block
+            split = half * (half * psi)
         else:
             phase = np.exp(e_field * kernel.exponent)
-            expected = half * real(kernel.v, phase * real(kernel.vt, half * block))
-        assert np.array_equal(_step(kernel, block, e_field), expected)
+            expected = free * real(kernel.v, phase * real(kernel.vt, block))
+            split = half * real(kernel.v, phase * real(kernel.vt, half * psi))
+        step = _step(kernel, block, e_field)
+        assert np.array_equal(step, expected)
+        assert np.max(np.abs(kernel.unshift(step) - split)) <= 1e-15
 
 
 def test_update_sweep_without_costates_is_evolve(setup):
@@ -499,8 +515,9 @@ def test_update_sweep_without_costates_is_evolve(setup):
 
 
 def test_costate_sweep_is_the_adjoint_step_loop(setup):
-    # lam_j and V^T D* lam_{j+1} bit for bit, against one adjoint step at a
-    # time from T.
+    # mu_j = D* lam_j and V^T mu_{j+1} = V^T D* lam_{j+1} bit for bit,
+    # against one adjoint step at a time from mu_N, the adjoint kernel's
+    # shift of lam(T).
     h, pulse, kernel = setup["h"], setup["pulse"], setup["kernel"]
     lam_final = np.stack(setup["lam_final"], axis=1)
     work = _filled_work(kernel, pulse, len(MARKED))
@@ -510,36 +527,37 @@ def test_costate_sweep_is_the_adjoint_step_loop(setup):
     adjoint = kernel.adjoint()
     step, (_, _, c, cf) = adjoint.stepper(lam_final)
     phases = adjoint.phase_table(pulse.samples)
-    lam = lam_final
+    mu = adjoint.shift(lam_final)
     for j in range(pulse.n_steps - 1, -1, -1):
-        new = np.empty_like(lam)
-        # Every step forms c = V^T D* lam_{j+1}, a zero-field step as well.
-        step(lam, new, phases[j] if pulse.samples[j] != 0.0 else None, c, cf)
+        new = np.empty_like(mu)
+        # Every step forms c = V^T mu_{j+1}, a zero-field step as well.
+        step(mu, mu.view(np.float64), new, phases[j] if pulse.samples[j] != 0.0 else None, c, cf)
         assert np.array_equal(coeffs[j], c)
-        lam = new
-        assert np.array_equal(lam_buffer[j], lam)
+        mu = new
+        assert np.array_equal(lam_buffer[j], mu)
 
 
 def _numpy_calls(run):
-    """`run()` and the calls it made to the `dot` and `vdot` dispatchers, to
-    the `vecdot` and `subtract` ufuncs and to the `view` method.  The
-    dispatchers and `view` are counted with the interpreter's profile hook;
-    a ufunc call raises no profile event, so the two ufuncs are wrapped in
-    counters while `run()` runs (each sweep takes them from numpy when it
-    starts)."""
-    counts = {"dot": 0, "vdot": 0, "vecdot": 0, "subtract": 0, "view": 0}
-    ufuncs = {name: getattr(np, name) for name in ("vecdot", "subtract")}
+    """`run()` and the calls it made to the `dot`, `vdot` and `copyto`
+    dispatchers, to the `vecdot`, `multiply`, `add` and `subtract` ufuncs
+    and to the `view` method.  The dispatchers and `view` are counted with
+    the interpreter's profile hook; a ufunc call raises no profile event, so
+    the ufuncs are wrapped in counters while `run()` runs (each sweep and
+    each stepper takes them from numpy when it starts)."""
+    counts = dict.fromkeys(("dot", "vdot", "copyto", "vecdot", "multiply", "add", "subtract"), 0)
+    counts["view"] = 0
+    ufuncs = {name: getattr(np, name) for name in ("vecdot", "multiply", "add", "subtract")}
 
     def counted(name, ufunc):
-        def call(*args):
+        def call(*args, **kwargs):
             counts[name] += 1
-            return ufunc(*args)
+            return ufunc(*args, **kwargs)
 
         return call
 
     def profile(frame, event, arg):
         name = frame.f_code.co_name
-        if event == "call" and name in ("dot", "vdot"):
+        if event == "call" and name in ("dot", "vdot", "copyto"):
             if frame.f_code.co_filename.endswith("multiarray.py"):
                 counts[name] += 1
         elif event == "c_call" and getattr(arg, "__name__", None) == "view":
@@ -557,29 +575,65 @@ def _numpy_calls(run):
     return result, counts
 
 
+@pytest.mark.parametrize("block", [False, True], ids=["dense", "block"])
+def test_step_passes(setup, block):
+    # The passes of one step on a D-shifted block, into a slot of the
+    # caller: a field step is V^T, P, V and D^2, two `multiply` and two
+    # `dot` calls on the dense step, and a zero-field step one `multiply`.
+    # The block step's products are two half-size `dot`s each, and the sum
+    # and difference of each pair's rows one `subtract` and one `add` each
+    # way, through its pair scratch, with one `copyto` of c into the slot.
+    kernel = SplitStepKernel(setup["h"], setup["zsys"], DT, block=block)
+    x = kernel.shift(kernel.to_kernel_order(np.stack(setup["psi0"], axis=1)))
+    slot = np.empty_like(x)
+    phase = kernel.phase_table(np.array([1.3e-7, 0.0]))[0]
+    args = (x, x.view(np.float64), x)
+
+    def calls(*rest):
+        # The counts of a step, less those of binding the stepper.
+        def run(n_steps):
+            step, _ = kernel.stepper(x)
+            for _ in range(n_steps):
+                step(*args, *rest)
+
+        _, bound = _numpy_calls(lambda: run(0))
+        _, stepped = _numpy_calls(lambda: run(1))
+        return {name: stepped[name] - bound[name] for name in stepped if stepped[name] != bound[name]}
+
+    pairs = {"subtract": 2, "add": 2, "copyto": 1} if block else {}
+    assert calls(phase, slot, slot.view(np.float64)) == {"dot": 4 if block else 2, "multiply": 2, **pairs}
+    assert calls(None, None, None) == {"multiply": 1}
+
+
 def test_sweep_steps_make_only_their_blas_calls(setup):
     # Per step, the costate sweep calls `dot` twice, or once where the field
     # is exactly zero (V^T only: the diagonal shortcut); the update sweep
     # calls `vdot` once for the overlap and, where the sample changes, the
     # `dot`s of a step that forms c.  Its cross-term takes no call per step:
-    # one `subtract` and one `vecdot` per half chunk.  No step takes a
-    # `view`: each sweep takes its float64 views before its first step.
-    _assert_sweep_calls(setup, len(MARKED), dots=1, subtracts=0)
+    # one `subtract`, one `multiply` and one `vecdot` per half chunk.  No
+    # step takes a `view`: each sweep takes its float64 views before its
+    # first step.
+    _assert_sweep_calls(setup, len(MARKED), dots=1, pairs=0)
 
 
 @pytest.mark.parametrize("n_members", [1, 4])
 def test_block_sweep_steps_make_only_their_blas_calls(block_setup, n_members):
     # The same on the block step, whose products with V^T and V are two
-    # half-size `dot`s each, with one `subtract` for the difference of
-    # each pair's rows; its cross-term is the dense step's.
-    _assert_sweep_calls(block_setup, n_members, dots=2, subtracts=1)
+    # half-size `dot`s each, with one `subtract` and one `add` for the
+    # difference and the sum of each pair's rows, and which copies each c
+    # it forms into the caller's slot; its cross-term is the dense step's.
+    _assert_sweep_calls(block_setup, n_members, dots=2, pairs=1)
 
 
-def _assert_sweep_calls(setup, n_members, dots, subtracts):
+def _assert_sweep_calls(setup, n_members, dots, pairs):
     """The calls of both sweeps on the first `n_members` members of
-    `setup`: `dots` `dot` calls and `subtracts` `subtract` calls per
-    product with V^T or V, one `vecdot` and one more `subtract` per half
-    chunk of the cross-term, and no more than four `view` calls per sweep."""
+    `setup`: `dots` `dot` calls and `pairs` `subtract` and `add` calls per
+    product with V^T or V, and `pairs` `copyto` calls per c formed; one
+    `multiply` per step for D^2, one more per field step for P and, in the
+    update sweep, one per step for its phase row; one `multiply` each way
+    across the sweep's boundary; one `vecdot`, one `copyto` and one more
+    `subtract` and `multiply` per half chunk of the cross-term; and no more
+    than eight `view` calls per sweep, whatever the number of steps."""
     h, pulse, penalty, kernel = setup["h"], setup["pulse"], setup["penalty"], setup["kernel"]
     n_steps = pulse.n_steps
     half_chunks = -(-n_steps // (CHUNK_STEPS // 2))
@@ -587,11 +641,14 @@ def _assert_sweep_calls(setup, n_members, dots, subtracts):
     lam_final = kernel.to_kernel_order(np.stack(setup["lam_final"][:n_members], axis=1))
     work = _filled_work(kernel, pulse, n_members)
     _, counts = _numpy_calls(lambda: _costate_sweep(kernel, lam_final, pulse.samples, work))
-    products = 2 * n_steps - np.count_nonzero(old == 0.0)
+    field_steps = np.count_nonzero(old)
+    products = n_steps + field_steps
     assert counts["dot"] == dots * products
-    assert counts["subtract"] == subtracts * products
+    assert counts["subtract"] == counts["add"] == pairs * products
+    assert counts["copyto"] == pairs * n_steps
+    assert counts["multiply"] == 1 + n_steps + field_steps
     assert counts["vdot"] == counts["vecdot"] == 0
-    assert counts["view"] <= 4
+    assert counts["view"] <= 8
 
     psi0 = kernel.to_kernel_order(np.stack(setup["psi0"][:n_members], axis=1))
     z_lam, coeffs = (np.ascontiguousarray(setup[k][:, :, :n_members]) for k in ("z_lam", "coeffs"))
@@ -617,15 +674,19 @@ def _assert_sweep_calls(setup, n_members, dots, subtracts):
         products = 2 * nonzero + changed_to_zero
         assert counts["dot"] == dots * products
         assert counts["vdot"] == n_steps
-        assert counts["subtract"] == subtracts * products + half_chunks
+        assert counts["subtract"] == pairs * products + half_chunks
+        assert counts["add"] == pairs * products
+        assert counts["copyto"] == pairs * (nonzero + changed_to_zero) + half_chunks
+        assert counts["multiply"] == 2 + 2 * n_steps + nonzero + half_chunks
         assert counts["vecdot"] == half_chunks
-        assert counts["view"] <= 4
+        assert counts["view"] <= 8
 
 
 def test_apply_z_is_the_dim_major_chunk_product_in_place(setup):
-    # z lam_j replaces lam_j in the step-major buffer, which comes back
-    # itself, and equals bit for bit the product that z lam_j had when the
-    # costates were stored dim-major: z times 64 steps of the
+    # D z D mu_j, which is D z lam_j, replaces the shifted costate mu_j in
+    # the step-major buffer, which comes back itself, and equals bit for
+    # bit the product that z lam_j had when the costates were stored
+    # dim-major, between the two D's: z times 64 steps of the
     # (dim, n_steps x 2M) float64 view at a time, the last chunk a short one.
     # _apply_z multiplies half chunks; the buffer cut by 7 steps ends in a
     # short half chunk as well.
@@ -633,22 +694,27 @@ def test_apply_z_is_the_dim_major_chunk_product_in_place(setup):
     work = _work_arrays(pulse.n_steps, h.dim, len(MARKED))
     lam_final = np.stack(setup["lam_final"], axis=1)
     lam_buffer, _ = _costate_sweep(kernel, lam_final, pulse.samples, work)
+    d = kernel.half[:, :, None]
     assert (pulse.n_steps - 7) % (CHUNK_STEPS // 2) != 0
     for costates in (lam_buffer, lam_buffer[:-7]):
         n_steps = len(costates)
-        dim_major = np.ascontiguousarray(costates.transpose(1, 0, 2))
+        # Each D multiplies as in `_apply_z`, across the transposition: numpy
+        # takes a different inner loop, with other bits, for strided operands.
+        dim_major = np.empty((h.dim, n_steps, len(MARKED)), dtype=complex)
+        np.multiply(d, costates.transpose(1, 0, 2), out=dim_major)
         flat = dim_major.reshape(h.dim, -1).view(np.float64)
         width = 2 * len(MARKED) * 64
         for start in range(0, flat.shape[1], width):
             chunk = flat[:, start : start + width]
             chunk[...] = kernel.zsys.z @ chunk
+        expected = np.empty_like(costates)
+        np.multiply(d, dim_major, out=expected.transpose(1, 0, 2))
         # What the scratch held before does not reach the product.
         for scratch in (work[2], np.full_like(work[2], np.nan)):
             z_lam = _apply_z(kernel, costates.copy(), scratch)
             assert z_lam.shape == (n_steps, h.dim, len(MARKED))
             assert z_lam.flags.c_contiguous
-            for j in range(n_steps):
-                assert np.array_equal(z_lam[j], dim_major[:, j])
+            assert np.array_equal(z_lam, expected)
     assert _apply_z(kernel, lam_buffer, work[2]) is lam_buffer
 
 
@@ -711,12 +777,17 @@ def _layouts(h, rng):
 
 @pytest.mark.parametrize("e_field", [0.0, 1.3e-7])
 def test_kernel_step_ignores_memory_layout(setup, e_field):
+    # The shift into the steps' form takes any layout to a C-contiguous
+    # block, which the step reads through its float64 view.
     kernel = setup["kernel"]
     for block, copy in _layouts(setup["h"], np.random.default_rng(3)):
         if block.ndim == 1:
             # The kernel steps (dim, M) blocks; one state is a (dim, 1) column.
             block, copy = block[:, None], copy[:, None]
-        assert np.array_equal(_step(kernel, block, e_field), _step(kernel, copy, e_field))
+        shifted = kernel.shift(block)
+        assert shifted.flags.c_contiguous
+        assert np.array_equal(shifted, kernel.shift(copy))
+        assert np.array_equal(_step(kernel, shifted, e_field), _step(kernel, kernel.shift(copy), e_field))
 
 
 @pytest.mark.parametrize("e_field", [0.0, 1.3e-7])
@@ -766,22 +837,26 @@ def test_propagate_is_the_plain_stepper_loop(setup):
     mask[[h.index(label) for label in absorbed]] = 1.0 - strength
     step, (_, _, c, cf) = kernel.stepper(block)
     phases = kernel.phase_table(samples)
+    # The loop steps x = D psi; the mask commutes with D, and each frame
+    # after the first is D* x.
+    x = kernel.shift(block)
+    x_f = x.view(np.float64)
     expected, times = [block.copy()], [pulse.t0]
     for j in range(pulse.n_steps):
         if samples[j] != 0.0:
-            step(block, block, phases[j], c, cf)
+            step(x, x_f, x, phases[j], c, cf)
         else:
-            step(block, block, None, None, None)
-        np.multiply(block, mask, out=block)
+            step(x, x_f, x, None, None, None)
+        np.multiply(x, mask, out=x)
         if (j + 1) % record == 0 or j + 1 == pulse.n_steps:
-            expected.append(block.copy())
+            expected.append(kernel.unshift(x))
             times.append(pulse.t0 + (j + 1) * pulse.dt)
     assert len(trajectory) == len(expected) == pulse.n_steps // record + 2
     for packet, amplitudes, t in zip(trajectory, expected, times):
         assert np.array_equal(packet.amplitudes, amplitudes)
         assert packet.time == pytest.approx(t, rel=1e-12)
-    assert np.array_equal(final.amplitudes, block)
-    assert np.max(np.linalg.norm(block, axis=0)) < 1.0
+    assert np.array_equal(final.amplitudes, expected[-1])
+    assert np.max(np.linalg.norm(expected[-1], axis=0)) < 1.0
 
 
 def test_sweeps_ignore_memory_layout_and_leave_their_input(setup):

@@ -13,11 +13,13 @@ import pytest
 from scipy.linalg import expm
 
 from rydoct import (
+    HamiltonianData,
     InvalidSpecError,
     OctProblem,
     PenaltySchedule,
     PulseGrid,
     RegisterSpec,
+    StateLabel,
     WavePacket,
     backward_propagate,
     boundary_labels,
@@ -81,6 +83,33 @@ class TestSvdEigensystem:
         with pytest.raises(InvalidSpecError, match="even l to odd l"):
             SplitStepKernel(dense8, zsys, 0.1, block=True)
 
+    def test_b_without_a_pair_for_every_odd_state_takes_the_dense_step(self, monkeypatch):
+        # Two s states and three p states: z is bipartite, but B (2 x 3) has
+        # two singular pairs for three odd rows, so the block step, which
+        # keeps every odd row in its pair scratch, does not fit.  The
+        # kernel takes the dense step at any size, rejects `block=True`, and
+        # `propagate` matches the expm split step.
+        rng = np.random.default_rng(6)
+        labels = tuple(StateLabel(n, l) for l, ns in ((0, (5, 6)), (1, (5, 6, 7))) for n in ns)
+        z = np.zeros((5, 5))
+        z[:2, 2:] = rng.normal(size=(2, 3))
+        z += z.T
+        h = HamiltonianData(labels, np.sort(rng.uniform(-1.0, -0.1, 5)), z, provenance="test")
+        zsys = precompute_z_eigensystem(h)
+        assert zsys.parity is not None and len(zsys.parity.s) == 2 < h.dim - zsys.parity.n_even
+        monkeypatch.setattr(propagation, "BLOCK_STEP_MIN_DIM", 0)
+        assert not SplitStepKernel(h, zsys, 0.1).block
+        with pytest.raises(InvalidSpecError, match="no more odd-l states"):
+            SplitStepKernel(h, zsys, 0.1, block=True)
+        samples = np.append(0.3 * rng.normal(size=20), 0.0)
+        psi = _states(5, 2, seed=7)
+        half = np.exp(-0.05j * h.energies)[:, None]
+        expected = psi.copy()
+        for e_field in samples[:-1]:
+            expected = half * (expm(-0.1j * e_field * z) @ (half * expected))
+        _, final = propagate(WavePacket(psi), PulseGrid(0.0, 0.1, samples), h, zsys)
+        assert np.max(np.abs(final.amplitudes - expected)) <= 1e-13
+
     def test_step_is_chosen_by_basis_size(self, cesium_h, cesium_zsys, full_h, full_zsys):
         assert cesium_h.dim < BLOCK_STEP_MIN_DIM <= full_h.dim
         assert not SplitStepKernel(cesium_h, cesium_zsys, DT).block
@@ -112,27 +141,28 @@ class TestBlockStep:
         finals = {}
         for block in (False, True):
             kernel = SplitStepKernel(h, zsys, sign * DT, block=block)
-            state = kernel.to_kernel_order(_states(h.dim, 3, seed=4))
+            state = kernel.shift(kernel.to_kernel_order(_states(h.dim, 3, seed=4)))
             step, (_, _, c, cf) = kernel.stepper(state)
             phases = kernel.phase_table(samples)
             for j, e_field in enumerate(samples[:-1]):
-                step(state, state, phases[j] if e_field != 0.0 else None, c, cf)
-            finals[block] = kernel.to_basis_order(state)
+                phase = phases[j] if e_field != 0.0 else None
+                step(state, state.view(np.float64), state, phase, c, cf)
+            finals[block] = kernel.to_basis_order(kernel.unshift(state))
         assert np.max(np.abs(finals[True] - finals[False])) <= 1e-12
 
     def test_zero_field_steps_stay_diagonal(self, full_h, full_zsys):
-        # D (D x) bit for bit, so amplitudes that are exactly zero stay zero,
+        # D^2 x bit for bit, so amplitudes that are exactly zero stay zero,
         # through the stepper and through `propagate`.
         kernel = SplitStepKernel(full_h, full_zsys, DT)
         assert kernel.block
         psi = _states(full_h.dim, 2, seed=5)
         psi[::3] = 0.0
         psi /= np.linalg.norm(psi, axis=0)
-        state = kernel.to_kernel_order(psi)
+        state = kernel.shift(kernel.to_kernel_order(psi))
         step, _ = kernel.stepper(state)
         out = np.empty_like(state)
-        step(state, out, None, None, None)
-        assert np.array_equal(out, kernel.half * (kernel.half * state))
+        step(state, state.view(np.float64), out, None, None, None)
+        assert np.array_equal(out, kernel.free * state)
         _, final = propagate(WavePacket(psi), PulseGrid.zeros(0.0, DT, 30), full_h, full_zsys)
         assert np.all(final.amplitudes[::3] == 0.0)
         assert np.max(np.abs(np.abs(final.amplitudes) - np.abs(psi))) <= 1e-14
