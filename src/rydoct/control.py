@@ -363,7 +363,9 @@ def _update_sweep(
     write_phase = kernel.phase_writer(table)
     psi = kernel.shift(psi0)
     psi_f = psi.view(np.float64)
-    multiply, subtract, vdot, vecdot = np.multiply, np.subtract, np.vdot, np.vecdot
+    multiply, subtract, vecdot = np.multiply, np.subtract, np.vecdot
+    # The C function behind `np.vdot`, without its Python-level dispatcher.
+    vdot = np.vdot._implementation
     cross_term = 0.0 + 0.0j
     weights = penalty.samples.tolist()
     new_samples = pulse.samples.astype(float)

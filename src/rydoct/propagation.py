@@ -447,7 +447,9 @@ class SplitStepKernel:
         from one slot of a buffer into another.  The callable holds every
         operand as a local and passes every output positionally; it makes
         no temporary array, and `np.dot` hands the contiguous float64 views
-        straight to BLAS.
+        straight to BLAS.  It calls the C functions behind `np.dot` and
+        `np.copyto` (their `_implementation`), which skips the Python-level
+        `__array_function__` dispatcher that each call would otherwise run.
 
         The block step forms c with two half-size products: q^T on the even
         rows, into its own c, and w^T on the odd ones, into an (r, M) pair
@@ -467,7 +469,9 @@ class SplitStepKernel:
         free = np.ascontiguousarray(np.broadcast_to(self.free, block.shape))
         x, b, own_c = (np.empty(block.shape, dtype=complex) for _ in range(3))
         xf, bf, own_cf = (a.view(np.float64) for a in (x, b, own_c))
-        multiply, dot = np.multiply, np.dot
+        # `np.dot` and `np.copyto` run a Python-level dispatcher on every
+        # call; a step calls the C functions behind them.
+        multiply, dot = np.multiply, np.dot._implementation
         if not self.block:
             v, vt = self.v, self.vt
 
@@ -482,7 +486,7 @@ class SplitStepKernel:
 
             return step, (x, b, own_c, own_cf)
 
-        add, subtract, copyto = np.add, np.subtract, np.copyto
+        add, subtract, copyto = np.add, np.subtract, np.copyto._implementation
         q, qt, w, wt = self.parity.q, self.parity.q.T, self.parity.w, self.parity.w.T
         n_even = self.parity.n_even
         plus, minus = self.pairs

@@ -537,13 +537,18 @@ def test_costate_sweep_is_the_adjoint_step_loop(setup):
         assert np.array_equal(lam_buffer[j], mu)
 
 
+C_CALLS = ("dot", "vdot", "copyto", "view")
+
+
 def _numpy_calls(run):
-    """`run()` and the calls it made to the `dot`, `vdot` and `copyto`
-    dispatchers, to the `vecdot`, `multiply`, `add` and `subtract` ufuncs
-    and to the `view` method.  The dispatchers and `view` are counted with
-    the interpreter's profile hook; a ufunc call raises no profile event, so
-    the ufuncs are wrapped in counters while `run()` runs (each sweep and
-    each stepper takes them from numpy when it starts)."""
+    """`run()` and the calls it made to `dot`, `vdot` and `copyto`, to the
+    `vecdot`, `multiply`, `add` and `subtract` ufuncs and to the `view`
+    method.  The first three are counted with the interpreter's profile
+    hook, whether through numpy's Python-level dispatcher (a "call" event
+    in multiarray.py) or to the C function behind it (a "c_call" event), as
+    is `view`; a ufunc call raises no profile event, so the ufuncs are
+    wrapped in counters while `run()` runs (each sweep and each stepper
+    takes them from numpy when it starts)."""
     counts = dict.fromkeys(("dot", "vdot", "copyto", "vecdot", "multiply", "add", "subtract"), 0)
     counts["view"] = 0
     ufuncs = {name: getattr(np, name) for name in ("vecdot", "multiply", "add", "subtract")}
@@ -560,8 +565,8 @@ def _numpy_calls(run):
         if event == "call" and name in ("dot", "vdot", "copyto"):
             if frame.f_code.co_filename.endswith("multiarray.py"):
                 counts[name] += 1
-        elif event == "c_call" and getattr(arg, "__name__", None) == "view":
-            counts["view"] += 1
+        elif event == "c_call" and getattr(arg, "__name__", None) in C_CALLS:
+            counts[arg.__name__] += 1
 
     for name, ufunc in ufuncs.items():
         setattr(np, name, counted(name, ufunc))
@@ -598,10 +603,11 @@ def test_step_passes(setup, block):
 
         _, bound = _numpy_calls(lambda: run(0))
         _, stepped = _numpy_calls(lambda: run(1))
-        return {name: stepped[name] - bound[name] for name in stepped if stepped[name] != bound[name]}
+        return {name: n - bound[name] for name, n in stepped.items() if n != bound[name]}
 
     pairs = {"subtract": 2, "add": 2, "copyto": 1} if block else {}
-    assert calls(phase, slot, slot.view(np.float64)) == {"dot": 4 if block else 2, "multiply": 2, **pairs}
+    field_step = calls(phase, slot, slot.view(np.float64))
+    assert field_step == {"dot": 4 if block else 2, "multiply": 2, **pairs}
     assert calls(None, None, None) == {"multiply": 1}
 
 
@@ -694,13 +700,15 @@ def test_apply_z_is_the_dim_major_chunk_product_in_place(setup):
     work = _work_arrays(pulse.n_steps, h.dim, len(MARKED))
     lam_final = np.stack(setup["lam_final"], axis=1)
     lam_buffer, _ = _costate_sweep(kernel, lam_final, pulse.samples, work)
-    d = kernel.half[:, :, None]
     assert (pulse.n_steps - 7) % (CHUNK_STEPS // 2) != 0
     for costates in (lam_buffer, lam_buffer[:-7]):
         n_steps = len(costates)
-        # Each D multiplies as in `_apply_z`, across the transposition: numpy
-        # takes a different inner loop, with other bits, for strided operands.
-        dim_major = np.empty((h.dim, n_steps, len(MARKED)), dtype=complex)
+        # Each D multiplies as in `_apply_z`, from a contiguous block across
+        # the transposition: numpy takes a different inner loop, with other
+        # bits, for strided operands.
+        shape = (h.dim, n_steps, len(MARKED))
+        d = np.ascontiguousarray(np.broadcast_to(kernel.half[:, :, None], shape))
+        dim_major = np.empty(shape, dtype=complex)
         np.multiply(d, costates.transpose(1, 0, 2), out=dim_major)
         flat = dim_major.reshape(h.dim, -1).view(np.float64)
         width = 2 * len(MARKED) * 64
@@ -787,7 +795,8 @@ def test_kernel_step_ignores_memory_layout(setup, e_field):
         shifted = kernel.shift(block)
         assert shifted.flags.c_contiguous
         assert np.array_equal(shifted, kernel.shift(copy))
-        assert np.array_equal(_step(kernel, shifted, e_field), _step(kernel, kernel.shift(copy), e_field))
+        stepped = _step(kernel, kernel.shift(copy), e_field)
+        assert np.array_equal(_step(kernel, shifted, e_field), stepped)
 
 
 @pytest.mark.parametrize("e_field", [0.0, 1.3e-7])

@@ -96,7 +96,8 @@ class TestSvdEigensystem:
         z += z.T
         h = HamiltonianData(labels, np.sort(rng.uniform(-1.0, -0.1, 5)), z, provenance="test")
         zsys = precompute_z_eigensystem(h)
-        assert zsys.parity is not None and len(zsys.parity.s) == 2 < h.dim - zsys.parity.n_even
+        parity = zsys.parity
+        assert parity is not None and len(parity.s) == 2 < h.dim - parity.n_even
         monkeypatch.setattr(propagation, "BLOCK_STEP_MIN_DIM", 0)
         assert not SplitStepKernel(h, zsys, 0.1).block
         with pytest.raises(InvalidSpecError, match="no more odd-l states"):
