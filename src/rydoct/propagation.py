@@ -61,9 +61,9 @@ has: then the odd product lands in an (r, M) pair scratch and the pair
 sums and differences go straight into c, one `subtract` and one `add`
 each way, and a field step inside a sweep is 11 calls.  The crossover
 comes from timing one optimization iteration of each step, with one
-member and with four: the block step took 1.3-1.5x the dense step's time
-at 55 states, 0.89-1.03x at 154, 0.84-0.94x at 165, 0.83-0.87x at 187 and
-0.35-0.65x at 357.  With one member the dense step is still as fast up to
+member and with four: the block step took 1.2-1.5x the dense step's time
+at 55 states, 0.88-1.00x at 154, 0.84-0.96x at 165, 0.77-0.88x at 187 and
+0.34-0.64x at 357.  With one member the dense step is still as fast up to
 154 states, so smaller bases, and any z that is not bipartite or has more
 odd-l states than even-l ones, keep the dense step.
 
