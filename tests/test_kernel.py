@@ -381,7 +381,7 @@ def any_kernel(request, cesium_h, cesium_zsys, full_h, full_zsys):
 
 
 def test_step_coefficients_are_in_the_eigenbasis_of_z(any_kernel):
-    # c = V^T D x on either step kind, with V orthogonal and V diag(w) V^T
+    # c = V^T D psi on either step kind, with V orthogonal and V diag(w) V^T
     # = z in the kernel's row order, w = i exponent / dt row by row: the
     # diagonal that every phase row exp(E exponent) is formed from.
     kernel = any_kernel
