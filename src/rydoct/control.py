@@ -76,6 +76,7 @@ from .propagation import (
     ZEigensystem,
     precompute_z_eigensystem,
     propagate,
+    undispatched,
 )
 
 __all__ = [
@@ -365,7 +366,7 @@ def _update_sweep(
     psi_f = psi.view(np.float64)
     multiply, subtract, vecdot = np.multiply, np.subtract, np.vecdot
     # The C function behind `np.vdot`, without its Python-level dispatcher.
-    vdot = np.vdot._implementation
+    vdot = undispatched(np.vdot)
     cross_term = 0.0 + 0.0j
     weights = penalty.samples.tolist()
     new_samples = pulse.samples.astype(float)

@@ -68,12 +68,20 @@ MAX_BASIS_VALUES = 10_000_000
 
 #: Most values of the Husimi map's windows that `analyze` may form, window
 #: centers (every analysis.husimi_time_stride-th sample) x field samples.
-#: `husimi` holds a few such float64 arrays, about 24 B per value, and one
-#: (samples, 256) complex kernel, 4 KB per sample whatever the stride: 229 MB
-#: of traced allocations at 8 001 samples and stride 8 (8.0 M values and a
-#: 33 MB kernel).  The kernel is bounded by the field's length, which
-#: `read_field_csv` caps at MAX_PULSE_STEPS + 1 samples: 0.41 GB.
+#: It bounds the map's compute: each value costs one exp and 256 complex
+#: multiply-adds.  Memory is not what it bounds: `husimi` forms its windows
+#: and kernel `pulses.HUSIMI_BLOCK_SAMPLES` samples at a time, so it holds
+#: a few (centers, block) arrays and the (centers, 256) map, about 4 KB
+#: per center.
 MAX_HUSIMI_VALUES = 10_000_000
+
+#: Most samples of the zero-padded field whose spectrum `analyze` takes,
+#: analysis.pad_factor x field samples.  The spectrum and its nearest-gap
+#: column hold about 22 B per padded sample, 22 MB at this limit, and
+#: `spectrum.csv` gets one row per two padded samples.  The default padding
+#: (4) of the longest field that `optimize` may write, 4 x (MAX_PULSE_STEPS
+#: + 1) samples, fits.
+MAX_SPECTRUM_SAMPLES = 1_000_000
 
 DEFECT_PRESETS = {"hydrogen": {}, "cesium": CESIUM_DEFECTS}
 
@@ -435,11 +443,14 @@ def build_penalty(manifest: RunManifest, pulse: PulseGrid) -> PenaltySchedule:
 
 
 def _write_csv(path, header: list[str], rows) -> None:
-    """Write a header line, then rows: numbers at full precision, strings as given."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(c if isinstance(c, str) else _fmt(c) for c in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write a header line, then rows: numbers at full precision, strings as given.
+
+    Each line goes straight to the file's buffer, so the text is never held whole."""
+    with open(path, "w") as f:
+        f.write(",".join(header) + "\n")
+        f.writelines(
+            ",".join(c if isinstance(c, str) else _fmt(c) for c in row) + "\n" for row in rows
+        )
 
 
 def write_field_csv(path, pulse: PulseGrid) -> None:
@@ -643,6 +654,21 @@ def _optimize_universal(
     return {"metrics": metrics, "result": result, "decode_table": table}
 
 
+def _nearest_gap_distance(frequencies: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+    """|f - g| to the nearest of the sorted `gaps` for each frequency f.
+
+    For a fixed f, f - g rounds monotonically in g, so the nearest gap is
+    one of the two that bracket f in the sorted gaps, or the end one beyond
+    them: the same bytes as the minimum over all gaps, in memory that grows
+    with the frequencies alone.
+    """
+    above = np.searchsorted(gaps, frequencies)
+    return np.minimum(
+        np.abs(frequencies - gaps[np.maximum(above - 1, 0)]),
+        np.abs(frequencies - gaps[np.minimum(above, len(gaps) - 1)]),
+    )
+
+
 def _analyze(manifest: RunManifest, h: HamiltonianData, out: Path, field_path) -> dict:
     pulse = read_field_csv(field_path)
     # Every spectrum magnitude is at most dt sum |E_j|, and every Husimi
@@ -661,8 +687,15 @@ def _analyze(manifest: RunManifest, h: HamiltonianData, out: Path, field_path) -
             f"analysis.husimi_time_stride: {stride} gives {centers} window centers x "
             f"{n_samples} field samples, more than the limit of {MAX_HUSIMI_VALUES} values"
         )
+    pad_factor = manifest.analysis["pad_factor"]
+    if pad_factor * n_samples > MAX_SPECTRUM_SAMPLES:
+        raise ManifestError(
+            f"analysis.pad_factor: {pad_factor} x {n_samples} field samples is "
+            f"{pad_factor * n_samples} padded samples, more than the limit of "
+            f"{MAX_SPECTRUM_SAMPLES}"
+        )
 
-    spec_data = spectrum(pulse, pad_factor=manifest.analysis["pad_factor"])
+    spec_data = spectrum(pulse, pad_factor=pad_factor)
     # Distance from each spectral bin to the nearest dipole-allowed level gap;
     # observational output, the strong peaks need not sit on any gap.
     ls = np.array([s.l for s in h.labels])
@@ -673,9 +706,7 @@ def _analyze(manifest: RunManifest, h: HamiltonianData, out: Path, field_path) -
             "basis.l_max: analyze needs a dipole-allowed level gap to compare the "
             "spectrum with, and a basis with l_max < 2 has none"
         )
-    nearest = np.min(
-        np.abs(spec_data.frequencies[:, None] - gaps[None, :]), axis=1
-    )
+    nearest = _nearest_gap_distance(spec_data.frequencies, gaps)
     _write_csv(
         out / "spectrum.csv",
         ["frequency", "magnitude", "nearest_gap_distance"],

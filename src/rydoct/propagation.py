@@ -94,6 +94,13 @@ from .errors import InvalidSpecError
 
 #: Steps per block of phases that a sweep forms or copies at a time.
 CHUNK_STEPS = 64
+
+
+def undispatched(function):
+    """The C function behind a numpy function such as `np.dot`, without its
+    Python-level `__array_function__` dispatcher: its `_implementation`,
+    a private attribute, or `function` itself where numpy has none."""
+    return getattr(function, "_implementation", function)
 #: Smallest basis that takes the parity-block step, when z has parity blocks.
 BLOCK_STEP_MIN_DIM = 160
 
@@ -449,7 +456,8 @@ class SplitStepKernel:
         no temporary array, and `np.dot` hands the contiguous float64 views
         straight to BLAS.  It calls the C functions behind `np.dot` and
         `np.copyto` (their `_implementation`), which skips the Python-level
-        `__array_function__` dispatcher that each call would otherwise run.
+        `__array_function__` dispatcher that each call would otherwise run;
+        a numpy without that attribute costs only the dispatcher's time.
 
         The block step forms c with two half-size products: q^T on the even
         rows, into its own c, and w^T on the odd ones, into an (r, M) pair
@@ -471,7 +479,7 @@ class SplitStepKernel:
         xf, bf, own_cf = (a.view(np.float64) for a in (x, b, own_c))
         # `np.dot` and `np.copyto` run a Python-level dispatcher on every
         # call; a step calls the C functions behind them.
-        multiply, dot = np.multiply, np.dot._implementation
+        multiply, dot = np.multiply, undispatched(np.dot)
         if not self.block:
             v, vt = self.v, self.vt
 
@@ -486,7 +494,7 @@ class SplitStepKernel:
 
             return step, (x, b, own_c, own_cf)
 
-        add, subtract, copyto = np.add, np.subtract, np.copyto._implementation
+        add, subtract, copyto = np.add, np.subtract, undispatched(np.copyto)
         q, qt, w, wt = self.parity.q, self.parity.q.T, self.parity.w, self.parity.w.T
         n_even = self.parity.n_even
         plus, minus = self.pairs

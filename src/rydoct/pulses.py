@@ -17,6 +17,11 @@ __all__ = [
     "husimi",
 ]
 
+#: Field samples per block of the Husimi quadrature: `husimi` forms the
+#: windows and the kernel of one block at a time, so its memory grows with
+#: the map it returns and not with the field's length times its centers.
+HUSIMI_BLOCK_SAMPLES = 2048
+
 
 def half_cycle_pulse(
     peak: float,
@@ -103,7 +108,9 @@ def husimi(
 
     Computed by direct quadrature on the pulse grid.  `time_stride` thins the
     window centers; `frequencies` defaults to 256 points up to the grid
-    Nyquist angular frequency.
+    Nyquist angular frequency.  The quadrature runs over blocks of
+    `HUSIMI_BLOCK_SAMPLES` samples, each block's windows times its kernel
+    added to the amplitudes, so a field of one block is one product.
     """
     if sigma <= 0:
         raise InvalidSpecError("husimi window width must be positive")
@@ -113,12 +120,16 @@ def husimi(
     centers = t[::time_stride]
     if frequencies is None:
         frequencies = np.linspace(0.0, np.pi / pulse.dt, 256)
-    # windows[i, j] = E(t_j) g(t_j - tau_i)
-    windows = pulse.samples[None, :] * np.exp(
-        -((t[None, :] - centers[:, None]) ** 2) / (2.0 * sigma**2)
-    )
-    kernel = np.exp(-1j * np.outer(t, frequencies))
-    amplitude = (windows @ kernel) * pulse.dt
+    amplitude = np.zeros((len(centers), len(frequencies)), dtype=complex)
+    for start in range(0, len(t), HUSIMI_BLOCK_SAMPLES):
+        block = slice(start, start + HUSIMI_BLOCK_SAMPLES)
+        # windows[i, j] = E(t_j) g(t_j - tau_i) over the block's samples j
+        windows = pulse.samples[None, block] * np.exp(
+            -((t[None, block] - centers[:, None]) ** 2) / (2.0 * sigma**2)
+        )
+        kernel = np.exp(-1j * np.outer(t[block], frequencies))
+        amplitude += windows @ kernel
+    amplitude *= pulse.dt
     return HusimiMap(
         times=centers,
         frequencies=np.asarray(frequencies, dtype=float),

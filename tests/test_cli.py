@@ -30,6 +30,8 @@ from rydoct.manifest import (
     MAX_BASIS_VALUES,
     MAX_HUSIMI_VALUES,
     MAX_PULSE_STEPS,
+    MAX_SPECTRUM_SAMPLES,
+    _nearest_gap_distance,
     build_basis,
     build_guess_pulse,
     load_manifest,
@@ -343,6 +345,42 @@ class TestRunners:
         husimi_lines = (out / "husimi.csv").read_text().splitlines()
         assert husimi_lines[0].startswith("time,")
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_nearest_gap_is_the_minimum_over_all_gaps(self, data):
+        # The sorted search gives the bytes of the brute-force minimum for
+        # any sorted gaps: at exact hits, at midpoints and next to them, and
+        # below the smallest and above the largest gap.
+        scale = data.draw(st.sampled_from([1e-6, 1.0, 1e6]))
+        values = st.floats(min_value=-scale, max_value=scale)
+        gaps = np.unique(data.draw(st.lists(values, min_size=1, max_size=30)))
+        mids = (gaps[:-1] + gaps[1:]) / 2.0
+        ends = np.array([gaps[0] - scale, gaps[0], gaps[-1], gaps[-1] + scale])
+        picked = np.concatenate((gaps, mids, ends, data.draw(st.lists(values, max_size=30))))
+        frequencies = np.concatenate(
+            (picked, np.nextafter(picked, -np.inf), np.nextafter(picked, np.inf))
+        )
+        expected = np.min(np.abs(frequencies[:, None] - gaps[None, :]), axis=1)
+        assert _nearest_gap_distance(frequencies, gaps).tobytes() == expected.tobytes()
+
+    def test_analyze_memory_grows_with_its_outputs(self, tmp_path):
+        # 201 samples padded 1000-fold: 100 501 spectrum bins.  Every bin
+        # against every gap, or the whole text of spectrum.csv, does not fit.
+        data = tiny_manifest_dict(str(tmp_path / "out"))
+        data["analysis"]["pad_factor"] = 1000
+        manifest = parse_manifest(data)
+        h = build_basis(manifest)
+        field_path = tmp_path / "field.csv"
+        write_field_csv(field_path, build_guess_pulse(manifest))
+        tracemalloc.start()
+        try:
+            run("analyze", manifest, tmp_path / "ana", field_path, h=h)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len((tmp_path / "ana" / "spectrum.csv").read_text().splitlines()) == 100_502
+        assert peak < 10 * 2**20
+
     def test_run_decode_test_outputs(self, tiny_manifest_path, tmp_path):
         manifest = load_manifest(tiny_manifest_path)
         pulse = build_guess_pulse(manifest)
@@ -405,7 +443,7 @@ class TestCliEntryPoint:
 
     def test_oversized_husimi_map_is_a_json_error(self, tiny_manifest_path, tmp_path, capsys):
         # The fewest samples whose Husimi map at the manifest's stride holds
-        # more than the limit: about 0.24 GB of temporaries had husimi run.
+        # more than the limit: about 2.6 G complex multiply-adds had husimi run.
         stride = json.loads(tiny_manifest_path.read_text())["analysis"]["husimi_time_stride"]
         n_samples = math.isqrt(MAX_HUSIMI_VALUES * stride)
         while -(-n_samples // stride) * n_samples <= MAX_HUSIMI_VALUES:
@@ -446,6 +484,58 @@ class TestCliEntryPoint:
             assert main(argv + ["--out", str(tmp_path / f"o{limit}")]) == code
         assert "analysis.husimi_time_stride: " in capsys.readouterr().err
         assert (tmp_path / f"o{values}" / "husimi.csv").exists()
+
+    @pytest.mark.parametrize("pad_factor", ["fewest", 10**7])
+    def test_oversized_spectrum_is_a_json_error(self, tmp_path, capsys, pad_factor):
+        # The fewest padded samples over the limit, and a padding whose
+        # spectrum alone would take 30 GB.
+        data = tiny_manifest_dict(str(tmp_path / "out"))
+        pulse = build_guess_pulse(parse_manifest(data))
+        n_samples = len(pulse.samples)
+        if pad_factor == "fewest":
+            pad_factor = MAX_SPECTRUM_SAMPLES // n_samples + 1
+        data["analysis"]["pad_factor"] = pad_factor
+        path = tmp_path / "padded.json"
+        path.write_text(json.dumps(data))
+        field = tmp_path / "field.csv"
+        write_field_csv(field, pulse)
+        out = tmp_path / "o"
+        argv = ["analyze", "--manifest", str(path), "--field", str(field)]
+        tracemalloc.start()
+        try:
+            code = main(argv + ["--out", str(out)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        (line,) = err.strip().splitlines()
+        payload = json.loads(line)
+        assert set(payload) == {"error", "message"}
+        assert payload["error"] == "ManifestError"
+        assert payload["message"].startswith("analysis.pad_factor: ")
+        assert str(MAX_SPECTRUM_SAMPLES) in payload["message"]
+        assert peak < 4 * 2**20
+        assert not (out / "spectrum.csv").exists() and not (out / "husimi.csv").exists()
+
+    def test_spectrum_limit_is_inclusive(self, tiny_manifest_path, tmp_path, capsys, monkeypatch):
+        # A padded field of exactly the limit runs; one sample less of limit
+        # stops it.
+        data = json.loads(tiny_manifest_path.read_text())
+        pulse = build_guess_pulse(parse_manifest(data))
+        padded = data["analysis"]["pad_factor"] * len(pulse.samples)
+        field = tmp_path / "field.csv"
+        write_field_csv(field, pulse)
+        argv = ["analyze", "--manifest", str(tiny_manifest_path), "--field", str(field)]
+        for limit, code in ((padded, 0), (padded - 1, 1)):
+            monkeypatch.setattr(rydoct.manifest, "MAX_SPECTRUM_SAMPLES", limit)
+            assert main(argv + ["--out", str(tmp_path / f"o{limit}")]) == code
+        assert "analysis.pad_factor: " in capsys.readouterr().err
+        assert (tmp_path / f"o{padded}" / "spectrum.csv").exists()
+
+    def test_default_padding_of_the_longest_field_fits(self):
+        assert 4 * (MAX_PULSE_STEPS + 1) <= MAX_SPECTRUM_SAMPLES
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("key, value", [("penalty_base", 1e307), ("edge_multiplier", 1e308)])
@@ -758,8 +848,7 @@ class TestFieldCsvHardening:
 
     @pytest.mark.parametrize("command", ["analyze", "decode-test"])
     def test_overlong_field_is_a_json_error(self, tiny_manifest_path, tmp_path, capsys, command):
-        # One data row more than the longest field that `optimize` may write;
-        # its Husimi kernel alone would take 0.41 GB.
+        # One data row more than the longest field that `optimize` may write.
         field = tmp_path / "long.csv"
         write_field_csv(field, PulseGrid.zeros(0.0, 413.41, MAX_PULSE_STEPS + 2))
         argv = [command, "--manifest", str(tiny_manifest_path), "--field", str(field)]

@@ -726,6 +726,37 @@ def test_apply_z_is_the_dim_major_chunk_product_in_place(setup):
     assert _apply_z(kernel, lam_buffer, work[2]) is lam_buffer
 
 
+@pytest.mark.parametrize("block", [False, True], ids=["dense", "block"])
+def test_iterate_without_undispatched_numpy_functions(setup, block_setup, block, monkeypatch):
+    # The steps call the C functions behind `np.dot`, `np.vdot` and
+    # `np.copyto` through their private `_implementation`.  A numpy whose
+    # functions have none, here plain wrappers, costs only speed: one
+    # `_iterate` gives the same bits through the wrappers.
+    setup = block_setup if block else setup
+    pulse, kernel, penalty = setup["pulse"], setup["kernel"], setup["penalty"]
+    psi0, final, targets = _engine_blocks(setup, kernel, MARKED)
+
+    def iterate():
+        work = _filled_work(kernel, pulse, len(MARKED))
+        return _iterate(kernel, psi0, final, targets, pulse, penalty, work)
+
+    expected = iterate()
+    calls = dict.fromkeys(("dot", "vdot", "copyto"), 0)
+    for name in calls:
+
+        def plain(*args, _name=name, _function=getattr(np, name), **kwargs):
+            calls[_name] += 1
+            return _function(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, plain)
+    assert not hasattr(np.dot, "_implementation")
+    got = iterate()
+    assert calls["dot"] > 2 * pulse.n_steps and calls["vdot"] >= pulse.n_steps
+    assert calls["copyto"] >= (2 * pulse.n_steps if block else 1)
+    for a, b in zip(expected, got):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
 def test_delta3_flags_costates_that_do_not_belong_to_the_field(both, monkeypatch):
     # delta3 vanishes only when every costate slot holds the adjoint of
     # the field that the update sweep steps under: costates swept under a

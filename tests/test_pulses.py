@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rydoct import InvalidSpecError, PulseGrid, half_cycle_pulse, husimi, spectrum
+from rydoct.pulses import HUSIMI_BLOCK_SAMPLES
 from rydoct.units import parse_quantity
 
 
@@ -84,7 +85,40 @@ class TestSpectrum:
         assert np.all(np.diff(spec.frequencies) > 0)
 
 
+def _single_product_husimi(pulse, sigma, time_stride):
+    """The map as one product over the whole field: every window and the
+    whole (samples, 256) kernel at once."""
+    t = pulse.times()
+    centers = t[::time_stride]
+    frequencies = np.linspace(0.0, np.pi / pulse.dt, 256)
+    windows = pulse.samples[None, :] * np.exp(
+        -((t[None, :] - centers[:, None]) ** 2) / (2.0 * sigma**2)
+    )
+    kernel = np.exp(-1j * np.outer(t, frequencies))
+    return np.abs(((windows @ kernel) * pulse.dt).T) ** 2
+
+
 class TestHusimi:
+    @pytest.mark.parametrize("n_samples", [801, HUSIMI_BLOCK_SAMPLES])
+    def test_one_block_is_the_single_product(self, n_samples):
+        # Up to one block, the blockwise quadrature is the one product,
+        # byte for byte.
+        rng = np.random.default_rng(n_samples)
+        pulse = PulseGrid(0.0, 0.1, rng.normal(size=n_samples))
+        hm = husimi(pulse, sigma=6.0, time_stride=8)
+        expected = _single_product_husimi(pulse, 6.0, 8)
+        assert hm.intensity.tobytes() == expected.tobytes()
+
+    def test_blocks_add_up_to_the_single_product(self):
+        # Over more than two blocks only the summation order changes.
+        n_samples = 2 * HUSIMI_BLOCK_SAMPLES + 777
+        rng = np.random.default_rng(5)
+        pulse = PulseGrid(0.0, 0.1, rng.normal(size=n_samples))
+        hm = husimi(pulse, sigma=40.0, time_stride=41)
+        expected = _single_product_husimi(pulse, 40.0, 41)
+        assert hm.intensity.shape == expected.shape
+        assert np.max(np.abs(hm.intensity - expected)) <= 1e-12 * np.max(expected)
+
     def test_zero_field_identically_zero(self):
         pulse = PulseGrid.zeros(0.0, 0.1, 512)
         hm = husimi(pulse, sigma=5.0)
