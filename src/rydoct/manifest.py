@@ -20,7 +20,7 @@ import math
 import os
 import zlib
 from dataclasses import dataclass
-from itertools import count
+from itertools import count, islice
 from pathlib import Path
 from typing import Callable
 
@@ -445,12 +445,14 @@ def build_penalty(manifest: RunManifest, pulse: PulseGrid) -> PenaltySchedule:
 def _write_csv(path, header: list[str], rows) -> None:
     """Write a header line, then rows: numbers at full precision, strings as given.
 
-    Each line goes straight to the file's buffer, so the text is never held whole."""
+    The text is never held whole: the lines go to the file a thousand at a
+    time, one join and one write each, which is as fast as one join of all.
+    """
+    lines = (",".join(c if isinstance(c, str) else _fmt(c) for c in row) for row in rows)
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
-        f.writelines(
-            ",".join(c if isinstance(c, str) else _fmt(c) for c in row) + "\n" for row in rows
-        )
+        while chunk := list(islice(lines, 1000)):
+            f.write("\n".join(chunk) + "\n")
 
 
 def write_field_csv(path, pulse: PulseGrid) -> None:

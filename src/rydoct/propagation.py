@@ -95,12 +95,6 @@ from .errors import InvalidSpecError
 #: Steps per block of phases that a sweep forms or copies at a time.
 CHUNK_STEPS = 64
 
-
-def undispatched(function):
-    """The C function behind a numpy function such as `np.dot`, without its
-    Python-level `__array_function__` dispatcher: its `_implementation`,
-    a private attribute, or `function` itself where numpy has none."""
-    return getattr(function, "_implementation", function)
 #: Smallest basis that takes the parity-block step, when z has parity blocks.
 BLOCK_STEP_MIN_DIM = 160
 
@@ -114,6 +108,13 @@ __all__ = [
     "propagate",
     "boundary_labels",
 ]
+
+
+def undispatched(function):
+    """The C function behind a numpy function such as `np.dot`, without its
+    Python-level `__array_function__` dispatcher: its `_implementation`,
+    a private attribute, or `function` itself where numpy has none."""
+    return getattr(function, "_implementation", function)
 
 
 @dataclass
