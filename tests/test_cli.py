@@ -492,7 +492,7 @@ class TestCliEntryPoint:
     @pytest.mark.parametrize("pad_factor", ["fewest", 10**7])
     def test_oversized_spectrum_is_a_json_error(self, tmp_path, capsys, pad_factor):
         # The fewest padded samples over the limit, and a padding whose
-        # spectrum alone would take 30 GB.
+        # spectrum alone would need tens of GB.
         data = tiny_manifest_dict(str(tmp_path / "out"))
         pulse = build_guess_pulse(parse_manifest(data))
         n_samples = len(pulse.samples)

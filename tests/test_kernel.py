@@ -10,9 +10,10 @@ The same set-up bounds the sweeps' memory, pins the in-place sweeps and
 table that one iteration hands to the next, checks that delta3 flags
 costates that do not belong to the field, checks the update sweep's
 half-chunk cross-term against the oracle and a per-step sum, pins the
-numpy calls of one step and those that each sweep makes per step, and
-checks that the sweeps give the same bytes whatever the memory layout of
-the input block.  The steps act on D-shifted blocks, x = D psi, and the
+numpy calls of one step and those that each sweep makes per step, checks
+that one iteration gives the same bits through plain numpy functions as
+through the undispatched ones, and checks that the sweeps give the same
+bytes whatever the memory layout of the input block.  The steps act on D-shifted blocks, x = D psi, and the
 written-out references take the same operation order.  The
 oracle comparisons, the delta3 check, the memory bound, the phase rows and
 the per-step call counts also run on the parity-block step, which a
