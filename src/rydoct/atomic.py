@@ -379,15 +379,33 @@ def dipole_matrix_element(
     return angular_dipole_factor(lower.l) * radial
 
 
+def parity_rows(labels: Sequence[StateLabel]) -> tuple[np.ndarray, np.ndarray]:
+    """The indices of the even-l labels and of the odd-l labels, each in order.
+
+    The dipole rule |dl| = 1 couples only states of opposite l parity, so
+    the even-odd block z[even][:, odd] holds every nonzero of a z that obeys
+    it, once.
+    """
+    odd = np.array([label.l % 2 for label in labels], dtype=bool)
+    return np.flatnonzero(~odd), np.flatnonzero(odd)
+
+
 @dataclass
 class HamiltonianData:
-    """Field-free energies and the z (dipole) matrix over the basis labels."""
+    """Field-free energies and the z (dipole) matrix over the basis labels.
+
+    `parity_svd` is `np.linalg.svd` of z's even-odd block (see
+    `parity_rows`), the (u, s, wt) that numpy returns, when the basis came
+    with it, as a cached basis does; `precompute_z_eigensystem` then takes
+    it instead of calling LAPACK.  It is None otherwise.
+    """
 
     labels: tuple[StateLabel, ...]
     energies: np.ndarray
     z_matrix: np.ndarray
     provenance: str = "generated"
     basis_spec: BasisSpec | None = None
+    parity_svd: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
         self._index = {label: i for i, label in enumerate(self.labels)}

@@ -34,6 +34,7 @@ from .atomic import (
     RadialGrid,
     build_hamiltonian,
     load_hamiltonian,
+    parity_rows,
     save_hamiltonian,
 )
 from .control import UPDATE_MODE, OctProblem, OctResult, PenaltySchedule, optimize
@@ -308,7 +309,13 @@ def parse_manifest(data: dict) -> RunManifest:
 
 def build_basis(manifest: RunManifest) -> HamiltonianData:
     """The manifest's basis: its `hamiltonian_file`, or else a build that is
-    cached on disk (see `_cache_entry`) and read back on later runs."""
+    cached on disk (see `_cache_entry`) and read back on later runs.
+
+    A build, or its cached copy, carries the SVD of z's even-odd block
+    (`HamiltonianData.parity_svd`): a miss computes it once and stores it in
+    the entry, so that on a hit `precompute_z_eigensystem` calls no LAPACK
+    routine.  A `hamiltonian_file` carries none.
+    """
     cfg = manifest.basis
     if cfg.get("hamiltonian_file"):
         try:
@@ -331,82 +338,135 @@ def build_basis(manifest: RunManifest) -> HamiltonianData:
     h = _read_cached(entry, spec)
     if h is None:
         h = build_hamiltonian(spec, grid)
-        _write_cached(h, entry)
+        even, odd = parity_rows(h.labels)
+        block = np.ascontiguousarray(h.z_matrix[np.ix_(even, odd)])
+        h.parity_svd = np.linalg.svd(block)
+        _write_cached(entry, h, block)
     return h
 
 
 # ---------------------------------------------------------------------------
-# Basis cache: one Hamiltonian file per basis under $XDG_CACHE_HOME/rydoct,
-# ending in a "# crc32" comment line over the rest, which the loader skips.
-# A build is deterministic, so a hit gives the bytes a miss would.
+# Basis cache: one binary entry per basis under $XDG_CACHE_HOME/rydoct.
+# A build and its SVD are deterministic, so a hit gives the bytes a miss would.
 # ---------------------------------------------------------------------------
 
+#: The first line of every cache entry; the key's input text follows it.
+_ENTRY_MAGIC = b"rydoct basis cache 1\n"
 
-def _cache_entry(cfg: dict) -> Path | None:
-    """Where the build of basis section `cfg` is cached, or None for nowhere.
+
+def _cache_entry(cfg: dict) -> tuple[Path, bytes] | None:
+    """Where the build of basis section `cfg` is cached, and the header that
+    the entry there starts with; None for nowhere.
 
     The key covers every input of the build and the code that does it: the
     seven basis keys, the numpy version and the bytes of atomic.py.  It is
     made of zlib checksums, because hashlib would load OpenSSL into every
-    command.
+    command.  The header is `_ENTRY_MAGIC`, then the text of those inputs
+    and a newline, zero-padded to a multiple of 8 bytes, so an entry of
+    another basis that sits under this name is not read as this one.
+
+    The rest of the entry is little-endian float64, each array row-major:
+    the energies, the even-odd block B = z[even][:, odd] (`parity_rows`;
+    z is B and B^T), then `np.linalg.svd(B)`'s u, s and wt as numpy
+    returned them.  It ends in a little-endian CRC-32 of all that comes
+    before, header included.  The basis fixes every array's shape, so the
+    entry's length too.
     """
     base = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(base):
         base = os.path.join(os.path.expanduser("~"), ".cache")
     if not os.path.isabs(base):
         return None
-    inputs = (
-        cfg["n_min"],
-        cfg["n_max"],
-        cfg["l_max"],
-        sorted(cfg["defects"].items()),
-        cfg["grid_points"],
-        cfg["r_min"],
-        cfg["r_max"],
-        np.__version__,
-    )
+    inputs = repr(
+        (
+            cfg["n_min"],
+            cfg["n_max"],
+            cfg["l_max"],
+            sorted(cfg["defects"].items()),
+            cfg["grid_points"],
+            cfg["r_min"],
+            cfg["r_max"],
+            np.__version__,
+        )
+    ).encode()
     try:
-        data = repr(inputs).encode() + b"\0" + Path(atomic.__file__).read_bytes()
+        data = inputs + b"\0" + Path(atomic.__file__).read_bytes()
     except OSError:
         return None
-    return Path(base, "rydoct", f"{zlib.crc32(data):08x}{zlib.adler32(data):08x}.txt")
+    header = _ENTRY_MAGIC + inputs + b"\n"
+    header += b"\0" * (-len(header) % 8)
+    return Path(base, "rydoct", f"{zlib.crc32(data):08x}{zlib.adler32(data):08x}.bin"), header
 
 
-def _checksum_line(body: bytes) -> bytes:
-    return b"# crc32 %08x\n" % zlib.crc32(body)
+def _read_cached(entry: tuple[Path, bytes] | None, spec: BasisSpec) -> HamiltonianData | None:
+    """The cached basis with its parity-block SVD, or None when the entry is
+    missing, unreadable, of another length, fails its CRC-32, holds another
+    basis or does not validate.
 
-
-def _read_cached(entry: Path | None, spec: BasisSpec) -> HamiltonianData | None:
-    """The cached basis, or None when the entry is missing, unreadable,
-    cut short or holds another basis."""
+    Each array is read straight into its own buffer, and B is dropped once
+    z is formed from it.
+    """
     if entry is None:
         return None
+    path, header = entry
+    labels = tuple(spec.states())
+    even, odd = parity_rows(labels)
+    n_even, n_odd = len(even), len(odd)
+    arrays = [
+        np.empty(shape, "<f8")
+        for shape in (
+            len(labels),
+            (n_even, n_odd),
+            (n_even, n_even),
+            min(n_even, n_odd),
+            (n_odd, n_odd),
+        )
+    ]
     try:
-        data = entry.read_bytes()
-        body = data[: data.rfind(b"\n# crc32 ") + 1]
-        if not body or data[len(body) :] != _checksum_line(body):
-            return None
-        h = load_hamiltonian(entry)
-    except (OSError, RydoctError):
+        with open(path, "rb") as fh:
+            size = len(header) + sum(a.nbytes for a in arrays) + 4
+            if os.fstat(fh.fileno()).st_size != size or fh.read(len(header)) != header:
+                return None
+            crc = zlib.crc32(header)
+            for a in arrays:
+                if fh.readinto(a) != a.nbytes:
+                    return None
+                crc = zlib.crc32(a, crc)
+            if fh.read() != crc.to_bytes(4, "little"):
+                return None
+    except OSError:
         return None
-    if h.basis_spec != spec or h.labels != tuple(spec.states()):
+    energies, block, u, s, wt = arrays
+    z = np.zeros((len(labels), len(labels)))
+    z[np.ix_(even, odd)] = block
+    z[np.ix_(odd, even)] = block.T
+    h = HamiltonianData(labels, energies, z, basis_spec=spec, parity_svd=(u, s, wt))
+    try:
+        h.validate()
+    except ValidationError:
         return None
     return h
 
 
-def _write_cached(h: HamiltonianData, entry: Path | None) -> None:
-    """Store `h` at `entry` through a temporary file and a rename, so that a
-    reader sees the whole entry or none; a failed write caches nothing."""
+def _write_cached(entry: tuple[Path, bytes] | None, h: HamiltonianData, block: np.ndarray) -> None:
+    """Store `h`, its even-odd block and their SVD at `entry` through a
+    temporary file and a rename, so that a reader sees the whole entry or
+    none; a failed write caches nothing."""
     if entry is None:
         return
-    partial = entry.with_name(f"{entry.stem}.{os.getpid()}.tmp")
+    path, header = entry
+    partial = path.with_name(f"{path.stem}.{os.getpid()}.tmp")
     try:
-        entry.parent.mkdir(parents=True, exist_ok=True)
-        save_hamiltonian(h, partial)
-        checksum = _checksum_line(partial.read_bytes())
-        with open(partial, "ab") as fh:
-            fh.write(checksum)
-        os.replace(partial, entry)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        crc = zlib.crc32(header)
+        with open(partial, "wb") as fh:
+            fh.write(header)
+            for a in (h.energies, block, *h.parity_svd):
+                data = np.ascontiguousarray(a, "<f8")
+                fh.write(data)
+                crc = zlib.crc32(data, crc)
+            fh.write(crc.to_bytes(4, "little"))
+        os.replace(partial, path)
     except OSError:
         with contextlib.suppress(OSError):
             partial.unlink()
@@ -459,6 +519,19 @@ def write_field_csv(path, pulse: PulseGrid) -> None:
     _write_csv(path, ["time", "E"], zip(pulse.times(), pulse.samples))
 
 
+def _median(values: np.ndarray) -> float:
+    """`np.median` of `values`, which are not NaN, in the same bits, from one
+    sort: the middle value, or for an even count the two middle ones added
+    and halved.  Like np.median's mean, the sum starts from +0.0, which
+    turns a -0.0 into +0.0.  np.median imports numpy.ma on its first call,
+    which took about 10 ms of a fresh process."""
+    ordered = np.sort(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return float(0.0 + ordered[mid])
+    return float((0.0 + ordered[mid - 1] + ordered[mid]) / 2)
+
+
 def read_field_csv(path) -> PulseGrid:
     """Read a `time,E` field CSV, such as write_field_csv writes.
 
@@ -500,7 +573,7 @@ def read_field_csv(path) -> PulseGrid:
             f"{path}: line 3: the time step overflows (times {min(times)!r} to {max(times)!r})"
         )
     steps = np.diff(times)
-    median = float(np.median(steps))
+    median = _median(steps)
     slack = 1e-9 * median + 8 * np.finfo(float).eps * np.max(np.abs(times))
     uneven = np.flatnonzero(np.abs(steps - median) > slack)
     if median <= 0 or uneven.size:

@@ -89,7 +89,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .atomic import HamiltonianData, StateLabel
+from .atomic import HamiltonianData, StateLabel, parity_rows
 from .errors import InvalidSpecError
 
 #: Steps per block of phases that a sweep forms or copies at a time.
@@ -232,17 +232,17 @@ class ZEigensystem:
 
 
 def _parity_blocks(h: HamiltonianData, z: np.ndarray) -> ParityBlocks | None:
-    """The SVD of z's even-odd block, or None if z couples two states of one parity."""
-    odd = np.array([label.l % 2 for label in h.labels], dtype=bool)
-    if np.any(z[np.ix_(odd, odd)]) or np.any(z[np.ix_(~odd, ~odd)]):
+    """The SVD of z's even-odd block, or None if z couples two states of one
+    parity.  The SVD is `h.parity_svd` when the basis carries it."""
+    even, odd = parity_rows(h.labels)
+    if np.any(z[np.ix_(odd, odd)]) or np.any(z[np.ix_(even, even)]):
         return None
-    b = np.ascontiguousarray(z[np.ix_(~odd, odd)])
-    u, s, wt = np.linalg.svd(b)
+    b = np.ascontiguousarray(z[np.ix_(even, odd)])
+    u, s, wt = np.linalg.svd(b) if h.parity_svd is None else h.parity_svd
     r = len(s)
     q = np.concatenate([u[:, r:], u[:, :r] * np.sqrt(0.5)], axis=1)
     w = np.concatenate([wt[:r].T * np.sqrt(0.5), wt[r:].T], axis=1)
-    order = np.concatenate([np.flatnonzero(~odd), np.flatnonzero(odd)])
-    return ParityBlocks(order, b, q, w, s)
+    return ParityBlocks(np.concatenate([even, odd]), b, q, w, s)
 
 
 def precompute_z_eigensystem(h: HamiltonianData) -> ZEigensystem:
@@ -253,8 +253,13 @@ def precompute_z_eigensystem(h: HamiltonianData) -> ZEigensystem:
     `ParityBlocks`): pair k gives the eigenvalues +s_k and -s_k with the
     eigenvectors (q_k, +w_k) and (q_k, -w_k), and each null column of q or
     w an eigenvector of eigenvalue exactly 0.  The SVD has the same bits
-    under any BLAS thread count, where `eigh` of the whole z does not.  Any
-    other symmetric z goes through `numpy.linalg.eigh`.
+    under any BLAS thread count, where `eigh` of the whole z does not.  A
+    basis that carries the SVD (`HamiltonianData.parity_svd`), as every one
+    from `manifest.build_basis` does, is not decomposed again: this then
+    only assembles V, and calls no LAPACK routine.  Other bases, such as
+    one read from a Hamiltonian file or built by hand, call
+    `numpy.linalg.svd`, and any other symmetric z goes through
+    `numpy.linalg.eigh`.
     """
     scale = max(float(np.max(np.abs(h.z_matrix))), 1.0)
     if float(np.max(np.abs(h.z_matrix - h.z_matrix.T))) > 1e-12 * scale:

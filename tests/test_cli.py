@@ -22,6 +22,7 @@ from rydoct import (
     RadialGrid,
     build_hamiltonian,
     load_hamiltonian,
+    precompute_z_eigensystem,
     save_hamiltonian,
 )
 from rydoct.cli import main
@@ -31,6 +32,7 @@ from rydoct.manifest import (
     MAX_HUSIMI_VALUES,
     MAX_PULSE_STEPS,
     MAX_SPECTRUM_SAMPLES,
+    _median,
     _nearest_gap_distance,
     build_basis,
     build_guess_pulse,
@@ -695,22 +697,47 @@ class TestBasisCache:
         assert main(["basis", "--manifest", str(manifest_path), "--out", str(out)]) == 0
         return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
-    def test_hit_equals_a_fresh_build(self, tmp_path, cache, builds):
-        manifest = parse_manifest(tiny_manifest_dict(str(tmp_path)))
+    def _assert_hit_equals(self, manifest, fresh, cache, builds, monkeypatch):
+        """A miss, then a hit that calls no SVD: both equal `fresh`, a
+        build_hamiltonian of the manifest's basis, and so do their z
+        eigensystems."""
+        expected = precompute_z_eigensystem(fresh)
         build_basis(manifest)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called on a cached basis")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
         h = build_basis(manifest)
+        zsys = precompute_z_eigensystem(h)
         assert len(builds) == 1
         assert len(list(cache.iterdir())) == 1
-        cfg = manifest.basis
-        fresh = build_hamiltonian(
-            BasisSpec(cfg["n_min"], cfg["n_max"], cfg["l_max"], CESIUM_DEFECTS),
-            RadialGrid.for_basis(cfg["n_max"], n_points=cfg["grid_points"]),
-        )
         assert h.labels == fresh.labels
         assert np.array_equal(h.energies, fresh.energies)
         assert np.array_equal(h.z_matrix, fresh.z_matrix)
         assert h.basis_spec == fresh.basis_spec
         assert h.provenance == fresh.provenance
+        assert np.array_equal(zsys.eigenvalues, expected.eigenvalues)
+        assert np.array_equal(zsys.vectors, expected.vectors)
+        assert np.array_equal(zsys.z, expected.z)
+        for name in ("order", "b", "q", "w", "s"):
+            assert np.array_equal(getattr(zsys.parity, name), getattr(expected.parity, name)), name
+
+    def test_hit_equals_a_fresh_build(self, tmp_path, cache, builds, monkeypatch):
+        manifest = parse_manifest(tiny_manifest_dict(str(tmp_path)))
+        cfg = manifest.basis
+        fresh = build_hamiltonian(
+            BasisSpec(cfg["n_min"], cfg["n_max"], cfg["l_max"], CESIUM_DEFECTS),
+            RadialGrid.for_basis(cfg["n_max"], n_points=cfg["grid_points"]),
+        )
+        self._assert_hit_equals(manifest, fresh, cache, builds, monkeypatch)
+
+    def test_hit_equals_a_fresh_build_187(self, cache, builds, monkeypatch, full_h):
+        # The shipped manifest at l < 17 is full_h's basis, on its grid.
+        data = json.loads((MANIFEST_DIR / "single_target.json").read_text())
+        data["basis"]["l_max"] = 17
+        assert full_h.dim == 187
+        self._assert_hit_equals(parse_manifest(data), full_h, cache, builds, monkeypatch)
 
     @pytest.mark.parametrize("key", sorted(BASIS_CHANGES))
     def test_each_basis_input_is_in_the_key(self, tmp_path, cache, builds, key):
@@ -735,7 +762,9 @@ class TestBasisCache:
         assert len(builds) == 2
         assert len(list(cache.iterdir())) == 2
 
-    @pytest.mark.parametrize("damage", ["truncated", "other_basis"])
+    @pytest.mark.parametrize(
+        "damage", ["truncated", "flipped_byte", "other_basis", "wrong_length"]
+    )
     def test_bad_entry_is_rebuilt_and_overwritten(
         self, tiny_manifest_path, tmp_path, cache, builds, capsys, damage
     ):
@@ -743,8 +772,14 @@ class TestBasisCache:
         (entry,) = cache.iterdir()
         good = entry.read_bytes()
         if damage == "truncated":
-            # Without its last dipole line the entry is still a valid basis.
-            entry.write_bytes(b"".join(good.splitlines(keepends=True)[:-2]))
+            entry.write_bytes(good[: len(good) // 2])
+        elif damage == "flipped_byte":
+            bad = bytearray(good)
+            bad[len(bad) // 2] ^= 0x01
+            entry.write_bytes(bytes(bad))
+        elif damage == "wrong_length":
+            # Whole and intact, with eight more bytes after its checksum.
+            entry.write_bytes(good + bytes(8))
         else:
             data = tiny_manifest_dict(str(tmp_path))
             data["basis"]["l_max"] = 3
@@ -754,7 +789,7 @@ class TestBasisCache:
         assert self._basis_outputs(tiny_manifest_path, tmp_path / "rebuilt") == cold
         assert "Traceback" not in capsys.readouterr().err
         assert entry.read_bytes() == good
-        assert len(builds) == (2 if damage == "truncated" else 3)
+        assert len(builds) == (3 if damage == "other_basis" else 2)
 
     def test_unwritable_cache_changes_no_output(
         self, tiny_manifest_path, tmp_path, cache, monkeypatch, capsys
@@ -779,6 +814,7 @@ class TestBasisCache:
         h = build_basis(parse_manifest(data))
         assert h.labels == other.labels
         assert np.array_equal(h.z_matrix, other.z_matrix)
+        assert h.parity_svd is None
         assert len(builds) == 1
         assert len(list(cache.iterdir())) == 1
 
@@ -882,6 +918,15 @@ class TestFieldCsvHardening:
         with pytest.raises(ManifestError, match="line 3"):
             read_field_csv(field)
 
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.floats(allow_nan=False, width=64), min_size=2, max_size=40))
+    def test_median_has_numpys_bits(self, values):
+        # One count of each parity: the middle value, and two added and halved.
+        for steps in (np.array(values), np.array(values[1:])):
+            with np.errstate(over="ignore"):
+                expected, median = np.median(steps), _median(steps)
+            assert np.float64(median).tobytes() == expected.tobytes(), steps
+
     @settings(max_examples=60, deadline=None)
     @given(
         dt=st.floats(min_value=1e-6, max_value=1e6),
@@ -922,6 +967,19 @@ def _cache_stamps(cache: Path) -> dict[str, int]:
 class TestProcess:
     def test_cli_import_leaves_scipy_optimize_out(self, tmp_path):
         probe = "import sys, rydoct.cli; print('scipy.optimize' in sys.modules)"
+        run = _run_cli(["-c", probe], tmp_path)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "False"
+
+    def test_reading_a_field_leaves_numpy_ma_out(self, tmp_path):
+        # np.median would import numpy.ma, about 10 ms of every process
+        # that reads a field.
+        field = tmp_path / "field.csv"
+        write_field_csv(field, PulseGrid.zeros(0.0, 10.0, 801))
+        probe = (
+            "import sys; from rydoct.manifest import read_field_csv; "
+            f"read_field_csv({str(field)!r}); print('numpy.ma' in sys.modules)"
+        )
         run = _run_cli(["-c", probe], tmp_path)
         assert run.returncode == 0, run.stderr
         assert run.stdout.strip() == "False"
