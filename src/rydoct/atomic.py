@@ -394,10 +394,15 @@ def parity_rows(labels: Sequence[StateLabel]) -> tuple[np.ndarray, np.ndarray]:
 class HamiltonianData:
     """Field-free energies and the z (dipole) matrix over the basis labels.
 
-    `parity_svd` is `np.linalg.svd` of z's even-odd block (see
-    `parity_rows`), the (u, s, wt) that numpy returns, when the basis came
-    with it, as a cached basis does; `precompute_z_eigensystem` then takes
-    it instead of calling LAPACK.  It is None otherwise.
+    Every instance is valid: the constructor runs `validate`, so z is
+    symmetric and couples only states whose l differ by one.  z is then
+    bipartite in l parity, and `parity_svd` is `np.linalg.svd` of its
+    even-odd block B = z[even][:, odd] (see `parity_rows`), the (u, s, wt)
+    that numpy returns, from which `precompute_z_eigensystem` assembles
+    the eigensystem.  The constructor takes it when none is given; a
+    cached basis comes with it and calls no LAPACK routine.  The
+    constructor makes the energies and z read-only, since a write would
+    leave them unvalidated and the SVD stale.
     """
 
     labels: tuple[StateLabel, ...]
@@ -409,6 +414,12 @@ class HamiltonianData:
 
     def __post_init__(self):
         self._index = {label: i for i, label in enumerate(self.labels)}
+        self.validate()
+        if self.parity_svd is None:
+            even, odd = parity_rows(self.labels)
+            self.parity_svd = np.linalg.svd(self.z_matrix[np.ix_(even, odd)])
+        self.energies.flags.writeable = False
+        self.z_matrix.flags.writeable = False
 
     @property
     def dim(self) -> int:
@@ -468,11 +479,9 @@ def build_hamiltonian(spec: BasisSpec, grid: RadialGrid | None = None) -> Hamilt
         block = angular_dipole_factor(l) * _radial_dipoles(us, rows, cols, w)
         z[np.ix_(rows, cols)] = block
         z[np.ix_(cols, rows)] = block.T
-    data = HamiltonianData(
+    return HamiltonianData(
         labels=labels, energies=energies, z_matrix=z, provenance="generated", basis_spec=spec
     )
-    data.validate()
-    return data
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +492,6 @@ def build_hamiltonian(spec: BasisSpec, grid: RadialGrid | None = None) -> Hamilt
 
 
 def save_hamiltonian(data: HamiltonianData, path) -> None:
-    data.validate()
     spec = data.basis_spec
     if spec is None:
         raise ValidationError("cannot save a Hamiltonian without its basis spec")
@@ -588,12 +596,10 @@ def load_hamiltonian(path) -> HamiltonianData:
         z[index[a], index[b]] = value
         z[index[b], index[a]] = value
 
-    data = HamiltonianData(
+    return HamiltonianData(
         labels=labels,
         energies=np.array([energies[label] for label in labels]),
         z_matrix=z,
         provenance=header.get("provenance", "loaded"),
         basis_spec=spec,
     )
-    data.validate()
-    return data

@@ -133,8 +133,6 @@ class PenaltySchedule:
         edge_multiplier: float = 1000.0,
         ramp_fraction: float = 0.05,
     ) -> "PenaltySchedule":
-        if not 0.0 < ramp_fraction < 0.5:
-            raise InvalidSpecError("ramp fraction must lie in (0, 0.5)")
         t = pulse.times()
         span = pulse.horizon - pulse.t0
         ramp = ramp_fraction * span

@@ -112,22 +112,17 @@ def decode_test(
     orbitals,
     h: HamiltonianData,
     zsys: ZEigensystem | None = None,
-    marked_bits=None,
 ) -> list[dict]:
     """Propagate every single-flip register under `pulse` and read it out.
 
-    `marked_bits` (default: every orbital) picks the registers, as labels or
-    their names; a bit outside `orbitals` raises InvalidSpecError.  All the
-    registers advance together, as the columns of one block.
+    Each orbital in turn is the marked bit.  All the registers advance
+    together, as the columns of one block.
 
-    Returns one entry per marked bit with the populations, the decoded
+    Returns one entry per orbital with the populations, the decoded
     orbital, and a strict success flag (marked population beats every other
     register population outright).
     """
-    specs = [
-        RegisterSpec.from_names(orbitals, marked=bit)
-        for bit in (orbitals if marked_bits is None else marked_bits)
-    ]
+    specs = [RegisterSpec.from_names(orbitals, marked=bit) for bit in orbitals]
     if not specs:
         return []
     if zsys is None:

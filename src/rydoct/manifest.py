@@ -311,10 +311,10 @@ def build_basis(manifest: RunManifest) -> HamiltonianData:
     """The manifest's basis: its `hamiltonian_file`, or else a build that is
     cached on disk (see `_cache_entry`) and read back on later runs.
 
-    A build, or its cached copy, carries the SVD of z's even-odd block
-    (`HamiltonianData.parity_svd`): a miss computes it once and stores it in
-    the entry, so that on a hit `precompute_z_eigensystem` calls no LAPACK
-    routine.  A `hamiltonian_file` carries none.
+    Every basis carries the SVD of z's even-odd block
+    (`HamiltonianData.parity_svd`).  A miss stores the build's in the
+    entry, so that a hit calls no LAPACK routine.  Only a miss builds the
+    radial grid.
     """
     cfg = manifest.basis
     if cfg.get("hamiltonian_file"):
@@ -328,20 +328,17 @@ def build_basis(manifest: RunManifest) -> HamiltonianData:
         l_max=cfg["l_max"],
         quantum_defects=cfg["defects"],
     )
-    grid = RadialGrid.for_basis(
-        spec.n_max,
-        n_points=cfg["grid_points"],
-        r_min=cfg["r_min"],
-        r_max=cfg["r_max"],
-    )
     entry = _cache_entry(cfg)
     h = _read_cached(entry, spec)
     if h is None:
+        grid = RadialGrid.for_basis(
+            spec.n_max,
+            n_points=cfg["grid_points"],
+            r_min=cfg["r_min"],
+            r_max=cfg["r_max"],
+        )
         h = build_hamiltonian(spec, grid)
-        even, odd = parity_rows(h.labels)
-        block = np.ascontiguousarray(h.z_matrix[np.ix_(even, odd)])
-        h.parity_svd = np.linalg.svd(block)
-        _write_cached(entry, h, block)
+        _write_cached(entry, h)
     return h
 
 
@@ -440,21 +437,21 @@ def _read_cached(entry: tuple[Path, bytes] | None, spec: BasisSpec) -> Hamiltoni
     z = np.zeros((len(labels), len(labels)))
     z[np.ix_(even, odd)] = block
     z[np.ix_(odd, even)] = block.T
-    h = HamiltonianData(labels, energies, z, basis_spec=spec, parity_svd=(u, s, wt))
     try:
-        h.validate()
+        return HamiltonianData(labels, energies, z, basis_spec=spec, parity_svd=(u, s, wt))
     except ValidationError:
         return None
-    return h
 
 
-def _write_cached(entry: tuple[Path, bytes] | None, h: HamiltonianData, block: np.ndarray) -> None:
+def _write_cached(entry: tuple[Path, bytes] | None, h: HamiltonianData) -> None:
     """Store `h`, its even-odd block and their SVD at `entry` through a
     temporary file and a rename, so that a reader sees the whole entry or
     none; a failed write caches nothing."""
     if entry is None:
         return
     path, header = entry
+    even, odd = parity_rows(h.labels)
+    block = h.z_matrix[np.ix_(even, odd)]
     partial = path.with_name(f"{path.stem}.{os.getpid()}.tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -45,12 +45,13 @@ costate arrays of n_steps blocks each (D z lam_j and V^T D* lam_{j+1}) and
 one (n_steps, dim, 1) table of the swept field's phases P_j, which it
 forms once per field (see `control`), never whole forward trajectories.
 
-The parity-block step.  The dipole rule |dl| = 1 makes z bipartite in l
-parity: in parity order, even l first, z = [[0, B], [B^T, 0]].
-`precompute_z_eigensystem` then builds V from the SVD B = q diag(s) w^T,
-which has the same bits under any BLAS thread count, and the kernel of a
-basis of `BLOCK_STEP_MIN_DIM` states or more holds its blocks in parity
-order and never forms V.  With the pair columns of q and w scaled by
+The parity-block step.  The dipole rule |dl| = 1, which every
+`HamiltonianData` obeys, makes z bipartite in l parity: in parity order,
+even l first, z = [[0, B], [B^T, 0]].  `precompute_z_eigensystem` builds V
+from the SVD B = q diag(s) w^T that the basis carries, which has the same
+bits under any BLAS thread count, and the kernel of a basis of
+`BLOCK_STEP_MIN_DIM` states or more holds its blocks in parity order and
+never forms V.  With the pair columns of q and w scaled by
 sqrt(1/2), [q^T x_even; w^T x_odd] is two products of half the size, and
 the sum and the difference of singular pair k's two rows are its +s_k and
 -s_k eigen-coefficients.  So the block step, like the dense one, keeps
@@ -64,8 +65,8 @@ comes from timing one optimization iteration of each step, with one
 member and with four: the block step took 1.2-1.5x the dense step's time
 at 55 states, 0.88-1.00x at 154, 0.84-0.96x at 165, 0.77-0.88x at 187 and
 0.34-0.64x at 357.  With one member the dense step is still as fast up to
-154 states, so smaller bases, and any z that is not bipartite or has more
-odd-l states than even-l ones, keep the dense step.
+154 states, so smaller bases, and any basis with more odd-l states than
+even-l ones, keep the dense step.  Both steps share the one eigensystem.
 
 The step kind lives in this module alone: the step, its row order and
 z (`multiply_z`) are kernel methods that answer for either kind, and the
@@ -95,7 +96,7 @@ from .errors import InvalidSpecError
 #: Steps per block of phases that a sweep forms or copies at a time.
 CHUNK_STEPS = 64
 
-#: Smallest basis that takes the parity-block step, when z has parity blocks.
+#: Smallest basis that takes the parity-block step, when B has a pair for every odd row.
 BLOCK_STEP_MIN_DIM = 160
 
 __all__ = [
@@ -218,58 +219,39 @@ class ZEigensystem:
     `z` is the decomposed matrix itself.  All three matrices are real
     float64 arrays; the kernel applies them to the float64 views of
     complex blocks.  `parity` holds the parity blocks that V was built
-    from when z is bipartite in l parity, and is None otherwise.
+    from.
     """
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
     z: np.ndarray
-    parity: ParityBlocks | None = None
+    parity: ParityBlocks
 
     def reconstruction_error(self) -> float:
         z = (self.vectors * self.eigenvalues) @ self.vectors.T
         return float(np.max(np.abs(z - self.z)))
 
 
-def _parity_blocks(h: HamiltonianData, z: np.ndarray) -> ParityBlocks | None:
-    """The SVD of z's even-odd block, or None if z couples two states of one
-    parity.  The SVD is `h.parity_svd` when the basis carries it."""
-    even, odd = parity_rows(h.labels)
-    if np.any(z[np.ix_(odd, odd)]) or np.any(z[np.ix_(even, even)]):
-        return None
-    b = np.ascontiguousarray(z[np.ix_(even, odd)])
-    u, s, wt = np.linalg.svd(b) if h.parity_svd is None else h.parity_svd
-    r = len(s)
-    q = np.concatenate([u[:, r:], u[:, :r] * np.sqrt(0.5)], axis=1)
-    w = np.concatenate([wt[:r].T * np.sqrt(0.5), wt[r:].T], axis=1)
-    return ParityBlocks(np.concatenate([even, odd]), b, q, w, s)
-
-
 def precompute_z_eigensystem(h: HamiltonianData) -> ZEigensystem:
-    """Diagonalize the z matrix once; reused by every step of every sweep.
+    """Assemble z's eigensystem once, from the SVD that the basis carries;
+    reused by every step of every sweep.
 
-    A z that is bipartite in l parity, as every Hamiltonian that obeys the
-    dipole rule is, is decomposed through the SVD of its block B (see
+    Every `HamiltonianData` obeys the dipole rule, so its z is bipartite in
+    l parity and `h.parity_svd` is the SVD of its block B (see
     `ParityBlocks`): pair k gives the eigenvalues +s_k and -s_k with the
     eigenvectors (q_k, +w_k) and (q_k, -w_k), and each null column of q or
     w an eigenvector of eigenvalue exactly 0.  The SVD has the same bits
-    under any BLAS thread count, where `eigh` of the whole z does not.  A
-    basis that carries the SVD (`HamiltonianData.parity_svd`), as every one
-    from `manifest.build_basis` does, is not decomposed again: this then
-    only assembles V, and calls no LAPACK routine.  Other bases, such as
-    one read from a Hamiltonian file or built by hand, call
-    `numpy.linalg.svd`, and any other symmetric z goes through
-    `numpy.linalg.eigh`.
+    under any BLAS thread count, where `eigh` of the whole z does not.
+    This calls no LAPACK routine.
     """
-    scale = max(float(np.max(np.abs(h.z_matrix))), 1.0)
-    if float(np.max(np.abs(h.z_matrix - h.z_matrix.T))) > 1e-12 * scale:
-        raise InvalidSpecError("z matrix must be symmetric")
     z = np.ascontiguousarray(h.z_matrix, dtype=float)
-    parity = _parity_blocks(h, z)
-    if parity is None:
-        w, v = np.linalg.eigh(z)
-        return ZEigensystem(eigenvalues=w, vectors=np.ascontiguousarray(v), z=z)
-    n_even, r = parity.n_even, len(parity.s)
+    even, odd = parity_rows(h.labels)
+    u, s, wt = h.parity_svd
+    r = len(s)
+    q = np.concatenate([u[:, r:], u[:, :r] * np.sqrt(0.5)], axis=1)
+    w = np.concatenate([wt[:r].T * np.sqrt(0.5), wt[r:].T], axis=1)
+    parity = ParityBlocks(np.concatenate([even, odd]), z[np.ix_(even, odd)], q, w, s)
+    n_even = parity.n_even
     # V in parity order, its columns in the order of `parity.eigenvalues`:
     # [[q, q's pair columns, 0], [0, w's pair columns, -w's pair columns, w's nulls]].
     v = np.zeros((h.dim, h.dim))
@@ -299,38 +281,27 @@ class SplitStepKernel:
     for the field's samples; the step on x = D psi is D^2 V P(E) V^T x,
     with the free step D^2 = exp(-i H0 dt) (`free`).
 
-    From `BLOCK_STEP_MIN_DIM` states up, when z has parity blocks with no
-    more odd-l states than even-l ones, the kernel takes the parity-block
-    step instead: `block` is True, and the argument `block` forces either
-    step (the adjoint keeps it).  The rows are in `order`, parity order for
-    the block step and basis order otherwise, and `position` is the row of
-    each basis state; `to_kernel_order` and `to_basis_order` copy an array
-    across.  Both steps keep the coefficients c = V^T D psi in V's
-    eigenbasis, with V's
-    columns in the order of `exponent`: sorted for the dense step, and the
-    rows of `ParityBlocks.eigenvalues` for the block step, whose `pairs`
-    are the slices of the +s_k and of the -s_k rows.  Every method answers
-    for either step kind, so a sweep runs one body on both.
+    A basis of `BLOCK_STEP_MIN_DIM` states or more whose block B has a
+    singular pair for every odd-l state takes the parity-block step
+    instead, and `block` is True; `adjoint` works its kind out again the
+    same way.  The rows are in `order`, parity order for the block step
+    and basis order otherwise, and `position` is the row of each basis
+    state; `to_kernel_order` and `to_basis_order` copy an array across.
+    Both steps keep the coefficients c = V^T D psi in V's eigenbasis, with
+    V's columns in the order of `exponent`: sorted for the dense step, and
+    the rows of `ParityBlocks.eigenvalues` for the block step, whose
+    `pairs` are the slices of the +s_k and of the -s_k rows.  Every method
+    answers for either step kind, so a sweep runs one body on both.
     """
 
-    def __init__(
-        self, h: HamiltonianData, zsys: ZEigensystem, dt: float, block: bool | None = None
-    ):
+    def __init__(self, h: HamiltonianData, zsys: ZEigensystem, dt: float):
         self.h = h
         self.zsys = zsys
         self.dt = dt
         parity = zsys.parity
         # The block step needs a singular pair for every odd row: n_even >= n_odd.
-        fits = parity is not None and 0 < len(parity.s) == h.dim - parity.n_even
-        if block is None:
-            block = fits and h.dim >= BLOCK_STEP_MIN_DIM
-        if block and not fits:
-            raise InvalidSpecError(
-                "the block step needs a z that couples even l to odd l only, "
-                "with no more odd-l states than even-l ones"
-            )
-        self.block = block
-        self.parity = parity if block else None
+        fits = 0 < len(parity.s) == h.dim - parity.n_even
+        self.block = block = fits and h.dim >= BLOCK_STEP_MIN_DIM
         self.order = parity.order if block else np.arange(h.dim)
         # The inverse permutation by a scatter: an argsort of ints would map
         # in numpy's integer sort code, 0.1 MB of RSS on a dense-step run.
@@ -353,7 +324,7 @@ class SplitStepKernel:
         self.z_products = ((parity.b, odd, even), (parity.b.T, even, odd))
 
     def adjoint(self) -> "SplitStepKernel":
-        return SplitStepKernel(self.h, self.zsys, -self.dt, self.block)
+        return SplitStepKernel(self.h, self.zsys, -self.dt)
 
     def to_kernel_order(self, array: np.ndarray, axis: int = 0) -> np.ndarray:
         """A copy of `array`, indexed by basis state along `axis`, in the kernel's row order."""
@@ -501,8 +472,9 @@ class SplitStepKernel:
             return step, (x, b, own_c, own_cf)
 
         add, subtract, copyto = np.add, np.subtract, undispatched(np.copyto)
-        q, qt, w, wt = self.parity.q, self.parity.q.T, self.parity.w, self.parity.w.T
-        n_even = self.parity.n_even
+        parity = self.zsys.parity
+        q, qt, w, wt = parity.q, parity.q.T, parity.w, parity.w.T
+        n_even = parity.n_even
         plus, minus = self.pairs
         x_even, x_odd, b_even, c_even = xf[:n_even], xf[n_even:], bf[:n_even], own_cf[:n_even]
         c_plus, c_minus, b_plus, b_minus = own_c[plus], own_c[minus], b[plus], b[minus]

@@ -1,8 +1,10 @@
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rydoct import propagation
 from rydoct import (
     BasisSpec,
     CESIUM_DEFECTS,
@@ -95,16 +97,24 @@ def full_zsys(full_h):
 
 
 def make_dense_hamiltonian(dim: int, seed: int, energy_range=(-1.0, -0.1)):
-    """Small dense test Hamiltonian with a full random symmetric z matrix.
+    """Small test Hamiltonian whose z couples every s state to every p state.
 
-    Labels are synthetic; selection-rule structure is deliberately absent so
-    the dipole coupling connects everything.
+    The labels are the s states from 1s and the p states from 2p, as many
+    p states as s states or one fewer, in (n, l) order.  z is the random
+    symmetric matrix (A + A^T)/2, A standard normal, with every entry that
+    the dipole rule forbids set to zero: each s state couples to each p
+    state, and z obeys the rule and nothing more.
     """
     rng = np.random.default_rng(seed)
     energies = np.sort(rng.uniform(*energy_range, dim))
     z = rng.normal(size=(dim, dim))
     z = (z + z.T) / 2.0
-    labels = tuple(StateLabel(i + 1, 0) for i in range(dim))
+    n_s = (dim + 1) // 2
+    states = [StateLabel(n, 0) for n in range(1, n_s + 1)]
+    states += [StateLabel(n, 1) for n in range(2, dim - n_s + 2)]
+    labels = tuple(sorted(states))
+    ls = np.array([label.l for label in labels])
+    z[ls[:, None] == ls[None, :]] = 0.0
     return HamiltonianData(
         labels=labels, energies=energies, z_matrix=z, provenance="test", basis_spec=None
     )
@@ -113,3 +123,14 @@ def make_dense_hamiltonian(dim: int, seed: int, energy_range=(-1.0, -0.1)):
 @pytest.fixture()
 def dense8():
     return make_dense_hamiltonian(8, seed=42)
+
+
+@contextmanager
+def step_kind(block: bool):
+    """Every `SplitStepKernel` built inside, an adjoint or a public
+    function's own among them, takes the parity-block step if `block` and
+    the basis fits it, and the dense step otherwise: the crossover
+    `BLOCK_STEP_MIN_DIM` is moved below or above every basis."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(propagation, "BLOCK_STEP_MIN_DIM", 0 if block else 10**9)
+        yield

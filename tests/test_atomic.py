@@ -8,6 +8,7 @@ from rydoct import (
     CESIUM_DEFECTS,
     ConvergenceError,
     GridExtentError,
+    HamiltonianData,
     InvalidSpecError,
     RadialGrid,
     StateLabel,
@@ -263,12 +264,23 @@ class TestValidate:
     def test_names_first_forbidden_pair_in_row_major_order(self, default_grid):
         h = build_hamiltonian(BasisSpec(24, 26, 2), default_grid)
         # Labels 24s 24p 25s 25p 26s 26p: (24p, 25p) and (24s, 25s) are
-        # forbidden; (24s, 25s) comes first in row-major order.
+        # forbidden; (24s, 25s) comes first in row-major order.  The
+        # constructor validates.
+        z = h.z_matrix.copy()
         for a, b in (("24p", "25p"), ("24s", "25s")):
             i, j = h.index(a), h.index(b)
-            h.z_matrix[i, j] = h.z_matrix[j, i] = 0.5
+            z[i, j] = z[j, i] = 0.5
         with pytest.raises(ValidationError, match=r"<24s\|z\|25s> = 0.5"):
-            h.validate()
+            HamiltonianData(h.labels, h.energies, z)
+
+    def test_arrays_cannot_be_written_after_construction(self, default_grid):
+        # A write would bypass the validation and leave the SVD of z's
+        # even-odd block stale.
+        h = build_hamiltonian(BasisSpec(24, 26, 2), default_grid)
+        i, j = h.index("24s"), h.index("25p")
+        for array, index in ((h.z_matrix, (i, j)), (h.energies, i)):
+            with pytest.raises(ValueError, match="read-only"):
+                array[index] = 0.5
 
 
 class TestHamiltonianFile:

@@ -272,6 +272,34 @@ class TestRunners:
         assert np.array_equal(loaded.z_matrix, built.z_matrix)
         assert result["metrics"]["basis_size"] == 6
 
+    def test_hamiltonian_file_gives_the_cached_basis_outputs(self, tiny_manifest_path, tmp_path):
+        # `rydoct basis` writes hamiltonian.txt; `optimize` on that file, as
+        # basis.hamiltonian_file, writes the bytes that `optimize` on the
+        # cached basis writes, but for summary.json's `parameters`, which
+        # echo the manifest.
+        basis_out = tmp_path / "basis"
+        assert main(["basis", "--manifest", str(tiny_manifest_path), "--out", str(basis_out)]) == 0
+        data = tiny_manifest_dict(str(tmp_path / "out"))
+        data["basis"]["hamiltonian_file"] = str(basis_out / "hamiltonian.txt")
+        file_manifest = tmp_path / "file.json"
+        file_manifest.write_text(json.dumps(data))
+        outputs, summaries = {}, {}
+        for route, path in (("cached", tiny_manifest_path), ("file", file_manifest)):
+            out = tmp_path / route
+            assert main(["optimize", "--manifest", str(path), "--out", str(out)]) == 0
+            outputs[route] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            summaries[route] = json.loads(outputs[route].pop("summary.json"))
+        assert set(outputs["cached"]) == {
+            "guess_field.csv",
+            "history.csv",
+            "optimized_field.csv",
+            "readout.json",
+        }
+        assert outputs["file"] == outputs["cached"]
+        parameters = {route: summary.pop("parameters") for route, summary in summaries.items()}
+        assert parameters["file"]["basis"]["hamiltonian_file"] == data["basis"]["hamiltonian_file"]
+        assert summaries["file"] == summaries["cached"]
+
     def test_run_propagate_zero_field_uniform(self, tmp_path):
         data = tiny_manifest_dict(str(tmp_path / "out"))
         data["pulse"]["kind"] = "zero"
@@ -814,7 +842,9 @@ class TestBasisCache:
         h = build_basis(parse_manifest(data))
         assert h.labels == other.labels
         assert np.array_equal(h.z_matrix, other.z_matrix)
-        assert h.parity_svd is None
+        # The loaded basis takes its own SVD, that of the build.
+        for got, want in zip(h.parity_svd, other.parity_svd):
+            assert np.array_equal(got, want)
         assert len(builds) == 1
         assert len(list(cache.iterdir())) == 1
 

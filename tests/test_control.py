@@ -25,7 +25,7 @@ from rydoct.pulses import half_cycle_pulse
 
 def two_level():
     h = HamiltonianData(
-        labels=(StateLabel(1, 0), StateLabel(2, 0)),
+        labels=(StateLabel(2, 0), StateLabel(2, 1)),
         energies=np.array([-0.6, -0.4]),
         z_matrix=np.array([[0.0, 1.0], [1.0, 0.0]]),
         provenance="test",
@@ -38,7 +38,7 @@ def three_level(coupled=True):
     if not coupled:
         z = np.zeros((3, 3))
     h = HamiltonianData(
-        labels=(StateLabel(1, 0), StateLabel(2, 0), StateLabel(3, 0)),
+        labels=(StateLabel(3, 0), StateLabel(3, 1), StateLabel(3, 2)),
         energies=np.array([-0.52, -0.50, -0.48]),
         z_matrix=z,
         provenance="test",
@@ -282,7 +282,7 @@ class TestOptimize:
         problem = OctProblem(
             hamiltonian=h,
             psi0=psi0,
-            target=StateLabel(2, 0),
+            target=StateLabel(2, 1),
             penalty=pen,
             guess=guess,
             max_iterations=50,
@@ -312,7 +312,7 @@ class TestOptimize:
         problem = OctProblem(
             hamiltonian=h,
             psi0=ground_state(2),
-            target=StateLabel(2, 0),
+            target=StateLabel(2, 1),
             penalty=pen,
             guess=guess,
             max_iterations=100,
@@ -331,7 +331,7 @@ class TestOptimize:
         problem = OctProblem(
             hamiltonian=h,
             psi0=ground_state(2),
-            target=StateLabel(2, 0),
+            target=StateLabel(2, 1),
             penalty=pen,
             guess=guess,
             max_iterations=100,
@@ -349,7 +349,7 @@ class TestOptimize:
         problem = OctProblem(
             hamiltonian=h,
             psi0=ground_state(3),
-            target=StateLabel(3, 0),
+            target=StateLabel(3, 2),
             penalty=pen,
             guess=guess,
             max_iterations=25,
@@ -400,7 +400,7 @@ class TestOptimize:
         problem = OctProblem(
             hamiltonian=h,
             psi0=ground_state(3),
-            target=StateLabel(3, 0),
+            target=StateLabel(3, 2),
             penalty=pen,
             guess=guess,
             max_iterations=2,
@@ -421,11 +421,11 @@ class TestOptimize:
         guess = PulseGrid.zeros(0.0, 0.1, 51)
         pen_bad = PenaltySchedule.build(PulseGrid.zeros(0.0, 0.1, 61), base=1.0)
         with pytest.raises(InvalidSpecError):
-            OctProblem(h, ground_state(2), StateLabel(2, 0), pen_bad, guess)
+            OctProblem(h, ground_state(2), StateLabel(2, 1), pen_bad, guess)
         pen = PenaltySchedule.build(guess, base=1.0)
         for mode in ("foo", "add"):
             with pytest.raises(InvalidSpecError, match="update mode"):
-                OctProblem(h, ground_state(2), StateLabel(2, 0), pen, guess, update_mode=mode)
+                OctProblem(h, ground_state(2), StateLabel(2, 1), pen, guess, update_mode=mode)
         with pytest.raises(InvalidSpecError):
             OctProblem(h, ground_state(2), StateLabel(9, 0), pen, guess)
 
@@ -436,7 +436,7 @@ class TestOptimize:
         problem = OctProblem(
             hamiltonian=h,
             psi0=ground_state(2),
-            target=StateLabel(2, 0),
+            target=StateLabel(2, 1),
             penalty=pen,
             guess=guess,
             max_iterations=7,

@@ -17,20 +17,20 @@ bytes whatever the memory layout of the input block.  The steps act on D-shifted
 written-out references take the same operation order.  The
 oracle comparisons, the delta3 check, the memory bound, the phase rows and
 the per-step call counts also run on the parity-block step, which a
-55-state kernel takes when it is built with `block=True` (and the public
-functions when the crossover is lowered).  On both step kinds, and on the
-187-state basis, the step's coefficients are checked to be in z's
-eigenbasis and each phase row's derivative in E to be exponent x row.
+55-state kernel takes when the crossover `BLOCK_STEP_MIN_DIM` is lowered.
+On both step kinds, and on the 187-state basis, the step's coefficients
+are checked to be in z's eigenbasis and each phase row's derivative in E
+to be exponent x row.
 """
 
 import sys
 import tracemalloc
-from contextlib import contextmanager
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
-from rydoct import control, propagation
+from rydoct import control
 from rydoct import (
     InvalidSpecError,
     PenaltySchedule,
@@ -52,6 +52,7 @@ from rydoct.control import (
 )
 from rydoct.propagation import CHUNK_STEPS, SplitStepKernel
 from tests import reference_sweeps as ref
+from tests.conftest import step_kind
 
 REGISTER = ["24p", "25p", "26p", "27p", "28p", "29p"]
 MARKED = ["25p", "26p", "27p", "28p"]
@@ -72,15 +73,12 @@ def _evolve(kernel, block, pulse):
     return final.amplitudes
 
 
-@contextmanager
-def _public_step(kernel):
-    """The public functions, which pick their step by basis size, take the
-    step of `kernel`: for the block step on 55 states, the crossover is
+def _step_of(kernel):
+    """Every kernel built inside, the public functions' own and the adjoint
+    that a sweep takes, takes the step of `kernel`: kernels pick their step
+    by basis size, and for the block step on 55 states the crossover is
     lowered."""
-    with pytest.MonkeyPatch.context() as patch:
-        if kernel.block:
-            patch.setattr(propagation, "BLOCK_STEP_MIN_DIM", 0)
-        yield
+    return step_kind(kernel.block)
 
 
 def _engine_blocks(setup, kernel, bits):
@@ -89,7 +87,7 @@ def _engine_blocks(setup, kernel, bits):
     the engine holds them."""
     h = setup["h"]
     psi0 = np.stack(setup["psi0"][: len(bits)], axis=1)
-    with _public_step(kernel):
+    with _step_of(kernel):
         final = _evolve(kernel, psi0, setup["pulse"])
     rows = np.array([h.index(bit) for bit in bits])
     if kernel.block:
@@ -175,11 +173,13 @@ def setup(cesium_h, cesium_zsys):
 def block_setup(setup):
     """`setup` with the parity-block kernel on the same basis, and z lam and
     the coefficients of its own costate sweep, both in parity order."""
-    kernel = SplitStepKernel(setup["h"], setup["zsys"], DT, block=True)
     pulse = setup["pulse"]
-    work = _filled_work(kernel, pulse, len(MARKED))
-    lam_final = kernel.to_kernel_order(np.stack(setup["lam_final"], axis=1))
-    lam_buffer, coeffs = _costate_sweep(kernel, lam_final, pulse.samples, work)
+    with step_kind(True):
+        kernel = SplitStepKernel(setup["h"], setup["zsys"], DT)
+        work = _filled_work(kernel, pulse, len(MARKED))
+        lam_final = kernel.to_kernel_order(np.stack(setup["lam_final"], axis=1))
+        lam_buffer, coeffs = _costate_sweep(kernel, lam_final, pulse.samples, work)
+    assert kernel.block
     z_lam = _apply_z(kernel, lam_buffer, work[2])
     return {**setup, "kernel": kernel, "z_lam": z_lam, "coeffs": coeffs}
 
@@ -201,7 +201,7 @@ def test_public_backward_propagate_matches_oracle(both):
     for setup in both:
         h, zsys, pulse = setup["h"], setup["zsys"], setup["pulse"]
         for lam, expected in zip(setup["lam_final"], setup["ref_costates"]):
-            with _public_step(setup["kernel"]):
+            with _step_of(setup["kernel"]):
                 costates = backward_propagate(WavePacket(lam, time=pulse.horizon), pulse, h, zsys)
             assert costates.shape == expected.shape
             assert np.max(np.abs(costates - expected)) <= 1e-12
@@ -242,7 +242,7 @@ def test_update_sweep_matches_oracle(setup, block_setup, public, block):
         setup["psi0"][:n_members], setup["ref_costates"][:n_members], pulse, penalty, h, zsys
     )
     if public:
-        with _public_step(kernel):
+        with _step_of(kernel):
             new_pulse, final = forward_update_sweep(
                 WavePacket(setup["psi0"][0]), setup["ref_costates"][0], pulse, penalty, h, zsys
             )
@@ -348,7 +348,8 @@ def test_phase_table_rows_are_the_per_step_phases(setup, sign, block):
     # slice of the grid, such as the chunks that `propagate` forms.  The
     # block step's exponent is +-(-i dt s_k) on the rows of pair k and 0 on
     # its null rows.
-    kernel = SplitStepKernel(setup["h"], setup["zsys"], sign * DT, block=block)
+    with step_kind(block):
+        kernel = SplitStepKernel(setup["h"], setup["zsys"], sign * DT)
     samples = setup["pulse"].samples
     table = kernel.phase_table(samples)
     assert table.shape == (len(samples) - 1, setup["h"].dim, 1)
@@ -371,12 +372,13 @@ def test_phase_table_rows_are_the_per_step_phases(setup, sign, block):
 def any_kernel(request, cesium_h, cesium_zsys, full_h, full_zsys):
     """The dense and the block kernel on 55 states, and the kernel that the
     187-state basis takes, the block one."""
-    h, zsys, block = {
-        "dense": (cesium_h, cesium_zsys, False),
-        "block": (cesium_h, cesium_zsys, True),
-        "block-187": (full_h, full_zsys, None),
+    h, zsys, kind = {
+        "dense": (cesium_h, cesium_zsys, step_kind(False)),
+        "block": (cesium_h, cesium_zsys, step_kind(True)),
+        "block-187": (full_h, full_zsys, nullcontext()),
     }[request.param]
-    kernel = SplitStepKernel(h, zsys, DT, block=block)
+    with kind:
+        kernel = SplitStepKernel(h, zsys, DT)
     assert kernel.block == (request.param != "dense")
     return kernel
 
@@ -444,19 +446,20 @@ def test_sweeps_hold_two_costate_arrays_and_one_phase_table(
             kernel, psi0, new_final, targets, pulse.with_samples(samples), penalty, work
         )
 
-    tracemalloc.start()
-    try:
-        work = _filled_work(kernel, pulse, n_members)
-        samples, new_final, _ = _iterate(kernel, psi0, final, targets, pulse, penalty, work)
-        again = second(work)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    with _step_of(kernel):
+        tracemalloc.start()
+        try:
+            work = _filled_work(kernel, pulse, n_members)
+            samples, new_final, _ = _iterate(kernel, psi0, final, targets, pulse, penalty, work)
+            again = second(work)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        fresh = second(_filled_work(kernel, pulse.with_samples(samples), n_members))
     assert costate_bytes > slack
     assert peak < 2 * costate_bytes + table_bytes + slack
     # The reused arrays carry over the field's phases and nothing else.
     assert not np.array_equal(samples, pulse.samples)
-    fresh = second(_filled_work(kernel, pulse.with_samples(samples), n_members))
     for a, b in zip(again, fresh):
         assert np.array_equal(a, b)
     assert np.array_equal(work[3], kernel.phase_table(again[0]))
@@ -589,7 +592,8 @@ def test_step_passes(setup, block):
     # The block step's products are two half-size `dot`s each, and the sum
     # and difference of each pair's rows one `subtract` and one `add` each
     # way, through its pair scratch, with one `copyto` of c into the slot.
-    kernel = SplitStepKernel(setup["h"], setup["zsys"], DT, block=block)
+    with step_kind(block):
+        kernel = SplitStepKernel(setup["h"], setup["zsys"], DT)
     x = kernel.shift(kernel.to_kernel_order(np.stack(setup["psi0"], axis=1)))
     slot = np.empty_like(x)
     phase = kernel.phase_table(np.array([1.3e-7, 0.0]))[0]
@@ -647,7 +651,8 @@ def _assert_sweep_calls(setup, n_members, dots, pairs):
     old = pulse.samples[:-1]
     lam_final = kernel.to_kernel_order(np.stack(setup["lam_final"][:n_members], axis=1))
     work = _filled_work(kernel, pulse, n_members)
-    _, counts = _numpy_calls(lambda: _costate_sweep(kernel, lam_final, pulse.samples, work))
+    with _step_of(kernel):
+        _, counts = _numpy_calls(lambda: _costate_sweep(kernel, lam_final, pulse.samples, work))
     field_steps = np.count_nonzero(old)
     products = n_steps + field_steps
     assert counts["dot"] == dots * products
@@ -739,7 +744,8 @@ def test_iterate_without_undispatched_numpy_functions(setup, block_setup, block,
 
     def iterate():
         work = _filled_work(kernel, pulse, len(MARKED))
-        return _iterate(kernel, psi0, final, targets, pulse, penalty, work)
+        with _step_of(kernel):
+            return _iterate(kernel, psi0, final, targets, pulse, penalty, work)
 
     expected = iterate()
     calls = dict.fromkeys(("dot", "vdot", "copyto"), 0)
@@ -788,9 +794,10 @@ def test_delta3_flags_costates_that_do_not_belong_to_the_field(both, monkeypatch
             # The larger |delta3| of two iterations on one set of work arrays.
             work = _filled_work(kernel, pulse, len(MARKED))
             args = (psi0, final, targets, pulse, penalty, work)
-            samples, new_final, first = _iterate(kernel, *args)
-            args = (psi0, new_final, targets, pulse.with_samples(samples), penalty, work)
-            return max(abs(first), abs(_iterate(kernel, *args)[2]))
+            with _step_of(kernel):
+                samples, new_final, first = _iterate(kernel, *args)
+                args = (psi0, new_final, targets, pulse.with_samples(samples), penalty, work)
+                return max(abs(first), abs(_iterate(kernel, *args)[2]))
 
         assert delta3() <= 1e-10
         for name, broken in (

@@ -4,9 +4,11 @@ z couples even-l states only to odd-l ones, so `precompute_z_eigensystem`
 builds it from the SVD of the even-odd block, and from
 `BLOCK_STEP_MIN_DIM` states up the kernel steps in parity order with that
 block's singular pairs.  The 187-state basis takes the block step by
-default; a kernel built with `block=` takes either step on any bipartite
-basis.
+default; with the crossover moved, a kernel takes either step on any basis
+whose block has a singular pair for every odd-l state.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -14,12 +16,12 @@ from scipy.linalg import expm
 
 from rydoct import (
     HamiltonianData,
-    InvalidSpecError,
     OctProblem,
     PenaltySchedule,
     PulseGrid,
     RegisterSpec,
     StateLabel,
+    ValidationError,
     WavePacket,
     backward_propagate,
     boundary_labels,
@@ -32,6 +34,7 @@ from rydoct import (
 )
 from rydoct import propagation
 from rydoct.propagation import BLOCK_STEP_MIN_DIM, SplitStepKernel
+from tests.conftest import step_kind
 
 DT = 413.41373333565624
 
@@ -76,19 +79,25 @@ class TestSvdEigensystem:
             norms[pairs] = 0.5
             assert np.max(np.abs(factor.T @ factor - np.diag(norms))) <= 1e-13
 
-    def test_z_that_is_not_bipartite_takes_eigh(self, dense8):
-        zsys = precompute_z_eigensystem(dense8)
-        assert zsys.parity is None
-        assert not SplitStepKernel(dense8, zsys, 0.1).block
-        with pytest.raises(InvalidSpecError, match="even l to odd l"):
-            SplitStepKernel(dense8, zsys, 0.1, block=True)
+    def test_z_that_is_not_bipartite_is_rejected(self, dense8):
+        # A z that couples two states of one l parity, one entry of it or a
+        # full symmetric matrix, breaks the dipole rule: the constructor
+        # rejects it, so every basis has the parity blocks' eigensystem.
+        rng = np.random.default_rng(42)
+        one = dense8.z_matrix.copy()
+        one[0, 1] = one[1, 0] = 0.5
+        full = rng.normal(size=(dense8.dim, dense8.dim))
+        for z, pair in ((one, "<1s|z|2s>"), (full + full.T, "<1s|z|1s>")):
+            with pytest.raises(ValidationError, match=re.escape(f"violation: {pair}")):
+                HamiltonianData(dense8.labels, dense8.energies, z, provenance="test")
+        assert precompute_z_eigensystem(dense8).parity.n_even == 4
 
     def test_b_without_a_pair_for_every_odd_state_takes_the_dense_step(self, monkeypatch):
         # Two s states and three p states: z is bipartite, but B (2 x 3) has
         # two singular pairs for three odd rows, so the block step, which
         # keeps every odd row in its pair scratch, does not fit.  The
-        # kernel takes the dense step at any size, rejects `block=True`, and
-        # `propagate` matches the expm split step.
+        # kernel takes the dense step at any size, and `propagate` matches
+        # the expm split step.
         rng = np.random.default_rng(6)
         labels = tuple(StateLabel(n, l) for l, ns in ((0, (5, 6)), (1, (5, 6, 7))) for n in ns)
         z = np.zeros((5, 5))
@@ -97,11 +106,10 @@ class TestSvdEigensystem:
         h = HamiltonianData(labels, np.sort(rng.uniform(-1.0, -0.1, 5)), z, provenance="test")
         zsys = precompute_z_eigensystem(h)
         parity = zsys.parity
-        assert parity is not None and len(parity.s) == 2 < h.dim - parity.n_even
+        assert len(parity.s) == 2 < h.dim - parity.n_even
         monkeypatch.setattr(propagation, "BLOCK_STEP_MIN_DIM", 0)
-        assert not SplitStepKernel(h, zsys, 0.1).block
-        with pytest.raises(InvalidSpecError, match="no more odd-l states"):
-            SplitStepKernel(h, zsys, 0.1, block=True)
+        kernel = SplitStepKernel(h, zsys, 0.1)
+        assert not kernel.block and not kernel.adjoint().block
         samples = np.append(0.3 * rng.normal(size=20), 0.0)
         psi = _states(5, 2, seed=7)
         half = np.exp(-0.05j * h.energies)[:, None]
@@ -111,12 +119,20 @@ class TestSvdEigensystem:
         _, final = propagate(WavePacket(psi), PulseGrid(0.0, 0.1, samples), h, zsys)
         assert np.max(np.abs(final.amplitudes - expected)) <= 1e-13
 
-    def test_step_is_chosen_by_basis_size(self, cesium_h, cesium_zsys, full_h, full_zsys):
+    def test_step_is_chosen_by_basis_size(
+        self, cesium_h, cesium_zsys, full_h, full_zsys, monkeypatch
+    ):
+        # By the crossover alone, for the kernel and its adjoint alike.
         assert cesium_h.dim < BLOCK_STEP_MIN_DIM <= full_h.dim
         assert not SplitStepKernel(cesium_h, cesium_zsys, DT).block
         kernel = SplitStepKernel(full_h, full_zsys, DT)
         assert kernel.block and kernel.adjoint().block
-        assert not SplitStepKernel(full_h, full_zsys, DT, block=False).adjoint().block
+        monkeypatch.setattr(propagation, "BLOCK_STEP_MIN_DIM", full_h.dim + 1)
+        kernel = SplitStepKernel(full_h, full_zsys, DT)
+        assert not kernel.block and not kernel.adjoint().block
+        monkeypatch.setattr(propagation, "BLOCK_STEP_MIN_DIM", cesium_h.dim)
+        kernel = SplitStepKernel(cesium_h, cesium_zsys, DT)
+        assert kernel.block and kernel.adjoint().block
 
 
 class TestBlockStep:
@@ -141,7 +157,9 @@ class TestBlockStep:
         samples = _field(120, seed=3)
         finals = {}
         for block in (False, True):
-            kernel = SplitStepKernel(h, zsys, sign * DT, block=block)
+            with step_kind(block):
+                kernel = SplitStepKernel(h, zsys, sign * DT)
+            assert kernel.block == block
             state = kernel.shift(kernel.to_kernel_order(_states(h.dim, 3, seed=4)))
             step, (_, _, c, cf) = kernel.stepper(state)
             phases = kernel.phase_table(samples)

@@ -7,6 +7,7 @@ from rydoct import (
     InvalidSpecError,
     PulseGrid,
     StateLabel,
+    ValidationError,
     WavePacket,
     boundary_labels,
     precompute_z_eigensystem,
@@ -24,7 +25,7 @@ def normalized_state(dim, seed):
 class TestZEigensystem:
     def test_pauli_x_eigenvalues(self):
         h = HamiltonianData(
-            labels=(StateLabel(1, 0), StateLabel(2, 0)),
+            labels=(StateLabel(2, 0), StateLabel(2, 1)),
             energies=np.array([-0.5, -0.125]),
             z_matrix=np.array([[0.0, 1.0], [1.0, 0.0]]),
             provenance="test",
@@ -42,14 +43,14 @@ class TestZEigensystem:
         assert len(cesium_zsys.eigenvalues) == cesium_h.dim
 
     def test_asymmetric_rejected(self, dense8):
-        h = HamiltonianData(
-            labels=dense8.labels,
-            energies=dense8.energies,
-            z_matrix=dense8.z_matrix + np.triu(np.ones(dense8.dim), 1) * 1e-3,
-            provenance="test",
-        )
-        with pytest.raises(InvalidSpecError):
-            precompute_z_eigensystem(h)
+        # By the constructor, before any eigensystem can be taken.
+        with pytest.raises(ValidationError, match="not symmetric"):
+            HamiltonianData(
+                labels=dense8.labels,
+                energies=dense8.energies,
+                z_matrix=dense8.z_matrix + np.triu(np.ones(dense8.dim), 1) * 1e-3,
+                provenance="test",
+            )
 
 
 class TestSplitStep:
