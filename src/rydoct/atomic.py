@@ -390,7 +390,7 @@ def parity_rows(labels: Sequence[StateLabel]) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(~odd), np.flatnonzero(odd)
 
 
-@dataclass
+@dataclass(frozen=True)
 class HamiltonianData:
     """Field-free energies and the z (dipole) matrix over the basis labels.
 
@@ -400,9 +400,10 @@ class HamiltonianData:
     even-odd block B = z[even][:, odd] (see `parity_rows`), the (u, s, wt)
     that numpy returns, from which `precompute_z_eigensystem` assembles
     the eigensystem.  The constructor takes it when none is given; a
-    cached basis comes with it and calls no LAPACK routine.  The
-    constructor makes the energies and z read-only, since a write would
-    leave them unvalidated and the SVD stale.
+    cached basis comes with it and calls no LAPACK routine.  A write
+    would leave the data unvalidated and the SVD stale, so the instance is
+    frozen and keeps read-only copies of the arrays it is given: the
+    caller's own arrays stay as they were.
     """
 
     labels: tuple[StateLabel, ...]
@@ -413,13 +414,20 @@ class HamiltonianData:
     parity_svd: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
-        self._index = {label: i for i, label in enumerate(self.labels)}
+        def put(name, value):
+            object.__setattr__(self, name, value)
+
+        put("energies", np.array(self.energies, dtype=float))
+        put("z_matrix", np.array(self.z_matrix, dtype=float))
+        put("_index", {label: i for i, label in enumerate(self.labels)})
         self.validate()
         if self.parity_svd is None:
             even, odd = parity_rows(self.labels)
-            self.parity_svd = np.linalg.svd(self.z_matrix[np.ix_(even, odd)])
-        self.energies.flags.writeable = False
-        self.z_matrix.flags.writeable = False
+            put("parity_svd", tuple(np.linalg.svd(self.z_matrix[np.ix_(even, odd)])))
+        else:
+            put("parity_svd", tuple(np.array(a, dtype=float) for a in self.parity_svd))
+        for array in (self.energies, self.z_matrix, *self.parity_svd):
+            array.flags.writeable = False
 
     @property
     def dim(self) -> int:

@@ -8,11 +8,22 @@ before advancing the state through each step (immediate feedback).
 
 The update rule, named "replace", sets
 
-    E(t_j) <- Im <lam(t_j)| z |psi(t_j)> / l(t_j)
+    E(t_j) <- Im <D lam(t_j)| z |D psi(t_j)> / l(t_j),   D = exp(-i H0 dt/2),
 
-which is the choice that maximizes the field-dependent part of the
-iteration gain; in continuous time it makes the functional J = yield - cost
-monotone.  It is the only rule: the problem types and
+the overlap taken between the two half free steps of step j, where its
+field acts.  In continuous time this makes the functional J = yield - cost
+monotone.  In discrete time an iteration gains at least sum_j g_j, with
+
+    g_j(E) = 2 Re <lam(t_{j+1})| (S_j(E) - S_j(E_old)) |psi(t_j)>
+             - l(t_j) dt (E^2 - E_old^2)
+
+for the step S_j, the old field's costate and the new field's state, and
+the rule maximizes g_j to first order in E - E_old: its fixed points are
+the stationary points of the discrete J.  The same overlap taken at t_j,
+before the half step, is off by O(dt); its fixed points are not
+stationary, and J falls once an iteration gains less than that offset.
+A g_j can still be negative where the field changes fast, so J is not
+guaranteed to rise.  The rule is the only one: the problem types and
 `forward_update_sweep` take its name and reject any other.
 
 Each sweep is written once, and the engine (`_run_engine`) runs it on a
@@ -22,9 +33,10 @@ back to t0 under the old field; the engine then applies z to them in place
 sweeps carry D-shifted states (see `rydoct.propagation`), so that the two
 half steps that meet between consecutive steps are one multiply: the
 update sweep steps x_j = D psi_j and the costate sweep mu_j = D* lam_j,
-each converting once at its boundary.  `_apply_z` folds the two D's that
-this leaves into its chunk product, D z D mu_j = D z lam_j, so that the
-update sweep's overlap <D z lam_j|x_j> is <z lam_j|psi_j>.  The
+each converting once at its boundary.  `_apply_z` multiplies each mu_j
+by the free step D^2 on its way into its chunk product, z D^2 mu_j =
+z D lam_j, so that the update sweep's overlap <z D lam_j|x_j> is the
+rule's <D lam_j| z |D psi_j>.  The
 sweeps fill work arrays that the engine allocates once per run
 (`_work_arrays`): two step-major (n_steps, dim, M) costate arrays, whose
 per-step blocks are contiguous; one (n_steps, dim, 1) table of the swept
@@ -285,25 +297,25 @@ def _costate_sweep(
 
 
 def _apply_z(kernel: SplitStepKernel, lam_buffer: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """D z D mu_j = D z lam_j in place of mu_j; returns the (n_steps, dim, M) buffer itself.
+    """z D^2 mu_j = z D lam_j in place of mu_j; returns the (n_steps, dim, M) buffer itself.
 
     z acts on half a chunk of steps as one real product.  Each half chunk of
     costates mu_j = D* lam_j, as the costate sweep stores them, is
-    multiplied by D into a contiguous (dim, steps x M) block in the first
-    half of `scratch`, a `_chunk_scratch` of the buffer's width, transposed
-    on the way, so that its float64 view holds each lam_j's real and
-    imaginary parts as a column pair: the (dim, steps x 2M) operand that z
-    met when the costates were stored dim-major.  Each product column
-    depends only on its operand column, so the product has the same bits as
-    the dim-major one.  It goes into the second half, as
-    `SplitStepKernel.multiply_z` forms it in the kernel's row order, and is
-    multiplied by D on its way back.  Both multiplies read D from one
+    multiplied by the free step D^2 (`SplitStepKernel.free`) into a
+    contiguous (dim, steps x M) block in the first half of `scratch`, a
+    `_chunk_scratch` of the buffer's width, transposed on the way, so that
+    its float64 view holds each D lam_j's real and imaginary parts as a
+    column pair: the (dim, steps x 2M) operand that z met when the costates
+    were stored dim-major.  Each product column depends only on its operand
+    column, so the product has the same bits as the dim-major one.  It goes
+    into the second half, as `SplitStepKernel.multiply_z` forms it in the
+    kernel's row order, and is copied back.  The multiply reads D^2 from one
     contiguous (dim, steps, M) block, which is faster than a broadcast
     column across the transposition.
     """
     n_steps, dim, n_members = lam_buffer.shape
     half = CHUNK_STEPS // 2
-    d = np.ascontiguousarray(np.broadcast_to(kernel.half[:, :, None], (dim, half, n_members)))
+    d = np.ascontiguousarray(np.broadcast_to(kernel.free[:, :, None], (dim, half, n_members)))
     for start in range(0, n_steps, half):
         chunk = lam_buffer[start : start + half]
         src, dst = (
@@ -313,7 +325,7 @@ def _apply_z(kernel: SplitStepKernel, lam_buffer: np.ndarray, scratch: np.ndarra
         dk = d[:, : len(chunk)]
         np.multiply(dk, chunk.transpose(1, 0, 2), src.reshape(dim, -1, n_members))
         kernel.multiply_z(src.view(np.float64), dst.view(np.float64))
-        np.multiply(dk, dst.reshape(dim, -1, n_members), chunk.transpose(1, 0, 2))
+        np.copyto(chunk.transpose(1, 0, 2), dst.reshape(dim, -1, n_members))
     return lam_buffer
 
 
@@ -330,10 +342,10 @@ def _update_sweep(
     """Forward sweep with immediate field feedback, shared by all members.
 
     `psi0` is the (dim, M) block of initial states, `z_lam[j]` the block of
-    D z lam_i(t_j) and `coeffs[j]` that of V^T D* lam_i(t_{j+1}), as the
+    z D lam_i(t_j) and `coeffs[j]` that of V^T D* lam_i(t_{j+1}), as the
     engine's costate sweep and `_apply_z` leave them.  The block advances as
     x_j = D psi_j, shifted once at each end, and each member's increment is
-    Im <D z lam_j|x_j> = Im <z lam_j|psi_j>.  At each
+    Im <z D lam_j|x_j> = Im <D lam_j| z |D psi_j>.  At each
     step the increments of every member are summed into one field value,
     and then the whole block advances through the step under that new
     value.  Returns the new field samples, the final block and the
@@ -419,7 +431,7 @@ def forward_update_sweep(
     under the old field.  Runs the engine's update sweep on one member and
     returns the updated field and the final state at T.  The final field
     sample sits at T itself, after the last step, and is left unchanged.
-    As in the engine, the costates are shifted to mu_j = D* lam_j, D z lam_j
+    As in the engine, the costates are shifted to mu_j = D* lam_j, z D lam_j
     comes from `_apply_z` and V^T D* lam_{j+1} from the adjoint `stepper`,
     here for every step in one product.
     """

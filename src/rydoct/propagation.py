@@ -41,7 +41,7 @@ temporaries and takes no views.  Each P_j of a fixed field is a row of
 a contiguous (dim, M) block; the costate sweep passes the block, which
 multiplies element by element instead of row by row.  The optimization
 engine stores, per iteration, only the final state block, two step-major
-costate arrays of n_steps blocks each (D z lam_j and V^T D* lam_{j+1}) and
+costate arrays of n_steps blocks each (z D lam_j and V^T D* lam_{j+1}) and
 one (n_steps, dim, 1) table of the swept field's phases P_j, which it
 forms once per field (see `control`), never whole forward trajectories.
 

@@ -130,7 +130,12 @@ def step_kind(block: bool):
     """Every `SplitStepKernel` built inside, an adjoint or a public
     function's own among them, takes the parity-block step if `block` and
     the basis fits it, and the dense step otherwise: the crossover
-    `BLOCK_STEP_MIN_DIM` is moved below or above every basis."""
+    `BLOCK_STEP_MIN_DIM` is moved below or above every basis.
+
+    `SplitStepKernel.adjoint` reads the crossover again, so a sweep that
+    builds an adjoint (the costate sweep, `_iterate`, the public sweeps)
+    must run inside the same context as the kernel it is given, or the
+    kernel and its adjoint take different steps."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(propagation, "BLOCK_STEP_MIN_DIM", 0 if block else 10**9)
         yield

@@ -4,7 +4,9 @@
 stood before every sweep moved onto `rydoct.propagation.SplitStepKernel`,
 `_sweep` with only its "replace" rule: one member at a time, the real
 eigenvectors multiplied into complex vectors, the overlap formed as
-V (w (V^T psi)) and the cross-term from two full steps.  tests/test_kernel.py
+V (w (V^T psi)) and the cross-term from two full steps.  Its overlap is
+taken between the two half free steps, <D lam_j| z |D psi_j>, where the
+package's rule takes it.  tests/test_kernel.py
 checks the batched kernel against them.
 """
 
@@ -57,7 +59,7 @@ def _sweep(
     """Forward sweep with immediate field feedback, shared by all targets.
 
     At each step the update increments from every member are computed from
-    the states at t_j, accumulated into one field value, and then all members
+    the states at t_j, after the half free step D that opens the step, accumulated into one field value, and then all members
     advance through the step under that new value.  Returns the new field
     samples, the new trajectories, and the accumulated cross-term
     sum_j <lam(t_{j+1})| (S_new - S_old) psi(t_j)> needed for the delta3
@@ -84,8 +86,8 @@ def _sweep(
     for j in range(n_samples - 1):
         overlap = 0.0
         for i in range(members):
-            z_psi = v @ (w * (vt @ current[i]))
-            overlap += float(np.vdot(costates[i][j], z_psi).imag)
+            z_psi = v @ (w * (vt @ (half * current[i])))
+            overlap += float(np.vdot(half * costates[i][j], z_psi).imag)
         new_samples[j] = overlap / penalty.samples[j]
         e_new = float(new_samples[j])
         e_old = float(pulse.samples[j])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -275,12 +276,28 @@ class TestValidate:
 
     def test_arrays_cannot_be_written_after_construction(self, default_grid):
         # A write would bypass the validation and leave the SVD of z's
-        # even-odd block stale.
+        # even-odd block stale: through an array, a field or an array that
+        # the caller passed in.
         h = build_hamiltonian(BasisSpec(24, 26, 2), default_grid)
         i, j = h.index("24s"), h.index("25p")
-        for array, index in ((h.z_matrix, (i, j)), (h.energies, i)):
+        for array, index in ((h.z_matrix, (i, j)), (h.energies, i), (h.parity_svd[1], 0)):
             with pytest.raises(ValueError, match="read-only"):
                 array[index] = 0.5
+        for name in ("z_matrix", "energies", "parity_svd", "labels"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(h, name, getattr(h, name))
+        z, energies = h.z_matrix.copy(), h.energies.copy()
+        svd = tuple(a.copy() for a in h.parity_svd)
+        rebuilt = HamiltonianData(h.labels, energies, z, parity_svd=svd)
+        # The caller's arrays stay writable, and writing them leaves the
+        # instance as it was built.
+        z[i, j] = z[j, i] = 0.5
+        energies[i] = -0.5
+        svd[1][0] = 0.5
+        assert np.array_equal(rebuilt.z_matrix, h.z_matrix)
+        assert np.array_equal(rebuilt.energies, h.energies)
+        for mine, built in zip(rebuilt.parity_svd, h.parity_svd):
+            assert np.array_equal(mine, built)
 
 
 class TestHamiltonianFile:

@@ -227,8 +227,9 @@ class TestForwardUpdateSweep:
         assert new_pulse.samples[-1] == pulse.samples[-1]
 
     def test_first_increment_matches_hand_evaluation(self):
-        # At t0 the updated sample is Im(<lam(0)| z |psi0>) / l(0), with the
-        # overlap evaluated directly from the stored matrices.
+        # At t0 the updated sample is Im(<D lam(0)| z |D psi0>) / l(0), with
+        # D = exp(-i H0 dt/2) the half free step and the overlap evaluated
+        # directly from the stored matrices.
         h, zsys = two_level()
         pulse = PulseGrid(0.0, 0.05, np.full(41, 0.07))
         pen = PenaltySchedule.build(pulse, base=3.0, edge_multiplier=1.0)
@@ -236,8 +237,36 @@ class TestForwardUpdateSweep:
         costates = backward_propagate(costate_terminal(psi_final, 1), pulse, h, zsys)
         psi0 = ground_state(2)
         new_pulse, _ = forward_update_sweep(psi0, costates, pulse, pen, h, zsys)
-        expected = np.vdot(costates[0], h.z_matrix @ psi0.amplitudes).imag / 3.0
-        assert new_pulse.samples[0] == pytest.approx(expected, rel=1e-12)
+        half = np.exp(-0.5j * pulse.dt * h.energies)
+        overlap = np.vdot(half * costates[0], h.z_matrix @ (half * psi0.amplitudes))
+        assert new_pulse.samples[0] == pytest.approx(overlap.imag / 3.0, rel=1e-12)
+
+    def test_first_sample_moves_along_the_gradient_of_the_discrete_j(self):
+        # The rule maximizes the step's gain to first order in the field
+        # change, so with the costates of the old field the first new sample
+        # is E_0 + (dJ/dE_0) / (2 l(0) dt), dJ/dE_0 the derivative of the
+        # discrete J, here by central differences.  The overlap taken at t0
+        # instead, before the half free step, misses it by 1.0e-3 relative;
+        # the rule meets it to 6e-11.
+        h, zsys = two_level()
+        pulse = PulseGrid(0.0, 0.05, np.full(41, 0.07))
+        pen = PenaltySchedule.build(pulse, base=3.0, edge_multiplier=1.0)
+        psi0 = ground_state(2)
+
+        def objective(sample):
+            samples = pulse.samples.copy()
+            samples[0] = sample
+            trial = pulse.with_samples(samples)
+            _, final = propagate(psi0, trial, h, zsys, record=None)
+            return abs(final.amplitudes[1]) ** 2 - evaluate_cost(trial, pen)
+
+        _, final = propagate(psi0, pulse, h, zsys, record=None)
+        costates = backward_propagate(costate_terminal(final, 1), pulse, h, zsys)
+        new_pulse, _ = forward_update_sweep(psi0, costates, pulse, pen, h, zsys)
+        e0, step = pulse.samples[0], 1e-4
+        gradient = (objective(e0 + step) - objective(e0 - step)) / (2.0 * step)
+        expected = e0 + gradient / (2.0 * pen.samples[0] * pulse.dt)
+        assert new_pulse.samples[0] == pytest.approx(expected, rel=1e-9)
 
     def test_replace_mode_sets_field_directly(self):
         # The new field is the overlap over the penalty and does not depend
@@ -253,7 +282,9 @@ class TestForwardUpdateSweep:
         psi0 = ground_state(2)
         replaced, final = forward_update_sweep(psi0, costates, pulse, pen, h, zsys, "replace")
         again, final_again = forward_update_sweep(psi0, costates, other, pen, h, zsys, "replace")
-        increment = np.vdot(costates[0], h.z_matrix @ psi0.amplitudes).imag / pen.samples[0]
+        half = np.exp(-0.5j * pulse.dt * h.energies)
+        overlap = np.vdot(half * costates[0], h.z_matrix @ (half * psi0.amplitudes))
+        increment = overlap.imag / pen.samples[0]
         assert replaced.samples[0] == pytest.approx(increment, rel=1e-12)
         assert np.array_equal(replaced.samples[:-1], again.samples[:-1])
         assert np.array_equal(final.amplitudes, final_again.amplitudes)

@@ -222,14 +222,8 @@ class TestOptimizeEnsemble:
 
     def test_summed_objective_monotone(self, dense3, small_problem):
         # Where the per-step field changes are well resolved by the time
-        # step, the summed objective never drops past rounding slack.  The
-        # run stops while each iteration still gains more than 1e-5.  Past
-        # that the loop trades yield between its two members, and from
-        # iteration 23 J falls by up to 9.4e-6 per iteration at this dt: the
-        # "replace" update is not monotone in discrete time, a known defect
-        # (see the roadmap); this test goes back to 60 iterations once the
-        # update is fixed.
-        small_problem.max_iterations = 20
+        # step, the summed objective never drops past rounding slack.
+        small_problem.max_iterations = 60
         zsys = precompute_z_eigensystem(dense3)
         result = optimize_ensemble(small_problem, zsys=zsys)
         full = np.concatenate([[result.guess_j], result.j_history])

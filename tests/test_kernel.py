@@ -73,21 +73,13 @@ def _evolve(kernel, block, pulse):
     return final.amplitudes
 
 
-def _step_of(kernel):
-    """Every kernel built inside, the public functions' own and the adjoint
-    that a sweep takes, takes the step of `kernel`: kernels pick their step
-    by basis size, and for the block step on 55 states the crossover is
-    lowered."""
-    return step_kind(kernel.block)
-
-
 def _engine_blocks(setup, kernel, bits):
     """psi0 of the members marking `bits`, their final block under the
     set-up's field and their target indices, in the kernel's row order, as
     the engine holds them."""
     h = setup["h"]
     psi0 = np.stack(setup["psi0"][: len(bits)], axis=1)
-    with _step_of(kernel):
+    with step_kind(kernel.block):
         final = _evolve(kernel, psi0, setup["pulse"])
     rows = np.array([h.index(bit) for bit in bits])
     if kernel.block:
@@ -201,14 +193,14 @@ def test_public_backward_propagate_matches_oracle(both):
     for setup in both:
         h, zsys, pulse = setup["h"], setup["zsys"], setup["pulse"]
         for lam, expected in zip(setup["lam_final"], setup["ref_costates"]):
-            with _step_of(setup["kernel"]):
+            with step_kind(setup["kernel"].block):
                 costates = backward_propagate(WavePacket(lam, time=pulse.horizon), pulse, h, zsys)
             assert costates.shape == expected.shape
             assert np.max(np.abs(costates - expected)) <= 1e-12
 
 
 def test_costate_sweep_matches_oracle(both):
-    # D z lam_j for the increment at t_j, which the update sweep takes
+    # z D lam_j for the increment at t_j, which the update sweep takes
     # against x_j = D psi_j, and V^T D* lam_{j+1} for the cross-term of step
     # j, both formed from the oracle's costates in the kernel's row order:
     # parity order for the block step.
@@ -216,7 +208,7 @@ def test_costate_sweep_matches_oracle(both):
         h, kernel = setup["h"], setup["kernel"]
         half_adjoint = np.exp(0.5j * setup["pulse"].dt * h.energies)
         for i, costates in enumerate(setup["ref_costates"]):
-            z_lam = kernel.to_kernel_order(costates[:-1] @ h.z_matrix.T / half_adjoint, axis=1)
+            z_lam = kernel.to_kernel_order((costates[:-1] / half_adjoint) @ h.z_matrix.T, axis=1)
             coeffs = _step_coefficients(kernel, costates[1:] * half_adjoint)
             scale = np.max(np.abs(z_lam))
             assert np.max(np.abs(setup["z_lam"][:, :, i] - z_lam)) <= 1e-12 * scale
@@ -242,7 +234,7 @@ def test_update_sweep_matches_oracle(setup, block_setup, public, block):
         setup["psi0"][:n_members], setup["ref_costates"][:n_members], pulse, penalty, h, zsys
     )
     if public:
-        with _step_of(kernel):
+        with step_kind(kernel.block):
             new_pulse, final = forward_update_sweep(
                 WavePacket(setup["psi0"][0]), setup["ref_costates"][0], pulse, penalty, h, zsys
             )
@@ -298,8 +290,8 @@ def test_update_sweep_forms_the_cross_term_per_half_chunk(setup, block_setup, n_
     expected, _, expected_cross = ref._sweep(psi0, costates, pulse, penalty, h, zsys)
 
     half_adjoint = np.exp(0.5j * pulse.dt * h.energies)
-    # D z lam_j, as `_apply_z` leaves it.
-    z_lam = np.stack([lam[:-1] @ h.z_matrix.T / half_adjoint for lam in costates], axis=2)
+    # z D lam_j, as `_apply_z` leaves it.
+    z_lam = np.stack([(lam[:-1] / half_adjoint) @ h.z_matrix.T for lam in costates], axis=2)
     z_lam = kernel.to_kernel_order(z_lam, axis=1)
     coeffs = np.stack(
         [_step_coefficients(kernel, lam[1:] * half_adjoint) for lam in costates], axis=2
@@ -446,7 +438,7 @@ def test_sweeps_hold_two_costate_arrays_and_one_phase_table(
             kernel, psi0, new_final, targets, pulse.with_samples(samples), penalty, work
         )
 
-    with _step_of(kernel):
+    with step_kind(kernel.block):
         tracemalloc.start()
         try:
             work = _filled_work(kernel, pulse, n_members)
@@ -651,7 +643,7 @@ def _assert_sweep_calls(setup, n_members, dots, pairs):
     old = pulse.samples[:-1]
     lam_final = kernel.to_kernel_order(np.stack(setup["lam_final"][:n_members], axis=1))
     work = _filled_work(kernel, pulse, n_members)
-    with _step_of(kernel):
+    with step_kind(kernel.block):
         _, counts = _numpy_calls(lambda: _costate_sweep(kernel, lam_final, pulse.samples, work))
     field_steps = np.count_nonzero(old)
     products = n_steps + field_steps
@@ -695,11 +687,11 @@ def _assert_sweep_calls(setup, n_members, dots, pairs):
 
 
 def test_apply_z_is_the_dim_major_chunk_product_in_place(setup):
-    # D z D mu_j, which is D z lam_j, replaces the shifted costate mu_j in
+    # z D^2 mu_j, which is z D lam_j, replaces the shifted costate mu_j in
     # the step-major buffer, which comes back itself, and equals bit for
-    # bit the product that z lam_j had when the costates were stored
-    # dim-major, between the two D's: z times 64 steps of the
-    # (dim, n_steps x 2M) float64 view at a time, the last chunk a short one.
+    # bit the product that z D lam_j had when the costates were stored
+    # dim-major: z times 64 steps of the (dim, n_steps x 2M) float64 view
+    # at a time, the last chunk a short one.
     # _apply_z multiplies half chunks; the buffer cut by 7 steps ends in a
     # short half chunk as well.
     h, pulse, kernel = setup["h"], setup["pulse"], setup["kernel"]
@@ -709,11 +701,11 @@ def test_apply_z_is_the_dim_major_chunk_product_in_place(setup):
     assert (pulse.n_steps - 7) % (CHUNK_STEPS // 2) != 0
     for costates in (lam_buffer, lam_buffer[:-7]):
         n_steps = len(costates)
-        # Each D multiplies as in `_apply_z`, from a contiguous block across
+        # D^2 multiplies as in `_apply_z`, from a contiguous block across
         # the transposition: numpy takes a different inner loop, with other
         # bits, for strided operands.
         shape = (h.dim, n_steps, len(MARKED))
-        d = np.ascontiguousarray(np.broadcast_to(kernel.half[:, :, None], shape))
+        d = np.ascontiguousarray(np.broadcast_to(kernel.free[:, :, None], shape))
         dim_major = np.empty(shape, dtype=complex)
         np.multiply(d, costates.transpose(1, 0, 2), out=dim_major)
         flat = dim_major.reshape(h.dim, -1).view(np.float64)
@@ -721,8 +713,7 @@ def test_apply_z_is_the_dim_major_chunk_product_in_place(setup):
         for start in range(0, flat.shape[1], width):
             chunk = flat[:, start : start + width]
             chunk[...] = kernel.zsys.z @ chunk
-        expected = np.empty_like(costates)
-        np.multiply(d, dim_major, out=expected.transpose(1, 0, 2))
+        expected = np.ascontiguousarray(dim_major.transpose(1, 0, 2))
         # What the scratch held before does not reach the product.
         for scratch in (work[2], np.full_like(work[2], np.nan)):
             z_lam = _apply_z(kernel, costates.copy(), scratch)
@@ -744,7 +735,7 @@ def test_iterate_without_undispatched_numpy_functions(setup, block_setup, block,
 
     def iterate():
         work = _filled_work(kernel, pulse, len(MARKED))
-        with _step_of(kernel):
+        with step_kind(kernel.block):
             return _iterate(kernel, psi0, final, targets, pulse, penalty, work)
 
     expected = iterate()
@@ -794,7 +785,7 @@ def test_delta3_flags_costates_that_do_not_belong_to_the_field(both, monkeypatch
             # The larger |delta3| of two iterations on one set of work arrays.
             work = _filled_work(kernel, pulse, len(MARKED))
             args = (psi0, final, targets, pulse, penalty, work)
-            with _step_of(kernel):
+            with step_kind(kernel.block):
                 samples, new_final, first = _iterate(kernel, *args)
                 args = (psi0, new_final, targets, pulse.with_samples(samples), penalty, work)
                 return max(abs(first), abs(_iterate(kernel, *args)[2]))
