@@ -36,14 +36,14 @@ update sweep steps x_j = D psi_j and the costate sweep mu_j = D* lam_j,
 each converting once at its boundary.  `_apply_z` multiplies each mu_j
 by the free step D^2 on its way into its chunk product, z D^2 mu_j =
 z D lam_j, so that the update sweep's overlap <z D lam_j|x_j> is the
-rule's <D lam_j| z |D psi_j>.  The
-sweeps fill work arrays that the engine allocates once per run
-(`_work_arrays`): two step-major (n_steps, dim, M) costate arrays, whose
-per-step blocks are contiguous; one (n_steps, dim, 1) table of the swept
-field's phases P(E_j); and one scratch of `CHUNK_STEPS` steps (see
-`_chunk_scratch`) that carries those phases at full (dim, M) width in the
-costate sweep, the transposed chunks that z multiplies between the
-sweeps, and the update sweep's half chunks of the delta3 cross-term.  Each
+rule's <D lam_j| z |D psi_j>.  The sweeps fill work arrays that the
+engine allocates once per run (`_work_arrays`): two step-major
+(n_steps, dim, M) costate arrays, whose per-step blocks are contiguous;
+one (n_steps, dim, 1) table of the swept field's phases P(E_j); and one
+scratch of `CHUNK_STEPS` steps (see `_chunk_scratch`) that carries those
+phases at full (dim, M) width in the costate sweep, the transposed chunks
+that z multiplies between the sweeps, and the update sweep's half chunks
+of the delta3 cross-term.  Each
 field's phases are formed once for the sweeps: the engine fills the table
 from the guess, and the update sweep writes the phase of each new sample
 into its row, so the table it leaves is the next iteration's old field.

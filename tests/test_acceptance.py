@@ -164,8 +164,7 @@ def test_criterion_05_universal_decoder(universal_run):
 
 def test_universal_objective_monotone(universal_run):
     # The shipped universal run keeps J monotone up to its 100-iteration
-    # cap.  With the update's overlap taken at the start of each step,
-    # before the half free step, J fell from iteration 88.
+    # cap, with the slack of criterion 03.
     with open(universal_run["out"] / "history.csv", newline="") as fh:
         j_values = np.array([float(row["J"]) for row in csv.DictReader(fh)])
     assert len(j_values) == 100
