@@ -28,22 +28,27 @@ guaranteed to rise.  The rule is the only one: the problem types and
 
 Each sweep is written once, and the engine (`_run_engine`) runs it on a
 (dim, M) block of members.  `_costate_sweep` integrates the costates from T
-back to t0 under the old field; the engine then applies z to them in place
-(`_apply_z`).  `_update_sweep` is the forward sweep with feedback.  The
-sweeps carry D-shifted states (see `rydoct.propagation`), so that the two
-half steps that meet between consecutive steps are one multiply: the
-update sweep steps x_j = D psi_j and the costate sweep mu_j = D* lam_j,
-each converting once at its boundary.  `_apply_z` multiplies each mu_j
-by the free step D^2 on its way into its chunk product, z D^2 mu_j =
-z D lam_j, so that the update sweep's overlap <z D lam_j|x_j> is the
-rule's <D lam_j| z |D psi_j>.  The sweeps fill work arrays that the
-engine allocates once per run (`_work_arrays`): two step-major
-(n_steps, dim, M) costate arrays, whose per-step blocks are contiguous;
-one (n_steps, dim, 1) table of the swept field's phases P(E_j); and one
-scratch of `CHUNK_STEPS` steps (see `_chunk_scratch`) that carries those
-phases at full (dim, M) width in the costate sweep, the transposed chunks
-that z multiplies between the sweeps, and the update sweep's half chunks
-of the delta3 cross-term.  Each
+back to t0 under the old field and keeps of them only the coefficients
+a_j = V^T D* lam_{j+1} that the adjoint of step j forms, conjugated.
+`_update_sweep` is the forward sweep with feedback.  The sweeps carry
+D-shifted states (see `rydoct.propagation`), so that the two half steps
+that meet between consecutive steps are one multiply: the update sweep
+steps x_j = D psi_j and the costate sweep mu_j = D* lam_j in one (dim, M)
+block each, converting once at each boundary.  Since D lam_j =
+V conj(P_j) a_j under the old field's phase P_j, the rule's overlap needs
+no z product: with c_j = V^T x_j, the coefficients that step j forms
+first, and s_jk = sum_i conj(a_j,ik) c_j,ik,
+
+    sum_i <D lam_j| z |D psi_j> = sum_k s_jk w_k P_jk,
+
+so the update sweep splits each step at that seam (the kernel's
+`coefficients` and `advance`) and chooses E_j in between.  The sweeps fill
+work arrays that the engine allocates once per run (`_work_arrays`): one
+step-major (n_steps, dim, M) coefficient array, whose per-step blocks are
+contiguous; one (n_steps, dim, 1) table of the swept field's phases
+P(E_j); and one scratch of `CHUNK_STEPS` steps (see `_chunk_scratch`) that
+carries those phases at full (dim, M) width in the costate sweep and the
+update sweep's chunks of s_j and of the old phases.  Each
 field's phases are formed once for the sweeps: the engine fills the table
 from the guess, and the update sweep writes the phase of each new sample
 into its row, so the table it leaves is the next iteration's old field.
@@ -65,9 +70,9 @@ backward propagations are exact adjoints of each other: it evaluates the
 integration-by-parts residual that must vanish identically for the
 monotonicity bookkeeping to hold, and stays at rounding level (<= 1e-10)
 when the one-convention-everywhere rule is respected.  The cross-term
-never feeds back into the field, so the update sweep forms it 32 steps at
-a time from the per-step c_j = V^T D psi_j and P_new - P_old that its steps
-leave behind, with no call of its own per step.
+is sum_j sum_k s_jk (P_new - P_old)_jk.  It never feeds back into the
+field, so the update sweep forms it a chunk of steps at a time from the
+s_j that its steps leave behind, with no call of its own per step.
 """
 
 from __future__ import annotations
@@ -195,40 +200,46 @@ def backward_propagate(
 ) -> np.ndarray:
     """Costate trajectory lam(t_j) for every grid point, integrated from T to t0.
 
-    Runs the engine's costate sweep on one member and returns its lam_j,
-    shifted back from the mu_j = D* lam_j that the sweep stores, then lam(T)
-    itself as the last row: an (n_samples, dim) array in basis
-    order, whatever order the kernel keeps.  Each backward step is the
-    adjoint of the forward split step with the same field sample, so the
-    discrete forward and backward propagations are exact inverses.
+    Runs the engine's costate sweep on one member, which keeps only the
+    coefficients a_j = V^T D* lam_{j+1} that the adjoint of step j forms
+    (conjugated), and rebuilds each lam_j = D* V conj(P_j) a_j from them
+    with the second half of the adjoint step (`advance`, which leaves
+    D*^2 V conj(P_j) a_j, shifted back by D).  Returns those lam_j, then
+    lam(T) itself as the last row: an (n_samples, dim) array in basis
+    order, whatever order the kernel keeps.  Each backward step is the adjoint of the forward split step
+    with the same field sample, so the discrete forward and backward
+    propagations are exact inverses.
     """
     kernel = SplitStepKernel(h, zsys, pulse.dt)
     lam_final = np.array(kernel.to_kernel_order(costate_final.amplitudes), dtype=complex)
     lam_final = lam_final.reshape(h.dim, 1)
     work = _work_arrays(pulse.n_steps, h.dim, 1)
-    kernel.phase_table(pulse.samples, out=work[3])
-    lam_buffer, _ = _costate_sweep(kernel, lam_final, pulse.samples, work)
+    table = kernel.phase_table(pulse.samples, out=work[2])
+    coeffs = _costate_sweep(kernel, lam_final, pulse.samples, work)
+    _, advance, _ = kernel.adjoint().stepper(lam_final)
+    mu = np.empty_like(coeffs)
+    for mu_j, phase, a in zip(mu, np.conjugate(table), np.conjugate(coeffs)):
+        advance(None, mu_j, phase, a)
     # lam_j = D mu_j.
-    lam = kernel.shift(lam_buffer)[:, :, 0]
+    lam = kernel.shift(mu)[:, :, 0]
     return kernel.to_basis_order(np.concatenate([lam, lam_final.T]), axis=1)
 
 
 def _work_arrays(n_steps: int, dim: int, n_members: int) -> tuple[np.ndarray, ...]:
-    """The arrays a run's sweeps fill: the (n_steps, dim, M) costate
-    buffer, the (n_steps, dim, M) coefficient array, the chunk scratch (see
-    `_chunk_scratch`) and the (n_steps, dim, 1) phase table.
+    """The arrays a run's sweeps fill: the (n_steps, dim, M) coefficient
+    array, the chunk scratch (see `_chunk_scratch`) and the
+    (n_steps, dim, 1) phase table.
 
     Row j of the table is P(E_j) of the field being swept, as
     `SplitStepKernel.phase_table` forms it.  The engine fills it from the
     guess before any sweep reads it, the costate sweep reads it, and the
     update sweep writes the phase of each new sample into its row, so that
     it holds the new field when the iteration ends.
-    The chunk scratch is a work space of each sweep and of `_apply_z` and
-    carries nothing between them.  Allocated once per run, the arrays stay
-    mapped instead of going back to the system between iterations.
+    The chunk scratch is a work space of each sweep and carries nothing
+    between them.  Allocated once per run, the arrays stay mapped instead of
+    going back to the system between iterations.
     """
     return (
-        np.empty((n_steps, dim, n_members), dtype=complex),
         np.empty((n_steps, dim, n_members), dtype=complex),
         _chunk_scratch(dim, n_members),
         np.ones((n_steps, dim, 1), dtype=complex),
@@ -236,20 +247,19 @@ def _work_arrays(n_steps: int, dim: int, n_members: int) -> tuple[np.ndarray, ..
 
 
 def _chunk_scratch(dim: int, n_members: int) -> np.ndarray:
-    """One (CHUNK_STEPS, dim, M) complex block, the only chunk-sized array.
+    """One flat complex block of CHUNK_STEPS x dim x (M + 2) numbers, the
+    only chunk-sized array.
 
-    The costate sweep conjugates `CHUNK_STEPS` rows of the phase table into
-    it at a time, broadcast to full width, so that each adjoint step
-    multiplies a contiguous (dim, M) phase rather than a column broadcast
-    row by row.
-    `_apply_z`, which runs between the sweeps, uses its two halves as one
-    transposed half chunk of costates and its product with z.  The update
-    sweep uses the first half as a (CHUNK_STEPS // 2, dim, M) store of the
-    steps' c_j and the head of the second as a contiguous
-    (CHUNK_STEPS // 2, dim, 1) copy of the same steps' old phases.  No use
-    reads what an earlier one left.
+    The costate sweep takes its head as a (CHUNK_STEPS, dim, M) block and
+    writes `CHUNK_STEPS` conjugated rows of the phase table into it at a
+    time, broadcast to full width, so that each adjoint step multiplies a
+    contiguous (dim, M) phase rather than a column broadcast row by row.
+    The update sweep takes its head as three (CHUNK_STEPS, dim) blocks, as
+    many as M + 2 columns hold for any M: the s_j of each step of a chunk,
+    the chunk's old phase rows and their derivatives in E.  No use reads
+    what an earlier one left.
     """
-    return np.empty((CHUNK_STEPS, dim, n_members), dtype=complex)
+    return np.empty(CHUNK_STEPS * dim * (n_members + 2), dtype=complex)
 
 
 def _costate_sweep(
@@ -257,82 +267,50 @@ def _costate_sweep(
     lam_final: np.ndarray,
     samples: np.ndarray,
     work: tuple[np.ndarray, ...],
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """The costates under the old field, integrated from T to t0.
 
-    Fills and returns the first two of the `_work_arrays`: the shifted
-    costate mu_j = D* lam_j that the adjoint steps carry, for every step, as
-    the step-major (n_steps, dim, M) buffer, and the (n_steps, dim, M)
-    array V^T mu_{j+1} = V^T D* lam_{j+1}: the coefficients that the adjoint
-    of step j forms on its way, kept for the delta3 cross-term of step j.
-    The old field's phases come from the work arrays' phase table, which
-    must hold P(E_j) of `samples`; `samples` itself only marks the
-    zero-field steps.  They reach the steps `CHUNK_STEPS` at a time,
-    conjugated into the chunk scratch at full width by one call, which is
-    the adjoint phase bit for bit.  The adjoint of step j reads mu_{j+1}
-    from its slot of the buffer (the shift of `lam_final` for the last
-    step) and writes mu_j and its coefficients straight into slot j of the
-    two arrays, through float64 views taken once per sweep, so nothing is
-    copied out per step.
+    Fills and returns the first of the `_work_arrays`, the (n_steps, dim, M)
+    array of conj(a_j), a_j = V^T mu_{j+1} = V^T D* lam_{j+1}: the
+    coefficients that the adjoint of step j forms on its way, all that the
+    update sweep needs of the costates, conjugated so that it multiplies
+    them straight into its own.  The shifted costate mu = D* lam itself is
+    stepped in place in one (dim, M) block, from the adjoint kernel's shift
+    of `lam_final`, and not kept.  The old field's phases come from the
+    work arrays' phase table, which must hold P(E_j) of `samples`;
+    `samples` itself only marks the zero-field steps.  They reach the steps
+    `CHUNK_STEPS` at a time, copied into the chunk scratch at full width and
+    conjugated there in place, which is the adjoint phase bit for bit (and
+    neither call buffers, where a broadcast `np.conjugate` would).  The
+    adjoint of step j writes a_j straight into slot j of the array, through
+    a float64 view taken once per sweep, so nothing is copied out per step;
+    each chunk of slots is conjugated in place once its steps are done.
     """
-    lam_buffer, coeffs, scratch, table = work
+    coeffs, scratch, table = work
+    n_steps, dim, n_members = coeffs.shape
     adjoint = kernel.adjoint()
-    step, _ = adjoint.stepper(lam_final)
-    lam_buffer_f, coeffs_f = lam_buffer.view(np.float64), coeffs.view(np.float64)
+    coefficients, advance, _ = adjoint.stepper(lam_final)
+    conjugate, copyto = np.conjugate, undispatched(np.copyto)
+    coeffs_f = coeffs.view(np.float64)
     mu = adjoint.shift(lam_final)
     mu_f = mu.view(np.float64)
+    chunk = scratch[: CHUNK_STEPS * dim * n_members].reshape(CHUNK_STEPS, dim, n_members)
     fields = samples[:-1].tolist()
-    for start in reversed(range(0, len(fields), CHUNK_STEPS)):
-        stop = min(start + CHUNK_STEPS, len(fields))
-        phases = scratch[: stop - start]
-        np.conjugate(table[start:stop], out=phases)
+    for start in reversed(range(0, n_steps, CHUNK_STEPS)):
+        stop = min(start + CHUNK_STEPS, n_steps)
+        phases = chunk[: stop - start]
+        copyto(phases, table[start:stop])
+        conjugate(phases, phases)
         for j in range(stop - 1, start - 1, -1):
-            mu_j = lam_buffer[j]
-            if fields[j] != 0.0:
-                step(mu, mu_f, mu_j, phases[j - start], coeffs[j], coeffs_f[j])
-            else:
-                step(mu, mu_f, mu_j, None, None, coeffs_f[j])
-            mu, mu_f = mu_j, lam_buffer_f[j]
-    return lam_buffer, coeffs
-
-
-def _apply_z(kernel: SplitStepKernel, lam_buffer: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """z D^2 mu_j = z D lam_j in place of mu_j; returns the (n_steps, dim, M) buffer itself.
-
-    z acts on half a chunk of steps as one real product.  Each half chunk of
-    costates mu_j = D* lam_j, as the costate sweep stores them, is
-    multiplied by the free step D^2 (`SplitStepKernel.free`) into a
-    contiguous (dim, steps x M) block in the first half of `scratch`, a
-    `_chunk_scratch` of the buffer's width, transposed on the way, so that
-    its float64 view holds each D lam_j's real and imaginary parts as a
-    column pair: the (dim, steps x 2M) operand that z met when the costates
-    were stored dim-major.  Each product column depends only on its operand
-    column, so the product has the same bits as the dim-major one.  It goes
-    into the second half, as `SplitStepKernel.multiply_z` forms it in the
-    kernel's row order, and is copied back.  The multiply reads D^2 from one
-    contiguous (dim, steps, M) block, which is faster than a broadcast
-    column across the transposition.
-    """
-    n_steps, dim, n_members = lam_buffer.shape
-    half = CHUNK_STEPS // 2
-    d = np.ascontiguousarray(np.broadcast_to(kernel.free[:, :, None], (dim, half, n_members)))
-    for start in range(0, n_steps, half):
-        chunk = lam_buffer[start : start + half]
-        src, dst = (
-            block.reshape(-1)[: chunk.size].reshape(dim, -1)
-            for block in (scratch[:half], scratch[half:])
-        )
-        dk = d[:, : len(chunk)]
-        np.multiply(dk, chunk.transpose(1, 0, 2), src.reshape(dim, -1, n_members))
-        kernel.multiply_z(src.view(np.float64), dst.view(np.float64))
-        np.copyto(chunk.transpose(1, 0, 2), dst.reshape(dim, -1, n_members))
-    return lam_buffer
+            coefficients(mu_f, coeffs_f[j])
+            advance(mu, mu, phases[j - start] if fields[j] != 0.0 else None, coeffs[j])
+        conjugate(coeffs[start:stop], coeffs[start:stop])
+    return coeffs
 
 
 def _update_sweep(
     kernel: SplitStepKernel,
     psi0: np.ndarray,
-    z_lam: np.ndarray,
     coeffs: np.ndarray,
     pulse: PulseGrid,
     penalty: PenaltySchedule,
@@ -341,76 +319,78 @@ def _update_sweep(
 ) -> tuple[np.ndarray, np.ndarray, complex]:
     """Forward sweep with immediate field feedback, shared by all members.
 
-    `psi0` is the (dim, M) block of initial states, `z_lam[j]` the block of
-    z D lam_i(t_j) and `coeffs[j]` that of V^T D* lam_i(t_{j+1}), as the
-    engine's costate sweep and `_apply_z` leave them.  The block advances as
-    x_j = D psi_j, shifted once at each end, and each member's increment is
-    Im <z D lam_j|x_j> = Im <D lam_j| z |D psi_j>.  At each
-    step the increments of every member are summed into one field value,
-    and then the whole block advances through the step under that new
-    value.  Returns the new field samples, the final block and the
-    cross-term sum_j <lam(t_{j+1})| (S_new - S_old) psi(t_j)> needed for the
-    delta3 diagnostic.  `table` is the phase table of the work arrays (see
-    `_work_arrays`) and holds P(E_old) of `pulse` on entry.  Only P(E_new),
-    which depends on the feedback, is formed per step, written into row j
-    of the table by the kernel's `phase_writer`, bound once per sweep, so
-    that the table holds P(E_new) on return.  The new samples are collected
-    in a list and stored once.  `psi0` itself is not written.
+    `psi0` is the (dim, M) block of initial states and `coeffs[j]` the
+    block of conj(a_j), a_j = V^T D* lam_i(t_{j+1}), as the engine's costate
+    sweep leaves it.  `table`, the work arrays' phase table, holds P(E_old)
+    of `pulse`, under which the costates were swept, so that D lam_j =
+    V conj(P_j) a_j.  The block advances as x_j = D psi_j, shifted once at
+    each end.  Each step first forms c_j = V^T x_j (the kernel's
+    `coefficients`) and s_jk = sum_i conj(a_j,ik) c_j,ik; the members'
+    summed overlap is then
 
-    The cross-term never feeds back into the field, so it is formed half a
-    chunk (`CHUNK_STEPS` // 2 steps) at a time in the chunk `scratch`.  Its
-    first half stores each step's c_j = V^T D psi_j, which the step writes
-    straight into its slot through the store's float64 view, taken once per
-    sweep; a step whose sample is zero and unchanged forms no c, and its
-    slot, which may hold anything, NaN included, is zeroed.  The second
-    half holds a contiguous (steps, dim, 1) copy of the half chunk's old
-    table rows, which become P_new - P_old in place after the half chunk
-    and then multiply the stored c_j in place.  Each step's
-    <D* lam_{j+1}| V (P_new - P_old) c_j> is then one `np.vecdot` over its
-    own (dim x M) row, so that the result does not depend on the BLAS
-    thread count; the values are added in step order.
+        sum_i Im <D lam_j| z |D psi_j> = Im sum_k s_jk w_k P_jk
+                                       = Re sum_k s_jk (dP/dE)_jk / dt,
+
+    with dP/dE = exponent P of the old phase row, and the new sample is
+    that over l_j.  Both sums round each product before they add it: a
+    product in place, then a `dot` with ones, whose products by 1 are
+    exact.  So terms that cancel exactly, such as opposite members under
+    one costate or the +-w_k pairs of a state that z cannot move, give
+    exactly 0, where the fused multiply-add of `vdot` or `vecdot` leaves the
+    rounding error of a product.  P(E_new) is formed per step into row j
+    of the table by the kernel's `phase_writer`, so that the table holds
+    the new field on return, and the step ends under it (`advance`).
+    `psi0` itself is not written.  Returns the new field samples, the final
+    block and the cross-term sum_j <lam(t_{j+1})| (S_new - S_old) psi(t_j)>
+    = sum_j sum_k s_jk (P_new - P_old)_jk for the delta3 diagnostic.
+
+    The sweep takes `CHUNK_STEPS` steps at a time.  Per chunk it copies the
+    old phase rows into `scratch` and forms their derivatives there, a
+    broadcast copy of `exponent` multiplied in place (a broadcast multiply
+    would buffer the chunk), and each step leaves its s_j in a row there.
+    The cross-term never feeds back into the field: after the chunk the old
+    rows become conj(P_new - P_old) in place, and each step's term is one
+    `np.vecdot` over its own (dim,) row, so that the result does not depend
+    on the BLAS thread count; the terms are added in step order.
     """
-    step, _ = kernel.stepper(psi0)
+    coefficients, advance, (c, cf) = kernel.stepper(psi0)
     write_phase = kernel.phase_writer(table)
     psi = kernel.shift(psi0)
     psi_f = psi.view(np.float64)
-    multiply, subtract, vecdot = np.multiply, np.subtract, np.vecdot
-    # The C function behind `np.vdot`, without its Python-level dispatcher.
-    vdot = undispatched(np.vdot)
+    multiply, subtract, conjugate, vecdot = np.multiply, np.subtract, np.conjugate, np.vecdot
+    # The C functions behind `np.dot` and `np.copyto`, without their
+    # Python-level dispatchers.
+    dot, copyto = undispatched(np.dot), undispatched(np.copyto)
+    dim, n_members = psi.shape
+    products, terms = np.empty_like(psi), np.empty(dim, dtype=complex)
+    ones, member_ones = np.ones(dim, dtype=complex), np.ones(n_members, dtype=complex)
+    s_rows, old, slopes = scratch[: 3 * CHUNK_STEPS * dim].reshape(3, CHUNK_STEPS, dim)
+    # Row j - start of s_rows and of the slopes, one pair per step.
+    rows = list(zip(s_rows, slopes))
+    table_rows, exponent = table[:, :, 0], kernel.exponent[:, 0]
     cross_term = 0.0 + 0.0j
-    weights = penalty.samples.tolist()
+    weights = (penalty.samples * kernel.dt).tolist()
     new_samples = pulse.samples.astype(float)
-    # Read as E_old and overwritten with E_new step by step.
     fields = new_samples[:-1].tolist()
-    half = CHUNK_STEPS // 2
-    c_store = scratch[:half]
-    # Slot j - start of the store and its float64 view, one pair per step.
-    slots = list(zip(c_store, c_store.view(np.float64)))
-    phase_change = scratch[half:].reshape(-1)[: half * len(psi)].reshape(half, -1, 1)
-    for start in range(0, len(fields), half):
-        stop = min(start + half, len(fields))
+    for start in range(0, len(fields), CHUNK_STEPS):
+        stop = min(start + CHUNK_STEPS, len(fields))
         k = stop - start
-        np.copyto(phase_change[:k], table[start:stop])
-        for j, (c, cf) in zip(range(start, stop), slots):
-            e_old = fields[j]
-            e_new = float(vdot(z_lam[j], psi).imag) / weights[j]
+        copyto(old[:k], table_rows[start:stop])
+        copyto(slopes[:k], exponent)
+        multiply(slopes[:k], old[:k], slopes[:k])
+        for j, a_bar, (s, slope) in zip(range(start, stop), coeffs[start:stop], rows):
+            coefficients(psi_f, cf)
+            multiply(a_bar, c, products)
+            dot(products, member_ones, s)
+            multiply(s, slope, terms)
+            e_new = dot(ones, terms).real / weights[j]
             fields[j] = e_new
             phase = write_phase(j, e_new)
-            if e_new != 0.0:
-                step(psi, psi_f, psi, phase, c, cf)
-            elif e_new != e_old:
-                # A zero field keeps the step diagonal, but a changed one
-                # still forms c for the cross-term.
-                step(psi, psi_f, psi, None, c, cf)
-            else:
-                step(psi, psi_f, psi, None, None, None)
-                c.fill(0.0)
-        # <lam_{j+1}| D V (P_new - P_old) c_j> with c_j = V^T D psi_j, as
-        # <coeffs_j| (P_new - P_old) c_j> over each step's (dim x M) row.
-        delta, stored = phase_change[:k], c_store[:k]
-        subtract(table[start:stop], delta, delta)
-        multiply(delta, stored, stored)
-        for value in vecdot(coeffs[start:stop].reshape(k, -1), stored.reshape(k, -1)).tolist():
+            advance(psi, psi, phase if e_new != 0.0 else None, c)
+        delta = old[:k]
+        subtract(table_rows[start:stop], delta, delta)
+        conjugate(delta, delta)
+        for value in vecdot(delta, s_rows[:k]).tolist():
             cross_term += value
     new_samples[:-1] = fields
     return new_samples, kernel.unshift(psi), cross_term
@@ -431,27 +411,29 @@ def forward_update_sweep(
     under the old field.  Runs the engine's update sweep on one member and
     returns the updated field and the final state at T.  The final field
     sample sits at T itself, after the last step, and is left unchanged.
-    As in the engine, the costates are shifted to mu_j = D* lam_j, z D lam_j
-    comes from `_apply_z` and V^T D* lam_{j+1} from the adjoint `stepper`,
-    here for every step in one product.
+    The engine hands the sweep conj(a_j), a_j = V^T D* lam_{j+1}, with the
+    old field's phases, for which V conj(P_j) a_j = D lam_j.  Here a_j is
+    V^T D lam_j itself, formed for every step in one product, with the
+    phases of the zero field, which are 1, so that the overlap is the
+    rule's for any costates, whether or not they belong to the field; the
+    cross-term is dropped.
     """
     _check_mode(update_mode)
     kernel = SplitStepKernel(h, zsys, pulse.dt)
-    adjoint = kernel.adjoint()
     costates = kernel.to_kernel_order(np.asarray(costates, dtype=complex), axis=1)
-    # mu_j = D* lam_j, as the engine's costate sweep stores them.
-    mu = adjoint.shift(costates[:, :, None])
-    mu_next = np.ascontiguousarray(mu[1:, :, 0].T)
-    adjoint_step, (x, _, c, cf) = adjoint.stepper(mu_next)
-    # D*^2 mu lands in x, unused.
-    adjoint_step(mu_next, mu_next.view(np.float64), x, None, c, cf)
-    coeffs = c.T[:, :, None]
-    scratch = _chunk_scratch(h.dim, 1)
-    z_lam = _apply_z(kernel, mu[:-1], scratch)
+    # D lam_j, one column per step.
+    lam = kernel.shift(costates[:-1].T)
+    coefficients, _, (c, cf) = kernel.stepper(lam)
+    coefficients(lam.view(np.float64), cf)
     psi = kernel.to_kernel_order(np.asarray(psi0.amplitudes, dtype=complex)).reshape(h.dim, 1)
-    table = kernel.phase_table(pulse.samples)
     new_samples, final, _ = _update_sweep(
-        kernel, psi, z_lam, coeffs, pulse, penalty, scratch, table
+        kernel,
+        psi,
+        np.conjugate(c.T)[:, :, None],
+        pulse,
+        penalty,
+        _chunk_scratch(h.dim, 1),
+        kernel.phase_table(np.zeros_like(pulse.samples)),
     )
     final = kernel.to_basis_order(final[:, 0])
     return pulse.with_samples(new_samples), WavePacket(final, time=pulse.horizon)
@@ -553,10 +535,9 @@ def _iterate(
     """
     lam_final = np.zeros_like(final)
     lam_final[targets] = final[targets]
-    lam_buffer, coeffs = _costate_sweep(kernel, lam_final, pulse.samples, work)
-    z_lam = _apply_z(kernel, lam_buffer, work[2])
+    coeffs = _costate_sweep(kernel, lam_final, pulse.samples, work)
     new_samples, new_final, cross_term = _update_sweep(
-        kernel, psi0, z_lam, coeffs, pulse, penalty, *work[2:]
+        kernel, psi0, coeffs, pulse, penalty, *work[1:]
     )
     boundary = np.vdot(lam_final, new_final - final)
     return new_samples, new_final, float(2.0 * (boundary - cross_term).real)
@@ -600,7 +581,7 @@ def _run_engine(
     psi0, final = kernel.to_kernel_order(psi0), kernel.to_kernel_order(final)
     targets = (kernel.to_basis_order(np.arange(h.dim))[rows], targets[1])
     work = _work_arrays(pulse.n_steps, h.dim, len(members))
-    kernel.phase_table(pulse.samples, out=work[3])
+    kernel.phase_table(pulse.samples, out=work[2])
     guess_yields = np.abs(final[targets]) ** 2
     j_prev = sum(guess_yields) - evaluate_cost(pulse, penalty)
     guess_j = j_prev

@@ -13,7 +13,7 @@ one convention being used everywhere.
 Every sweep in the package runs on one kernel, `SplitStepKernel`.  The
 kernel stays in the stored basis and works on a (dim, M) block whose
 columns are M independent states, so the members of an ensemble, or all
-the bits of a register, advance together.  V, V^T and z stay real: a real
+the bits of a register, advance together.  V and V^T stay real: a real
 matrix multiplies a complex block through the block's float64 view, in
 which each complex column is a (real, imaginary) pair of real columns.
 That is one real product with twice the columns, half the flops of the
@@ -32,18 +32,22 @@ the two multiplies by P and by D^2 = exp(-i H0 dt).  A step whose field
 sample is exactly zero is the one multiply D^2 x, so exact zeros stay
 exact.  A sweep takes its step once, before its first step
 (`SplitStepKernel.stepper`): that checks the block's shape, allocates the
-sweep's (dim, M) scratch blocks and their float64 views, and returns a
-callable that holds them, D^2, V and V^T as locals.  Each step is then
-only its ufunc and `np.dot` calls, with positional outputs, writing into
-that scratch or into a slot of the caller's arrays; it makes no
-temporaries and takes no views.  Each P_j of a fixed field is a row of
-`SplitStepKernel.phase_table`.  The phase P_j may be a (dim, 1) column or
-a contiguous (dim, M) block; the costate sweep passes the block, which
-multiplies element by element instead of row by row.  The optimization
-engine stores, per iteration, only the final state block, two step-major
-costate arrays of n_steps blocks each (z D lam_j and V^T D* lam_{j+1}) and
-one (n_steps, dim, 1) table of the swept field's phases P_j, which it
-forms once per field (see `control`), never whole forward trajectories.
+sweep's (dim, M) scratch blocks and their float64 views, and returns the
+step in its two halves, split at the coefficients c = V^T x: a callable
+that forms c and one that advances x from it, both holding the scratch,
+D^2, V and V^T as locals.  The update sweep chooses its field between the
+two, from c.  Each half is only its ufunc and `np.dot` calls, with
+positional outputs, writing into that scratch or into a slot of the
+caller's arrays; it makes no temporaries and takes no views.  Each P_j of
+a fixed field is a row of `SplitStepKernel.phase_table`.  The phase P_j
+may be a (dim, 1) column or a contiguous (dim, M) block; the costate sweep
+passes the block, which multiplies element by element instead of row by
+row.  The optimization
+engine stores, per iteration, only the final state block, one step-major
+costate array of n_steps blocks, the coefficients V^T D* lam_{j+1}
+(conjugated), and one (n_steps, dim, 1) table of the swept field's phases
+P_j, which it forms once per field (see `control`), never whole
+trajectories.
 
 The parity-block step.  The dipole rule |dl| = 1, which every
 `HamiltonianData` obeys, makes z bipartite in l parity: in parity order,
@@ -68,10 +72,10 @@ at 55 states, 0.88-1.00x at 154, 0.84-0.96x at 165, 0.77-0.88x at 187 and
 154 states, so smaller bases, and any basis with more odd-l states than
 even-l ones, keep the dense step.  Both steps share the one eigensystem.
 
-The step kind lives in this module alone: the step, its row order and
-z (`multiply_z`) are kernel methods that answer for either kind, and the
-phase rows (`phase_writer`, which `phase_table` runs too) have one formula
-for both, since both keep the same eigenbasis: P(E) = exp(E exponent)
+The step kind lives in this module alone: the step and its row order are
+kernel methods that answer for either kind, and the phase rows
+(`phase_writer`, which `phase_table` runs too) have one formula for both,
+since both keep the same eigenbasis: P(E) = exp(E exponent)
 with exponent the (dim, 1) column -i dt w, so dP/dE = exponent P.  The
 sweeps in `control` run one body for both kinds.  States cross into the
 kernel's order once, at `propagate`'s boundary and the engine's.
@@ -79,7 +83,8 @@ kernel's order once, at `propagate`'s boundary and the engine's.
 The public entry points are `propagate`, the one loop that runs a state or
 a block across a fixed pulse grid (optionally with an absorber on chosen
 states), and the kernel itself: `SplitStepKernel(h, zsys, dt).stepper(block)`
-returns one step, and its `phase_table` the phases P_j that the step takes.
+returns one step in its two halves, and its `phase_table` the phases P_j
+that the step takes.
 """
 
 from __future__ import annotations
@@ -192,7 +197,6 @@ class ParityBlocks(NamedTuple):
     """
 
     order: np.ndarray
-    b: np.ndarray
     q: np.ndarray
     w: np.ndarray
     s: np.ndarray
@@ -250,7 +254,7 @@ def precompute_z_eigensystem(h: HamiltonianData) -> ZEigensystem:
     r = len(s)
     q = np.concatenate([u[:, r:], u[:, :r] * np.sqrt(0.5)], axis=1)
     w = np.concatenate([wt[:r].T * np.sqrt(0.5), wt[r:].T], axis=1)
-    parity = ParityBlocks(np.concatenate([even, odd]), z[np.ix_(even, odd)], q, w, s)
+    parity = ParityBlocks(np.concatenate([even, odd]), q, w, s)
     n_even = parity.n_even
     # V in parity order, its columns in the order of `parity.eigenvalues`:
     # [[q, q's pair columns, 0], [0, w's pair columns, -w's pair columns, w's nulls]].
@@ -276,10 +280,10 @@ class SplitStepKernel:
     the adjoint (inverse) step, which the backward sweeps use; see
     `adjoint`.  Blocks are complex (dim, M) arrays, one state per column.
     A sweep shifts its block once (`shift`), takes its `stepper` once and
-    then calls it at every step, which writes through the stepper's scratch
-    and allocates nothing, with the phases P(E_j) that `phase_table` forms
-    for the field's samples; the step on x = D psi is D^2 V P(E) V^T x,
-    with the free step D^2 = exp(-i H0 dt) (`free`).
+    then calls its two halves at every step, which write through the
+    stepper's scratch and allocate nothing, with the phases P(E_j) that
+    `phase_table` forms for the field's samples; the step on x = D psi is
+    D^2 V P(E) V^T x, with the free step D^2 = exp(-i H0 dt) (`free`).
 
     A basis of `BLOCK_STEP_MIN_DIM` states or more whose block B has a
     singular pair for every odd-l state takes the parity-block step
@@ -314,14 +318,10 @@ class SplitStepKernel:
         self.exponent = -1j * dt * eigenvalues[:, None]
         if not block:
             self.v, self.vt = zsys.vectors, zsys.vectors.T
-            #: z as (matrix, operand rows, product rows) products.
-            self.z_products = ((zsys.z, slice(None), slice(None)),)
             return
         n_even, r = parity.n_even, len(parity.s)
         #: The rows of the +s_k and of the -s_k coefficients, both in pair order.
         self.pairs = (slice(n_even - r, n_even), slice(n_even, n_even + r))
-        even, odd = slice(None, n_even), slice(n_even, None)
-        self.z_products = ((parity.b, odd, even), (parity.b.T, even, odd))
 
     def adjoint(self) -> "SplitStepKernel":
         return SplitStepKernel(self.h, self.zsys, -self.dt)
@@ -345,14 +345,6 @@ class SplitStepKernel:
     def unshift(self, block: np.ndarray) -> np.ndarray:
         """D* block, the inverse of `shift`, as a new C-contiguous complex array."""
         return np.multiply(self.half.conj(), block, out=np.empty(block.shape, dtype=complex))
-
-    def multiply_z(self, src: np.ndarray, dst: np.ndarray) -> None:
-        """z src into dst, (dim, K) float64 arrays in the kernel's row order.
-
-        The block step's z is [[0, B], [B^T, 0]]: two products of half the size.
-        """
-        for matrix, rows, into in self.z_products:
-            np.dot(matrix, src[rows], out=dst[into])
 
     def phase_table(self, samples: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """P(E_j) = exp(E_j exponent) for every step of `samples`, as (n_steps, dim, 1) columns.
@@ -405,45 +397,47 @@ class SplitStepKernel:
 
         return write
 
-    def stepper(self, block: np.ndarray) -> tuple[Callable[..., None], tuple[np.ndarray, ...]]:
-        """The split step of one sweep of `block`, after checking its shape.
+    def stepper(self, block: np.ndarray) -> tuple[Callable[..., None], Callable[..., None], tuple]:
+        """The split step of one sweep of `block`, in its two halves, after checking its shape.
 
-        Returns `step` and its scratch `(x, b, c, cf)`: complex (dim, M)
-        blocks, and cf, the float64 view of c, a (dim, 2M) real array whose
-        column pairs hold each column's real and imaginary parts, so that
-        one real matrix product acts on both.  They are allocated here, once
-        per sweep, with the free step D^2 = exp(-i H0 dt) broadcast to a
-        contiguous (dim, M) array so that it multiplies a block element by
-        element rather than row by row.
+        Returns `coefficients`, `advance` and the step's own coefficient
+        block `(c, cf)`: c is a complex (dim, M) block and cf its float64
+        view, a (dim, 2M) real array whose column pairs hold each column's
+        real and imaginary parts, so that one real matrix product acts on
+        both.  The step's scratch is allocated here, once per sweep, with the
+        free step D^2 = exp(-i H0 dt) broadcast to a contiguous (dim, M)
+        array so that it multiplies a block element by element rather than
+        row by row.
 
         The step acts on D-shifted states, x = D psi (see `shift`): the
         closing D of one split step and the opening D of the next are one
-        multiply by D^2.  `step(src, src_f, dst, phase, c, cf)` is
-        D^2 (V (P (V^T src))) into `dst`, which may be `src` itself; `src` is
-        C-contiguous and `src_f` is its float64 view.  The coefficients
-        c = V^T src, which are V^T D psi, go into the C-contiguous complex
-        (dim, M) block `c` through its float64 view `cf`: the step's own
-        scratch or a slot of the caller's arrays.  `phase` is P(E), a (dim, 1) column or a
-        full-width (dim, M) block, and P c is left in b.  For E = 0 `phase`
-        is None and the step is the diagonal D^2 src, so amplitudes that are
-        exactly zero stay zero; it then forms c only when `cf` is not None.
-        `src` is read in full before `dst` is written, so a sweep can step
-        from one slot of a buffer into another.  The callable holds every
-        operand as a local and passes every output positionally; it makes
-        no temporary array, and `np.dot` hands the contiguous float64 views
-        straight to BLAS.  It calls the C functions behind `np.dot` and
-        `np.copyto` (their `_implementation`), which skips the Python-level
-        `__array_function__` dispatcher that each call would otherwise run;
-        a numpy without that attribute costs only the dispatcher's time.
+        multiply by D^2.  A step is `coefficients(src_f, cf)` and then
+        `advance(src, dst, phase, c)`, split at the seam where the sweep
+        with feedback chooses its field.  `coefficients` puts c = V^T src,
+        which is V^T D psi, into the C-contiguous complex (dim, M) block
+        whose float64 view is `cf`: the step's own c or a slot of the
+        caller's arrays; `src_f` is the float64 view of the C-contiguous
+        `src`.  `advance` puts D^2 (V (P c)) into `dst`, which may be `src`
+        itself, for the coefficients `c` of `src`; `phase` is P(E), a
+        (dim, 1) column or a full-width (dim, M) block.  For E = 0 `phase`
+        is None and `advance` is the diagonal D^2 src, which reads no c, so
+        amplitudes that are exactly zero stay zero.  The callables hold
+        every operand as a local and pass every output positionally; they
+        make no temporary array, and `np.dot` hands the contiguous float64
+        views straight to BLAS.  They call the C functions behind `np.dot`
+        and `np.copyto` (their `_implementation`), which skips the
+        Python-level `__array_function__` dispatcher that each call would
+        otherwise run; a numpy without that attribute costs only the
+        dispatcher's time.
 
         The block step forms c with two half-size products: q^T on the even
         rows, into its own c, and w^T on the odd ones, into an (r, M) pair
         scratch t.  Since every odd row is a pair row, the difference and
         then the sum of each pair's rows (e, o) land straight in its -s_k
         and +s_k rows of c, and c is copied through `cf` when that is the
-        view of another block.  After P c the difference goes back into t,
-        which w multiplies, and the sum into the +s_k rows, which q
-        multiplies with the even null rows.  It reads no `c` of the caller.
+        view of another block.  After P c the difference goes into t, which
+        w multiplies, and the sum into the +s_k rows, which q multiplies
+        with the even null rows.
         """
         # A (dim,) state or a (1, M) block would broadcast against the
         # (dim, 1) free step into a wrong-shaped block instead of failing.
@@ -460,16 +454,17 @@ class SplitStepKernel:
         if not self.block:
             v, vt = self.v, self.vt
 
-            def step(src, src_f, dst, phase, c, cf):
-                if cf is not None:
-                    dot(vt, src_f, cf)
+            def coefficients(src_f, cf):
+                dot(vt, src_f, cf)
+
+            def advance(src, dst, phase, c):
                 if phase is not None:
                     multiply(phase, c, b)
                     dot(v, bf, xf)
                     src = x
                 multiply(free, src, dst)
 
-            return step, (x, b, own_c, own_cf)
+            return coefficients, advance, (own_c, own_cf)
 
         add, subtract, copyto = np.add, np.subtract, undispatched(np.copyto)
         parity = self.zsys.parity
@@ -481,17 +476,18 @@ class SplitStepKernel:
         t = np.empty(c_minus.shape, dtype=complex)
         tf = t.view(np.float64)
 
-        def step(src, src_f, dst, phase, c, cf):
-            if cf is not None:
-                dot(qt, src_f[:n_even], c_even)
-                dot(wt, src_f[n_even:], tf)
-                # Each pair's rows (e, o), o in t, to (e + o, e - o).
-                subtract(c_plus, t, c_minus)
-                add(c_plus, t, c_plus)
-                if cf is not own_cf:
-                    copyto(cf, own_cf)
+        def coefficients(src_f, cf):
+            dot(qt, src_f[:n_even], c_even)
+            dot(wt, src_f[n_even:], tf)
+            # Each pair's rows (e, o), o in t, to (e + o, e - o).
+            subtract(c_plus, t, c_minus)
+            add(c_plus, t, c_plus)
+            if cf is not own_cf:
+                copyto(cf, own_cf)
+
+        def advance(src, dst, phase, c):
             if phase is not None:
-                multiply(phase, own_c, b)
+                multiply(phase, c, b)
                 subtract(b_plus, b_minus, t)
                 add(b_plus, b_minus, b_plus)
                 dot(q, b_even, x_even)
@@ -499,7 +495,7 @@ class SplitStepKernel:
                 src = x
             multiply(free, src, dst)
 
-        return step, (x, b, own_c, own_cf)
+        return coefficients, advance, (own_c, own_cf)
 
 
 def boundary_labels(h: HamiltonianData) -> list[StateLabel]:
@@ -562,7 +558,7 @@ def propagate(
     def amplitudes():
         return kernel.to_basis_order(kernel.unshift(x)).reshape(shape)
 
-    step, (_, _, c, cf) = kernel.stepper(x)
+    coefficients, advance, (c, cf) = kernel.stepper(x)
     phases = np.ones((CHUNK_STEPS, h.dim, 1), dtype=complex)
     fields = pulse.samples[:-1].tolist()
     t = pulse.t0
@@ -575,9 +571,10 @@ def propagate(
         kernel.phase_table(pulse.samples[start : stop + 1], out=phases[: stop - start])
         for j in range(start, stop):
             if fields[j] != 0.0:
-                step(x, x_f, x, phases[j - start], c, cf)
+                coefficients(x_f, cf)
+                advance(x, x, phases[j - start], c)
             else:
-                step(x, x_f, x, None, None, None)
+                advance(x, x, None, c)
             if mask is not None:
                 np.multiply(x, mask, out=x)
             t += pulse.dt

@@ -748,7 +748,7 @@ class TestBasisCache:
         assert np.array_equal(zsys.eigenvalues, expected.eigenvalues)
         assert np.array_equal(zsys.vectors, expected.vectors)
         assert np.array_equal(zsys.z, expected.z)
-        for name in ("order", "b", "q", "w", "s"):
+        for name in ("order", "q", "w", "s"):
             assert np.array_equal(getattr(zsys.parity, name), getattr(expected.parity, name)), name
 
     def test_hit_equals_a_fresh_build(self, tmp_path, cache, builds, monkeypatch):

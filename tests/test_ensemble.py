@@ -19,10 +19,11 @@ from rydoct import (
     propagate,
     register_ensemble_problem,
 )
-from rydoct.control import _run_engine
+from rydoct.control import _costate_sweep, _run_engine, _update_sweep, _work_arrays
 from rydoct.manifest import parse_manifest, run
 from rydoct.propagation import SplitStepKernel
 from rydoct.pulses import half_cycle_pulse
+from tests import reference_sweeps as ref
 from tests.conftest import make_dense_hamiltonian, tiny_manifest_dict
 
 REGISTER_NAMES = ["24p", "25p", "26p", "27p", "28p", "29p"]
@@ -42,35 +43,57 @@ def random_states(dim, count, seed):
     return states
 
 
-def ensemble_update(costates, states, penalty_value, kernel):
-    """Shared-field increment (1/l) sum_i Im <lam_i| z |psi_i>, as the sweeps form it."""
-    lam, psi = np.stack(costates, axis=1), np.stack(states, axis=1)
-    return float(np.vdot(kernel.zsys.z @ lam, psi).imag) / penalty_value
-
-
 class TestEnsembleUpdate:
-    """The update sweep's overlap, fed z lam as the backward sweep forms it."""
+    """The new samples of the engine's update sweep: at each step the sum of
+    the members' overlaps Im <D lam_i| z |D psi_i> over the penalty, each
+    member under the costates that the engine's costate sweep takes from its
+    terminal costate under the old field."""
 
     @pytest.fixture()
-    def kernel(self, dense3):
-        return SplitStepKernel(dense3, precompute_z_eigensystem(dense3), 0.1)
+    def sweep(self, dense3):
+        zsys = precompute_z_eigensystem(dense3)
+        kernel = SplitStepKernel(dense3, zsys, 0.1)
+        t = 0.1 * np.arange(41)
+        pulse = PulseGrid(0.0, 0.1, 0.4 * np.sin(0.3 * t) + 0.1)
+        penalty = PenaltySchedule.build(pulse, base=2.5, edge_multiplier=10.0, ramp_fraction=0.1)
 
-    def test_single_member_reduction(self, dense3, kernel):
+        def run(states, lam_finals):
+            work = _work_arrays(pulse.n_steps, dense3.dim, len(states))
+            kernel.phase_table(pulse.samples, out=work[2])
+            coeffs = _costate_sweep(kernel, np.stack(lam_finals, axis=1), pulse.samples, work)
+            psi0 = np.stack(states, axis=1)
+            return _update_sweep(kernel, psi0, coeffs, pulse, penalty, *work[1:])[0]
+
+        return run, pulse, penalty, zsys
+
+    def test_single_member_reduction(self, dense3, sweep):
+        # Every sample against the oracle sweep, whose overlap is taken in
+        # the basis from the costates of its own backward sweep.
+        run, pulse, penalty, zsys = sweep
         (lam,), (psi,) = random_states(3, 1, 1), random_states(3, 1, 2)
-        value = ensemble_update([lam], [psi], 2.5, kernel)
-        expected = np.vdot(lam, dense3.z_matrix @ psi).imag / 2.5
-        assert value == pytest.approx(expected, rel=1e-12)
+        costates = ref.backward_propagate(WavePacket(lam), pulse, dense3, zsys)
+        expected, _, _ = ref._sweep([psi], [costates], pulse, penalty, dense3, zsys)
+        samples = run([psi], [lam])
+        scale = np.max(np.abs(expected))
+        np.testing.assert_allclose(samples, expected, rtol=1e-12, atol=1e-12 * scale)
 
-    def test_opposite_members_cancel(self, kernel):
+    def test_opposite_members_cancel(self, sweep):
+        # Under one costate, psi and -psi give opposite overlaps at every
+        # step, which sum to exactly zero: every new sample is 0.0.
+        run, pulse, _, _ = sweep
         lam, psi = random_states(3, 1, 3)[0], random_states(3, 1, 4)[0]
-        value = ensemble_update([lam, lam], [psi, -psi], 1.0, kernel)
-        assert value == pytest.approx(0.0, abs=1e-14)
+        samples = run([psi, -psi], [lam, lam])
+        assert np.all(samples[:-1] == 0.0)
+        assert np.any(run([psi], [lam])[:-1] != 0.0)
 
-    def test_sum_of_independent_members(self, kernel):
+    def test_sum_of_independent_members(self, sweep):
+        # The first sample of a block of members, before their fields part
+        # ways, is the sum of those of the members swept one at a time.
+        run, _, _, _ = sweep
         lams = random_states(3, 4, 6)
         psis = random_states(3, 4, 7)
-        combined = ensemble_update(lams, psis, 3.0, kernel)
-        singles = sum(ensemble_update([l], [p], 3.0, kernel) for l, p in zip(lams, psis))
+        combined = run(psis, lams)[0]
+        singles = sum(run([p], [l])[0] for l, p in zip(lams, psis))
         assert combined == pytest.approx(singles, rel=1e-12)
 
     def test_empty_rejected(self, dense3):

@@ -6,14 +6,14 @@ four register members and a field that is nonzero almost everywhere but has
 exact zeros mixed in, so both the zero-field shortcut and the full step run.
 The same set-up bounds the sweeps' memory, pins the in-place sweeps and
 `propagate` bit for bit to the written-out step and to a plain loop of one
-`stepper` step at a time, pins the step-major costate layout and the phase
-table that one iteration hands to the next, checks that delta3 flags
-costates that do not belong to the field, checks the update sweep's
-half-chunk cross-term against the oracle and a per-step sum, pins the
-numpy calls of one step and those that each sweep makes per step, checks
-that one iteration gives the same bits through plain numpy functions as
-through the undispatched ones, and checks that the sweeps give the same
-bytes whatever the memory layout of the input block.  The steps act on D-shifted blocks, x = D psi, and the
+`stepper` step at a time, pins the costate sweep's step-major coefficient
+array and the phase table that one iteration hands to the next, checks
+that delta3 flags costates that do not belong to the field, checks the
+update sweep's chunked cross-term against the oracle and a per-step sum,
+pins the numpy calls of one step and those that each sweep makes per step,
+checks that one iteration gives the same bits through plain numpy
+functions as through the undispatched ones, and checks that the sweeps
+give the same bytes whatever the memory layout of the input block.  The steps act on D-shifted blocks, x = D psi, and the
 written-out references take the same operation order.  The
 oracle comparisons, the delta3 check, the memory bound, the phase rows and
 the per-step call counts also run on the parity-block step, which a
@@ -42,7 +42,6 @@ from rydoct import (
     propagate,
 )
 from rydoct.control import (
-    _apply_z,
     _costate_sweep,
     _iterate,
     _update_sweep,
@@ -63,7 +62,7 @@ def _filled_work(kernel, pulse, n_members):
     """Work arrays whose phase table holds the phases of `pulse`, as the engine
     fills it from the guess."""
     work = _work_arrays(pulse.n_steps, kernel.h.dim, n_members)
-    kernel.phase_table(pulse.samples, out=work[3])
+    kernel.phase_table(pulse.samples, out=work[2])
     return work
 
 
@@ -91,11 +90,11 @@ def _engine_blocks(setup, kernel, bits):
 def _eigenvectors(kernel):
     """V with its rows and its columns in the kernel's row order, read off
     the step: column i is the eigenvector of z whose coefficient the step
-    keeps in row i.  The zero-field step of the identity (every basis state)
-    forms c = V^T."""
+    keeps in row i.  The coefficients of the identity (every basis state)
+    are V^T."""
     eye = np.eye(kernel.h.dim, dtype=complex)
-    step, (x, _, c, cf) = kernel.stepper(eye)
-    step(eye, eye.view(np.float64), x, None, c, cf)
+    coefficients, _, (c, cf) = kernel.stepper(eye)
+    coefficients(eye.view(np.float64), cf)
     return c.T.real
 
 
@@ -107,15 +106,17 @@ def _step_coefficients(kernel, states):
 
 def _step(kernel, block, e_field):
     """One `stepper` step of the D-shifted C-contiguous `block` under
-    `e_field`, as a new block: the phase is the sample's `phase_table` row,
-    and none where it is zero."""
-    step, (_, _, c, cf) = kernel.stepper(block)
+    `e_field`, as a new block: its coefficients and then its advance, with
+    the sample's `phase_table` row, or the advance alone, with no phase,
+    where the sample is zero."""
+    coefficients, advance, (c, cf) = kernel.stepper(block)
     out = np.empty(block.shape, dtype=complex)
     if e_field != 0.0:
         phase = kernel.phase_table(np.array([e_field, 0.0]))[0]
-        step(block, block.view(np.float64), out, phase, c, cf)
+        coefficients(block.view(np.float64), cf)
+        advance(block, out, phase, c)
     else:
-        step(block, block.view(np.float64), out, None, None, None)
+        advance(block, out, None, c)
     return out
 
 
@@ -145,8 +146,7 @@ def setup(cesium_h, cesium_zsys):
     ]
     kernel = SplitStepKernel(cesium_h, cesium_zsys, DT)
     work = _filled_work(kernel, pulse, len(MARKED))
-    lam_buffer, coeffs = _costate_sweep(kernel, np.stack(lam_final, axis=1), pulse.samples, work)
-    z_lam = _apply_z(kernel, lam_buffer, work[2])
+    coeffs = _costate_sweep(kernel, np.stack(lam_final, axis=1), pulse.samples, work)
     return {
         "h": cesium_h,
         "zsys": cesium_zsys,
@@ -156,24 +156,22 @@ def setup(cesium_h, cesium_zsys):
         "lam_final": lam_final,
         "ref_costates": ref_costates,
         "kernel": kernel,
-        "z_lam": z_lam,
         "coeffs": coeffs,
     }
 
 
 @pytest.fixture(scope="module")
 def block_setup(setup):
-    """`setup` with the parity-block kernel on the same basis, and z lam and
-    the coefficients of its own costate sweep, both in parity order."""
+    """`setup` with the parity-block kernel on the same basis, and the
+    coefficients of its own costate sweep, in parity order."""
     pulse = setup["pulse"]
     with step_kind(True):
         kernel = SplitStepKernel(setup["h"], setup["zsys"], DT)
         work = _filled_work(kernel, pulse, len(MARKED))
         lam_final = kernel.to_kernel_order(np.stack(setup["lam_final"], axis=1))
-        lam_buffer, coeffs = _costate_sweep(kernel, lam_final, pulse.samples, work)
+        coeffs = _costate_sweep(kernel, lam_final, pulse.samples, work)
     assert kernel.block
-    z_lam = _apply_z(kernel, lam_buffer, work[2])
-    return {**setup, "kernel": kernel, "z_lam": z_lam, "coeffs": coeffs}
+    return {**setup, "kernel": kernel, "coeffs": coeffs}
 
 
 @pytest.fixture(scope="module")
@@ -200,20 +198,16 @@ def test_public_backward_propagate_matches_oracle(both):
 
 
 def test_costate_sweep_matches_oracle(both):
-    # z D lam_j for the increment at t_j, which the update sweep takes
-    # against x_j = D psi_j, and V^T D* lam_{j+1} for the cross-term of step
-    # j, both formed from the oracle's costates in the kernel's row order:
-    # parity order for the block step.
+    # conj(a_j), a_j = V^T D* lam_{j+1}, all that the update sweep reads of
+    # the costates, formed from the oracle's costates in the kernel's row
+    # order: parity order for the block step.
     for setup in both:
         h, kernel = setup["h"], setup["kernel"]
         half_adjoint = np.exp(0.5j * setup["pulse"].dt * h.energies)
         for i, costates in enumerate(setup["ref_costates"]):
-            z_lam = kernel.to_kernel_order((costates[:-1] / half_adjoint) @ h.z_matrix.T, axis=1)
-            coeffs = _step_coefficients(kernel, costates[1:] * half_adjoint)
-            scale = np.max(np.abs(z_lam))
-            assert np.max(np.abs(setup["z_lam"][:, :, i] - z_lam)) <= 1e-12 * scale
+            coeffs = np.conj(_step_coefficients(kernel, costates[1:] * half_adjoint))
             assert np.max(np.abs(setup["coeffs"][:, :, i] - coeffs)) <= 1e-12
-        assert setup["z_lam"].shape == (setup["pulse"].n_steps, h.dim, len(MARKED))
+        assert setup["coeffs"].shape == (setup["pulse"].n_steps, h.dim, len(MARKED))
 
 
 @pytest.mark.parametrize(
@@ -244,16 +238,15 @@ def test_update_sweep_matches_oracle(setup, block_setup, public, block):
         samples, final, cross = _update_sweep(
             kernel,
             kernel.to_kernel_order(np.stack(setup["psi0"], axis=1)),
-            setup["z_lam"],
             setup["coeffs"],
             pulse,
             penalty,
-            *work[2:],
+            *work[1:],
         )
         final = kernel.to_basis_order(final)
         assert abs(cross - expected_cross) <= 1e-12
         # The sweep leaves the new field's phases in the table.
-        assert np.array_equal(work[3], kernel.phase_table(samples))
+        assert np.array_equal(work[2], kernel.phase_table(samples))
     # Relative to the field's scale: where a new sample crosses zero, the
     # overlap sum cancels and its own relative error is unbounded.
     scale = np.max(np.abs(expected))
@@ -268,61 +261,60 @@ def test_update_sweep_matches_oracle(setup, block_setup, public, block):
     ids=["1", "4", "block-1", "block-4"],
 )
 def test_update_sweep_forms_the_cross_term_per_half_chunk(setup, block_setup, n_members, block):
-    # The cross-term is formed 32 steps at a time from the c_j that the
-    # steps leave in the chunk scratch.  The grid ends in a short half
-    # chunk.  A zero old field and zeroed costates around the first
-    # half-chunk boundary make the samples there zero under both fields, so
-    # those steps form no c, and their slots, not yet written in this
-    # sweep, must be cleared: a NaN-filled scratch must not reach the
-    # cross-term, the new samples or the final block.
+    # The cross-term is formed `CHUNK_STEPS` steps at a time from the s_j
+    # that the steps leave in the chunk scratch, which also holds each
+    # chunk's conjugated a_j, old phase rows and their derivatives.  The
+    # grid ends in a short chunk, and the old field is zero on both sides
+    # of the first chunk boundary, where the costates, swept under it,
+    # are those of the free steps.  A NaN-filled scratch must not reach
+    # the cross-term, the new samples, the new phase table or the final
+    # block.
     setup = block_setup if block else setup
     h, zsys, kernel = setup["h"], setup["zsys"], setup["kernel"]
-    half = CHUNK_STEPS // 2
     old = setup["pulse"].samples[:794].copy()
-    old[half - 8 : half + 8] = 0.0
+    old[CHUNK_STEPS - 8 : CHUNK_STEPS + 8] = 0.0
     pulse = setup["pulse"].with_samples(old)
     penalty = PenaltySchedule.build(pulse, base=1e8, edge_multiplier=1000.0, ramp_fraction=0.05)
-    assert pulse.n_steps % half != 0
-    costates = [lam[:794].copy() for lam in setup["ref_costates"][:n_members]]
-    for lam in costates:
-        lam[half - 8 : half + 9] = 0.0
+    assert pulse.n_steps % CHUNK_STEPS != 0
+    costates = [
+        ref.backward_propagate(WavePacket(lam, time=pulse.horizon), pulse, h, zsys)
+        for lam in setup["lam_final"][:n_members]
+    ]
     psi0 = setup["psi0"][:n_members]
     expected, _, expected_cross = ref._sweep(psi0, costates, pulse, penalty, h, zsys)
 
     half_adjoint = np.exp(0.5j * pulse.dt * h.energies)
-    # z D lam_j, as `_apply_z` leaves it.
-    z_lam = np.stack([(lam[:-1] / half_adjoint) @ h.z_matrix.T for lam in costates], axis=2)
-    z_lam = kernel.to_kernel_order(z_lam, axis=1)
+    # conj(a_j), a_j = V^T D* lam_{j+1}, as the costate sweep leaves it.
     coeffs = np.stack(
-        [_step_coefficients(kernel, lam[1:] * half_adjoint) for lam in costates], axis=2
+        [np.conj(_step_coefficients(kernel, lam[1:] * half_adjoint)) for lam in costates],
+        axis=2,
     )
     block = kernel.to_kernel_order(np.stack(psi0, axis=1))
     runs = []
     for fill in (0.0, np.nan):
         work = _filled_work(kernel, pulse, n_members)
-        work[2].fill(fill)
-        runs.append(_update_sweep(kernel, block, z_lam, coeffs, pulse, penalty, *work[2:]))
-        assert np.array_equal(work[3], kernel.phase_table(runs[-1][0]))
+        work[1].fill(fill)
+        runs.append(_update_sweep(kernel, block, coeffs, pulse, penalty, *work[1:]))
+        assert np.array_equal(work[2], kernel.phase_table(runs[-1][0]))
     samples, final, cross = runs[0]
     for got, want in zip(runs[1], runs[0]):
         assert np.array_equal(got, want)
-    unchanged_zero = (samples[:-1] == 0.0) & (old[:-1] == 0.0)
-    assert unchanged_zero[half - 1] and unchanged_zero[half]
     scale = np.max(np.abs(expected))
     np.testing.assert_allclose(samples, expected, rtol=1e-12, atol=1e-12 * scale)
     assert abs(cross - expected_cross) <= 1e-12
 
-    # The same sum as one vdot per step, <D* lam_{j+1}| V (P_new - P_old) c_j>,
-    # with c_j = V^T D psi_j from a plain stepper loop under the new field
-    # and P_new - P_old written out.
+    # The same sum as one sum per step, <D* lam_{j+1}| V (P_new - P_old) c_j>
+    # = sum conj(a_j) (P_new - P_old) c_j, with c_j = V^T D psi_j from a
+    # plain stepper loop under the new field and P_new - P_old written out.
     phases = kernel.phase_table(samples)
     delta = phases - kernel.phase_table(pulse.samples)
-    step, (_, _, c, cf) = kernel.stepper(block)
+    coefficients, advance, (c, cf) = kernel.stepper(block)
     x = kernel.shift(block)
     per_step, size = 0.0 + 0.0j, 0.0
     for j in range(pulse.n_steps):
-        step(x, x.view(np.float64), x, phases[j] if samples[j] != 0.0 else None, c, cf)
-        term = np.vdot(coeffs[j], delta[j] * c)
+        coefficients(x.view(np.float64), cf)
+        advance(x, x, phases[j] if samples[j] != 0.0 else None, c)
+        term = np.sum(coeffs[j] * delta[j] * c)
         per_step += term
         size += abs(term)
     assert np.array_equal(kernel.unshift(x), final)
@@ -416,14 +408,12 @@ def _assert_writer_gives_the_rows(kernel, samples, table):
     [(1, False), (4, False), (1, True), (4, True)],
     ids=["1", "4", "block-1", "block-4"],
 )
-def test_sweeps_hold_two_costate_arrays_and_one_phase_table(
-    setup, block_setup, n_members, block
-):
+def test_sweeps_hold_one_costate_array_and_one_phase_table(setup, block_setup, n_members, block):
     # The work arrays of a run and two iterations on them, each a backward
-    # sweep and an update sweep: z lam and the coefficients are the only
-    # step-sized arrays besides one (n_steps, dim) phase table.  The slack
-    # covers the chunk scratch and per-step blocks; one more costate-sized
-    # copy does not fit.  The block step's table has the same rows.
+    # sweep and an update sweep: the coefficients are the only step-sized
+    # array besides one (n_steps, dim) phase table.  The slack covers the
+    # chunk scratch and per-step blocks; one more costate-sized copy does
+    # not fit.  The block step's table has the same rows.
     setup = block_setup if block else setup
     h, pulse = setup["h"], setup["pulse"]
     kernel, penalty = setup["kernel"], setup["penalty"]
@@ -449,12 +439,12 @@ def test_sweeps_hold_two_costate_arrays_and_one_phase_table(
             tracemalloc.stop()
         fresh = second(_filled_work(kernel, pulse.with_samples(samples), n_members))
     assert costate_bytes > slack
-    assert peak < 2 * costate_bytes + table_bytes + slack
+    assert peak < costate_bytes + table_bytes + slack
     # The reused arrays carry over the field's phases and nothing else.
     assert not np.array_equal(samples, pulse.samples)
     for a, b in zip(again, fresh):
         assert np.array_equal(a, b)
-    assert np.array_equal(work[3], kernel.phase_table(again[0]))
+    assert np.array_equal(work[2], kernel.phase_table(again[0]))
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -488,49 +478,47 @@ def test_step_is_the_written_out_split_step(setup, sign):
 
 
 def test_update_sweep_without_costates_is_evolve(setup):
-    # With z lam = 0 every new sample is exactly zero, so the sweep is the
-    # plain propagation under the zero field.  Under the old field, nonzero
-    # almost everywhere, most samples change and the steps form c for the
-    # cross-term; under a zero old field no sample changes and the
-    # cross-term is exactly zero.
+    # With a = 0 every s_j and every new sample is exactly zero, so the
+    # sweep is the plain propagation under the zero field, and its
+    # cross-term is exactly zero, whether the old field was nonzero almost
+    # everywhere, so that most samples change, or zero, so that none does.
     kernel, pulse, penalty = setup["kernel"], setup["pulse"], setup["penalty"]
     psi0 = np.stack(setup["psi0"], axis=1)
-    zeros = np.zeros_like(setup["z_lam"])
+    zeros = np.zeros_like(setup["coeffs"])
     zero_field = pulse.with_samples(np.zeros_like(pulse.samples))
     plain = _evolve(kernel, psi0, zero_field)
     for old in (pulse, zero_field):
         work = _filled_work(kernel, old, len(MARKED))
-        samples, final, cross = _update_sweep(
-            kernel, psi0, zeros, setup["coeffs"], old, penalty, *work[2:]
-        )
+        samples, final, cross = _update_sweep(kernel, psi0, zeros, old, penalty, *work[1:])
         assert np.all(samples[:-1] == 0.0)
         assert samples[-1] == old.samples[-1]
         assert np.array_equal(final, plain)
-        assert np.array_equal(work[3], kernel.phase_table(samples))
-    assert cross == 0.0
+        assert np.array_equal(work[2], kernel.phase_table(samples))
+        assert cross == 0.0
 
 
 def test_costate_sweep_is_the_adjoint_step_loop(setup):
-    # mu_j = D* lam_j and V^T mu_{j+1} = V^T D* lam_{j+1} bit for bit,
-    # against one adjoint step at a time from mu_N, the adjoint kernel's
-    # shift of lam(T).
+    # conj(V^T mu_{j+1}) = conj(V^T D* lam_{j+1}) bit for bit, against one
+    # adjoint step at a time from mu_N, the adjoint kernel's shift of lam(T),
+    # into a new block per step; the sweep steps mu in place.
     h, pulse, kernel = setup["h"], setup["pulse"], setup["kernel"]
     lam_final = np.stack(setup["lam_final"], axis=1)
     work = _filled_work(kernel, pulse, len(MARKED))
-    lam_buffer, coeffs = _costate_sweep(kernel, lam_final, pulse.samples, work)
+    coeffs = _costate_sweep(kernel, lam_final, pulse.samples, work)
+    assert coeffs is work[0]
     # The loop's adjoint phases are the rows of the adjoint kernel's own table
     # (dim, 1) columns; the sweep conjugates the forward table at full width.
     adjoint = kernel.adjoint()
-    step, (_, _, c, cf) = adjoint.stepper(lam_final)
+    coefficients, advance, (c, cf) = adjoint.stepper(lam_final)
     phases = adjoint.phase_table(pulse.samples)
     mu = adjoint.shift(lam_final)
     for j in range(pulse.n_steps - 1, -1, -1):
         new = np.empty_like(mu)
         # Every step forms c = V^T mu_{j+1}, a zero-field step as well.
-        step(mu, mu.view(np.float64), new, phases[j] if pulse.samples[j] != 0.0 else None, c, cf)
-        assert np.array_equal(coeffs[j], c)
+        coefficients(mu.view(np.float64), cf)
+        assert np.array_equal(coeffs[j], np.conj(c))
+        advance(mu, new, phases[j] if pulse.samples[j] != 0.0 else None, c)
         mu = new
-        assert np.array_equal(lam_buffer[j], mu)
 
 
 C_CALLS = ("dot", "vdot", "copyto", "view")
@@ -578,44 +566,52 @@ def _numpy_calls(run):
 
 @pytest.mark.parametrize("block", [False, True], ids=["dense", "block"])
 def test_step_passes(setup, block):
-    # The passes of one step on a D-shifted block, into a slot of the
-    # caller: a field step is V^T, P, V and D^2, two `multiply` and two
-    # `dot` calls on the dense step, and a zero-field step one `multiply`.
-    # The block step's products are two half-size `dot`s each, and the sum
-    # and difference of each pair's rows one `subtract` and one `add` each
-    # way, through its pair scratch, with one `copyto` of c into the slot.
+    # The passes of one step on a D-shifted block, its coefficients into a
+    # slot of the caller: `coefficients` alone is V^T, one `dot` on the
+    # dense step; a field step adds the advance's P, V and D^2, two
+    # `multiply` and two `dot` calls in all; and a zero-field step is the
+    # advance's one `multiply`.  The block step's products are two
+    # half-size `dot`s each, and the sum and difference of each pair's rows
+    # one `subtract` and one `add` each way, through its pair scratch, with
+    # one `copyto` of c into the slot.
     with step_kind(block):
         kernel = SplitStepKernel(setup["h"], setup["zsys"], DT)
     x = kernel.shift(kernel.to_kernel_order(np.stack(setup["psi0"], axis=1)))
     slot = np.empty_like(x)
     phase = kernel.phase_table(np.array([1.3e-7, 0.0]))[0]
-    args = (x, x.view(np.float64), x)
+    into_slot = ("coefficients", (x.view(np.float64), slot.view(np.float64)))
 
-    def calls(*rest):
-        # The counts of a step, less those of binding the stepper.
+    def calls(*halves):
+        # The counts of the named halves of one step, less those of binding
+        # the stepper.
         def run(n_steps):
-            step, _ = kernel.stepper(x)
+            coefficients, advance, _ = kernel.stepper(x)
+            bound = {"coefficients": coefficients, "advance": advance}
             for _ in range(n_steps):
-                step(*args, *rest)
+                for name, args in halves:
+                    bound[name](*args)
 
         _, bound = _numpy_calls(lambda: run(0))
         _, stepped = _numpy_calls(lambda: run(1))
         return {name: n - bound[name] for name, n in stepped.items() if n != bound[name]}
 
+    pairs = {"subtract": 1, "add": 1, "copyto": 1} if block else {}
+    assert calls(into_slot) == {"dot": 2 if block else 1, **pairs}
     pairs = {"subtract": 2, "add": 2, "copyto": 1} if block else {}
-    field_step = calls(phase, slot, slot.view(np.float64))
+    field_step = calls(into_slot, ("advance", (x, x, phase, slot)))
     assert field_step == {"dot": 4 if block else 2, "multiply": 2, **pairs}
-    assert calls(None, None, None) == {"multiply": 1}
+    assert calls(("advance", (x, x, None, None))) == {"multiply": 1}
 
 
 def test_sweep_steps_make_only_their_blas_calls(setup):
     # Per step, the costate sweep calls `dot` twice, or once where the field
-    # is exactly zero (V^T only: the diagonal shortcut); the update sweep
-    # calls `vdot` once for the overlap and, where the sample changes, the
-    # `dot`s of a step that forms c.  Its cross-term takes no call per step:
-    # one `subtract`, one `multiply` and one `vecdot` per half chunk.  No
-    # step takes a `view`: each sweep takes its float64 views before its
-    # first step.
+    # is exactly zero (V^T only: the diagonal shortcut).  The update sweep
+    # forms c at every step; its overlap is one `multiply` and one `dot` for
+    # s_j and one of each for the sum over its eigenvalues, and the steps
+    # whose new sample is not zero add the `dot` of V.  Its cross-term
+    # takes no call per step: two `copyto` calls and one `multiply`,
+    # `subtract` and `vecdot` per chunk.  No step takes a `view`: each
+    # sweep takes its float64 views before its first step.
     _assert_sweep_calls(setup, len(MARKED), dots=1, pairs=0)
 
 
@@ -624,22 +620,26 @@ def test_block_sweep_steps_make_only_their_blas_calls(block_setup, n_members):
     # The same on the block step, whose products with V^T and V are two
     # half-size `dot`s each, with one `subtract` and one `add` for the
     # difference and the sum of each pair's rows, and which copies each c
-    # it forms into the caller's slot; its cross-term is the dense step's.
+    # it forms into the costate sweep's slot; its overlap and cross-term are
+    # the dense step's.
     _assert_sweep_calls(block_setup, n_members, dots=2, pairs=1)
 
 
 def _assert_sweep_calls(setup, n_members, dots, pairs):
     """The calls of both sweeps on the first `n_members` members of
     `setup`: `dots` `dot` calls and `pairs` `subtract` and `add` calls per
-    product with V^T or V, and `pairs` `copyto` calls per c formed; one
-    `multiply` per step for D^2, one more per field step for P and, in the
-    update sweep, one per step for its phase row; one `multiply` each way
-    across the sweep's boundary; one `vecdot`, one `copyto` and one more
-    `subtract` and `multiply` per half chunk of the cross-term; and no more
-    than eight `view` calls per sweep, whatever the number of steps."""
+    product with V^T or V, and `pairs` `copyto` calls per c that the
+    costate sweep forms into its slot, and one per chunk of its phases;
+    one `multiply` per step for D^2, one
+    more per field step for P and, in the update sweep, three per step for
+    its phase row and the two products of its overlap, whose two sums are
+    two more `dot` calls per step; one `multiply` each way across the
+    sweep's boundary; two `copyto` calls and one `multiply`, `subtract` and
+    `vecdot` per chunk of the update sweep; and no more than eight `view`
+    calls per sweep, whatever the number of steps."""
     h, pulse, penalty, kernel = setup["h"], setup["pulse"], setup["penalty"], setup["kernel"]
     n_steps = pulse.n_steps
-    half_chunks = -(-n_steps // (CHUNK_STEPS // 2))
+    chunks = -(-n_steps // CHUNK_STEPS)
     old = pulse.samples[:-1]
     lam_final = kernel.to_kernel_order(np.stack(setup["lam_final"][:n_members], axis=1))
     work = _filled_work(kernel, pulse, n_members)
@@ -649,85 +649,47 @@ def _assert_sweep_calls(setup, n_members, dots, pairs):
     products = n_steps + field_steps
     assert counts["dot"] == dots * products
     assert counts["subtract"] == counts["add"] == pairs * products
-    assert counts["copyto"] == pairs * n_steps
+    assert counts["copyto"] == pairs * n_steps + chunks
     assert counts["multiply"] == 1 + n_steps + field_steps
     assert counts["vdot"] == counts["vecdot"] == 0
     assert counts["view"] <= 8
 
     psi0 = kernel.to_kernel_order(np.stack(setup["psi0"][:n_members], axis=1))
-    z_lam, coeffs = (np.ascontiguousarray(setup[k][:, :, :n_members]) for k in ("z_lam", "coeffs"))
-    zeros = np.zeros_like(z_lam)
+    coeffs = np.ascontiguousarray(setup["coeffs"][:, :, :n_members])
+    zeros = np.zeros_like(coeffs)
     zero_field = pulse.with_samples(np.zeros_like(pulse.samples))
-    # With z lam = 0 every new sample is zero: under the old field the
-    # samples that were nonzero change to zero, and under a zero old field
-    # none changes, so every step is diagonal and forms no c.
-    for z_lam, before, n_changed in (
-        (z_lam, pulse, n_steps),
+    # With a = 0 every new sample is zero: under the old field the samples
+    # that were nonzero change to zero, and under a zero old field none
+    # changes; every step still forms c, and only the advance is diagonal.
+    for a, before, n_changed in (
+        (coeffs, pulse, n_steps),
         (zeros, pulse, np.count_nonzero(old)),
         (zeros, zero_field, 0),
     ):
         work = _filled_work(kernel, before, n_members)
         (samples, _, _), counts = _numpy_calls(
-            lambda: _update_sweep(kernel, psi0, z_lam, coeffs, before, penalty, *work[2:])
+            lambda: _update_sweep(kernel, psi0, a, before, penalty, *work[1:])
         )
-        was = before.samples[:-1]
-        changed = np.count_nonzero(samples[:-1] != was)
+        changed = np.count_nonzero(samples[:-1] != before.samples[:-1])
         nonzero = np.count_nonzero(samples[:-1])
-        changed_to_zero = np.count_nonzero((samples[:-1] != was) & (samples[:-1] == 0.0))
         assert changed == n_changed
-        products = 2 * nonzero + changed_to_zero
-        assert counts["dot"] == dots * products
-        assert counts["vdot"] == n_steps
-        assert counts["subtract"] == pairs * products + half_chunks
+        products = n_steps + nonzero
+        assert counts["dot"] == dots * products + 2 * n_steps
+        assert counts["vdot"] == 0
+        assert counts["subtract"] == pairs * products + chunks
         assert counts["add"] == pairs * products
-        assert counts["copyto"] == pairs * (nonzero + changed_to_zero) + half_chunks
-        assert counts["multiply"] == 2 + 2 * n_steps + nonzero + half_chunks
-        assert counts["vecdot"] == half_chunks
+        # And two `copyto` calls with which `np.ones` fills the sweep's ones.
+        assert counts["copyto"] == 2 * chunks + 2
+        assert counts["multiply"] == 2 + 4 * n_steps + nonzero + chunks
+        assert counts["vecdot"] == chunks
         assert counts["view"] <= 8
-
-
-def test_apply_z_is_the_dim_major_chunk_product_in_place(setup):
-    # z D^2 mu_j, which is z D lam_j, replaces the shifted costate mu_j in
-    # the step-major buffer, which comes back itself, and equals bit for
-    # bit the product that z D lam_j had when the costates were stored
-    # dim-major: z times 64 steps of the (dim, n_steps x 2M) float64 view
-    # at a time, the last chunk a short one.
-    # _apply_z multiplies half chunks; the buffer cut by 7 steps ends in a
-    # short half chunk as well.
-    h, pulse, kernel = setup["h"], setup["pulse"], setup["kernel"]
-    work = _work_arrays(pulse.n_steps, h.dim, len(MARKED))
-    lam_final = np.stack(setup["lam_final"], axis=1)
-    lam_buffer, _ = _costate_sweep(kernel, lam_final, pulse.samples, work)
-    assert (pulse.n_steps - 7) % (CHUNK_STEPS // 2) != 0
-    for costates in (lam_buffer, lam_buffer[:-7]):
-        n_steps = len(costates)
-        # D^2 multiplies as in `_apply_z`, from a contiguous block across
-        # the transposition: numpy takes a different inner loop, with other
-        # bits, for strided operands.
-        shape = (h.dim, n_steps, len(MARKED))
-        d = np.ascontiguousarray(np.broadcast_to(kernel.free[:, :, None], shape))
-        dim_major = np.empty(shape, dtype=complex)
-        np.multiply(d, costates.transpose(1, 0, 2), out=dim_major)
-        flat = dim_major.reshape(h.dim, -1).view(np.float64)
-        width = 2 * len(MARKED) * 64
-        for start in range(0, flat.shape[1], width):
-            chunk = flat[:, start : start + width]
-            chunk[...] = kernel.zsys.z @ chunk
-        expected = np.ascontiguousarray(dim_major.transpose(1, 0, 2))
-        # What the scratch held before does not reach the product.
-        for scratch in (work[2], np.full_like(work[2], np.nan)):
-            z_lam = _apply_z(kernel, costates.copy(), scratch)
-            assert z_lam.shape == (n_steps, h.dim, len(MARKED))
-            assert z_lam.flags.c_contiguous
-            assert np.array_equal(z_lam, expected)
-    assert _apply_z(kernel, lam_buffer, work[2]) is lam_buffer
 
 
 @pytest.mark.parametrize("block", [False, True], ids=["dense", "block"])
 def test_iterate_without_undispatched_numpy_functions(setup, block_setup, block, monkeypatch):
-    # The steps call the C functions behind `np.dot`, `np.vdot` and
-    # `np.copyto` through their private `_implementation`.  A numpy whose
-    # functions have none, here plain wrappers, costs only speed: one
+    # The steps and the update sweep call the C functions behind `np.dot`
+    # and `np.copyto` through their private `_implementation`.  A numpy
+    # whose functions have none, here plain wrappers, costs only speed: one
     # `_iterate` gives the same bits through the wrappers.
     setup = block_setup if block else setup
     pulse, kernel, penalty = setup["pulse"], setup["kernel"], setup["penalty"]
@@ -739,7 +701,7 @@ def test_iterate_without_undispatched_numpy_functions(setup, block_setup, block,
             return _iterate(kernel, psi0, final, targets, pulse, penalty, work)
 
     expected = iterate()
-    calls = dict.fromkeys(("dot", "vdot", "copyto"), 0)
+    calls = dict.fromkeys(("dot", "copyto"), 0)
     for name in calls:
 
         def plain(*args, _name=name, _function=getattr(np, name), **kwargs):
@@ -749,8 +711,12 @@ def test_iterate_without_undispatched_numpy_functions(setup, block_setup, block,
         monkeypatch.setattr(np, name, plain)
     assert not hasattr(np.dot, "_implementation")
     got = iterate()
-    assert calls["dot"] > 2 * pulse.n_steps and calls["vdot"] >= pulse.n_steps
-    assert calls["copyto"] >= (2 * pulse.n_steps if block else 1)
+    # V^T in each sweep and the two sums of the overlap, at every step.
+    assert calls["dot"] > 4 * pulse.n_steps
+    # The phases and the old rows of every chunk, and each c of the block
+    # step's costate sweep.
+    chunks = -(-pulse.n_steps // CHUNK_STEPS)
+    assert calls["copyto"] >= 3 * chunks + (pulse.n_steps if block else 0)
     for a, b in zip(expected, got):
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
@@ -766,11 +732,10 @@ def test_delta3_flags_costates_that_do_not_belong_to_the_field(both, monkeypatch
     def scaled_field(kernel, lam_final, samples, work):
         # The sweep reads its phases from the table, not from `samples`.
         table = kernel.phase_table(1.01 * samples)
-        return sweep(kernel, lam_final, samples, (*work[:3], table))
+        return sweep(kernel, lam_final, samples, (*work[:2], table))
 
     def rolled_coefficients(*args):
-        lam_buffer, coeffs = sweep(*args)
-        return lam_buffer, np.roll(coeffs, 1, axis=0)
+        return np.roll(sweep(*args), 1, axis=0)
 
     def stale_table(*args):
         # P(E_new) goes into a copy, and the table keeps the old field.
@@ -874,7 +839,7 @@ def test_propagate_is_the_plain_stepper_loop(setup):
 
     mask = np.ones((h.dim, 1))
     mask[[h.index(label) for label in absorbed]] = 1.0 - strength
-    step, (_, _, c, cf) = kernel.stepper(block)
+    coefficients, advance, (c, cf) = kernel.stepper(block)
     phases = kernel.phase_table(samples)
     # The loop steps x = D psi; the mask commutes with D, and each frame
     # after the first is D* x.
@@ -883,9 +848,10 @@ def test_propagate_is_the_plain_stepper_loop(setup):
     expected, times = [block.copy()], [pulse.t0]
     for j in range(pulse.n_steps):
         if samples[j] != 0.0:
-            step(x, x_f, x, phases[j], c, cf)
+            coefficients(x_f, cf)
+            advance(x, x, phases[j], c)
         else:
-            step(x, x_f, x, None, None, None)
+            advance(x, x, None, c)
         np.multiply(x, mask, out=x)
         if (j + 1) % record == 0 or j + 1 == pulse.n_steps:
             expected.append(kernel.unshift(x))
@@ -902,13 +868,13 @@ def test_sweeps_ignore_memory_layout_and_leave_their_input(setup):
     # A Fortran-ordered or column-sliced block gives the bytes of its
     # contiguous copy in every sweep, and no sweep writes into it.
     h, pulse, penalty, kernel = setup["h"], setup["pulse"], setup["penalty"], setup["kernel"]
-    z_lam, coeffs = setup["z_lam"], setup["coeffs"]
+    coeffs = setup["coeffs"]
 
     def sweeps(block):
         work = _filled_work(kernel, pulse, block.shape[1])
-        lam_buffer, lam_coeffs = _costate_sweep(kernel, block, pulse.samples, work)
-        update = _update_sweep(kernel, block, z_lam, coeffs, pulse, penalty, *work[2:])
-        return (lam_buffer, lam_coeffs, _evolve(kernel, block, pulse), *update)
+        lam_coeffs = _costate_sweep(kernel, block, pulse.samples, work)
+        update = _update_sweep(kernel, block, coeffs, pulse, penalty, *work[1:])
+        return (lam_coeffs, _evolve(kernel, block, pulse), *update)
 
     for block, copy in _layouts(h, np.random.default_rng(5))[:2]:
         kept = block.copy()

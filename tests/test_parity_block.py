@@ -161,11 +161,14 @@ class TestBlockStep:
                 kernel = SplitStepKernel(h, zsys, sign * DT)
             assert kernel.block == block
             state = kernel.shift(kernel.to_kernel_order(_states(h.dim, 3, seed=4)))
-            step, (_, _, c, cf) = kernel.stepper(state)
+            coefficients, advance, (c, cf) = kernel.stepper(state)
             phases = kernel.phase_table(samples)
             for j, e_field in enumerate(samples[:-1]):
-                phase = phases[j] if e_field != 0.0 else None
-                step(state, state.view(np.float64), state, phase, c, cf)
+                if e_field != 0.0:
+                    coefficients(state.view(np.float64), cf)
+                    advance(state, state, phases[j], c)
+                else:
+                    advance(state, state, None, c)
             finals[block] = kernel.to_basis_order(kernel.unshift(state))
         assert np.max(np.abs(finals[True] - finals[False])) <= 1e-12
 
@@ -178,9 +181,9 @@ class TestBlockStep:
         psi[::3] = 0.0
         psi /= np.linalg.norm(psi, axis=0)
         state = kernel.shift(kernel.to_kernel_order(psi))
-        step, _ = kernel.stepper(state)
+        _, advance, _ = kernel.stepper(state)
         out = np.empty_like(state)
-        step(state, state.view(np.float64), out, None, None, None)
+        advance(state, out, None, None)
         assert np.array_equal(out, kernel.free * state)
         _, final = propagate(WavePacket(psi), PulseGrid.zeros(0.0, DT, 30), full_h, full_zsys)
         assert np.all(final.amplitudes[::3] == 0.0)

@@ -61,8 +61,8 @@ class TestSplitStep:
         dt = 0.3
         kernel = SplitStepKernel(dense8, zsys, dt)
         out = kernel.shift(psi[:, None])
-        step, _ = kernel.stepper(out)
-        step(out, out.view(np.float64), out, None, None, None)
+        _, advance, _ = kernel.stepper(out)
+        advance(out, out, None, None)
         out = kernel.unshift(out)
         expected = psi * np.exp(-1j * dense8.energies * dt)
         assert np.max(np.abs(out[:, 0] - expected)) < 1e-15
@@ -111,10 +111,11 @@ class TestSplitStep:
         psi0 = normalized_state(8, 11)
         _, final = propagate(WavePacket(psi0), PulseGrid(0.0, 0.05, fields), dense8, zsys)
         psi = backward.shift(final.amplitudes.reshape(8, 1))
-        step, (_, _, c, cf) = backward.stepper(psi)
+        coefficients, advance, (c, cf) = backward.stepper(psi)
         phases = backward.phase_table(fields)
         for j in range(len(fields) - 2, -1, -1):
-            step(psi, psi.view(np.float64), psi, phases[j], c, cf)
+            coefficients(psi.view(np.float64), cf)
+            advance(psi, psi, phases[j], c)
         psi = backward.unshift(psi)
         assert np.max(np.abs(psi[:, 0] - psi0)) < 1e-9
 
