@@ -206,9 +206,9 @@ def backward_propagate(
     with the second half of the adjoint step (`advance`, which leaves
     D*^2 V conj(P_j) a_j, shifted back by D).  Returns those lam_j, then
     lam(T) itself as the last row: an (n_samples, dim) array in basis
-    order, whatever order the kernel keeps.  Each backward step is the adjoint of the forward split step
-    with the same field sample, so the discrete forward and backward
-    propagations are exact inverses.
+    order, whatever order the kernel keeps.  Each backward step is the
+    adjoint of the forward split step with the same field sample, so the
+    discrete forward and backward propagations are exact inverses.
     """
     kernel = SplitStepKernel(h, zsys, pulse.dt)
     lam_final = np.array(kernel.to_kernel_order(costate_final.amplitudes), dtype=complex)

@@ -13,10 +13,11 @@ update sweep's chunked cross-term against the oracle and a per-step sum,
 pins the numpy calls of one step and those that each sweep makes per step,
 checks that one iteration gives the same bits through plain numpy
 functions as through the undispatched ones, and checks that the sweeps
-give the same bytes whatever the memory layout of the input block.  The steps act on D-shifted blocks, x = D psi, and the
-written-out references take the same operation order.  The
-oracle comparisons, the delta3 check, the memory bound, the phase rows and
-the per-step call counts also run on the parity-block step, which a
+give the same bytes whatever the memory layout of the input block.  The
+steps act on D-shifted blocks, x = D psi, and the written-out references
+take the same operation order.  The oracle comparisons, the delta3 check,
+the memory bound, the phase rows and the per-step call counts also run on
+the parity-block step, which a
 55-state kernel takes when the crossover `BLOCK_STEP_MIN_DIM` is lowered.
 On both step kinds, and on the 187-state basis, the step's coefficients
 are checked to be in z's eigenbasis and each phase row's derivative in E
