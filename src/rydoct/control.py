@@ -42,13 +42,16 @@ first, and s_jk = sum_i conj(a_j,ik) c_j,ik,
     sum_i <D lam_j| z |D psi_j> = sum_k s_jk w_k P_jk,
 
 so the update sweep splits each step at that seam (the kernel's
-`coefficients` and `advance`) and chooses E_j in between.  The sweeps fill
-work arrays that the engine allocates once per run (`_work_arrays`): one
-step-major (n_steps, dim, M) coefficient array, whose per-step blocks are
+`coefficients` and `advance`) and chooses E_j in between.  It folds the
+old field's part, conj(a_j) w_k P_jk, into one (dim, M) factor per step,
+formed a chunk of steps at a time, so that a step's overlap is one
+product with c_j and one sum.  The sweeps fill work arrays that the
+engine allocates once per run (`_work_arrays`): one step-major
+(n_steps, dim, M) coefficient array, whose per-step blocks are
 contiguous; one (n_steps, dim, 1) table of the swept field's phases
 P(E_j); and one scratch of `CHUNK_STEPS` steps (see `_chunk_scratch`) that
 carries those phases at full (dim, M) width in the costate sweep and the
-update sweep's chunks of s_j and of the old phases.  Each
+update sweep's factors, old phases and their member sums.  Each
 field's phases are formed once for the sweeps: the engine fills the table
 from the guess, and the update sweep writes the phase of each new sample
 into its row, so the table it leaves is the next iteration's old field.
@@ -72,7 +75,7 @@ monotonicity bookkeeping to hold, and stays at rounding level (<= 1e-10)
 when the one-convention-everywhere rule is respected.  The cross-term
 is sum_j sum_k s_jk (P_new - P_old)_jk.  It never feeds back into the
 field, so the update sweep forms it a chunk of steps at a time from the
-s_j that its steps leave behind, with no call of its own per step.
+products that its steps leave behind, with no call of its own per step.
 """
 
 from __future__ import annotations
@@ -113,6 +116,10 @@ STALL_BUMP_AMPLITUDE = 1e-10
 MONOTONICITY_SLACK = 1e-9
 #: The name of the one field update rule; see the module docstring.
 UPDATE_MODE = "replace"
+#: The update sweep sums each step's products over a whole number of blocks
+#: of this many elements, the blocks in which OpenBLAS's complex dot sums
+#: before its sequential tail (see `_update_sweep`).
+SUM_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -254,10 +261,12 @@ def _chunk_scratch(dim: int, n_members: int) -> np.ndarray:
     writes `CHUNK_STEPS` conjugated rows of the phase table into it at a
     time, broadcast to full width, so that each adjoint step multiplies a
     contiguous (dim, M) phase rather than a column broadcast row by row.
-    The update sweep takes its head as three (CHUNK_STEPS, dim) blocks, as
-    many as M + 2 columns hold for any M: the s_j of each step of a chunk,
-    the chunk's old phase rows and their derivatives in E.  No use reads
-    what an earlier one left.
+    The update sweep takes the same head for the (dim, M) factors W_j of a
+    chunk's steps, which each step turns into its overlap's products in
+    place, and after them two (CHUNK_STEPS, dim) blocks: the chunk's old
+    phase rows and their derivatives, which become the products' sums over
+    the members once the chunk's steps are done.  No use reads what an
+    earlier one left.
     """
     return np.empty(CHUNK_STEPS * dim * (n_members + 2), dtype=complex)
 
@@ -321,40 +330,54 @@ def _update_sweep(
 
     `psi0` is the (dim, M) block of initial states and `coeffs[j]` the
     block of conj(a_j), a_j = V^T D* lam_i(t_{j+1}), as the engine's costate
-    sweep leaves it.  `table`, the work arrays' phase table, holds P(E_old)
-    of `pulse`, under which the costates were swept, so that D lam_j =
-    V conj(P_j) a_j.  The block advances as x_j = D psi_j, shifted once at
-    each end.  Each step first forms c_j = V^T x_j (the kernel's
-    `coefficients`) and s_jk = sum_i conj(a_j,ik) c_j,ik; the members'
-    summed overlap is then
+    sweep leaves it; it is not written.  `table`, the work arrays' phase
+    table, holds P(E_old) of `pulse`, under which the costates were swept,
+    so that D lam_j = V conj(P_j) a_j.  The block advances as x_j = D psi_j,
+    shifted once at each end.  Each step first forms c_j = V^T x_j (the
+    kernel's `coefficients`); with s_jk = sum_i conj(a_j,ik) c_j,ik the
+    members' summed overlap is then
 
         sum_i Im <D lam_j| z |D psi_j> = Im sum_k s_jk w_k P_jk
-                                       = Re sum_k s_jk (dP/dE)_jk / dt,
+                                       = Re sum_ik t_j,ik / dt,
 
-    with dP/dE = exponent P of the old phase row, and the new sample is
-    that over l_j.  Both sums round each product before they add it: a
-    product in place, then a `dot` with ones, whose products by 1 are
-    exact.  So terms that cancel exactly, such as opposite members under
-    one costate or the +-w_k pairs of a state that z cannot move, give
-    exactly 0, where the fused multiply-add of `vdot` or `vecdot` leaves the
-    rounding error of a product.  P(E_new) is formed per step into row j
-    of the table by the kernel's `phase_writer`, so that the table holds
-    the new field on return, and the step ends under it (`advance`).
-    `psi0` itself is not written.  Returns the new field samples, the final
-    block and the cross-term sum_j <lam(t_{j+1})| (S_new - S_old) psi(t_j)>
-    = sum_j sum_k s_jk (P_new - P_old)_jk for the delta3 diagnostic.
+    with the products t_j = W_j c_j, W_j = conj(a_j) dP/dE and dP/dE =
+    exponent P of the old phase row, and the new sample is that over l_j.
+    W_j depends on the old field alone, so each chunk of `CHUNK_STEPS`
+    steps forms it at full (dim, M) width in `scratch` (see
+    `_chunk_scratch`): a broadcast copy of the chunk's dP/dE rows, then one
+    multiply by its block of `coeffs` (a broadcast multiply would buffer
+    the chunk).  A step then takes its overlap in two calls: t_j into W_j
+    in place, and the sum of every product in one `dot` with a mask of
+    ones.  Each product is rounded before it is added, and products by 1
+    are exact, so terms that cancel exactly, such as opposite members
+    under one costate or the +-w_k pairs of a state that z cannot move,
+    give exactly 0, where the fused multiply-add of `vdot` or `vecdot`
+    leaves the rounding error of a product.  OpenBLAS's complex dot adds
+    its last (dim M mod `SUM_BLOCK`) elements one by one after its
+    blocks, which would break such a cancellation between members of the
+    last row ((x + y) - x - y need not be 0), so the sum runs over a
+    window of a whole number of `SUM_BLOCK` elements: the row, then the
+    elements after it, which the mask's zeros drop.  The sweep zeroes its
+    scratch first, so they are finite.  P(E_new) is written per step into
+    the table row that the sweep iterates, by the kernel's `phase_writer`
+    from the Python float E_j, so that the table holds the new field on
+    return, and the step ends under it (`advance`).  `psi0` itself is not
+    written.  Returns the new field samples, the final block and the
+    cross-term sum_j <lam(t_{j+1})| (S_new - S_old) psi(t_j)> = sum_j
+    sum_k s_jk (P_new - P_old)_jk for the delta3 diagnostic.
 
-    The sweep takes `CHUNK_STEPS` steps at a time.  Per chunk it copies the
-    old phase rows into `scratch` and forms their derivatives there, a
-    broadcast copy of `exponent` multiplied in place (a broadcast multiply
-    would buffer the chunk), and each step leaves its s_j in a row there.
-    The cross-term never feeds back into the field: after the chunk the old
-    rows become conj(P_new - P_old) in place, and each step's term is one
-    `np.vecdot` over its own (dim,) row, so that the result does not depend
-    on the BLAS thread count; the terms are added in step order.
+    The cross-term never feeds back into the field: after each chunk its
+    products are summed over the members in one `dot`, which gives
+    t_jk = s_jk (dP/dE)_jk = s_jk exponent_k P_jk, so that it is
+    sum_j sum_k t_jk (P_new - P_old)_jk conj(P_old)_jk / exponent_k
+    (= t_jk (P_new conj(P_old) - 1)_k / exponent_k, as |P_old| = 1), taken
+    as 0 on the null rows, where exponent_k and t_jk are 0.  Each step's
+    term is one `np.vecdot` over its own (dim,) row, so that the result
+    does not depend on the BLAS thread count; the terms are added in step
+    order.
     """
     coefficients, advance, (c, cf) = kernel.stepper(psi0)
-    write_phase = kernel.phase_writer(table)
+    write_phase = kernel.phase_writer()
     psi = kernel.shift(psi0)
     psi_f = psi.view(np.float64)
     multiply, subtract, conjugate, vecdot = np.multiply, np.subtract, np.conjugate, np.vecdot
@@ -362,12 +385,23 @@ def _update_sweep(
     # Python-level dispatchers.
     dot, copyto = undispatched(np.dot), undispatched(np.copyto)
     dim, n_members = psi.shape
-    products, terms = np.empty_like(psi), np.empty(dim, dtype=complex)
-    ones, member_ones = np.ones(dim, dtype=complex), np.ones(n_members, dtype=complex)
-    s_rows, old, slopes = scratch[: 3 * CHUNK_STEPS * dim].reshape(3, CHUNK_STEPS, dim)
-    # Row j - start of s_rows and of the slopes, one pair per step.
-    rows = list(zip(s_rows, slopes))
+    width = dim * n_members
+    head = CHUNK_STEPS * width
+    products = scratch[:head].reshape(CHUNK_STEPS, dim, n_members)
+    members = products.reshape(CHUNK_STEPS * dim, n_members)
+    old, sums = scratch[head : head + 2 * CHUNK_STEPS * dim].reshape(2, CHUNK_STEPS, dim)
+    sums_flat = sums.reshape(-1)
+    # The head rows of the scratch, free once a chunk's products are summed.
+    spare = scratch[: CHUNK_STEPS * dim].reshape(CHUNK_STEPS, dim)
+    span = -(-width // SUM_BLOCK) * SUM_BLOCK
+    mask, member_ones = np.zeros(span, dtype=complex), np.ones(n_members, dtype=complex)
+    mask[:width] = 1.0
+    scratch.fill(0.0)
+    # Row j - start of the products and its window, one pair per step.
+    rows = [(products[i], scratch[i * width : i * width + span]) for i in range(CHUNK_STEPS)]
     table_rows, exponent = table[:, :, 0], kernel.exponent[:, 0]
+    inverse = np.zeros_like(exponent)
+    np.divide(1.0, exponent, out=inverse, where=exponent != 0.0)
     cross_term = 0.0 + 0.0j
     weights = (penalty.samples * kernel.dt).tolist()
     new_samples = pulse.samples.astype(float)
@@ -376,21 +410,27 @@ def _update_sweep(
         stop = min(start + CHUNK_STEPS, len(fields))
         k = stop - start
         copyto(old[:k], table_rows[start:stop])
-        copyto(slopes[:k], exponent)
-        multiply(slopes[:k], old[:k], slopes[:k])
-        for j, a_bar, (s, slope) in zip(range(start, stop), coeffs[start:stop], rows):
+        slopes = sums[:k]
+        copyto(slopes, exponent)
+        multiply(slopes, old[:k], slopes)
+        copyto(products[:k], slopes[:, :, None])
+        multiply(products[:k], coeffs[start:stop], products[:k])
+        for j, (t, window), phase in zip(range(start, stop), rows, table[start:stop]):
             coefficients(psi_f, cf)
-            multiply(a_bar, c, products)
-            dot(products, member_ones, s)
-            multiply(s, slope, terms)
-            e_new = dot(ones, terms).real / weights[j]
+            multiply(t, c, t)
+            e_new = float(dot(window, mask).real) / weights[j]
             fields[j] = e_new
-            phase = write_phase(j, e_new)
+            write_phase(phase, e_new)
             advance(psi, psi, phase if e_new != 0.0 else None, c)
-        delta = old[:k]
-        subtract(table_rows[start:stop], delta, delta)
+        # t_jk, then P_old conj(P_new - P_old) and t_jk / exponent_k.
+        dot(members[: k * dim], member_ones, sums_flat[: k * dim])
+        delta = spare[:k]
+        subtract(table_rows[start:stop], old[:k], delta)
         conjugate(delta, delta)
-        for value in vecdot(delta, s_rows[:k]).tolist():
+        multiply(old[:k], delta, old[:k])
+        copyto(delta, inverse)
+        multiply(sums[:k], delta, sums[:k])
+        for value in vecdot(old[:k], sums[:k]).tolist():
             cross_term += value
     new_samples[:-1] = fields
     return new_samples, kernel.unshift(psi), cross_term

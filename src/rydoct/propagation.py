@@ -361,39 +361,43 @@ class SplitStepKernel:
         """
         if out is None:
             out = np.ones((len(samples) - 1, len(self.half), 1), dtype=complex)
-        write, fields = self.phase_writer(out), samples[:-1, None]
+        write, fields = self.phase_writer(), samples[:-1, None, None]
         for start in range(0, len(out), CHUNK_STEPS):
             rows = slice(start, start + CHUNK_STEPS)
-            write(rows, fields[rows])
+            write(out[rows], fields[rows])
         return out
 
-    def phase_writer(self, table: np.ndarray) -> Callable[..., np.ndarray]:
-        """`write(rows, fields)`: P(fields) into `rows` of `table`, the one place of its formula.
+    def phase_writer(self) -> Callable[..., None]:
+        """`write(rows, fields)`: P(fields) into `rows`, the one place of its formula.
 
-        Binds the table's views once.  `rows` is a step and `fields` its
-        sample, or a slice of steps and an (n, 1) column of their samples;
-        `write` returns those rows of `table`.  A row is exp(E exponent): one
-        product and one exp in place, on 1-D (dim,) slot views for the dense
-        step.  The block step forms its +s_k rows so, on (r,) views, and
-        writes their conjugates, which are the -s_k rows bit for bit, into
-        the odd pair rows; its null rows keep the 1 that the table was
-        allocated with.  A zero sample gives the identity.
+        `rows` is one (dim, 1) row of a phase table and `fields` its sample,
+        a Python float, or an (n, dim, 1) block of rows and the (n, 1, 1)
+        column of their samples.  The update sweep hands it the table row
+        that it iterates, so that its step makes no index of its own.  A row
+        is exp(E exponent): one product and one exp in place.  The block step
+        forms its +s_k rows so, on (r, 1) slices, and writes their
+        conjugates, which are the -s_k rows bit for bit, into the odd pair
+        rows; its null rows keep the 1 that the table was allocated with.  A
+        zero sample gives the identity.
         """
         multiply, exp, conjugate = np.multiply, np.exp, np.conjugate
-        slots = table[:, :, 0]
-        if self.block:
-            plus, minus = self.pairs
-            formed, exponent, mirrored = slots[:, plus], self.exponent[plus, 0], slots[:, minus]
-        else:
-            formed, exponent, mirrored = slots, self.exponent[:, 0], None
+        if not self.block:
+            exponent = self.exponent
+
+            def write(rows, fields):
+                multiply(fields, exponent, rows)
+                exp(rows, rows)
+
+            return write
+
+        plus, minus = self.pairs
+        exponent = self.exponent[plus]
 
         def write(rows, fields):
-            phase = formed[rows]
+            phase = rows[..., plus, :]
             multiply(fields, exponent, phase)
             exp(phase, phase)
-            if mirrored is not None:
-                conjugate(phase, mirrored[rows])
-            return table[rows]
+            conjugate(phase, rows[..., minus, :])
 
         return write
 
@@ -432,7 +436,9 @@ class SplitStepKernel:
 
         The block step forms c with two half-size products: q^T on the even
         rows, into its own c, and w^T on the odd ones, into an (r, M) pair
-        scratch t.  Since every odd row is a pair row, the difference and
+        scratch t.  It slices `src_f` into those rows only when `src_f` is
+        not the array of its last call: a sweep passes the same source at
+        every step.  Since every odd row is a pair row, the difference and
         then the sum of each pair's rows (e, o) land straight in its -s_k
         and +s_k rows of c, and c is copied through `cf` when that is the
         view of another block.  After P c the difference goes into t, which
@@ -476,9 +482,14 @@ class SplitStepKernel:
         t = np.empty(c_minus.shape, dtype=complex)
         tf = t.view(np.float64)
 
+        source = even = odd = None
+
         def coefficients(src_f, cf):
-            dot(qt, src_f[:n_even], c_even)
-            dot(wt, src_f[n_even:], tf)
+            nonlocal source, even, odd
+            if src_f is not source:
+                source, even, odd = src_f, src_f[:n_even], src_f[n_even:]
+            dot(qt, even, c_even)
+            dot(wt, odd, tf)
             # Each pair's rows (e, o), o in t, to (e + o, e - o).
             subtract(c_plus, t, c_minus)
             add(c_plus, t, c_plus)

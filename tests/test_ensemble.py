@@ -86,6 +86,19 @@ class TestEnsembleUpdate:
         assert np.all(samples[:-1] == 0.0)
         assert np.any(run([psi], [lam])[:-1] != 0.0)
 
+    def test_interleaved_opposite_members_cancel(self, sweep):
+        # Four members, two opposite pairs that do not sit side by side:
+        # psi and -psi under one costate, phi and -phi under another.  The
+        # overlap is summed over every member and eigenvalue at once, and
+        # the four members' products still cancel exactly: every new
+        # sample is 0.0.
+        run, pulse, _, _ = sweep
+        lam, mu = random_states(3, 2, 8)
+        psi, phi = random_states(3, 2, 9)
+        samples = run([psi, phi, -psi, -phi], [lam, mu, lam, mu])
+        assert np.all(samples[:-1] == 0.0)
+        assert np.any(run([psi, phi], [lam, mu])[:-1] != 0.0)
+
     def test_sum_of_independent_members(self, sweep):
         # The first sample of a block of members, before their fields part
         # ways, is the sum of those of the members swept one at a time.

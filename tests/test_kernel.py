@@ -262,9 +262,10 @@ def test_update_sweep_matches_oracle(setup, block_setup, public, block):
     ids=["1", "4", "block-1", "block-4"],
 )
 def test_update_sweep_forms_the_cross_term_per_half_chunk(setup, block_setup, n_members, block):
-    # The cross-term is formed `CHUNK_STEPS` steps at a time from the s_j
-    # that the steps leave in the chunk scratch, which also holds each
-    # chunk's conjugated a_j, old phase rows and their derivatives.  The
+    # The cross-term is formed `CHUNK_STEPS` steps at a time from the
+    # products conj(a_j) (dP/dE)_j c_j that the steps leave in the chunk
+    # scratch, which also holds each chunk's old phase rows and the
+    # products' sums over the members.  The
     # grid ends in a short chunk, and the old field is zero on both sides
     # of the first chunk boundary, where the costates, swept under it,
     # are those of the free steps.  A NaN-filled scratch must not reach
@@ -395,12 +396,14 @@ def test_phase_derivative_is_exponent_times_phase(any_kernel):
 
 
 def _assert_writer_gives_the_rows(kernel, samples, table):
-    """The update sweep's per-step phase writer, bound to the table of
-    another field, writes each row of `table` bit for bit."""
+    """The update sweep's per-step phase writer, handed each row of the
+    table of another field and its sample as a Python float, writes each
+    row of `table` bit for bit."""
     written = kernel.phase_table(np.full_like(samples, 3e-7))
-    write = kernel.phase_writer(written)
-    for j, e_field in enumerate(samples[:-1].tolist()):
-        assert np.array_equal(write(j, e_field), table[j])
+    write = kernel.phase_writer()
+    for row, e_field, expected in zip(written, samples[:-1].tolist(), table):
+        write(row, e_field)
+        assert np.array_equal(row, expected)
     assert np.array_equal(written, table)
 
 
@@ -479,7 +482,7 @@ def test_step_is_the_written_out_split_step(setup, sign):
 
 
 def test_update_sweep_without_costates_is_evolve(setup):
-    # With a = 0 every s_j and every new sample is exactly zero, so the
+    # With a = 0 every product and every new sample is exactly zero, so the
     # sweep is the plain propagation under the zero field, and its
     # cross-term is exactly zero, whether the old field was nonzero almost
     # everywhere, so that most samples change, or zero, so that none does.
@@ -607,13 +610,15 @@ def test_step_passes(setup, block):
 def test_sweep_steps_make_only_their_blas_calls(setup):
     # Per step, the costate sweep calls `dot` twice, or once where the field
     # is exactly zero (V^T only: the diagonal shortcut).  The update sweep
-    # forms c at every step; its overlap is one `multiply` and one `dot` for
-    # s_j and one of each for the sum over its eigenvalues, and the steps
-    # whose new sample is not zero add the `dot` of V.  Its cross-term
-    # takes no call per step: two `copyto` calls and one `multiply`,
-    # `subtract` and `vecdot` per chunk.  No step takes a `view`: each
-    # sweep takes its float64 views before its first step.
-    _assert_sweep_calls(setup, len(MARKED), dots=1, pairs=0)
+    # forms c at every step; its overlap is one `multiply` and one `dot`,
+    # with one member and with four, and the steps whose new sample is not
+    # zero add the `dot` of V.  Each chunk forms the overlap's factors with
+    # three `copyto` and two `multiply` calls, and its cross-term with one
+    # `dot`, `subtract` and `vecdot`, two `multiply` and one `copyto`.  No
+    # step takes a `view`: each sweep takes its float64 views before its
+    # first step.
+    for n_members in (1, len(MARKED)):
+        _assert_sweep_calls(setup, n_members, dots=1, pairs=0)
 
 
 @pytest.mark.parametrize("n_members", [1, 4])
@@ -631,13 +636,13 @@ def _assert_sweep_calls(setup, n_members, dots, pairs):
     `setup`: `dots` `dot` calls and `pairs` `subtract` and `add` calls per
     product with V^T or V, and `pairs` `copyto` calls per c that the
     costate sweep forms into its slot, and one per chunk of its phases;
-    one `multiply` per step for D^2, one
-    more per field step for P and, in the update sweep, three per step for
-    its phase row and the two products of its overlap, whose two sums are
-    two more `dot` calls per step; one `multiply` each way across the
-    sweep's boundary; two `copyto` calls and one `multiply`, `subtract` and
-    `vecdot` per chunk of the update sweep; and no more than eight `view`
-    calls per sweep, whatever the number of steps."""
+    one `multiply` per step for D^2, one more per field step for P and, in
+    the update sweep, two per step for its phase row and its overlap's one
+    product, whose sum is one more `dot` per step; one `multiply` each way
+    across the sweep's boundary; per chunk of the update sweep, four
+    `copyto` and four `multiply` calls and one `dot`, `subtract` and
+    `vecdot`; and no more than eight `view` calls per sweep, whatever the
+    number of steps."""
     h, pulse, penalty, kernel = setup["h"], setup["pulse"], setup["penalty"], setup["kernel"]
     n_steps = pulse.n_steps
     chunks = -(-n_steps // CHUNK_STEPS)
@@ -675,13 +680,14 @@ def _assert_sweep_calls(setup, n_members, dots, pairs):
         nonzero = np.count_nonzero(samples[:-1])
         assert changed == n_changed
         products = n_steps + nonzero
-        assert counts["dot"] == dots * products + 2 * n_steps
+        assert counts["dot"] == dots * products + n_steps + chunks
         assert counts["vdot"] == 0
         assert counts["subtract"] == pairs * products + chunks
         assert counts["add"] == pairs * products
-        # And two `copyto` calls with which `np.ones` fills the sweep's ones.
-        assert counts["copyto"] == 2 * chunks + 2
-        assert counts["multiply"] == 2 + 4 * n_steps + nonzero + chunks
+        # And one `copyto` each with which `np.ones` and `np.zeros_like`
+        # fill the members' ones and the exponent's inverse.
+        assert counts["copyto"] == 4 * chunks + 2
+        assert counts["multiply"] == 2 + 3 * n_steps + nonzero + 4 * chunks
         assert counts["vecdot"] == chunks
         assert counts["view"] <= 8
 
@@ -712,10 +718,11 @@ def test_iterate_without_undispatched_numpy_functions(setup, block_setup, block,
         monkeypatch.setattr(np, name, plain)
     assert not hasattr(np.dot, "_implementation")
     got = iterate()
-    # V^T in each sweep and the two sums of the overlap, at every step.
+    # V^T in each sweep, V in each field step and the overlap's sum, at
+    # every step.
     assert calls["dot"] > 4 * pulse.n_steps
-    # The phases and the old rows of every chunk, and each c of the block
-    # step's costate sweep.
+    # The phases, the old rows and the overlap's factors of every chunk,
+    # and each c of the block step's costate sweep.
     chunks = -(-pulse.n_steps // CHUNK_STEPS)
     assert calls["copyto"] >= 3 * chunks + (pulse.n_steps if block else 0)
     for a, b in zip(expected, got):
