@@ -367,20 +367,24 @@ def _update_sweep(
     sum_k s_jk (P_new - P_old)_jk for the delta3 diagnostic.
 
     The cross-term never feeds back into the field: after each chunk its
-    products are summed over the members in one `dot`, which gives
+    products are summed over the members in one `np.einsum`, which gives
     t_jk = s_jk (dP/dE)_jk = s_jk exponent_k P_jk, so that it is
     sum_j sum_k t_jk (P_new - P_old)_jk conj(P_old)_jk / exponent_k
     (= t_jk (P_new conj(P_old) - 1)_k / exponent_k, as |P_old| = 1), taken
-    as 0 on the null rows, where exponent_k and t_jk are 0.  Each step's
-    term is one `np.vecdot` over its own (dim,) row, so that the result
-    does not depend on the BLAS thread count; the terms are added in step
-    order.
+    as 0 on the null rows, where exponent_k and t_jk are 0.  `einsum`
+    sums without BLAS: OpenBLAS runs a matrix-vector product of 4096
+    elements or more, such as the chunk's at (55, 4) or (187, 1), on all
+    its threads, and waking them once per chunk cost more than the sum.
+    Each step's term is one `np.vecdot` over its own (dim,) row, so that
+    the result does not depend on the BLAS thread count; the terms are
+    added in step order.
     """
     coefficients, advance, (c, cf) = kernel.stepper(psi0)
     write_phase = kernel.phase_writer()
     psi = kernel.shift(psi0)
     psi_f = psi.view(np.float64)
     multiply, subtract, conjugate, vecdot = np.multiply, np.subtract, np.conjugate, np.vecdot
+    einsum = np.einsum
     # The C functions behind `np.dot` and `np.copyto`, without their
     # Python-level dispatchers.
     dot, copyto = undispatched(np.dot), undispatched(np.copyto)
@@ -394,7 +398,7 @@ def _update_sweep(
     # The head rows of the scratch, free once a chunk's products are summed.
     spare = scratch[: CHUNK_STEPS * dim].reshape(CHUNK_STEPS, dim)
     span = -(-width // SUM_BLOCK) * SUM_BLOCK
-    mask, member_ones = np.zeros(span, dtype=complex), np.ones(n_members, dtype=complex)
+    mask = np.zeros(span, dtype=complex)
     mask[:width] = 1.0
     scratch.fill(0.0)
     # Row j - start of the products and its window, one pair per step.
@@ -423,7 +427,7 @@ def _update_sweep(
             write_phase(phase, e_new)
             advance(psi, psi, phase if e_new != 0.0 else None, c)
         # t_jk, then P_old conj(P_new - P_old) and t_jk / exponent_k.
-        dot(members[: k * dim], member_ones, sums_flat[: k * dim])
+        einsum("ij->i", members[: k * dim], out=sums_flat[: k * dim])
         delta = spare[:k]
         subtract(table_rows[start:stop], old[:k], delta)
         conjugate(delta, delta)

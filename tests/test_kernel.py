@@ -614,7 +614,8 @@ def test_sweep_steps_make_only_their_blas_calls(setup):
     # with one member and with four, and the steps whose new sample is not
     # zero add the `dot` of V.  Each chunk forms the overlap's factors with
     # three `copyto` and two `multiply` calls, and its cross-term with one
-    # `dot`, `subtract` and `vecdot`, two `multiply` and one `copyto`.  No
+    # `subtract` and `vecdot`, two `multiply` and one `copyto` (and one
+    # `np.einsum`, which calls none of them, for the sums over members).  No
     # step takes a `view`: each sweep takes its float64 views before its
     # first step.
     for n_members in (1, len(MARKED)):
@@ -640,9 +641,9 @@ def _assert_sweep_calls(setup, n_members, dots, pairs):
     the update sweep, two per step for its phase row and its overlap's one
     product, whose sum is one more `dot` per step; one `multiply` each way
     across the sweep's boundary; per chunk of the update sweep, four
-    `copyto` and four `multiply` calls and one `dot`, `subtract` and
-    `vecdot`; and no more than eight `view` calls per sweep, whatever the
-    number of steps."""
+    `copyto` and four `multiply` calls and one `subtract` and `vecdot`;
+    and no more than eight `view` calls per sweep, whatever the number of
+    steps."""
     h, pulse, penalty, kernel = setup["h"], setup["pulse"], setup["penalty"], setup["kernel"]
     n_steps = pulse.n_steps
     chunks = -(-n_steps // CHUNK_STEPS)
@@ -680,13 +681,13 @@ def _assert_sweep_calls(setup, n_members, dots, pairs):
         nonzero = np.count_nonzero(samples[:-1])
         assert changed == n_changed
         products = n_steps + nonzero
-        assert counts["dot"] == dots * products + n_steps + chunks
+        assert counts["dot"] == dots * products + n_steps
         assert counts["vdot"] == 0
         assert counts["subtract"] == pairs * products + chunks
         assert counts["add"] == pairs * products
-        # And one `copyto` each with which `np.ones` and `np.zeros_like`
-        # fill the members' ones and the exponent's inverse.
-        assert counts["copyto"] == 4 * chunks + 2
+        # And the one `copyto` with which `np.zeros_like` fills the
+        # exponent's inverse.
+        assert counts["copyto"] == 4 * chunks + 1
         assert counts["multiply"] == 2 + 3 * n_steps + nonzero + 4 * chunks
         assert counts["vecdot"] == chunks
         assert counts["view"] <= 8
