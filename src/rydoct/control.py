@@ -117,8 +117,8 @@ MONOTONICITY_SLACK = 1e-9
 #: The name of the one field update rule; see the module docstring.
 UPDATE_MODE = "replace"
 #: The update sweep sums each step's products over a whole number of blocks
-#: of this many elements, the blocks in which OpenBLAS's complex dot sums
-#: before its sequential tail (see `_update_sweep`).
+#: of this many elements, a multiple of the 8-element blocks that OpenBLAS's
+#: complex dot sums before it adds the rest one by one (see `_update_sweep`).
 SUM_BLOCK = 16
 
 
@@ -353,9 +353,9 @@ def _update_sweep(
     under one costate or the +-w_k pairs of a state that z cannot move,
     give exactly 0, where the fused multiply-add of `vdot` or `vecdot`
     leaves the rounding error of a product.  OpenBLAS's complex dot adds
-    its last (dim M mod `SUM_BLOCK`) elements one by one after its
-    blocks, which would break such a cancellation between members of the
-    last row ((x + y) - x - y need not be 0), so the sum runs over a
+    the elements past its last 8-element block one by one, which would
+    break such a cancellation between the members of the last row
+    ((x + y) - x - y need not be 0), so the sum runs over a
     window of a whole number of `SUM_BLOCK` elements: the row, then the
     elements after it, which the mask's zeros drop.  The sweep zeroes its
     scratch first, so they are finite.  P(E_new) is written per step into
