@@ -20,7 +20,6 @@ import math
 import os
 import zlib
 from dataclasses import dataclass
-from itertools import count, islice
 from pathlib import Path
 from typing import Callable
 
@@ -85,10 +84,6 @@ MAX_HUSIMI_VALUES = 10_000_000
 MAX_SPECTRUM_SAMPLES = 1_000_000
 
 DEFECT_PRESETS = {"hydrogen": {}, "cesium": CESIUM_DEFECTS}
-
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
 
 
 # ---------------------------------------------------------------------------
@@ -499,21 +494,36 @@ def build_penalty(manifest: RunManifest, pulse: PulseGrid) -> PenaltySchedule:
 # ---------------------------------------------------------------------------
 
 
-def _write_csv(path, header: list[str], rows) -> None:
-    """Write a header line, then rows: numbers at full precision, strings as given.
+#: Cells per write of `_write_csv`: a thousand rows of a three-column table,
+#: a few rows of a wide one.
+CSV_CHUNK_CELLS = 3000
 
-    The text is never held whole: the lines go to the file a thousand at a
-    time, one join and one write each, which is as fast as one join of all.
+
+def _write_csv(path, header: list[str], columns: list) -> None:
+    """Write a header line, then one row per index of the equal-length
+    `columns`: arrays of numbers at full precision, lists of strings as given.
+
+    The text is never held whole: a chunk of rows of about CSV_CHUNK_CELLS
+    cells goes to the file in one join and one write.  Each array's part of
+    a chunk becomes Python floats (`tolist`), which `repr` formats.
     """
-    lines = (",".join(c if isinstance(c, str) else _fmt(c) for c in row) for row in rows)
+    columns = [c if isinstance(c, list) else np.asarray(c, dtype=float) for c in columns]
+    n_rows = len(columns[0])
+    step = max(1, CSV_CHUNK_CELLS // len(columns))
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
-        while chunk := list(islice(lines, 1000)):
-            f.write("\n".join(chunk) + "\n")
+        for start in range(0, n_rows, step):
+            cells = [
+                c[start : start + step]
+                if isinstance(c, list)
+                else map(repr, c[start : start + step].tolist())
+                for c in columns
+            ]
+            f.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def write_field_csv(path, pulse: PulseGrid) -> None:
-    _write_csv(path, ["time", "E"], zip(pulse.times(), pulse.samples))
+    _write_csv(path, ["time", "E"], [pulse.times(), pulse.samples])
 
 
 def _median(values: np.ndarray) -> float:
@@ -594,7 +604,8 @@ def _write_history(path, result: OctResult, extra: dict[str, np.ndarray] | None 
         "delta3": result.delta3_history,
         **(extra or {}),
     }
-    _write_csv(path, ["iteration", *histories], zip(map(str, count(1)), *histories.values()))
+    iterations = [str(i) for i in range(1, len(result.j_history) + 1)]
+    _write_csv(path, ["iteration", *histories], [iterations, *histories.values()])
 
 
 def _boundary_population(state: WavePacket, h: HamiltonianData) -> float:
@@ -647,8 +658,12 @@ def _propagate(manifest: RunManifest, h: HamiltonianData, out: Path, field_path)
     trajectory, final = propagate(psi0, pulse, h, zsys, record=stride, absorber=absorber)
     report = readout(final, reg, h)
 
-    rows = ([wp.time, *wp.populations()] for wp in trajectory)
-    _write_csv(out / "trajectory.csv", ["time", *map(str, h.labels)], rows)
+    populations = np.array([wp.populations() for wp in trajectory])
+    _write_csv(
+        out / "trajectory.csv",
+        ["time", *map(str, h.labels)],
+        [np.array([wp.time for wp in trajectory]), *populations.T],
+    )
     write_field_csv(out / "field.csv", pulse)
     write_json(out / "readout.json", report.to_dict())
     metrics = {
@@ -772,17 +787,21 @@ def _analyze(manifest: RunManifest, h: HamiltonianData, out: Path, field_path) -
     # observational output, the strong peaks need not sit on any gap.
     ls = np.array([s.l for s in h.labels])
     i, j = np.nonzero(np.triu(np.abs(ls[:, None] - ls[None, :]) == 1))
-    gaps = np.unique(np.abs(h.energies[i] - h.energies[j]))
-    if not gaps.size:
+    if not i.size:
         raise ManifestError(
             "basis.l_max: analyze needs a dipole-allowed level gap to compare the "
             "spectrum with, and a basis with l_max < 2 has none"
         )
+    # np.unique's bytes for these finite gaps without its import of numpy.ma
+    # (1.7 MB and about 11 ms of a fresh process): sorted, each run of equal
+    # values kept once.
+    gaps = np.sort(np.abs(h.energies[i] - h.energies[j]))
+    gaps = gaps[np.concatenate(([True], gaps[1:] != gaps[:-1]))]
     nearest = _nearest_gap_distance(spec_data.frequencies, gaps)
     _write_csv(
         out / "spectrum.csv",
         ["frequency", "magnitude", "nearest_gap_distance"],
-        zip(spec_data.frequencies, spec_data.magnitudes, nearest),
+        [spec_data.frequencies, spec_data.magnitudes, nearest],
     )
 
     sigma = manifest.analysis["husimi_sigma"]
@@ -791,8 +810,8 @@ def _analyze(manifest: RunManifest, h: HamiltonianData, out: Path, field_path) -
     hus = husimi(pulse, sigma, time_stride=stride)
     _write_csv(
         out / "husimi.csv",
-        ["time", *map(_fmt, hus.times)],
-        np.column_stack((hus.frequencies, hus.intensity)),
+        ["time", *map(repr, hus.times.tolist())],
+        [hus.frequencies, *hus.intensity.T],
     )
 
     peak_bin = int(np.argmax(spec_data.magnitudes))

@@ -17,10 +17,13 @@ __all__ = [
     "husimi",
 ]
 
-#: Field samples per block of the Husimi quadrature: `husimi` forms the
-#: windows and the kernel of one block at a time, so its memory grows with
-#: the map it returns and not with the field's length times its centers.
+#: Field samples per block of the Husimi quadrature, and frequency columns
+#: per piece of a block's kernel: `husimi` holds one block's windows and one
+#: samples x columns piece of its kernel at a time, so beyond the map it
+#: returns its memory is a few centers x block arrays, whatever the field's
+#: length.
 HUSIMI_BLOCK_SAMPLES = 2048
+HUSIMI_BLOCK_COLUMNS = 32
 
 
 def half_cycle_pulse(
@@ -109,8 +112,14 @@ def husimi(
     Computed by direct quadrature on the pulse grid.  `time_stride` thins the
     window centers; `frequencies` defaults to 256 points up to the grid
     Nyquist angular frequency.  The quadrature runs over blocks of
-    `HUSIMI_BLOCK_SAMPLES` samples, each block's windows times its kernel
-    added to the amplitudes, so a field of one block is one product.
+    `HUSIMI_BLOCK_SAMPLES` samples.  A block's windows, cast to complex
+    once, multiply its kernel `HUSIMI_BLOCK_COLUMNS` frequencies at a time,
+    and each product is added to its columns of the amplitudes.  Every
+    amplitude is thus one BLAS sum over each block's samples, as in one
+    product of a block's windows and its whole kernel.  On one BLAS thread a
+    field of one block gives that product's bytes (on more, OpenBLAS may
+    split a small product between threads, and so its sums); a longer field
+    changes only the order in which the blocks' sums are added.
     """
     if sigma <= 0:
         raise InvalidSpecError("husimi window width must be positive")
@@ -120,15 +129,21 @@ def husimi(
     centers = t[::time_stride]
     if frequencies is None:
         frequencies = np.linspace(0.0, np.pi / pulse.dt, 256)
-    amplitude = np.zeros((len(centers), len(frequencies)), dtype=complex)
+    # Pieces of HUSIMI_BLOCK_COLUMNS frequencies, the last one a column wider
+    # rather than one column alone, which numpy would take through gemv.
+    n_freq = len(frequencies)
+    edges = [0, *range(HUSIMI_BLOCK_COLUMNS, n_freq - 1, HUSIMI_BLOCK_COLUMNS), n_freq]
+    amplitude = np.zeros((len(centers), n_freq), dtype=complex)
     for start in range(0, len(t), HUSIMI_BLOCK_SAMPLES):
         block = slice(start, start + HUSIMI_BLOCK_SAMPLES)
         # windows[i, j] = E(t_j) g(t_j - tau_i) over the block's samples j
         windows = pulse.samples[None, block] * np.exp(
             -((t[None, block] - centers[:, None]) ** 2) / (2.0 * sigma**2)
         )
-        kernel = np.exp(-1j * np.outer(t[block], frequencies))
-        amplitude += windows @ kernel
+        windows = windows.astype(complex)
+        for first, stop in zip(edges, edges[1:]):
+            kernel = np.exp(-1j * np.outer(t[block], frequencies[first:stop]))
+            amplitude[:, first:stop] += windows @ kernel
     amplitude *= pulse.dt
     return HusimiMap(
         times=centers,

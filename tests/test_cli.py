@@ -415,6 +415,26 @@ class TestRunners:
         assert len(text.splitlines()) == 100_502
         assert text.endswith("\n") and "\n\n" not in text
 
+    def test_csv_text_is_the_repr_of_each_cell(self, tmp_path):
+        # Python floats of each column, formatted by repr, give the text of
+        # repr(float(cell)) per numpy scalar, with a string column as given;
+        # tables longer and wider than one write check the seams.
+        rng = np.random.default_rng(11)
+        special = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 1 / 3, 2.0**-1074 * 3]
+        for n_rows, n_floats in ((2 * rydoct.manifest.CSV_CHUNK_CELLS + 7, 2), (70, 101)):
+            floats = rng.normal(size=(n_rows, n_floats)) * 10.0 ** rng.integers(-300, 300, (n_rows, 1))
+            floats[: len(special), 0] = special
+            floats[-len(special) :, -1] = special
+            iterations = [str(i) for i in range(1, n_rows + 1)]
+            header = ["iteration", *(f"c{k}" for k in range(n_floats))]
+            path = tmp_path / f"table{n_floats}.csv"
+            rydoct.manifest._write_csv(path, header, [iterations, *floats.T])
+            rows = (
+                ",".join([i, *(repr(float(value)) for value in row)])
+                for i, row in zip(iterations, floats)
+            )
+            assert path.read_text() == ",".join(header) + "\n" + "".join(r + "\n" for r in rows)
+
     def test_run_decode_test_outputs(self, tiny_manifest_path, tmp_path):
         manifest = load_manifest(tiny_manifest_path)
         pulse = build_guess_pulse(manifest)
@@ -1013,6 +1033,22 @@ class TestProcess:
         run = _run_cli(["-c", probe], tmp_path)
         assert run.returncode == 0, run.stderr
         assert run.stdout.strip() == "False"
+
+    def test_analyze_leaves_numpy_ma_out(self, tiny_manifest_path, tmp_path):
+        # np.unique of the level gaps would import numpy.ma, 1.7 MB and
+        # about 11 ms of every analyze process.
+        field = tmp_path / "field.csv"
+        write_field_csv(field, build_guess_pulse(load_manifest(tiny_manifest_path)))
+        argv = ["analyze", "--manifest", str(tiny_manifest_path), "--field", str(field)]
+        argv += ["--out", str(tmp_path / "ana")]
+        probe = (
+            "import sys, rydoct.cli; "
+            f"code = rydoct.cli.main({argv!r}); print(code, 'numpy.ma' in sys.modules)"
+        )
+        run = _run_cli(["-c", probe], tmp_path)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split()[-2:] == ["0", "False"]
+        assert (tmp_path / "ana" / "husimi.csv").exists()
 
     # One member (M = 1) and four (M = 4) reach BLAS with different shapes.
     @pytest.mark.parametrize(

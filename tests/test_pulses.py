@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from rydoct import InvalidSpecError, PulseGrid, half_cycle_pulse, husimi, spectrum
-from rydoct.pulses import HUSIMI_BLOCK_SAMPLES
+import rydoct.pulses
+from rydoct.pulses import HUSIMI_BLOCK_COLUMNS, HUSIMI_BLOCK_SAMPLES
 from rydoct.units import parse_quantity
 
 
@@ -118,6 +121,31 @@ class TestHusimi:
         expected = _single_product_husimi(pulse, 40.0, 41)
         assert hm.intensity.shape == expected.shape
         assert np.max(np.abs(hm.intensity - expected)) <= 1e-12 * np.max(expected)
+
+    def test_a_last_lone_column_joins_the_piece_before(self, monkeypatch):
+        # numpy would multiply by a one-column piece through gemv, whose
+        # sums need not be gemm's: one more frequency than a piece is still
+        # one product, byte for byte.
+        rng = np.random.default_rng(7)
+        pulse = PulseGrid(0.0, 0.1, rng.normal(size=801))
+        freqs = np.linspace(0.0, 3.0, HUSIMI_BLOCK_COLUMNS + 1)
+        hm = husimi(pulse, sigma=6.0, time_stride=8, frequencies=freqs)
+        monkeypatch.setattr(rydoct.pulses, "HUSIMI_BLOCK_COLUMNS", len(freqs))
+        whole = husimi(pulse, sigma=6.0, time_stride=8, frequencies=freqs)
+        assert hm.intensity.tobytes() == whole.intensity.tobytes()
+
+    def test_memory_stays_near_the_map(self):
+        # The 801-sample field at stride 8 over 256 frequencies: 101 x 801
+        # windows and their complex cast, a 801 x 32 kernel piece and the
+        # 101 x 256 map; the whole 801 x 256 kernel took 7.3 MiB.
+        pulse = PulseGrid(0.0, 0.1, np.random.default_rng(2).normal(size=801))
+        tracemalloc.start()
+        try:
+            husimi(pulse, sigma=6.0, time_stride=8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * 2**20
 
     def test_zero_field_identically_zero(self):
         pulse = PulseGrid.zeros(0.0, 0.1, 512)
