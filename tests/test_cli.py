@@ -422,7 +422,8 @@ class TestRunners:
         rng = np.random.default_rng(11)
         special = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 1 / 3, 2.0**-1074 * 3]
         for n_rows, n_floats in ((2 * rydoct.manifest.CSV_CHUNK_CELLS + 7, 2), (70, 101)):
-            floats = rng.normal(size=(n_rows, n_floats)) * 10.0 ** rng.integers(-300, 300, (n_rows, 1))
+            scales = 10.0 ** rng.integers(-300, 300, (n_rows, 1))
+            floats = rng.normal(size=(n_rows, n_floats)) * scales
             floats[: len(special), 0] = special
             floats[-len(special) :, -1] = special
             iterations = [str(i) for i in range(1, n_rows + 1)]

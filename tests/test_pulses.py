@@ -3,8 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rydoct import InvalidSpecError, PulseGrid, half_cycle_pulse, husimi, spectrum
 import rydoct.pulses
+from rydoct import InvalidSpecError, PulseGrid, half_cycle_pulse, husimi, spectrum
 from rydoct.pulses import HUSIMI_BLOCK_COLUMNS, HUSIMI_BLOCK_SAMPLES
 from rydoct.units import parse_quantity
 
