@@ -68,11 +68,10 @@ MAX_BASIS_VALUES = 10_000_000
 
 #: Most values of the Husimi map's windows that `analyze` may form, window
 #: centers (every analysis.husimi_time_stride-th sample) x field samples.
-#: It bounds the map's compute: each value costs one exp and 256 complex
-#: multiply-adds.  Memory is not what it bounds: `husimi` forms its windows
-#: and kernel `pulses.HUSIMI_BLOCK_SAMPLES` samples at a time, so it holds
-#: a few (centers, block) arrays and the (centers, 256) map, about 4 KB
-#: per center.
+#: It bounds the map's compute: each value costs one exp and one add into
+#: its center's 510-sample fold.  Memory is not what it bounds: `husimi`
+#: forms its windows one 510-sample period at a time, so it holds a few
+#: (centers, 510) arrays and the (centers, 256) map, about 15 KB per center.
 MAX_HUSIMI_VALUES = 10_000_000
 
 #: Most samples of the zero-padded field whose spectrum `analyze` takes,

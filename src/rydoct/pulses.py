@@ -17,15 +17,6 @@ __all__ = [
     "husimi",
 ]
 
-#: Field samples per block of the Husimi quadrature, and frequency columns
-#: per piece of a block's kernel: `husimi` holds one block's windows and one
-#: samples x columns piece of its kernel at a time, so beyond the map it
-#: returns its memory is a few centers x block arrays, whatever the field's
-#: length.
-HUSIMI_BLOCK_SAMPLES = 2048
-HUSIMI_BLOCK_COLUMNS = 32
-
-
 def half_cycle_pulse(
     peak: float,
     width: float,
@@ -101,25 +92,19 @@ class HusimiMap:
     sigma: float
 
 
-def husimi(
-    pulse: PulseGrid,
-    sigma: float,
-    time_stride: int = 8,
-    frequencies: np.ndarray | None = None,
-) -> HusimiMap:
+def husimi(pulse: PulseGrid, sigma: float, time_stride: int = 8) -> HusimiMap:
     """Q(t, w) = |integral E(t') g(t' - t) exp(-i w t') dt'|^2, Gaussian window g.
 
-    Computed by direct quadrature on the pulse grid.  `time_stride` thins the
-    window centers; `frequencies` defaults to 256 points up to the grid
-    Nyquist angular frequency.  The quadrature runs over blocks of
-    `HUSIMI_BLOCK_SAMPLES` samples.  A block's windows, cast to complex
-    once, multiply its kernel `HUSIMI_BLOCK_COLUMNS` frequencies at a time,
-    and each product is added to its columns of the amplitudes.  Every
-    amplitude is thus one BLAS sum over each block's samples, as in one
-    product of a block's windows and its whole kernel.  On one BLAS thread a
-    field of one block gives that product's bytes (on more, OpenBLAS may
-    split a small product between threads, and so its sums); a longer field
-    changes only the order in which the blocks' sums are added.
+    Sums the quadrature on the pulse grid at 256 frequencies from 0 to the
+    grid Nyquist angular frequency pi / dt; `time_stride` thins the window
+    centers.  These frequencies are the bins k = 0..255 of a 510-point DFT:
+    w_k t_j = w_k t0 + 2 pi k j / 510, and the modulus drops the t0 phase.
+    So each center's windowed field g(t_j - tau) E_j is folded modulo 510
+    samples, one 510-sample period at a time, and the map is
+    dt^2 |rfft(folded)|^2.  The window is exp(-((t - tau) / sigma)^2 / 2),
+    which neither overflows for a wide sigma nor divides by zero for a
+    narrow one.  Numpy's FFT calls no BLAS routine, so the map does not
+    depend on the BLAS thread count.
     """
     if sigma <= 0:
         raise InvalidSpecError("husimi window width must be positive")
@@ -127,27 +112,20 @@ def husimi(
         raise InvalidSpecError("time_stride must be >= 1")
     t = pulse.times()
     centers = t[::time_stride]
-    if frequencies is None:
-        frequencies = np.linspace(0.0, np.pi / pulse.dt, 256)
-    # Pieces of HUSIMI_BLOCK_COLUMNS frequencies, the last one a column wider
-    # rather than one column alone, which numpy would take through gemv.
-    n_freq = len(frequencies)
-    edges = [0, *range(HUSIMI_BLOCK_COLUMNS, n_freq - 1, HUSIMI_BLOCK_COLUMNS), n_freq]
-    amplitude = np.zeros((len(centers), n_freq), dtype=complex)
-    for start in range(0, len(t), HUSIMI_BLOCK_SAMPLES):
-        block = slice(start, start + HUSIMI_BLOCK_SAMPLES)
-        # windows[i, j] = E(t_j) g(t_j - tau_i) over the block's samples j
-        windows = pulse.samples[None, block] * np.exp(
-            -((t[None, block] - centers[:, None]) ** 2) / (2.0 * sigma**2)
-        )
-        windows = windows.astype(complex)
-        for first, stop in zip(edges, edges[1:]):
-            kernel = np.exp(-1j * np.outer(t[block], frequencies[first:stop]))
-            amplitude[:, first:stop] += windows @ kernel
-    amplitude *= pulse.dt
+    frequencies = np.linspace(0.0, np.pi / pulse.dt, 256)
+    period = 2 * (len(frequencies) - 1)
+    folded = np.zeros((len(centers), period))
+    # A narrow window's scaled offsets overflow to inf, and its tails to exactly 0.
+    with np.errstate(over="ignore"):
+        for start in range(0, len(t), period):
+            span = slice(start, start + period)
+            windowed = np.exp(-0.5 * ((t[span] - centers[:, None]) / sigma) ** 2)
+            windowed *= pulse.samples[span]
+            folded[:, : windowed.shape[1]] += windowed
+    amplitude = np.fft.rfft(folded, axis=1)
     return HusimiMap(
         times=centers,
-        frequencies=np.asarray(frequencies, dtype=float),
-        intensity=np.abs(amplitude.T) ** 2,
+        frequencies=frequencies,
+        intensity=(pulse.dt * np.abs(amplitude.T)) ** 2,
         sigma=sigma,
     )

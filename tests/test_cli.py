@@ -540,6 +540,53 @@ class TestCliEntryPoint:
         assert "analysis.husimi_time_stride: " in capsys.readouterr().err
         assert (tmp_path / f"o{values}" / "husimi.csv").exists()
 
+    @staticmethod
+    def _husimi_of(tmp_path, capsys, sigma, dt=None):
+        """`analyze` of the tiny manifest's guess field (on a grid of step
+        `dt` if one is given) at analysis.husimi_sigma = `sigma`: the field
+        as read back, the map's frequencies and its intensities."""
+        data = tiny_manifest_dict(str(tmp_path / "out"))
+        data["analysis"]["husimi_sigma"] = sigma
+        path = tmp_path / "sigma.json"
+        path.write_text(json.dumps(data))
+        pulse = build_guess_pulse(parse_manifest(data))
+        if dt is not None:
+            pulse = PulseGrid(0.0, dt, pulse.samples)
+        field = tmp_path / "field.csv"
+        write_field_csv(field, pulse)
+        out = tmp_path / "o"
+        code = main(["analyze", "--manifest", str(path), "--field", str(field), "--out", str(out)])
+        assert "Traceback" not in capsys.readouterr().err
+        assert code == 0
+        rows = np.loadtxt(out / "husimi.csv", delimiter=",", skiprows=1)
+        assert np.all(np.isfinite(rows))
+        return read_field_csv(field), rows[:, 0], rows[:, 1:]
+
+    @pytest.mark.parametrize("sigma", [1e308, "1e300 ps"])
+    def test_wide_husimi_window_gives_the_field_spectrum(self, tmp_path, capsys, sigma):
+        # sigma**2 overflowed from about 1e154 a.u.  Past that width every
+        # window is 1 over the whole field.
+        pulse, freqs, intensity = self._husimi_of(tmp_path, capsys, sigma)
+        kernel = np.exp(-1j * np.outer(freqs, pulse.times()))
+        spectrum = (pulse.dt * np.abs(kernel @ pulse.samples)) ** 2
+        assert np.all(intensity == intensity[:, :1])
+        assert np.max(np.abs(intensity[:, 0] - spectrum)) <= 1e-9 * np.max(spectrum)
+
+    def test_default_husimi_window_on_a_wide_grid(self, tmp_path, capsys):
+        # The default sigma, a quarter of the field's span, passes 1e154 a.u.
+        # on a grid of 1e152 a.u. steps.
+        _, _, intensity = self._husimi_of(tmp_path, capsys, None, dt=1e152)
+        assert np.max(intensity) > 0
+
+    def test_narrow_husimi_window_samples_the_field(self, tmp_path, capsys):
+        # 2 sigma**2 underflowed to 0 below about 1e-162 a.u., which made
+        # every intensity NaN.  Each window is now 1 at its center's sample
+        # and 0 elsewhere, so each center sees (dt E) ** 2 at every frequency.
+        pulse, _, intensity = self._husimi_of(tmp_path, capsys, 1e-170)
+        expected = (pulse.dt * pulse.samples[::16]) ** 2
+        assert np.any(expected > 0)
+        assert np.allclose(intensity, expected, rtol=1e-12, atol=0.0)
+
     @pytest.mark.parametrize("pad_factor", ["fewest", 10**7])
     def test_oversized_spectrum_is_a_json_error(self, tmp_path, capsys, pad_factor):
         # The fewest padded samples over the limit, and a padding whose
@@ -1052,17 +1099,21 @@ class TestProcess:
         assert (tmp_path / "ana" / "husimi.csv").exists()
 
     # One member (M = 1) and four (M = 4) reach BLAS with different shapes.
+    # After each run, `analyze` and `decode-test` read the field it wrote, and
+    # `propagate` runs the manifest's guess, all at the same thread count.
     @pytest.mark.parametrize(
-        "command, manifest_name, expected_files",
+        "command, manifest_name, field_name, expected_files",
         [
             (
                 "optimize-universal",
                 "universal.json",
+                "universal_field.csv",
                 {"decode_test.json", "history.csv", "summary.json", "universal_field.csv"},
             ),
             (
                 "optimize",
                 "single_target.json",
+                "optimized_field.csv",
                 {
                     "guess_field.csv",
                     "history.csv",
@@ -1075,7 +1126,7 @@ class TestProcess:
         ids=["optimize-universal", "optimize"],
     )
     def test_universal_outputs_independent_of_blas_threads(
-        self, tmp_path, command, manifest_name, expected_files
+        self, tmp_path, command, manifest_name, field_name, expected_files
     ):
         manifest = json.loads((MANIFEST_DIR / manifest_name).read_text())
         manifest["oct"]["max_iterations"] = 10
@@ -1083,21 +1134,30 @@ class TestProcess:
         path.write_text(json.dumps(manifest))
         # Each thread count builds its basis in its own empty cache; the
         # last run reads the 1-thread run's cache.
+        steps = (command, "analyze", "decode-test", "propagate")
         outputs, stamps = {}, {}
         for threads, cache in ((1, "cache1"), (2, "cache2"), ("warm", "cache1")):
             out = tmp_path / f"threads{threads}"
-            args = ["-m", "rydoct.cli", command, "--manifest", str(path)]
-            run = _run_cli(
-                args + ["--out", str(out)],
-                tmp_path,
-                threads=1 if threads == "warm" else threads,
-                cache=tmp_path / cache,
-            )
-            assert run.returncode == 0, run.stderr
-            outputs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            for name in steps:
+                args = ["-m", "rydoct.cli", name, "--manifest", str(path)]
+                args += ["--out", str(out / name)]
+                if name in ("analyze", "decode-test"):
+                    args += ["--field", str(out / command / field_name)]
+                run = _run_cli(
+                    args,
+                    tmp_path,
+                    threads=1 if threads == "warm" else threads,
+                    cache=tmp_path / cache,
+                )
+                assert run.returncode == 0, run.stderr
+            outputs[threads] = {
+                p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()
+            }
             stamps[threads] = _cache_stamps(tmp_path / cache)
         assert stamps["warm"] == stamps[1]
-        assert set(outputs[1]) == expected_files
+        assert {p.name for p in (tmp_path / "threads1" / command).iterdir()} == expected_files
+        assert {p.parts[0] for p in outputs[1]} == set(steps)
+        assert set(outputs[2]) == set(outputs["warm"]) == set(outputs[1])
         for name, content in outputs[1].items():
             assert outputs[2][name] == content, name
             assert outputs["warm"][name] == content, name

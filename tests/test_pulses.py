@@ -3,9 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import rydoct.pulses
 from rydoct import InvalidSpecError, PulseGrid, half_cycle_pulse, husimi, spectrum
-from rydoct.pulses import HUSIMI_BLOCK_COLUMNS, HUSIMI_BLOCK_SAMPLES
 from rydoct.units import parse_quantity
 
 
@@ -88,56 +86,40 @@ class TestSpectrum:
         assert np.all(np.diff(spec.frequencies) > 0)
 
 
-def _single_product_husimi(pulse, sigma, time_stride):
-    """The map as one product over the whole field: every window and the
-    whole (samples, 256) kernel at once."""
+def _exact_phase_husimi(pulse, sigma, time_stride):
+    """The map as one direct quadrature whose phases w_k t_j - w_k t0 are
+    reduced exactly in integers, pi (k j mod 510) / 255, at the 256
+    frequencies linspace(0, pi / dt, 256)."""
     t = pulse.times()
     centers = t[::time_stride]
-    frequencies = np.linspace(0.0, np.pi / pulse.dt, 256)
-    windows = pulse.samples[None, :] * np.exp(
-        -((t[None, :] - centers[:, None]) ** 2) / (2.0 * sigma**2)
-    )
-    kernel = np.exp(-1j * np.outer(t, frequencies))
-    return np.abs(((windows @ kernel) * pulse.dt).T) ** 2
+    offsets = (t[None, :] - centers[:, None]) / sigma
+    windows = pulse.samples[None, :] * np.exp(-0.5 * offsets**2)
+    j, k = np.arange(len(t)), np.arange(256)
+    kernel = np.exp(-1j * np.pi * (np.outer(j, k) % 510) / 255)
+    return (pulse.dt * np.abs((windows @ kernel).T)) ** 2
 
 
 class TestHusimi:
-    @pytest.mark.parametrize("n_samples", [801, HUSIMI_BLOCK_SAMPLES])
-    def test_one_block_is_the_single_product(self, n_samples):
-        # Up to one block, the blockwise quadrature is the one product,
-        # byte for byte.
+    @pytest.mark.parametrize("t0", [0.0, 1.0e5])
+    @pytest.mark.parametrize(
+        "n_samples, sigma, stride", [(801, 6.0, 8), (2048, 6.0, 8), (2 * 2048 + 777, 40.0, 41)]
+    )
+    def test_matches_the_exact_phase_quadrature(self, n_samples, sigma, stride, t0):
+        # Fields of one, four and more than nine 510-sample periods, the last
+        # ones cut short, at a start of 0 and of 1e5 a.u.
         rng = np.random.default_rng(n_samples)
-        pulse = PulseGrid(0.0, 0.1, rng.normal(size=n_samples))
-        hm = husimi(pulse, sigma=6.0, time_stride=8)
-        expected = _single_product_husimi(pulse, 6.0, 8)
-        assert hm.intensity.tobytes() == expected.tobytes()
-
-    def test_blocks_add_up_to_the_single_product(self):
-        # Over more than two blocks only the summation order changes.
-        n_samples = 2 * HUSIMI_BLOCK_SAMPLES + 777
-        rng = np.random.default_rng(5)
-        pulse = PulseGrid(0.0, 0.1, rng.normal(size=n_samples))
-        hm = husimi(pulse, sigma=40.0, time_stride=41)
-        expected = _single_product_husimi(pulse, 40.0, 41)
+        pulse = PulseGrid(t0, 0.1, rng.normal(size=n_samples))
+        hm = husimi(pulse, sigma=sigma, time_stride=stride)
+        expected = _exact_phase_husimi(pulse, sigma, stride)
         assert hm.intensity.shape == expected.shape
-        assert np.max(np.abs(hm.intensity - expected)) <= 1e-12 * np.max(expected)
-
-    def test_a_last_lone_column_joins_the_piece_before(self, monkeypatch):
-        # numpy would multiply by a one-column piece through gemv, whose
-        # sums need not be gemm's: one more frequency than a piece is still
-        # one product, byte for byte.
-        rng = np.random.default_rng(7)
-        pulse = PulseGrid(0.0, 0.1, rng.normal(size=801))
-        freqs = np.linspace(0.0, 3.0, HUSIMI_BLOCK_COLUMNS + 1)
-        hm = husimi(pulse, sigma=6.0, time_stride=8, frequencies=freqs)
-        monkeypatch.setattr(rydoct.pulses, "HUSIMI_BLOCK_COLUMNS", len(freqs))
-        whole = husimi(pulse, sigma=6.0, time_stride=8, frequencies=freqs)
-        assert hm.intensity.tobytes() == whole.intensity.tobytes()
+        assert np.array_equal(hm.times, pulse.times()[::stride])
+        assert np.array_equal(hm.frequencies, np.linspace(0.0, np.pi / 0.1, 256))
+        assert np.max(np.abs(hm.intensity - expected)) <= 1e-14 * np.max(expected)
 
     def test_memory_stays_near_the_map(self):
-        # The 801-sample field at stride 8 over 256 frequencies: 101 x 801
-        # windows and their complex cast, a 801 x 32 kernel piece and the
-        # 101 x 256 map; the whole 801 x 256 kernel took 7.3 MiB.
+        # The 801-sample field at stride 8: one 101 x 510 fold and one
+        # period's windows beside the 101 x 256 amplitudes and map.  The
+        # whole 801 x 256 complex kernel alone took 3.1 MiB.
         pulse = PulseGrid(0.0, 0.1, np.random.default_rng(2).normal(size=801))
         tracemalloc.start()
         try:
@@ -145,7 +127,7 @@ class TestHusimi:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3.5 * 2**20
+        assert peak < 2.5 * 2**20
 
     def test_zero_field_identically_zero(self):
         pulse = PulseGrid.zeros(0.0, 0.1, 512)
@@ -165,8 +147,7 @@ class TestHusimi:
         omega0 = 1.1
         t = dt * np.arange(n)
         pulse = PulseGrid(0.0, dt, np.sin(omega0 * t))
-        freqs = np.linspace(0.0, 3.0, 512)
-        hm = husimi(pulse, sigma=20.0, time_stride=64, frequencies=freqs)
+        hm = husimi(pulse, sigma=20.0, time_stride=64)
         interior = slice(4, len(hm.times) - 4)
         ridge = hm.frequencies[np.argmax(hm.intensity[:, interior], axis=0)]
         assert np.all(np.abs(ridge - omega0) < 0.05)
@@ -178,9 +159,8 @@ class TestHusimi:
         shift = 128
         shifted = np.roll(base, shift)
         stride = 32
-        freqs = np.linspace(0.0, 2.0, 128)
-        a = husimi(PulseGrid(0.0, 0.1, base), sigma=4.0, time_stride=stride, frequencies=freqs)
-        b = husimi(PulseGrid(0.0, 0.1, shifted), sigma=4.0, time_stride=stride, frequencies=freqs)
+        a = husimi(PulseGrid(0.0, 0.1, base), sigma=4.0, time_stride=stride)
+        b = husimi(PulseGrid(0.0, 0.1, shifted), sigma=4.0, time_stride=stride)
         cols = shift // stride
         # Interior columns of the shifted map reproduce the original map.
         left, right = 8, a.intensity.shape[1] - cols - 2
@@ -197,8 +177,7 @@ class TestHusimi:
         t = dt * np.arange(n)
         omega0, beta = 0.5, 0.004
         pulse = PulseGrid(0.0, dt, np.sin(omega0 * t + 0.5 * beta * t**2))
-        freqs = np.linspace(0.0, 3.0, 1024)
-        hm = husimi(pulse, sigma=15.0, time_stride=64, frequencies=freqs)
+        hm = husimi(pulse, sigma=15.0, time_stride=64)
         interior = slice(6, len(hm.times) - 6)
         centers = hm.times[interior]
         ridge = hm.frequencies[np.argmax(hm.intensity[:, interior], axis=0)]
