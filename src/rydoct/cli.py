@@ -9,11 +9,15 @@ nonzero.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
 from .errors import RydoctError
 from .manifest import COMMANDS, load_manifest, run
+
+# A command's process exits soon; frozen import-time objects skip the GC's teardown.
+gc.freeze()
 
 
 def _build_parser() -> argparse.ArgumentParser:

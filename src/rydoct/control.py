@@ -185,7 +185,11 @@ def evaluate_cost(pulse: PulseGrid, penalty: PenaltySchedule) -> float:
             f"penalty sampled on {len(penalty.samples)} points but the field has "
             f"{len(pulse.samples)}"
         )
-    return float(np.sum(penalty.samples[:-1] * pulse.samples[:-1] ** 2) * pulse.dt)
+    return _fluence_cost(pulse.samples, penalty, pulse.dt)
+
+
+def _fluence_cost(samples: np.ndarray, penalty: PenaltySchedule, dt: float) -> float:
+    return float(np.sum(penalty.samples[:-1] * samples[:-1] ** 2) * dt)
 
 
 def costate_terminal(psi_final: WavePacket, target_index: int) -> WavePacket:
@@ -639,11 +643,21 @@ def _run_engine(
     first_decrease = None
 
     for iteration in range(1, problem.max_iterations + 1):
-        new_samples, final, delta3 = _iterate(kernel, psi0, final, targets, pulse, penalty, work)
+        # A penalty too small for the update overflows the field or its
+        # cost; that is rejected below, not warned about.
+        with np.errstate(over="ignore", invalid="ignore"):
+            new_samples, final, delta3 = _iterate(
+                kernel, psi0, final, targets, pulse, penalty, work
+            )
+            cost = _fluence_cost(new_samples, penalty, pulse.dt)
+        if not math.isfinite(cost):
+            raise InvalidSpecError(
+                f"iteration {iteration}: the updated field's fluence cost is {cost!r}; "
+                f"penalty base {penalty.base!r} is too small for the update"
+            )
         pulse = pulse.with_samples(new_samples)
 
         yields = np.abs(final[targets]) ** 2
-        cost = evaluate_cost(pulse, penalty)
         j_new = float(sum(yields)) - cost
 
         j_hist.append(j_new)

@@ -541,19 +541,20 @@ def _median(values: np.ndarray) -> float:
 def read_field_csv(path) -> PulseGrid:
     """Read a `time,E` field CSV, such as write_field_csv writes.
 
-    It needs at least two data rows of finite numbers at uniform times:
-    every step within 1e-9 of the median step, plus a few roundings of the
-    largest time, which is what writing t0 + j dt out can cost.  The grid
-    step is t1 - t0.  It takes at most MAX_PULSE_STEPS + 1 rows, the longest
-    field that `optimize` may write, so that no longer field reaches the
-    analysis.  Errors name the file and the line or the limit.
+    Every line holds exactly two cells.  It needs at least two data rows of
+    finite numbers at uniform times: every step within 1e-9 of the median
+    step, plus a few roundings of the largest time, which is what writing
+    t0 + j dt out can cost.  The grid step is t1 - t0.  It takes at most
+    MAX_PULSE_STEPS + 1 rows, the longest field that `optimize` may write,
+    so that no longer field reaches the analysis.  Errors name the file and
+    the line or the limit.
     """
     try:
         rows = Path(path).read_text().strip().splitlines()
     except UnicodeDecodeError as exc:
         raise ManifestError(f"{path}: not a field CSV (not a text file: {exc})") from None
-    if not rows or rows[0].split(",")[:2] != ["time", "E"]:
-        raise ManifestError(f"{path}: not a field CSV (expected 'time,E' header)")
+    if not rows or rows[0].split(",") != ["time", "E"]:
+        raise ManifestError(f"{path}: line 1: not a field CSV (expected 'time,E' header)")
     if len(rows) < 3:
         raise ManifestError(
             f"{path}: line {len(rows)}: a field needs at least 2 data rows, found {len(rows) - 1}"
@@ -566,7 +567,7 @@ def read_field_csv(path) -> PulseGrid:
     times, values = [], []
     for line, row in enumerate(rows[1:], start=2):
         try:
-            t, e = (float(cell) for cell in row.split(",")[:2])
+            t, e = (float(cell) for cell in row.split(","))
         except ValueError:
             raise ManifestError(f"{path}: line {line}: expected two numbers, got {row!r}") from None
         if not (math.isfinite(t) and math.isfinite(e)):

@@ -479,6 +479,28 @@ class TestCliEntryPoint:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "IOError"
 
+    @pytest.mark.parametrize("base", [1e-300, 1e-320])
+    def test_penalty_too_small_for_the_update_is_a_json_error(self, tmp_path, capsys, base):
+        # The first update's field is about overlap / base: at 1e-300 its
+        # fluence cost overflows (J = -inf, Y = inf), at 1e-320 the field
+        # itself does.
+        manifest = json.loads((MANIFEST_DIR / "single_target.json").read_text())
+        manifest["oct"]["penalty_base"] = base
+        manifest["oct"]["max_iterations"] = 3
+        path = tmp_path / "penalty.json"
+        path.write_text(json.dumps(manifest))
+        out = tmp_path / "o"
+        code = main(["optimize", "--manifest", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        (line,) = err.strip().splitlines()
+        payload = json.loads(line)
+        assert set(payload) == {"error", "message"}
+        assert payload["error"] == "InvalidSpecError"
+        assert payload["message"].startswith("iteration 1: ")
+        assert f"penalty base {base!r} is too small" in payload["message"]
+        assert not (out / "history.csv").exists()
+
     def test_analyze_without_dipole_pairs_is_a_json_error(self, tmp_path, capsys):
         # s states only: no level gap for the spectrum's nearest-gap column.
         data = tiny_manifest_dict(str(tmp_path / "out"))
@@ -924,6 +946,9 @@ BAD_FIELD_CSVS = {
     "not_text": (BINARY_BYTES, "not a text file"),
     # Finite times whose step overflows to dt = inf.
     "step_overflows": ("time,E\n-1e308,0.0\n1e308,0.0\n", "line 3"),
+    # Every line holds exactly two cells.
+    "header_of_three": ("time,E,x\n0.0,1.0,2.0\n1.0,1.0,2.0\n2.0,1.0,2.0\n", "line 1"),
+    "row_of_three": ("time,E\n0.0,0.0\n1.0,0.0,5.0\n2.0,0.0\n", "line 3"),
 }
 
 
@@ -1068,6 +1093,20 @@ class TestProcess:
         run = _run_cli(["-c", probe], tmp_path)
         assert run.returncode == 0, run.stderr
         assert run.stdout.strip() == "False"
+
+    def test_only_the_cli_freezes_its_importer(self, tmp_path):
+        # Importing rydoct.cli freezes the objects made so far, so that a
+        # command's process skips their teardown at exit; the library
+        # leaves its importer's collector alone.
+        probe = (
+            "import gc, rydoct; before = gc.get_freeze_count(); "
+            "import rydoct.cli; print(before, gc.get_freeze_count())"
+        )
+        run = _run_cli(["-c", probe], tmp_path)
+        assert run.returncode == 0, run.stderr
+        before, after = map(int, run.stdout.split())
+        assert before == 0
+        assert after > 0
 
     def test_reading_a_field_leaves_numpy_ma_out(self, tmp_path):
         # np.median would import numpy.ma, about 10 ms of every process
