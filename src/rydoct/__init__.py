@@ -23,6 +23,8 @@ from .atomic import (
     solve_radial,
 )
 from .control import (
+    EnsembleMember,
+    EnsembleProblem,
     OctProblem,
     OctResult,
     PenaltySchedule,
@@ -31,11 +33,6 @@ from .control import (
     evaluate_cost,
     forward_update_sweep,
     optimize,
-)
-from .ensemble import (
-    EnsembleMember,
-    EnsembleProblem,
-    decode_test,
     optimize_ensemble,
     register_ensemble_problem,
 )
@@ -57,5 +54,5 @@ from .propagation import (
     propagate,
 )
 from .pulses import HusimiMap, SpectrumData, half_cycle_pulse, husimi, spectrum
-from .register import RegisterSpec, encode, readout
+from .register import RegisterSpec, decode_test, encode, readout
 from .units import parse_quantity

@@ -1,10 +1,15 @@
-"""Single-target optimal control of the decoding field.
+"""Optimal control of the decoding field, shared by a set of registers.
 
-One iteration of the loop is: propagate the state forward under the current
-field, project the final state onto the target to seed the costate,
-propagate the costate backward under the same field, then sweep forward
-again updating the field sample by sample from the costate/state overlap
-before advancing the state through each step (immediate feedback).
+A problem (`EnsembleProblem`) is a set of members: independent register
+copies, each with its own initial state and target orbital, that share one
+control field.  A single-target run is the problem with one member;
+`OctProblem` and `optimize` are its spellings.  One iteration of the loop
+is: propagate the states forward under the current field, project each
+final state onto its target to seed its costate, propagate the costates
+backward under the same field, then sweep forward again updating the field
+sample by sample from the summed costate/state overlaps before advancing
+the states through each step (immediate feedback).  The objective J is the
+summed yield minus the fluence cost, which is charged once.
 
 The update rule, named "replace", sets
 
@@ -23,7 +28,7 @@ the stationary points of the discrete J.  The same overlap taken at t_j,
 before the half step, is off by O(dt); its fixed points are not
 stationary, and J falls once an iteration gains less than that offset.
 A g_j can still be negative where the field changes fast, so J is not
-guaranteed to rise.  The rule is the only one: the problem types and
+guaranteed to rise.  The rule is the only one: `EnsembleProblem` and
 `forward_update_sweep` take its name and reject any other.
 
 Each sweep is written once, and the engine (`_run_engine`) runs it on a
@@ -98,9 +103,12 @@ from .propagation import (
     propagate,
     undispatched,
 )
+from .register import RegisterSpec, encode
 
 __all__ = [
     "PenaltySchedule",
+    "EnsembleMember",
+    "EnsembleProblem",
     "OctProblem",
     "OctResult",
     "evaluate_cost",
@@ -108,6 +116,8 @@ __all__ = [
     "backward_propagate",
     "forward_update_sweep",
     "optimize",
+    "optimize_ensemble",
+    "register_ensemble_problem",
 ]
 
 #: Amplitude of the smooth bump used to break an exactly stalled start.
@@ -192,14 +202,14 @@ def _fluence_cost(samples: np.ndarray, penalty: PenaltySchedule, dt: float) -> f
     return float(np.sum(penalty.samples[:-1] * samples[:-1] ** 2) * dt)
 
 
-def costate_terminal(psi_final: WavePacket, target_index: int) -> WavePacket:
+def costate_terminal(psi_final: WavePacket, target_row: int) -> WavePacket:
     """Terminal costate <target|psi(T)> |target>.
 
     Deliberately not normalized: its norm is the target amplitude magnitude,
     which sets the size of the field update.
     """
     amps = np.zeros_like(psi_final.amplitudes)
-    amps[target_index] = psi_final.amplitudes[target_index]
+    amps[target_row] = psi_final.amplitudes[target_row]
     return WavePacket(amplitudes=amps, time=psi_final.time)
 
 
@@ -492,28 +502,26 @@ def _check_mode(update_mode: str) -> None:
         raise InvalidSpecError(f"update mode must be {UPDATE_MODE!r}, got {update_mode!r}")
 
 
-def _check_problem(problem, targets) -> list[int]:
-    """The construction-time check of every problem type; returns the target indices.
+@dataclass(frozen=True)
+class EnsembleMember:
+    """One register copy: its initial state and the orbital it must decode to."""
 
-    `problem` has the fields that the engine reads (see `_run_engine`).
-    """
-    if len(problem.penalty.samples) != len(problem.guess.samples):
-        raise InvalidSpecError("penalty schedule and guess field grids differ")
-    with np.errstate(over="ignore", invalid="ignore"):
-        cost = evaluate_cost(problem.guess, problem.penalty)
-    if not math.isfinite(cost):
-        raise InvalidSpecError(f"the guess's fluence cost must be finite, got {cost!r}")
-    _check_mode(problem.update_mode)
-    return [problem.hamiltonian.index(target) for target in targets]
+    psi0: WavePacket
+    target: StateLabel
 
 
 @dataclass
-class OctProblem:
-    """Specification of one single-target optimization run."""
+class EnsembleProblem:
+    """Shared-field optimization over independent register copies.
+
+    A single-target run is the problem with one member (see `OctProblem`).
+    The members' targets must name distinct basis rows.  `optimize_ensemble`
+    looks each row up when it runs, so it runs the members as they stand,
+    also after one is replaced or appended.
+    """
 
     hamiltonian: HamiltonianData
-    psi0: WavePacket
-    target: StateLabel | str
+    members: list[EnsembleMember]
     penalty: PenaltySchedule
     guess: PulseGrid
     max_iterations: int = 200
@@ -521,7 +529,55 @@ class OctProblem:
     update_mode: str = UPDATE_MODE
 
     def __post_init__(self):
-        (self.target_index,) = _check_problem(self, [self.target])
+        if not self.members:
+            raise InvalidSpecError("ensemble needs at least one member")
+        if len(self.penalty.samples) != len(self.guess.samples):
+            raise InvalidSpecError("penalty schedule and guess field grids differ")
+        with np.errstate(over="ignore", invalid="ignore"):
+            cost = evaluate_cost(self.guess, self.penalty)
+        if not math.isfinite(cost):
+            raise InvalidSpecError(f"the guess's fluence cost must be finite, got {cost!r}")
+        _check_mode(self.update_mode)
+        rows = [self.hamiltonian.index(m.target) for m in self.members]
+        if len(set(rows)) != len(rows):
+            raise InvalidSpecError("member targets must be distinct")
+
+
+def OctProblem(
+    hamiltonian: HamiltonianData,
+    psi0: WavePacket,
+    target: StateLabel | str,
+    penalty: PenaltySchedule,
+    guess: PulseGrid,
+    **settings,
+) -> EnsembleProblem:
+    """The single-target problem: one member, `psi0` driven to `target`.
+
+    `settings` are `EnsembleProblem`'s `max_iterations`, `tolerance` and
+    `update_mode`.
+    """
+    member = EnsembleMember(psi0=psi0, target=StateLabel.parse(target))
+    return EnsembleProblem(hamiltonian, [member], penalty, guess, **settings)
+
+
+def register_ensemble_problem(
+    h: HamiltonianData,
+    orbitals,
+    marked_bits,
+    penalty: PenaltySchedule,
+    guess: PulseGrid,
+    **kwargs,
+) -> EnsembleProblem:
+    """Build the standard decoder ensemble: one member per marked bit.
+
+    `marked_bits` selects which register orbitals participate, as labels or
+    their names; each member is the register with that bit flipped.
+    """
+    members = []
+    for bit in marked_bits:
+        spec = RegisterSpec.from_names(orbitals, marked=bit)
+        members.append(EnsembleMember(psi0=encode(spec, h), target=spec.marked))
+    return EnsembleProblem(hamiltonian=h, members=members, penalty=penalty, guess=guess, **kwargs)
 
 
 @dataclass
@@ -529,8 +585,8 @@ class OctResult:
     """Optimized field plus per-iteration convergence records.
 
     A run has M members, each a state that must end in its own target, all
-    under one shared field: M = 1 for `optimize`, one per marked bit for
-    `optimize_ensemble`.  `yield_history` is (iterations, M) and
+    under one shared field: one per member of the `EnsembleProblem`, so M = 1
+    for a single-target run.  `yield_history` is (iterations, M) and
     `final_states` the (dim, M) block at T under `field`; `guess_yields`
     holds the M yields under the guess.  J is the summed yield minus the
     fluence cost, which is charged once.
@@ -596,10 +652,11 @@ def _run_engine(
 ) -> OctResult:
     """Shared iteration loop for one or many targets on one field.
 
-    `problem` is an `OctProblem` or an `EnsembleProblem`: the engine reads
-    its Hamiltonian, guess, penalty, iteration limit and tolerance.
-    `members` pairs each initial state with the basis index of its
-    target.  The objective is sum_i |<target_i|psi_i(T)>|^2 - cost, with the
+    `problem` is an `EnsembleProblem`: the engine reads its Hamiltonian,
+    guess, penalty, iteration limit and tolerance.  `members` pairs each
+    initial state with the basis row of its target, as `optimize_ensemble`
+    looks them up from the problem's members.  The objective is
+    sum_i |<target_i|psi_i(T)>|^2 - cost, with the
     fluence cost charged once however many members share the field.  The
     members are the columns of one (dim, M) block; only its final value is
     kept.  The guess, and the stall-bumped guess, are run by `propagate`,
@@ -691,9 +748,17 @@ def _run_engine(
     )
 
 
-def optimize(problem: OctProblem, zsys: ZEigensystem | None = None) -> OctResult:
+def optimize_ensemble(problem: EnsembleProblem, zsys: ZEigensystem | None = None) -> OctResult:
     """Iterate forward/backward sweeps until J converges or max_iterations.
 
-    The result has one member: `final_states[:, 0]` is the state at T.
+    The result has one column per member: for a single-target problem,
+    `final_states[:, 0]` is the state at T.  Each member's target row is
+    looked up here, from the members as they stand.
     """
-    return _run_engine(problem, [(problem.psi0.amplitudes, problem.target_index)], zsys)
+    h = problem.hamiltonian
+    members = [(m.psi0.amplitudes, h.index(m.target)) for m in problem.members]
+    return _run_engine(problem, members, zsys)
+
+
+#: The single-target spelling of `optimize_ensemble`, beside `OctProblem`.
+optimize = optimize_ensemble

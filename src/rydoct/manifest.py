@@ -36,8 +36,14 @@ from .atomic import (
     parity_rows,
     save_hamiltonian,
 )
-from .control import UPDATE_MODE, OctProblem, OctResult, PenaltySchedule, optimize
-from .ensemble import decode_test, optimize_ensemble, register_ensemble_problem
+from .control import (
+    UPDATE_MODE,
+    OctResult,
+    PenaltySchedule,
+    optimize,
+    optimize_ensemble,
+    register_ensemble_problem,
+)
 from .errors import ManifestError, RydoctError, ValidationError
 from .propagation import (
     PulseGrid,
@@ -47,7 +53,7 @@ from .propagation import (
     propagate,
 )
 from .pulses import half_cycle_pulse, husimi, spectrum
-from .register import RegisterSpec, encode, readout
+from .register import RegisterSpec, decode_test, encode, readout
 from .units import parse_quantity
 
 SCHEMA_VERSION = 1
@@ -679,10 +685,11 @@ def _propagate(manifest: RunManifest, h: HamiltonianData, out: Path, field_path)
 def _optimize(manifest: RunManifest, h: HamiltonianData, out: Path, field_path) -> dict:
     zsys = precompute_z_eigensystem(h)
     reg = RegisterSpec.from_names(manifest.register["orbitals"], manifest.register["marked"])
-    psi0 = encode(reg, h)
     guess = build_guess_pulse(manifest)
     penalty = build_penalty(manifest, guess)
-    problem = OctProblem(h, psi0, reg.marked, penalty, guess, **_settings(manifest))
+    problem = register_ensemble_problem(
+        h, reg.orbitals, [reg.marked], penalty, guess, **_settings(manifest)
+    )
     result = optimize(problem, zsys=zsys)
     final = WavePacket(result.final_states[:, 0])
     report = readout(final, reg, h)

@@ -152,10 +152,13 @@ class TestEngineIdentities:
         pen = PenaltySchedule.build(guess, base=1e8, edge_multiplier=1000.0, ramp_fraction=0.05)
         reg = RegisterSpec.from_names(REGISTER_NAMES, marked="26p")
         psi0 = encode(reg, cesium_h)
-        single = optimize(
-            OctProblem(cesium_h, psi0, "26p", pen, guess, max_iterations=6, tolerance=1e-14),
-            zsys=cesium_zsys,
-        )
+        problem = OctProblem(cesium_h, psi0, "26p", pen, guess, max_iterations=6, tolerance=1e-14)
+        # One problem type: the single-target spelling builds the
+        # one-member problem, and `optimize` is `optimize_ensemble`.
+        assert isinstance(problem, EnsembleProblem)
+        assert [m.target for m in problem.members] == [StateLabel(26, 1)]
+        assert optimize is optimize_ensemble
+        single = optimize(problem, zsys=cesium_zsys)
         ensemble = optimize_ensemble(
             EnsembleProblem(
                 hamiltonian=cesium_h,
@@ -200,6 +203,48 @@ class TestOptimizeEnsemble:
         pen, guess = small_problem.penalty, small_problem.guess
         with pytest.raises(InvalidSpecError, match="not a register orbital"):
             register_ensemble_problem(dense3, orbitals, [dense3.labels[2]], pen, guess)
+
+    def test_replaced_member_runs_its_own_target(self, cesium_h, cesium_zsys):
+        # Each target row is looked up when the problem runs: a member
+        # replaced after construction drives the field bit for bit as in a
+        # problem built with it.
+        guess = half_cycle_pulse(
+            peak=1.9446903811498665e-07,
+            width=41341.37333518211,
+            t_peak=0.0,
+            t0=0.0,
+            dt=413.41373333565624,
+            n_samples=801,
+        )
+        pen = PenaltySchedule.build(guess, base=2e8, edge_multiplier=1000.0, ramp_fraction=0.05)
+        settings = dict(max_iterations=3, tolerance=1e-14)
+        problem = register_ensemble_problem(
+            cesium_h, REGISTER_NAMES, ["25p", "26p"], pen, guess, **settings
+        )
+        fresh = register_ensemble_problem(
+            cesium_h, REGISTER_NAMES, ["28p", "26p"], pen, guess, **settings
+        )
+        problem.members[0] = fresh.members[0]
+        replaced = optimize_ensemble(problem, zsys=cesium_zsys)
+        expected = optimize_ensemble(fresh, zsys=cesium_zsys)
+        assert np.array_equal(replaced.field.samples, expected.field.samples)
+        assert np.array_equal(replaced.yield_history, expected.yield_history)
+
+    def test_appended_member_gets_a_column(self, dense3, small_problem):
+        # A member appended after construction is run, not dropped: M
+        # members give M result columns, the new one its own final state.
+        psi_c = np.zeros(3, complex)
+        psi_c[2] = 1.0
+        appended = EnsembleMember(psi0=WavePacket(psi_c), target=StateLabel(2, 0))
+        small_problem.members.append(appended)
+        small_problem.max_iterations = 2
+        zsys = precompute_z_eigensystem(dense3)
+        result = optimize_ensemble(small_problem, zsys=zsys)
+        assert len(result.guess_yields) == 3
+        assert result.yield_history.shape == (2, 3)
+        assert result.final_states.shape == (3, 3)
+        _, replay = propagate(appended.psi0, result.field, dense3, zsys, record=None)
+        assert np.max(np.abs(replay.amplitudes - result.final_states[:, 2])) < 1e-10
 
     def test_zero_iterations_reports_guess(self, dense3, small_problem):
         small_problem.max_iterations = 0
@@ -317,6 +362,13 @@ class TestOptimizeEnsemble:
         outside = [EnsembleMember(psi0=psi, target=StateLabel(9, 0))]
         with pytest.raises(InvalidSpecError, match="not in the basis"):
             EnsembleProblem(dense3, outside, pen, guess)
+        # Targets are compared as basis rows, however they are spelled.
+        same_row = [
+            EnsembleMember(psi0=psi, target="2p"),
+            EnsembleMember(psi0=psi, target=StateLabel(2, 1)),
+        ]
+        with pytest.raises(InvalidSpecError, match="distinct"):
+            EnsembleProblem(dense3, same_row, pen, guess)
 
 
 class TestDecodeTest:
