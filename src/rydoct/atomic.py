@@ -19,10 +19,11 @@ from __future__ import annotations
 import math
 import re
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import field
 
 import numpy as np
 
+from ._record import record
 from .errors import (
     ConvergenceError,
     GridExtentError,
@@ -43,7 +44,7 @@ def l_letter(l: int) -> str:
     return f"(l={l})"
 
 
-@dataclass(frozen=True, order=True)
+@record(frozen=True, order=True)
 class StateLabel:
     """One basis orbital |n, l> with m = 0."""
 
@@ -82,7 +83,7 @@ class StateLabel:
         return cls(n=int(n), l=l)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BasisSpec:
     """Rectangular basis selection: n in [n_min, n_max], l < min(n, l_max).
 
@@ -124,7 +125,7 @@ class BasisSpec:
         ]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RadialGrid:
     """Square-root radial mesh: x = sqrt(r) uniform, r strictly increasing."""
 
@@ -172,7 +173,7 @@ def quantum_defect_energy(n: int, l: int, defects: dict[int, float]) -> float:
     return -1.0 / (2.0 * nu * nu)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RadialSolution:
     """Normalized reduced radial wavefunction u(r) = r R(r) on the grid."""
 
@@ -390,7 +391,7 @@ def parity_rows(labels: Sequence[StateLabel]) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(~odd), np.flatnonzero(odd)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class HamiltonianData:
     """Field-free energies and the z (dipole) matrix over the basis labels.
 

@@ -87,10 +87,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import field
 
 import numpy as np
 
+from ._record import record
 from .atomic import HamiltonianData, StateLabel
 from .errors import InvalidSpecError
 from .propagation import (
@@ -132,7 +133,7 @@ UPDATE_MODE = "replace"
 SUM_BLOCK = 16
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PenaltySchedule:
     """Time-dependent fluence penalty l(t): flat base with boosted edges.
 
@@ -502,7 +503,7 @@ def _check_mode(update_mode: str) -> None:
         raise InvalidSpecError(f"update mode must be {UPDATE_MODE!r}, got {update_mode!r}")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EnsembleMember:
     """One register copy: its initial state and the orbital it must decode to."""
 
@@ -510,7 +511,7 @@ class EnsembleMember:
     target: StateLabel
 
 
-@dataclass
+@record
 class EnsembleProblem:
     """Shared-field optimization over independent register copies.
 
@@ -580,7 +581,7 @@ def register_ensemble_problem(
     return EnsembleProblem(hamiltonian=h, members=members, penalty=penalty, guess=guess, **kwargs)
 
 
-@dataclass
+@record
 class OctResult:
     """Optimized field plus per-iteration convergence records.
 

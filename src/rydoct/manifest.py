@@ -19,13 +19,13 @@ import json
 import math
 import os
 import zlib
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from . import __version__, atomic
+from ._record import record
 from .atomic import (
     CESIUM_DEFECTS,
     BasisSpec,
@@ -238,7 +238,7 @@ def _read_section(data: dict, name: str) -> dict:
     return section
 
 
-@dataclass
+@record
 class RunManifest:
     """Validated manifest with all quantities already in atomic units."""
 
@@ -842,7 +842,7 @@ def _decode_test(manifest: RunManifest, h: HamiltonianData, out: Path, field_pat
     return {"metrics": metrics, "decode_table": table}
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Command:
     """One CLI subcommand: its body and help line, the manifest entries it
     needs ("section" or "section.key"), and whether it reads a field CSV."""

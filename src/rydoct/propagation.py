@@ -90,11 +90,12 @@ that the step takes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from dataclasses import field
+from typing import Callable
 
 import numpy as np
 
+from ._record import record
 from .atomic import HamiltonianData, StateLabel, parity_rows
 from .errors import InvalidSpecError
 
@@ -123,7 +124,7 @@ def undispatched(function):
     return getattr(function, "_implementation", function)
 
 
-@dataclass
+@record
 class WavePacket:
     """Complex amplitudes over the basis labels at one instant."""
 
@@ -137,7 +138,7 @@ class WavePacket:
         return np.abs(self.amplitudes) ** 2
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PulseGrid:
     """Uniformly sampled real control field E(t_j), t_j = t0 + j dt.
 
@@ -179,7 +180,8 @@ class PulseGrid:
         return cls(t0=t0, dt=dt, samples=np.zeros(n_samples))
 
 
-class ParityBlocks(NamedTuple):
+@record(frozen=True)
+class ParityBlocks:
     """z in parity order, [[0, B], [B^T, 0]], and the SVD of its block B.
 
     The dipole rule |dl| = 1 couples even-l states only to odd-l ones.
@@ -192,8 +194,7 @@ class ParityBlocks(NamedTuple):
     eigenvectors of z for +s_k and -s_k; the other columns, of unit norm,
     span the null spaces of B^T and B.  A block of coefficients
     [q^T x_even; w^T x_odd] therefore holds pair k in rows n_e - r + k and
-    n_e + k, and its null rows before and after those 2r rows.  (A named
-    tuple, not a dataclass: every CLI process defines it at import.)
+    n_e + k, and its null rows before and after those 2r rows.
     """
 
     order: np.ndarray
@@ -216,7 +217,7 @@ class ParityBlocks(NamedTuple):
         )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ZEigensystem:
     """Cached spectral decomposition z = V diag(w) V^T (V orthogonal).
 

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import record
 from .errors import InvalidSpecError
 from .propagation import PulseGrid
 
@@ -40,7 +39,7 @@ def half_cycle_pulse(
     return PulseGrid(t0=t0, dt=dt, samples=samples)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SpectrumData:
     """One-sided magnitude spectrum of a sampled field.
 
@@ -82,7 +81,7 @@ def spectrum(pulse: PulseGrid, pad_factor: int = 4) -> SpectrumData:
     )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class HusimiMap:
     """Gaussian-windowed time-frequency intensity of a field (arbitrary units)."""
 

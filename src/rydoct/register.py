@@ -11,10 +11,10 @@ reports which bits decode strictly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import record
 from .atomic import HamiltonianData, StateLabel
 from .errors import InvalidSpecError
 from .propagation import PulseGrid, WavePacket, ZEigensystem, precompute_z_eigensystem, propagate
@@ -25,7 +25,7 @@ __all__ = ["RegisterSpec", "ReadoutReport", "encode", "readout", "decode_test"]
 SUCCESS_MARGIN = 1e-12
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RegisterSpec:
     """Ordered register orbitals plus the index of the marked (flipped) bit.
 
@@ -72,7 +72,7 @@ def encode(spec: RegisterSpec, h: HamiltonianData) -> WavePacket:
     return WavePacket(amplitudes=amps, time=0.0)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ReadoutReport:
     """Per-orbital populations, the decoded orbital, and the leaked fraction."""
 

@@ -8,6 +8,7 @@ manifests/, which are also the documented CLI entry points.
 import csv
 import dataclasses
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -20,13 +21,15 @@ from rydoct import (
     WavePacket,
     decode_test,
     encode,
+    optimize_ensemble,
     precompute_z_eigensystem,
     propagate,
     quantum_defect_energy,
+    register_ensemble_problem,
     spectrum,
 )
 from rydoct.atomic import dipole_matrix_element
-from rydoct.manifest import load_manifest, run
+from rydoct.manifest import build_guess_pulse, build_penalty, load_manifest, run
 from tests.conftest import MANIFEST_DIR
 from tests.reference_radial import find_coulomb_eigenvalue
 
@@ -171,6 +174,33 @@ def test_universal_objective_monotone(universal_run):
     assert np.min(np.diff(j_values)) >= -1e-9
     assert universal_run["metrics"]["monotonic"]
     assert universal_run["metrics"]["first_decrease_iteration"] is None
+
+
+@pytest.mark.parametrize("manifest_name", ["single_target.json", "universal.json"])
+def test_zero_field_is_a_near_fixed_point(manifest_name, cesium_h, cesium_zsys):
+    # Every register orbital and target is a p state and z has no p-p
+    # elements, so from E = 0 the update's overlap is zero in exact
+    # arithmetic.  It is summed in z's eigenbasis, where those zeros are
+    # not exact: one iteration gives max|E| 5.6e-22 a.u. on the single-
+    # target register and 4.4e-22 a.u. on the four universal members.
+    manifest = load_manifest(MANIFEST_DIR / manifest_name)
+    marked = manifest.register.get("ensemble_marked") or [manifest.register["marked"]]
+    guess = PulseGrid.zeros(0.0, manifest.pulse["dt"], len(build_guess_pulse(manifest).samples))
+    problem = register_ensemble_problem(
+        cesium_h,
+        manifest.register["orbitals"],
+        marked,
+        build_penalty(manifest, guess),
+        guess,
+        max_iterations=1,
+    )
+    with warnings.catch_warnings():
+        # The stall bump announces itself with a warning.
+        warnings.simplefilter("error")
+        result = optimize_ensemble(problem, zsys=cesium_zsys)
+    assert result.iterations == 1
+    assert np.max(np.abs(result.field.samples)) <= 1e-18
+    assert abs(result.j_history[0] - result.guess_j) <= 1e-12
 
 
 def test_criterion_06_single_target_pulse_not_universal(single_run, cesium_h, cesium_zsys):

@@ -1108,6 +1108,31 @@ class TestProcess:
         assert before == 0
         assert after > 0
 
+    def test_class_methods_are_compiled_from_the_package_files(self, tmp_path):
+        # Methods that `dataclasses` or `namedtuple` generate are compiled
+        # from "<string>" or live in the standard library, which costs every
+        # command's import.  The records get theirs from rydoct._record.
+        probe = (
+            "import json, os, sys, rydoct.cli\n"
+            "src = os.path.dirname(rydoct.cli.__file__)\n"
+            "outside = []\n"
+            "for name, module in list(sys.modules.items()):\n"
+            "    if name.split('.')[0] != 'rydoct':\n"
+            "        continue\n"
+            "    for cls in vars(module).values():\n"
+            "        if not (isinstance(cls, type) and cls.__module__ == name):\n"
+            "            continue\n"
+            "        for attr, value in vars(cls).items():\n"
+            "            value = getattr(value, '__func__', getattr(value, 'fget', value))\n"
+            "            code = getattr(value, '__code__', None)\n"
+            "            if code is not None and os.path.dirname(code.co_filename) != src:\n"
+            "                outside.append(f'{cls.__qualname__}.{attr}: {code.co_filename}')\n"
+            "print(json.dumps(outside))\n"
+        )
+        run = _run_cli(["-c", probe], tmp_path)
+        assert run.returncode == 0, run.stderr
+        assert json.loads(run.stdout) == []
+
     def test_reading_a_field_leaves_numpy_ma_out(self, tmp_path):
         # np.median would import numpy.ma, about 10 ms of every process
         # that reads a field.
