@@ -33,16 +33,19 @@ guaranteed to rise.  The rule is the only one: `EnsembleProblem` and
 
 Each sweep is written once, and the engine (`_run_engine`) runs it on a
 (dim, M) block of members.  `_costate_sweep` integrates the costates from T
-back to t0 under the old field and keeps of them only the coefficients
-a_j = V^T D* lam_{j+1} that the adjoint of step j forms, conjugated.
-`_update_sweep` is the forward sweep with feedback.  The sweeps carry
-D-shifted states (see `rydoct.propagation`), so that the two half steps
-that meet between consecutive steps are one multiply: the update sweep
-steps x_j = D psi_j and the costate sweep mu_j = D* lam_j in one (dim, M)
-block each, converting once at each boundary.  Since D lam_j =
-V conj(P_j) a_j under the old field's phase P_j, the rule's overlap needs
-no z product: with c_j = V^T x_j, the coefficients that step j forms
-first, and s_jk = sum_i conj(a_j,ik) c_j,ik,
+back to t0 under the old field and keeps of them only the conjugated
+coefficients conj(a_j), a_j = V^T D* lam_{j+1}.  `_update_sweep` is the
+forward sweep with feedback.  Both sweeps run the one forward step of the
+kernel, on D-shifted blocks (see `rydoct.propagation`), so that the two
+half steps that meet between consecutive steps are one multiply: the
+update sweep steps x_j = D psi_j and the costate sweep
+nu_j = D conj(lam_j) = conj(D* lam_j) in one (dim, M) block each,
+converting once at each boundary.  The inverse step is the conjugate of
+the forward one, so the forward step takes nu_{j+1} to nu_j, and the
+coefficients V^T nu_{j+1} that it forms on its way are conj(a_j)
+itself.  Since D lam_j = V conj(P_j) a_j under the old field's phase
+P_j, the rule's overlap needs no z product: with c_j = V^T x_j, the
+coefficients that step j forms first, and s_jk = sum_i conj(a_j,ik) c_j,ik,
 
     sum_i <D lam_j| z |D psi_j> = sum_k s_jk w_k P_jk,
 
@@ -131,6 +134,16 @@ UPDATE_MODE = "replace"
 #: of this many elements, a multiple of the 8-element blocks that OpenBLAS's
 #: complex dot sums before it adds the rest one by one (see `_update_sweep`).
 SUM_BLOCK = 16
+#: Most bytes that a problem's work arrays may take, n_steps x dim x (M + 1)
+#: complex numbers of 16 B for M members: the step-major coefficient array
+#: and the phase table (see `_work_arrays`; the chunk scratch adds
+#: `CHUNK_STEPS` steps' worth).  At `manifest.MAX_PULSE_STEPS` steps it
+#: admits 55 states with 4 members (0.44 GB) and 187 states with one
+#: member (0.60 GB), and rejects 187 states with 4 members (1.50 GB).
+#: `EnsembleProblem` checks it, where the basis size and the members are
+#: both known, so that a run too large is an `InvalidSpecError` before
+#: anything is allocated.
+MAX_WORK_BYTES = 1 << 30
 
 
 @record(frozen=True)
@@ -223,14 +236,14 @@ def backward_propagate(
     """Costate trajectory lam(t_j) for every grid point, integrated from T to t0.
 
     Runs the engine's costate sweep on one member, which keeps only the
-    coefficients a_j = V^T D* lam_{j+1} that the adjoint of step j forms
-    (conjugated), and rebuilds each lam_j = D* V conj(P_j) a_j from them
-    with the second half of the adjoint step (`advance`, which leaves
-    D*^2 V conj(P_j) a_j, shifted back by D).  Returns those lam_j, then
-    lam(T) itself as the last row: an (n_samples, dim) array in basis
-    order, whatever order the kernel keeps.  Each backward step is the
-    adjoint of the forward split step with the same field sample, so the
-    discrete forward and backward propagations are exact inverses.
+    coefficients conj(a_j) = V^T nu_{j+1}, nu = D conj(lam), that step j
+    forms, and rebuilds each nu_j = D^2 V P_j conj(a_j) from them with the
+    second half of the forward step (`advance`), so that
+    lam_j = conj(D* nu_j).  Returns those lam_j, then lam(T) itself as the
+    last row: an (n_samples, dim) array in basis order, whatever order the
+    kernel keeps.  Each backward step is the adjoint of the forward split
+    step with the same field sample, so the discrete forward and backward
+    propagations are exact inverses.
     """
     kernel = SplitStepKernel(h, zsys, pulse.dt)
     lam_final = np.array(kernel.to_kernel_order(costate_final.amplitudes), dtype=complex)
@@ -238,12 +251,12 @@ def backward_propagate(
     work = _work_arrays(pulse.n_steps, h.dim, 1)
     table = kernel.phase_table(pulse.samples, out=work[2])
     coeffs = _costate_sweep(kernel, lam_final, pulse.samples, work)
-    _, advance, _ = kernel.adjoint().stepper(lam_final)
-    mu = np.empty_like(coeffs)
-    for mu_j, phase, a in zip(mu, np.conjugate(table), np.conjugate(coeffs)):
-        advance(None, mu_j, phase, a)
-    # lam_j = D mu_j.
-    lam = kernel.shift(mu)[:, :, 0]
+    _, advance, _ = kernel.stepper(lam_final)
+    nu = np.empty_like(coeffs)
+    for nu_j, phase, c in zip(nu, table, coeffs):
+        advance(None, nu_j, phase, c)
+    # lam_j = conj(D* nu_j).
+    lam = np.conjugate(kernel.unshift(nu))[:, :, 0]
     return kernel.to_basis_order(np.concatenate([lam, lam_final.T]), axis=1)
 
 
@@ -273,9 +286,9 @@ def _chunk_scratch(dim: int, n_members: int) -> np.ndarray:
     only chunk-sized array.
 
     The costate sweep takes its head as a (CHUNK_STEPS, dim, M) block and
-    writes `CHUNK_STEPS` conjugated rows of the phase table into it at a
-    time, broadcast to full width, so that each adjoint step multiplies a
-    contiguous (dim, M) phase rather than a column broadcast row by row.
+    copies `CHUNK_STEPS` rows of the phase table into it at a time,
+    broadcast to full width, so that each step multiplies a contiguous
+    (dim, M) phase rather than a column broadcast row by row.
     The update sweep takes the same head for the (dim, M) factors W_j of a
     chunk's steps, which each step turns into its overlap's products in
     place, and after them two (CHUNK_STEPS, dim) blocks: the chunk's old
@@ -295,40 +308,36 @@ def _costate_sweep(
     """The costates under the old field, integrated from T to t0.
 
     Fills and returns the first of the `_work_arrays`, the (n_steps, dim, M)
-    array of conj(a_j), a_j = V^T mu_{j+1} = V^T D* lam_{j+1}: the
-    coefficients that the adjoint of step j forms on its way, all that the
-    update sweep needs of the costates, conjugated so that it multiplies
-    them straight into its own.  The shifted costate mu = D* lam itself is
-    stepped in place in one (dim, M) block, from the adjoint kernel's shift
-    of `lam_final`, and not kept.  The old field's phases come from the
-    work arrays' phase table, which must hold P(E_j) of `samples`;
-    `samples` itself only marks the zero-field steps.  They reach the steps
-    `CHUNK_STEPS` at a time, copied into the chunk scratch at full width and
-    conjugated there in place, which is the adjoint phase bit for bit (and
-    neither call buffers, where a broadcast `np.conjugate` would).  The
-    adjoint of step j writes a_j straight into slot j of the array, through
-    a float64 view taken once per sweep, so nothing is copied out per step;
-    each chunk of slots is conjugated in place once its steps are done.
+    array of conj(a_j), a_j = V^T D* lam_{j+1}: all that the update sweep
+    needs of the costates, conjugated so that it multiplies them straight
+    into its own.  The sweep steps nu = D conj(lam), the conjugate of the
+    shifted costate D* lam, with the kernel's forward step, which is the
+    conjugate of the inverse step bit for bit: from the kernel's shift of
+    conj(`lam_final`), in place in one (dim, M) block that is not kept.
+    Step j forms V^T nu_{j+1} = conj(a_j) on its way and writes it straight
+    into slot j of the array, through a float64 view taken once per sweep,
+    so nothing is copied out or conjugated per step.  The old field's
+    phases come from the work arrays' phase table, which must hold P(E_j)
+    of `samples`; `samples` itself only marks the zero-field steps.  They
+    reach the steps `CHUNK_STEPS` at a time, copied into the chunk scratch
+    at full width (see `_chunk_scratch`).
     """
     coeffs, scratch, table = work
     n_steps, dim, n_members = coeffs.shape
-    adjoint = kernel.adjoint()
-    coefficients, advance, _ = adjoint.stepper(lam_final)
-    conjugate, copyto = np.conjugate, undispatched(np.copyto)
+    coefficients, advance, _ = kernel.stepper(lam_final)
+    copyto = undispatched(np.copyto)
     coeffs_f = coeffs.view(np.float64)
-    mu = adjoint.shift(lam_final)
-    mu_f = mu.view(np.float64)
+    nu = kernel.shift(np.conjugate(lam_final))
+    nu_f = nu.view(np.float64)
     chunk = scratch[: CHUNK_STEPS * dim * n_members].reshape(CHUNK_STEPS, dim, n_members)
     fields = samples[:-1].tolist()
     for start in reversed(range(0, n_steps, CHUNK_STEPS)):
         stop = min(start + CHUNK_STEPS, n_steps)
         phases = chunk[: stop - start]
         copyto(phases, table[start:stop])
-        conjugate(phases, phases)
         for j in range(stop - 1, start - 1, -1):
-            coefficients(mu_f, coeffs_f[j])
-            advance(mu, mu, phases[j - start] if fields[j] != 0.0 else None, coeffs[j])
-        conjugate(coeffs[start:stop], coeffs[start:stop])
+            coefficients(nu_f, coeffs_f[j])
+            advance(nu, nu, phases[j - start] if fields[j] != 0.0 else None, coeffs[j])
     return coeffs
 
 
@@ -534,6 +543,13 @@ class EnsembleProblem:
             raise InvalidSpecError("ensemble needs at least one member")
         if len(self.penalty.samples) != len(self.guess.samples):
             raise InvalidSpecError("penalty schedule and guess field grids differ")
+        n_steps, dim, n_members = self.guess.n_steps, self.hamiltonian.dim, len(self.members)
+        work = n_steps * dim * (n_members + 1) * 16
+        if work > MAX_WORK_BYTES:
+            raise InvalidSpecError(
+                f"the work arrays of {n_steps} steps x {dim} states x ({n_members} members "
+                f"+ 1) x 16 B take {work} B, more than the limit of {MAX_WORK_BYTES} B"
+            )
         with np.errstate(over="ignore", invalid="ignore"):
             cost = evaluate_cost(self.guess, self.penalty)
         if not math.isfinite(cost):

@@ -63,7 +63,10 @@ SCHEMA_VERSION = 1
 #: coefficients (16 B each) and one n_steps x dim table of complex phases,
 #: so at this limit a 55-state basis with 4 members needs 0.35 GB for the
 #: array and 88 MB for the table, and a 187-state basis with one target
-#: 0.30 GB and 0.30 GB: the table doubles it for a single target.
+#: 0.30 GB and 0.30 GB: the table doubles it for a single target.  The
+#: manifest does not know the basis size, which a basis.hamiltonian_file
+#: hides until it is loaded, so the bound on those bytes, `MAX_WORK_BYTES`
+#: in `rydoct.control`, is checked by the problem itself.
 MAX_PULSE_STEPS = 100_000
 
 #: Most radial values a basis build may hold, basis.grid_points x states.

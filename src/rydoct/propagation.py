@@ -2,9 +2,9 @@
 
 H0 is diagonal in the stored basis, so each half step is a phase rotation.
 The field factor exp(-i E z dt) is applied exactly through a cached
-eigendecomposition z = V diag(w) V^T.  Every factor is unitary, which makes
-forward and (adjoint) backward sweeps exact inverses of each other; the
-scheme is accurate to second order in the time step.
+eigendecomposition z = V diag(w) V^T.  Every factor is unitary, so the
+backward sweep, whose step is the inverse of the forward one, undoes it
+exactly; the scheme is accurate to second order in the time step.
 
 The field is treated as piecewise constant over each step, with the value
 taken at the step's left endpoint.  The optimal-control sweeps rely on this
@@ -23,10 +23,15 @@ At these sizes a step costs the fixed price of each numpy call more than
 its flops, so the step makes as few passes as it can.  Its split step is
 D V P(E) V^T D, with D = exp(-i H0 dt/2), and the closing D of one step
 meets the opening D of the next (Strang, SIAM J. Numer. Anal. 5, 506
-(1968)).  So every sweep carries D-shifted states, x = D psi forward and
-mu = D* lam backward (the adjoint kernel's D is D*), and converts once at
-each boundary (`SplitStepKernel.shift` and `unshift`).  A step is then
-D^2 V P V^T x: four calls, the two products V^T x and V (P c), taken with
+(1968)).  So every sweep carries D-shifted states and converts once at
+each boundary (`SplitStepKernel.shift` and `unshift`).  Every sweep runs
+the one forward step: V is real and D and P(E) are diagonal phases, so
+the inverse step is the elementwise conjugate of the forward one,
+S(-dt) mu = conj(S(dt) conj(mu)), bit for bit (negation is exact and
+rounding is symmetric).  The costate sweep, from T back to t0, therefore
+steps the conjugated costates nu = D conj(lam) with the forward step, as
+the forward sweeps step x = D psi.  A step is then D^2 V P V^T x: four
+calls, the two products V^T x and V (P c), taken with
 `np.dot`, which hands the contiguous float64 views straight to BLAS, and
 the two multiplies by P and by D^2 = exp(-i H0 dt).  A step whose field
 sample is exactly zero is the one multiply D^2 x, so exact zeros stay
@@ -42,12 +47,11 @@ caller's arrays; it makes no temporaries and takes no views.  Each P_j of
 a fixed field is a row of `SplitStepKernel.phase_table`.  The phase P_j
 may be a (dim, 1) column or a contiguous (dim, M) block; the costate sweep
 passes the block, which multiplies element by element instead of row by
-row.  The optimization
-engine stores, per iteration, only the final state block, one step-major
-costate array of n_steps blocks, the coefficients V^T D* lam_{j+1}
-(conjugated), and one (n_steps, dim, 1) table of the swept field's phases
-P_j, which it forms once per field (see `control`), never whole
-trajectories.
+row.  The optimization engine stores, per iteration, only the final state
+block, one step-major costate array of n_steps blocks, the coefficients
+V^T D conj(lam_{j+1}) = conj(V^T D* lam_{j+1}), and one (n_steps, dim, 1)
+table of the swept field's phases P_j, which it forms once per field (see
+`control`), never whole trajectories.
 
 The parity-block step.  The dipole rule |dl| = 1, which every
 `HamiltonianData` obeys, makes z bipartite in l parity: in parity order,
@@ -277,21 +281,21 @@ class SplitStepKernel:
 
     D = exp(-i H0 dt/2) (`half`) and P(E) = exp(E exponent) are diagonal:
     `exponent` is the (dim, 1) column -i dt w of z's eigenvalues w in the
-    kernel's row order, so that dP/dE = exponent P.  A negative dt gives
-    the adjoint (inverse) step, which the backward sweeps use; see
-    `adjoint`.  Blocks are complex (dim, M) arrays, one state per column.
-    A sweep shifts its block once (`shift`), takes its `stepper` once and
-    then calls its two halves at every step, which write through the
-    stepper's scratch and allocate nothing, with the phases P(E_j) that
+    kernel's row order, so that dP/dE = exponent P.  Every sweep, the
+    backward one too, runs this one kernel (see the module docstring).
+    Blocks are complex (dim, M) arrays, one state per column.  A sweep
+    shifts its block once (`shift`), takes its `stepper` once and then
+    calls its two halves at every step, which write through the stepper's
+    scratch and allocate nothing, with the phases P(E_j) that
     `phase_table` forms for the field's samples; the step on x = D psi is
     D^2 V P(E) V^T x, with the free step D^2 = exp(-i H0 dt) (`free`).
 
     A basis of `BLOCK_STEP_MIN_DIM` states or more whose block B has a
     singular pair for every odd-l state takes the parity-block step
-    instead, and `block` is True; `adjoint` works its kind out again the
-    same way.  The rows are in `order`, parity order for the block step
-    and basis order otherwise, and `position` is the row of each basis
-    state; `to_kernel_order` and `to_basis_order` copy an array across.
+    instead, and `block` is True.  The rows are in `order`, parity order
+    for the block step and basis order otherwise, and `position` is the
+    row of each basis state; `to_kernel_order` and `to_basis_order` copy
+    an array across.
     Both steps keep the coefficients c = V^T D psi in V's eigenbasis, with
     V's columns in the order of `exponent`: sorted for the dense step, and
     the rows of `ParityBlocks.eigenvalues` for the block step, whose
@@ -324,9 +328,6 @@ class SplitStepKernel:
         #: The rows of the +s_k and of the -s_k coefficients, both in pair order.
         self.pairs = (slice(n_even - r, n_even), slice(n_even, n_even + r))
 
-    def adjoint(self) -> "SplitStepKernel":
-        return SplitStepKernel(self.h, self.zsys, -self.dt)
-
     def to_kernel_order(self, array: np.ndarray, axis: int = 0) -> np.ndarray:
         """A copy of `array`, indexed by basis state along `axis`, in the kernel's row order."""
         return np.take(array, self.order, axis=axis)
@@ -338,8 +339,8 @@ class SplitStepKernel:
     def shift(self, block: np.ndarray) -> np.ndarray:
         """D block as a new C-contiguous complex array: a state as the steps carry it.
 
-        A sweep converts its states once at each boundary.  The adjoint
-        kernel's D is D*, so its costates are carried as mu = D* lam.
+        A sweep converts its states once at each boundary: the forward
+        sweeps carry x = D psi and the costate sweep nu = D conj(lam).
         """
         return np.multiply(self.half, block, out=np.empty(block.shape, dtype=complex))
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rydoct.cli
+import rydoct.control
 import rydoct.manifest
 from rydoct import (
     CESIUM_DEFECTS,
@@ -704,6 +705,24 @@ class TestCliEntryPoint:
         assert "fluence cost" in payload["message"]
         assert not (tmp_path / "out" / "summary.json").exists()
 
+    @pytest.mark.parametrize("command", ["optimize", "optimize-universal"])
+    def test_work_arrays_over_the_limit_are_a_json_error(
+        self, tiny_manifest_path, tmp_path, capsys, monkeypatch, command
+    ):
+        # The problem checks its work memory before any sweep allocates it.
+        monkeypatch.setattr(rydoct.control, "MAX_WORK_BYTES", 1)
+        out = tmp_path / "o"
+        code = main([command, "--manifest", str(tiny_manifest_path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        (line,) = err.strip().splitlines()
+        payload = json.loads(line)
+        assert set(payload) == {"error", "message"}
+        assert payload["error"] == "InvalidSpecError"
+        assert payload["message"].endswith("more than the limit of 1 B")
+        assert not (out / "summary.json").exists()
+
     def test_verbose_flag(self, tiny_manifest_path, tmp_path, capsys):
         code = main(
             [
@@ -1226,11 +1245,36 @@ class TestProcess:
             assert outputs[2][name] == content, name
             assert outputs["warm"][name] == content, name
 
-    def test_optimize_187_outputs_independent_of_blas_threads(self, tmp_path):
+    @pytest.mark.parametrize(
+        "command, manifest_name, expected_files",
+        [
+            (
+                "optimize",
+                "single_target.json",
+                {
+                    "guess_field.csv",
+                    "history.csv",
+                    "optimized_field.csv",
+                    "readout.json",
+                    "summary.json",
+                },
+            ),
+            (
+                "optimize-universal",
+                "universal.json",
+                {"decode_test.json", "history.csv", "summary.json", "universal_field.csv"},
+            ),
+        ],
+        ids=["optimize", "optimize-universal"],
+    )
+    def test_optimize_187_outputs_independent_of_blas_threads(
+        self, tmp_path, command, manifest_name, expected_files
+    ):
         # 187 states take the parity-block step on the SVD eigensystem;
-        # eigh of this z gave other bits under one and two threads.  Each
-        # thread count builds its basis in its own empty cache.
-        manifest = json.loads((MANIFEST_DIR / "single_target.json").read_text())
+        # eigh of this z gave other bits under one and two threads.  The
+        # universal decoder runs the block step's sweeps with four members.
+        # Each thread count builds its basis in its own empty cache.
+        manifest = json.loads((MANIFEST_DIR / manifest_name).read_text())
         manifest["basis"]["l_max"] = 17
         manifest["oct"]["max_iterations"] = 8
         path = tmp_path / "optimize187.json"
@@ -1238,18 +1282,14 @@ class TestProcess:
         outputs = {}
         for threads in (1, 2):
             out = tmp_path / f"threads{threads}"
-            args = ["-m", "rydoct.cli", "optimize", "--manifest", str(path), "--out", str(out)]
+            args = ["-m", "rydoct.cli", command, "--manifest", str(path), "--out", str(out)]
             run = _run_cli(args, tmp_path, threads=threads, cache=tmp_path / f"cache{threads}")
             assert run.returncode == 0, run.stderr
             outputs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-        assert json.loads(outputs[1]["summary.json"])["metrics"]["iterations"] == 8
-        assert set(outputs[1]) == {
-            "guess_field.csv",
-            "history.csv",
-            "optimized_field.csv",
-            "readout.json",
-            "summary.json",
-        }
+        metrics = json.loads(outputs[1]["summary.json"])["metrics"]
+        assert metrics["iterations"] == 8
+        assert metrics["monotonic"]
+        assert set(outputs[1]) == expected_files
         for name, content in outputs[1].items():
             assert outputs[2][name] == content, name
 

@@ -19,7 +19,15 @@ from rydoct import (
     precompute_z_eigensystem,
     propagate,
 )
-from rydoct.control import _apply_stall_bump
+from rydoct import control
+from rydoct.control import (
+    MAX_WORK_BYTES,
+    EnsembleMember,
+    EnsembleProblem,
+    _apply_stall_bump,
+    register_ensemble_problem,
+)
+from rydoct.manifest import MAX_PULSE_STEPS
 from rydoct.pulses import half_cycle_pulse
 
 
@@ -459,6 +467,41 @@ class TestOptimize:
                 OctProblem(h, ground_state(2), StateLabel(2, 1), pen, guess, update_mode=mode)
         with pytest.raises(InvalidSpecError):
             OctProblem(h, ground_state(2), StateLabel(9, 0), pen, guess)
+
+    def test_work_memory_limit_is_inclusive(self, monkeypatch):
+        # Two members of the three-level system: 40 steps x 3 states x
+        # (2 + 1) x 16 B is exactly the limit, which still runs, and one
+        # step more is over it.
+        h, zsys = three_level()
+        members = [
+            EnsembleMember(ground_state(3), StateLabel(3, 1)),
+            EnsembleMember(ground_state(3), StateLabel(3, 2)),
+        ]
+        limit = 40 * 3 * (2 + 1) * 16
+        monkeypatch.setattr(control, "MAX_WORK_BYTES", limit)
+        guess = half_cycle_pulse(peak=0.05, width=2.0, t_peak=2.0, t0=0.0, dt=0.1, n_samples=41)
+        problem = EnsembleProblem(
+            h, members, PenaltySchedule.build(guess, base=1.0), guess, max_iterations=1
+        )
+        assert control.optimize_ensemble(problem, zsys=zsys).iterations == 1
+        longer = guess.with_samples(np.append(guess.samples, 0.0))
+        message = f"take {limit + 3 * 3 * 16} B, more than the limit of {limit} B"
+        with pytest.raises(InvalidSpecError, match=message):
+            EnsembleProblem(h, members, PenaltySchedule.build(longer, base=1.0), longer)
+
+    def test_work_memory_limit_at_the_longest_guess(self, cesium_h, full_h):
+        # At MAX_PULSE_STEPS steps: 55 states with four members (0.44 GB) and
+        # 187 states with one (0.60 GB) fit, 187 states with four (1.50 GB)
+        # do not.  A problem allocates nothing, so this holds no work array.
+        assert MAX_WORK_BYTES == 1 << 30
+        guess = PulseGrid.zeros(0.0, 1.0, MAX_PULSE_STEPS + 1)
+        penalty = PenaltySchedule.build(guess, base=1.0)
+        orbitals = ["24p", "25p", "26p", "27p", "28p", "29p"]
+        marked = ["25p", "26p", "27p", "28p"]
+        register_ensemble_problem(cesium_h, orbitals, marked, penalty, guess)
+        register_ensemble_problem(full_h, orbitals, marked[:1], penalty, guess)
+        with pytest.raises(InvalidSpecError, match="take 1496000000 B"):
+            register_ensemble_problem(full_h, orbitals, marked, penalty, guess)
 
     def test_histories_aligned(self):
         h, zsys = two_level()

@@ -501,21 +501,27 @@ def test_update_sweep_without_costates_is_evolve(setup):
         assert cross == 0.0
 
 
-def test_costate_sweep_is_the_adjoint_step_loop(setup):
+@pytest.mark.parametrize("n_members", [1, 4])
+@pytest.mark.parametrize("block", [False, True], ids=["dense", "block"])
+def test_costate_sweep_is_the_adjoint_step_loop(setup, block_setup, block, n_members):
     # conj(V^T mu_{j+1}) = conj(V^T D* lam_{j+1}) bit for bit, against one
-    # adjoint step at a time from mu_N, the adjoint kernel's shift of lam(T),
-    # into a new block per step; the sweep steps mu in place.
-    h, pulse, kernel = setup["h"], setup["pulse"], setup["kernel"]
-    lam_final = np.stack(setup["lam_final"], axis=1)
-    work = _filled_work(kernel, pulse, len(MARKED))
+    # inverse step at a time, the step of a kernel of time step -dt, from
+    # mu_N, that kernel's shift of lam(T), into a new block per step.  The
+    # sweep steps nu = conj(mu) in place with the forward step instead.
+    setup = block_setup if block else setup
+    h, zsys, pulse, kernel = setup["h"], setup["zsys"], setup["pulse"], setup["kernel"]
+    lam_final = kernel.to_kernel_order(np.stack(setup["lam_final"][:n_members], axis=1))
+    work = _filled_work(kernel, pulse, n_members)
     coeffs = _costate_sweep(kernel, lam_final, pulse.samples, work)
     assert coeffs is work[0]
-    # The loop's adjoint phases are the rows of the adjoint kernel's own table
-    # (dim, 1) columns; the sweep conjugates the forward table at full width.
-    adjoint = kernel.adjoint()
-    coefficients, advance, (c, cf) = adjoint.stepper(lam_final)
-    phases = adjoint.phase_table(pulse.samples)
-    mu = adjoint.shift(lam_final)
+    # The loop's phases are the rows of the inverse kernel's own table, (dim,
+    # 1) columns; the sweep copies the forward table at full width.
+    with step_kind(block):
+        inverse = SplitStepKernel(h, zsys, -pulse.dt)
+    assert inverse.block == block
+    coefficients, advance, (c, cf) = inverse.stepper(lam_final)
+    phases = inverse.phase_table(pulse.samples)
+    mu = inverse.shift(lam_final)
     for j in range(pulse.n_steps - 1, -1, -1):
         new = np.empty_like(mu)
         # Every step forms c = V^T mu_{j+1}, a zero-field step as well.
@@ -530,16 +536,16 @@ C_CALLS = ("dot", "vdot", "copyto", "view")
 
 def _numpy_calls(run):
     """`run()` and the calls it made to `dot`, `vdot` and `copyto`, to the
-    `vecdot`, `multiply`, `add` and `subtract` ufuncs and to the `view`
-    method.  The first three are counted with the interpreter's profile
-    hook, whether through numpy's Python-level dispatcher (a "call" event
-    in multiarray.py) or to the C function behind it (a "c_call" event), as
-    is `view`; a ufunc call raises no profile event, so the ufuncs are
-    wrapped in counters while `run()` runs (each sweep and each stepper
-    takes them from numpy when it starts)."""
-    counts = dict.fromkeys(("dot", "vdot", "copyto", "vecdot", "multiply", "add", "subtract"), 0)
-    counts["view"] = 0
-    ufuncs = {name: getattr(np, name) for name in ("vecdot", "multiply", "add", "subtract")}
+    `vecdot`, `multiply`, `add`, `subtract` and `conjugate` ufuncs and to
+    the `view` method.  The first three are counted with the interpreter's
+    profile hook, whether through numpy's Python-level dispatcher (a "call"
+    event in multiarray.py) or to the C function behind it (a "c_call"
+    event), as is `view`; a ufunc call raises no profile event, so the
+    ufuncs are wrapped in counters while `run()` runs (each sweep and each
+    stepper takes them from numpy when it starts)."""
+    ufunc_names = ("vecdot", "multiply", "add", "subtract", "conjugate")
+    counts = dict.fromkeys(("dot", "vdot", "copyto", *ufunc_names, "view"), 0)
+    ufuncs = {name: getattr(np, name) for name in ufunc_names}
 
     def counted(name, ufunc):
         def call(*args, **kwargs):
@@ -641,9 +647,12 @@ def _assert_sweep_calls(setup, n_members, dots, pairs):
     the update sweep, two per step for its phase row and its overlap's one
     product, whose sum is one more `dot` per step; one `multiply` each way
     across the sweep's boundary; per chunk of the update sweep, four
-    `copyto` and four `multiply` calls and one `subtract` and `vecdot`;
-    and no more than eight `view` calls per sweep, whatever the number of
-    steps."""
+    `copyto` and four `multiply` calls and one `subtract`, `vecdot` and
+    `conjugate`; and no more than eight `view` calls per sweep, whatever
+    the number of steps.  The costate sweep conjugates once, lam(T) at
+    its boundary, and neither its phases nor its coefficients per chunk;
+    the block step's phase rows add `pairs` `conjugate` calls per step of
+    the update sweep, for the -s_k rows of each new phase."""
     h, pulse, penalty, kernel = setup["h"], setup["pulse"], setup["penalty"], setup["kernel"]
     n_steps = pulse.n_steps
     chunks = -(-n_steps // CHUNK_STEPS)
@@ -658,6 +667,7 @@ def _assert_sweep_calls(setup, n_members, dots, pairs):
     assert counts["subtract"] == counts["add"] == pairs * products
     assert counts["copyto"] == pairs * n_steps + chunks
     assert counts["multiply"] == 1 + n_steps + field_steps
+    assert counts["conjugate"] == 1
     assert counts["vdot"] == counts["vecdot"] == 0
     assert counts["view"] <= 8
 
@@ -690,6 +700,7 @@ def _assert_sweep_calls(setup, n_members, dots, pairs):
         assert counts["copyto"] == 4 * chunks + 1
         assert counts["multiply"] == 2 + 3 * n_steps + nonzero + 4 * chunks
         assert counts["vecdot"] == chunks
+        assert counts["conjugate"] == chunks + pairs * n_steps
         assert counts["view"] <= 8
 
 
@@ -814,8 +825,6 @@ def test_kernel_rejects_blocks_that_are_not_dim_by_m(setup, e_field):
     for bad in (state, state[None, :], state[:, None, None], np.ones((1, 4), complex)):
         with pytest.raises(InvalidSpecError, match=f"\\({dim}, M\\) block"):
             _step(kernel, bad, e_field)
-        with pytest.raises(InvalidSpecError, match=f"\\({dim}, M\\) block"):
-            kernel.adjoint().stepper(bad)
     assert _step(kernel, state[:, None], e_field).shape == (dim, 1)
     assert _evolve(kernel, state[:, None], pulse).shape == (dim, 1)
 

@@ -109,7 +109,7 @@ class TestSvdEigensystem:
         assert len(parity.s) == 2 < h.dim - parity.n_even
         monkeypatch.setattr(propagation, "BLOCK_STEP_MIN_DIM", 0)
         kernel = SplitStepKernel(h, zsys, 0.1)
-        assert not kernel.block and not kernel.adjoint().block
+        assert not kernel.block
         samples = np.append(0.3 * rng.normal(size=20), 0.0)
         psi = _states(5, 2, seed=7)
         half = np.exp(-0.05j * h.energies)[:, None]
@@ -122,17 +122,17 @@ class TestSvdEigensystem:
     def test_step_is_chosen_by_basis_size(
         self, cesium_h, cesium_zsys, full_h, full_zsys, monkeypatch
     ):
-        # By the crossover alone, for the kernel and its adjoint alike.
+        # By the crossover alone.
         assert cesium_h.dim < BLOCK_STEP_MIN_DIM <= full_h.dim
         assert not SplitStepKernel(cesium_h, cesium_zsys, DT).block
         kernel = SplitStepKernel(full_h, full_zsys, DT)
-        assert kernel.block and kernel.adjoint().block
+        assert kernel.block
         monkeypatch.setattr(propagation, "BLOCK_STEP_MIN_DIM", full_h.dim + 1)
         kernel = SplitStepKernel(full_h, full_zsys, DT)
-        assert not kernel.block and not kernel.adjoint().block
+        assert not kernel.block
         monkeypatch.setattr(propagation, "BLOCK_STEP_MIN_DIM", cesium_h.dim)
         kernel = SplitStepKernel(cesium_h, cesium_zsys, DT)
-        assert kernel.block and kernel.adjoint().block
+        assert kernel.block
 
 
 class TestBlockStep:
@@ -152,7 +152,7 @@ class TestBlockStep:
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_block_and_dense_steps_agree(self, basis, sign, cesium_h, cesium_zsys, full_h, full_zsys):
         # Each kernel built directly and stepped through the same field from
-        # the same states, forward or adjoint.
+        # the same states, forward or backward in time.
         h, zsys = (cesium_h, cesium_zsys) if basis == "cesium" else (full_h, full_zsys)
         samples = _field(120, seed=3)
         finals = {}

@@ -103,7 +103,7 @@ class TestSplitStep:
         assert 1.9 <= order <= 2.1
 
     def test_time_reversal(self, dense8):
-        # Forward with `propagate`, back with the adjoint kernel's steps.
+        # Forward with `propagate`, back with the steps of a kernel of time step -dt.
         zsys = precompute_z_eigensystem(dense8)
         backward = SplitStepKernel(dense8, zsys, -0.05)
         rng = np.random.default_rng(5)
