@@ -114,9 +114,6 @@ class BasisSpec:
                     "states would be unbound or invalid"
                 )
 
-    def defect(self, l: int) -> float:
-        return float(self.quantum_defects.get(l, 0.0))
-
     def states(self) -> list[StateLabel]:
         return [
             StateLabel(n, l)

@@ -27,13 +27,20 @@ the rule maximizes g_j to first order in E - E_old: its fixed points are
 the stationary points of the discrete J.  The same overlap taken at t_j,
 before the half step, is off by O(dt); its fixed points are not
 stationary, and J falls once an iteration gains less than that offset.
-A g_j can still be negative where the field changes fast, so J is not
-guaranteed to rise.  The rule is the only one: `EnsembleProblem` and
+
+A g_j can still be negative where the field changes fast.  To second
+order in E - E_old, g_j(E1) = (w_j + q_j) (E1 - E_old)^2 for the rule's
+E1, with w_j = l(t_j) dt and q_j half the second derivative of the
+overlap term, so the rule is guarded: where q_j < -w_j it takes the
+maximiser of that quadratic model, E_old + w_j (E1 - E_old) / (w_j - q_j),
+and elsewhere E1.  A run whose steps all keep E1 is the unguarded rule's
+bit for bit.  A g_j < 0 beyond second order can remain, so J is still
+not guaranteed to rise.  The rule is the only one: `EnsembleProblem` and
 `forward_update_sweep` take its name and reject any other.
 
-Each sweep is written once, and the engine (`_run_engine`) runs it on a
-(dim, M) block of members.  `_costate_sweep` integrates the costates from T
-back to t0 under the old field and keeps of them only the conjugated
+Each sweep is written once, and the engine (`optimize_ensemble`) runs it
+on a (dim, M) block of members.  `_costate_sweep` integrates the costates
+from T back to t0 under the old field and keeps of them only the conjugated
 coefficients conj(a_j), a_j = V^T D* lam_{j+1}.  `_update_sweep` is the
 forward sweep with feedback.  Both sweeps run the one forward step of the
 kernel, on D-shifted blocks (see `rydoct.propagation`), so that the two
@@ -382,7 +389,11 @@ def _update_sweep(
     ((x + y) - x - y need not be 0), so the sum runs over a
     window of a whole number of `SUM_BLOCK` elements: the row, then the
     elements after it, which the mask's zeros drop.  The sweep zeroes its
-    scratch first, so they are finite.  P(E_new) is written per step into
+    scratch first, so they are finite.  The guard's curvature
+    q_j = Re sum_ik t_j,ik exponent_k is one more `dot` of the same window,
+    against a mask that holds exponent_k at each member of row k; where
+    q_j < -l_j dt the sample is the guarded step of the module docstring,
+    formed from E1 = Re sum t_j / (l_j dt).  P(E_new) is written per step into
     the table row that the sweep iterates, by the kernel's `phase_writer`
     from the Python float E_j, so that the table holds the new field on
     return, and the step ends under it (`advance`).  `psi0` itself is not
@@ -424,10 +435,13 @@ def _update_sweep(
     span = -(-width // SUM_BLOCK) * SUM_BLOCK
     mask = np.zeros(span, dtype=complex)
     mask[:width] = 1.0
+    table_rows, exponent = table[:, :, 0], kernel.exponent[:, 0]
+    # exponent_k at every member of row k, for the curvature q_j.
+    curvature = np.zeros(span, dtype=complex)
+    curvature[:width] = np.repeat(exponent, n_members)
     scratch.fill(0.0)
     # Row j - start of the products and its window, one pair per step.
     rows = [(products[i], scratch[i * width : i * width + span]) for i in range(CHUNK_STEPS)]
-    table_rows, exponent = table[:, :, 0], kernel.exponent[:, 0]
     inverse = np.zeros_like(exponent)
     np.divide(1.0, exponent, out=inverse, where=exponent != 0.0)
     cross_term = 0.0 + 0.0j
@@ -446,7 +460,12 @@ def _update_sweep(
         for j, (t, window), phase in zip(range(start, stop), rows, table[start:stop]):
             coefficients(psi_f, cf)
             multiply(t, c, t)
-            e_new = float(dot(window, mask).real) / weights[j]
+            weight = weights[j]
+            e_new = float(dot(window, mask).real) / weight
+            q = float(dot(window, curvature).real)
+            if q < -weight:
+                e_old = fields[j]
+                e_new = e_old + weight * (e_new - e_old) / (weight - q)
             fields[j] = e_new
             write_phase(phase, e_new)
             advance(psi, psi, phase if e_new != 0.0 else None, c)
@@ -520,18 +539,20 @@ class EnsembleMember:
     target: StateLabel
 
 
-@record
+@record(frozen=True)
 class EnsembleProblem:
     """Shared-field optimization over independent register copies.
 
     A single-target run is the problem with one member (see `OctProblem`).
-    The members' targets must name distinct basis rows.  `optimize_ensemble`
-    looks each row up when it runs, so it runs the members as they stand,
-    also after one is replaced or appended.
+    Every instance is valid: the constructor stores `members` as a tuple,
+    checks them against the basis, the grids and the work-memory limit,
+    and looks up each member's target row once, which `optimize_ensemble`
+    reads.  Members may share a target.  A changed problem is a new one,
+    made with `dataclasses.replace`, which checks it again.
     """
 
     hamiltonian: HamiltonianData
-    members: list[EnsembleMember]
+    members: tuple[EnsembleMember, ...]
     penalty: PenaltySchedule
     guess: PulseGrid
     max_iterations: int = 200
@@ -539,6 +560,7 @@ class EnsembleProblem:
     update_mode: str = UPDATE_MODE
 
     def __post_init__(self):
+        object.__setattr__(self, "members", tuple(self.members))
         if not self.members:
             raise InvalidSpecError("ensemble needs at least one member")
         if len(self.penalty.samples) != len(self.guess.samples):
@@ -555,9 +577,15 @@ class EnsembleProblem:
         if not math.isfinite(cost):
             raise InvalidSpecError(f"the guess's fluence cost must be finite, got {cost!r}")
         _check_mode(self.update_mode)
-        rows = [self.hamiltonian.index(m.target) for m in self.members]
-        if len(set(rows)) != len(rows):
-            raise InvalidSpecError("member targets must be distinct")
+        for i, member in enumerate(self.members):
+            shape = np.shape(member.psi0.amplitudes)
+            if shape != (dim,):
+                raise InvalidSpecError(
+                    f"member {i}'s state has shape {shape}, not the basis's ({dim},)"
+                )
+        rows = np.array([self.hamiltonian.index(m.target) for m in self.members])
+        rows.flags.writeable = False
+        object.__setattr__(self, "_rows", rows)
 
 
 def OctProblem(
@@ -588,11 +616,14 @@ def register_ensemble_problem(
     """Build the standard decoder ensemble: one member per marked bit.
 
     `marked_bits` selects which register orbitals participate, as labels or
-    their names; each member is the register with that bit flipped.
+    their names, each once; each member is the register with that bit
+    flipped.
     """
     members = []
     for bit in marked_bits:
         spec = RegisterSpec.from_names(orbitals, marked=bit)
+        if any(m.target == spec.marked for m in members):
+            raise InvalidSpecError(f"marked bit {spec.marked} is listed twice")
         members.append(EnsembleMember(psi0=encode(spec, h), target=spec.marked))
     return EnsembleProblem(hamiltonian=h, members=members, penalty=penalty, guess=guess, **kwargs)
 
@@ -664,27 +695,24 @@ def _iterate(
     return new_samples, new_final, float(2.0 * (boundary - cross_term).real)
 
 
-def _run_engine(
-    problem, members: list[tuple[np.ndarray, int]], zsys: ZEigensystem | None
-) -> OctResult:
-    """Shared iteration loop for one or many targets on one field.
+def optimize_ensemble(problem: EnsembleProblem, zsys: ZEigensystem | None = None) -> OctResult:
+    """Iterate forward/backward sweeps until J converges or max_iterations.
 
-    `problem` is an `EnsembleProblem`: the engine reads its Hamiltonian,
-    guess, penalty, iteration limit and tolerance.  `members` pairs each
-    initial state with the basis row of its target, as `optimize_ensemble`
-    looks them up from the problem's members.  The objective is
-    sum_i |<target_i|psi_i(T)>|^2 - cost, with the
+    The objective is sum_i |<target_i|psi_i(T)>|^2 - cost, with the
     fluence cost charged once however many members share the field.  The
-    members are the columns of one (dim, M) block; only its final value is
+    members are the columns of one (dim, M) block, whose target rows the
+    problem looked up when it was built; only the block's final value is
     kept.  The guess, and the stall-bumped guess, are run by `propagate`,
-    which rejects a member that is not normalized.
+    which rejects a member that is not normalized.  The result has one
+    column per member: for a single-target problem, `final_states[:, 0]`
+    is the state at T.
     """
     h, penalty = problem.hamiltonian, problem.penalty
     if zsys is None:
         zsys = precompute_z_eigensystem(h)
     kernel = SplitStepKernel(h, zsys, problem.guess.dt)
-    psi0 = np.stack([np.asarray(amps0, dtype=complex) for amps0, _ in members], axis=1)
-    rows = np.array([k for _, k in members])
+    members, rows = problem.members, problem._rows
+    psi0 = np.stack([np.asarray(m.psi0.amplitudes, dtype=complex) for m in members], axis=1)
     targets = (rows, np.arange(len(members)))
     pulse = problem.guess
     final = propagate(WavePacket(psi0), pulse, h, zsys, record=None)[1].amplitudes
@@ -763,18 +791,6 @@ def _run_engine(
         monotonic=monotonic,
         first_decrease_iteration=first_decrease,
     )
-
-
-def optimize_ensemble(problem: EnsembleProblem, zsys: ZEigensystem | None = None) -> OctResult:
-    """Iterate forward/backward sweeps until J converges or max_iterations.
-
-    The result has one column per member: for a single-target problem,
-    `final_states[:, 0]` is the state at T.  Each member's target row is
-    looked up here, from the members as they stand.
-    """
-    h = problem.hamiltonian
-    members = [(m.psi0.amplitudes, h.index(m.target)) for m in problem.members]
-    return _run_engine(problem, members, zsys)
 
 
 #: The single-target spelling of `optimize_ensemble`, beside `OctProblem`.

@@ -7,8 +7,11 @@ manifests/, which are also the documented CLI entry points.
 
 import csv
 import dataclasses
+import json
 import time
 import warnings
+from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,7 +32,7 @@ from rydoct import (
     spectrum,
 )
 from rydoct.atomic import dipole_matrix_element
-from rydoct.manifest import build_guess_pulse, build_penalty, load_manifest, run
+from rydoct.manifest import build_guess_pulse, build_penalty, load_manifest, parse_manifest, run
 from tests.conftest import MANIFEST_DIR
 from tests.reference_radial import find_coulomb_eigenvalue
 
@@ -174,6 +177,133 @@ def test_universal_objective_monotone(universal_run):
     assert np.min(np.diff(j_values)) >= -1e-9
     assert universal_run["metrics"]["monotonic"]
     assert universal_run["metrics"]["first_decrease_iteration"] is None
+
+
+@contextmanager
+def _unguarded():
+    """The update without its guard, for comparison: the guard's curvature
+    mask, which the update sweep builds with `np.repeat`, is all zeros, so
+    that q_j = 0 >= -l_j dt at every step.  Yields a list that gains one
+    entry per mask built."""
+    built = []
+
+    def zeros(a, repeats):
+        built.append(repeats)
+        return np.zeros(np.size(a) * repeats, dtype=np.result_type(a))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np, "repeat", zeros)
+        yield built
+
+
+def _assert_monotone(result):
+    # With the slack of criterion 03, and delta3 at its bound.
+    j_values = np.concatenate([[result.guess_j], result.j_history])
+    assert np.min(np.diff(j_values)) >= -1e-9
+    assert result.monotonic and result.first_decrease_iteration is None
+    assert np.max(np.abs(result.delta3_history)) <= 1e-10
+
+
+def _assert_members_decode(problem, result, h, zsys):
+    orbitals = load_manifest(MANIFEST_DIR / "universal.json").register["orbitals"]
+    table = {row["marked"]: row for row in decode_test(result.field, orbitals, h, zsys)}
+    assert all(table[str(m.target)]["success"] for m in problem.members)
+
+
+def _universal_problem(cesium_h, **changes):
+    """The shipped universal problem, with `pulse` and `oct` keys changed."""
+    data = json.loads((MANIFEST_DIR / "universal.json").read_text())
+    for key, value in changes.items():
+        data["pulse" if key == "dt" else "oct"][key] = value
+    manifest = parse_manifest(data)
+    guess = build_guess_pulse(manifest)
+    return register_ensemble_problem(
+        cesium_h,
+        manifest.register["orbitals"],
+        manifest.register["ensemble_marked"],
+        build_penalty(manifest, guess),
+        guess,
+        max_iterations=manifest.oct["max_iterations"],
+        tolerance=manifest.oct["tolerance"],
+    )
+
+
+def test_guard_leaves_a_run_where_it_never_fires_byte_identical(
+    single_manifest, single_run, universal_run, cesium_h, tmp_path
+):
+    # On the shipped single-target run every step's curvature stays above
+    # -l_j dt, so the guarded run is the plain rule's bit for bit; on the
+    # universal run it fires, and the fields differ.
+    universal_manifest = load_manifest(MANIFEST_DIR / "universal.json")
+    with _unguarded() as built:
+        plain = run("optimize", single_manifest, tmp_path / "single", h=cesium_h)["result"]
+        plain_universal = run(
+            "optimize-universal", universal_manifest, tmp_path / "universal", h=cesium_h
+        )["result"]
+    assert len(built) == plain.iterations + plain_universal.iterations
+    guarded = single_run["result"]
+    assert plain.field.samples.tobytes() == guarded.field.samples.tobytes()
+    for name in (f.name for f in dataclasses.fields(guarded) if f.name != "field"):
+        assert np.asarray(getattr(plain, name)).tobytes() == np.asarray(
+            getattr(guarded, name)
+        ).tobytes(), name
+    assert not np.array_equal(
+        plain_universal.field.samples, universal_run["result"].field.samples
+    )
+
+
+def test_universal_stays_monotone_to_200_iterations(universal_run, cesium_h, cesium_zsys):
+    # The plain rule, without the guard, first drops at iteration 102.  The
+    # guarded run, continued from the shipped run's field to 200
+    # iterations, keeps J monotone and still decodes every member.
+    first = universal_run["result"]
+    problem = replace(_universal_problem(cesium_h), guess=first.field)
+    result = optimize_ensemble(problem, zsys=cesium_zsys)
+    assert result.iterations == 100
+    assert result.guess_j == first.j_history[-1]
+    _assert_monotone(result)
+    _assert_members_decode(problem, result, cesium_h, cesium_zsys)
+
+
+def test_universal_at_20_fs_stays_monotone(cesium_h, cesium_zsys):
+    # At twice the shipped time step the plain rule's J drops from
+    # iteration 4 on; the guarded run stays monotone to the shipped cap
+    # and decodes every member.
+    problem = _universal_problem(cesium_h, dt="20 fs")
+    result = optimize_ensemble(problem, zsys=cesium_zsys)
+    assert result.iterations == 100
+    _assert_monotone(result)
+    _assert_members_decode(problem, result, cesium_h, cesium_zsys)
+    with _unguarded():
+        plain = optimize_ensemble(replace(problem, max_iterations=10), zsys=cesium_zsys)
+    assert not plain.monotonic
+
+
+def test_guarded_loop_does_not_amplify_rounding(cesium_h, cesium_zsys):
+    # Members 25p-28p under the single-target guess and base 1e8: without
+    # the guard J ran away to -58 by iteration 20, and a change of 1e-13
+    # of the guess grew to 1.4e-3 of the field's peak.  With it, J is
+    # monotone and the change stays at rounding level.
+    manifest = load_manifest(MANIFEST_DIR / "single_target.json")
+    guess = build_guess_pulse(manifest)
+    penalty = build_penalty(manifest, guess)
+    assert penalty.base == 1e8
+    problem = register_ensemble_problem(
+        cesium_h,
+        manifest.register["orbitals"],
+        ["25p", "26p", "27p", "28p"],
+        penalty,
+        guess,
+        max_iterations=20,
+        tolerance=0.0,
+    )
+    result = optimize_ensemble(problem, zsys=cesium_zsys)
+    assert result.iterations == 20
+    _assert_monotone(result)
+    nudged = guess.with_samples(guess.samples * (1.0 + 1e-13))
+    other = optimize_ensemble(replace(problem, guess=nudged), zsys=cesium_zsys)
+    peak = np.max(np.abs(result.field.samples))
+    assert np.max(np.abs(other.field.samples - result.field.samples)) <= 1e-10 * peak
 
 
 @pytest.mark.parametrize("manifest_name", ["single_target.json", "universal.json"])

@@ -1,4 +1,5 @@
 import ast
+import csv
 import json
 import math
 import os
@@ -480,11 +481,11 @@ class TestCliEntryPoint:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "IOError"
 
-    @pytest.mark.parametrize("base", [1e-300, 1e-320])
+    @pytest.mark.parametrize("base", [1e-310, 1e-320])
     def test_penalty_too_small_for_the_update_is_a_json_error(self, tmp_path, capsys, base):
-        # The first update's field is about overlap / base: at 1e-300 its
-        # fluence cost overflows (J = -inf, Y = inf), at 1e-320 the field
-        # itself does.
+        # The first update's E1 is about overlap / base, and the guarded step
+        # is formed from it: at these bases E1 overflows at the first step,
+        # and the field and its fluence cost with it.
         manifest = json.loads((MANIFEST_DIR / "single_target.json").read_text())
         manifest["oct"]["penalty_base"] = base
         manifest["oct"]["max_iterations"] = 3
@@ -501,6 +502,26 @@ class TestCliEntryPoint:
         assert payload["message"].startswith("iteration 1: ")
         assert f"penalty base {base!r} is too small" in payload["message"]
         assert not (out / "history.csv").exists()
+
+    def test_tiny_penalty_takes_the_curvature_step(self, tmp_path):
+        # At base 1e-300 every step of the first iterations curves down more
+        # than l dt, so the guard takes the quadratic model's maximiser,
+        # which hardly depends on l: the run is finite, monotone, and J
+        # follows that of base 1e-20.
+        histories = []
+        for base in (1e-300, 1e-20):
+            manifest = json.loads((MANIFEST_DIR / "single_target.json").read_text())
+            manifest["oct"]["penalty_base"] = base
+            manifest["oct"]["max_iterations"] = 3
+            path = tmp_path / "penalty.json"
+            path.write_text(json.dumps(manifest))
+            out = tmp_path / f"o{base}"
+            assert main(["optimize", "--manifest", str(path), "--out", str(out)]) == 0
+            assert json.loads((out / "summary.json").read_text())["metrics"]["monotonic"]
+            with open(out / "history.csv", newline="") as fh:
+                histories.append([float(row["J"]) for row in csv.DictReader(fh)])
+        assert len(histories[0]) == 3 and np.all(np.isfinite(histories[0]))
+        np.testing.assert_allclose(histories[0], histories[1], rtol=1e-10)
 
     def test_analyze_without_dipole_pairs_is_a_json_error(self, tmp_path, capsys):
         # s states only: no level gap for the spectrum's nearest-gap column.

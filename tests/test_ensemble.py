@@ -1,4 +1,7 @@
 import csv
+import dataclasses
+import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +22,9 @@ from rydoct import (
     propagate,
     register_ensemble_problem,
 )
-from rydoct.control import _costate_sweep, _run_engine, _update_sweep, _work_arrays
+from rydoct import control
+from rydoct.cli import main
+from rydoct.control import _costate_sweep, _update_sweep, _work_arrays
 from rydoct.manifest import parse_manifest, run
 from rydoct.propagation import SplitStepKernel
 from rydoct.pulses import half_cycle_pulse
@@ -120,7 +125,8 @@ class TestEnsembleUpdate:
 class TestEngineIdentities:
     def test_identical_members_rescale_penalty(self, dense3):
         # N copies of the same member drive the field exactly like a single
-        # member with the penalty divided by N.
+        # member with the penalty divided by N: the problem takes members
+        # that share a target.
         zsys = precompute_z_eigensystem(dense3)
         guess = half_cycle_pulse(peak=0.03, width=20.0, t_peak=10.0, t0=0.0, dt=0.1, n_samples=301)
         psi0 = np.zeros(3, complex)
@@ -131,8 +137,8 @@ class TestEngineIdentities:
         target = dense3.labels[2]
         problem3 = OctProblem(dense3, WavePacket(psi0), target, pen3, guess, **settings)
         problem1 = OctProblem(dense3, WavePacket(psi0), target, pen1, guess, **settings)
-        triple = _run_engine(problem3, [(psi0, 2)] * 3, zsys)
-        single = _run_engine(problem1, [(psi0, 2)], zsys)
+        triple = optimize_ensemble(replace(problem3, members=problem3.members * 3), zsys)
+        single = optimize_ensemble(problem1, zsys)
         np.testing.assert_allclose(
             triple.field.samples, single.field.samples, rtol=1e-10, atol=1e-18
         )
@@ -205,9 +211,9 @@ class TestOptimizeEnsemble:
             register_ensemble_problem(dense3, orbitals, [dense3.labels[2]], pen, guess)
 
     def test_replaced_member_runs_its_own_target(self, cesium_h, cesium_zsys):
-        # Each target row is looked up when the problem runs: a member
-        # replaced after construction drives the field bit for bit as in a
-        # problem built with it.
+        # Each target row is looked up when the problem is built: a problem
+        # remade with one member replaced drives the field bit for bit as a
+        # problem built with that member from the start.
         guess = half_cycle_pulse(
             peak=1.9446903811498665e-07,
             width=41341.37333518211,
@@ -224,22 +230,22 @@ class TestOptimizeEnsemble:
         fresh = register_ensemble_problem(
             cesium_h, REGISTER_NAMES, ["28p", "26p"], pen, guess, **settings
         )
-        problem.members[0] = fresh.members[0]
-        replaced = optimize_ensemble(problem, zsys=cesium_zsys)
+        members = (fresh.members[0], *problem.members[1:])
+        replaced = optimize_ensemble(replace(problem, members=members), zsys=cesium_zsys)
         expected = optimize_ensemble(fresh, zsys=cesium_zsys)
         assert np.array_equal(replaced.field.samples, expected.field.samples)
         assert np.array_equal(replaced.yield_history, expected.yield_history)
 
     def test_appended_member_gets_a_column(self, dense3, small_problem):
-        # A member appended after construction is run, not dropped: M
+        # A member appended to a remade problem is run, not dropped: M
         # members give M result columns, the new one its own final state.
         psi_c = np.zeros(3, complex)
         psi_c[2] = 1.0
         appended = EnsembleMember(psi0=WavePacket(psi_c), target=StateLabel(2, 0))
-        small_problem.members.append(appended)
-        small_problem.max_iterations = 2
+        members = (*small_problem.members, appended)
+        problem = replace(small_problem, members=members, max_iterations=2)
         zsys = precompute_z_eigensystem(dense3)
-        result = optimize_ensemble(small_problem, zsys=zsys)
+        result = optimize_ensemble(problem, zsys=zsys)
         assert len(result.guess_yields) == 3
         assert result.yield_history.shape == (2, 3)
         assert result.final_states.shape == (3, 3)
@@ -247,9 +253,8 @@ class TestOptimizeEnsemble:
         assert np.max(np.abs(replay.amplitudes - result.final_states[:, 2])) < 1e-10
 
     def test_zero_iterations_reports_guess(self, dense3, small_problem):
-        small_problem.max_iterations = 0
         zsys = precompute_z_eigensystem(dense3)
-        result = optimize_ensemble(small_problem, zsys=zsys)
+        result = optimize_ensemble(replace(small_problem, max_iterations=0), zsys=zsys)
         assert result.iterations == 0
         assert len(result.j_history) == 0
         assert np.array_equal(result.field.samples, small_problem.guess.samples)
@@ -293,9 +298,10 @@ class TestOptimizeEnsemble:
         zsys = precompute_z_eigensystem(dense3)
         kept = small_problem.members[1]
         doubled = WavePacket(2.0 * kept.psi0.amplitudes)
-        small_problem.members[1] = EnsembleMember(psi0=doubled, target=kept.target)
+        members = (small_problem.members[0], EnsembleMember(psi0=doubled, target=kept.target))
+        problem = replace(small_problem, members=members)
         with pytest.raises(InvalidSpecError, match="normalized"):
-            optimize_ensemble(small_problem, zsys=zsys)
+            optimize_ensemble(problem, zsys=zsys)
         penalty, guess = small_problem.penalty, small_problem.guess
         single = OctProblem(dense3, doubled, kept.target, penalty, guess)
         with pytest.raises(InvalidSpecError, match="normalized"):
@@ -304,9 +310,8 @@ class TestOptimizeEnsemble:
     def test_summed_objective_monotone(self, dense3, small_problem):
         # Where the per-step field changes are well resolved by the time
         # step, the summed objective never drops past rounding slack.
-        small_problem.max_iterations = 60
         zsys = precompute_z_eigensystem(dense3)
-        result = optimize_ensemble(small_problem, zsys=zsys)
+        result = optimize_ensemble(replace(small_problem, max_iterations=60), zsys=zsys)
         full = np.concatenate([[result.guess_j], result.j_history])
         assert np.min(np.diff(full)) >= -1e-9
         assert result.monotonic
@@ -343,18 +348,7 @@ class TestOptimizeEnsemble:
                 guess=guess,
                 )
         psi = WavePacket(np.array([1.0 + 0j, 0.0, 0.0]))
-        duplicated = [
-            EnsembleMember(psi0=psi, target=StateLabel(2, 1)),
-            EnsembleMember(psi0=psi, target=StateLabel(2, 1)),
-        ]
-        with pytest.raises(InvalidSpecError):
-            EnsembleProblem(
-                hamiltonian=dense3,
-                members=duplicated,
-                penalty=pen,
-                guess=guess,
-                )
-        # Both are caught at construction, before any propagation.
+        # Each is caught at construction, before any propagation.
         member = [EnsembleMember(psi0=psi, target=StateLabel(2, 1))]
         for mode in ("newton", "add"):
             with pytest.raises(InvalidSpecError, match="update mode"):
@@ -362,13 +356,86 @@ class TestOptimizeEnsemble:
         outside = [EnsembleMember(psi0=psi, target=StateLabel(9, 0))]
         with pytest.raises(InvalidSpecError, match="not in the basis"):
             EnsembleProblem(dense3, outside, pen, guess)
-        # Targets are compared as basis rows, however they are spelled.
-        same_row = [
-            EnsembleMember(psi0=psi, target="2p"),
-            EnsembleMember(psi0=psi, target=StateLabel(2, 1)),
-        ]
-        with pytest.raises(InvalidSpecError, match="distinct"):
-            EnsembleProblem(dense3, same_row, pen, guess)
+
+
+class TestFrozenProblem:
+    """Every `EnsembleProblem` is valid: it is checked when it is built, and
+    a changed problem is a new one, checked again."""
+
+    @pytest.fixture()
+    def parts(self, dense3):
+        guess = half_cycle_pulse(peak=0.03, width=2.0, t_peak=2.0, t0=0.0, dt=0.1, n_samples=41)
+        pen = PenaltySchedule.build(guess, base=1.0)
+        member = EnsembleMember(psi0=WavePacket(np.array([1.0 + 0j, 0.0, 0.0])), target="2p")
+        return dense3, member, pen, guess
+
+    def test_fields_and_members_cannot_change(self, parts):
+        h, member, pen, guess = parts
+        problem = EnsembleProblem(h, [member], pen, guess)
+        assert problem.members == (member,)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            problem.max_iterations = 2
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            problem.members = [member, member]
+        with pytest.raises(AttributeError):
+            problem.members.append(member)
+        assert problem.members == (member,)
+
+    def test_replace_past_the_work_memory_limit_is_rejected(self, parts, monkeypatch):
+        # The limit admits one member exactly; a second one, added by
+        # remaking the problem, is over it before anything is allocated.
+        h, member, pen, guess = parts
+        limit = guess.n_steps * h.dim * (1 + 1) * 16
+        monkeypatch.setattr(control, "MAX_WORK_BYTES", limit)
+        problem = EnsembleProblem(h, [member], pen, guess)
+        with pytest.raises(InvalidSpecError, match=f"more than the limit of {limit} B"):
+            replace(problem, members=problem.members * 2)
+
+    @pytest.mark.parametrize("shape", [(2,), (4,), (3, 1), ()])
+    def test_member_state_of_the_wrong_shape_is_rejected(self, parts, shape):
+        # Before, a short state failed in the engine with an IndexError and
+        # a long one with a ValueError.
+        h, member, pen, guess = parts
+        amplitudes = np.zeros(shape, dtype=complex)
+        amplitudes.flat[:1] = 1.0
+        bad = EnsembleMember(psi0=WavePacket(amplitudes), target="2p")
+        with pytest.raises(InvalidSpecError, match=rf"member 1's state has shape .*\(3,\)"):
+            EnsembleProblem(h, [member, bad], pen, guess)
+
+    def test_repeated_targets_are_accepted(self, parts):
+        # However the target is spelled, one row: both members run, and as
+        # copies of one member their columns agree bit for bit.
+        h, member, pen, guess = parts
+        twin = EnsembleMember(psi0=member.psi0, target=StateLabel(2, 1))
+        problem = EnsembleProblem(h, [member, twin], pen, guess, max_iterations=2)
+        result = optimize_ensemble(problem)
+        assert result.final_states.shape == (3, 2)
+        assert np.array_equal(result.final_states[:, 0], result.final_states[:, 1])
+        assert np.array_equal(result.yield_history[:, 0], result.yield_history[:, 1])
+
+    def test_register_problem_rejects_a_repeated_bit(self, cesium_h):
+        guess = PulseGrid.zeros(0.0, 413.41, 11)
+        pen = PenaltySchedule.build(guess, base=1e8)
+        for bits in (["26p", "26p"], ["26p", "25p", StateLabel(26, 1)]):
+            with pytest.raises(InvalidSpecError, match="marked bit 26p is listed twice"):
+                register_ensemble_problem(cesium_h, REGISTER_NAMES, bits, pen, guess)
+
+    def test_repeated_ensemble_bit_is_one_json_error(self, tmp_path, capsys):
+        data = tiny_manifest_dict(str(tmp_path / "out"))
+        data["register"]["ensemble_marked"] = ["24p", "25p", "24p"]
+        path = tmp_path / "repeated.json"
+        path.write_text(json.dumps(data))
+        code = main(["optimize-universal", "--manifest", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        (line,) = err.strip().splitlines()
+        payload = json.loads(line)
+        assert payload == {
+            "error": "InvalidSpecError",
+            "message": "marked bit 24p is listed twice",
+        }
+        assert not (tmp_path / "out" / "summary.json").exists()
 
 
 class TestDecodeTest:

@@ -616,9 +616,9 @@ def test_step_passes(setup, block):
 def test_sweep_steps_make_only_their_blas_calls(setup):
     # Per step, the costate sweep calls `dot` twice, or once where the field
     # is exactly zero (V^T only: the diagonal shortcut).  The update sweep
-    # forms c at every step; its overlap is one `multiply` and one `dot`,
-    # with one member and with four, and the steps whose new sample is not
-    # zero add the `dot` of V.  Each chunk forms the overlap's factors with
+    # forms c at every step; its overlap is one `multiply` and two `dot`
+    # calls, the sum and the curvature, with one member and with four, and
+    # the steps whose new sample is not zero add the `dot` of V.  Each chunk forms the overlap's factors with
     # three `copyto` and two `multiply` calls, and its cross-term with one
     # `subtract` and `vecdot`, two `multiply` and one `copyto` (and one
     # `np.einsum`, which calls none of them, for the sums over members).  No
@@ -645,7 +645,8 @@ def _assert_sweep_calls(setup, n_members, dots, pairs):
     costate sweep forms into its slot, and one per chunk of its phases;
     one `multiply` per step for D^2, one more per field step for P and, in
     the update sweep, two per step for its phase row and its overlap's one
-    product, whose sum is one more `dot` per step; one `multiply` each way
+    product, whose sum and curvature are two more `dot` calls per step;
+    one `multiply` each way
     across the sweep's boundary; per chunk of the update sweep, four
     `copyto` and four `multiply` calls and one `subtract`, `vecdot` and
     `conjugate`; and no more than eight `view` calls per sweep, whatever
@@ -691,7 +692,7 @@ def _assert_sweep_calls(setup, n_members, dots, pairs):
         nonzero = np.count_nonzero(samples[:-1])
         assert changed == n_changed
         products = n_steps + nonzero
-        assert counts["dot"] == dots * products + n_steps
+        assert counts["dot"] == dots * products + 2 * n_steps
         assert counts["vdot"] == 0
         assert counts["subtract"] == pairs * products + chunks
         assert counts["add"] == pairs * products
@@ -730,9 +731,9 @@ def test_iterate_without_undispatched_numpy_functions(setup, block_setup, block,
         monkeypatch.setattr(np, name, plain)
     assert not hasattr(np.dot, "_implementation")
     got = iterate()
-    # V^T in each sweep, V in each field step and the overlap's sum, at
-    # every step.
-    assert calls["dot"] > 4 * pulse.n_steps
+    # V^T in each sweep, V in each field step and the overlap's sum and
+    # curvature, at every step.
+    assert calls["dot"] > 5 * pulse.n_steps
     # The phases, the old rows and the overlap's factors of every chunk,
     # and each c of the block step's costate sweep.
     chunks = -(-pulse.n_steps // CHUNK_STEPS)

@@ -42,7 +42,7 @@ RECORDS = {
     control.PenaltySchedule: (True, ["base", "edge_multiplier", "ramp_fraction", "samples"]),
     control.EnsembleMember: (True, ["psi0", "target"]),
     control.EnsembleProblem: (
-        False,
+        True,
         [
             "hamiltonian",
             "members",
